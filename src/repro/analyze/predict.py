@@ -38,7 +38,6 @@ CONFIRMED and the decision trace persisted for ``repro.check replay``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, Sequence
@@ -83,14 +82,14 @@ def capture_trace(
 ) -> CaptureRun:
     """Run ``target`` on the default deterministic schedule with full
     trace capture (and the observed-schedule detector) attached."""
-    import repro.core.task as task_mod
+    from repro.core.task import reset_uids
     from repro.check.mutations import apply_mutation
     from repro.check.scenarios import make_scenario
     from repro.sim.engine import Engine
     from repro.util.errors import ReproError, SimDeadlockError
 
     scenario = make_scenario(target)
-    task_mod._uid_counter = itertools.count(1)
+    reset_uids()
     error: str | None = None
     with apply_mutation(mutation):
         engine = Engine(

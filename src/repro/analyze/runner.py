@@ -11,14 +11,12 @@ against known-bad protocol variants (``unlocked_split``,
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-
-import repro.core.task as task_mod
 
 from repro.analyze.race import Race, RaceDetector
 from repro.check.mutations import apply_mutation
 from repro.check.scenarios import SCENARIOS, make_scenario
+from repro.core.task import reset_uids
 from repro.sim.engine import Engine
 from repro.util.errors import ReproError, SimDeadlockError
 
@@ -57,7 +55,7 @@ def run_race_detection(
     if target not in SCENARIOS:
         raise ValueError(f"unknown scenario {target!r} (have: {sorted(SCENARIOS)})")
     result = RaceRunResult(target=target, mutation=mutation)
-    task_mod._uid_counter = itertools.count(1)
+    reset_uids()
     scenario = make_scenario(target)
     with apply_mutation(mutation):
         engine = Engine(

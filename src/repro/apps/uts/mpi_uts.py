@@ -15,11 +15,13 @@ __all__ = ["run_uts_mpi"]
 
 def _uts_mpi_main(proc, params: UTSParams, chunk: int, poll_interval: int):
     local = TreeStats()
+    node_cost = proc.machine.cpu_reference
 
     def process_node(p, node, push):
-        p.compute(p.machine.cpu_reference)
+        p.compute(node_cost)
         local.nodes += 1
-        local.max_depth = max(local.max_depth, node.depth)
+        if node.depth > local.max_depth:
+            local.max_depth = node.depth
         kids = children_of(params, node)
         if not kids:
             local.leaves += 1

@@ -20,9 +20,9 @@ the tests validate the runtime.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
+from hashlib import sha1
 
 __all__ = ["UTSParams", "UTSNode", "TreeStats", "root_node", "children_of", "count_tree", "num_children"]
 
@@ -57,6 +57,15 @@ class UTSParams:
                 f"binomial tree with q*m = {self.q * self.m:.3f} >= 1 is "
                 "supercritical (infinite with positive probability)"
             )
+        # Geometric trees: log(1 - p(d)) per depth, the denominator of the
+        # inverse-CDF sample in num_children (0.0 where b(d) <= 0: no
+        # children).  A plain attribute, not a field: eq/hash/repr ignore it.
+        table = []
+        if self.tree_type == "geometric":
+            for depth in range(self.gen_mx):
+                b_d = self.b0 * (1.0 - depth / self.gen_mx)
+                table.append(math.log(1.0 - 1.0 / (1.0 + b_d)) if b_d > 0 else 0.0)
+        object.__setattr__(self, "_log_q", tuple(table))
 
 
 @dataclass(frozen=True)
@@ -85,29 +94,32 @@ class TreeStats:
 
 def root_node(params: UTSParams) -> UTSNode:
     """The root of the tree selected by ``params``."""
-    digest = hashlib.sha1(params.root_seed.to_bytes(8, "big")).digest()
+    digest = sha1(params.root_seed.to_bytes(8, "big")).digest()
     return UTSNode(digest=digest, depth=0)
 
 
-def _uniform(digest: bytes) -> float:
-    """Map a digest to a uniform value in [0, 1)."""
-    return int.from_bytes(digest[:7], "big") / float(1 << 56)
+_UNIFORM_SCALE = float(1 << 56)
+_from_bytes = int.from_bytes  # bound once: the type lookup costs more than the call
+
+#: Big-endian 4-byte child indices, the SHA-1 suffix of the common case.
+_SUFFIXES = tuple(i.to_bytes(4, "big") for i in range(256))
 
 
 def num_children(params: UTSParams, node: UTSNode) -> int:
     """Deterministic child count of ``node``."""
-    u = _uniform(node.digest)
+    # the digest's leading 7 bytes as a uniform value in [0, 1)
+    u = _from_bytes(node.digest[:7], "big") / _UNIFORM_SCALE
+    depth = node.depth
     if params.tree_type == "geometric":
-        if node.depth >= params.gen_mx:
+        if depth >= params.gen_mx:
             return 0
-        b_d = params.b0 * (1.0 - node.depth / params.gen_mx)
-        if b_d <= 0:
+        log_q = params._log_q[depth]  # log(1 - p), p = 1 / (1 + b(depth))
+        if not log_q:
             return 0
-        p = 1.0 / (1.0 + b_d)
         # inverse-CDF sample of Geometric(p) supported on {0, 1, 2, ...}
-        return int(math.floor(math.log(1.0 - u) / math.log(1.0 - p)))
+        return math.floor(math.log(1.0 - u) / log_q)
     # binomial
-    if node.depth == 0:
+    if depth == 0:
         return int(params.b0)
     return params.m if u < params.q else 0
 
@@ -115,10 +127,16 @@ def num_children(params: UTSParams, node: UTSNode) -> int:
 def children_of(params: UTSParams, node: UTSNode) -> list[UTSNode]:
     """Generate the children of ``node`` via the SHA-1 chain."""
     n = num_children(params, node)
+    if n <= 0:
+        return []
+    # Hash the shared 20-byte prefix once; each child extends a copy.
+    fork = sha1(node.digest).copy
+    depth = node.depth + 1
     out = []
     for i in range(n):
-        digest = hashlib.sha1(node.digest + i.to_bytes(4, "big")).digest()
-        out.append(UTSNode(digest=digest, depth=node.depth + 1))
+        h = fork()
+        h.update(_SUFFIXES[i] if i < 256 else i.to_bytes(4, "big"))
+        out.append(UTSNode(h.digest(), depth))
     return out
 
 

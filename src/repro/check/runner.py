@@ -15,18 +15,16 @@ deadlock" means the same stuck configuration, not just any deadlock).
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import repro.core.task as task_mod
 
 from repro.check.invariants import Violation
 from repro.check.mutations import apply_mutation
 from repro.check.scenarios import Scenario, make_scenario
 from repro.check.strategies import ExplorationStrategy, ReplayStrategy, make_strategy
 from repro.check.traces import DecisionTrace, minimize_decisions
+from repro.core.task import reset_uids
 from repro.sim.engine import Engine, SchedulingStrategy
 from repro.obs.flight import maybe_attach_flight
 from repro.obs.tracing import Tracer
@@ -120,7 +118,7 @@ def run_once(
     out = RunOutcome()
     # fresh task uids per run so the uids in a persisted failure trace
     # mean the same thing when the trace is replayed in a new process
-    task_mod._uid_counter = itertools.count(1)
+    reset_uids()
     with apply_mutation(mutation):
         engine = Engine(
             scenario.nprocs,

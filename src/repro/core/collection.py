@@ -197,7 +197,7 @@ class TaskCollection:
 
     def clo(self, handle: int) -> Any:
         """Look up this rank's instance of a common local object."""
-        store = self._shared.clos[self.rank]
+        store = self._shared.clos[self.proc.rank]
         if not 0 <= handle < len(store):
             raise TaskCollectionError(
                 f"no common local object with handle {handle} on rank {self.rank}"
@@ -230,7 +230,9 @@ class TaskCollection:
         """Add a task to the collection (``tc_add``).
 
         The descriptor is copied (copy-in/out semantics) so the caller may
-        immediately reuse or mutate its task buffer.
+        immediately reuse or mutate its task buffer.  Validation and the
+        copy happen at the call; the returned coroutine is the queue insert
+        itself, so ``yield from`` resumes it with no delegating frame.
 
         Args:
             task: The task descriptor to add.
@@ -248,21 +250,25 @@ class TaskCollection:
                 f"task callback handle {task.callback} is not registered"
             )
         dest = myrank if rank is None else rank
-        if not 0 <= dest < proc.engine.nprocs:
+        engine = proc.engine
+        if not 0 <= dest < engine.nprocs:
             raise TaskCollectionError(f"invalid destination rank {dest}")
         t = task.clone()
         t.created_by = myrank
         if affinity is not None:
             t.affinity = affinity
-        if proc.engine.observed:
+        if engine.observed:
             trace(proc, "task-add", t.uid)
         if dest == myrank:
-            yield from shared.queues[dest].co_push_local(proc, t)
-        else:
-            yield from shared.queues[dest].co_add_remote(proc, t)
-            td = shared.active[myrank]
-            if td is not None:
-                td.note_remote_add(proc, dest)
+            return shared.queues[dest].co_push_local(proc, t)
+        return self._co_add_remote(t, dest)
+
+    def _co_add_remote(self, t: Task, dest: int):
+        shared, proc = self._shared, self.proc
+        yield from shared.queues[dest].co_add_remote(proc, t)
+        td = shared.active[proc.rank]
+        if td is not None:
+            td.note_remote_add(proc, dest)
 
     def task(self, callback: int, body: Any = None, affinity: int = 0,
              body_size: int | None = None) -> Task:
@@ -277,7 +283,7 @@ class TaskCollection:
         self._check_alive()
         from repro.core.scheduler import co_run_process
 
-        return (yield from co_run_process(self))
+        return co_run_process(self)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Callable
-from typing import TYPE_CHECKING
 
 from repro.analyze import hooks
 from repro.armci.runtime import Armci
@@ -37,9 +36,6 @@ from repro.obs.tracing import trace
 from repro.sim.engine import Engine, Proc, blocking_method
 from repro.sim.counters import Counters
 from repro.util.errors import TaskCollectionError
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 __all__ = ["SplitQueue", "QUEUE_META_BYTES"]
 
@@ -69,11 +65,14 @@ class SplitQueue:
         self.default_body_size = default_body_size
         self.config = config
         self.counters = counters
-        # Memoized push/pop costs per wire size: the cost model is a pure
-        # function of the (immutable) machine spec, and task wire sizes
+        # Owner's live counter row, fetched lazily: an unused queue adds no empty row.
+        self._row: dict[str, float] | None = None
+        # Memoized push/pop costs per task body size: the cost model is a
+        # pure function of the (immutable) machine spec, and body sizes
         # repeat, so the hot paths reuse the exact floats it computed.
-        self._push_costs: dict[int, float] = {}
-        self._copy_costs: dict[int, float] = {}
+        self._push_costs: dict[int | None, float] = {}
+        self._copy_costs: dict[int | None, float] = {}
+        self._get_overhead = engine.machine.local_get_overhead
         # Ordered descending by affinity; index 0 is the head.
         # In split mode _private is the owner's lock-free portion and
         # _shared the steal-able portion; in locked mode everything lives
@@ -134,7 +133,7 @@ class SplitQueue:
         if not region or task.affinity >= region[0].affinity:
             region.insert(0, task)
             return
-        pos = bisect.bisect_left([-t.affinity for t in region], -task.affinity)
+        pos = bisect.bisect_left(region, -task.affinity, key=lambda t: -t.affinity)
         region.insert(pos, task)
 
     push_local = blocking_method("co_push_local")
@@ -144,39 +143,38 @@ class SplitQueue:
         if proc.rank != self.owner:
             raise TaskCollectionError("push_local called by non-owner")
         engine = self.engine
-        m = engine.machine
-        self.counters.add(proc.rank, "local_push")
-        if self.config.split_queues:
-            wire = task.wire_size(self.default_body_size)
-            cost = self._push_costs.get(wire)
-            if cost is None:
-                cost = m.local_insert_overhead + m.local_copy_time(wire)
-                self._push_costs[wire] = cost
-            proc._clock += cost  # advance(): model constant, >= 0
-            yield from proc.co_sync()
-            private = self._private
-            if len(private) + len(self._shared) >= self.capacity:
-                self._check_capacity(1)
-            if not private or task.affinity >= private[0].affinity:
-                private.insert(0, task)
-            else:
-                self._insert_by_affinity(private, task)
-            if engine.observed:
-                trace(proc, "q-push", (self.owner, task.uid))
-                edge_mark(proc, ("spawn", task.uid), detail=task.uid)
-            if not self._shared and len(private) >= 2:
-                yield from self._co_maybe_release(proc)
-        else:
+        split = self.config.split_queues
+        row = self._row
+        if row is None:
+            row = self._row = self.counters.row(self.owner)
+        row["local_push"] += 1.0
+        cost = self._push_costs.get(task.body_size)
+        if cost is None:
+            m = engine.machine
+            cost = m.local_insert_overhead + m.local_copy_time(self._wire(task))
+            self._push_costs[task.body_size] = cost
+        if not split:
             yield from self.mutex.co_acquire(proc)
-            proc.advance(m.local_insert_overhead + m.local_copy_time(self._wire(task)))
-            yield from proc.co_sync()
+        proc._clock += cost  # advance(): model constant, >= 0
+        yield from proc.co_sync()
+        region = self._private if split else self._shared
+        if len(self._private) + len(self._shared) >= self.capacity:
             self._check_capacity(1)
-            hooks.shared_write(proc, self._race_region)
-            self._insert_by_affinity(self._shared, task)
+        if not region or task.affinity >= region[0].affinity:
+            region.insert(0, task)
+        else:
+            self._insert_by_affinity(region, task)
+        if engine.observed:
+            if not split:
+                hooks.shared_write(proc, self._race_region)
             trace(proc, "q-push", (self.owner, task.uid))
             edge_mark(proc, ("spawn", task.uid), detail=task.uid)
-            edge_mark(proc, self._share_key)
+            if not split:
+                edge_mark(proc, self._share_key)
+        if not split:
             yield from self.mutex.co_release(proc)
+        elif not self._shared and len(region) >= 2:
+            yield from self._co_maybe_release(proc)
 
     pop_local = blocking_method("co_pop_local")
 
@@ -185,38 +183,37 @@ class SplitQueue:
         if proc.rank != self.owner:
             raise TaskCollectionError("pop_local called by non-owner")
         engine = self.engine
-        m = engine.machine
-        if self.config.split_queues:
-            proc._clock += m.local_get_overhead  # advance(): constant, >= 0
-            yield from proc.co_sync()
+        split = self.config.split_queues
+        if not split:
+            yield from self.mutex.co_acquire(proc)
+        proc._clock += self._get_overhead  # advance(): constant, >= 0
+        yield from proc.co_sync()
+        if split:
             if not self._private and self._shared:
                 yield from self._co_reacquire(proc)
-            private = self._private
-            if not private:
-                return None
-            task = private.pop(0)
+            region = self._private
+        else:
+            if engine.observed:
+                hooks.shared_update(proc, self._race_region)
+            region = self._shared
+        task = None
+        if region:
+            task = region.pop(0)
             if engine.observed:
                 trace(proc, "q-pop", (self.owner, task.uid))
-            wire = task.wire_size(self.default_body_size)
-            cost = self._copy_costs.get(wire)
+            cost = self._copy_costs.get(task.body_size)
             if cost is None:
-                cost = m.local_copy_time(wire)
-                self._copy_costs[wire] = cost
+                cost = engine.machine.local_copy_time(self._wire(task))
+                self._copy_costs[task.body_size] = cost
             proc._clock += cost  # advance(): model constant, >= 0
-            self.counters.add(proc.rank, "local_pop")
-            if not self._shared and len(private) >= 2:
-                yield from self._co_maybe_release(proc)
-            return task
-        yield from self.mutex.co_acquire(proc)
-        proc.advance(m.local_get_overhead)
-        yield from proc.co_sync()
-        hooks.shared_update(proc, self._race_region)
-        task = self._shared.pop(0) if self._shared else None
-        if task is not None:
-            trace(proc, "q-pop", (self.owner, task.uid))
-            proc.advance(m.local_copy_time(self._wire(task)))
-            self.counters.add(proc.rank, "local_pop")
-        yield from self.mutex.co_release(proc)
+            row = self._row
+            if row is None:
+                row = self._row = self.counters.row(self.owner)
+            row["local_pop"] += 1.0
+        if not split:
+            yield from self.mutex.co_release(proc)
+        elif task is not None and not self._shared and len(region) >= 2:
+            yield from self._co_maybe_release(proc)
         return task
 
     def _co_maybe_release(self, proc: Proc):
@@ -315,10 +312,27 @@ class SplitQueue:
         """
         if proc.rank == self.owner:
             raise TaskCollectionError("a process cannot steal from itself")
-        m = self.engine.machine
         self.counters.add(proc.rank, "steal_attempt")
+
+        def _take() -> list[Task]:
+            observed = self.engine.observed
+            if observed:
+                hooks.shared_update(proc, self._race_region)
+            k = min(want, len(self._shared))
+            taken = self._shared[len(self._shared) - k :]
+            del self._shared[len(self._shared) - k :]
+            if taken:
+                if observed:
+                    trace(proc, "q-steal", (self.owner, tuple(t.uid for t in taken)))
+                    hooks.protocol(
+                        proc, "steal-transfer", victim=self.owner, n=len(taken)
+                    )
+                if on_transfer is not None:
+                    on_transfer()
+            return taken
+
         if self.config.wait_free_steals:
-            return (yield from self._co_steal_waitfree(proc, want, on_transfer))
+            return (yield from self._co_steal_waitfree(proc, _take))
         if probe_first:
             n_shared = yield from self.armci.co_get(
                 proc, self.owner, QUEUE_META_BYTES, lambda: len(self._shared)
@@ -327,80 +341,44 @@ class SplitQueue:
                 self.counters.add(proc.rank, "steal_probe_empty")
                 return []
         yield from self.mutex.co_acquire(proc)
-
         # The queue is contiguous, so metadata and the tail chunk arrive in
         # a single one-sided get (the paper's "several tasks ... using a
         # single one-sided communication operation", §5).
-        def _take() -> list[Task]:
-            hooks.shared_update(proc, self._race_region)
-            k = min(want, len(self._shared))
-            taken = self._shared[len(self._shared) - k :]
-            del self._shared[len(self._shared) - k :]
-            if taken:
-                trace(proc, "q-steal", (self.owner, tuple(t.uid for t in taken)))
-                hooks.protocol(
-                    proc, "steal-transfer", victim=self.owner, n=len(taken)
-                )
-                if on_transfer is not None:
-                    on_transfer()
-            return taken
-
         probe_k = min(want, len(self._shared))
         nbytes = QUEUE_META_BYTES + sum(
             self._wire(t) for t in self._shared[len(self._shared) - probe_k :]
         )
         tasks = yield from self.armci.co_get(proc, self.owner, nbytes, _take)
-        if not tasks:
-            yield from self.mutex.co_release(proc)
-            proc.advance(m.remote_op_overhead)
-            return []
-        yield from self.armci.co_put(proc, self.owner, QUEUE_META_BYTES, None)  # index update
+        if tasks:
+            yield from self.armci.co_put(proc, self.owner, QUEUE_META_BYTES, None)  # index update
         yield from self.mutex.co_release(proc)
-        proc.advance(m.remote_op_overhead)
-        self.counters.add(proc.rank, "steal_success")
-        self.counters.add(proc.rank, "tasks_stolen", len(tasks))
-        trace(proc, "steal", f"{len(tasks)} tasks from rank {self.owner}")
-        edge_here(proc, self._share_key, "steal", detail=len(tasks))
+        proc.advance(self.engine.machine.remote_op_overhead)
+        if tasks:
+            self._note_stolen(proc, tasks, "steal")
         return tasks
 
-    def _co_steal_waitfree(
-        self,
-        proc: Proc,
-        want: int,
-        on_transfer: Callable[[], None] | None = None,
-    ):
+    def _note_stolen(self, proc: Proc, tasks: list[Task], event: str) -> None:
+        self.counters.add(proc.rank, "steal_success")
+        self.counters.add(proc.rank, "tasks_stolen", len(tasks))
+        if self.engine.observed:
+            trace(proc, event, f"{len(tasks)} tasks from rank {self.owner}")
+            edge_here(proc, self._share_key, "steal", detail=len(tasks))
+
+    def _co_steal_waitfree(self, proc: Proc, take: Callable[[], list[Task]]):
         """Wait-free steal (§8 future work): one remote atomic reserves the
         chunk by moving the tail index; the descriptors then move with a
         single get.  No mutex is taken, so an in-progress steal never
         blocks the owner or other thieves — reservations serialize only
         for the duration of the metadata atomic at the target."""
         m = self.engine.machine
-
-        def _reserve() -> list[Task]:
-            hooks.shared_update(proc, self._race_region)
-            k = min(want, len(self._shared))
-            taken = self._shared[len(self._shared) - k :]
-            del self._shared[len(self._shared) - k :]
-            if taken:
-                trace(proc, "q-steal", (self.owner, tuple(t.uid for t in taken)))
-                hooks.protocol(
-                    proc, "steal-transfer", victim=self.owner, n=len(taken)
-                )
-                if on_transfer is not None:
-                    on_transfer()
-            return taken
-
-        tasks = yield from self.armci.co_rmw(proc, self.owner, _reserve)
+        tasks = yield from self.armci.co_rmw(proc, self.owner, take)
         if not tasks:
             return []
         nbytes = sum(self._wire(t) for t in tasks)
         proc.advance(m.get_time(nbytes))  # fetch the reserved slots
         yield from proc.co_sync()
         proc.advance(m.remote_op_overhead)
-        self.counters.add(proc.rank, "steal_success")
-        self.counters.add(proc.rank, "tasks_stolen", len(tasks))
-        trace(proc, "steal-wf", f"{len(tasks)} tasks from rank {self.owner}")
-        edge_here(proc, self._share_key, "steal", detail=len(tasks))
+        self._note_stolen(proc, tasks, "steal-wf")
         return tasks
 
     absorb_stolen = blocking_method("co_absorb_stolen")
@@ -426,18 +404,20 @@ class SplitQueue:
         proc.advance(m.local_insert_overhead + m.local_copy_time(nbytes))
         yield from proc.co_sync()
         self._check_capacity(len(tasks))
-        if self.config.split_queues:
-            region = self._private
-        else:
+        split = self.config.split_queues
+        observed = self.engine.observed
+        if observed and not split:
             hooks.shared_write(proc, self._race_region)
-            region = self._shared
+        region = self._private if split else self._shared
         region.extend(tasks)
         region.sort(key=lambda t: -t.affinity)  # stable merge; mostly sorted
-        trace(proc, "q-absorb", (self.owner, tuple(t.uid for t in tasks)))
-        if self.config.split_queues:
+        if observed:
+            trace(proc, "q-absorb", (self.owner, tuple(t.uid for t in tasks)))
+        if split:
             yield from self._co_maybe_release(proc)
         else:
-            edge_mark(proc, self._share_key, detail=len(tasks))
+            if observed:
+                edge_mark(proc, self._share_key, detail=len(tasks))
             yield from self.mutex.co_release(proc)
 
     add_remote = blocking_method("co_add_remote")
@@ -451,16 +431,16 @@ class SplitQueue:
         """
         if proc.rank == self.owner:
             raise TaskCollectionError("add_remote called by the owner; use push_local")
-        m = self.engine.machine
         self.counters.add(proc.rank, "remote_add")
 
         def _insert() -> None:
             self._check_capacity(1)
-            hooks.shared_write(proc, self._race_region)
             self._insert_by_affinity(self._shared, task)
-            trace(proc, "q-add-remote", (self.owner, task.uid))
-            edge_mark(proc, ("spawn", task.uid), detail=task.uid)
-            edge_mark(proc, self._share_key)
+            if self.engine.observed:
+                hooks.shared_write(proc, self._race_region)
+                trace(proc, "q-add-remote", (self.owner, task.uid))
+                edge_mark(proc, ("spawn", task.uid), detail=task.uid)
+                edge_mark(proc, self._share_key)
 
         if self.config.wait_free_steals:
             # reserve a slot with one atomic, then put the descriptor
@@ -471,7 +451,7 @@ class SplitQueue:
             yield from self.armci.co_get(proc, self.owner, QUEUE_META_BYTES, None)  # read indices
             yield from self.armci.co_put(proc, self.owner, self._wire(task), _insert)
             yield from self.mutex.co_release(proc)
-        proc.advance(m.remote_op_overhead)
+        proc.advance(self.engine.machine.remote_op_overhead)
 
     def drain(self) -> list[Task]:
         """Remove and return all queued tasks (used by ``tc_reset``).

@@ -11,29 +11,38 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any
 
-__all__ = ["Task", "AFFINITY_HIGH", "AFFINITY_LOW", "TASK_HEADER_BYTES"]
+__all__ = ["Task", "AFFINITY_HIGH", "AFFINITY_LOW", "TASK_HEADER_BYTES", "reset_uids"]
 
 _uid_counter = itertools.count(1)
 
-#: Types whose instances need no copying: immutable all the way down.
-_ATOMIC_TYPES = (type(None), bool, int, float, complex, str, bytes, frozenset)
-#: Same set, as exact types for the hot membership test.  Subclasses of
-#: an atomic type fall through to ``deepcopy`` — the safe direction,
-#: since a subclass may add mutable state.
-_ATOMIC_TYPE_SET = frozenset(_ATOMIC_TYPES)
 
-_frozen_dataclass_cache: dict[type, bool] = {}
+def reset_uids() -> None:
+    """Restart task uids at 1, so a run's uids mean the same in a replay.
+    ``Task`` reads the module global on every allocation: rebinding it is
+    the one way to reset, and nothing may cache it or its ``__next__``."""
+    global _uid_counter
+    _uid_counter = itertools.count(1)
 
 
+#: Exact types whose instances need no copying: immutable all the way
+#: down.  Subclasses of an atomic type fall through to ``deepcopy`` — the
+#: safe direction, since a subclass may add mutable state.
+_ATOMIC_TYPE_SET = frozenset({type(None), bool, int, float, complex, str, bytes, frozenset})
+
+
+@cache
 def _is_frozen_dataclass(tp: type) -> bool:
-    cached = _frozen_dataclass_cache.get(tp)
-    if cached is None:
-        params = getattr(tp, "__dataclass_params__", None)
-        cached = params is not None and bool(params.frozen)
-        _frozen_dataclass_cache[tp] = cached
-    return cached
+    """A frozen dataclass that keeps every field in the instance
+    ``__dict__`` (no ``__slots__`` anywhere in its MRO)?"""
+    params = getattr(tp, "__dataclass_params__", None)
+    return (
+        params is not None
+        and bool(params.frozen)
+        and not any("__slots__" in vars(c) for c in tp.__mro__[:-1])
+    )
 
 
 def _copy_body(body: Any) -> Any:
@@ -46,19 +55,19 @@ def _copy_body(body: Any) -> Any:
     them through the reference.
     """
     tp = type(body)
-    if tp in _ATOMIC_TYPE_SET:
+    atomic = _ATOMIC_TYPE_SET
+    if tp in atomic:
         return body
     if tp is tuple:
-        if all(type(v) in _ATOMIC_TYPE_SET for v in body):
-            return body
+        values = body
     elif _is_frozen_dataclass(tp):
-        try:
-            values = vars(body).values()
-        except TypeError:  # slotted dataclass: no __dict__
+        values = body.__dict__.values()
+    else:
+        return copy.deepcopy(body)
+    for v in values:
+        if type(v) not in atomic:
             return copy.deepcopy(body)
-        if all(type(v) in _ATOMIC_TYPE_SET for v in values):
-            return body
-    return copy.deepcopy(body)
+    return body
 
 #: Bytes of task meta-data (Figure 1's header) charged on every transfer.
 TASK_HEADER_BYTES = 64
@@ -115,7 +124,8 @@ class Task:
         """
         t = Task.__new__(Task)
         t.callback = self.callback
-        t.body = _copy_body(self.body)
+        body = self.body
+        t.body = body if type(body) in _ATOMIC_TYPE_SET else _copy_body(body)
         t.affinity = self.affinity
         t.body_size = self.body_size
         t.created_by = self.created_by

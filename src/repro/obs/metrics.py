@@ -180,6 +180,11 @@ class CounterFamily:
         """Add ``amount`` to counter ``key`` of ``rank``."""
         self._per_rank[rank][key] += amount
 
+    def row(self, rank: int) -> dict[str, float]:
+        """The live ``{key: value}`` row of ``rank``, for a hot path that
+        bumps its own counters (``row[key] += 1.0``) without a call each."""
+        return self._per_rank[rank]
+
     def get(self, rank: int, key: str) -> float:
         """Return counter ``key`` of ``rank`` (0.0 if never touched)."""
         return self._per_rank[rank].get(key, 0.0)

@@ -69,10 +69,10 @@ See ``docs/performance.md`` for backend selection and measured costs.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections.abc import Callable, Generator, Iterable
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from types import GeneratorType
 from typing import Any
 
@@ -318,7 +318,10 @@ class Proc:
         The machine model scales the cost by this rank's relative speed,
         which is how heterogeneous (Opteron/Xeon) clusters are modelled.
         """
-        self.advance(reference_seconds * self._cpu_factor)
+        seconds = reference_seconds * self._cpu_factor
+        if seconds < 0:
+            raise ValueError(f"cannot advance by negative time {seconds!r}")
+        self._clock += seconds
 
     def sync(self) -> None:
         """Yield to the engine; resume when this process is globally earliest.
@@ -367,13 +370,16 @@ class Proc:
                 entry = heap[0]
                 proc = procs[entry[2]]
                 if proc.finished or entry[3] != proc._gen:
-                    heapq.heappop(heap)
+                    heappop(heap)
                     engine._nstale -= 1
                     continue
                 if entry[0] > clock:
                     break  # earliest live event is later: we'd run next
-                # Another process must run first: full handoff.
-                engine._schedule(self, clock, None)
+                # Another process must run first: full handoff
+                # (Engine._schedule, inlined — one frame per event).
+                self._wake_payload = None
+                self._pending += 1
+                heappush(heap, (clock, next(engine._seq), self.rank, self._gen))
                 return self._switch
             # Heap empty or earliest live event strictly later — an
             # elided event: counted, limit-checked, but never switched.
@@ -557,7 +563,7 @@ class Engine:
     def _schedule(self, proc: Proc, time: float, payload: Any) -> None:
         proc._wake_payload = payload
         proc._pending += 1
-        heapq.heappush(self._heap, (time, next(self._seq), proc.rank, proc._gen))
+        heappush(self._heap, (time, next(self._seq), proc.rank, proc._gen))
 
     def wake(self, proc: Proc, time: float, payload: Any = None) -> None:
         """Wake a parked process at virtual ``time`` with ``payload``.
@@ -597,36 +603,26 @@ class Engine:
             )
 
     def _next_event(self) -> tuple[float, int, int, int] | None:
-        """Select the next (time, seq, rank, gen) entry to resume, or None.
+        """Let the exploring strategy select the next (time, seq, rank,
+        gen) entry to resume, or None.
 
-        With no strategy (or a non-exploring one) this is the fast path:
-        pop the heap minimum, skipping stale entries.  An exploring
-        strategy instead sees the full runnable set — the earliest live
+        The strategy sees the full runnable set — the earliest live
         entry of every runnable process — and picks one; this is the
         decision point schedule exploration drives.  The chosen entry is
         left in place (it goes stale when its process's generation
         bumps) and the heap is compacted whenever stale entries
         outnumber live ones, keeping each scan O(live) amortized
-        instead of the seed's per-event O(heap) rebuild.
+        instead of the seed's per-event O(heap) rebuild.  (Without an
+        exploring strategy :meth:`_pick` pops the heap minimum itself.)
         """
         heap = self._heap
         procs = self.procs
-        if not self._explores:
-            pop = heapq.heappop
-            while heap:
-                entry = pop(heap)
-                proc = procs[entry[2]]
-                if proc.finished or entry[3] != proc._gen:
-                    self._nstale -= 1
-                    continue  # stale entry: already resumed since scheduling
-                return entry
-            return None
         if self._nstale > 32 and self._nstale * 2 > len(heap):
             heap[:] = [
                 e for e in heap
                 if not procs[e[2]].finished and e[3] == procs[e[2]]._gen
             ]
-            heapq.heapify(heap)
+            heapify(heap)
             self._nstale = 0
         best: dict[int, tuple[float, int, int, int]] = {}
         for entry in heap:
@@ -661,52 +657,62 @@ class Engine:
         whichever context is yielding: a blocking dispatch or the coro
         backend's trampoline.
         """
-        dst: Proc | None = None
-        failure: BaseException | None = None
-        if self._active:
-            try:
+        if not self._active:
+            return None
+        try:
+            if self._explores:
                 entry = self._next_event()
-                if entry is None:
-                    parked = [
-                        (p.rank, p.blocked_at) for p in self.procs if not p.finished
-                    ]
-                    blocked = ", ".join(
-                        f"rank {p.rank} at {p.blocked_at!r} (t={p.now * 1e6:.3f}us)"
-                        for p in self.procs
-                        if not p.finished
-                    )
-                    failure = SimDeadlockError(
-                        f"no runnable process; {self._active} still active: {blocked}",
-                        parked=parked,
-                    )
-                else:
-                    time = entry[0]
-                    proc = self.procs[entry[2]]
-                    # The consumed entry (and, when exploring, the one left
-                    # in the heap) plus any same-generation siblings go
-                    # stale now that the generation bumps.
-                    self._nstale += proc._pending - (not self._explores)
-                    proc._pending = 0
-                    proc._gen += 1
-                    if proc.blocked_at is not None:
-                        proc.blocked_at = None
-                        self._parked -= 1
-                    if self._tick is not None:
-                        self._tick(time)
-                    self.events += 1
-                    if self._limits:
-                        self._check_limits(time)
-                    if time > proc._clock:
-                        proc._clock = time
-                    self._current = proc
-                    dst = proc
-            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
-                failure = exc
-        if failure is not None:
+            else:
+                # Fast path: pop the heap minimum, skipping entries whose
+                # process has resumed since they were scheduled.
+                heap = self._heap
+                procs = self.procs
+                entry = None
+                while heap:
+                    head = heappop(heap)
+                    proc = procs[head[2]]
+                    if proc.finished or head[3] != proc._gen:
+                        self._nstale -= 1
+                        continue
+                    entry = head
+                    break
+            if entry is None:
+                parked = [
+                    (p.rank, p.blocked_at) for p in self.procs if not p.finished
+                ]
+                blocked = ", ".join(
+                    f"rank {p.rank} at {p.blocked_at!r} (t={p.now * 1e6:.3f}us)"
+                    for p in self.procs
+                    if not p.finished
+                )
+                raise SimDeadlockError(
+                    f"no runnable process; {self._active} still active: {blocked}",
+                    parked=parked,
+                )
+            time = entry[0]
+            proc = self.procs[entry[2]]
+            # The consumed entry (and, when exploring, the one left in
+            # the heap) plus any same-generation siblings go stale now
+            # that the generation bumps.
+            self._nstale += proc._pending - (not self._explores)
+            proc._pending = 0
+            proc._gen += 1
+            if proc.blocked_at is not None:
+                proc.blocked_at = None
+                self._parked -= 1
+            if self._tick is not None:
+                self._tick(time)
+            self.events += 1
+            if self._limits:
+                self._check_limits(time)
+            if time > proc._clock:
+                proc._clock = time
+            self._current = proc
+            return proc
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
             if self._failure is None:
-                self._failure = failure
-            dst = None
-        return dst
+                self._failure = exc
+            return None
 
     def _dispatch(self, src: Proc | None, dying: bool = False) -> None:
         """Resume the next event's process, switching out of ``src``.

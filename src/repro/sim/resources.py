@@ -56,11 +56,14 @@ class SimMutex:
 
     def co_acquire(self, proc: Proc):
         """Block (in virtual time) until ``proc`` holds the mutex."""
-        rec = Recorder.of(self.engine)
+        # Every observer sets Engine.observed when it attaches, so an
+        # unobserved acquire/release skips the probes and hook calls.
+        engine = self.engine
+        rec = Recorder.of(engine) if engine.observed else None
         t_req = proc.now
         proc.advance(self._request_cost(proc))
         yield from proc.co_sync()
-        det = RaceDetector.of(self.engine)
+        det = RaceDetector.of(engine) if engine.observed else None
         if det is not None:
             # Pre-grant request: no yield happens between here and the
             # holder check below, so the capture's wait-for graph sees
@@ -82,10 +85,11 @@ class SimMutex:
             if self._grant_src is not None:
                 causal_edge(proc, "lock", *self._grant_src, detail=self.name)
                 self._grant_src = None
-        det = RaceDetector.of(self.engine)
-        if det is not None:
-            det.on_mutex_acquire(proc, self)
-        trace(proc, "mutex-acq", self.name)
+        if engine.observed:
+            det = RaceDetector.of(engine)
+            if det is not None:
+                det.on_mutex_acquire(proc, self)
+            trace(proc, "mutex-acq", self.name)
         self.acquires += 1
         if rec is not None:
             rec.metrics.observe("lock_wait", proc.now - t_req, rank=proc.rank)
@@ -99,23 +103,29 @@ class SimMutex:
             raise RuntimeError(f"rank {proc.rank} released {self.name} it does not hold")
         proc.advance(self._release_cost(proc))
         yield from proc.co_sync()
-        det = RaceDetector.of(self.engine)
-        if det is not None:
-            det.on_mutex_release(proc, self)
-        trace(proc, "mutex-rel", self.name)
-        rec = Recorder.of(self.engine)
-        if rec is not None:
-            rec.metrics.observe("lock_hold", proc.now - self._acquired_at, rank=proc.rank)
+        engine = self.engine
+        observed = engine.observed
+        if observed:
+            det = RaceDetector.of(engine)
+            if det is not None:
+                det.on_mutex_release(proc, self)
+            trace(proc, "mutex-rel", self.name)
+            rec = Recorder.of(engine)
+            if rec is not None:
+                rec.metrics.observe(
+                    "lock_hold", proc.now - self._acquired_at, rank=proc.rank
+                )
         if self._waiters:
             nxt = self._waiters.popleft()
             self.holder = nxt
-            self._grant_src = (proc.rank, proc.now)
+            if observed:
+                self._grant_src = (proc.rank, proc.now)
             grant_latency = (
-                self.engine.machine.local_lock_overhead
+                engine.machine.local_lock_overhead
                 if nxt.rank == self.host_rank
-                else self.engine.machine.latency
+                else engine.machine.latency
             )
-            self.engine.wake(nxt, proc.now + grant_latency)
+            engine.wake(nxt, proc.now + grant_latency)
         else:
             self.holder = None
 

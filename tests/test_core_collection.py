@@ -103,6 +103,57 @@ def test_add_copies_body():
     assert sorted(seen) == [(1, 2), (1, 2, 99)]
 
 
+def test_mutating_the_buffer_after_add_never_reaches_the_queue():
+    """Header fields and mutable parts nested in an immutable shell are
+    copied in too; the caller's ``affinity=`` override stays out of its
+    own buffer."""
+    seen = []
+
+    def main(proc):
+        tc = yield from TaskCollection.co_create(proc)
+        h = tc.register(lambda tc_, t: seen.append((t.body, t.affinity, t.body_size)))
+        buf = Task(callback=h, body=("k", [1]), affinity=3, body_size=8)
+        yield from tc.co_add(buf, affinity=5)
+        assert buf.affinity == 3
+        buf.body[1].append(2)
+        buf.affinity, buf.body_size = 0, 64
+        yield from tc.co_process()
+
+    _run(1, main)
+    assert seen == [(("k", [1]), 5, 8)]
+
+
+@pytest.mark.parametrize("fault", ["destroyed", "bad handle", "bad rank"])
+def test_add_rejects_at_the_call_in_both_forms(fault):
+    """``co_add`` validates when called, not when first resumed: the
+    coroutine form raises before there is anything to ``yield from``."""
+
+    def bad_add(handle, nprocs):
+        task = Task(callback=handle + 1 if fault == "bad handle" else handle)
+        return task, {"rank": nprocs} if fault == "bad rank" else {}
+
+    def main(proc):
+        tc = yield from TaskCollection.co_create(proc)
+        task, kwargs = bad_add(tc.register(lambda tc_, t: None), proc.nprocs)
+        if fault == "destroyed":
+            yield from tc.co_destroy()
+        with pytest.raises(TaskCollectionError):
+            tc.co_add(task, **kwargs)  # never resumed
+        with pytest.raises(TaskCollectionError):
+            yield from tc.co_add(task, **kwargs)
+
+    def blocking_main(proc):
+        tc = TaskCollection.create(proc)
+        task, kwargs = bad_add(tc.register(lambda tc_, t: None), proc.nprocs)
+        if fault == "destroyed":
+            tc.destroy()
+        with pytest.raises(TaskCollectionError):
+            tc.add(task, **kwargs)
+
+    _run(1, main)
+    _run(1, blocking_main)
+
+
 def test_remote_add_reaches_other_rank():
     ran_on = []
 

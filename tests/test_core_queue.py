@@ -121,6 +121,27 @@ class TestLocalOps:
         assert sorted(res.returns[0]) == list(range(8))
         assert counters.get(0, "reacquire_ops") > 0
 
+    def test_insert_by_affinity_placement(self):
+        """Descending affinity, newest first inside a class — the slot the
+        earlier list-of-negated-keys bisect chose, on 1,000 random inserts."""
+        import bisect
+        import random
+
+        rng = random.Random(18)
+        region: list[Task] = []
+        for i in range(1000):
+            task = _mk(i, affinity=rng.randrange(6))
+            keys = [-t.affinity for t in region]
+            before = list(region)
+            SplitQueue._insert_by_affinity(region, task)
+            at = region.index(task)
+            assert at == bisect.bisect_left(keys, -task.affinity)
+            assert region[:at] + region[at + 1 :] == before
+        affs = [t.affinity for t in region]
+        assert affs == sorted(affs, reverse=True)
+        for a, b in zip(region, region[1:]):
+            assert a.affinity > b.affinity or a.body > b.body  # LIFO in a class
+
 
 class TestStealing:
     def test_steal_takes_lowest_affinity_tail(self):

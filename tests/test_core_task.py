@@ -62,6 +62,40 @@ class TestTask:
         c = Task(callback=0, body=f).clone()
         assert c.body == f and c.body is not f  # mutable field: deep copy
 
+    def test_clone_copies_whatever_is_not_provably_immutable(self):
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True, slots=True)
+        class Slotted:  # no instance dict to inspect
+            items: list
+
+        @dataclass(frozen=True)
+        class Plain:
+            n: int = 0
+
+        @dataclass(frozen=True, slots=True)
+        class SlottedChild(Plain):  # has a __dict__, but it misses ``items``
+            items: list = None
+
+        class Tagged(int):  # a subclass of an atomic type may carry state
+            pass
+
+        tagged = Tagged(7)
+        tagged.note = ["mutable"]
+        for body in (Slotted([1]), SlottedChild(1, [2]), tagged, (1, tagged)):
+            c = Task(callback=0, body=body).clone()
+            assert c.body == body and c.body is not body, body
+        assert Task(callback=0, body=tagged).clone().body.note is not tagged.note
+
+    def test_reset_uids_restarts_at_one(self):
+        from repro.core.task import reset_uids
+
+        reset_uids()
+        first = Task(callback=0)
+        assert (first.uid, first.clone().uid) == (1, 2)
+        reset_uids()
+        assert Task(callback=0).uid == 1
+
 
 class TestSciotoConfig:
     def test_defaults_match_paper(self):

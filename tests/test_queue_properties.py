@@ -151,3 +151,138 @@ def test_thief_gets_no_higher_affinity_than_owner_keeps(affs, want):
         # the global-maximum task sits at the private head and is never
         # released while other tasks remain, so thieves cannot take it
         assert max(stolen) <= max(kept)
+
+
+# ---------------------------------------------------------------------- #
+# Reference model: the real queue against a plain sorted-list spec
+# ---------------------------------------------------------------------- #
+class _RefQueue:
+    """What :class:`SplitQueue` must hold after any serialized op sequence:
+    two plain lists, head first, a newcomer in front of its affinity class,
+    the §5 split moves written out literally.  No costs, no sync, no hooks."""
+
+    def __init__(self, cfg: SciotoConfig) -> None:
+        self.cfg, self.private, self.shared = cfg, [], []
+
+    @staticmethod
+    def _insert(region, t):
+        at = next((i for i, x in enumerate(region) if x.affinity <= t.affinity), len(region))
+        region.insert(at, t)
+
+    def _release(self):
+        n = len(self.private)
+        if self.cfg.split_queues and not self.shared and n >= 2:
+            k = min(n - 1, max(1, int(n * self.cfg.release_fraction)))
+            self.private, self.shared = self.private[:-k], self.private[-k:]
+
+    def push(self, t):
+        self._insert(self.private if self.cfg.split_queues else self.shared, t)
+        self._release()
+
+    def pop(self):
+        if not self.cfg.split_queues:
+            return self.shared.pop(0) if self.shared else None
+        if not self.private and self.shared:
+            k = max(1, int(len(self.shared) * self.cfg.reacquire_fraction))
+            self.private, self.shared = self.shared[:k], self.shared[k:]
+        if not self.private:
+            return None
+        t = self.private.pop(0)
+        self._release()
+        return t
+
+    def steal(self, want):
+        cut = len(self.shared) - min(want, len(self.shared))
+        self.shared, got = self.shared[:cut], self.shared[cut:]
+        return got
+
+    def absorb(self, tasks):
+        if tasks:
+            region = self.private if self.cfg.split_queues else self.shared
+            region.extend(tasks)
+            region.sort(key=lambda t: -t.affinity)
+            self._release()
+
+    def add_remote(self, t):
+        self._insert(self.shared, t)
+
+    def drain(self):
+        out, self.private, self.shared = self.private + self.shared, [], []
+        return out
+
+
+_CONFIGS = {
+    "split": SciotoConfig(),
+    "locked": SciotoConfig(split_queues=False),
+    "wait-free": SciotoConfig(wait_free_steals=True),
+}
+
+# (op, rank or target queue, affinity or steal size); ranks 0 and 1 own a
+# queue each and steal from each other, rank 2 only adds remotely.
+_SCRIPT = st.lists(
+    st.tuples(
+        st.sampled_from(["push", "push", "push", "pop", "pop", "steal", "radd", "drain"]),
+        st.integers(0, 1),
+        st.integers(0, 4),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(script=_SCRIPT, config=st.sampled_from(sorted(_CONFIGS)))
+def test_split_queue_matches_sorted_list_reference(script, config):
+    """Same pop order, same stolen chunks, same portion sizes after every
+    operation, and nothing lost or duplicated — in all three protocols."""
+    cfg = _CONFIGS[config]
+    eng = Engine(3, max_events=500_000)
+    counters = Counters()
+    real = [SplitQueue(eng, r, 10_000, 32, cfg, counters) for r in range(2)]
+    ref = [_RefQueue(cfg), _RefQueue(cfg)]
+    bodies = lambda tasks: [t.body for t in tasks]  # noqa: E731
+    live: list[int] = []  # bodies queued somewhere, per the reference
+
+    def main(proc):
+        me = proc.rank
+        for i, (op, who, arg) in enumerate(script):
+            if (2 if op == "radd" else who) != me:
+                continue
+            # one op per virtual millisecond: each finishes long before the
+            # next starts, so the script order is the execution order
+            yield from proc.co_sleep((i + 1) * 1e-3 - proc.now)
+            if op == "push":
+                task = Task(callback=0, body=i, affinity=arg)
+                yield from real[me].co_push_local(proc, task)
+                ref[me].push(task)
+                live.append(i)
+            elif op == "radd":
+                task = Task(callback=0, body=i, affinity=arg)
+                yield from real[who].co_add_remote(proc, task)
+                ref[who].add_remote(task)
+                live.append(i)
+            elif op == "pop":
+                got = yield from real[me].co_pop_local(proc)
+                want = ref[me].pop()
+                assert (got and got.body) == (want and want.body), f"op {i}: pop"
+                if want is not None:
+                    live.remove(want.body)
+            elif op == "steal":
+                got = yield from real[1 - me].co_steal_from(proc, arg + 1)
+                want = ref[1 - me].steal(arg + 1)
+                assert bodies(got) == bodies(want), f"op {i}: stolen chunk"
+                yield from real[me].co_absorb_stolen(proc, got)
+                ref[me].absorb(want)
+            else:
+                got, want = real[me].drain(), ref[me].drain()
+                assert bodies(got) == bodies(want), f"op {i}: drain"
+                for body in bodies(want):
+                    live.remove(body)
+            for q, model in zip(real, ref):
+                assert bodies(q._private) == bodies(model.private), f"op {i}: {op}"
+                assert bodies(q._shared) == bodies(model.shared), f"op {i}: {op}"
+
+    eng.spawn_all(main)
+    eng.run()
+    left = bodies(real[0].drain() + real[1].drain())
+    assert sorted(left) == sorted(live), "tasks lost or duplicated"

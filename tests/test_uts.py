@@ -13,7 +13,8 @@ from repro.apps.uts import (
     run_uts_mpi,
     run_uts_scioto,
 )
-from repro.apps.uts.tree import children_of, num_children
+from repro.apps.uts.presets import preset
+from repro.apps.uts.tree import UTSNode, children_of, num_children
 from repro.core import SciotoConfig
 from repro.sim.machines import heterogeneous_cluster
 
@@ -72,6 +73,52 @@ class TestTree:
         deep = root_node(p)
         deep = type(deep)(digest=deep.digest, depth=3)
         assert num_children(p, deep) == 0
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            preset("small"),
+            preset("binomial"),  # 2,000 root children: indices past the suffix table
+            UTSParams(b0=0.0, gen_mx=4),  # b(d) <= 0 everywhere: a lone root
+        ],
+        ids=["small", "binomial", "barren"],
+    )
+    def test_children_match_the_literal_definition(self, params):
+        """``children_of`` (per-depth log table, forked SHA-1 prefix, suffix
+        table) against the benchmark's definition written out: child ``i``
+        is ``SHA1(digest || i as 4 big-endian bytes)`` and the child count
+        is the un-tabled inverse-CDF formula."""
+        import hashlib
+        import math
+
+        def literal(node: UTSNode) -> list[UTSNode]:
+            u = int.from_bytes(node.digest[:7], "big") / float(1 << 56)
+            if params.tree_type == "binomial":
+                n = int(params.b0) if node.depth == 0 else params.m if u < params.q else 0
+            else:
+                b_d = params.b0 * (1.0 - node.depth / params.gen_mx)
+                if node.depth >= params.gen_mx or b_d <= 0:
+                    n = 0
+                else:
+                    p = 1.0 / (1.0 + b_d)
+                    n = int(math.floor(math.log(1.0 - u) / math.log(1.0 - p)))
+            return [
+                UTSNode(hashlib.sha1(node.digest + i.to_bytes(4, "big")).digest(), node.depth + 1)
+                for i in range(n)
+            ]
+
+        frontier, seen, widest = [root_node(params)], 0, 0
+        while frontier and seen < 2500:
+            node = frontier.pop()
+            kids = children_of(params, node)
+            assert kids == literal(node)
+            assert len(kids) == num_children(params, node)
+            frontier.extend(kids)
+            seen += 1
+            widest = max(widest, len(kids))
+        if params.tree_type == "binomial":
+            assert widest == params.b0 > 256
+        assert seen >= 2000 or not frontier
 
 
 class TestParallelUTS:
