@@ -440,3 +440,58 @@ def rpr006(tree: ast.Module, source: str):
                 )
             )
     return findings
+
+
+# --------------------------------------------------------------------- #
+# RPR007 — discarded coroutine call
+# --------------------------------------------------------------------- #
+
+_MPI_COROUTINES = {"send", "recv", "iprobe", "barrier"}
+
+
+def _is_coroutine_call(node: ast.AST) -> bool:
+    """A call to a ``co_*`` form, or to a coroutine method of ``...mpi``.
+
+    Blind spot: a receiver that is itself a call
+    (``Mpi.attach(engine).send(...)``) has no name to match.
+    """
+    if not isinstance(node, ast.Call):
+        return False
+    name = _last_attr(node.func)
+    if name.startswith("co_"):
+        return True
+    return (
+        name in _MPI_COROUTINES
+        and isinstance(node.func, ast.Attribute)
+        and _dotted(node.func.value).rpartition(".")[2] == "mpi"
+    )
+
+
+@register_rule("RPR007", "coroutine call discarded or only truth-tested")
+def rpr007(tree: ast.Module, source: str):
+    # Calling a generator function runs none of its body and Python does
+    # not warn: a dropped call is a silent no-op, and the generator
+    # object it returns is always true.
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr):
+            dropped = [node.value]
+        elif isinstance(node, (ast.If, ast.While, ast.Assert, ast.IfExp)):
+            dropped = [node.test]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            dropped = [node.operand]
+        elif isinstance(node, ast.BoolOp):
+            dropped = node.values
+        else:
+            continue
+        for call in dropped:
+            if _is_coroutine_call(call):
+                findings.append(
+                    (
+                        call.lineno,
+                        f"`{_last_attr(call.func)}(...)` returns a coroutine "
+                        "that is never run: without `yield from` (or "
+                        "`drive(...)`) the call does nothing and is always true",
+                    )
+                )
+    return findings

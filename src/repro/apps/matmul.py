@@ -38,17 +38,18 @@ def _mm_main(proc, a_mat: np.ndarray, b_mat: np.ndarray, num_blocks: int,
              config: SciotoConfig):
     n = a_mat.shape[0]
     bs = n // num_blocks
-    a_ga = GlobalArray.create(proc, "A", (n, n))
-    b_ga = GlobalArray.create(proc, "B", (n, n))
-    c_ga = GlobalArray.create(proc, "C", (n, n))
+    a_ga = yield from GlobalArray.co_create(proc, "A", (n, n))
+    b_ga = yield from GlobalArray.co_create(proc, "B", (n, n))
+    c_ga = yield from GlobalArray.co_create(proc, "C", (n, n))
     (plo, phi) = a_ga.distribution(proc.rank)
     sl = tuple(slice(l, h) for l, h in zip(plo, phi))
     a_ga.access(proc)[...] = a_mat[sl]
     b_ga.access(proc)[...] = b_mat[sl]
-    a_ga.sync(proc)
+    yield from a_ga.co_sync(proc)
 
-    tc = TaskCollection.create(proc, task_size=64,
-                               max_tasks=num_blocks**3 + 8, config=config)
+    tc = yield from TaskCollection.co_create(
+        proc, task_size=64, max_tasks=num_blocks**3 + 8, config=config
+    )
 
     def box(i, j):
         return (i * bs, j * bs), ((i + 1) * bs, (j + 1) * bs)
@@ -64,10 +65,10 @@ def _mm_main(proc, a_mat: np.ndarray, b_mat: np.ndarray, num_blocks: int,
         lo_a, hi_a = box(i, k)
         lo_b, hi_b = box(k, j)
         lo_c, hi_c = box(i, j)
-        a_blk = a.get(p, lo_a, hi_a)
-        b_blk = b.get(p, lo_b, hi_b)
+        a_blk = yield from a.co_get(p, lo_a, hi_a)
+        b_blk = yield from b.co_get(p, lo_b, hi_b)
         p.compute(2.0 * bs**3 * p.machine.seconds_per_flop)
-        c.acc(p, lo_c, hi_c, a_blk @ b_blk)
+        yield from c.co_acc(p, lo_c, hi_c, a_blk @ b_blk)
 
     hdl = tc.register(mm_task_fcn)
 
@@ -81,14 +82,14 @@ def _mm_main(proc, a_mat: np.ndarray, b_mat: np.ndarray, num_blocks: int,
                 if get_owner(i, j, k) == proc.rank:
                     task = Task(callback=hdl,
                                 body=(a_ga.gid, b_ga.gid, c_ga.gid, i, j, k))
-                    tc.add(task, rank=proc.rank, affinity=AFFINITY_HIGH)
+                    yield from tc.co_add(task, rank=proc.rank, affinity=AFFINITY_HIGH)
     armci = Armci.attach(proc.engine)
-    armci.barrier(proc)
+    yield from armci.co_barrier(proc)
     t0 = proc.now
-    stats = tc.process()
-    c_ga.sync(proc)
-    elapsed = armci.allreduce(proc, proc.now - t0, max)
-    tc.destroy()
+    stats = yield from tc.co_process()
+    yield from c_ga.co_sync(proc)
+    elapsed = yield from armci.co_allreduce(proc, proc.now - t0, max)
+    yield from tc.co_destroy()
     return (elapsed, stats, c_ga)
 
 

@@ -36,15 +36,15 @@ def _uts_mpi_main(proc, params: UTSParams, chunk: int, poll_interval: int):
         poll_interval=poll_interval,
     )
     mpi = Mpi.attach(proc.engine)
-    mpi.barrier(proc)
+    yield from mpi.barrier(proc)
     t0 = proc.now
     initial = [root_node(params)] if proc.rank == 0 else []
-    ws.run(initial)
+    yield from ws.run(initial)
     # reductions reuse the ARMCI collective machinery (same cost model as
     # an MPI allreduce for our purposes)
     armci = Armci.attach(proc.engine)
-    total: TreeStats = armci.allreduce(proc, local, TreeStats.merge)
-    elapsed = armci.allreduce(proc, proc.now - t0, max)
+    total: TreeStats = yield from armci.co_allreduce(proc, local, TreeStats.merge)
+    elapsed = yield from armci.co_allreduce(proc, proc.now - t0, max)
     return (total, elapsed, ws)
 
 

@@ -21,7 +21,7 @@ Scioto's thieves operate on the victim's queue one-sidedly.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.mpi import ANY_SOURCE, Mpi
@@ -47,6 +47,7 @@ class MpiWorkStealing:
         proc: This rank's simulated process.
         process_item: ``process_item(proc, item, push)`` — execute one
             work item; call ``push(new_item)`` for each item it spawns.
+            A plain function: it must not suspend (no sync, no MPI call).
         item_bytes: Wire size of one work item.
         chunk: Maximum items handed over per steal.
         poll_interval: Items processed between polls for steal requests.
@@ -75,77 +76,78 @@ class MpiWorkStealing:
         self.steals = 0
         self.steal_attempts = 0
         self._failed_rounds = 0  # consecutive declined steals, for backoff
+        m = proc.machine
+        self._push_cost = m.local_insert_overhead + m.local_copy_time(item_bytes)
+        self._pop_cost = m.local_get_overhead + m.local_copy_time(item_bytes)
 
     # ------------------------------------------------------------------ #
     # Local deque with machine-model costs (no sync needed: rank-private)
     # ------------------------------------------------------------------ #
     def push(self, item: Any) -> None:
-        m = self.proc.machine
-        self.proc.advance(m.local_insert_overhead + m.local_copy_time(self.item_bytes))
+        self.proc.advance(self._push_cost)
         self.deque.append(item)
 
     def _pop(self) -> Any:
-        m = self.proc.machine
-        self.proc.advance(m.local_get_overhead + m.local_copy_time(self.item_bytes))
+        self.proc.advance(self._pop_cost)
         return self.deque.pop()
 
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
-    def run(self, initial: list[Any]) -> int:
+    def run(self, initial: list[Any]) -> Generator[Proc, None, int]:
         """Process ``initial`` and everything spawned from it; collective.
 
         Returns the number of items this rank processed.
         """
         proc = self.proc
-        self.mpi.barrier(proc)
+        pop, push, process_item = self._pop, self.push, self.process_item
+        yield from self.mpi.barrier(proc)
         for item in initial:
-            self.push(item)
+            push(item)
         if proc.nprocs == 1:
             while self.deque:
-                self.process_item(proc, self._pop(), self.push)
+                process_item(proc, pop(), push)
                 self.processed += 1
             return self.processed
         while not self.done:
             while self.deque and not self.done:
                 for _ in range(min(self.poll_interval, len(self.deque))):
-                    item = self._pop()
-                    self.process_item(proc, item, self.push)
+                    process_item(proc, pop(), push)
                     self.processed += 1
-                self._service(proc)
+                yield from self._service(proc)
             if self.done:
                 break
-            self._idle_round(proc)
+            yield from self._idle_round(proc)
         return self.processed
 
     # ------------------------------------------------------------------ #
     # Serving steal requests and control messages
     # ------------------------------------------------------------------ #
-    def _service(self, proc: Proc) -> None:
+    def _service(self, proc: Proc) -> Generator[Proc, None, None]:
         """Poll for and serve steal requests; drain control messages."""
-        while self.mpi.iprobe(proc, tag=TAG_REQ):
-            src, _, _ = self.mpi.recv(proc, tag=TAG_REQ)
+        while (yield from self.mpi.iprobe(proc, tag=TAG_REQ)):
+            src, _, _ = yield from self.mpi.recv(proc, tag=TAG_REQ)
             if len(self.deque) > 1:
                 k = min(self.chunk, len(self.deque) // 2)
                 give = self.deque[:k]  # oldest items: the biggest subtrees
                 del self.deque[:k]
-                self.mpi.send(
+                yield from self.mpi.send(
                     proc, src, TAG_RESP, give, nbytes=16 + k * self.item_bytes
                 )
                 self.color = BLACK  # transferred work since last token pass
             else:
-                self.mpi.send(proc, src, TAG_RESP, [], nbytes=16)
-        self._drain_control(proc)
+                yield from self.mpi.send(proc, src, TAG_RESP, [], nbytes=16)
+        yield from self._drain_control(proc)
 
-    def _drain_control(self, proc: Proc) -> None:
-        while self.mpi.iprobe(proc, tag=TAG_CTRL):
-            _, _, msg = self.mpi.recv(proc, tag=TAG_CTRL)
+    def _drain_control(self, proc: Proc) -> Generator[Proc, None, None]:
+        while (yield from self.mpi.iprobe(proc, tag=TAG_CTRL)):
+            _, _, msg = yield from self.mpi.recv(proc, tag=TAG_CTRL)
             if msg[0] == "token":
                 self.token_in_hand = msg[1]
             else:  # done
                 self.done = True
 
-    def _token_step(self, proc: Proc) -> None:
+    def _token_step(self, proc: Proc) -> Generator[Proc, None, None]:
         """Forward / evaluate the termination token while idle."""
         if self.done or self.deque:
             return
@@ -158,25 +160,25 @@ class MpiWorkStealing:
                 if token == WHITE and self.color == WHITE:
                     self.done = True
                     for r in range(1, n):
-                        self.mpi.send(proc, r, TAG_CTRL, ("done",))
+                        yield from self.mpi.send(proc, r, TAG_CTRL, ("done",))
                     return
                 self.color = WHITE  # accounted; restart probe below
             if not self.probe_outstanding:
                 self.probe_outstanding = True
                 self.color = WHITE
-                self.mpi.send(proc, 1, TAG_CTRL, ("token", WHITE))
+                yield from self.mpi.send(proc, 1, TAG_CTRL, ("token", WHITE))
         elif self.token_in_hand is not None:
             token = self.token_in_hand
             self.token_in_hand = None
             if self.color == BLACK:
                 token = BLACK
             self.color = WHITE
-            self.mpi.send(proc, (rank + 1) % n, TAG_CTRL, ("token", token))
+            yield from self.mpi.send(proc, (rank + 1) % n, TAG_CTRL, ("token", token))
 
     # ------------------------------------------------------------------ #
     # Stealing
     # ------------------------------------------------------------------ #
-    def _idle_round(self, proc: Proc) -> None:
+    def _idle_round(self, proc: Proc) -> Generator[Proc, None, None]:
         """One idle iteration: try a random victim, keep the system live.
 
         Consecutive declines trigger exponential backoff (capped), the
@@ -184,17 +186,17 @@ class MpiWorkStealing:
         ranks hammering the few loaded ones would otherwise spend the
         victims' cycles answering declines.
         """
-        self._token_step(proc)
+        yield from self._token_step(proc)
         if self.done:
             return
         victim = int(proc.rng.integers(0, proc.nprocs - 1))
         if victim >= proc.rank:
             victim += 1
         self.steal_attempts += 1
-        self.mpi.send(proc, victim, TAG_REQ, None)
+        yield from self.mpi.send(proc, victim, TAG_REQ, None)
         while not self.done:
-            if self.mpi.iprobe(proc, source=victim, tag=TAG_RESP):
-                _, _, items = self.mpi.recv(proc, source=victim, tag=TAG_RESP)
+            if (yield from self.mpi.iprobe(proc, source=victim, tag=TAG_RESP)):
+                _, _, items = yield from self.mpi.recv(proc, source=victim, tag=TAG_RESP)
                 if items:
                     m = proc.machine
                     proc.advance(
@@ -210,19 +212,19 @@ class MpiWorkStealing:
                         _IDLE_BACKOFF * (1 << min(self._failed_rounds, 16)),
                         50e-6,
                     )
-                    self._wait_idle(proc, backoff)
+                    yield from self._wait_idle(proc, backoff)
                 return
             # while waiting: decline other thieves, move tokens along
-            self._service(proc)
-            self._token_step(proc)
-            proc.sleep(_IDLE_BACKOFF)
+            yield from self._service(proc)
+            yield from self._token_step(proc)
+            yield from proc.co_sleep(_IDLE_BACKOFF)
 
-    def _wait_idle(self, proc: Proc, duration: float) -> None:
+    def _wait_idle(self, proc: Proc, duration: float) -> Generator[Proc, None, None]:
         """Back off while staying responsive to requests and tokens."""
         deadline = proc.now + duration
         while proc.now < deadline and not self.done:
-            self._service(proc)
-            self._token_step(proc)
+            yield from self._service(proc)
+            yield from self._token_step(proc)
             if self.deque:
                 return
-            proc.sleep(min(4.0e-6, max(deadline - proc.now, 1e-9)))
+            yield from proc.co_sleep(min(4.0e-6, max(deadline - proc.now, 1e-9)))

@@ -152,7 +152,7 @@ def _uts_frontier(nprocs: int, machine, load_balancing: bool) -> float:
     params = _TREE
 
     def main(proc):
-        tc = TaskCollection.create(
+        tc = yield from TaskCollection.co_create(
             proc, task_size=UTS_BODY_BYTES, max_tasks=1 << 20,
             config=SciotoConfig(load_balancing=load_balancing),
         )
@@ -167,7 +167,7 @@ def _uts_frontier(nprocs: int, machine, load_balancing: bool) -> float:
             if not kids:
                 stats.leaves += 1
             for c in kids:
-                tc_.add(Task(callback=h, body=c, body_size=UTS_BODY_BYTES))
+                yield from tc_.co_add(Task(callback=h, body=c, body_size=UTS_BODY_BYTES))
 
         h = tc.register(node_task)
         if proc.rank == 0:
@@ -182,14 +182,16 @@ def _uts_frontier(nprocs: int, machine, load_balancing: bool) -> float:
                 frontier.extend(kids)
                 proc.compute(proc.machine.cpu_reference)
             for idx, node in enumerate(frontier):
-                tc.add(Task(callback=h, body=node, body_size=UTS_BODY_BYTES),
-                       rank=idx % proc.nprocs)
+                yield from tc.co_add(
+                    Task(callback=h, body=node, body_size=UTS_BODY_BYTES),
+                    rank=idx % proc.nprocs,
+                )
         armci = Armci.attach(proc.engine)
-        armci.barrier(proc)
+        yield from armci.co_barrier(proc)
         t0 = proc.now
-        tc.process()
-        total = armci.allreduce(proc, stats.nodes, lambda a, b: a + b)
-        elapsed = armci.allreduce(proc, proc.now - t0, max)
+        yield from tc.co_process()
+        total = yield from armci.co_allreduce(proc, stats.nodes, lambda a, b: a + b)
+        elapsed = yield from armci.co_allreduce(proc, proc.now - t0, max)
         return (total, elapsed)
 
     eng = Engine(nprocs, machine=machine, seed=1, max_events=20_000_000)

@@ -20,13 +20,13 @@ def _termination_time(nprocs: int) -> float:
     """Time from entering tc_process with one no-op task to detection."""
 
     def main(proc):
-        tc = TaskCollection.create(proc, task_size=64, config=SciotoConfig())
+        tc = yield from TaskCollection.co_create(proc, task_size=64, config=SciotoConfig())
         h = tc.register(lambda tc_, t: None)
         if proc.rank == 0:
-            tc.add(Task(callback=h))
-        Armci.attach(proc.engine).barrier(proc)
+            yield from tc.co_add(Task(callback=h))
+        yield from Armci.attach(proc.engine).co_barrier(proc)
         t0 = proc.now
-        tc.process()
+        yield from tc.co_process()
         return proc.now - t0
 
     eng = Engine(nprocs, max_events=2_000_000)
@@ -42,12 +42,12 @@ def _barrier_time(nprocs: int, which: str) -> float:
         armci = Armci.attach(proc.engine)
         mpi = Mpi.attach(proc.engine)
         # warm up / align all ranks first
-        armci.barrier(proc)
+        yield from armci.co_barrier(proc)
         t0 = proc.now
         if which == "armci":
-            armci.barrier(proc)
+            yield from armci.co_barrier(proc)
         else:
-            mpi.barrier(proc)
+            yield from mpi.barrier(proc)
         return proc.now - t0
 
     eng = Engine(nprocs, max_events=1_000_000)

@@ -63,29 +63,29 @@ def _microbench(machine: MachineSpec) -> _Timings:
             # --- local insert ---
             t0 = proc.now
             for i in range(_REPS):
-                queue.push_local(proc, mk(i))
+                yield from queue.co_push_local(proc, mk(i))
             out["local_insert"] = (proc.now - t0) / _REPS
             # --- local get (drain what we inserted) ---
             t0 = proc.now
             for _ in range(_REPS):
-                queue.pop_local(proc)
+                yield from queue.co_pop_local(proc)
             out["local_get"] = (proc.now - t0) / _REPS
             # leave plenty of stealable work in the shared portion
             for i in range(_REPS * _CHUNK * 2):
-                queue.push_local(proc, mk(i))
+                yield from queue.co_push_local(proc, mk(i))
             queue._private, queue._shared = [], queue._private + queue._shared
-            proc.sleep(1.0 - proc.now)  # park while rank 1 measures
+            yield from proc.co_sleep(1.0 - proc.now)  # park while rank 1 measures
         else:
-            proc.sleep(0.5)
+            yield from proc.co_sleep(0.5)
             # --- remote insert ---
             t0 = proc.now
             for i in range(_REPS):
-                queue.add_remote(proc, mk(i))
+                yield from queue.co_add_remote(proc, mk(i))
             out["remote_insert"] = (proc.now - t0) / _REPS
             # --- remote steal (chunk of 10 per op) ---
             t0 = proc.now
             for _ in range(_REPS):
-                got = queue.steal_from(proc, _CHUNK)
+                got = yield from queue.co_steal_from(proc, _CHUNK)
                 assert len(got) == _CHUNK, "steal microbench ran out of work"
             out["remote_steal"] = (proc.now - t0) / _REPS
 

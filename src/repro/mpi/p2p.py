@@ -6,11 +6,16 @@ protocol — appropriate for the small control messages the UTS-MPI
 baseline exchanges).  ``recv`` blocks in virtual time until a matching
 message is present; ``iprobe`` is a non-blocking check that charges the
 explicit polling cost of the machine model.
+
+Every call is a coroutine: ``yield from mpi.send(...)``, ``if (yield
+from mpi.iprobe(...))``.  A call without ``yield from`` does nothing
+(lint rule RPR007 flags it).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Generator
 from typing import Any
 
 from repro.sim.engine import Engine, Proc
@@ -68,15 +73,17 @@ class Mpi:
     # ------------------------------------------------------------------ #
     # Point to point
     # ------------------------------------------------------------------ #
-    def send(self, proc: Proc, dest: int, tag: int, payload: Any, nbytes: int = 64) -> None:
+    def send(
+        self, proc: Proc, dest: int, tag: int, payload: Any, nbytes: int = 64
+    ) -> Generator[Proc, None, None]:
         """Eager send: charge injection + transfer, deliver to ``dest``."""
         if dest == proc.rank:
             raise CommError("send to self is not supported")
-        m = self.engine.machine
-        proc.advance(m.put_time(nbytes) + _MSG_OVERHEAD)
-        proc.sync()
-        self.counters.add(proc.rank, "sends")
-        self.counters.add(proc.rank, "bytes_sent", nbytes)
+        proc.advance(self.engine.machine.put_time(nbytes) + _MSG_OVERHEAD)
+        yield from proc.co_sync()
+        row = self.counters.row(proc.rank)
+        row["sends"] += 1.0
+        row["bytes_sent"] += nbytes
         msg = _Message(proc.rank, tag, payload)
         wait = self._recv_wait[dest]
         if wait is not None and _matches(msg, *wait):
@@ -87,31 +94,32 @@ class Mpi:
 
     def recv(
         self, proc: Proc, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> tuple[int, int, Any]:
+    ) -> Generator[Proc, None, tuple[int, int, Any]]:
         """Blocking receive; returns ``(source, tag, payload)``."""
-        m = self.engine.machine
         proc.advance(_MSG_OVERHEAD)
-        proc.sync()
+        yield from proc.co_sync()
         box = self._mailboxes[proc.rank]
         for i, msg in enumerate(box):
             if _matches(msg, source, tag):
                 del box[i]
                 return (msg.src, msg.tag, msg.payload)
         self._recv_wait[proc.rank] = (source, tag)
-        msg = proc.park(f"MPI_Recv(src={source}, tag={tag})")
+        msg = yield from proc.co_park(f"MPI_Recv(src={source}, tag={tag})")
         return (msg.src, msg.tag, msg.payload)
 
-    def iprobe(self, proc: Proc, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
+    def iprobe(
+        self, proc: Proc, source: int = ANY_SOURCE, tag: int = ANY_TAG
+    ) -> Generator[Proc, None, bool]:
         """Non-blocking probe; charges the explicit polling cost."""
         proc.advance(self.engine.machine.poll_cost)
-        proc.sync()
+        yield from proc.co_sync()
         self.counters.add(proc.rank, "polls")
         return any(_matches(msg, source, tag) for msg in self._mailboxes[proc.rank])
 
     # ------------------------------------------------------------------ #
     # Collectives
     # ------------------------------------------------------------------ #
-    def barrier(self, proc: Proc) -> None:
+    def barrier(self, proc: Proc) -> Generator[Proc, None, None]:
         """MPI_Barrier (dissemination cost model)."""
         self.counters.add(proc.rank, "barrier")
-        self._barrier.wait(proc)
+        yield from self._barrier.co_wait(proc)

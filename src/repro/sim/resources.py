@@ -169,7 +169,7 @@ class SimBarrier:
         release_at = proc.now + self.cost_fn(self.nprocs)
         waiters, self._arrived = self._arrived[:-1], []
         self._generation += 1
-        det = RaceDetector.of(self.engine)
+        det = RaceDetector.of(self.engine) if self.engine.observed else None
         if det is not None:
             det.on_collective(waiters + [proc])
         for w in waiters:

@@ -22,7 +22,7 @@ def _ids(findings):
 class TestFramework:
     def test_all_rules_registered(self):
         assert set(RULES) == {
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"
+            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006", "RPR007"
         }
 
     def test_syntax_error_reported_not_raised(self):
@@ -370,9 +370,44 @@ class TestRPR006LockOrder:
         assert _lint(code, "RPR006") == []
 
 
+class TestRPR007DiscardedCoroutine:
+    def test_flags_dropped_and_truth_tested_calls(self):
+        code = """
+        def main(proc, mpi, tc, ws):
+            mpi.barrier(proc)
+            tc.co_add(task)
+            if mpi.iprobe(proc, tag=1):
+                pass
+            while ws.mpi.iprobe(proc) and not ws.done:
+                pass
+            assert not proc.co_sync()
+            x = 1 if self.mpi.recv(proc) else 2
+        """
+        findings = _lint(code, "RPR007")
+        assert [f.line for f in findings] == [3, 4, 5, 7, 9, 10]
+        assert "yield from" in findings[0].message
+
+    def test_quiet_on_driven_returned_and_assigned_calls(self):
+        code = """
+        def main(proc, mpi, tc, gen, sock):
+            yield from mpi.barrier(proc)
+            if (yield from mpi.iprobe(proc, tag=1)):
+                got = yield from mpi.recv(proc)
+            pending = tc.co_add(task)
+            yield from pending
+            drive(tc.co_process())
+            gen.send(None)
+            sock.recv(4096)
+            while not (yield from mpi.iprobe(proc)):
+                pass
+            return mpi.send(proc, 1, 0, None)
+        """
+        assert _lint(code, "RPR007") == []
+
+
 class TestRepoIsClean:
     def test_src_repro_lints_clean(self):
-        findings, nfiles = lint_paths(["src/repro"])
+        findings, nfiles = lint_paths(["src/repro", "examples"])
         assert nfiles > 50
         assert findings == []
 

@@ -33,7 +33,7 @@ class TestMpiWorkStealing:
 
             ws = MpiWorkStealing(proc, process, chunk=chunk, poll_interval=poll)
             initial = [(0, 0)] if proc.rank == 0 else []
-            return ws.run(initial)
+            return (yield from ws.run(initial))
 
         _, res = _run(nprocs, main, seed=seed)
         expected = sum(fanout**d for d in range(depth + 1))
@@ -61,7 +61,7 @@ class TestMpiWorkStealing:
                     push(item * 2 + 2)
 
             ws = MpiWorkStealing(proc, process, chunk=2)
-            ws.run([0] if proc.rank == 0 else [])
+            yield from ws.run([0] if proc.rank == 0 else [])
             return ws.processed
 
         _, res = _run(4, main, seed=1)
@@ -77,7 +77,7 @@ class TestMpiWorkStealing:
                     push(item * 2 + 2)
 
             ws = MpiWorkStealing(proc, process)
-            ws.run([0] if proc.rank == 0 else [])
+            yield from ws.run([0] if proc.rank == 0 else [])
             return (ws.steals, ws.steal_attempts)
 
         _, res = _run(3, main, seed=2)

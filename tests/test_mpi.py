@@ -1,4 +1,4 @@
-"""Tests for the two-sided MPI-like layer."""
+"""Tests for the two-sided MPI-like layer (generator mains: every call is ``yield from``)."""
 
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ def test_send_recv_basic():
     def main(proc):
         mpi = Mpi.attach(proc.engine)
         if proc.rank == 0:
-            mpi.send(proc, 1, tag=5, payload="hi")
+            yield from mpi.send(proc, 1, tag=5, payload="hi")
             return None
-        return mpi.recv(proc, source=0, tag=5)
+        return (yield from mpi.recv(proc, source=0, tag=5))
 
     _, res = _run(2, main)
     assert res.returns[1] == (0, 5, "hi")
@@ -31,10 +31,10 @@ def test_recv_blocks_until_message_arrives():
     def main(proc):
         mpi = Mpi.attach(proc.engine)
         if proc.rank == 1:
-            src, tag, payload = mpi.recv(proc)
+            src, tag, payload = yield from mpi.recv(proc)
             return (payload, proc.now)
         proc.advance(50e-6)
-        mpi.send(proc, 1, tag=0, payload="late")
+        yield from mpi.send(proc, 1, tag=0, payload="late")
         return None
 
     _, res = _run(2, main)
@@ -47,14 +47,14 @@ def test_recv_filters_by_source_and_tag():
     def main(proc):
         mpi = Mpi.attach(proc.engine)
         if proc.rank == 0:
-            mpi.send(proc, 2, tag=1, payload="a")
+            yield from mpi.send(proc, 2, tag=1, payload="a")
             return None
         if proc.rank == 1:
             proc.advance(1e-6)
-            mpi.send(proc, 2, tag=2, payload="b")
+            yield from mpi.send(proc, 2, tag=2, payload="b")
             return None
-        first = mpi.recv(proc, source=1, tag=2)
-        second = mpi.recv(proc, source=ANY_SOURCE, tag=ANY_TAG)
+        first = yield from mpi.recv(proc, source=1, tag=2)
+        second = yield from mpi.recv(proc, source=ANY_SOURCE, tag=ANY_TAG)
         return (first, second)
 
     _, res = _run(3, main)
@@ -65,11 +65,11 @@ def test_iprobe_nonblocking():
     def main(proc):
         mpi = Mpi.attach(proc.engine)
         if proc.rank == 0:
-            early = mpi.iprobe(proc)
+            early = yield from mpi.iprobe(proc)
             proc.advance(100e-6)
-            late = mpi.iprobe(proc, source=1, tag=3)
+            late = yield from mpi.iprobe(proc, source=1, tag=3)
             return (early, late)
-        mpi.send(proc, 0, tag=3, payload=None)
+        yield from mpi.send(proc, 0, tag=3, payload=None)
         return None
 
     _, res = _run(2, main)
@@ -80,7 +80,7 @@ def test_iprobe_charges_poll_cost():
     def main(proc):
         mpi = Mpi.attach(proc.engine)
         t0 = proc.now
-        mpi.iprobe(proc)
+        yield from mpi.iprobe(proc)
         return proc.now - t0
 
     eng, res = _run(2, main)
@@ -90,7 +90,7 @@ def test_iprobe_charges_poll_cost():
 
 def test_send_to_self_rejected():
     def main(proc):
-        Mpi.attach(proc.engine).send(proc, proc.rank, tag=0, payload=None)
+        yield from Mpi.attach(proc.engine).send(proc, proc.rank, tag=0, payload=None)
 
     with pytest.raises(CommError):
         _run(1, main)
@@ -99,7 +99,7 @@ def test_send_to_self_rejected():
 def test_unmatched_recv_deadlocks_cleanly():
     def main(proc):
         if proc.rank == 0:
-            Mpi.attach(proc.engine).recv(proc, source=1, tag=99)
+            yield from Mpi.attach(proc.engine).recv(proc, source=1, tag=99)
 
     with pytest.raises(SimDeadlockError, match="MPI_Recv"):
         _run(2, main)
@@ -109,7 +109,7 @@ def test_barrier_synchronizes():
     def main(proc):
         mpi = Mpi.attach(proc.engine)
         proc.advance(proc.rank * 5e-6)
-        mpi.barrier(proc)
+        yield from mpi.barrier(proc)
         return proc.now
 
     _, res = _run(4, main)
@@ -121,9 +121,12 @@ def test_many_messages_fifo_between_pair():
         mpi = Mpi.attach(proc.engine)
         if proc.rank == 0:
             for i in range(20):
-                mpi.send(proc, 1, tag=0, payload=i)
+                yield from mpi.send(proc, 1, tag=0, payload=i)
             return None
-        return [mpi.recv(proc, source=0)[2] for _ in range(20)]
+        got = []
+        for _ in range(20):
+            got.append((yield from mpi.recv(proc, source=0))[2])
+        return got
 
     _, res = _run(2, main)
     assert res.returns[1] == list(range(20))

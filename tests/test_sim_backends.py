@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.uts import run_uts_mpi
+from repro.apps.uts.presets import preset
 from repro.check.runner import run_once
 from repro.check.scenarios import SCENARIOS, make_scenario
 from repro.check.strategies import (
@@ -118,6 +120,22 @@ def test_uts_fingerprint_equivalence(backend, monkeypatch):
     assert fingerprint(other) == base
     assert other.extra == base_run.extra  # node counts, throughput inputs
     assert _span_stream(other.recorder) == base_spans
+
+
+def _uts_mpi_outcome(nprocs, tree, seed):
+    res = run_uts_mpi(nprocs, preset(tree), seed=seed)
+    ranks = [(ws.processed, ws.steals, ws.steal_attempts) for _, _, ws in res.sim.returns]
+    return (res.sim.events, res.sim.finish_times, res.elapsed, ranks, res.stats)
+
+
+@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize("case", [(3, "tiny", 1), (8, "small", 41)])
+def test_uts_mpi_equivalence(case, backend, monkeypatch):
+    """MPI-WS (generator mains: trampolined on coro, drive()n elsewhere)."""
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "thread")
+    base = _uts_mpi_outcome(*case)
+    monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+    assert _uts_mpi_outcome(*case) == base
 
 
 @needs_greenlet
