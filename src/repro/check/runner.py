@@ -147,8 +147,9 @@ def run_once(
     if out.error is None:
         # checkers assume a complete run; a crashed/deadlocked one is
         # already a reported failure and its stream is partial by design
+        events = tracer.events
         for checker in scenario.checkers():
-            out.violations.extend(checker.check(tracer.events, ctx))
+            out.violations.extend(checker.check(events, ctx))
         if out.violations and flight is not None:
             flight.dump(
                 "invariant-failure",

@@ -198,10 +198,10 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
     try:
         reader = SpillReader(args.spill)
+        path = pack(args.spill, args.trace)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    path = pack(args.spill, args.trace)
     idx = reader.index
     print(
         f"packed {idx.get('spans', 0)} spans, {idx.get('instants', 0)} "

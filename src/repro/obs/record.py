@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -78,7 +78,7 @@ __all__ = [
 _KEY = "obs"
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanRecord:
     """One (possibly still open) recorded span."""
 
@@ -100,8 +100,7 @@ class SpanRecord:
         return (self.end - self.start) if self.end is not None else 0.0
 
 
-@dataclass(frozen=True)
-class InstantRecord:
+class InstantRecord(NamedTuple):
     """A zero-duration marker event (e.g. a dirty mark landing)."""
 
     time: float
@@ -111,8 +110,7 @@ class InstantRecord:
     detail: Any = None
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     """One cross-rank happens-before edge (source point → destination)."""
 
     eid: int  #: stable id (emission order; deterministic per run)
@@ -333,18 +331,16 @@ class Recorder:
             self.dropped_spans += 1
             stack.append(None)
             return _OpenSpan(self, proc, None)
-        parent = next((s.sid for s in reversed(stack) if s is not None), None)
+        parent = None
+        for open_span in reversed(stack):  # skip dropped placeholders
+            if open_span is not None:
+                parent = open_span.sid
+                break
+        sid = self.span_count
         rec = SpanRecord(
-            rank=proc.rank,
-            name=name,
-            category=category,
-            start=proc.now,
-            depth=len(stack),
-            parent=parent,
-            detail=detail,
-            sid=self.span_count,
+            proc.rank, name, category, proc.now, None, len(stack), parent, detail, sid
         )
-        self.span_count += 1
+        self.span_count = sid + 1
         self.category_counts[category] = self.category_counts.get(category, 0) + 1
         self.sink.on_open(rec)
         stack.append(rec)
@@ -382,16 +378,11 @@ class Recorder:
         if not self.sink.accepts_span():
             self.dropped_spans += 1
             return
+        sid = self.span_count
         rec = SpanRecord(
-            rank=proc.rank,
-            name=name,
-            category=category,
-            start=start,
-            end=proc.now,
-            detail=detail,
-            sid=self.span_count,
+            proc.rank, name, category, start, proc.now, 0, None, detail, sid
         )
-        self.span_count += 1
+        self.span_count = sid + 1
         self.category_counts[category] = self.category_counts.get(category, 0) + 1
         self.sink.on_complete(rec)
         if self.flight is not None:
@@ -426,17 +417,11 @@ class Recorder:
         if not self.sink.accepts_edge():
             self.dropped_edges += 1
             return
-        rec = EdgeRecord(
-            eid=self.edge_count,
-            kind=kind,
-            src_rank=src_rank,
-            src_time=src_time,
-            dst_rank=dst_rank,
-            dst_time=dst_time,
-            detail=detail,
+        eid = self.edge_count
+        self.edge_count = eid + 1
+        self.sink.on_edge(
+            EdgeRecord(eid, kind, src_rank, src_time, dst_rank, dst_time, detail)
         )
-        self.edge_count += 1
-        self.sink.on_edge(rec)
 
     def mark(self, key: Any, proc: "Proc", detail: Any = None) -> None:
         """Remember ``proc``'s current point as the source for ``key``."""

@@ -46,6 +46,8 @@ import heapq
 import json
 import os
 import tempfile
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
@@ -70,6 +72,11 @@ STREAM_SCHEMA = "repro-obs-stream/1"
 #: Default records per shard file.  Bounds both the sink's buffer and
 #: the per-shard sort cost; 32k span records is ~4 MB of JSONL.
 DEFAULT_SHARD_SIZE = 32_768
+
+#: Shard lines parsed per ``json.loads`` and trace events encoded per
+#: ``json.dumps`` in :func:`pack`: one codec call per block instead of
+#: one per record, with memory still constant in run length.
+_BLOCK = 1024
 
 
 def _span_sort_key(span: SpanRecord) -> tuple:
@@ -251,61 +258,50 @@ class TeeSink(SpanSink):
         return self.sinks[0].edge_stream()
 
 
+# The three line formatters write exactly the bytes ``json.dumps`` gives
+# for the same list (tested byte for byte), without building an encoder
+# per record.
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _num(x: float | int | None) -> str:
+    if x is None:
+        return "null"
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _NONFINITE.get(text, text)
+    return int.__repr__(x)
+
+
+def _detail(detail: Any) -> str:
+    return "null" if detail is None else _quote(str(detail))
+
+
 def _span_line(span: SpanRecord) -> str:
-    return json.dumps(
-        [
-            span.sid,
-            span.rank,
-            span.name,
-            span.category,
-            span.start,
-            span.end,
-            span.depth,
-            span.parent,
-            None if span.detail is None else str(span.detail),
-        ]
+    return (
+        f"[{span.sid}, {span.rank}, {_quote(span.name)}, {_quote(span.category)}, "
+        f"{_num(span.start)}, {_num(span.end)}, {span.depth}, {_num(span.parent)}, "
+        f"{_detail(span.detail)}]"
     )
 
 
 def _instant_line(inst: InstantRecord) -> str:
-    return json.dumps(
-        [
-            inst.time,
-            inst.rank,
-            inst.name,
-            inst.category,
-            None if inst.detail is None else str(inst.detail),
-        ]
+    return (
+        f"[{_num(inst.time)}, {inst.rank}, {_quote(inst.name)}, "
+        f"{_quote(inst.category)}, {_detail(inst.detail)}]"
     )
 
 
 def _edge_line(edge: EdgeRecord) -> str:
-    return json.dumps(
-        [
-            edge.eid,
-            edge.kind,
-            edge.src_rank,
-            edge.src_time,
-            edge.dst_rank,
-            edge.dst_time,
-            None if edge.detail is None else str(edge.detail),
-        ]
+    return (
+        f"[{edge.eid}, {_quote(edge.kind)}, {edge.src_rank}, {_num(edge.src_time)}, "
+        f"{edge.dst_rank}, {_num(edge.dst_time)}, {_detail(edge.detail)}]"
     )
 
 
 def _span_from_line(fields: list) -> SpanRecord:
     sid, rank, name, category, start, end, depth, parent, detail = fields
-    return SpanRecord(
-        rank=rank,
-        name=name,
-        category=category,
-        start=start,
-        end=end,
-        depth=depth,
-        parent=parent,
-        detail=detail,
-        sid=sid,
-    )
+    return SpanRecord(rank, name, category, start, end, depth, parent, detail, sid)
 
 
 def _instant_from_line(fields: list) -> InstantRecord:
@@ -321,12 +317,15 @@ def _edge_from_line(fields: list) -> EdgeRecord:
 class SpillSink(SpanSink):
     """Constant-memory sink: sharded JSONL spill under one directory.
 
-    Completed records buffer up to ``shard_size`` and flush as one
-    atomically written shard file.  Span shards are sorted by
-    :func:`_span_sort_key` before writing so :func:`pack` can k-way
-    merge them without materializing the run; instant/edge shards
-    preserve emission order.  Detail payloads are stringified exactly
-    the way the Chrome exporter would (``str(detail)``).
+    Completed records are formatted as they arrive and buffer, as
+    lines, up to ``shard_size`` before flushing as one atomically
+    written shard file (strings are invisible to the cyclic collector;
+    a buffer of record objects is re-scanned by every full collection).
+    Span lines carry their :func:`_span_sort_key` and are sorted by it
+    before writing so :func:`pack` can k-way merge shards without
+    materializing the run; instant/edge shards preserve emission order.
+    Detail payloads are stringified exactly the way the Chrome exporter
+    would (``str(detail)``).
     """
 
     def __init__(
@@ -343,20 +342,20 @@ class SpillSink(SpanSink):
 
     # -- recorder interface -------------------------------------------- #
     def on_close(self, span: SpanRecord) -> None:
-        self._push("spans", span)
+        self._push("spans", (*_span_sort_key(span), _span_line(span)))
 
     def on_complete(self, span: SpanRecord) -> None:
-        self._push("spans", span)
+        self._push("spans", (*_span_sort_key(span), _span_line(span)))
 
     def on_instant(self, inst: InstantRecord) -> None:
-        self._push("instants", inst)
+        self._push("instants", _instant_line(inst))
 
     def on_edge(self, edge: EdgeRecord) -> None:
-        self._push("edges", edge)
+        self._push("edges", _edge_line(edge))
 
-    def _push(self, kind: str, record) -> None:
+    def _push(self, kind: str, entry: "str | tuple") -> None:
         buf = self._bufs[kind]
-        buf.append(record)
+        buf.append(entry)
         if len(buf) >= self.shard_size:
             self._flush(kind)
 
@@ -364,13 +363,10 @@ class SpillSink(SpanSink):
         buf = self._bufs[kind]
         if not buf:
             return
+        lines = buf
         if kind == "spans":
-            buf.sort(key=_span_sort_key)
-            lines = [_span_line(s) for s in buf]
-        elif kind == "instants":
-            lines = [_instant_line(i) for i in buf]
-        else:
-            lines = [_edge_line(e) for e in buf]
+            buf.sort()  # sids are unique, so the line itself never compares
+            lines = [entry[-1] for entry in buf]
         name = f"{kind}-{len(self.shards[kind]):05d}.jsonl"
         atomic_write_text(self.directory / name, "\n".join(lines) + "\n")
         self.shards[kind].append({"file": name, "count": len(buf)})
@@ -409,6 +405,28 @@ class SpillSink(SpanSink):
         return list(self._reader().iter_edges())
 
 
+def _parse_block(path: Path, first_lineno: int, lines: list[str]) -> list[list]:
+    """Parse a block of shard lines with one ``json.loads``.
+
+    A block that does not parse as a whole is re-parsed line by line
+    (blank lines skipped) so the error can name the offending line.
+    """
+    try:
+        rows = json.loads(f"[{','.join(lines)}]")
+        if len(rows) == len(lines):
+            return rows
+    except json.JSONDecodeError:
+        pass
+    rows = []
+    for lineno, line in enumerate(lines, first_lineno):
+        if line.strip():
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return rows
+
+
 class SpillReader:
     """Read-side of a spill directory (sealed or mid-write)."""
 
@@ -439,32 +457,47 @@ class SpillReader:
     def nprocs(self) -> int:
         return int(self.index.get("nprocs", 0))
 
-    def _iter_shard(self, kind: str, shard: dict) -> Iterator[list]:
-        with open(self.directory / shard["file"], "r") as fh:
-            for line in fh:
-                if line.strip():
-                    yield json.loads(line)
+    def _iter_shard(self, shard: dict) -> Iterator[list]:
+        """One shard's rows, ``_BLOCK`` lines per parse.
+
+        Raises ``ValueError`` naming the shard file on a line that does
+        not parse (with its line number) and, at the end of the shard,
+        on a row count that disagrees with the index — a truncated spill
+        must not pack as if it were whole.
+        """
+        path = self.directory / shard["file"]
+        lineno = rows_seen = 0
+        with open(path, "r") as fh:
+            while lines := list(islice(fh, _BLOCK)):
+                rows = _parse_block(path, lineno + 1, lines)
+                lineno += len(lines)
+                rows_seen += len(rows)
+                yield from rows
+        if rows_seen != shard["count"]:
+            raise ValueError(
+                f"{path}: index.json records {shard['count']} records in this "
+                f"shard, the file holds {rows_seen} (truncated or edited spill)"
+            )
 
     def iter_spans_merged(self) -> Iterator[SpanRecord]:
         """All spans in Chrome-trace order: k-way merge of sorted shards."""
         streams = [
-            map(_span_from_line, self._iter_shard("spans", sh))
-            for sh in self.shards["spans"]
+            map(_span_from_line, self._iter_shard(sh)) for sh in self.shards["spans"]
         ]
         return heapq.merge(*streams, key=_span_sort_key)
 
     def iter_spans(self) -> Iterator[SpanRecord]:
         """All spans, shard order (use ``sorted(..., key=sid)`` for stream order)."""
         for sh in self.shards["spans"]:
-            yield from map(_span_from_line, self._iter_shard("spans", sh))
+            yield from map(_span_from_line, self._iter_shard(sh))
 
     def iter_instants(self) -> Iterator[InstantRecord]:
         for sh in self.shards["instants"]:
-            yield from map(_instant_from_line, self._iter_shard("instants", sh))
+            yield from map(_instant_from_line, self._iter_shard(sh))
 
     def iter_edges(self) -> Iterator[EdgeRecord]:
         for sh in self.shards["edges"]:
-            yield from map(_edge_from_line, self._iter_shard("edges", sh))
+            yield from map(_edge_from_line, self._iter_shard(sh))
 
     def load(self) -> tuple[list[SpanRecord], list[InstantRecord], list[EdgeRecord]]:
         """Materialize the full stream (for small-run analysis/verify)."""
@@ -482,17 +515,25 @@ class _EventWriter:
 
     def __init__(self, fh: IO[str]) -> None:
         self._fh = fh
-        self._first = True
+        self._block: list[dict] = []
+        self._sep = ""
         self._fh.write('{"traceEvents": [')
 
     def event(self, ev: dict) -> None:
-        if not self._first:
-            self._fh.write(", ")
-        self._first = False
-        self._fh.write(json.dumps(ev))
+        self._block.append(ev)
+        if len(self._block) >= _BLOCK:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._block:
+            # The encoded list minus its brackets is the ", "-joined events.
+            self._fh.write(self._sep + json.dumps(self._block)[1:-1])
+            self._sep = ", "
+            self._block.clear()
 
     def finish(self, trailer: dict) -> None:
         """Close the event array and append the remaining document keys."""
+        self._flush()
         self._fh.write("]")
         for key, value in trailer.items():
             self._fh.write(f", {json.dumps(key)}: {json.dumps(value)}")
@@ -523,18 +564,18 @@ def _atomic_stream(path: Path):
     return fh, publish, discard
 
 
-def pack(
-    spill_dir: str | Path,
-    out_path: str | Path,
-    flow_kinds: tuple[str, ...] | None = None,
-) -> Path:
-    """Convert a sealed spill directory into a Chrome trace JSON.
+def _write_spill(
+    w: _EventWriter,
+    reader: SpillReader,
+    flow_kinds: tuple[str, ...] | None,
+    pid: int = 0,
+    eid_base: int = 0,
+    **meta: Any,
+) -> tuple[int, int]:
+    """Stream one spill's events into ``w`` as Perfetto process ``pid``
+    (``meta`` goes to :func:`~repro.obs.export.meta_events`).
 
-    Streams shard files straight into the output (constant memory) and
-    produces bytes identical to
-    :func:`repro.obs.export.write_chrome_trace` over the same run
-    recorded with a :class:`MemorySink` (without a tracer or critical
-    path attached).  The output is published atomically.
+    Returns ``(flow arrows written, edge ids consumed)``.
     """
     # Imported here: export imports record, stream must stay importable
     # from record's siblings without a cycle.
@@ -548,27 +589,43 @@ def pack(
 
     if flow_kinds is None:
         flow_kinds = FLOW_KINDS
+    for ev in meta_events(reader.nprocs, pid=pid, **meta):
+        w.event(ev)
+    for span in reader.iter_spans_merged():
+        if span.end is not None:
+            w.event(span_event(span, pid=pid))
+    for inst in reader.iter_instants():
+        w.event(instant_event(inst, pid=pid))
+    flows, max_eid = 0, -1
+    for edge in reader.iter_edges():
+        max_eid = max(max_eid, edge.eid)
+        if edge.kind in flow_kinds:
+            flows += 1
+            for ev in flow_event_pair(edge, pid=pid, eid_offset=eid_base):
+                w.event(ev)
+    return flows, max_eid + 1
+
+
+def pack(
+    spill_dir: str | Path,
+    out_path: str | Path,
+    flow_kinds: tuple[str, ...] | None = None,
+) -> Path:
+    """Convert a sealed spill directory into a Chrome trace JSON.
+
+    Streams shard files straight into the output (constant memory) and
+    produces bytes identical to
+    :func:`repro.obs.export.write_chrome_trace` over the same run
+    recorded with a :class:`MemorySink` (without a tracer or critical
+    path attached).  The output is published atomically; a spill that
+    fails to read (:class:`SpillReader`) leaves no output behind.
+    """
     reader = SpillReader(spill_dir)
     out_path = Path(out_path)
     fh, publish, discard = _atomic_stream(out_path)
     try:
         w = _EventWriter(fh)
-        for ev in meta_events(reader.nprocs):
-            w.event(ev)
-        for span in reader.iter_spans_merged():
-            if span.end is None:
-                continue
-            w.event(span_event(span))
-        for inst in reader.iter_instants():
-            w.event(instant_event(inst))
-        flows = 0
-        for edge in reader.iter_edges():
-            if edge.kind not in flow_kinds:
-                continue
-            flows += 1
-            s_ev, f_ev = flow_event_pair(edge)
-            w.event(s_ev)
-            w.event(f_ev)
+        flows, _ = _write_spill(w, reader, flow_kinds)
         w.finish(
             {
                 "displayTimeUnit": "ns",
@@ -606,16 +663,6 @@ def merge_spills(
     workers never alias.  Streams shard files; memory stays constant in
     total event count.
     """
-    from repro.obs.export import (
-        FLOW_KINDS,
-        flow_event_pair,
-        instant_event,
-        meta_events,
-        span_event,
-    )
-
-    if flow_kinds is None:
-        flow_kinds = FLOW_KINDS
     out_path = Path(out_path)
     fh, publish, discard = _atomic_stream(out_path)
     totals = {"spans": 0, "edges": 0, "dropped": 0, "flow_events": 0, "processes": 0}
@@ -628,24 +675,11 @@ def merge_spills(
             totals["spans"] += int(reader.index.get("spans", 0))
             totals["edges"] += int(reader.index.get("edges", 0))
             totals["dropped"] += int(reader.index.get("dropped", 0))
-            for ev in meta_events(reader.nprocs, pid=pid, process=label):
-                w.event(ev)
-            for span in reader.iter_spans_merged():
-                if span.end is None:
-                    continue
-                w.event(span_event(span, pid=pid))
-            for inst in reader.iter_instants():
-                w.event(instant_event(inst, pid=pid))
-            max_eid = -1
-            for edge in reader.iter_edges():
-                max_eid = max(max_eid, edge.eid)
-                if edge.kind not in flow_kinds:
-                    continue
-                totals["flow_events"] += 1
-                s_ev, f_ev = flow_event_pair(edge, pid=pid, eid_offset=eid_base)
-                w.event(s_ev)
-                w.event(f_ev)
-            eid_base += max_eid + 1
+            flows, eids = _write_spill(
+                w, reader, flow_kinds, pid=pid, eid_base=eid_base, process=label
+            )
+            totals["flow_events"] += flows
+            eid_base += eids
         w.finish(
             {
                 "displayTimeUnit": "ns",
