@@ -128,8 +128,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
     if args.replay:
-        trace = DecisionTrace.load(args.replay)
-        outcome = replay(trace)
+        try:
+            trace = DecisionTrace.load(args.replay)
+            outcome = replay(trace)
+        except (OSError, ValueError) as exc:
+            # a bad trace file: say which and why, no traceback
+            msg = str(exc) if args.replay in str(exc) else f"{args.replay}: {exc}"
+            print(f"error: {msg}", file=sys.stderr)
+            return 2
         same = outcome.signature_json == trace.signature
         print(f"replaying {args.replay}")
         print(f"  recorded failure: {trace.failure}")

@@ -159,8 +159,19 @@ def run_once(
 
 
 def replay(trace: DecisionTrace, decisions: list[dict] | None = None) -> RunOutcome:
-    """Re-execute a persisted trace (optionally with an edited decision list)."""
+    """Re-execute a persisted trace (optionally with an edited decision list).
+
+    Raises:
+        ValueError: If the trace's target or mutation is unknown, or it
+            was recorded for a different number of ranks than its
+            target runs.
+    """
     scenario = make_scenario(trace.target)
+    if trace.nprocs != scenario.nprocs:
+        raise ValueError(
+            f"trace has nprocs={trace.nprocs} but target {trace.target!r} "
+            f"runs {scenario.nprocs} ranks"
+        )
     strategy = ReplayStrategy(trace.decisions if decisions is None else decisions)
     return run_once(
         scenario,

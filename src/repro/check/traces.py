@@ -26,6 +26,12 @@ from repro.util.io import atomic_write_text
 __all__ = ["DecisionTrace", "minimize_decisions"]
 
 _FORMAT = 1
+_REQUIRED = (
+    "target", "strategy", "strategy_seed", "engine_seed", "nprocs",
+    "schedule_index", "failure", "decisions",
+)
+#: The fields each decision kind must carry (see ``repro.check.strategies``).
+_DECISION_FIELDS = {"pick": ("rank",), "delay": ("i", "s")}
 
 
 @dataclass
@@ -73,10 +79,45 @@ class DecisionTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "DecisionTrace":
-        """Read a trace previously written by :meth:`save`."""
-        data = json.loads(Path(path).read_text())
+        """Read a trace previously written by :meth:`save`.
+
+        Raises:
+            ValueError: Naming ``path``, when the file is not a whole
+                trace: torn JSON, an unsupported format, a missing
+                required key, a decision that is not a ``pick`` or
+                ``delay`` with its fields, or a pick rank outside
+                ``[0, nprocs)``.
+        """
+        try:
+            data = json.loads(Path(path).read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: torn or garbled trace: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: a trace is a JSON object, not {type(data).__name__}")
         if data.get("format") != _FORMAT:
-            raise ValueError(f"unsupported trace format {data.get('format')!r}")
+            raise ValueError(f"{path}: unsupported trace format {data.get('format')!r}")
+        missing = [key for key in _REQUIRED if key not in data]
+        if missing:
+            raise ValueError(f"{path}: missing required key(s) {', '.join(missing)}")
+        nprocs = data["nprocs"]
+        if type(nprocs) is not int or nprocs < 1:
+            raise ValueError(f"{path}: nprocs must be a positive integer, not {nprocs!r}")
+        if not isinstance(data["decisions"], list):
+            raise ValueError(f"{path}: decisions must be a list")
+        for n, d in enumerate(data["decisions"]):
+            if (
+                not isinstance(d, dict)
+                or d.get("k") not in ("pick", "delay")
+                or any(f not in d for f in _DECISION_FIELDS[d["k"]])
+            ):
+                raise ValueError(
+                    f"{path}: decision {n} is neither a pick (k, rank) nor a "
+                    f"delay (k, i, s): {d!r}"
+                )
+            if d["k"] == "pick" and (type(d["rank"]) is not int or not 0 <= d["rank"] < nprocs):
+                raise ValueError(
+                    f"{path}: decision {n} picks rank {d['rank']!r}, outside [0, {nprocs})"
+                )
         return cls(
             target=data["target"],
             strategy=data["strategy"],

@@ -72,7 +72,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Generator, Iterable
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from types import GeneratorType
 from typing import Any
 
@@ -180,8 +180,8 @@ class SchedulingStrategy:
     def choose(self, candidates: list[tuple[float, int, int, int]]) -> int:
         """Pick the next event among ``candidates`` (one per runnable rank).
 
-        ``candidates`` holds ``(time, seq, rank, gen)`` heap entries sorted
-        in the engine's default order; return the index to resume next.
+        ``candidates`` holds ``(time, seq, rank, gen)`` entries sorted in
+        the engine's default order; return the index to resume next.
         Only called when ``explores`` is True and at least two processes
         are runnable.
         """
@@ -237,7 +237,7 @@ class Proc:
         "blocked_at",
         "state",
         "_gen",
-        "_pending",
+        "_entry",
         "_clock",
         "_cpu_factor",
         "_wake_payload",
@@ -257,7 +257,9 @@ class Proc:
         self.finished = False
         self.blocked_at: str | None = None  # description of park site, for deadlock msgs
         self._gen = 0  # resume generation; stale heap entries are skipped
-        self._pending = 0  # heap entries carrying the current generation
+        # Exploring path only: this rank's earliest entry since it last
+        # resumed (None when it has none) — the engine keeps no heap there.
+        self._entry: tuple[float, int, int, int] | None = None
         self._clock = 0.0
         # The machine model is fixed at engine construction, so this
         # rank's relative CPU speed is a constant: cache it out of the
@@ -371,14 +373,13 @@ class Proc:
                 proc = procs[entry[2]]
                 if proc.finished or entry[3] != proc._gen:
                     heappop(heap)
-                    engine._nstale -= 1
                     continue
                 if entry[0] > clock:
                     break  # earliest live event is later: we'd run next
                 # Another process must run first: full handoff
-                # (Engine._schedule, inlined — one frame per event).
+                # (Engine._schedule's heap branch, inlined — one frame
+                # per event).
                 self._wake_payload = None
-                self._pending += 1
                 heappush(heap, (clock, next(engine._seq), self.rank, self._gen))
                 return self._switch
             # Heap empty or earliest live event strictly later — an
@@ -500,7 +501,6 @@ class Engine:
         self.backend: SwitchBackend = make_backend(backend, self)
         self._heap: list[tuple[float, int, int, int]] = []  # (time, seq, rank, gen)
         self._seq = itertools.count()
-        self._nstale = 0  # stale entries still physically in the heap
         self._shutdown = False
         self._started = False
         self._parked = 0
@@ -562,8 +562,14 @@ class Engine:
     # ------------------------------------------------------------------ #
     def _schedule(self, proc: Proc, time: float, payload: Any) -> None:
         proc._wake_payload = payload
-        proc._pending += 1
-        heappush(self._heap, (time, next(self._seq), proc.rank, proc._gen))
+        entry = (time, next(self._seq), proc.rank, proc._gen)
+        if not self._explores:
+            heappush(self._heap, entry)
+        elif proc._entry is None or time < proc._entry[0]:
+            # Only a rank's earliest entry can be a candidate, and its
+            # later ones go stale at its next resume: keep the minimum
+            # (seq only grows, so a time tie keeps the older entry).
+            proc._entry = entry
 
     def wake(self, proc: Proc, time: float, payload: Any = None) -> None:
         """Wake a parked process at virtual ``time`` with ``payload``.
@@ -606,44 +612,26 @@ class Engine:
         """Let the exploring strategy select the next (time, seq, rank,
         gen) entry to resume, or None.
 
-        The strategy sees the full runnable set — the earliest live
-        entry of every runnable process — and picks one; this is the
-        decision point schedule exploration drives.  The chosen entry is
-        left in place (it goes stale when its process's generation
-        bumps) and the heap is compacted whenever stale entries
-        outnumber live ones, keeping each scan O(live) amortized
-        instead of the seed's per-event O(heap) rebuild.  (Without an
-        exploring strategy :meth:`_pick` pops the heap minimum itself.)
+        The strategy sees the full runnable set — the earliest entry of
+        every runnable process, which :meth:`_schedule` keeps in its
+        ``Proc._entry`` slot — in the default ``(time, seq)`` order, and
+        picks one; this is the decision point schedule exploration
+        drives.  Choosing consumes the chosen rank's slot; a finishing
+        rank's slot is cleared by :meth:`_finish`.  O(nprocs) per
+        decision.  (Without an exploring strategy :meth:`_pick` pops the
+        heap minimum itself.)
         """
-        heap = self._heap
-        procs = self.procs
-        if self._nstale > 32 and self._nstale * 2 > len(heap):
-            heap[:] = [
-                e for e in heap
-                if not procs[e[2]].finished and e[3] == procs[e[2]]._gen
-            ]
-            heapify(heap)
-            self._nstale = 0
-        best: dict[int, tuple[float, int, int, int]] = {}
-        for entry in heap:
-            proc = procs[entry[2]]
-            if proc.finished or entry[3] != proc._gen:
-                continue
-            cur = best.get(entry[2])
-            if cur is None or entry < cur:
-                best[entry[2]] = entry
-        if not best:
-            heap.clear()
-            self._nstale = 0
+        candidates = sorted([e for p in self.procs if (e := p._entry) is not None])
+        if not candidates:
             return None
-        candidates = sorted(best.values())
-        strat = self.strategy
-        idx = strat.choose(candidates) if len(candidates) > 1 else 0
+        idx = self.strategy.choose(candidates) if len(candidates) > 1 else 0
         if not 0 <= idx < len(candidates):
             raise RuntimeError(
                 f"strategy chose index {idx} among {len(candidates)} candidates"
             )
-        return candidates[idx]
+        entry = candidates[idx]
+        self.procs[entry[2]]._entry = None
+        return entry
 
     def _pick(self) -> Proc | None:
         """Choose, account, and return the next process to resume.
@@ -672,7 +660,6 @@ class Engine:
                     head = heappop(heap)
                     proc = procs[head[2]]
                     if proc.finished or head[3] != proc._gen:
-                        self._nstale -= 1
                         continue
                     entry = head
                     break
@@ -691,11 +678,7 @@ class Engine:
                 )
             time = entry[0]
             proc = self.procs[entry[2]]
-            # The consumed entry (and, when exploring, the one left in
-            # the heap) plus any same-generation siblings go stale now
-            # that the generation bumps.
-            self._nstale += proc._pending - (not self._explores)
-            proc._pending = 0
+            # Any same-generation heap siblings go stale now.
             proc._gen += 1
             if proc.blocked_at is not None:
                 proc.blocked_at = None
@@ -738,8 +721,7 @@ class Engine:
         proc.finished = True
         self._active -= 1
         self._finish_times[proc.rank] = proc._clock
-        self._nstale += proc._pending
-        proc._pending = 0
+        proc._entry = None
         if proc._exc is not None and self._failure is None:
             self._failure = proc._exc
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.check.invariants import CheckContext
@@ -183,6 +185,73 @@ class TestTraces:
 
         minimize_decisions(decisions, reproduces, max_replays=10)
         assert len(calls) <= 10
+
+
+def _good_trace():
+    return DecisionTrace(
+        target="queue", strategy="random", strategy_seed=0, engine_seed=0,
+        nprocs=3, schedule_index=0, failure="ok",
+        decisions=[{"k": "pick", "rank": 2}, {"k": "delay", "i": 0, "s": 1e-6, "site": "sync"}],
+    )
+
+
+def _write_corrupt(tmp_path, case):
+    """Save a good trace as ``<case>.json``, then damage it as ``case`` says."""
+    path = _good_trace().save(tmp_path / f"{case}.json")
+    if case == "torn":
+        path.write_text(path.read_text()[:-40])
+        return path
+    doc = json.loads(path.read_text())
+    _CORRUPT[case][0](doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+#: case -> (damage to the saved JSON object, expected ValueError message)
+_CORRUPT = {
+    "missing-key": (lambda d: d.pop("engine_seed"), "missing required key"),
+    "unknown-kind": (lambda d: d["decisions"].append({"k": "jump"}), "decision 2 is neither"),
+    "pick-without-rank": (lambda d: d["decisions"][0].pop("rank"), "decision 0 is neither"),
+    "delay-without-seconds": (lambda d: d["decisions"][1].pop("s"), "decision 1 is neither"),
+    "rank-out-of-range": (
+        lambda d: d["decisions"][0].update(rank=3), r"picks rank 3, outside \[0, 3\)"
+    ),
+    "negative-rank": (
+        lambda d: d["decisions"][0].update(rank=-1), r"picks rank -1, outside \[0, 3\)"
+    ),
+    "nprocs": (lambda d: d.update(nprocs=4), None),  # loads; replay refuses it
+}
+
+
+class TestBadTraces:
+    """A trace that is not whole fails typed, naming the file."""
+
+    def test_torn_json(self, tmp_path):
+        path = _write_corrupt(tmp_path, "torn")
+        with pytest.raises(ValueError, match=r"torn\.json: torn or garbled trace"):
+            DecisionTrace.load(path)
+
+    @pytest.mark.parametrize("case", sorted(c for c in _CORRUPT if _CORRUPT[c][1]))
+    def test_malformed_trace(self, tmp_path, case):
+        path = _write_corrupt(tmp_path, case)
+        with pytest.raises(ValueError, match=_CORRUPT[case][1]) as info:
+            DecisionTrace.load(path)
+        assert f"{case}.json" in str(info.value)
+
+    def test_replay_refuses_nprocs_mismatch(self, tmp_path):
+        trace = DecisionTrace.load(_write_corrupt(tmp_path, "nprocs"))
+        with pytest.raises(ValueError, match="nprocs=4 but target 'queue' runs 3"):
+            replay(trace)
+
+    @pytest.mark.parametrize("case", ["torn", "pick-without-rank", "nprocs"])
+    def test_cli_replay_exits_2_naming_the_file(self, tmp_path, capsys, case):
+        from repro.check.__main__ import main
+
+        path = _write_corrupt(tmp_path, case)
+        assert main(["--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{case}.json" in err
+        assert "Traceback" not in err
 
 
 class TestCli:

@@ -12,13 +12,17 @@ an exploring strategy that always picks the first (heap-order)
 candidate.  It reproduces the engine's default schedule exactly, but —
 being an exploring strategy — forces elision off and the full
 materialize-candidates path on, so any divergence between a plain run
-and a ``_FifoExplorer`` run is an elision (or compaction) bug.
+and a ``_FifoExplorer`` run is a bug in elision or in the exploring
+path's per-rank entry slots.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.check.strategies import RandomWalk, ReplayStrategy
 from repro.sim.engine import Engine, SchedulingStrategy, run_spmd
 from repro.util.errors import SimLimitError
 
@@ -227,11 +231,11 @@ def test_max_time_enforced_for_elided_syncs():
 
 
 # --------------------------------------------------------------------- #
-# Exploring-path compaction keeps the heap honest
+# Stale entries never resume anyone
 # --------------------------------------------------------------------- #
-def test_compaction_under_heavy_staling():
-    """park_until + wake churn leaves many stale entries; the exploring
-    scan must compact them away without perturbing the schedule."""
+def test_stale_park_until_timeouts_never_resume_twice():
+    """Every early wake leaves a ``park_until`` timeout behind; neither
+    path may resume rank 0 a second time from it."""
 
     def main(proc):
         if proc.rank == 0:
@@ -248,4 +252,86 @@ def test_compaction_under_heavy_staling():
     _, plain = _run(2, main)
     _, full = _run(2, main, strategy=_FifoExplorer())
     assert plain.returns == full.returns
+    # Two first resumes, one per park, one per rank-1 sync.
+    assert plain.events == full.events == 2 + 60 + 120
+
+
+# --------------------------------------------------------------------- #
+# Generated rank programs: the default run against two references
+# --------------------------------------------------------------------- #
+_TIMES = st.sampled_from([0.0, 0.5e-6, 1e-6, 3e-6])
+_OP = st.one_of(
+    st.tuples(st.just("compute"), _TIMES),
+    st.tuples(st.just("sync"), st.none()),
+    st.tuples(st.just("park_until"), _TIMES),
+    st.tuples(st.just("wake"), st.tuples(st.integers(0, 3), _TIMES)),
+)
+_PROGRAMS = st.integers(2, 4).flatmap(
+    lambda p: st.lists(st.lists(_OP, max_size=12), min_size=p, max_size=p)
+)
+
+
+def _program_main(programs):
+    """Generator main running ``programs[rank]``; returns what it saw.
+
+    A ``wake`` syncs, then wakes its target only if that rank is parked
+    in ``park_until`` (possibly already woken, not yet resumed), at the
+    waker's clock plus a delay that may land before or after the
+    target's timeout.
+    """
+
+    def main(proc):
+        seen = []
+        for op, arg in programs[proc.rank]:
+            if op == "compute":
+                proc.compute(arg)
+            elif op == "sync":
+                yield from proc.co_sync()
+            elif op == "park_until":
+                got = yield from proc.co_park_until(proc.now + arg, where="prog")
+                seen.append(("resumed", got, proc.now))
+            else:
+                target, delay = arg
+                yield from proc.co_sync()
+                other = proc.engine.procs[target % proc.nprocs]
+                if other.blocked_at == "prog":
+                    proc.engine.wake(other, proc.now + delay, proc.rank)
+                    seen.append(("woke", other.rank))
+        return seen
+
+    return main
+
+
+def _run_program(programs, strategy=None):
+    return _run(len(programs), _program_main(programs), strategy=strategy,
+                max_events=10_000)[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(programs=_PROGRAMS)
+# Rank 1's wake ties with rank 0's timeout at t=1us; rank 2's sync there
+# is older than the wake: rank 0 must keep its timeout (the oldest entry)
+# as candidate and resume first, or rank 2's wake gets in before it.
+@example(programs=[
+    [("park_until", 1e-6)],
+    [("wake", (0, 1e-6))],
+    [("compute", 1e-6), ("wake", (0, 0.0))],
+])
+def test_generated_programs_match_explored_schedule(programs):
+    plain = _run_program(programs)
+    full = _run_program(programs, strategy=_FifoExplorer())
+    assert plain.returns == full.returns
+    assert plain.finish_times == full.finish_times
     assert plain.events == full.events
+
+
+@settings(max_examples=80, deadline=None)
+@given(programs=_PROGRAMS, seed=st.integers(0, 2**16))
+def test_generated_random_walks_replay_exactly(programs, seed):
+    walk = RandomWalk(seed=seed)
+    recorded = _run_program(programs, strategy=walk)
+    replayer = ReplayStrategy(walk.decisions)
+    replayed = _run_program(programs, strategy=replayer)
+    assert replayer.divergences == 0
+    assert replayed.finish_times == recorded.finish_times
+    assert replayed.returns == recorded.returns
