@@ -14,38 +14,33 @@ Run:
 """
 
 import sys
-import threading
 
 from repro.core import SciotoConfig, Task, TaskCollection
 from repro.sim.engine import run_spmd
 
 WIDTH = 24  # tasks per phase
 
-_log_lock = threading.Lock()
 phase_log: list[tuple[str, int, int]] = []  # (phase, item, rank)
 
 
 def main(proc):
-    tc_a = TaskCollection.create(proc, task_size=64)
-    tc_b = TaskCollection.create(proc, task_size=64)
+    tc_a = yield from TaskCollection.co_create(proc, task_size=64)
+    tc_b = yield from TaskCollection.co_create(proc, task_size=64)
 
     def produce(tc, task):
         tc.proc.compute(3e-6)
-        with _log_lock:
-            phase_log.append(("produce", task.body, tc.rank))
+        phase_log.append(("produce", task.body, tc.rank))
         # spawn the consumer into the *other* collection mid-phase,
         # placed at a hashed rank to exercise remote adds
         dest = (task.body * 7) % tc.nprocs
-        tc_b.add(Task(callback=h_consume, body=task.body * 10), rank=dest)
+        yield from tc_b.co_add(Task(callback=h_consume, body=task.body * 10), rank=dest)
 
     def consume(tc, task):
         tc.proc.compute(2e-6)
-        with _log_lock:
-            phase_log.append(("consume", task.body, tc.rank))
+        phase_log.append(("consume", task.body, tc.rank))
 
     def finale(tc, task):
-        with _log_lock:
-            phase_log.append(("finale", task.body, tc.rank))
+        phase_log.append(("finale", task.body, tc.rank))
 
     h_produce = tc_a.register(produce)
     h_finale = tc_a.register(finale)
@@ -53,14 +48,14 @@ def main(proc):
 
     if proc.rank == 0:
         for i in range(WIDTH):
-            tc_a.add(Task(callback=h_produce, body=i))
-    stats1 = tc_a.process()   # phase 1 (spawns phase 2 work as it runs)
-    stats2 = tc_b.process()   # phase 2
-    tc_a.reset()              # reuse collection A for phase 3
+            yield from tc_a.co_add(Task(callback=h_produce, body=i))
+    stats1 = yield from tc_a.co_process()  # phase 1 (spawns phase 2 work as it runs)
+    stats2 = yield from tc_b.co_process()  # phase 2
+    yield from tc_a.co_reset()  # reuse collection A for phase 3
     if proc.rank == 0:
         for i in range(WIDTH):
-            tc_a.add(Task(callback=h_finale, body=i), rank=i % proc.nprocs)
-    stats3 = tc_a.process()
+            yield from tc_a.co_add(Task(callback=h_finale, body=i), rank=i % proc.nprocs)
+    stats3 = yield from tc_a.co_process()
     return (stats1.tasks_executed, stats2.tasks_executed, stats3.tasks_executed)
 
 

@@ -2,7 +2,8 @@
 """Quickstart: the paper's §4 example — task-parallel blocked matmul.
 
 Mirrors Figure 3 of the paper line by line using the C-style facade
-(``tc_create`` / ``tc_register`` / ``tc_add`` / ``tc_process``): all
+(``tc_create`` / ``tc_register`` / ``tc_add`` / ``tc_process``), with
+every call that communicates written ``yield from``: all
 ranks collectively create global arrays A, B, C and a task collection,
 seed one multiply task per owned block triple, and process the
 collection to termination with locality-aware work stealing.
@@ -43,24 +44,24 @@ def mm_task_fcn(tc, task):
     proc = tc.proc
     arrays = GaRuntime.attach(proc.engine).arrays
     a, b, c = arrays[a_h], arrays[b_h], arrays[c_h]
-    a_blk = a.get(proc, (i * BS, k * BS), ((i + 1) * BS, (k + 1) * BS))
-    b_blk = b.get(proc, (k * BS, j * BS), ((k + 1) * BS, (j + 1) * BS))
+    a_blk = yield from a.co_get(proc, (i * BS, k * BS), ((i + 1) * BS, (k + 1) * BS))
+    b_blk = yield from b.co_get(proc, (k * BS, j * BS), ((k + 1) * BS, (j + 1) * BS))
     proc.compute(2.0 * BS**3 * proc.machine.seconds_per_flop)
-    c.acc(proc, (i * BS, j * BS), ((i + 1) * BS, (j + 1) * BS), a_blk @ b_blk)
+    yield from c.co_acc(proc, (i * BS, j * BS), ((i + 1) * BS, (j + 1) * BS), a_blk @ b_blk)
 
 
 def main(proc, a_mat, b_mat):
     # Initialize Global Arrays: A, B, and C
-    a = GlobalArray.create(proc, "A", (N, N))
-    b = GlobalArray.create(proc, "B", (N, N))
-    c = GlobalArray.create(proc, "C", (N, N))
+    a = yield from GlobalArray.co_create(proc, "A", (N, N))
+    b = yield from GlobalArray.co_create(proc, "B", (N, N))
+    c = yield from GlobalArray.co_create(proc, "C", (N, N))
     lo, hi = a.distribution(proc.rank)
     sl = tuple(slice(x, y) for x, y in zip(lo, hi))
     a.access(proc)[...] = a_mat[sl]
     b.access(proc)[...] = b_mat[sl]
-    a.sync(proc)
+    yield from a.co_sync(proc)
 
-    tc = tc_create(proc, task_sz=64, chunk_sz=CHUNK_SIZE, max_sz=MAX_TASKS)
+    tc = yield from tc_create(proc, task_sz=64, chunk_sz=CHUNK_SIZE, max_sz=MAX_TASKS)
     hdl = tc_register(tc, mm_task_fcn)
     task = tc_task_create(body_sz=64, task_handle=hdl)
 
@@ -73,14 +74,14 @@ def main(proc, a_mat, b_mat):
             for k in range(NUM_BLOCKS):
                 if get_owner(i, j, k) == me:
                     task.body = (a.gid, b.gid, c.gid, i, j, k)
-                    tc_add(tc, me, AFFINITY_HIGH, task)
+                    yield from tc_add(tc, me, AFFINITY_HIGH, task)
                     task = tc_task_reuse(task)
 
-    stats = tc_process(tc)
-    c.sync(proc)
-    result = c.read_full(proc)
-    tc_destroy(tc)
-    Armci.attach(proc.engine).barrier(proc)
+    stats = yield from tc_process(tc)
+    yield from c.co_sync(proc)
+    result = yield from c.co_read_full(proc)
+    yield from tc_destroy(tc)
+    yield from Armci.attach(proc.engine).co_barrier(proc)
     return (stats.tasks_executed, stats.steals_successful, result)
 
 

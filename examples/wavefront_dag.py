@@ -25,19 +25,19 @@ N = 12  # wavefront grid (N x N cells)
 
 
 def main(proc):
-    grid = GlobalArray.create(proc, "wave", (N, N))
-    grid.sync(proc)
-    tc = TaskCollection.create(proc, task_size=64)
-    tg = TaskGraph.create(tc)
+    grid = yield from GlobalArray.co_create(proc, "wave", (N, N))
+    yield from grid.co_sync(proc)
+    tc = yield from TaskCollection.co_create(proc, task_size=64)
+    tg = yield from TaskGraph.co_create(tc)
 
     def cell(tc_, task):
         i, j = task.body
         p = tc_.proc
-        up = grid.get(p, (i - 1, j), (i, j + 1))[0, 0] if i > 0 else 0.0
-        left = grid.get(p, (i, j - 1), (i + 1, j))[0, 0] if j > 0 else 0.0
+        up = (yield from grid.co_get(p, (i - 1, j), (i, j + 1)))[0, 0] if i > 0 else 0.0
+        left = (yield from grid.co_get(p, (i, j - 1), (i + 1, j)))[0, 0] if j > 0 else 0.0
         p.compute(2e-6)
         value = max(up, left) + (i + 1) * (j + 1) % 7  # arbitrary recurrence
-        grid.put(p, (i, j), (i + 1, j + 1), np.array([[value]]))
+        yield from grid.co_put(p, (i, j), (i + 1, j + 1), np.array([[value]]))
 
     for i in range(N):
         for j in range(N):
@@ -50,9 +50,10 @@ def main(proc):
             tg.add(f"c{i},{j}", cell, body=(i, j), deps=deps,
                    rank=grid.locate((i, j)))
 
-    stats = tg.process()
-    grid.sync(proc)
-    return (stats.tasks_executed, grid.read_full(proc))
+    stats = yield from tg.co_process()
+    yield from grid.co_sync(proc)
+    result = yield from grid.co_read_full(proc)
+    return (stats.tasks_executed, result)
 
 
 def reference() -> np.ndarray:

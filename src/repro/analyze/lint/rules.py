@@ -447,10 +447,13 @@ def rpr006(tree: ast.Module, source: str):
 # --------------------------------------------------------------------- #
 
 _MPI_COROUTINES = {"send", "recv", "iprobe", "barrier"}
+#: The generator calls of the paper-style facade ``repro.core.capi``.
+_CAPI_COROUTINES = {"tc_create", "tc_add", "tc_process", "tc_reset", "tc_destroy"}
 
 
 def _is_coroutine_call(node: ast.AST) -> bool:
-    """A call to a ``co_*`` form, or to a coroutine method of ``...mpi``.
+    """A call to a ``co_*`` form, a ``repro.core.capi`` collective, or a
+    coroutine method of ``...mpi``.
 
     Blind spot: a receiver that is itself a call
     (``Mpi.attach(engine).send(...)``) has no name to match.
@@ -458,7 +461,7 @@ def _is_coroutine_call(node: ast.AST) -> bool:
     if not isinstance(node, ast.Call):
         return False
     name = _last_attr(node.func)
-    if name.startswith("co_"):
+    if name.startswith("co_") or name in _CAPI_COROUTINES:
         return True
     return (
         name in _MPI_COROUTINES
@@ -490,8 +493,8 @@ def rpr007(tree: ast.Module, source: str):
                     (
                         call.lineno,
                         f"`{_last_attr(call.func)}(...)` returns a coroutine "
-                        "that is never run: without `yield from` (or "
-                        "`drive(...)`) the call does nothing and is always true",
+                        "that is never run: without `yield from` the call "
+                        "does nothing and is always true",
                     )
                 )
     return findings

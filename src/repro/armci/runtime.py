@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.analyze.race import RaceDetector
 from repro.obs.record import edge_recv, edge_send, span
-from repro.sim.engine import Engine, Proc, blocking_method
+from repro.sim.engine import Engine, Proc
 from repro.sim.resources import SimBarrier, SimMutex
 from repro.sim.counters import Counters
 from repro.armci.collectives import armci_barrier_cost
@@ -91,8 +91,6 @@ class Armci:
     # ------------------------------------------------------------------ #
     # One-sided data movement
     # ------------------------------------------------------------------ #
-    put = blocking_method("co_put")
-
     def co_put(
         self,
         proc: Proc,
@@ -120,8 +118,6 @@ class Armci:
         if det is not None:
             det.on_put(proc, target)
 
-    get = blocking_method("co_get")
-
     def co_get(
         self,
         proc: Proc,
@@ -145,8 +141,6 @@ class Armci:
             self.counters.add(proc.rank, "get_remote")
             self.counters.add(proc.rank, "bytes_get", nbytes)
         return value
-
-    acc = blocking_method("co_acc")
 
     def co_acc(
         self,
@@ -184,8 +178,6 @@ class Armci:
     # ------------------------------------------------------------------ #
     # Non-blocking one-sided operations (ARMCI_NbPut / NbGet / Wait)
     # ------------------------------------------------------------------ #
-    nbput = blocking_method("co_nbput")
-
     def co_nbput(
         self,
         proc: Proc,
@@ -219,8 +211,6 @@ class Armci:
         if det is not None:
             det.on_put(proc, target)
         return NbHandle(proc.now + m.put_time(nbytes, nchunks))
-
-    nbget = blocking_method("co_nbget")
 
     def co_nbget(
         self,
@@ -260,8 +250,6 @@ class Armci:
     # ------------------------------------------------------------------ #
     # Remote atomics
     # ------------------------------------------------------------------ #
-    rmw = blocking_method("co_rmw")
-
     def co_rmw(
         self,
         proc: Proc,
@@ -319,8 +307,6 @@ class Armci:
     # ------------------------------------------------------------------ #
     # One-sided messages (mailboxes)
     # ------------------------------------------------------------------ #
-    post = blocking_method("co_post")
-
     def co_post(
         self,
         proc: Proc,
@@ -352,8 +338,6 @@ class Armci:
         if waiter is not None:
             self.engine.wake(waiter, proc.now)
 
-    poll_mailbox = blocking_method("co_poll_mailbox")
-
     def co_poll_mailbox(self, proc: Proc, tag: str):
         """Check own mailbox for a message with ``tag``; local-cost probe."""
         proc.advance(MAILBOX_CHECK_COST)
@@ -370,8 +354,6 @@ class Armci:
     def mailbox_empty(self, proc: Proc, tag: str) -> bool:
         """Whether any message with ``tag`` is pending (no cost charge)."""
         return not self._mailboxes[proc.rank][tag]
-
-    wait_mailbox = blocking_method("co_wait_mailbox")
 
     def co_wait_mailbox(self, proc: Proc, tag: str, timeout: float):
         """Wait up to ``timeout`` for a message with ``tag`` to arrive.
@@ -394,14 +376,10 @@ class Armci:
     # ------------------------------------------------------------------ #
     # Collectives
     # ------------------------------------------------------------------ #
-    barrier = blocking_method("co_barrier")
-
     def co_barrier(self, proc: Proc):
         """ARMCI_Barrier: fence all one-sided traffic, then synchronize."""
         self.counters.add(proc.rank, "barrier")
         yield from self._barrier.co_wait(proc)
-
-    fence = blocking_method("co_fence")
 
     def co_fence(self, proc: Proc, target: int | None = None):
         """Wait for completion of this rank's outstanding one-sided ops.
@@ -417,8 +395,6 @@ class Armci:
         det = self._race()
         if det is not None:
             det.on_fence(proc, target)
-
-    allreduce = blocking_method("co_allreduce")
 
     def co_allreduce(self, proc: Proc, value: Any, op: Callable[[Any, Any], Any]):
         """Combine ``value`` across all ranks with ``op``; all ranks get the result.
@@ -448,8 +424,6 @@ class Armci:
         proc.advance(release_at - proc.now)
         yield from proc.co_sync()
         return result
-
-    broadcast = blocking_method("co_broadcast")
 
     def co_broadcast(self, proc: Proc, value: Any, root: int = 0):
         """Broadcast ``value`` from ``root`` to all ranks (tree cost model)."""

@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.armci.runtime import Armci
 from repro.ga.counter import GlobalCounter
-from repro.sim.engine import Proc, blocking_method
+from repro.sim.engine import Proc
 
 __all__ = ["GlobalCounterScheduler", "CounterRunStats"]
 
@@ -40,23 +40,23 @@ class CounterRunStats:
 
 
 class GlobalCounterScheduler:
-    """Dynamic load balancing via a shared ``read_inc`` counter."""
+    """Dynamic load balancing via a shared ``read_inc`` counter.
+
+    Build one collectively with ``yield from
+    GlobalCounterScheduler.co_create(proc, execute)``, or around an
+    existing counter with the constructor.
+    """
 
     def __init__(
         self,
         proc: Proc,
         execute: Callable[[Proc, Any], None],
-        counter_host: int = 0,
-        counter: GlobalCounter | None = None,
+        counter: GlobalCounter,
     ) -> None:
         self.proc = proc
         self.execute = execute
         self.armci = Armci.attach(proc.engine)
-        self.counter = (
-            counter
-            if counter is not None
-            else GlobalCounter.create(proc, host_rank=counter_host)
-        )
+        self.counter = counter
 
     @classmethod
     def co_create(
@@ -65,12 +65,10 @@ class GlobalCounterScheduler:
         execute: Callable[[Proc, Any], None],
         counter_host: int = 0,
     ):
-        """Coroutine-protocol constructor (the collective counter creation
-        is the blocking part)."""
+        """Collective constructor: creates the shared counter on
+        ``counter_host``."""
         counter = yield from GlobalCounter.co_create(proc, host_rank=counter_host)
         return cls(proc, execute, counter=counter)
-
-    run = blocking_method("co_run")
 
     def co_run(self, tasks: Sequence[Any]):
         """Process the (replicated) ``tasks`` list to completion; collective.

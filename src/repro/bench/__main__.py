@@ -6,19 +6,13 @@ Usage::
     python -m repro.bench --scale full         # paper-scale process counts
     python -m repro.bench --only figure7 table1
     python -m repro.bench --json out.json      # custom record path
-    python -m repro.bench perf                 # wall-clock engine throughput
-    python -m repro.bench perf --quick         # schema-validation subset
 
 Every run also writes the machine-readable record ``BENCH_sim.json``
 (schema ``repro-bench/1``: per-experiment series plus host wall
 seconds) at the repo root, so the perf trajectory is tracked commit to
-commit.  Disable with ``--no-json``.
-
-``perf`` is a separate mode: instead of the paper's virtual-time
-figures it measures *host* events/second per scenario on every
-available context-switch backend and writes ``BENCH_wall.json``
-(schema ``repro-bench-wall/1``).  See :mod:`repro.bench.perf` and
-``docs/performance.md``.
+commit.  Disable with ``--no-json``.  Host-time cost per layer is
+measured by the ledger (``python3 -m benchmarks.ledger``; see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -58,12 +52,6 @@ EXPERIMENTS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "perf":
-        from repro.bench.perf import main as perf_main
-
-        return perf_main(argv[1:])
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=["quick", "full"], default=None)
     parser.add_argument("--only", nargs="*", choices=sorted(EXPERIMENTS),

@@ -4,21 +4,26 @@ This module exists so the quickstart example can read like Figure 3 of
 the paper; it is a thin veneer over the object API in
 ``repro.core.collection``.
 
+The collective and communicating calls (``tc_create``, ``tc_add``,
+``tc_process``, ``tc_reset``, ``tc_destroy``) are generators, used with
+``yield from`` inside a generator rank main; the purely local ones are
+plain calls.
+
 Example (compare with the paper's matrix-multiply listing)::
 
-    tc = tc_create(proc, sizeof_mm_task, CHUNK_SIZE, MAX_TASKS)
+    tc = yield from tc_create(proc, sizeof_mm_task, CHUNK_SIZE, MAX_TASKS)
     hdl = tc_register(tc, mm_task_fcn)
     task = tc_task_create(sizeof_mm_task, hdl)
     ...
-    tc_add(tc, me, AFFINITY_HIGH, task)
+    yield from tc_add(tc, me, AFFINITY_HIGH, task)
     tc_task_reuse(task)
-    tc_process(tc)
-    tc_destroy(tc)
+    yield from tc_process(tc)
+    yield from tc_destroy(tc)
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.core.collection import TaskCollection
@@ -47,16 +52,16 @@ def tc_create(
     chunk_sz: int,
     max_sz: int,
     config: SciotoConfig | None = None,
-) -> TaskCollection:
+) -> Generator[Any, Any, TaskCollection]:
     """Collectively create a task collection (paper's ``tc_create``)."""
-    return TaskCollection.create(
+    return TaskCollection.co_create(
         proc, task_size=task_sz, chunk_size=chunk_sz, max_tasks=max_sz, config=config
     )
 
 
-def tc_destroy(tc: TaskCollection) -> None:
+def tc_destroy(tc: TaskCollection) -> Generator[Any, Any, None]:
     """Collectively destroy a task collection."""
-    tc.destroy()
+    return tc.co_destroy()
 
 
 def tc_register(tc: TaskCollection, fcn: Callable[[TaskCollection, Task], None]) -> int:
@@ -64,22 +69,24 @@ def tc_register(tc: TaskCollection, fcn: Callable[[TaskCollection, Task], None])
     return tc.register(fcn)
 
 
-def tc_add(tc: TaskCollection, proc_rank: int, affinity: int, task: Task) -> None:
+def tc_add(
+    tc: TaskCollection, proc_rank: int, affinity: int, task: Task
+) -> Generator[Any, Any, None]:
     """Add a copy of ``task`` to rank ``proc_rank`` with the given affinity.
 
     On return the task buffer is available for reuse (copy-in semantics).
     """
-    tc.add(task, rank=proc_rank, affinity=affinity)
+    return tc.co_add(task, rank=proc_rank, affinity=affinity)
 
 
-def tc_process(tc: TaskCollection) -> ProcessStats:
+def tc_process(tc: TaskCollection) -> Generator[Any, Any, ProcessStats]:
     """Collectively process the collection until global termination."""
-    return tc.process()
+    return tc.co_process()
 
 
-def tc_reset(tc: TaskCollection) -> None:
+def tc_reset(tc: TaskCollection) -> Generator[Any, Any, None]:
     """Collectively empty the collection for reuse."""
-    tc.reset()
+    return tc.co_reset()
 
 
 def tc_task_create(body_sz: int, task_handle: int) -> Task:

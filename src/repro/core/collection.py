@@ -29,7 +29,7 @@ from repro.core.config import SciotoConfig
 from repro.core.queue import SplitQueue
 from repro.core.task import Task
 from repro.core.termination import TerminationDetector
-from repro.sim.engine import Engine, Proc, blocking_method
+from repro.sim.engine import Engine, Proc
 from repro.sim.counters import Counters
 from repro.obs.tracing import trace
 from repro.util.errors import TaskCollectionError
@@ -108,8 +108,6 @@ class TaskCollection:
     # ------------------------------------------------------------------ #
     # Lifecycle (collective)
     # ------------------------------------------------------------------ #
-    create = classmethod(blocking_method("co_create"))
-
     @classmethod
     def co_create(
         cls,
@@ -151,14 +149,10 @@ class TaskCollection:
         yield from Armci.attach(proc.engine).co_barrier(proc)
         return cls(proc, shared)
 
-    destroy = blocking_method("co_destroy")
-
     def co_destroy(self):
         """Collectively destroy the collection (``tc_destroy``)."""
         yield from Armci.attach(self.proc.engine).co_barrier(self.proc)
         self._shared.destroyed = True
-
-    reset = blocking_method("co_reset")
 
     def co_reset(self):
         """Collectively drop all queued tasks so the collection can be reused
@@ -219,8 +213,6 @@ class TaskCollection:
     def config(self) -> SciotoConfig:
         return self._shared.config
 
-    add = blocking_method("co_add")
-
     def co_add(
         self,
         task: Task,
@@ -274,8 +266,6 @@ class TaskCollection:
              body_size: int | None = None) -> Task:
         """Convenience constructor for a task descriptor."""
         return Task(callback=callback, body=body, affinity=affinity, body_size=body_size)
-
-    process = blocking_method("co_process")
 
     def co_process(self):
         """Collectively process the collection to global termination

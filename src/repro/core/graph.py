@@ -34,7 +34,6 @@ from repro.armci.runtime import Armci
 from repro.core.collection import TaskCollection
 from repro.core.task import AFFINITY_HIGH, Task
 from repro.obs.tracing import trace
-from repro.sim.engine import blocking_method
 from repro.util.errors import TaskCollectionError
 
 __all__ = ["TaskGraph"]
@@ -85,8 +84,6 @@ class TaskGraph:
     # ------------------------------------------------------------------ #
     # Construction (collective, replicated)
     # ------------------------------------------------------------------ #
-    create = classmethod(blocking_method("co_create"))
-
     @classmethod
     def co_create(cls, tc: TaskCollection):
         """Collectively create a graph bound to ``tc`` (call on every rank)."""
@@ -133,8 +130,6 @@ class TaskGraph:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    process = blocking_method("co_process")
-
     def co_process(self):
         """Seed ready tasks and run the collection to termination (collective)."""
         yield from self._co_seal()

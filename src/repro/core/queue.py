@@ -33,7 +33,7 @@ from repro.core.config import SciotoConfig
 from repro.core.task import Task
 from repro.obs.record import edge_here, edge_mark, observe, span
 from repro.obs.tracing import trace
-from repro.sim.engine import Engine, Proc, blocking_method
+from repro.sim.engine import Engine, Proc
 from repro.sim.counters import Counters
 from repro.util.errors import TaskCollectionError
 
@@ -136,8 +136,6 @@ class SplitQueue:
         pos = bisect.bisect_left(region, -task.affinity, key=lambda t: -t.affinity)
         region.insert(pos, task)
 
-    push_local = blocking_method("co_push_local")
-
     def co_push_local(self, proc: Proc, task: Task):
         """Owner enqueues a task (lock-free in split mode)."""
         if proc.rank != self.owner:
@@ -175,8 +173,6 @@ class SplitQueue:
             yield from self.mutex.co_release(proc)
         elif not self._shared and len(region) >= 2:
             yield from self._co_maybe_release(proc)
-
-    pop_local = blocking_method("co_pop_local")
 
     def co_pop_local(self, proc: Proc):
         """Owner dequeues the highest-affinity task, or None if empty."""
@@ -284,8 +280,6 @@ class SplitQueue:
     # ------------------------------------------------------------------ #
     # Remote operations (thief / remote inserter side)
     # ------------------------------------------------------------------ #
-    steal_from = blocking_method("co_steal_from")
-
     def co_steal_from(
         self,
         proc: Proc,
@@ -381,8 +375,6 @@ class SplitQueue:
         self._note_stolen(proc, tasks, "steal-wf")
         return tasks
 
-    absorb_stolen = blocking_method("co_absorb_stolen")
-
     def co_absorb_stolen(self, proc: Proc, tasks: list[Task]):
         """Thief deposits a stolen chunk into its own queue.
 
@@ -419,8 +411,6 @@ class SplitQueue:
             if observed:
                 edge_mark(proc, self._share_key, detail=len(tasks))
             yield from self.mutex.co_release(proc)
-
-    add_remote = blocking_method("co_add_remote")
 
     def co_add_remote(self, proc: Proc, task: Task):
         """Insert a task into another process's queue (remote ``tc_add``).

@@ -17,10 +17,9 @@ from repro.core.stats import ProcessStats
 from repro.core.stealing import make_victim_selector
 from repro.obs.record import Recorder, edge_here, observe, span
 from repro.obs.tracing import trace
-from repro.sim.engine import blocking
 from repro.util.errors import TaskCollectionError
 
-__all__ = ["run_process", "co_run_process"]
+__all__ = ["co_run_process"]
 
 #: Counter keys copied into :class:`ProcessStats` after a phase.
 _STAT_KEYS = {
@@ -80,8 +79,9 @@ def co_run_process(tc):
                         "not registered (collective registration mismatch?)"
                     ) from None
                 t0 = proc._clock  # proc.now without the property call
-                # Callbacks may be plain blocking functions or
-                # coroutine-protocol generators; drive the latter here.
+                # A callback that communicates is a generator and runs
+                # under yield from; one that never suspends may be a
+                # plain function.
                 # The dispatch is written twice so an unobserved run pays
                 # nothing for the span/trace/edge wrappers.
                 if engine.observed:
@@ -164,6 +164,3 @@ def co_run_process(tc):
     for attr, key in _STAT_KEYS.items():
         setattr(stats, attr, int(shared.counters.get(proc.rank, key) - before[attr]))
     return stats
-
-
-run_process = blocking(co_run_process)

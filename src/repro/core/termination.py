@@ -43,7 +43,7 @@ from repro.analyze import hooks
 from repro.armci.runtime import MAILBOX_CHECK_COST, Armci
 from repro.obs.record import Recorder, instant
 from repro.obs.tracing import trace
-from repro.sim.engine import Engine, Proc, blocking_method
+from repro.sim.engine import Engine, Proc
 from repro.sim.counters import Counters
 from repro.util.errors import TaskCollectionError
 
@@ -203,8 +203,6 @@ class TerminationDetector:
     # ------------------------------------------------------------------ #
     # Progress engine
     # ------------------------------------------------------------------ #
-    progress = blocking_method("co_progress")
-
     def co_progress(self, proc: Proc, idle: bool):
         """Drain pending tokens; vote / run the root wave logic when idle.
 

@@ -5,8 +5,8 @@ the full ``repro.check`` scenario matrix under the random-walk
 strategy — at several worker counts and records how schedule
 throughput scales, in ``BENCH_fleet.json`` (schema
 ``repro-bench-fleet/1``) at the repo root, validated like the other
-two committed trajectories (``BENCH_sim.json``, ``BENCH_wall.json``)
-and understood by ``python -m repro.obs diff``.
+committed trajectory (``BENCH_sim.json``) and understood by
+``python -m repro.obs diff``.
 
 Two properties are recorded per entry and checked by the validator:
 

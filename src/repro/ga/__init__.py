@@ -10,19 +10,26 @@ dynamic load balancer), ``sync``, and ``dgop`` reductions.
 from repro.ga.array import GlobalArray, GaRuntime
 from repro.ga.counter import GlobalCounter
 from repro.ga.distribution import BlockDistribution
-from repro.ga.ops import ga_add, ga_copy, ga_dgop, ga_dot, ga_scale, ga_symmetrize
-from repro.ga.dgemm import ga_dgemm
+from repro.ga.ops import (
+    co_ga_add,
+    co_ga_copy,
+    co_ga_dgop,
+    co_ga_dot,
+    co_ga_scale,
+    co_ga_symmetrize,
+)
+from repro.ga.dgemm import co_ga_dgemm
 
 __all__ = [
     "GlobalArray",
     "GaRuntime",
     "GlobalCounter",
     "BlockDistribution",
-    "ga_add",
-    "ga_copy",
-    "ga_dgop",
-    "ga_dot",
-    "ga_scale",
-    "ga_symmetrize",
-    "ga_dgemm",
+    "co_ga_add",
+    "co_ga_copy",
+    "co_ga_dgop",
+    "co_ga_dot",
+    "co_ga_scale",
+    "co_ga_symmetrize",
+    "co_ga_dgemm",
 ]

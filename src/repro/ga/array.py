@@ -18,7 +18,7 @@ import numpy as np
 from repro.analyze import hooks
 from repro.armci.runtime import Armci
 from repro.ga.distribution import BlockDistribution
-from repro.sim.engine import Engine, Proc, blocking_method
+from repro.sim.engine import Engine, Proc
 from repro.util.errors import CommError
 
 __all__ = ["GaRuntime", "GlobalArray"]
@@ -79,8 +79,6 @@ class GlobalArray:
     # ------------------------------------------------------------------ #
     # Creation
     # ------------------------------------------------------------------ #
-    create = classmethod(blocking_method("co_create"))
-
     @classmethod
     def co_create(
         cls,
@@ -142,8 +140,6 @@ class GlobalArray:
         nchunks = int(np.prod(dims[:-1])) if len(dims) > 1 else 1
         return elements, max(1, nchunks)
 
-    get = blocking_method("co_get")
-
     def co_get(self, proc: Proc, lo: Sequence[int], hi: Sequence[int]):
         """Fetch the patch ``[lo, hi)`` into a private buffer (NGA_Get).
 
@@ -168,8 +164,6 @@ class GlobalArray:
             out[self._rel(lo, plo, phi)] = armci.wait(proc, handle)
         return out
 
-    put = blocking_method("co_put")
-
     def co_put(self, proc: Proc, lo: Sequence[int], hi: Sequence[int], data: np.ndarray):
         """Store ``data`` into the patch ``[lo, hi)`` (NGA_Put); multi-owner
         transfers overlap like :meth:`get`."""
@@ -191,8 +185,6 @@ class GlobalArray:
             )
             pending.append(handle)
         armci.wait_all(proc, pending)
-
-    acc = blocking_method("co_acc")
 
     def co_acc(
         self,
@@ -217,21 +209,15 @@ class GlobalArray:
                 lambda r=rank, a=plo, b=phi, c=chunk: self._accumulate(r, a, b, c, alpha),
             )
 
-    fill = blocking_method("co_fill")
-
     def co_fill(self, proc: Proc, value: float):
         """Collectively fill the array with ``value`` (GA_Fill)."""
         hooks.shared_write(proc, ("ga", self.gid, proc.rank))
         self._patches[proc.rank][...] = value
         yield from self._runtime.armci.co_barrier(proc)
 
-    read_full = blocking_method("co_read_full")
-
     def co_read_full(self, proc: Proc):
         """Fetch the whole array into a private buffer (charged get)."""
         return (yield from self.co_get(proc, [0] * len(self.shape), list(self.shape)))
-
-    sync = blocking_method("co_sync")
 
     def co_sync(self, proc: Proc):
         """GA_Sync: fence + barrier."""

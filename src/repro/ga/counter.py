@@ -10,7 +10,7 @@ serializes at the host — the contention the paper's Figures 5/6 show.
 from __future__ import annotations
 
 from repro.armci.runtime import Armci
-from repro.sim.engine import Engine, Proc, blocking_method
+from repro.sim.engine import Engine, Proc
 
 __all__ = ["GlobalCounter"]
 
@@ -26,8 +26,6 @@ class GlobalCounter:
         self.armci = Armci.attach(engine)
         self._value = 0
 
-    create = classmethod(blocking_method("co_create"))
-
     @classmethod
     def co_create(cls, proc: Proc, host_rank: int = 0):
         """Collectively create a counter (call from every rank, in order)."""
@@ -41,8 +39,6 @@ class GlobalCounter:
         yield from counter.armci.co_barrier(proc)
         return counter
 
-    read_inc = blocking_method("co_read_inc")
-
     def co_read_inc(self, proc: Proc, amount: int = 1):
         """Atomically fetch the current value and add ``amount`` (NGA_Read_inc)."""
 
@@ -52,8 +48,6 @@ class GlobalCounter:
             return v
 
         return (yield from self.armci.co_rmw(proc, self.host_rank, _fetch_add))
-
-    reset = blocking_method("co_reset")
 
     def co_reset(self, proc: Proc):
         """Collectively reset the counter to zero."""

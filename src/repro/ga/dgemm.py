@@ -5,7 +5,8 @@ blocked multiplication: one task per output-block/k-step triple, seeded
 at the owner of the C block with high affinity (so accumulates are
 local), balanced by work stealing.  This turns the paper's §4 example
 into a reusable library operation — the same structure NWChem-era codes
-obtained from ``ga_dgemm``.
+obtained from ``ga_dgemm``.  Here it is ``co_ga_dgemm``, used with
+``yield from`` like every other collective.
 
 Collective: every rank must call with the same arguments.
 """
@@ -17,14 +18,14 @@ import numpy as np
 from repro.armci.runtime import Armci
 from repro.core import AFFINITY_HIGH, SciotoConfig, Task, TaskCollection
 from repro.ga.array import GlobalArray
-from repro.ga.ops import ga_scale
+from repro.ga.ops import co_ga_scale
 from repro.sim.engine import Proc
 from repro.util.errors import CommError
 
-__all__ = ["ga_dgemm"]
+__all__ = ["co_ga_dgemm"]
 
 
-def ga_dgemm(
+def co_ga_dgemm(
     proc: Proc,
     alpha: float,
     a: GlobalArray,
@@ -35,6 +36,8 @@ def ga_dgemm(
     config: SciotoConfig | None = None,
 ) -> None:
     """Compute ``C = alpha * A @ B + beta * C`` (square arrays).
+
+    Use as ``yield from co_ga_dgemm(proc, ...)``.
 
     Args:
         proc: Calling rank's process (collective call).
@@ -56,11 +59,11 @@ def ga_dgemm(
     nb = n // block
 
     if beta != 1.0:
-        ga_scale(proc, c, beta)
+        yield from co_ga_scale(proc, c, beta)
     else:
-        c.sync(proc)
+        yield from c.co_sync(proc)
 
-    tc = TaskCollection.create(
+    tc = yield from TaskCollection.co_create(
         proc, task_size=64, max_tasks=nb * nb * nb + 8,
         config=config or SciotoConfig(chunk_size=2),
     )
@@ -74,10 +77,10 @@ def ga_dgemm(
         lo_a, hi_a = box(i, k)
         lo_b, hi_b = box(k, j)
         lo_c, hi_c = box(i, j)
-        a_blk = a.get(p, lo_a, hi_a)
-        b_blk = b.get(p, lo_b, hi_b)
+        a_blk = yield from a.co_get(p, lo_a, hi_a)
+        b_blk = yield from b.co_get(p, lo_b, hi_b)
         p.compute(2.0 * block**3 * p.machine.seconds_per_flop)
-        c.acc(p, lo_c, hi_c, a_blk @ b_blk, alpha=alpha)
+        yield from c.co_acc(p, lo_c, hi_c, a_blk @ b_blk, alpha=alpha)
 
     h = tc.register(mm_task)
     for i in range(nb):
@@ -85,10 +88,10 @@ def ga_dgemm(
             if c.locate((i * block, j * block)) != proc.rank:
                 continue
             for k in range(nb):
-                tc.add(Task(callback=h, body=(i, j, k)), affinity=AFFINITY_HIGH)
-    tc.process()
-    c.sync(proc)
-    tc.destroy()
+                yield from tc.co_add(Task(callback=h, body=(i, j, k)), affinity=AFFINITY_HIGH)
+    yield from tc.co_process()
+    yield from c.co_sync(proc)
+    yield from tc.co_destroy()
 
 
 def _default_block(n: int, nprocs: int) -> int:

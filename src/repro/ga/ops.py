@@ -15,11 +15,10 @@ import numpy as np
 
 from repro.armci.runtime import Armci
 from repro.ga.array import GlobalArray
-from repro.sim.engine import Proc, blocking
+from repro.sim.engine import Proc
 from repro.util.errors import CommError
 
 __all__ = [
-    "ga_dgop", "ga_add", "ga_scale", "ga_copy", "ga_dot", "ga_symmetrize",
     "co_ga_dgop", "co_ga_add", "co_ga_scale", "co_ga_copy", "co_ga_dot",
     "co_ga_symmetrize",
 ]
@@ -106,11 +105,3 @@ def co_ga_symmetrize(proc: Proc, a: GlobalArray):
     if pending is not None:
         a.access(proc)[...] = pending
     yield from a.co_sync(proc)
-
-
-ga_dgop = blocking(co_ga_dgop)
-ga_add = blocking(co_ga_add)
-ga_scale = blocking(co_ga_scale)
-ga_copy = blocking(co_ga_copy)
-ga_dot = blocking(co_ga_dot)
-ga_symmetrize = blocking(co_ga_symmetrize)

@@ -1,9 +1,9 @@
 """Trajectory differ: compare two benchmark/metrics JSON documents.
 
 The repo commits reference trajectories — ``BENCH_sim.json`` (virtual
-time, schema ``repro-bench/1``), ``BENCH_wall.json`` (wall clock,
-``repro-bench-wall/1``) — and ``repro.obs run`` writes metrics documents
-(``repro-obs-metrics/1`` or ``/2``).  ``python -m repro.obs diff OLD
+time, schema ``repro-bench/1``) and ``BENCH_fleet.json``
+(``repro-bench-fleet/1``) — and ``repro.obs run`` writes metrics
+documents (``repro-obs-metrics/1`` or ``/2``).  ``python -m repro.obs diff OLD
 NEW`` loads two documents of the same schema, matches their series by
 stable keys, and reports every relative change beyond a threshold:
 
@@ -19,10 +19,6 @@ stable keys, and reports every relative change beyond a threshold:
   (maximum windowed p95/p99 across the run), with direction inferred
   from the metric name's unit — latency-style metrics regress upward,
   count-style ones only warn.
-* ``repro-bench-wall/1`` — entries matched by ``(scenario, backend,
-  nprocs, seed)``; ``events`` must be *exactly* equal (the simulated
-  schedule is deterministic — a drift here is a bug, not noise) and
-  ``best_wall_s`` regresses upward.
 * ``repro-bench-fleet/1`` — entries matched by ``jobs``; ``schedules``
   and ``failing_digest`` must be exactly equal (the campaign is
   deterministic for any worker count) and ``schedules_per_sec``
@@ -52,7 +48,7 @@ class DiffEntry:
     """One compared quantity."""
 
     key: str  #: stable series identifier, e.g. "table1/cluster-measured"
-    metric: str  #: which number, e.g. "ys[3]" or "best_wall_s"
+    metric: str  #: which number, e.g. "ys[3]" or "schedules_per_sec"
     old: float | None
     new: float | None
     rel: float  #: relative delta |new-old| / max(|old|, eps), signed by new-old
@@ -281,29 +277,6 @@ def _hist_quantile(h: dict, q: float) -> float | None:
     return h.get("max")
 
 
-def _diff_wall(report: DiffReport, old: dict, new: dict) -> None:
-    def entry_map(doc: dict) -> dict[tuple, dict]:
-        return {
-            (e["scenario"], e.get("backend", "thread"), e["nprocs"], e["seed"]): e
-            for e in doc.get("entries", [])
-        }
-
-    olds, news = entry_map(old), entry_map(new)
-    for k in sorted(olds.keys() | news.keys()):
-        key = f"{k[0]}[{k[1]},np={k[2]},seed={k[3]}]"
-        o, n = olds.get(k), news.get(k)
-        if o is None or n is None:
-            _compare(report, key, "entry", None if o is None else 0.0,
-                     None if n is None else 0.0)
-            continue
-        # The simulated schedule is deterministic: event-count drift is a
-        # correctness signal, not perf noise.
-        _compare(report, key, "events", o.get("events"), n.get("events"),
-                 exact=True)
-        _compare(report, key, "best_wall_s", o.get("best_wall_s"),
-                 n.get("best_wall_s"), "down")
-
-
 def _diff_fleet(report: DiffReport, old: dict, new: dict) -> None:
     def entry_map(doc: dict) -> dict[int, dict]:
         return {e["jobs"]: e for e in doc.get("entries", [])}
@@ -333,7 +306,6 @@ _WALKERS = {
     "repro-bench/1": _diff_bench,
     "repro-obs-metrics/1": _diff_metrics,
     "repro-obs-metrics/2": _diff_metrics,
-    "repro-bench-wall/1": _diff_wall,
     "repro-bench-fleet/1": _diff_fleet,
 }
 

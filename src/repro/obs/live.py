@@ -17,10 +17,10 @@ The bus is an *observer* exactly like the recorder: its engine tick
 (:attr:`repro.sim.engine.Engine._tick`, fired once per scheduling event
 with the event's virtual time) never advances a clock, never touches an
 RNG, and emits frames at boundaries derived purely from virtual time.
-Two runs of the same scenario — on any context-switch backend — produce
-byte-identical feeds; ``repro.obs verify`` checks that enabling the bus
-leaves the run fingerprint unchanged, and the bus is entirely absent
-(one ``None`` attribute read per event) when not attached.
+Two runs of the same scenario produce byte-identical feeds;
+``repro.obs verify`` checks that enabling the bus leaves the run
+fingerprint unchanged, and the bus is entirely absent (one ``None``
+attribute read per event) when not attached.
 
 Frame boundaries are sampled at event granularity: the frame for window
 ``[t0, t1)`` is emitted when the first event at or after ``t1`` is

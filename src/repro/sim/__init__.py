@@ -6,14 +6,6 @@ work stealing, termination waves) execute unmodified.  See
 ``DESIGN.md`` for the substitution rationale.
 """
 
-from repro.sim.backends import (
-    BACKENDS,
-    ENV_BACKEND,
-    SwitchBackend,
-    available_backends,
-    greenlet_available,
-    resolve_backend_name,
-)
 from repro.sim.engine import Engine, Proc, SchedulingStrategy, SimResult, run_spmd
 from repro.sim.machines import (
     MachineSpec,
@@ -26,12 +18,6 @@ from repro.sim.counters import Counters
 from repro.obs.tracing import Tracer, TraceEvent, trace
 
 __all__ = [
-    "BACKENDS",
-    "ENV_BACKEND",
-    "SwitchBackend",
-    "available_backends",
-    "greenlet_available",
-    "resolve_backend_name",
     "Engine",
     "Proc",
     "SchedulingStrategy",

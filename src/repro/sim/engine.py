@@ -1,76 +1,46 @@
-"""Deterministic discrete-event engine with direct-handoff processes.
+"""Deterministic discrete-event engine on a generator trampoline.
 
-The engine runs ``nprocs`` simulated processes.  Each process executes
-either a plain (blocking-style) Python function in its own execution
-context — an OS thread or a greenlet, depending on the switch backend —
-or a *generator* function driven as a coroutine on the engine's single
-stack (the ``coro`` backend's trampoline).  Either way the engine only
-ever lets **one** context run at a time: the process whose virtual
-clock is smallest.  This gives us the best of both worlds:
-
-* Runtime and application code reads exactly like the paper's C API —
-  ordinary function calls — or, on the coroutine path, the same calls
-  threaded through ``yield from``.
-* Execution is fully deterministic: events are ordered by
-  ``(virtual time, insertion sequence)``, so a given seed always produces
-  the same interleaving, the same steal pattern, and the same timings —
-  on every backend (see :mod:`repro.sim.backends`).
+The engine runs ``nprocs`` simulated processes.  Each rank's main is a
+generator function driven as a coroutine on one stack: :meth:`Engine.run`
+resumes one process per event with a single ``send()`` and, between
+sends, picks the process whose virtual clock is smallest.  Only one
+process ever runs; there are no threads and no locks.  A plain main that
+never suspends is allowed too: it runs to completion when first resumed.
+Events are ordered by ``(virtual time, insertion sequence)``, so a given
+seed always produces the same interleaving, steals and timings.
 
 Time model
 ----------
 
 Each process carries a local virtual clock (``proc.now``, in seconds).
-Pure computation is charged *lazily* with :meth:`Proc.advance` — no
-context switch.  Any access to state shared between processes must first
-call :meth:`Proc.sync`, which re-enqueues the process at its current
-clock and hands control to whichever process is earliest.  This
-serializes all shared-state accesses in global virtual-time order, which
-is exactly the guarantee a sequentially-consistent PGAS machine provides.
+Pure computation is charged lazily with :meth:`Proc.advance`, without
+suspending.  Any access to state shared between processes must first
+``yield from proc.co_sync()``, which re-enqueues the process at its
+clock and lets every earlier process run first: shared-state accesses
+happen in global virtual-time order, the guarantee a sequentially
+consistent PGAS machine provides.  Blocking primitives (mutex acquire,
+message receive) use :meth:`Proc.co_park`, and another process later
+calls :meth:`Engine.wake`.  If every remaining process is parked the
+engine raises :class:`~repro.util.errors.SimDeadlockError` naming them;
+a process that suspended with a bare ``yield`` instead of a ``co_*``
+primitive is named as such.
 
-Blocking primitives (mutex acquire, message receive) use
-:meth:`Proc.park`: the process suspends without scheduling a wake-up and
-another process later calls :meth:`Engine.wake` on it.  If every
-remaining process is parked, the engine raises
-:class:`~repro.util.errors.SimDeadlockError` naming the blocked
-processes — protocol bugs fail loudly instead of hanging.
+Two fast paths avoid suspending at all:
 
-Coroutine protocol
-------------------
-
-Every blocking primitive has a ``co_``-prefixed twin (:meth:`Proc.co_sync`,
-:meth:`Proc.co_park`, :meth:`Proc.co_park_until`) that **yields** the
-process instead of switching execution contexts.  The runtime layers
-thread these through ``yield from``, so a generator main function
-suspends all the way down to its driver — the ``coro`` backend's
-trampoline, where resuming a process is a single ``send()`` call — with
-one frame hop per level and no OS involvement.  The classic blocking
-forms are thin wrappers that :func:`drive` the coroutine forms with
-inline dispatches, so both calling conventions execute the *same*
-scheduling code and stay bit-for-bit equivalent on every backend.
-
-Switching costs
----------------
-
-The scheduling decision runs in the *yielding* context and control
-passes directly to the chosen successor — the engine context only runs
-at startup, shutdown, and failure.  Two further fast paths avoid the
-switch entirely:
-
-* **Sync elision**: when a syncing process would be resumed immediately
-  anyway (no other live event at or before its clock), :meth:`Proc.sync`
-  just counts the event and returns.  Disabled under exploring
-  strategies, whose decision points must see every event.
-* **Self-resume**: when the dispatched event belongs to the yielding
-  process itself (e.g. a lone :meth:`Proc.park_until` timeout), the
-  dispatch returns inline.
-
-See ``docs/performance.md`` for backend selection and measured costs.
+* **Sync elision**: when no other live event is at or before the
+  syncing process's clock, :meth:`Proc.co_sync` counts the event and
+  yields nothing.  Off under exploring strategies, whose decision points
+  must see every event.
+* **Self-resume**: when the picked event belongs to the process that
+  just suspended (a lone :meth:`Proc.co_park_until` timeout), the
+  trampoline resumes it again at once.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Generator, Iterable
+from inspect import GEN_CREATED, GEN_SUSPENDED, getgeneratorstate
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from types import GeneratorType
@@ -78,94 +48,30 @@ from typing import Any
 
 import numpy as np
 
-from repro.sim.backends import SwitchBackend, make_backend
 from repro.sim.machines import MachineSpec, uniform_cluster
-from repro.util.errors import SimDeadlockError, SimLimitError, SimShutdown
+from repro.util.errors import SimDeadlockError, SimError, SimLimitError, SimShutdown
 
 __all__ = [
     "Engine",
     "Proc",
     "SchedulingStrategy",
     "SimResult",
-    "blocking",
-    "blocking_method",
-    "drive",
     "run_spmd",
 ]
-
-
-def drive(gen: Generator) -> Any:
-    """Run a runtime coroutine to completion with blocking dispatches.
-
-    The adapter between the two calling conventions: a ``co_``-style
-    generator yields each process that must suspend, and on backends
-    where the caller owns a real execution context (thread, greenlet,
-    thread-sem) the suspension is simply a blocking dispatch performed
-    inline.  Returns the generator's return value.  Because the
-    coroutine itself runs the exact same scheduling code either way,
-    blocking and coroutine callers are bit-for-bit equivalent.
-    """
-    try:
-        send = gen.send
-        while True:
-            proc = send(None)
-            proc.engine._dispatch(proc)
-    except StopIteration as stop:
-        return stop.value
-    except BaseException:
-        # Unwind the suspended frames deterministically (finally blocks,
-        # span context managers) before propagating — e.g. SimShutdown
-        # raised out of a dispatch during teardown.
-        gen.close()
-        raise
-
-
-def blocking(co_fn: Callable[..., Generator]) -> Callable[..., Any]:
-    """Blocking wrapper for a module-level coroutine function."""
-    name = co_fn.__name__
-    public = name[3:] if name.startswith("co_") else name
-
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        return drive(co_fn(*args, **kwargs))
-
-    wrapper.__name__ = public
-    wrapper.__qualname__ = co_fn.__qualname__.replace(name, public)
-    wrapper.__doc__ = f"Blocking form of :func:`{name}` (see that function)."
-    return wrapper
-
-
-def blocking_method(co_name: str) -> Callable[..., Any]:
-    """Blocking wrapper that resolves method ``co_name`` at call time.
-
-    Late binding keeps monkey-patched coroutine methods (the model
-    checker's mutations) visible through the blocking API as well.
-    Works for classmethods too: ``create =
-    classmethod(blocking_method("co_create"))``.
-    """
-    public = co_name[3:] if co_name.startswith("co_") else co_name
-
-    def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-        return drive(getattr(self, co_name)(*args, **kwargs))
-
-    wrapper.__name__ = public
-    wrapper.__doc__ = f"Blocking form of :meth:`{co_name}` (see that method)."
-    return wrapper
 
 
 class SchedulingStrategy:
     """Pluggable policy for the engine's scheduling decision points.
 
-    The engine consults its strategy at four points: every :meth:`Proc.sync`
+    The engine consults its strategy at four points: every :meth:`Proc.co_sync`
     and :meth:`Engine.wake` (latency injection via :meth:`delay`), every
-    :meth:`Proc.park` (:meth:`on_park`, bookkeeping only), and — when
+    :meth:`Proc.co_park` (:meth:`on_park`, bookkeeping only), and — when
     :attr:`explores` is True — every resume decision (:meth:`choose`).
 
-    The base class is the **deterministic** strategy: it injects no delay
-    and leaves resume selection to the engine's ``(virtual time, insertion
-    sequence)`` heap order, reproducing the engine's historical behaviour
-    bit-for-bit.  Schedule-exploration strategies (``repro.check``) set
-    ``explores = True`` and override :meth:`choose` to steer the simulation
-    through adversarial interleavings.
+    The base class is the **deterministic** strategy: no delay, resume
+    order from the ``(virtual time, insertion sequence)`` heap.
+    Schedule-exploration strategies (``repro.check``) set ``explores =
+    True`` and override :meth:`choose` to steer adversarial interleavings.
     """
 
     #: When True the engine materializes the full runnable set each event
@@ -224,7 +130,7 @@ class Proc:
 
     Application and runtime code receives a ``Proc`` as its handle to the
     simulated machine: it exposes the rank, the virtual clock, the
-    per-rank RNG stream, and the blocking primitives the communication
+    per-rank RNG stream, and the suspending primitives the communication
     layers are built from.  User code normally only touches ``rank``,
     ``nprocs``, ``now``, ``rng`` and :meth:`compute`.
     """
@@ -243,9 +149,6 @@ class Proc:
         "_wake_payload",
         "_exc",
         "_result",
-        "_lock",
-        "_thread",
-        "_glet",
         "_coro",
         "_switch",
     )
@@ -268,11 +171,8 @@ class Proc:
         self._wake_payload: Any = None
         self._exc: BaseException | None = None
         self._result: Any = None
-        # Backend execution context (whichever the backend uses).
-        self._lock = None
-        self._thread = None
-        self._glet = None
-        self._coro = None
+        # The trampoline's handle on this rank: the running _proc_coro.
+        self._coro: Generator[Proc, None, None] | None = None
         # Reusable one-element tuple for co_sync's suspend path: lets the
         # non-elided fast path return without allocating.
         self._switch = (self,)
@@ -308,7 +208,7 @@ class Proc:
         """Charge ``seconds`` of local activity to this process's clock.
 
         Lazy: does not yield to the engine.  Must be followed by
-        :meth:`sync` before the next shared-state access.
+        :meth:`co_sync` before the next shared-state access.
         """
         if seconds < 0:
             raise ValueError(f"cannot advance by negative time {seconds!r}")
@@ -325,32 +225,18 @@ class Proc:
             raise ValueError(f"cannot advance by negative time {seconds!r}")
         self._clock += seconds
 
-    def sync(self) -> None:
+    def co_sync(self) -> Iterable["Proc"]:
         """Yield to the engine; resume when this process is globally earliest.
 
-        Every operation that reads or writes state shared with another
-        process must call this first so that all such operations happen
-        in virtual-time order.  (Under an exploring strategy, "earliest"
-        becomes "whichever runnable process the strategy picks".)
+        Use as ``yield from proc.co_sync()``.  Every operation that reads
+        or writes state shared with another process must do this first
+        so that all such operations happen in virtual-time order.  (Under
+        an exploring strategy, "earliest" becomes "whichever runnable
+        process the strategy picks".)
 
-        When no other live event is scheduled at or before this
-        process's clock, the process would be resumed immediately — the
-        engine counts the scheduling event but skips the context switch
-        entirely (sync elision).
-        """
-        for _ in self.co_sync():
-            self.engine._dispatch(self)
-
-    def co_sync(self) -> Iterable["Proc"]:
-        """Coroutine twin of :meth:`sync`: use as ``yield from proc.co_sync()``.
-
-        Returns an iterable that is *empty* when the sync elides —
-        nothing is yielded, nothing is allocated — and yields this
-        process exactly once when another process must run first.  The
-        driver (the ``coro`` backend's trampoline, or :func:`drive` on
-        thread-style backends) performs one dispatch per yielded
-        process, so both calling conventions run identical scheduling
-        code.
+        Returns an *empty* iterable when the sync elides (no other live
+        event at or before this clock: the event is counted, nothing is
+        yielded), else one that yields this process exactly once.
         """
         engine = self.engine
         delay_fn = engine._delay_fn
@@ -393,18 +279,16 @@ class Proc:
         engine._schedule(self, self._clock, None)
         return self._switch
 
-    def sleep(self, seconds: float) -> None:
-        """Advance the clock by ``seconds`` and yield to the engine."""
-        self.advance(seconds)
-        self.sync()
-
     def co_sleep(self, seconds: float) -> Iterable["Proc"]:
-        """Coroutine twin of :meth:`sleep` (``yield from proc.co_sleep(s)``)."""
+        """Advance the clock by ``seconds`` and yield to the engine
+        (``yield from proc.co_sleep(s)``)."""
         self.advance(seconds)
         return self.co_sync()
 
-    def park(self, where: str = "park") -> Any:
+    def co_park(self, where: str = "park") -> Generator["Proc", None, Any]:
         """Suspend until another process calls :meth:`Engine.wake` on us.
+
+        Use as ``payload = yield from proc.co_park(where)``.
 
         Args:
             where: Human-readable description of the blocking site,
@@ -413,19 +297,16 @@ class Proc:
         Returns:
             The payload passed to :meth:`Engine.wake`.
         """
-        return drive(self.co_park(where))
-
-    def co_park(self, where: str = "park") -> Generator["Proc", None, Any]:
-        """Coroutine twin of :meth:`park`; returns the wake payload."""
         engine = self.engine
         self.blocked_at = where
-        engine._parked += 1
         if engine._on_park is not None:
             engine._on_park(self, where)
         yield self
         return self._wake_payload
 
-    def park_until(self, wake_time: float, where: str = "park_until") -> Any:
+    def co_park_until(
+        self, wake_time: float, where: str = "park_until"
+    ) -> Generator["Proc", None, Any]:
         """Suspend until ``wake_time`` or an earlier :meth:`Engine.wake`.
 
         Models a polling loop without per-poll event cost: the process
@@ -433,15 +314,8 @@ class Proc:
         the timeout, whichever comes first.  Returns the wake payload, or
         None on timeout.
         """
-        return drive(self.co_park_until(wake_time, where))
-
-    def co_park_until(
-        self, wake_time: float, where: str = "park_until"
-    ) -> Generator["Proc", None, Any]:
-        """Coroutine twin of :meth:`park_until`."""
         engine = self.engine
         self.blocked_at = where
-        engine._parked += 1
         if engine._on_park is not None:
             engine._on_park(self, where)
         engine._schedule(self, wake_time, None)
@@ -465,7 +339,6 @@ class Engine:
         max_events: int | None = None,
         max_time: float | None = None,
         strategy: SchedulingStrategy | None = None,
-        backend: str = "auto",
     ) -> None:
         """Create an engine.
 
@@ -476,15 +349,8 @@ class Engine:
             max_events: Abort with :class:`SimLimitError` after this many
                 scheduling events (livelock guard for tests).
             max_time: Abort once virtual time exceeds this many seconds.
-            strategy: Scheduling strategy consulted at the engine's
-                decision points; None (default) and any strategy with
-                ``explores = False`` reproduce the historical
-                deterministic ``(time, seq)`` order bit-for-bit.
-            backend: Context-switch backend: ``"coro"``, ``"thread"``,
-                ``"greenlet"``, ``"thread-sem"``, or ``"auto"`` (the
-                default — honours ``$REPRO_SIM_BACKEND``, then picks
-                ``coro``, the generator trampoline).  All backends
-                produce identical results.
+            strategy: Scheduling strategy consulted at the decision
+                points; None keeps the deterministic ``(time, seq)`` order.
         """
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
@@ -498,12 +364,9 @@ class Engine:
         self.events = 0
         streams = np.random.SeedSequence(seed).spawn(nprocs)
         self.procs = [Proc(self, r, np.random.default_rng(streams[r])) for r in range(nprocs)]
-        self.backend: SwitchBackend = make_backend(backend, self)
         self._heap: list[tuple[float, int, int, int]] = []  # (time, seq, rank, gen)
         self._seq = itertools.count()
-        self._shutdown = False
         self._started = False
-        self._parked = 0
         self._active = 0
         self._failure: BaseException | None = None
         self._finish_times: list[float] = [0.0] * nprocs
@@ -514,11 +377,8 @@ class Engine:
         self._explores = False
         self._elide = True
         self._limits = max_events is not None or max_time is not None
-        # True once any observer (tracer, recorder, race detector) has
-        # attached — see :meth:`note_observer`.  Hot paths gate their
-        # observability hook calls on this flag so an unobserved run
-        # pays one attribute read per site instead of a function call
-        # plus a dict probe.
+        # True once any observer has attached (:meth:`note_observer`);
+        # hot paths gate their observability hooks on it.
         self.observed = False
         # Global shared-state namespace used by comm layers (keyed by layer).
         self.state: dict[str, Any] = {}
@@ -549,11 +409,9 @@ class Engine:
     def note_observer(self) -> None:
         """Record that an observer attached (tracer, recorder, detector).
 
-        Flips :attr:`observed`, the flag hot paths consult before calling
-        the observability hooks.  The hooks still probe their own
-        ``state`` key, so setting this spuriously costs time, never
-        correctness — and it is never cleared: a detached observer just
-        returns the hot paths to calling no-op hooks.
+        Flips :attr:`observed`, which hot paths consult before calling
+        the observability hooks.  Never cleared: a detached observer
+        leaves them calling no-op hooks, which costs time, not correctness.
         """
         self.observed = True
 
@@ -576,7 +434,7 @@ class Engine:
 
         The waker's clock is typically ``time`` or earlier; the wakee's
         clock is advanced to at least ``time`` when it resumes.  If the
-        process was parked with a timeout (:meth:`Proc.park_until`), the
+        process was parked with a timeout (:meth:`Proc.co_park_until`), the
         pending timeout entry becomes stale and is skipped.
 
         Raises:
@@ -609,17 +467,11 @@ class Engine:
             )
 
     def _next_event(self) -> tuple[float, int, int, int] | None:
-        """Let the exploring strategy select the next (time, seq, rank,
-        gen) entry to resume, or None.
+        """Let the exploring strategy pick the next entry to resume, or None.
 
-        The strategy sees the full runnable set — the earliest entry of
-        every runnable process, which :meth:`_schedule` keeps in its
-        ``Proc._entry`` slot — in the default ``(time, seq)`` order, and
-        picks one; this is the decision point schedule exploration
-        drives.  Choosing consumes the chosen rank's slot; a finishing
-        rank's slot is cleared by :meth:`_finish`.  O(nprocs) per
-        decision.  (Without an exploring strategy :meth:`_pick` pops the
-        heap minimum itself.)
+        The strategy sees every runnable rank's earliest entry (its
+        ``Proc._entry`` slot) in ``(time, seq)`` order; choosing consumes
+        that slot.  O(nprocs) per decision.
         """
         candidates = sorted([e for p in self.procs if (e := p._entry) is not None])
         if not candidates:
@@ -636,14 +488,11 @@ class Engine:
     def _pick(self) -> Proc | None:
         """Choose, account, and return the next process to resume.
 
-        This *is* the scheduling decision: select the next live event,
-        bump the chosen process's generation, count the event, check
-        limits, and advance its clock.  Returns ``None`` when the engine
-        context should resume instead (completion, deadlock, limit
-        violation, or a strategy error — failures are recorded in
-        ``self._failure`` for :meth:`run` to re-raise).  Called from
-        whichever context is yielding: a blocking dispatch or the coro
-        backend's trampoline.
+        Selects the next live event, bumps the chosen process's
+        generation, counts the event, checks limits and advances its
+        clock.  Returns ``None`` on completion or failure (deadlock,
+        limit, strategy error — recorded in ``self._failure`` for
+        :meth:`run` to re-raise).
         """
         if not self._active:
             return None
@@ -664,6 +513,16 @@ class Engine:
                     entry = head
                     break
             if entry is None:
+                for p in self.procs:
+                    if not p.finished and p.blocked_at is None:
+                        # Neither scheduled nor parked: it yielded to the
+                        # trampoline without a co_* primitive.
+                        raise SimError(
+                            f"rank {p.rank} suspended without a co_* primitive "
+                            f"(t={p.now * 1e6:.3f}us): a bare `yield` in a rank "
+                            f"main or task callback? Suspend with `yield from "
+                            f"proc.co_sync()` or another co_* call"
+                        )
                 parked = [
                     (p.rank, p.blocked_at) for p in self.procs if not p.finished
                 ]
@@ -680,9 +539,7 @@ class Engine:
             proc = self.procs[entry[2]]
             # Any same-generation heap siblings go stale now.
             proc._gen += 1
-            if proc.blocked_at is not None:
-                proc.blocked_at = None
-                self._parked -= 1
+            proc.blocked_at = None
             if self._tick is not None:
                 self._tick(time)
             self.events += 1
@@ -697,27 +554,8 @@ class Engine:
                 self._failure = exc
             return None
 
-    def _dispatch(self, src: Proc | None, dying: bool = False) -> None:
-        """Resume the next event's process, switching out of ``src``.
-
-        Runs in ``src``'s context (``None`` = the engine context).  On
-        deadlock, limit violation, or a strategy error the failure is
-        recorded and control returns to the engine context, which
-        re-raises from :meth:`run`.  Returns without switching when the
-        chosen process is ``src`` itself.
-        """
-        dst = self._pick()
-        if dst is src:
-            return  # self-resume (or the engine context staying put)
-        if dying:
-            self.backend.exit_to(dst)
-            return
-        self.backend.switch(src, dst)
-        if self._shutdown and src is not None:
-            raise SimShutdown()
-
     def _finish(self, proc: Proc) -> None:
-        """Per-process epilogue shared by thread-style and coroutine mains."""
+        """Per-process epilogue: account the finish, record any failure."""
         proc.finished = True
         self._active -= 1
         self._finish_times[proc.rank] = proc._clock
@@ -725,48 +563,24 @@ class Engine:
         if proc._exc is not None and self._failure is None:
             self._failure = proc._exc
 
-    def _proc_main(self, proc: Proc, fn: Callable[..., Any], args: tuple[Any, ...]) -> None:
-        """Body of one process context: run ``fn``, then hand off.
-
-        Generator main functions work on every backend: here (thread,
-        greenlet, thread-sem) the returned generator is simply driven
-        with blocking dispatches.
-        """
-        if not self._shutdown:
-            try:
-                res = fn(proc, *args)
-                if isinstance(res, GeneratorType):
-                    res = drive(res)
-                proc._result = res
-            except SimShutdown:
-                pass
-            except BaseException as exc:  # noqa: BLE001 - surfaced by Engine.run
-                proc._exc = exc
-        self._finish(proc)
-        if self._shutdown or self._failure is not None:
-            self.backend.exit_to(None)
-        else:
-            self._dispatch(proc, dying=True)
-
     def _proc_coro(self, proc: Proc) -> Generator[Proc, None, None]:
-        """Coroutine body of one process: the coro backend's unit of work.
+        """Coroutine body of one process, resumed by :meth:`run`.
 
-        A generator the trampoline resumes with ``send()``; it yields
-        every time ``proc`` suspends and returns when the main function
-        finishes.  The epilogue runs *inside* the generator so a
-        teardown ``throw(SimShutdown)`` still accounts the process.
+        Yields every time ``proc`` suspends; a plain main that returns a
+        non-generator has run inline.  The epilogue runs inside the
+        generator so a teardown ``throw(SimShutdown)`` still accounts
+        the process.
         """
         fn, args = self._mains[proc.rank]
-        if not self._shutdown:
-            try:
-                res = fn(proc, *args)
-                if isinstance(res, GeneratorType):
-                    res = yield from res
-                proc._result = res
-            except SimShutdown:
-                pass
-            except BaseException as exc:  # noqa: BLE001 - surfaced by Engine.run
-                proc._exc = exc
+        try:
+            res = fn(proc, *args)
+            if isinstance(res, GeneratorType):
+                res = yield from res
+            proc._result = res
+        except SimShutdown:
+            pass
+        except BaseException as exc:  # noqa: BLE001 - surfaced by Engine.run
+            proc._exc = exc
         self._finish(proc)
 
     # ------------------------------------------------------------------ #
@@ -795,17 +609,21 @@ class Engine:
             if main is None:
                 raise RuntimeError(f"rank {rank} has no main function; call spawn()")
         self._active = self.nprocs
-        self.backend.prepare()
         try:
-            for proc, (fn, args) in zip(self.procs, self._mains):
-                def main(p=proc, f=fn, a=args) -> None:
-                    self._proc_main(p, f, a)
-
-                self.backend.spawn(proc, main)
+            for proc in self.procs:
+                proc._coro = self._proc_coro(proc)
                 self._schedule(proc, 0.0, None)
-            # Hand control to the earliest process; it returns to the
-            # engine context only on completion or failure.
-            self._dispatch(None)
+            # The trampoline: one send() per event, then ask _pick which
+            # process runs next; None means completion or failure.
+            pick = self._pick
+            dst = pick()
+            while dst is not None:
+                try:
+                    dst._coro.send(None)
+                except StopIteration:  # epilogue ran inside _proc_coro
+                    if self._failure is not None:
+                        break
+                dst = pick()
             if self._failure is not None:
                 for hook in self.failure_hooks:
                     try:
@@ -815,20 +633,35 @@ class Engine:
                 raise self._failure
         finally:
             self._teardown()
-        elapsed = max(self._finish_times) if self._finish_times else 0.0
         return SimResult(
-            elapsed=elapsed,
+            elapsed=max(self._finish_times),
             finish_times=list(self._finish_times),
             events=self.events,
             returns=[p._result for p in self.procs],
         )
 
     def _teardown(self) -> None:
-        """Unwind any still-running process contexts via :class:`SimShutdown`."""
-        self._shutdown = True
+        """Unwind every unfinished process via :class:`SimShutdown`.
+
+        A generator that never ran is closed; a suspended one gets
+        ``SimShutdown`` thrown in at its ``yield`` (running the main's
+        ``finally`` blocks and the :meth:`_proc_coro` epilogue), again
+        if it catches the shutdown and yields.  Idempotent.
+        """
         for proc in self.procs:
-            self.backend.kill(proc)
-        self.backend.finalize()
+            coro = proc._coro
+            if coro is None or proc.finished:
+                continue
+            state = getgeneratorstate(coro)
+            if state == GEN_CREATED:
+                coro.close()
+                continue
+            while state == GEN_SUSPENDED and not proc.finished:
+                try:
+                    coro.throw(SimShutdown)
+                except (StopIteration, SimShutdown):
+                    break
+                state = getgeneratorstate(coro)
 
 
 def run_spmd(
@@ -840,12 +673,12 @@ def run_spmd(
     max_events: int | None = None,
     max_time: float | None = None,
     strategy: SchedulingStrategy | None = None,
-    backend: str = "auto",
 ) -> SimResult:
     """Run ``main(proc, *args)`` on every rank and return the result.
 
     This is the standard entry point: it mirrors launching an SPMD job
-    with ``mpirun -np nprocs``.
+    with ``mpirun -np nprocs``.  ``main`` is normally a generator
+    function; a plain function that never suspends works too.
 
     Example:
         >>> def hello(proc):
@@ -862,7 +695,6 @@ def run_spmd(
         max_events=max_events,
         max_time=max_time,
         strategy=strategy,
-        backend=backend,
     )
     eng.spawn_all(main, *args)
     return eng.run()

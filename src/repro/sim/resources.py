@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 from repro.analyze.race import RaceDetector
 from repro.obs.record import Recorder, causal_edge
 from repro.obs.tracing import trace
-from repro.sim.engine import blocking_method
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine, Proc
@@ -51,8 +50,6 @@ class SimMutex:
     def _release_cost(self, proc: Proc) -> float:
         m = self.engine.machine
         return m.local_lock_overhead if proc.rank == self.host_rank else m.unlock_time()
-
-    acquire = blocking_method("co_acquire")
 
     def co_acquire(self, proc: Proc):
         """Block (in virtual time) until ``proc`` holds the mutex."""
@@ -94,8 +91,6 @@ class SimMutex:
         if rec is not None:
             rec.metrics.observe("lock_wait", proc.now - t_req, rank=proc.rank)
             self._acquired_at = proc.now
-
-    release = blocking_method("co_release")
 
     def co_release(self, proc: Proc):
         """Release the mutex and grant it to the next FIFO waiter, if any."""
@@ -150,8 +145,6 @@ class SimBarrier:
         self._arrived: list[Proc] = []
         self._generation = 0
         self.waits = 0
-
-    wait = blocking_method("co_wait")
 
     def co_wait(self, proc: Proc):
         """Arrive at the barrier; returns when all ranks have arrived."""

@@ -172,7 +172,7 @@ class TestRPR003PollLoop:
         code = """
         def wait_done(self, proc):
             while not self.done:
-                proc.sleep(1e-6)
+                yield from proc.co_sleep(1e-6)
         """
         assert _lint(code, "RPR003") == []
 
@@ -382,9 +382,10 @@ class TestRPR007DiscardedCoroutine:
                 pass
             assert not proc.co_sync()
             x = 1 if self.mpi.recv(proc) else 2
+            tc_process(tc)
         """
         findings = _lint(code, "RPR007")
-        assert [f.line for f in findings] == [3, 4, 5, 7, 9, 10]
+        assert [f.line for f in findings] == [3, 4, 5, 7, 9, 10, 11]
         assert "yield from" in findings[0].message
 
     def test_quiet_on_driven_returned_and_assigned_calls(self):
@@ -395,7 +396,8 @@ class TestRPR007DiscardedCoroutine:
                 got = yield from mpi.recv(proc)
             pending = tc.co_add(task)
             yield from pending
-            drive(tc.co_process())
+            batches.append(tc.co_process())
+            stats = yield from tc_process(tc)
             gen.send(None)
             sock.recv(4096)
             while not (yield from mpi.iprobe(proc)):

@@ -47,10 +47,10 @@ class TestSyncEdges:
             if "m" not in shared:
                 shared["m"] = armci.create_mutex(0, "m")
             mtx = shared["m"]
-            mtx.acquire(proc)
+            yield from mtx.co_acquire(proc)
             det = RaceDetector.of(proc.engine)
             det.record(proc, "cell", "w")
-            mtx.release(proc)
+            yield from mtx.co_release(proc)
 
         _, det = _run(3, main)
         assert det.races == []
@@ -58,7 +58,7 @@ class TestSyncEdges:
 
     def test_unsynchronized_writes_race(self):
         def main(proc):
-            proc.sync()
+            yield from proc.co_sync()
             RaceDetector.of(proc.engine).record(proc, "cell", "w")
 
         _, det = _run(2, main)
@@ -68,7 +68,7 @@ class TestSyncEdges:
 
     def test_reads_never_race_with_reads(self):
         def main(proc):
-            proc.sync()
+            yield from proc.co_sync()
             RaceDetector.of(proc.engine).record(proc, "cell", "r")
 
         _, det = _run(4, main)
@@ -76,7 +76,7 @@ class TestSyncEdges:
 
     def test_atomics_never_race_with_atomics(self):
         def main(proc):
-            proc.sync()
+            yield from proc.co_sync()
             RaceDetector.of(proc.engine).record(proc, "cell", "a")
 
         _, det = _run(4, main)
@@ -84,7 +84,7 @@ class TestSyncEdges:
 
     def test_atomic_races_with_plain_write(self):
         def main(proc):
-            proc.sync()
+            yield from proc.co_sync()
             det = RaceDetector.of(proc.engine)
             det.record(proc, "cell", "a" if proc.rank else "w")
 
@@ -97,7 +97,7 @@ class TestSyncEdges:
             det = RaceDetector.of(proc.engine)
             if proc.rank == 0:
                 det.record(proc, "cell", "w")
-            armci.barrier(proc)
+            yield from armci.co_barrier(proc)
             if proc.rank == 1:
                 det.record(proc, "cell", "w")
 
@@ -108,7 +108,7 @@ class TestSyncEdges:
         def main(proc):
             armci = Armci.attach(proc.engine)
             det = RaceDetector.of(proc.engine)
-            armci.rmw(proc, 0, lambda: det.record(proc, "cell", "rw"))
+            yield from armci.co_rmw(proc, 0, lambda: det.record(proc, "cell", "rw"))
 
         _, det = _run(3, main)
         assert det.races == []
@@ -119,11 +119,11 @@ class TestSyncEdges:
             det = RaceDetector.of(proc.engine)
             if proc.rank == 0:
                 det.record(proc, "cell", "w")
-                armci.post(proc, 1, "t", ("hello",))
+                yield from armci.co_post(proc, 1, "t", ("hello",))
             else:
                 while armci.mailbox_empty(proc, "t"):
-                    proc.sleep(1e-6)
-                armci.poll_mailbox(proc, "t")
+                    yield from proc.co_sleep(1e-6)
+                yield from armci.co_poll_mailbox(proc, "t")
                 det.record(proc, "cell", "w")
 
         _, det = _run(2, main)
@@ -131,7 +131,7 @@ class TestSyncEdges:
 
     def test_detector_off_is_zero_cost(self):
         def main(proc):
-            proc.sync()
+            yield from proc.co_sync()
 
         eng, det = _run(2, main, detect=False)
         assert det is None
@@ -144,8 +144,8 @@ class TestFenceDiscipline:
             armci = Armci.attach(proc.engine)
             det = RaceDetector.of(proc.engine)
             if proc.rank == 1:
-                armci.put(proc, 0, 64, None)  # transfer, never fenced
-                armci.put(
+                yield from armci.co_put(proc, 0, 64, None)  # transfer, never fenced
+                yield from armci.co_put(
                     proc, 0, 8,
                     lambda: det.flag_write(proc, "flag", target=0, release=True),
                 )
@@ -159,9 +159,9 @@ class TestFenceDiscipline:
             armci = Armci.attach(proc.engine)
             det = RaceDetector.of(proc.engine)
             if proc.rank == 1:
-                armci.put(proc, 0, 64, None)
-                armci.fence(proc, 0)
-                armci.put(
+                yield from armci.co_put(proc, 0, 64, None)
+                yield from armci.co_fence(proc, 0)
+                yield from armci.co_put(
                     proc, 0, 8,
                     lambda: det.flag_write(proc, "flag", target=0, release=True),
                 )
@@ -171,7 +171,7 @@ class TestFenceDiscipline:
 
     def test_flag_stores_never_race_with_each_other(self):
         def main(proc):
-            proc.sync()
+            yield from proc.co_sync()
             det = RaceDetector.of(proc.engine)
             det.flag_write(proc, "flag")
             det.flag_read(proc, "flag")

@@ -24,9 +24,9 @@ class TestPutGet:
         def main(proc):
             armci = Armci.attach(proc.engine)
             if proc.rank == 0:
-                armci.put(proc, 1, 64, lambda: store.__setitem__("x", 42))
-            armci.barrier(proc)
-            return armci.get(proc, 1, 64, lambda: store.get("x"))
+                yield from armci.co_put(proc, 1, 64, lambda: store.__setitem__("x", 42))
+            yield from armci.co_barrier(proc)
+            return (yield from armci.co_get(proc, 1, 64, lambda: store.get("x")))
 
         _, res = _run(2, main)
         assert res.returns == [42, 42]
@@ -35,7 +35,7 @@ class TestPutGet:
         def main(proc):
             armci = Armci.attach(proc.engine)
             t0 = proc.now
-            armci.get(proc, (proc.rank + 1) % 2, 1024, lambda: None)
+            yield from armci.co_get(proc, (proc.rank + 1) % 2, 1024, lambda: None)
             return proc.now - t0
 
         eng, res = _run(2, main)
@@ -46,7 +46,7 @@ class TestPutGet:
         def main(proc):
             armci = Armci.attach(proc.engine)
             t0 = proc.now
-            armci.get(proc, proc.rank, 1024, lambda: None)
+            yield from armci.co_get(proc, proc.rank, 1024, lambda: None)
             return proc.now - t0
 
         eng, res = _run(2, main)
@@ -57,8 +57,8 @@ class TestPutGet:
         def main(proc):
             armci = Armci.attach(proc.engine)
             if proc.rank == 0:
-                armci.put(proc, 1, 100, None)
-                armci.get(proc, 1, 200, None)
+                yield from armci.co_put(proc, 1, 100, None)
+                yield from armci.co_get(proc, 1, 200, None)
 
         eng, _ = _run(2, main)
         c = Armci.attach(eng).counters
@@ -79,7 +79,7 @@ class TestRmw:
                     v = cell["v"]
                     cell["v"] += 1
                     return v
-                got.append(armci.rmw(proc, 0, fa))
+                got.append((yield from armci.co_rmw(proc, 0, fa)))
             return got
 
         _, res = _run(4, main)
@@ -99,7 +99,7 @@ class TestRmw:
                 cell["v"] += 1
                 return v
 
-            armci.rmw(proc, 0, fa)
+            yield from armci.co_rmw(proc, 0, fa)
             return proc.now
 
         eng, res = _run(8, main)
@@ -114,10 +114,10 @@ class TestMessages:
         def main(proc):
             armci = Armci.attach(proc.engine)
             if proc.rank == 0:
-                armci.post(proc, 1, "tok", ("hello", 7))
+                yield from armci.co_post(proc, 1, "tok", ("hello", 7))
                 return None
             while True:
-                msg = armci.poll_mailbox(proc, "tok")
+                msg = yield from armci.co_poll_mailbox(proc, "tok")
                 if msg is not None:
                     return msg
                 proc.advance(1e-6)
@@ -128,7 +128,7 @@ class TestMessages:
     def test_poll_empty_returns_none(self):
         def main(proc):
             armci = Armci.attach(proc.engine)
-            return armci.poll_mailbox(proc, "nothing")
+            return (yield from armci.co_poll_mailbox(proc, "nothing"))
 
         _, res = _run(2, main)
         assert res.returns == [None, None]
@@ -138,12 +138,12 @@ class TestMessages:
             armci = Armci.attach(proc.engine)
             if proc.rank == 0:
                 for i in range(5):
-                    armci.post(proc, 1, "t", i)
+                    yield from armci.co_post(proc, 1, "t", i)
                 return None
             proc.advance(1e-3)
             out = []
             while True:
-                msg = armci.poll_mailbox(proc, "t")
+                msg = yield from armci.co_poll_mailbox(proc, "t")
                 if msg is None:
                     break
                 out.append(msg[1])
@@ -158,7 +158,7 @@ class TestCollectives:
         def main(proc):
             armci = Armci.attach(proc.engine)
             proc.advance(proc.rank * 10e-6)
-            armci.barrier(proc)
+            yield from armci.co_barrier(proc)
             return proc.now
 
         _, res = _run(4, main)
@@ -168,14 +168,14 @@ class TestCollectives:
     def test_allreduce_sum(self):
         def main(proc):
             armci = Armci.attach(proc.engine)
-            return armci.allreduce(proc, proc.rank + 1, operator.add)
+            return (yield from armci.co_allreduce(proc, proc.rank + 1, operator.add))
 
         _, res = _run(5, main)
         assert res.returns == [15] * 5
 
     def test_allreduce_single_proc(self):
         def main(proc):
-            return Armci.attach(proc.engine).allreduce(proc, 9, operator.add)
+            return (yield from Armci.attach(proc.engine).co_allreduce(proc, 9, operator.add))
 
         _, res = _run(1, main)
         assert res.returns == [9]
@@ -183,8 +183,8 @@ class TestCollectives:
     def test_allreduce_reusable(self):
         def main(proc):
             armci = Armci.attach(proc.engine)
-            a = armci.allreduce(proc, 1, operator.add)
-            b = armci.allreduce(proc, proc.rank, max)
+            a = yield from armci.co_allreduce(proc, 1, operator.add)
+            b = yield from armci.co_allreduce(proc, proc.rank, max)
             return (a, b)
 
         _, res = _run(3, main)
@@ -194,7 +194,7 @@ class TestCollectives:
         def main(proc):
             armci = Armci.attach(proc.engine)
             value = "payload" if proc.rank == 2 else None
-            return armci.broadcast(proc, value, root=2)
+            return (yield from armci.co_broadcast(proc, value, root=2))
 
         _, res = _run(4, main)
         assert res.returns == ["payload"] * 4

@@ -22,9 +22,9 @@ class TestAccumulate:
         def main(proc):
             armci = Armci.attach(proc.engine)
             if proc.rank != 0:
-                armci.acc(proc, 0, 8192, lambda: cell.__setitem__("v", cell["v"] + 1))
+                yield from armci.co_acc(proc, 0, 8192, lambda: cell.__setitem__("v", cell["v"] + 1))
                 return proc.now
-            proc.sleep(1e-3)
+            yield from proc.co_sleep(1e-3)
             return None
 
         eng, res = _run(4, main)
@@ -43,7 +43,7 @@ class TestAccumulate:
         def main(proc):
             armci = Armci.attach(proc.engine)
             t0 = proc.now
-            armci.acc(proc, proc.rank, 1024, lambda: cell.__setitem__("v", 7.0))
+            yield from armci.co_acc(proc, proc.rank, 1024, lambda: cell.__setitem__("v", 7.0))
             return proc.now - t0
 
         eng, res = _run(1, main)
@@ -56,7 +56,7 @@ class TestFence:
         def main(proc):
             armci = Armci.attach(proc.engine)
             t0 = proc.now
-            armci.fence(proc)
+            yield from armci.co_fence(proc)
             return proc.now - t0
 
         eng, res = _run(2, main)
@@ -68,9 +68,9 @@ class TestCounters:
         def main(proc):
             armci = Armci.attach(proc.engine)
             if proc.rank == 0:
-                armci.put(proc, 1, 100, None)
-                armci.get(proc, 1, 50, None)
-                armci.rmw(proc, 1, lambda: 0)
+                yield from armci.co_put(proc, 1, 100, None)
+                yield from armci.co_get(proc, 1, 50, None)
+                yield from armci.co_rmw(proc, 1, lambda: 0)
 
         eng, _ = _run(2, main)
         snap = Armci.attach(eng).counters.snapshot()
@@ -89,7 +89,7 @@ class TestEngineMisc:
         seen = []
 
         def main(proc):
-            proc.sync()
+            yield from proc.co_sync()
             seen.append(proc.engine.current is proc)
 
         _run(3, main)

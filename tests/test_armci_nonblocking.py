@@ -23,7 +23,7 @@ class TestNonBlocking:
         def main(proc):
             armci = Armci.attach(proc.engine)
             if proc.rank == 0:
-                h = armci.nbget(proc, 1, 64, lambda: store["x"])
+                h = yield from armci.co_nbget(proc, 1, 64, lambda: store["x"])
                 return armci.wait(proc, h)
             return None
 
@@ -40,7 +40,7 @@ class TestNonBlocking:
                 return None
             t0 = proc.now
             for target in (1, 2, 3):
-                armci.get(proc, target, nbytes, lambda: None)
+                yield from armci.co_get(proc, target, nbytes, lambda: None)
             return proc.now - t0
 
         def overlapped(proc):
@@ -48,7 +48,9 @@ class TestNonBlocking:
             if proc.rank != 0:
                 return None
             t0 = proc.now
-            handles = [armci.nbget(proc, t, nbytes, lambda: None) for t in (1, 2, 3)]
+            handles = []
+            for t in (1, 2, 3):
+                handles.append((yield from armci.co_nbget(proc, t, nbytes, lambda: None)))
             armci.wait_all(proc, handles)
             return proc.now - t0
 
@@ -61,7 +63,7 @@ class TestNonBlocking:
             armci = Armci.attach(proc.engine)
             if proc.rank != 0:
                 return None
-            h = armci.nbput(proc, 1, 1024, None)
+            h = yield from armci.co_nbput(proc, 1, 1024, None)
             armci.wait(proc, h)
             t1 = proc.now
             armci.wait(proc, h)  # already complete: no extra time
@@ -76,9 +78,9 @@ class TestNonBlocking:
         def main(proc):
             armci = Armci.attach(proc.engine)
             if proc.rank == 0:
-                h = armci.nbput(proc, 1, 64, lambda: box.__setitem__("v", 9))
+                h = yield from armci.co_nbput(proc, 1, 64, lambda: box.__setitem__("v", 9))
                 armci.wait(proc, h)
-            armci.barrier(proc)
+            yield from armci.co_barrier(proc)
             return box.get("v")
 
         _, res = _run(2, main)
@@ -87,7 +89,7 @@ class TestNonBlocking:
     def test_local_nb_ops_complete_immediately(self):
         def main(proc):
             armci = Armci.attach(proc.engine)
-            h = armci.nbget(proc, proc.rank, 4096, lambda: 5)
+            h = yield from armci.co_nbget(proc, proc.rank, 4096, lambda: 5)
             t_before = proc.now
             v = armci.wait(proc, h)
             return (v, proc.now - t_before)
@@ -103,10 +105,10 @@ class TestStridedCosts:
             if proc.rank != 0:
                 return None
             t0 = proc.now
-            armci.wait(proc, armci.nbget(proc, 1, 8192, None, nchunks=1))
+            armci.wait(proc, (yield from armci.co_nbget(proc, 1, 8192, None, nchunks=1)))
             contiguous = proc.now - t0
             t0 = proc.now
-            armci.wait(proc, armci.nbget(proc, 1, 8192, None, nchunks=64))
+            armci.wait(proc, (yield from armci.co_nbget(proc, 1, 8192, None, nchunks=64)))
             strided = proc.now - t0
             return (contiguous, strided)
 
@@ -119,17 +121,17 @@ class TestStridedCosts:
         """A row of a 2D patch is contiguous; a column is fully strided."""
 
         def main(proc):
-            ga = GlobalArray.create(proc, "m", (64, 64))
-            ga.sync(proc)
+            ga = yield from GlobalArray.co_create(proc, "m", (64, 64))
+            yield from ga.co_sync(proc)
             other = (proc.rank + 1) % proc.nprocs
             lo, hi = ga.distribution(other)
             if proc.rank != 0:
                 return None
             t0 = proc.now
-            ga.get(proc, (lo[0], lo[1]), (lo[0] + 1, hi[1]))  # one row
+            yield from ga.co_get(proc, (lo[0], lo[1]), (lo[0] + 1, hi[1]))  # one row
             row = proc.now - t0
             t0 = proc.now
-            ga.get(proc, (lo[0], lo[1]), (hi[0], lo[1] + 1))  # one column
+            yield from ga.co_get(proc, (lo[0], lo[1]), (hi[0], lo[1] + 1))  # one column
             col = proc.now - t0
             return (row, col)
 

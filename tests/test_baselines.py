@@ -92,10 +92,10 @@ class TestGlobalCounterScheduler:
         claimed = []
 
         def main(proc):
-            sched = GlobalCounterScheduler(
+            sched = yield from GlobalCounterScheduler.co_create(
                 proc, lambda p, t: claimed.append((t, p.rank))
             )
-            return sched.run(list(range(30)))
+            return (yield from sched.co_run(list(range(30))))
 
         _, res = _run(4, main)
         assert sorted(t for t, _ in claimed) == list(range(30))
@@ -108,8 +108,8 @@ class TestGlobalCounterScheduler:
             def work(p, t):
                 p.compute(100e-6)
 
-            sched = GlobalCounterScheduler(proc, work)
-            return sched.run(list(range(200))).tasks_claimed
+            sched = yield from GlobalCounterScheduler.co_create(proc, work)
+            return (yield from sched.co_run(list(range(200)))).tasks_claimed
 
         eng = Engine(4, machine=heterogeneous_cluster(4), max_events=3_000_000)
         eng.spawn_all(main)
@@ -120,8 +120,8 @@ class TestGlobalCounterScheduler:
 
     def test_stats_fields(self):
         def main(proc):
-            sched = GlobalCounterScheduler(proc, lambda p, t: p.compute(1e-6))
-            return sched.run(list(range(10)))
+            sched = yield from GlobalCounterScheduler.co_create(proc, lambda p, t: p.compute(1e-6))
+            return (yield from sched.co_run(list(range(10))))
 
         _, res = _run(2, main)
         for s in res.returns:
@@ -131,8 +131,8 @@ class TestGlobalCounterScheduler:
 
     def test_empty_task_list(self):
         def main(proc):
-            sched = GlobalCounterScheduler(proc, lambda p, t: None)
-            return sched.run([])
+            sched = yield from GlobalCounterScheduler.co_create(proc, lambda p, t: None)
+            return (yield from sched.co_run([]))
 
         _, res = _run(3, main)
         assert all(s.tasks_claimed == 0 for s in res.returns)
@@ -142,8 +142,8 @@ class TestGlobalCounterScheduler:
         than a single rank (host-side serialization)."""
 
         def main(proc):
-            sched = GlobalCounterScheduler(proc, lambda p, t: None)
-            stats = sched.run(list(range(100)))
+            sched = yield from GlobalCounterScheduler.co_create(proc, lambda p, t: None)
+            stats = yield from sched.co_run(list(range(100)))
             return stats.time_total
 
         _, res1 = _run(2, main)

@@ -1,4 +1,4 @@
-"""The machine-readable bench records (``BENCH_sim.json``, ``BENCH_wall.json``)."""
+"""The machine-readable bench record (``BENCH_sim.json``)."""
 
 from __future__ import annotations
 
@@ -7,12 +7,6 @@ import json
 import pytest
 
 from repro.bench.harness import BENCH_SCHEMA, validate_bench_json, write_bench_json
-from repro.bench.perf import (
-    WALL_SCHEMA,
-    measure_scenario,
-    validate_wall_json,
-    write_wall_json,
-)
 from repro.bench.report import per_rank_table
 from repro.core.stats import ProcessStats
 from repro.util.records import Series, SweepResult
@@ -74,83 +68,6 @@ def test_bench_cli_writes_record(tmp_path):
     validate_bench_json(doc)
     assert [e["experiment"] for e in doc["experiments"]] == ["table1"]
     assert doc["experiments"][0]["wall_seconds"] > 0
-
-
-def _wall_entry(**over):
-    entry = {
-        "scenario": "queue",
-        "backend": "thread",
-        "nprocs": 4,
-        "seed": 0,
-        "reps": 1,
-        "events": 1000,
-        "best_wall_s": 0.01,
-        "mean_wall_s": 0.012,
-        "events_per_sec": 100_000.0,
-    }
-    entry.update(over)
-    return entry
-
-
-def test_wall_write_then_validate_roundtrip(tmp_path):
-    path = write_wall_json([_wall_entry()], tmp_path / "BENCH_wall.json")
-    doc = json.loads(path.read_text())
-    validate_wall_json(doc)  # must not raise
-    assert doc["schema"] == WALL_SCHEMA
-    assert doc["entries"][0]["events_per_sec"] == 100_000.0
-    assert "python" in doc["host"]
-
-
-def test_wall_write_preserves_committed_baselines(tmp_path):
-    path = tmp_path / "BENCH_wall.json"
-    baseline = _wall_entry(backend="seed-thread", events_per_sec=30_000.0)
-    write_wall_json([_wall_entry()], path, baselines=[baseline])
-    # Regeneration without an explicit baselines argument keeps them.
-    write_wall_json([_wall_entry(events_per_sec=90_000.0)], path)
-    doc = json.loads(path.read_text())
-    assert doc["baselines"] == [baseline]
-    assert doc["entries"][0]["events_per_sec"] == 90_000.0
-
-
-@pytest.mark.parametrize(
-    "mutation, fragment",
-    [
-        (lambda d: d.update(schema="bogus/9"), "schema"),
-        (lambda d: d.update(entries=[]), "non-empty"),
-        (lambda d: d["entries"][0].update(scenario=""), "scenario"),
-        (lambda d: d["entries"][0].update(events=0), "events"),
-        (lambda d: d["entries"][0].update(events_per_sec=0.0), "events_per_sec"),
-        (lambda d: d["entries"][0].update(best_wall_s=-1.0), "best_wall_s"),
-    ],
-)
-def test_wall_validate_rejects_malformed_documents(tmp_path, mutation, fragment):
-    path = write_wall_json([_wall_entry()], tmp_path / "w.json")
-    doc = json.loads(path.read_text())
-    mutation(doc)
-    with pytest.raises(ValueError, match=fragment):
-        validate_wall_json(doc)
-
-
-def test_wall_measure_scenario_smoke():
-    entry = measure_scenario("queue", "thread", reps=1)
-    assert entry["events"] > 0
-    assert entry["events_per_sec"] > 0
-    assert entry["best_wall_s"] > 0
-
-
-def test_wall_perf_cli_writes_record(tmp_path):
-    from repro.bench.__main__ import main
-
-    out = tmp_path / "BENCH_wall.json"
-    code = main(
-        ["perf", "--quick", "--only", "queue", "--backends", "thread",
-         "--json", str(out)]
-    )
-    assert code == 0
-    doc = json.loads(out.read_text())
-    validate_wall_json(doc)
-    assert doc["entries"][0]["scenario"] == "queue"
-    assert doc["entries"][0]["backend"] == "thread"
 
 
 def test_process_stats_to_dict_includes_derived_fields():

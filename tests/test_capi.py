@@ -26,16 +26,16 @@ def test_full_paper_workflow():
         executed.append((tc_task_body(task), tc.rank))
 
     def main(proc):
-        tc = tc_create(proc, task_sz=64, chunk_sz=2, max_sz=100)
+        tc = yield from tc_create(proc, task_sz=64, chunk_sz=2, max_sz=100)
         hdl = tc_register(tc, task_fcn)
         task = tc_task_create(body_sz=32, task_handle=hdl)
         me = proc.rank
         for i in range(3):
             task.body = (me, i)
-            tc_add(tc, me, AFFINITY_HIGH, task)
+            yield from tc_add(tc, me, AFFINITY_HIGH, task)
             task = tc_task_reuse(task)
-        stats = tc_process(tc)
-        tc_destroy(tc)
+        stats = yield from tc_process(tc)
+        yield from tc_destroy(tc)
         tc_task_destroy(task)
         return stats.tasks_executed
 
@@ -52,15 +52,15 @@ def test_copy_in_semantics_via_reuse():
         seen.append(tc_task_body(task))
 
     def main(proc):
-        tc = tc_create(proc, 64, 1, 50)
+        tc = yield from tc_create(proc, 64, 1, 50)
         hdl = tc_register(tc, cb)
         task = tc_task_create(16, hdl)
         task.body = "first"
-        tc_add(tc, proc.rank, 0, task)
+        yield from tc_add(tc, proc.rank, 0, task)
         task = tc_task_reuse(task)
         task.body = "second"  # buffer reuse must not affect queued copy
-        tc_add(tc, proc.rank, 0, task)
-        tc_process(tc)
+        yield from tc_add(tc, proc.rank, 0, task)
+        yield from tc_process(tc)
 
     run_spmd(1, main, max_events=1_000_000)
     assert sorted(seen) == ["first", "second"]
@@ -70,12 +70,12 @@ def test_reset_between_phases():
     count = []
 
     def main(proc):
-        tc = tc_create(proc, 64, 1, 50)
+        tc = yield from tc_create(proc, 64, 1, 50)
         hdl = tc_register(tc, lambda tc_, t: count.append(1))
-        tc_add(tc, proc.rank, 0, tc_task_create(8, hdl))
-        tc_reset(tc)  # dropped before processing
-        tc_add(tc, proc.rank, 0, tc_task_create(8, hdl))
-        tc_process(tc)
+        yield from tc_add(tc, proc.rank, 0, tc_task_create(8, hdl))
+        yield from tc_reset(tc)  # dropped before processing
+        yield from tc_add(tc, proc.rank, 0, tc_task_create(8, hdl))
+        yield from tc_process(tc)
 
     run_spmd(2, main, max_events=2_000_000)
     assert len(count) == 2

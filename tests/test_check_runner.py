@@ -98,13 +98,13 @@ class DeadlockScenario(Scenario):
             if proc.rank == 1:
                 # default order: rank 0 completes both (remote) acquires
                 # before rank 1 wakes; only reordered schedules deadlock
-                proc.sleep(40e-6)
+                yield from proc.co_sleep(40e-6)
             first, second = (a, b) if proc.rank == 0 else (b, a)
-            first.acquire(proc)
-            proc.sleep(1e-6)
-            second.acquire(proc)
-            second.release(proc)
-            first.release(proc)
+            yield from first.co_acquire(proc)
+            yield from proc.co_sleep(1e-6)
+            yield from second.co_acquire(proc)
+            yield from second.co_release(proc)
+            yield from first.co_release(proc)
 
         engine.spawn_all(main)
         return CheckContext(expect_complete=False)

@@ -20,7 +20,7 @@ def small_spmd(proc):
     """A tiny workload with real cross-rank interaction (shared syncs)."""
     for i in range(8):
         proc.compute(1e-6 * ((proc.rank + i) % 3 + 1))
-        proc.sync()
+        yield from proc.co_sync()
     return proc.now
 
 

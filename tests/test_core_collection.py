@@ -17,17 +17,17 @@ def _run(nprocs, main, *args, seed=0, max_events=2_000_000):
 
 def test_create_and_destroy():
     def main(proc):
-        tc = TaskCollection.create(proc, task_size=128)
-        tc.destroy()
+        tc = yield from TaskCollection.co_create(proc, task_size=128)
+        yield from tc.co_destroy()
         with pytest.raises(TaskCollectionError):
-            tc.add(Task(callback=0))
+            yield from tc.co_add(Task(callback=0))
 
     _run(2, main)
 
 
 def test_create_mismatch_rejected():
     def main(proc):
-        TaskCollection.create(proc, task_size=64 if proc.rank == 0 else 128)
+        yield from TaskCollection.co_create(proc, task_size=64 if proc.rank == 0 else 128)
 
     with pytest.raises(TaskCollectionError, match="mismatch"):
         _run(2, main)
@@ -35,7 +35,7 @@ def test_create_mismatch_rejected():
 
 def test_invalid_create_params():
     def main(proc):
-        TaskCollection.create(proc, task_size=-1)
+        yield from TaskCollection.co_create(proc, task_size=-1)
 
     with pytest.raises(ValueError):
         _run(1, main)
@@ -43,7 +43,7 @@ def test_invalid_create_params():
 
 def test_register_returns_sequential_handles():
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
         h0 = tc.register(lambda tc, t: None)
         h1 = tc.register(lambda tc, t: None)
         return (h0, h1)
@@ -54,7 +54,7 @@ def test_register_returns_sequential_handles():
 
 def test_register_non_callable_rejected():
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
         tc.register("not a function")  # type: ignore[arg-type]
 
     with pytest.raises(TypeError):
@@ -63,8 +63,8 @@ def test_register_non_callable_rejected():
 
 def test_add_unregistered_callback_rejected():
     def main(proc):
-        tc = TaskCollection.create(proc)
-        tc.add(Task(callback=3))
+        tc = yield from TaskCollection.co_create(proc)
+        yield from tc.co_add(Task(callback=3))
 
     with pytest.raises(TaskCollectionError, match="not registered"):
         _run(1, main)
@@ -72,9 +72,9 @@ def test_add_unregistered_callback_rejected():
 
 def test_add_invalid_rank_rejected():
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
         tc.register(lambda tc, t: None)
-        tc.add(Task(callback=0), rank=99)
+        yield from tc.co_add(Task(callback=0), rank=99)
 
     with pytest.raises(TaskCollectionError, match="invalid destination"):
         _run(2, main)
@@ -86,7 +86,7 @@ def test_add_copies_body():
     seen = []
 
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
 
         def cb(tc, task):
             seen.append(tuple(task.body))
@@ -94,10 +94,10 @@ def test_add_copies_body():
         h = tc.register(cb)
         if proc.rank == 0:
             buf = Task(callback=h, body=[1, 2])
-            tc.add(buf)
+            yield from tc.co_add(buf)
             buf.body.append(99)  # reuse/mutate the buffer
-            tc.add(buf)
-        tc.process()
+            yield from tc.co_add(buf)
+        yield from tc.co_process()
 
     _run(2, main)
     assert sorted(seen) == [(1, 2), (1, 2, 99)]
@@ -125,8 +125,9 @@ def test_mutating_the_buffer_after_add_never_reaches_the_queue():
 
 @pytest.mark.parametrize("fault", ["destroyed", "bad handle", "bad rank"])
 def test_add_rejects_at_the_call_in_both_forms(fault):
-    """``co_add`` validates when called, not when first resumed: the
-    coroutine form raises before there is anything to ``yield from``."""
+    """``co_add`` validates when called, not when first resumed: both the
+    bare call and the ``yield from`` form raise before there is anything
+    to resume."""
 
     def bad_add(handle, nprocs):
         task = Task(callback=handle + 1 if fault == "bad handle" else handle)
@@ -138,32 +139,23 @@ def test_add_rejects_at_the_call_in_both_forms(fault):
         if fault == "destroyed":
             yield from tc.co_destroy()
         with pytest.raises(TaskCollectionError):
-            tc.co_add(task, **kwargs)  # never resumed
+            tc.co_add(task, **kwargs)  # repro: lint-disable=RPR007 (never resumed)
         with pytest.raises(TaskCollectionError):
             yield from tc.co_add(task, **kwargs)
 
-    def blocking_main(proc):
-        tc = TaskCollection.create(proc)
-        task, kwargs = bad_add(tc.register(lambda tc_, t: None), proc.nprocs)
-        if fault == "destroyed":
-            tc.destroy()
-        with pytest.raises(TaskCollectionError):
-            tc.add(task, **kwargs)
-
     _run(1, main)
-    _run(1, blocking_main)
 
 
 def test_remote_add_reaches_other_rank():
     ran_on = []
 
     def main(proc):
-        tc = TaskCollection.create(proc, config=SciotoConfig(load_balancing=False))
+        tc = yield from TaskCollection.co_create(proc, config=SciotoConfig(load_balancing=False))
         h = tc.register(lambda tc, t: ran_on.append(tc.rank))
         if proc.rank == 0:
             for dest in range(proc.nprocs):
-                tc.add(Task(callback=h), rank=dest)
-        tc.process()
+                yield from tc.co_add(Task(callback=h), rank=dest)
+        yield from tc.co_process()
 
     _run(4, main)
     assert sorted(ran_on) == [0, 1, 2, 3]
@@ -171,7 +163,7 @@ def test_remote_add_reaches_other_rank():
 
 def test_clo_resolves_to_local_instance():
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
         handle = tc.register_clo({"rank": proc.rank})
         return tc.clo(handle)["rank"]
 
@@ -181,7 +173,7 @@ def test_clo_resolves_to_local_instance():
 
 def test_clo_bad_handle():
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
         tc.clo(0)
 
     with pytest.raises(TaskCollectionError, match="common local object"):
@@ -190,14 +182,14 @@ def test_clo_bad_handle():
 
 def test_reset_empties_queues_for_reuse():
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
         h = tc.register(lambda tc, t: None)
-        tc.add(Task(callback=h))
-        tc.reset()
+        yield from tc.co_add(Task(callback=h))
+        yield from tc.co_reset()
         assert tc.local_size() == 0
         # collection is reusable after reset
-        tc.add(Task(callback=h))
-        stats = tc.process()
+        yield from tc.co_add(Task(callback=h))
+        stats = yield from tc.co_process()
         return stats.tasks_executed
 
     _, res = _run(2, main)
@@ -209,13 +201,13 @@ def test_two_collections_coexist():
     phase_log = []
 
     def main(proc):
-        tc1 = TaskCollection.create(proc)
-        tc2 = TaskCollection.create(proc)
+        tc1 = yield from TaskCollection.co_create(proc)
+        tc2 = yield from TaskCollection.co_create(proc)
 
         def phase1(tc, task):
             phase_log.append(("p1", task.body))
             # spawn into the *other* collection while this one is processed
-            tc2.add(Task(callback=h2, body=task.body * 10))
+            yield from tc2.co_add(Task(callback=h2, body=task.body * 10))
 
         def phase2(tc, task):
             phase_log.append(("p2", task.body))
@@ -223,10 +215,10 @@ def test_two_collections_coexist():
         h1 = tc1.register(phase1)
         h2 = tc2.register(phase2)
         if proc.rank == 0:
-            tc1.add(Task(callback=h1, body=1))
-            tc1.add(Task(callback=h1, body=2))
-        tc1.process()
-        tc2.process()
+            yield from tc1.co_add(Task(callback=h1, body=1))
+            yield from tc1.co_add(Task(callback=h1, body=2))
+        yield from tc1.co_process()
+        yield from tc2.co_process()
 
     _run(2, main)
     p1 = sorted(b for p, b in phase_log if p == "p1")
@@ -237,11 +229,11 @@ def test_two_collections_coexist():
 
 def test_local_and_total_size():
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
         h = tc.register(lambda tc, t: None)
         for _ in range(proc.rank + 1):
-            tc.add(Task(callback=h))
-        proc.sync()
+            yield from tc.co_add(Task(callback=h))
+        yield from proc.co_sync()
         return (tc.local_size(), None)
 
     eng, res = _run(3, main)
@@ -250,7 +242,7 @@ def test_local_and_total_size():
 
 def test_process_stats_fields():
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
 
         def work(tc, task):
             tc.proc.compute(5e-6)
@@ -258,8 +250,8 @@ def test_process_stats_fields():
         h = tc.register(work)
         if proc.rank == 0:
             for _ in range(20):
-                tc.add(Task(callback=h))
-        stats = tc.process()
+                yield from tc.co_add(Task(callback=h))
+        stats = yield from tc.co_process()
         return stats
 
     _, res = _run(4, main)

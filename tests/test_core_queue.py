@@ -29,6 +29,14 @@ def _mk(i, affinity=0):
     return Task(callback=0, body=i, affinity=affinity, body_size=16)
 
 
+def _pop_bodies(q, proc, n):
+    """Pop ``n`` tasks from the owner end; return their bodies."""
+    bodies = []
+    for _ in range(n):
+        bodies.append((yield from q.co_pop_local(proc)).body)
+    return bodies
+
+
 class TestLocalOps:
     def test_push_pop_lifo_for_equal_affinity(self):
         eng, queues, _ = _queue_env()
@@ -38,8 +46,8 @@ class TestLocalOps:
                 return None
             q = queues[0]
             for i in range(5):
-                q.push_local(proc, _mk(i))
-            return [q.pop_local(proc).body for _ in range(5)]
+                yield from q.co_push_local(proc, _mk(i))
+            return (yield from _pop_bodies(q, proc, 5))
 
         res = _run(eng, main)
         assert res.returns[0] == [4, 3, 2, 1, 0]
@@ -51,10 +59,10 @@ class TestLocalOps:
             if proc.rank != 0:
                 return None
             q = queues[0]
-            q.push_local(proc, _mk("low", affinity=0))
-            q.push_local(proc, _mk("high", affinity=10))
-            q.push_local(proc, _mk("mid", affinity=5))
-            return [q.pop_local(proc).body for _ in range(3)]
+            yield from q.co_push_local(proc, _mk("low", affinity=0))
+            yield from q.co_push_local(proc, _mk("high", affinity=10))
+            yield from q.co_push_local(proc, _mk("mid", affinity=5))
+            return (yield from _pop_bodies(q, proc, 3))
 
         res = _run(eng, main)
         assert res.returns[0] == ["high", "mid", "low"]
@@ -63,7 +71,7 @@ class TestLocalOps:
         eng, queues, _ = _queue_env()
 
         def main(proc):
-            return queues[proc.rank].pop_local(proc)
+            return (yield from queues[proc.rank].co_pop_local(proc))
 
         res = _run(eng, main)
         assert res.returns == [None, None]
@@ -74,7 +82,7 @@ class TestLocalOps:
         def main(proc):
             if proc.rank == 0:
                 for i in range(4):
-                    queues[0].push_local(proc, _mk(i))
+                    yield from queues[0].co_push_local(proc, _mk(i))
 
         with pytest.raises(TaskCollectionError, match="overflow"):
             _run(eng, main)
@@ -84,7 +92,7 @@ class TestLocalOps:
 
         def main(proc):
             if proc.rank == 1:
-                queues[0].push_local(proc, _mk(0))
+                yield from queues[0].co_push_local(proc, _mk(0))
 
         with pytest.raises(TaskCollectionError, match="non-owner"):
             _run(eng, main)
@@ -97,7 +105,7 @@ class TestLocalOps:
                 return None
             q = queues[0]
             for i in range(8):
-                q.push_local(proc, _mk(i))
+                yield from q.co_push_local(proc, _mk(i))
             return (q.private_size(), q.shared_size())
 
         res = _run(eng, main)
@@ -113,9 +121,8 @@ class TestLocalOps:
                 return None
             q = queues[0]
             for i in range(8):
-                q.push_local(proc, _mk(i))
-            got = [q.pop_local(proc) for _ in range(8)]
-            return [t.body for t in got]
+                yield from q.co_push_local(proc, _mk(i))
+            return (yield from _pop_bodies(q, proc, 8))
 
         res = _run(eng, main)
         assert sorted(res.returns[0]) == list(range(8))
@@ -151,16 +158,16 @@ class TestStealing:
             q = queues[0]
             if proc.rank == 0:
                 for i in range(6):
-                    q.push_local(proc, _mk(i, affinity=i))
-                proc.sleep(200e-6 - proc.now)
+                    yield from q.co_push_local(proc, _mk(i, affinity=i))
+                yield from proc.co_sleep(200e-6 - proc.now)
                 # shared drained by the first steal; this push releases more
-                q.push_local(proc, _mk(6, affinity=6))
-                proc.sleep(400e-6 - proc.now)
+                yield from q.co_push_local(proc, _mk(6, affinity=6))
+                yield from proc.co_sleep(400e-6 - proc.now)
                 return sorted(t.affinity for t in q.drain())
-            proc.sleep(100e-6)
-            first = q.steal_from(proc, 2)  # drains the shared portion
-            proc.sleep(300e-6 - proc.now)
-            second = q.steal_from(proc, 2)
+            yield from proc.co_sleep(100e-6)
+            first = yield from q.co_steal_from(proc, 2)  # drains the shared portion
+            yield from proc.co_sleep(300e-6 - proc.now)
+            second = yield from q.co_steal_from(proc, 2)
             return (sorted(t.affinity for t in first), sorted(t.affinity for t in second))
 
         res = _run(eng, main)
@@ -175,7 +182,7 @@ class TestStealing:
 
         def main(proc):
             if proc.rank == 1:
-                return queues[0].steal_from(proc, 5)
+                return (yield from queues[0].co_steal_from(proc, 5))
             return None
 
         res = _run(eng, main)
@@ -190,16 +197,16 @@ class TestStealing:
             q = queues[0]
             if proc.rank == 0:
                 for i in range(20):
-                    q.push_local(proc, _mk(i))
-                proc.sleep(200e-6 - proc.now)
-                q.push_local(proc, _mk(99))  # releases half of private
-                proc.sleep(500e-6 - proc.now)
+                    yield from q.co_push_local(proc, _mk(i))
+                yield from proc.co_sleep(200e-6 - proc.now)
+                yield from q.co_push_local(proc, _mk(99))  # releases half of private
+                yield from proc.co_sleep(500e-6 - proc.now)
                 return None
-            proc.sleep(100e-6)
-            q.steal_from(proc, 10)  # drain initial shared
-            proc.sleep(300e-6 - proc.now)
+            yield from proc.co_sleep(100e-6)
+            yield from q.co_steal_from(proc, 10)  # drain initial shared
+            yield from proc.co_sleep(300e-6 - proc.now)
             assert q.shared_size() >= 5
-            return len(q.steal_from(proc, 3))
+            return len((yield from q.co_steal_from(proc, 3)))
 
         res = _run(eng, main)
         assert res.returns[1] == 3
@@ -210,11 +217,11 @@ class TestStealing:
         def main(proc):
             q = queues[0]
             if proc.rank == 0:
-                q.push_local(proc, _mk(0))  # single task stays private
-                proc.sleep(200e-6)
+                yield from q.co_push_local(proc, _mk(0))  # single task stays private
+                yield from proc.co_sleep(200e-6)
                 return q.size()
-            proc.sleep(50e-6)
-            return len(q.steal_from(proc, 10))
+            yield from proc.co_sleep(50e-6)
+            return len((yield from q.co_steal_from(proc, 10)))
 
         res = _run(eng, main)
         assert res.returns[1] == 0, "private-only work must not be stealable"
@@ -225,7 +232,7 @@ class TestStealing:
 
         def main(proc):
             if proc.rank == 0:
-                queues[0].steal_from(proc, 1)
+                yield from queues[0].co_steal_from(proc, 1)
 
         with pytest.raises(TaskCollectionError, match="steal from itself"):
             _run(eng, main)
@@ -237,8 +244,8 @@ class TestStealing:
             if proc.rank != 1:
                 return None
             q = queues[1]
-            q.absorb_stolen(proc, [_mk("a", 5), _mk("b", 1)])
-            return [q.pop_local(proc).body for _ in range(2)]
+            yield from q.co_absorb_stolen(proc, [_mk("a", 5), _mk("b", 1)])
+            return (yield from _pop_bodies(q, proc, 2))
 
         res = _run(eng, main)
         assert res.returns[1] == ["a", "b"]
@@ -249,10 +256,10 @@ class TestStealing:
         def main(proc):
             q = queues[0]
             if proc.rank == 1:
-                q.add_remote(proc, _mk("gift"))
+                yield from q.co_add_remote(proc, _mk("gift"))
                 return None
-            proc.sleep(100e-6)
-            return (q.shared_size(), q.pop_local(proc).body)
+            yield from proc.co_sleep(100e-6)
+            return (q.shared_size(), (yield from q.co_pop_local(proc)).body)
 
         res = _run(eng, main)
         assert res.returns[0] == (1, "gift")
@@ -262,7 +269,7 @@ class TestStealing:
 
         def main(proc):
             if proc.rank == 0:
-                queues[0].add_remote(proc, _mk(0))
+                yield from queues[0].co_add_remote(proc, _mk(0))
 
         with pytest.raises(TaskCollectionError, match="use push_local"):
             _run(eng, main)
@@ -277,13 +284,13 @@ class TestCostModel:
             q = queues[0]
             if proc.rank == 0:
                 t0 = proc.now
-                q.push_local(proc, _mk(0))
+                yield from q.co_push_local(proc, _mk(0))
                 costs["local_push"] = proc.now - t0
-                proc.sleep(500e-6)
+                yield from proc.co_sleep(500e-6)
             else:
-                proc.sleep(100e-6)
+                yield from proc.co_sleep(100e-6)
                 t0 = proc.now
-                q.add_remote(proc, _mk(1))
+                yield from q.co_add_remote(proc, _mk(1))
                 costs["remote_add"] = proc.now - t0
 
         _run(eng, main)
@@ -301,17 +308,17 @@ class TestCostModel:
                 q = queues[0]
                 if proc.rank == 0:
                     for i in range(4):
-                        q.push_local(proc, _mk(i))
-                    proc.sleep(100e-6 - proc.now)  # pop exactly at t=100us
+                        yield from q.co_push_local(proc, _mk(i))
+                    yield from proc.co_sleep(100e-6 - proc.now)  # pop exactly at t=100us
                     t0 = proc.now
-                    q.pop_local(proc)
+                    yield from q.co_pop_local(proc)
                     out["pop"] = proc.now - t0
                 else:
                     # model a thief holding the queue mutex across t=100us
-                    proc.sleep(80e-6)
-                    q.mutex.acquire(proc)
-                    proc.sleep(30e-6)
-                    q.mutex.release(proc)
+                    yield from proc.co_sleep(80e-6)
+                    yield from q.mutex.co_acquire(proc)
+                    yield from proc.co_sleep(30e-6)
+                    yield from q.mutex.co_release(proc)
 
             _run(eng, main)
             return out["pop"]

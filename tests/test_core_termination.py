@@ -68,8 +68,8 @@ class TestDetection:
 
         def main(proc):
             td = dets[proc.rank]
-            while not td.progress(proc, idle=True):
-                proc.sleep(1e-6)
+            while not (yield from td.co_progress(proc, idle=True)):
+                yield from proc.co_sleep(1e-6)
             return proc.now
 
         eng.spawn_all(main)
@@ -85,10 +85,10 @@ class TestDetection:
             td = dets[proc.rank]
             while proc.rank == 3 and proc.now < busy_until:
                 # active: forwards tokens but never votes
-                td.progress(proc, idle=False)
-                proc.sleep(5e-6)
-            while not td.progress(proc, idle=True):
-                proc.sleep(1e-6)
+                yield from td.co_progress(proc, idle=False)
+                yield from proc.co_sleep(5e-6)
+            while not (yield from td.co_progress(proc, idle=True)):
+                yield from proc.co_sleep(1e-6)
             return proc.now
 
         eng.spawn_all(main)
@@ -103,8 +103,8 @@ class TestDetection:
 
         def main(proc):
             td = dets[proc.rank]
-            while not td.progress(proc, idle=True):
-                proc.sleep(1e-6)
+            while not (yield from td.co_progress(proc, idle=True)):
+                yield from proc.co_sleep(1e-6)
 
         eng.spawn_all(main)
         eng.run()
@@ -116,8 +116,8 @@ class TestDetection:
 
         def main(proc):
             td = dets[proc.rank]
-            while not td.progress(proc, idle=True):
-                proc.sleep(1e-6)
+            while not (yield from td.co_progress(proc, idle=True)):
+                yield from proc.co_sleep(1e-6)
 
         eng.spawn_all(main)
         eng.run()
@@ -131,8 +131,8 @@ class TestDetection:
 
             def main(proc):
                 td = dets[proc.rank]
-                while not td.progress(proc, idle=True):
-                    proc.sleep(1e-6)
+                while not (yield from td.co_progress(proc, idle=True)):
+                    yield from proc.co_sleep(1e-6)
 
             eng.spawn_all(main)
             eng.run()
@@ -155,7 +155,7 @@ class TestDirtyMarkOptimization:
                 if mark is not None:
                     mark()
                 dets[thief].note_steal(proc, victim)
-            proc.sync()
+            yield from proc.co_sync()
 
         eng.spawn_all(main)
         eng.run()
@@ -192,7 +192,7 @@ class TestDirtyMarkOptimization:
         def main(proc):
             if proc.rank == 0:
                 dets[0].note_remote_add(proc, 2)
-            proc.sync()
+            yield from proc.co_sync()
 
         eng.spawn_all(main)
         eng.run()
@@ -211,8 +211,8 @@ class TestDirtyMarkOptimization:
 
         def main(proc):
             td = dets[proc.rank]
-            while not td.progress(proc, idle=True):
-                proc.sleep(0.5e-6)
+            while not (yield from td.co_progress(proc, idle=True)):
+                yield from proc.co_sleep(0.5e-6)
             return proc.now
 
         eng.spawn_all(main)

@@ -25,7 +25,7 @@ def test_sync_points_globally_time_ordered(seed, nprocs, steps):
         rng = np.random.default_rng((seed, proc.rank, 77))
         for _ in range(steps):
             proc.advance(float(rng.uniform(0, 5e-6)))
-            proc.sync()
+            yield from proc.co_sync()
             log.append((proc.now, proc.rank))
 
     eng = Engine(nprocs, seed=seed, max_events=500_000)
@@ -45,7 +45,7 @@ def test_identical_seed_identical_event_stream(seed, nprocs):
         def main(proc):
             for _ in range(10):
                 proc.advance(float(proc.rng.uniform(0, 3e-6)))
-                proc.sync()
+                yield from proc.co_sync()
                 order.append(proc.rank)
 
         eng = Engine(nprocs, seed=seed, max_events=200_000)

@@ -11,7 +11,7 @@ from repro.sim.engine import Engine, run_spmd
 class TestParkUntil:
     def test_timeout_resume(self):
         def main(proc):
-            payload = proc.park_until(proc.now + 5e-6, "nap")
+            payload = yield from proc.co_park_until(proc.now + 5e-6, "nap")
             return (payload, proc.now)
 
         res = run_spmd(1, main)
@@ -22,10 +22,10 @@ class TestParkUntil:
     def test_early_wake_wins(self):
         def main(proc):
             if proc.rank == 0:
-                payload = proc.park_until(proc.now + 100e-6, "nap")
+                payload = yield from proc.co_park_until(proc.now + 100e-6, "nap")
                 return (payload, proc.now)
             proc.advance(3e-6)
-            proc.sync()
+            yield from proc.co_sync()
             proc.engine.wake(proc.engine.procs[0], proc.now, payload="ping")
             return None
 
@@ -40,14 +40,14 @@ class TestParkUntil:
 
         def main(proc):
             if proc.rank == 0:
-                proc.park_until(proc.now + 10e-6, "nap")
+                yield from proc.co_park_until(proc.now + 10e-6, "nap")
                 resumes.append(proc.now)
                 # sleep past the stale timeout; nothing should fire
-                proc.sleep(50e-6)
+                yield from proc.co_sleep(50e-6)
                 resumes.append(proc.now)
                 return None
             proc.advance(2e-6)
-            proc.sync()
+            yield from proc.co_sync()
             proc.engine.wake(proc.engine.procs[0], proc.now)
             return None
 
@@ -58,7 +58,7 @@ class TestParkUntil:
     def test_repeated_timed_parks(self):
         def main(proc):
             for _ in range(5):
-                proc.park_until(proc.now + 1e-6, "tick")
+                yield from proc.co_park_until(proc.now + 1e-6, "tick")
             return proc.now
 
         res = run_spmd(1, main)
@@ -70,12 +70,12 @@ class TestWaitMailbox:
         def main(proc):
             armci = Armci.attach(proc.engine)
             if proc.rank == 0:
-                got = armci.wait_mailbox(proc, "t", timeout=1.0)
-                msg = armci.poll_mailbox(proc, "t")
+                got = yield from armci.co_wait_mailbox(proc, "t", timeout=1.0)
+                msg = yield from armci.co_poll_mailbox(proc, "t")
                 return (got, msg, proc.now)
             proc.advance(7e-6)
-            proc.sync()
-            armci.post(proc, 0, "t", "hello")
+            yield from proc.co_sync()
+            yield from armci.co_post(proc, 0, "t", "hello")
             return None
 
         eng = Engine(2, max_events=100_000)
@@ -89,7 +89,7 @@ class TestWaitMailbox:
     def test_timeout_without_message(self):
         def main(proc):
             armci = Armci.attach(proc.engine)
-            got = armci.wait_mailbox(proc, "t", timeout=4e-6)
+            got = yield from armci.co_wait_mailbox(proc, "t", timeout=4e-6)
             return (got, proc.now)
 
         res = run_spmd(1, main)
@@ -101,11 +101,11 @@ class TestWaitMailbox:
         def main(proc):
             armci = Armci.attach(proc.engine)
             if proc.rank == 1:
-                armci.post(proc, 0, "t", 1)
+                yield from armci.co_post(proc, 0, "t", 1)
                 return None
-            proc.sleep(20e-6)
+            yield from proc.co_sleep(20e-6)
             t0 = proc.now
-            got = armci.wait_mailbox(proc, "t", timeout=1.0)
+            got = yield from armci.co_wait_mailbox(proc, "t", timeout=1.0)
             return (got, proc.now - t0)
 
         eng = Engine(2, max_events=100_000)

@@ -17,15 +17,15 @@ def _run(nprocs, main, *args, seed=0, max_events=2_000_000):
 
 def test_task_callback_exception_propagates():
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
 
         def bad(tc_, task):
             raise RuntimeError(f"task exploded on rank {tc_.rank}")
 
         h = tc.register(bad)
         if proc.rank == 0:
-            tc.add(Task(callback=h))
-        tc.process()
+            yield from tc.co_add(Task(callback=h))
+        yield from tc.co_process()
 
     with pytest.raises(RuntimeError, match="task exploded"):
         _run(2, main)
@@ -33,17 +33,17 @@ def test_task_callback_exception_propagates():
 
 def test_queue_overflow_during_processing():
     def main(proc):
-        tc = TaskCollection.create(proc, max_tasks=4)
+        tc = yield from TaskCollection.co_create(proc, max_tasks=4)
 
         def bomb(tc_, task):
             # each task spawns two more: exceeds max_tasks quickly
-            tc_.add(Task(callback=h))
-            tc_.add(Task(callback=h))
+            yield from tc_.co_add(Task(callback=h))
+            yield from tc_.co_add(Task(callback=h))
 
         h = tc.register(bomb)
         if proc.rank == 0:
-            tc.add(Task(callback=h))
-        tc.process()
+            yield from tc.co_add(Task(callback=h))
+        yield from tc.co_process()
 
     with pytest.raises(TaskCollectionError, match="overflow"):
         _run(1, main)
@@ -51,16 +51,16 @@ def test_queue_overflow_during_processing():
 
 def test_runaway_workload_hits_event_limit():
     def main(proc):
-        tc = TaskCollection.create(proc, max_tasks=1000)
+        tc = yield from TaskCollection.co_create(proc, max_tasks=1000)
 
         def forever(tc_, task):
             tc_.proc.compute(1e-7)
-            tc_.add(Task(callback=h))  # never drains
+            yield from tc_.co_add(Task(callback=h))  # never drains
 
         h = tc.register(forever)
         if proc.rank == 0:
-            tc.add(Task(callback=h))
-        tc.process()
+            yield from tc.co_add(Task(callback=h))
+        yield from tc.co_process()
 
     with pytest.raises(SimLimitError):
         _run(2, main, max_events=30_000)
@@ -71,12 +71,12 @@ def test_mismatched_collective_registration_detected():
     error when the missing handle is dispatched."""
 
     def main(proc):
-        tc = TaskCollection.create(proc, config=SciotoConfig(load_balancing=False))
+        tc = yield from TaskCollection.co_create(proc, config=SciotoConfig(load_balancing=False))
         h = tc.register(lambda tc_, t: None)
         if proc.rank == 0:
             tc.register(lambda tc_, t: None)  # extra handle only on rank 0
-            tc.add(Task(callback=1), rank=1)  # rank 1 cannot dispatch it
-        tc.process()
+            yield from tc.co_add(Task(callback=1), rank=1)  # rank 1 cannot dispatch it
+        yield from tc.co_process()
 
     with pytest.raises(TaskCollectionError, match="not registered"):
         _run(2, main)
@@ -87,20 +87,20 @@ def test_exception_mid_simulation_tears_down_cleanly():
     in the same interpreter works fine (no leaked state)."""
 
     def bad_main(proc):
-        proc.sleep(1e-6)
+        yield from proc.co_sleep(1e-6)
         if proc.rank == 3:
             raise ValueError("kaboom")
-        proc.sleep(1.0)
+        yield from proc.co_sleep(1.0)
 
     with pytest.raises(ValueError, match="kaboom"):
         _run(5, bad_main)
 
     def good_main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
         h = tc.register(lambda tc_, t: None)
         if proc.rank == 0:
-            tc.add(Task(callback=h))
-        return tc.process().tasks_executed
+            yield from tc.co_add(Task(callback=h))
+        return (yield from tc.co_process()).tasks_executed
 
     result = _run(3, good_main)
     assert sum(result.returns) == 1
@@ -108,10 +108,10 @@ def test_exception_mid_simulation_tears_down_cleanly():
 
 def test_add_after_destroy_rejected():
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
         h = tc.register(lambda tc_, t: None)
-        tc.destroy()
-        tc.add(Task(callback=h))
+        yield from tc.co_destroy()
+        yield from tc.co_add(Task(callback=h))
 
     with pytest.raises(TaskCollectionError, match="destroyed"):
         _run(2, main)
@@ -122,7 +122,7 @@ def test_steal_disabled_work_stays_put_even_when_idle():
     ran_on = set()
 
     def main(proc):
-        tc = TaskCollection.create(proc, config=SciotoConfig(load_balancing=False))
+        tc = yield from TaskCollection.co_create(proc, config=SciotoConfig(load_balancing=False))
 
         def track(tc_, t):
             tc_.proc.compute(10e-6)
@@ -131,8 +131,8 @@ def test_steal_disabled_work_stays_put_even_when_idle():
         h = tc.register(track)
         if proc.rank == 0:
             for _ in range(10):
-                tc.add(Task(callback=h))
-        tc.process()
+                yield from tc.co_add(Task(callback=h))
+        yield from tc.co_process()
 
     _run(4, main)
     assert ran_on == {0}

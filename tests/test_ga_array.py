@@ -19,12 +19,12 @@ def _run(nprocs, main, *args, seed=0):
 class TestGlobalArray:
     def test_put_then_get_roundtrip(self):
         def main(proc):
-            ga = GlobalArray.create(proc, "a", (8, 8))
+            ga = yield from GlobalArray.co_create(proc, "a", (8, 8))
             if proc.rank == 0:
                 data = np.arange(16, dtype=float).reshape(4, 4)
-                ga.put(proc, (2, 3), (6, 7), data)
-            ga.sync(proc)
-            got = ga.get(proc, (2, 3), (6, 7))
+                yield from ga.co_put(proc, (2, 3), (6, 7), data)
+            yield from ga.co_sync(proc)
+            got = yield from ga.co_get(proc, (2, 3), (6, 7))
             return got.tolist()
 
         _, res = _run(4, main)
@@ -34,10 +34,10 @@ class TestGlobalArray:
 
     def test_get_spanning_multiple_owners(self):
         def main(proc):
-            ga = GlobalArray.create(proc, "a", (10, 10))
+            ga = yield from GlobalArray.co_create(proc, "a", (10, 10))
             ga.access(proc)[...] = proc.rank
-            ga.sync(proc)
-            return ga.get(proc, (0, 0), (10, 10))
+            yield from ga.co_sync(proc)
+            return (yield from ga.co_get(proc, (0, 0), (10, 10)))
 
         eng, res = _run(4, main)
         full = res.returns[0]
@@ -50,13 +50,13 @@ class TestGlobalArray:
 
     def test_acc_accumulates_atomically(self):
         def main(proc):
-            ga = GlobalArray.create(proc, "f", (6, 6))
-            ga.sync(proc)
+            ga = yield from GlobalArray.co_create(proc, "f", (6, 6))
+            yield from ga.co_sync(proc)
             ones = np.ones((6, 6))
             for _ in range(3):
-                ga.acc(proc, (0, 0), (6, 6), ones, alpha=2.0)
-            ga.sync(proc)
-            return ga.read_full(proc)
+                yield from ga.co_acc(proc, (0, 0), (6, 6), ones, alpha=2.0)
+            yield from ga.co_sync(proc)
+            return (yield from ga.co_read_full(proc))
 
         _, res = _run(4, main)
         # 4 ranks x 3 accs x alpha 2 = 24 added to every element
@@ -64,20 +64,20 @@ class TestGlobalArray:
 
     def test_fill(self):
         def main(proc):
-            ga = GlobalArray.create(proc, "f", (5, 3))
-            ga.fill(proc, 7.5)
-            return ga.read_full(proc)
+            ga = yield from GlobalArray.co_create(proc, "f", (5, 3))
+            yield from ga.co_fill(proc, 7.5)
+            return (yield from ga.co_read_full(proc))
 
         _, res = _run(3, main)
         assert np.allclose(res.returns[2], 7.5)
 
     def test_unsafe_snapshot_matches_read_full(self):
         def main(proc):
-            ga = GlobalArray.create(proc, "s", (7, 5))
+            ga = yield from GlobalArray.co_create(proc, "s", (7, 5))
             ga.access(proc)[...] = proc.rank + 1
-            ga.sync(proc)
+            yield from ga.co_sync(proc)
             proc.engine.state["ga_test_obj"] = ga
-            return ga.read_full(proc)
+            return (yield from ga.co_read_full(proc))
 
         eng, res = _run(4, main)
         snap = eng.state["ga_test_obj"].unsafe_snapshot()
@@ -86,23 +86,23 @@ class TestGlobalArray:
     def test_create_mismatch_rejected(self):
         def main(proc):
             shape = (4, 4) if proc.rank == 0 else (5, 5)
-            GlobalArray.create(proc, "bad", shape)
+            yield from GlobalArray.co_create(proc, "bad", shape)
 
         with pytest.raises(CommError, match="mismatch"):
             _run(2, main)
 
     def test_remote_get_charges_more_than_local(self):
         def main(proc):
-            ga = GlobalArray.create(proc, "c", (8, 8))
-            ga.sync(proc)
+            ga = yield from GlobalArray.co_create(proc, "c", (8, 8))
+            yield from ga.co_sync(proc)
             lo, hi = ga.distribution(proc.rank)
             t0 = proc.now
-            ga.get(proc, lo, hi)  # own patch: local
+            yield from ga.co_get(proc, lo, hi)  # own patch: local
             local_cost = proc.now - t0
             other = (proc.rank + 1) % proc.nprocs
             lo2, hi2 = ga.distribution(other)
             t1 = proc.now
-            ga.get(proc, lo2, hi2)
+            yield from ga.co_get(proc, lo2, hi2)
             remote_cost = proc.now - t1
             return (local_cost, remote_cost)
 
@@ -112,13 +112,13 @@ class TestGlobalArray:
 
     def test_1d_and_3d_arrays(self):
         def main(proc):
-            v = GlobalArray.create(proc, "v", (17,))
-            t = GlobalArray.create(proc, "t", (4, 4, 4))
+            v = yield from GlobalArray.co_create(proc, "v", (17,))
+            t = yield from GlobalArray.co_create(proc, "t", (4, 4, 4))
             if proc.rank == 0:
-                v.put(proc, (3,), (9,), np.arange(6, dtype=float))
-                t.put(proc, (1, 1, 1), (3, 3, 3), np.ones((2, 2, 2)))
-            v.sync(proc)
-            return (v.get(proc, (3,), (9,)), t.get(proc, (0, 0, 0), (4, 4, 4)).sum())
+                yield from v.co_put(proc, (3,), (9,), np.arange(6, dtype=float))
+                yield from t.co_put(proc, (1, 1, 1), (3, 3, 3), np.ones((2, 2, 2)))
+            yield from v.co_sync(proc)
+            return ((yield from v.co_get(proc, (3,), (9,))), (yield from t.co_get(proc, (0, 0, 0), (4, 4, 4))).sum())
 
         _, res = _run(3, main)
         vec, tsum = res.returns[1]
@@ -129,8 +129,11 @@ class TestGlobalArray:
 class TestGlobalCounter:
     def test_read_inc_unique_and_total(self):
         def main(proc):
-            c = GlobalCounter.create(proc)
-            return [c.read_inc(proc) for _ in range(5)]
+            c = yield from GlobalCounter.co_create(proc)
+            vals = []
+            for _ in range(5):
+                vals.append((yield from c.co_read_inc(proc)))
+            return vals
 
         _, res = _run(4, main)
         vals = [v for r in res.returns for v in r]
@@ -138,10 +141,10 @@ class TestGlobalCounter:
 
     def test_reset(self):
         def main(proc):
-            c = GlobalCounter.create(proc)
-            c.read_inc(proc)
-            c.reset(proc)
-            return c.read_inc(proc)
+            c = yield from GlobalCounter.co_create(proc)
+            yield from c.co_read_inc(proc)
+            yield from c.co_reset(proc)
+            return (yield from c.co_read_inc(proc))
 
         _, res = _run(2, main)
         assert sorted(res.returns) == [0, 1]
@@ -152,9 +155,9 @@ class TestGlobalCounter:
         bottleneck the paper's Figures 5-6 expose)."""
 
         def main(proc):
-            c = GlobalCounter.create(proc)
+            c = yield from GlobalCounter.co_create(proc)
             for _ in range(20):
-                c.read_inc(proc)
+                yield from c.co_read_inc(proc)
             return proc.now
 
         _, res2 = _run(2, main)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ga import GlobalArray, ga_dgemm
+from repro.ga import GlobalArray, co_ga_dgemm
 from repro.sim.engine import Engine
 from repro.util.errors import CommError
 
@@ -22,7 +22,7 @@ def _fill(proc, ga, full):
     lo, hi = ga.distribution(proc.rank)
     sl = tuple(slice(x, y) for x, y in zip(lo, hi))
     ga.access(proc)[...] = full[sl]
-    ga.sync(proc)
+    yield from ga.co_sync(proc)
 
 
 def _gemm_case(nprocs, n, alpha, beta, block=None, seed=0):
@@ -32,14 +32,14 @@ def _gemm_case(nprocs, n, alpha, beta, block=None, seed=0):
     fc = rng.standard_normal((n, n))
 
     def main(proc):
-        a = GlobalArray.create(proc, "a", (n, n))
-        b = GlobalArray.create(proc, "b", (n, n))
-        c = GlobalArray.create(proc, "c", (n, n))
-        _fill(proc, a, fa)
-        _fill(proc, b, fb)
-        _fill(proc, c, fc)
-        ga_dgemm(proc, alpha, a, b, beta, c, block=block)
-        return c.read_full(proc)
+        a = yield from GlobalArray.co_create(proc, "a", (n, n))
+        b = yield from GlobalArray.co_create(proc, "b", (n, n))
+        c = yield from GlobalArray.co_create(proc, "c", (n, n))
+        yield from _fill(proc, a, fa)
+        yield from _fill(proc, b, fb)
+        yield from _fill(proc, c, fc)
+        yield from co_ga_dgemm(proc, alpha, a, b, beta, c, block=block)
+        return (yield from c.co_read_full(proc))
 
     _, res = _run(nprocs, main, seed=seed)
     expect = alpha * (fa @ fb) + beta * fc
@@ -66,16 +66,16 @@ class TestGaDgemm:
 
     def test_bad_block_rejected(self):
         def main(proc):
-            a = GlobalArray.create(proc, "a", (8, 8))
-            ga_dgemm(proc, 1.0, a, a, 0.0, a, block=3)
+            a = yield from GlobalArray.co_create(proc, "a", (8, 8))
+            yield from co_ga_dgemm(proc, 1.0, a, a, 0.0, a, block=3)
 
         with pytest.raises(CommError, match="does not divide"):
             _run(2, main)
 
     def test_nonsquare_rejected(self):
         def main(proc):
-            a = GlobalArray.create(proc, "a", (8, 6))
-            ga_dgemm(proc, 1.0, a, a, 0.0, a)
+            a = yield from GlobalArray.co_create(proc, "a", (8, 6))
+            yield from co_ga_dgemm(proc, 1.0, a, a, 0.0, a)
 
         with pytest.raises(CommError, match="square"):
             _run(2, main)

@@ -33,21 +33,21 @@ class TestEmptyPatches:
 
     def test_ga_ops_with_empty_patches(self):
         def main(proc):
-            ga = GlobalArray.create(proc, "tiny", (2, 2))
+            ga = yield from GlobalArray.co_create(proc, "tiny", (2, 2))
             if proc.rank == 0:
-                ga.put(proc, (0, 0), (2, 2), np.arange(4.0).reshape(2, 2))
-            ga.sync(proc)
-            return ga.get(proc, (0, 0), (2, 2)).sum()
+                yield from ga.co_put(proc, (0, 0), (2, 2), np.arange(4.0).reshape(2, 2))
+            yield from ga.co_sync(proc)
+            return (yield from ga.co_get(proc, (0, 0), (2, 2))).sum()
 
         _, res = _run(9, main)
         assert res.returns == [6.0] * 9
 
     def test_snapshot_with_empty_patches(self):
         def main(proc):
-            ga = GlobalArray.create(proc, "tiny", (3,))
+            ga = yield from GlobalArray.co_create(proc, "tiny", (3,))
             if proc.rank == 0:
-                ga.put(proc, (0,), (3,), np.array([1.0, 2.0, 3.0]))
-            ga.sync(proc)
+                yield from ga.co_put(proc, (0,), (3,), np.array([1.0, 2.0, 3.0]))
+            yield from ga.co_sync(proc)
             proc.engine.state["obj"] = ga
 
         eng, _ = _run(8, main)
@@ -57,10 +57,10 @@ class TestEmptyPatches:
 class TestSingleRank:
     def test_all_ops_local(self):
         def main(proc):
-            ga = GlobalArray.create(proc, "solo", (5, 5))
-            ga.put(proc, (1, 1), (4, 4), np.ones((3, 3)))
-            ga.acc(proc, (0, 0), (5, 5), np.ones((5, 5)), alpha=0.5)
-            out = ga.read_full(proc)
+            ga = yield from GlobalArray.co_create(proc, "solo", (5, 5))
+            yield from ga.co_put(proc, (1, 1), (4, 4), np.ones((3, 3)))
+            yield from ga.co_acc(proc, (0, 0), (5, 5), np.ones((5, 5)), alpha=0.5)
+            out = yield from ga.co_read_full(proc)
             return out.sum()
 
         _, res = _run(1, main)
@@ -70,13 +70,16 @@ class TestSingleRank:
 class TestSinglePointOps:
     def test_one_element_boxes(self):
         def main(proc):
-            ga = GlobalArray.create(proc, "pt", (6, 6))
-            ga.sync(proc)
+            ga = yield from GlobalArray.co_create(proc, "pt", (6, 6))
+            yield from ga.co_sync(proc)
             if proc.rank == 0:
                 for i in range(6):
-                    ga.put(proc, (i, i), (i + 1, i + 1), np.array([[float(i)]]))
-            ga.sync(proc)
-            return [float(ga.get(proc, (i, i), (i + 1, i + 1))[0, 0]) for i in range(6)]
+                    yield from ga.co_put(proc, (i, i), (i + 1, i + 1), np.array([[float(i)]]))
+            yield from ga.co_sync(proc)
+            diag = []
+            for i in range(6):
+                diag.append(float((yield from ga.co_get(proc, (i, i), (i + 1, i + 1)))[0, 0]))
+            return diag
 
         _, res = _run(4, main)
         assert res.returns[1] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
@@ -92,11 +95,11 @@ class TestSinglePointOps:
 class TestDtype:
     def test_integer_arrays(self):
         def main(proc):
-            ga = GlobalArray.create(proc, "ints", (4, 4), dtype=np.int64)
+            ga = yield from GlobalArray.co_create(proc, "ints", (4, 4), dtype=np.int64)
             if proc.rank == 0:
-                ga.put(proc, (0, 0), (4, 4), np.arange(16).reshape(4, 4))
-            ga.sync(proc)
-            out = ga.read_full(proc)
+                yield from ga.co_put(proc, (0, 0), (4, 4), np.arange(16).reshape(4, 4))
+            yield from ga.co_sync(proc)
+            out = yield from ga.co_read_full(proc)
             assert out.dtype == np.int64
             return int(out.sum())
 

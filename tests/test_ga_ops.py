@@ -7,12 +7,12 @@ import pytest
 
 from repro.ga import (
     GlobalArray,
-    ga_add,
-    ga_copy,
-    ga_dgop,
-    ga_dot,
-    ga_scale,
-    ga_symmetrize,
+    co_ga_add,
+    co_ga_copy,
+    co_ga_dgop,
+    co_ga_dot,
+    co_ga_scale,
+    co_ga_symmetrize,
 )
 from repro.sim.engine import Engine
 from repro.util.errors import CommError
@@ -28,13 +28,13 @@ def _fill(proc, ga, full):
     lo, hi = ga.distribution(proc.rank)
     sl = tuple(slice(a, b) for a, b in zip(lo, hi))
     ga.access(proc)[...] = full[sl]
-    ga.sync(proc)
+    yield from ga.co_sync(proc)
 
 
 def test_ga_dgop_sum_and_max():
     def main(proc):
-        s = ga_dgop(proc, float(proc.rank + 1), lambda a, b: a + b)
-        m = ga_dgop(proc, float(proc.rank), max)
+        s = yield from co_ga_dgop(proc, float(proc.rank + 1), lambda a, b: a + b)
+        m = yield from co_ga_dgop(proc, float(proc.rank), max)
         return (s, m)
 
     _, res = _run(4, main)
@@ -46,13 +46,13 @@ def test_ga_add():
     full_b = np.ones((6, 6))
 
     def main(proc):
-        a = GlobalArray.create(proc, "a", (6, 6))
-        b = GlobalArray.create(proc, "b", (6, 6))
-        c = GlobalArray.create(proc, "c", (6, 6))
-        _fill(proc, a, full_a)
-        _fill(proc, b, full_b)
-        ga_add(proc, 2.0, a, -1.0, b, c)
-        return c.read_full(proc)
+        a = yield from GlobalArray.co_create(proc, "a", (6, 6))
+        b = yield from GlobalArray.co_create(proc, "b", (6, 6))
+        c = yield from GlobalArray.co_create(proc, "c", (6, 6))
+        yield from _fill(proc, a, full_a)
+        yield from _fill(proc, b, full_b)
+        yield from co_ga_add(proc, 2.0, a, -1.0, b, c)
+        return (yield from c.co_read_full(proc))
 
     _, res = _run(4, main)
     assert np.allclose(res.returns[0], 2 * full_a - full_b)
@@ -62,12 +62,12 @@ def test_ga_scale_and_copy():
     full = np.arange(16.0).reshape(4, 4)
 
     def main(proc):
-        a = GlobalArray.create(proc, "a", (4, 4))
-        b = GlobalArray.create(proc, "b", (4, 4))
-        _fill(proc, a, full)
-        ga_scale(proc, a, 3.0)
-        ga_copy(proc, a, b)
-        return b.read_full(proc)
+        a = yield from GlobalArray.co_create(proc, "a", (4, 4))
+        b = yield from GlobalArray.co_create(proc, "b", (4, 4))
+        yield from _fill(proc, a, full)
+        yield from co_ga_scale(proc, a, 3.0)
+        yield from co_ga_copy(proc, a, b)
+        return (yield from b.co_read_full(proc))
 
     _, res = _run(2, main)
     assert np.allclose(res.returns[1], 3 * full)
@@ -79,11 +79,11 @@ def test_ga_dot_matches_numpy():
     full_b = rng.standard_normal((8, 8))
 
     def main(proc):
-        a = GlobalArray.create(proc, "a", (8, 8))
-        b = GlobalArray.create(proc, "b", (8, 8))
-        _fill(proc, a, full_a)
-        _fill(proc, b, full_b)
-        return ga_dot(proc, a, b)
+        a = yield from GlobalArray.co_create(proc, "a", (8, 8))
+        b = yield from GlobalArray.co_create(proc, "b", (8, 8))
+        yield from _fill(proc, a, full_a)
+        yield from _fill(proc, b, full_b)
+        return (yield from co_ga_dot(proc, a, b))
 
     _, res = _run(4, main)
     expect = float(np.sum(full_a * full_b))
@@ -96,10 +96,10 @@ def test_ga_symmetrize():
     full = rng.standard_normal((9, 9))
 
     def main(proc):
-        a = GlobalArray.create(proc, "a", (9, 9))
-        _fill(proc, a, full)
-        ga_symmetrize(proc, a)
-        return a.read_full(proc)
+        a = yield from GlobalArray.co_create(proc, "a", (9, 9))
+        yield from _fill(proc, a, full)
+        yield from co_ga_symmetrize(proc, a)
+        return (yield from a.co_read_full(proc))
 
     _, res = _run(4, main)
     assert np.allclose(res.returns[0], (full + full.T) / 2)
@@ -108,8 +108,8 @@ def test_ga_symmetrize():
 
 def test_ga_symmetrize_requires_square():
     def main(proc):
-        a = GlobalArray.create(proc, "a", (4, 6))
-        ga_symmetrize(proc, a)
+        a = yield from GlobalArray.co_create(proc, "a", (4, 6))
+        yield from co_ga_symmetrize(proc, a)
 
     with pytest.raises(CommError, match="square"):
         _run(2, main)
@@ -117,9 +117,9 @@ def test_ga_symmetrize_requires_square():
 
 def test_conformance_checked():
     def main(proc):
-        a = GlobalArray.create(proc, "a", (4, 4))
-        b = GlobalArray.create(proc, "b", (5, 5))
-        ga_copy(proc, a, b)
+        a = yield from GlobalArray.co_create(proc, "a", (4, 4))
+        b = yield from GlobalArray.co_create(proc, "b", (5, 5))
+        yield from co_ga_copy(proc, a, b)
 
     with pytest.raises(CommError, match="conformant"):
         _run(2, main)

@@ -43,26 +43,26 @@ def test_ga_mirrors_numpy_under_random_ops(seed, nprocs, nops):
     get_mismatches: list[int] = []
 
     def main(proc):
-        ga = GlobalArray.create(proc, "m", _SHAPE)
-        ga.sync(proc)
+        ga = yield from GlobalArray.co_create(proc, "m", _SHAPE)
+        yield from ga.co_sync(proc)
         for t, rank, op, lo, hi, value, alpha in script:
             if rank != proc.rank:
                 continue
             # dedicated time slot per op => unambiguous global order
-            proc.sleep((t + 1) * 1e-3 - proc.now)
+            yield from proc.co_sleep((t + 1) * 1e-3 - proc.now)
             box = tuple(slice(l, h) for l, h in zip(lo, hi))
             if op == "put":
-                ga.put(proc, lo, hi, value)
+                yield from ga.co_put(proc, lo, hi, value)
                 shadow[box] = value
             elif op == "acc":
-                ga.acc(proc, lo, hi, value, alpha=alpha)
+                yield from ga.co_acc(proc, lo, hi, value, alpha=alpha)
                 shadow[box] += alpha * value
             else:
-                got = ga.get(proc, lo, hi)
+                got = yield from ga.co_get(proc, lo, hi)
                 if not np.allclose(got, shadow[box], atol=1e-12):
                     get_mismatches.append(t)
-        proc.sleep((nops + 2) * 1e-3 - proc.now)
-        return ga.read_full(proc)
+        yield from proc.co_sleep((nops + 2) * 1e-3 - proc.now)
+        return (yield from ga.co_read_full(proc))
 
     eng = Engine(nprocs, seed=seed, max_events=2_000_000)
     eng.spawn_all(main)

@@ -6,8 +6,7 @@ onto the coroutine protocol:
 * goldens computed at the last commit whose mains were blocking
   functions pin the port to the bit (event counts, finish times,
   per-rank steal counters);
-* no shipped main may reach ``CoroBackend``'s compatibility path (an OS
-  thread per rank, a kernel handoff per event);
+* no shipped main starts an OS thread;
 * Figure 4's MPI barrier series, which a call left without
   ``yield from`` would silently turn into zeros.
 """
@@ -65,7 +64,7 @@ def test_uts_mpi_matches_blocking_parent(case):
 
 
 # --------------------------------------------------------------------- #
-# No shipped main runs on a compatibility thread
+# No shipped main starts a thread
 # --------------------------------------------------------------------- #
 _SCF = SCFProblem(nblocks=4, blocksize=2, decay=0.9)
 _TCE = TCEProblem(nblocks=3, blocksize=4, density=0.5, seed=3)
@@ -87,9 +86,8 @@ SHIPPED_MAINS = {
 @pytest.mark.parametrize("name", sorted(SHIPPED_MAINS))
 def test_shipped_main_starts_no_thread(name, monkeypatch):
     def refuse(self):
-        raise AssertionError(f"{name}: rank main fell onto a compat thread ({self.name})")
+        raise AssertionError(f"{name}: a rank main started a thread ({self.name})")
 
-    monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
     monkeypatch.setattr(threading.Thread, "start", refuse)
     SHIPPED_MAINS[name]()
 

@@ -31,7 +31,7 @@ class TestActivityPingPong:
         cfg = SciotoConfig(termination_opt=opt)
 
         def main(proc):
-            tc = TaskCollection.create(proc, config=cfg)
+            tc = yield from TaskCollection.co_create(proc, config=cfg)
 
             def hop(tc_, task):
                 step = task.body
@@ -41,13 +41,13 @@ class TestActivityPingPong:
                     # bounce to a pseudo-random other rank: the target may
                     # have voted already; dirty piggybacking must catch it
                     dest = (tc_.rank + 1 + step) % tc_.nprocs
-                    tc_.proc.sleep(25e-6)  # let everyone go idle first
-                    tc_.add(Task(callback=h, body=step + 1), rank=dest)
+                    yield from tc_.proc.co_sleep(25e-6)  # let everyone go idle first
+                    yield from tc_.co_add(Task(callback=h, body=step + 1), rank=dest)
 
             h = tc.register(hop)
             if proc.rank == 0:
-                tc.add(Task(callback=h, body=0))
-            tc.process()
+                yield from tc.co_add(Task(callback=h, body=0))
+            yield from tc.co_process()
 
         _run(5, main, seed=seed)
         assert sorted(executed) == list(range(rounds + 1)), (
@@ -59,7 +59,7 @@ class TestActivityPingPong:
         executed = []
 
         def main(proc):
-            tc = TaskCollection.create(proc)
+            tc = yield from TaskCollection.co_create(proc)
 
             def worker(tc_, task):
                 tc_.proc.compute(3e-6)
@@ -69,16 +69,16 @@ class TestActivityPingPong:
                 wave = task.body
                 tc_.proc.compute(1e-6)
                 for r in range(tc_.nprocs):
-                    tc_.add(Task(callback=hw, body=(wave, r)), rank=r)
+                    yield from tc_.co_add(Task(callback=hw, body=(wave, r)), rank=r)
                 if wave < 3:
-                    tc_.proc.sleep(100e-6)  # everyone likely idle again
-                    tc_.add(Task(callback=hc, body=wave + 1))
+                    yield from tc_.proc.co_sleep(100e-6)  # everyone likely idle again
+                    yield from tc_.co_add(Task(callback=hc, body=wave + 1))
 
             hw = tc.register(worker)
             hc = tc.register(coordinator)
             if proc.rank == 0:
-                tc.add(Task(callback=hc, body=0))
-            tc.process()
+                yield from tc.co_add(Task(callback=hc, body=0))
+            yield from tc.co_process()
 
         _run(4, main, seed=7)
         assert sorted(executed) == sorted((w, r) for w in range(4) for r in range(4))
@@ -94,34 +94,34 @@ class TestFullStack:
         bs = n // nblocks
 
         def main(proc):
-            src = GlobalArray.create(proc, "src", (n, n))
-            dst = GlobalArray.create(proc, "dst", (n, n))
+            src = yield from GlobalArray.co_create(proc, "src", (n, n))
+            dst = yield from GlobalArray.co_create(proc, "dst", (n, n))
             lo, hi = src.distribution(proc.rank)
             sl = tuple(slice(a, b) for a, b in zip(lo, hi))
             full = np.arange(n * n, dtype=float).reshape(n, n)
             src.access(proc)[...] = full[sl]
-            src.sync(proc)
+            yield from src.co_sync(proc)
 
-            tc = TaskCollection.create(proc, task_size=64)
+            tc = yield from TaskCollection.co_create(proc, task_size=64)
             tally = tc.register_clo({"blocks": 0})
 
             def block_task(tc_, task):
                 i, j = task.body
                 p = tc_.proc
                 box_lo, box_hi = (i * bs, j * bs), ((i + 1) * bs, (j + 1) * bs)
-                blk = src.get(p, box_lo, box_hi)
+                blk = yield from src.co_get(p, box_lo, box_hi)
                 p.compute(bs * bs * 10 * p.machine.seconds_per_flop)
-                dst.acc(p, box_lo, box_hi, 2.0 * blk)
+                yield from dst.co_acc(p, box_lo, box_hi, 2.0 * blk)
                 tc_.clo(tally)["blocks"] += 1
 
             h = tc.register(block_task)
             for i in range(nblocks):
                 for j in range(nblocks):
                     if dst.locate((i * bs, j * bs)) == proc.rank:
-                        tc.add(Task(callback=h, body=(i, j)), affinity=AFFINITY_HIGH)
-            tc.process()
-            dst.sync(proc)
-            return (tc.clo(tally)["blocks"], dst.read_full(proc))
+                        yield from tc.co_add(Task(callback=h, body=(i, j)), affinity=AFFINITY_HIGH)
+            yield from tc.co_process()
+            yield from dst.co_sync(proc)
+            return (tc.clo(tally)["blocks"], (yield from dst.co_read_full(proc)))
 
         eng, res = _run(4, main, machine=heterogeneous_cluster(4))
         total_blocks = sum(r[0] for r in res.returns)
@@ -134,18 +134,18 @@ class TestFullStack:
         pattern some GA applications use)."""
 
         def main(proc):
-            counter = GlobalCounter.create(proc)
-            tc = TaskCollection.create(proc)
+            counter = yield from GlobalCounter.co_create(proc)
+            tc = yield from TaskCollection.co_create(proc)
             claims = []
 
             def claimer(tc_, task):
-                claims.append(counter.read_inc(tc_.proc))
+                claims.append((yield from counter.co_read_inc(tc_.proc)))
 
             h = tc.register(claimer)
             if proc.rank == 0:
                 for _ in range(12):
-                    tc.add(Task(callback=h))
-            tc.process()
+                    yield from tc.co_add(Task(callback=h))
+            yield from tc.co_process()
             return claims
 
         _, res = _run(3, main)
@@ -157,22 +157,22 @@ class TestFullStack:
         phase_sums = []
 
         def main(proc):
-            acc = GlobalArray.create(proc, "acc", (8,))
-            tc = TaskCollection.create(proc)
+            acc = yield from GlobalArray.co_create(proc, "acc", (8,))
+            tc = yield from TaskCollection.co_create(proc)
 
             def add_one(tc_, task):
-                acc.acc(tc_.proc, (task.body,), (task.body + 1,), np.ones(1))
+                yield from acc.co_acc(tc_.proc, (task.body,), (task.body + 1,), np.ones(1))
 
             h = tc.register(add_one)
             for phase in range(3):
                 if proc.rank == 0:
                     for i in range(8):
-                        tc.add(Task(callback=h, body=i), rank=i % proc.nprocs)
-                tc.process()
-                acc.sync(proc)
+                        yield from tc.co_add(Task(callback=h, body=i), rank=i % proc.nprocs)
+                yield from tc.co_process()
+                yield from acc.co_sync(proc)
                 if proc.rank == 0:
-                    phase_sums.append(acc.read_full(proc).sum())
-                tc.reset()
+                    phase_sums.append((yield from acc.co_read_full(proc)).sum())
+                yield from tc.co_reset()
 
         _run(2, main)
         assert phase_sums == [8.0, 16.0, 24.0]

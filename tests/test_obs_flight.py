@@ -71,7 +71,7 @@ class TestEngineFailureDump:
             with span(proc, "step", "task"):
                 proc.compute(1e-6)
             if proc.rank == 1:
-                proc.park("never released")
+                yield from proc.co_park("never released")
 
         engine.spawn_all(main)
         with pytest.raises(SimDeadlockError):
@@ -91,7 +91,11 @@ class TestEngineFailureDump:
                 raise OSError("disk full")
 
         Recorder.attach(engine, flight=Broken(tmp_path / "f.json"))
-        engine.spawn_all(lambda proc: proc.park("stuck") if proc.rank else None)
+        def main(proc):
+            if proc.rank:
+                yield from proc.co_park("stuck")
+
+        engine.spawn_all(main)
         with pytest.raises(SimDeadlockError):  # not OSError
             engine.run()
 

@@ -1,8 +1,8 @@
 """Live telemetry bus: feed determinism, merging, rendering, fleet wiring.
 
 The bus is an observer: two identical runs produce byte-identical feeds
-and attaching it never changes the run fingerprint (the cross-backend
-half of that contract lives in ``repro.obs verify``).  These tests also
+and attaching it never changes the run fingerprint (``repro.obs verify``
+checks both for every check scenario).  These tests also
 cover the feed reader's torn-line tolerance, the schema validator, the
 parent-side fleet merge, and the flight recorder's latest-frame capture.
 """

@@ -16,7 +16,7 @@ def test_spans_nest_with_depth_and_parent():
             with span(proc, "inner", "comm"):
                 proc.advance(2e-6)
             proc.advance(1e-6)
-        proc.sync()
+        yield from proc.co_sync()
 
     eng.spawn_all(main)
     eng.run()
@@ -42,7 +42,7 @@ def test_span_ordering_is_monotone_per_rank():
         for i in range(5):
             with span(proc, f"step{i}", "runtime"):
                 proc.advance((proc.rank + 1) * 1e-6)
-            proc.sync()
+            yield from proc.co_sync()
 
     eng.spawn_all(main)
     eng.run()

@@ -45,18 +45,18 @@ def test_conservation_and_uniqueness(ops, split, chunk):
         serial = 0
         for op, aff in ops:
             if op == "push":
-                queue.push_local(proc, Task(callback=0, body=("o", serial), affinity=aff))
+                yield from queue.co_push_local(proc, Task(callback=0, body=("o", serial), affinity=aff))
                 pushed.append(("o", serial))
                 serial += 1
             elif op == "pop":
-                t = queue.pop_local(proc)
+                t = yield from queue.co_pop_local(proc)
                 if t is not None:
                     removed.append(t.body)
-            proc.sleep(5e-6)  # let the thief interleave deterministically
-        proc.sleep(1.0 - proc.now)
+            yield from proc.co_sleep(5e-6)  # let the thief interleave deterministically
+        yield from proc.co_sleep(1.0 - proc.now)
         # drain the remainder
         while True:
-            t = queue.pop_local(proc)
+            t = yield from queue.co_pop_local(proc)
             if t is None:
                 break
             removed.append(t.body)
@@ -65,13 +65,13 @@ def test_conservation_and_uniqueness(ops, split, chunk):
         serial = 0
         for op, aff in ops:
             if op == "steal":
-                for t in queue.steal_from(proc, chunk):
+                for t in (yield from queue.co_steal_from(proc, chunk)):
                     removed.append(t.body)
             elif op == "radd":
-                queue.add_remote(proc, Task(callback=0, body=("t", serial), affinity=aff))
+                yield from queue.co_add_remote(proc, Task(callback=0, body=("t", serial), affinity=aff))
                 pushed.append(("t", serial))
                 serial += 1
-            proc.sleep(5e-6)
+            yield from proc.co_sleep(5e-6)
 
     eng.spawn(0, owner)
     eng.spawn(1, thief)
@@ -88,9 +88,9 @@ def _pop_sequence(affs, split):
 
     def main(proc):
         for i, a in enumerate(affs):
-            queue.push_local(proc, Task(callback=0, body=i, affinity=a))
+            yield from queue.co_push_local(proc, Task(callback=0, body=i, affinity=a))
         while True:
-            t = queue.pop_local(proc)
+            t = yield from queue.co_pop_local(proc)
             if t is None:
                 return
             out.append(t.affinity)
@@ -135,13 +135,13 @@ def test_thief_gets_no_higher_affinity_than_owner_keeps(affs, want):
 
     def owner(proc):
         for i, a in enumerate(affs):
-            queue.push_local(proc, Task(callback=0, body=i, affinity=a))
-        proc.sleep(1.0 - proc.now)
+            yield from queue.co_push_local(proc, Task(callback=0, body=i, affinity=a))
+        yield from proc.co_sleep(1.0 - proc.now)
         outcome["kept"] = [t.affinity for t in queue.drain()]
 
     def thief(proc):
-        proc.sleep(0.5)
-        outcome["stolen"] = [t.affinity for t in queue.steal_from(proc, want)]
+        yield from proc.co_sleep(0.5)
+        outcome["stolen"] = [t.affinity for t in (yield from queue.co_steal_from(proc, want))]
 
     eng.spawn(0, owner)
     eng.spawn(1, thief)

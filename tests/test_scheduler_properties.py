@@ -34,7 +34,7 @@ def _run_tree_workload(
     next_id = [roots]
 
     def main(proc):
-        tc = TaskCollection.create(proc, task_size=64, config=cfg)
+        tc = yield from TaskCollection.co_create(proc, task_size=64, config=cfg)
 
         def node(tc_, task):
             tc_.proc.compute(compute)
@@ -51,14 +51,14 @@ def _run_tree_workload(
                     dest = tc_.rank
                     if cid % 7 == 0 and tc_.nprocs > 1:
                         dest = (tc_.rank + 1 + cid) % tc_.nprocs
-                    tc_.add(Task(callback=h, body=(cid, d + 1)), rank=dest,
+                    yield from tc_.co_add(Task(callback=h, body=(cid, d + 1)), rank=dest,
                             affinity=cid % 3)
 
         h = tc.register(node)
         if proc.rank == 0:
             for r in range(roots):
-                tc.add(Task(callback=h, body=(r, 0)))
-        stats = tc.process()
+                yield from tc.co_add(Task(callback=h, body=(r, 0)))
+        stats = yield from tc.co_process()
         return stats
 
     eng = Engine(nprocs, seed=seed, max_events=3_000_000)
@@ -108,12 +108,12 @@ def test_no_load_balancing_executes_where_placed(seed, nprocs):
     ran: list[tuple[int, int]] = []
 
     def main(proc):
-        tc = TaskCollection.create(proc, config=cfg)
+        tc = yield from TaskCollection.co_create(proc, config=cfg)
         h = tc.register(lambda tc_, t: ran.append((t.body, tc_.rank)))
         if proc.rank == 0:
             for i in range(3 * nprocs):
-                tc.add(Task(callback=h, body=i), rank=i % nprocs)
-        tc.process()
+                yield from tc.co_add(Task(callback=h, body=i), rank=i % nprocs)
+        yield from tc.co_process()
 
     eng = Engine(nprocs, seed=seed, max_events=2_000_000)
     eng.spawn_all(main)

@@ -40,16 +40,19 @@ class _FifoExplorer(SchedulingStrategy):
         return 0
 
 
-def _count_switches(engine):
-    """Wrap the engine's backend to count real context switches."""
-    counts = {"switch": 0}
-    real = engine.backend.switch
+def _count_resumes(engine):
+    """Count trampoline resumes: every process ``Engine._pick`` hands
+    back is resumed with one ``send()``; an elided sync is not one."""
+    counts = {"resume": 0}
+    real = engine._pick
 
-    def counting_switch(src, dst):
-        counts["switch"] += 1
-        real(src, dst)
+    def counting_pick():
+        proc = real()
+        if proc is not None:
+            counts["resume"] += 1
+        return proc
 
-    engine.backend.switch = counting_switch
+    engine._pick = counting_pick
     return counts
 
 
@@ -66,7 +69,7 @@ def test_lone_runner_syncs_are_elided():
     def main(proc):
         for _ in range(50):
             proc.compute(1e-6)
-            proc.sync()
+            yield from proc.co_sync()
         return proc.now
 
     eng, result = _run(1, main)
@@ -77,7 +80,7 @@ def test_lone_runner_syncs_are_elided():
 def test_elided_syncs_count_as_events():
     def main(proc):
         for _ in range(10):
-            proc.sync()
+            yield from proc.co_sync()
 
     _, solo = _run(1, main)
     exploring = _FifoExplorer()
@@ -91,13 +94,13 @@ def test_no_switches_while_draining_alone():
     def main(proc):
         for _ in range(25):
             proc.compute(1e-6)
-            proc.sync()
+            yield from proc.co_sync()
 
     eng.spawn_all(main)
-    counts = _count_switches(eng)
+    counts = _count_resumes(eng)
     eng.run()
-    # One switch in (engine -> proc); the exit is exit_to, not switch.
-    assert counts["switch"] == 1
+    # One resume in; every later sync elides and the main returns.
+    assert counts["resume"] == 1
 
 
 def test_elision_respects_other_runnable_at_same_time():
@@ -106,7 +109,7 @@ def test_elision_respects_other_runnable_at_same_time():
 
     def main(proc):
         for i in range(3):
-            proc.sync()  # both ranks at t=0 throughout
+            yield from proc.co_sync()  # both ranks at t=0 throughout
             order.append((proc.rank, i))
 
     _, plain = _run(2, main)
@@ -123,7 +126,7 @@ def test_elision_disabled_when_strategy_explores():
 
     def main(proc):
         proc.compute(1e-6)
-        proc.sync()
+        yield from proc.co_sync()
 
     eng.spawn_all(main)
     eng.run()
@@ -133,7 +136,10 @@ def test_elision_disabled_when_strategy_explores():
 
 def test_elision_enabled_for_non_exploring_strategy():
     eng = Engine(1, strategy=SchedulingStrategy())
-    eng.spawn_all(lambda proc: proc.sync())
+    def main(proc):
+        yield from proc.co_sync()
+
+    eng.spawn_all(main)
     eng.run()
     assert eng._elide is True
 
@@ -145,7 +151,7 @@ def _staggered(proc):
     total = 0.0
     for i in range(20):
         proc.compute(1e-6 * ((proc.rank + i) % 3 + 1))
-        proc.sync()
+        yield from proc.co_sync()
         total += proc.now
     return (proc.rank, round(total, 12), round(proc.now, 12))
 
@@ -161,11 +167,11 @@ def test_staggered_clocks_match_explored_schedule():
 def test_park_until_timeout_matches_explored_schedule():
     def main(proc):
         if proc.rank == 0:
-            payload = proc.park_until(5e-6, where="poll")
-            proc.sync()
+            payload = yield from proc.co_park_until(5e-6, where="poll")
+            yield from proc.co_sync()
             return (payload, proc.now)
         proc.compute(1e-6)
-        proc.sync()
+        yield from proc.co_sync()
         return proc.now
 
     _, plain = _run(2, main)
@@ -177,12 +183,12 @@ def test_park_until_timeout_matches_explored_schedule():
 def test_park_until_woken_early_matches_explored_schedule():
     def main(proc):
         if proc.rank == 0:
-            payload = proc.park_until(1.0, where="poll")
+            payload = yield from proc.co_park_until(1.0, where="poll")
             return (payload, proc.now)
         proc.compute(2e-6)
-        proc.sync()
+        yield from proc.co_sync()
         proc.engine.wake(proc.engine.procs[0], proc.now, "posted")
-        proc.sync()
+        yield from proc.co_sync()
         return proc.now
 
     _, plain = _run(2, main)
@@ -195,12 +201,12 @@ def test_park_until_woken_early_matches_explored_schedule():
 
 def test_lone_runner_park_until_self_resume():
     """A lone park_until resumes via its own timeout entry (the
-    self-resume path: dispatch returns without a backend switch)."""
+    self-resume path: the trampoline picks the same rank again)."""
 
     def main(proc):
         t = []
         for i in range(5):
-            proc.park_until((i + 1) * 1e-6, where="tick")
+            yield from proc.co_park_until((i + 1) * 1e-6, where="tick")
             t.append(proc.now)
         return t
 
@@ -214,7 +220,7 @@ def test_lone_runner_park_until_self_resume():
 def test_max_events_enforced_for_elided_syncs():
     def main(proc):
         while True:
-            proc.sync()
+            yield from proc.co_sync()
 
     with pytest.raises(SimLimitError, match="max_events"):
         run_spmd(1, main, max_events=100)
@@ -224,7 +230,7 @@ def test_max_time_enforced_for_elided_syncs():
     def main(proc):
         while True:
             proc.advance(1.0)
-            proc.sync()
+            yield from proc.co_sync()
 
     with pytest.raises(SimLimitError, match="max_time"):
         run_spmd(1, main, max_time=10.0)
@@ -240,13 +246,13 @@ def test_stale_park_until_timeouts_never_resume_twice():
     def main(proc):
         if proc.rank == 0:
             for _ in range(60):
-                proc.park_until(proc.now + 1.0, where="poll")
+                yield from proc.co_park_until(proc.now + 1.0, where="poll")
             return round(proc.now, 9)
         for i in range(60):
             proc.compute(1e-6)
-            proc.sync()
+            yield from proc.co_sync()
             proc.engine.wake(proc.engine.procs[0], proc.now, i)
-            proc.sync()
+            yield from proc.co_sync()
         return round(proc.now, 9)
 
     _, plain = _run(2, main)

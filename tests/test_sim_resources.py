@@ -22,12 +22,12 @@ class TestSimMutex:
         def main(proc, box):
             mtx = box["m"]
             for _ in range(3):
-                mtx.acquire(proc)
+                yield from mtx.co_acquire(proc)
                 start = proc.now
                 proc.advance(5e-6)
-                proc.sync()
+                yield from proc.co_sync()
                 intervals.append((start, proc.now, proc.rank))
-                mtx.release(proc)
+                yield from mtx.co_release(proc)
 
         eng = Engine(4, max_events=100_000)
         box = {"m": SimMutex(eng, 0, "t")}
@@ -43,10 +43,10 @@ class TestSimMutex:
         def main(proc, box):
             mtx = box["m"]
             proc.advance(proc.rank * 1e-7)  # stagger arrival by rank
-            mtx.acquire(proc)
+            yield from mtx.co_acquire(proc)
             grant_order.append(proc.rank)
             proc.advance(10e-6)  # hold long enough that all others queue
-            mtx.release(proc)
+            yield from mtx.co_release(proc)
 
         eng = Engine(5, max_events=100_000)
         box = {"m": SimMutex(eng, 0, "t")}
@@ -56,7 +56,7 @@ class TestSimMutex:
 
     def test_release_without_hold_rejected(self):
         def main(proc, box):
-            box["m"].release(proc)
+            yield from box["m"].co_release(proc)
 
         eng = Engine(1)
         box = {"m": SimMutex(eng, 0, "t")}
@@ -72,8 +72,8 @@ class TestSimMutex:
             if proc.rank == 1:
                 proc.advance(50e-6)  # let rank 0 finish first; no contention
             t0 = proc.now
-            mtx.acquire(proc)
-            mtx.release(proc)
+            yield from mtx.co_acquire(proc)
+            yield from mtx.co_release(proc)
             costs[proc.rank] = proc.now - t0
 
         eng = Engine(2, max_events=100_000)
@@ -85,9 +85,9 @@ class TestSimMutex:
     def test_contention_counter(self):
         def main(proc, box):
             mtx = box["m"]
-            mtx.acquire(proc)
+            yield from mtx.co_acquire(proc)
             proc.advance(10e-6)
-            mtx.release(proc)
+            yield from mtx.co_release(proc)
 
         eng = Engine(3, max_events=100_000)
         box = {"m": SimMutex(eng, 0, "t")}
@@ -103,7 +103,7 @@ class TestSimBarrier:
 
         def main(proc, box):
             proc.advance(proc.rank * 10e-6)
-            box["b"].wait(proc)
+            yield from box["b"].co_wait(proc)
             leave_times[proc.rank] = proc.now
 
         eng = Engine(4, max_events=100_000)
@@ -118,7 +118,7 @@ class TestSimBarrier:
         def main(proc, box):
             for i in range(3):
                 proc.advance((proc.rank + i) * 1e-6)
-                box["b"].wait(proc)
+                yield from box["b"].co_wait(proc)
             return proc.now
 
         eng = Engine(3, max_events=100_000)
@@ -130,7 +130,7 @@ class TestSimBarrier:
 
     def test_single_proc_barrier_is_trivial(self):
         def main(proc, box):
-            box["b"].wait(proc)
+            yield from box["b"].co_wait(proc)
             return proc.now
 
         eng = Engine(1)

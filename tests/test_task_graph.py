@@ -39,10 +39,10 @@ class TestTaskGraph:
         lock = threading.Lock()
 
         def main(proc):
-            tc = TaskCollection.create(proc)
-            tg = TaskGraph.create(tc)
+            tc = yield from TaskCollection.co_create(proc)
+            tg = yield from TaskGraph.co_create(tc)
             _build_diamond(tg, log, lock)
-            tg.process()
+            yield from tg.co_process()
 
         _run(nprocs, main)
         assert sorted(log) == ["a", "b", "c", "d"]
@@ -53,8 +53,8 @@ class TestTaskGraph:
         log: list[int] = []
 
         def main(proc):
-            tc = TaskCollection.create(proc)
-            tg = TaskGraph.create(tc)
+            tc = yield from TaskCollection.co_create(proc)
+            tg = yield from TaskGraph.co_create(tc)
 
             def step(tc_, task):
                 log.append(task.body)
@@ -62,7 +62,7 @@ class TestTaskGraph:
             for i in range(10):
                 deps = [f"t{i-1}"] if i else []
                 tg.add(f"t{i}", step, body=i, deps=deps)
-            tg.process()
+            yield from tg.co_process()
 
         _run(3, main)
         assert log == list(range(10))
@@ -71,8 +71,8 @@ class TestTaskGraph:
         ran_on: set[int] = set()
 
         def main(proc):
-            tc = TaskCollection.create(proc)
-            tg = TaskGraph.create(tc)
+            tc = yield from TaskCollection.co_create(proc)
+            tg = yield from TaskGraph.co_create(tc)
 
             def step(tc_, task):
                 tc_.proc.compute(5e-6)
@@ -80,7 +80,7 @@ class TestTaskGraph:
 
             for i in range(40):
                 tg.add(f"t{i}", step)
-            tg.process()
+            yield from tg.co_process()
 
         _run(4, main)
         assert len(ran_on) >= 3, f"hash placement engaged only {ran_on}"
@@ -89,8 +89,8 @@ class TestTaskGraph:
         homes: list[tuple[str, int]] = []
 
         def main(proc):
-            tc = TaskCollection.create(proc)
-            tg = TaskGraph.create(tc)
+            tc = yield from TaskCollection.co_create(proc)
+            tg = yield from TaskGraph.co_create(tc)
 
             def step(tc_, task):
                 homes.append((task.body, tc_.rank))
@@ -98,37 +98,37 @@ class TestTaskGraph:
             # no stealing pressure: chains serialize, so tasks run at home
             tg.add("x", step, body="x", rank=1)
             tg.add("y", step, body="y", deps=["x"], rank=2)
-            tg.process()
+            yield from tg.co_process()
 
         _run(3, main)
         assert dict(homes) == {"x": 1, "y": 2}
 
     def test_cycle_detected(self):
         def main(proc):
-            tc = TaskCollection.create(proc)
-            tg = TaskGraph.create(tc)
+            tc = yield from TaskCollection.co_create(proc)
+            tg = yield from TaskGraph.co_create(tc)
             fn = lambda tc_, t: None
             tg.add("a", fn, deps=["b"])
             tg.add("b", fn, deps=["a"])
-            tg.process()
+            yield from tg.co_process()
 
         with pytest.raises(TaskCollectionError, match="cycle"):
             _run(2, main)
 
     def test_unknown_dependency_rejected(self):
         def main(proc):
-            tc = TaskCollection.create(proc)
-            tg = TaskGraph.create(tc)
+            tc = yield from TaskCollection.co_create(proc)
+            tg = yield from TaskGraph.co_create(tc)
             tg.add("a", lambda tc_, t: None, deps=["ghost"])
-            tg.process()
+            yield from tg.co_process()
 
         with pytest.raises(TaskCollectionError, match="unknown task"):
             _run(1, main)
 
     def test_duplicate_name_rejected(self):
         def main(proc):
-            tc = TaskCollection.create(proc)
-            tg = TaskGraph.create(tc)
+            tc = yield from TaskCollection.co_create(proc)
+            tg = yield from TaskGraph.co_create(tc)
             tg.add("a", lambda tc_, t: None)
             tg.add("a", lambda tc_, t: None)
 
@@ -137,10 +137,10 @@ class TestTaskGraph:
 
     def test_add_after_process_rejected(self):
         def main(proc):
-            tc = TaskCollection.create(proc)
-            tg = TaskGraph.create(tc)
+            tc = yield from TaskCollection.co_create(proc)
+            tg = yield from TaskGraph.co_create(tc)
             tg.add("a", lambda tc_, t: None)
-            tg.process()
+            yield from tg.co_process()
             tg.add("late", lambda tc_, t: None)
 
         with pytest.raises(TaskCollectionError, match="after process"):
@@ -166,8 +166,8 @@ class TestTaskGraph:
         lock = threading.Lock()
 
         def main(proc):
-            tc = TaskCollection.create(proc)
-            tg = TaskGraph.create(tc)
+            tc = yield from TaskCollection.co_create(proc)
+            tg = yield from TaskGraph.co_create(tc)
 
             def step(tc_, task):
                 tc_.proc.compute(float(task.body % 3 + 1) * 1e-6)
@@ -176,7 +176,7 @@ class TestTaskGraph:
 
             for i in range(n):
                 tg.add(f"t{i}", step, body=i, deps=[f"t{j}" for j in deps[i]])
-            tg.process()
+            yield from tg.co_process()
 
         _run(nprocs, main, seed=seed)
         assert sorted(order) == list(range(n))
@@ -215,8 +215,8 @@ class TestStealAfterVoteDirtyMark:
         lock = threading.Lock()
 
         def main(proc):
-            tc = TaskCollection.create(proc)
-            tg = TaskGraph.create(tc)
+            tc = yield from TaskCollection.co_create(proc)
+            tg = yield from TaskGraph.co_create(tc)
 
             def step(tc_, task):
                 tc_.proc.compute(float(task.body % 3 + 1) * 1e-6)
@@ -225,7 +225,7 @@ class TestStealAfterVoteDirtyMark:
 
             for i in range(self.N):
                 tg.add(f"t{i}", step, body=i, deps=[f"t{j}" for j in deps[i]])
-            tg.process()
+            yield from tg.co_process()
 
         _run(self.NPROCS, main, seed=self.SEED)
         return order

@@ -11,18 +11,18 @@ from repro.obs.tracing import Tracer, trace
 
 def _scioto_workload(eng):
     def main(proc):
-        tc = TaskCollection.create(proc)
+        tc = yield from TaskCollection.co_create(proc)
 
         def node(tc_, t):
             tc_.proc.compute(5e-6)
             if t.body < 30:
-                tc_.add(Task(callback=h, body=2 * t.body + 1))
-                tc_.add(Task(callback=h, body=2 * t.body + 2))
+                yield from tc_.co_add(Task(callback=h, body=2 * t.body + 1))
+                yield from tc_.co_add(Task(callback=h, body=2 * t.body + 2))
 
         h = tc.register(node)
         if proc.rank == 0:
-            tc.add(Task(callback=h, body=0))
-        tc.process()
+            yield from tc.co_add(Task(callback=h, body=0))
+        yield from tc.co_process()
 
     eng.spawn_all(main)
     eng.run()
@@ -65,7 +65,7 @@ def test_render_and_filters():
     def main(proc):
         proc.compute(1e-6)
         trace(proc, "custom", {"x": proc.rank})
-        proc.sync()
+        yield from proc.co_sync()
 
     eng.spawn_all(main)
     eng.run()
@@ -101,7 +101,7 @@ def test_dropped_events_counted_in_counts_render_reports_total():
         for i in range(4):
             trace(proc, f"kind{proc.rank}", i)
             proc.advance(1e-6)
-            proc.sync()
+            yield from proc.co_sync()
 
     eng.spawn_all(main)
     eng.run()

@@ -26,12 +26,12 @@ class TestWaitFreeQueue:
         def main(proc):
             if proc.rank == 0:
                 for i in range(8):
-                    q.push_local(proc, TaskT(callback=0, body=i))
-                proc.sleep(1.0 - proc.now)
+                    yield from q.co_push_local(proc, TaskT(callback=0, body=i))
+                yield from proc.co_sleep(1.0 - proc.now)
                 out["left"] = [t.body for t in q.drain()]
             else:
-                proc.sleep(100e-6)
-                out["stolen"] = [t.body for t in q.steal_from(proc, 3)]
+                yield from proc.co_sleep(100e-6)
+                out["stolen"] = [t.body for t in (yield from q.co_steal_from(proc, 3))]
 
         eng.spawn_all(main)
         eng.run()
@@ -48,14 +48,14 @@ class TestWaitFreeQueue:
         def main(proc):
             if proc.rank == 0:
                 for i in range(20):
-                    q.push_local(proc, TaskT(callback=0, body=i))
-                proc.sleep(100e-6 - proc.now)
+                    yield from q.co_push_local(proc, TaskT(callback=0, body=i))
+                yield from proc.co_sleep(100e-6 - proc.now)
                 t0 = proc.now
-                q.pop_local(proc)
+                yield from q.co_pop_local(proc)
                 out["pop_cost"] = proc.now - t0
             else:
-                proc.sleep(97e-6)  # steal in flight across t=100us
-                q.steal_from(proc, 10)
+                yield from proc.co_sleep(97e-6)  # steal in flight across t=100us
+                yield from q.co_steal_from(proc, 10)
 
         eng.spawn_all(main)
         eng.run()
@@ -71,7 +71,7 @@ class TestWaitFreeQueue:
 
         def main(proc):
             if proc.rank == 1:
-                return q.steal_from(proc, 5)
+                return (yield from q.co_steal_from(proc, 5))
             return None
 
         eng.spawn_all(main)
@@ -93,19 +93,19 @@ class TestWaitFreeEndToEnd:
         ran = []
 
         def main(proc):
-            tc = TaskCollection.create(proc, config=cfg)
+            tc = yield from TaskCollection.co_create(proc, config=cfg)
 
             def node(tc_, t):
                 tc_.proc.compute(1e-6)
                 ran.append(t.body)
                 if t.body < 40:
-                    tc_.add(Task(callback=h, body=2 * t.body + 1))
-                    tc_.add(Task(callback=h, body=2 * t.body + 2))
+                    yield from tc_.co_add(Task(callback=h, body=2 * t.body + 1))
+                    yield from tc_.co_add(Task(callback=h, body=2 * t.body + 2))
 
             h = tc.register(node)
             if proc.rank == 0:
-                tc.add(Task(callback=h, body=0))
-            tc.process()
+                yield from tc.co_add(Task(callback=h, body=0))
+            yield from tc.co_process()
 
         eng = Engine(nprocs, seed=seed, max_events=3_000_000)
         eng.spawn_all(main)
@@ -126,12 +126,12 @@ class TestWaitFreeEndToEnd:
         cfg = SciotoConfig(wait_free_steals=True, load_balancing=False)
 
         def main(proc):
-            tc = TaskCollection.create(proc, config=cfg)
+            tc = yield from TaskCollection.co_create(proc, config=cfg)
             h = tc.register(lambda tc_, t: ran_on.append(tc_.rank))
             if proc.rank == 0:
                 for dest in range(proc.nprocs):
-                    tc.add(Task(callback=h), rank=dest)
-            tc.process()
+                    yield from tc.co_add(Task(callback=h), rank=dest)
+            yield from tc.co_process()
 
         eng = Engine(4, max_events=2_000_000)
         eng.spawn_all(main)
@@ -163,14 +163,14 @@ class TestWaitFreeEndToEnd:
             def main(proc):
                 if proc.rank == 0:
                     for i in range(200):
-                        q.push_local(proc, TaskT(callback=0, body=i, body_size=960))
+                        yield from q.co_push_local(proc, TaskT(callback=0, body=i, body_size=960))
                     q._private, q._shared = [], q._private + q._shared
-                    proc.sleep(1.0 - proc.now)
+                    yield from proc.co_sleep(1.0 - proc.now)
                 else:
-                    proc.sleep(0.5)
+                    yield from proc.co_sleep(0.5)
                     t0 = proc.now
                     for _ in range(10):
-                        assert len(q.steal_from(proc, 10)) == 10
+                        assert len((yield from q.co_steal_from(proc, 10))) == 10
                     out["cost"] = (proc.now - t0) / 10
 
             eng.spawn_all(main)
