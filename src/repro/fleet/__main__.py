@@ -18,11 +18,6 @@ Examples::
     # per-worker process tracks (open fleet_trace.json in Perfetto)
     python -m repro.fleet trace --target queue steals uts-small --jobs 2
 
-    # same, plus per-worker telemetry feeds merged into one timeline
-    # (inspect with: python -m repro.obs top fleet_live.jsonl)
-    python -m repro.fleet trace --target queue steals --jobs 2 \
-        --live fleet_live.jsonl
-
 ``repro.check explore --jobs N`` and ``repro.bench --jobs N`` forward
 here, so the fleet is reachable from the tools it parallelizes.
 Passing ``--flight-dir DIR`` to any campaign arms the crash flight
@@ -138,10 +133,9 @@ def bench_main(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     for e in doc["entries"]:
-        print(
-            f"jobs={e['jobs']}: {e['schedules_per_sec']:.1f} schedules/s "
-            f"(speedup {e['speedup']:.2f}x)"
-        )
+        # No speedup where jobs exceed the host's cores (see run_fleet_bench).
+        speedup = f" (speedup {e['speedup']:.2f}x)" if "speedup" in e else ""
+        print(f"jobs={e['jobs']}: {e['schedules_per_sec']:.1f} schedules/s{speedup}")
     if not args.no_json:
         out = write_fleet_json(doc, args.json)
         print(f"\nfleet record -> {out}")
@@ -176,9 +170,6 @@ def trace_main(args: argparse.Namespace) -> int:
         args.out,
         nprocs=args.nprocs,
         seed=args.seed,
-        window=args.window,
-        live=bool(args.live),
-        live_interval=args.live_interval,
     )
     sched = FleetScheduler(
         args.jobs,
@@ -208,19 +199,6 @@ def trace_main(args: argparse.Namespace) -> int:
         return 2
     out = merge_spills(items, args.trace)
     print(f"merged trace -> {out} ({len(items)} process tracks)")
-    if args.live:
-        from repro.obs.live import merge_feeds
-
-        feeds = [
-            (res.worker, res.payload["live_path"])
-            for res in sorted(report.completed, key=lambda r: r.key)
-            if res.ok and res.payload.get("live_path")
-        ]
-        merged = merge_feeds(feeds, args.live)
-        print(
-            f"merged live feed -> {args.live} "
-            f"({len(merged['frames'])} frames from {len(feeds)} workers)"
-        )
     return 0 if report.ok else 2
 
 
@@ -305,14 +283,6 @@ def add_trace_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nprocs", type=int, default=4,
                    help="simulated ranks for app targets (default: 4)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=float, default=None, metavar="SEC",
-                   help="rolling metrics window interval (virtual seconds)")
-    p.add_argument("--live", default=None, metavar="PATH",
-                   help="publish per-worker telemetry feeds and merge "
-                   "them into one cluster-wide feed at PATH")
-    p.add_argument("--live-interval", type=float, default=None, metavar="SEC",
-                   help="telemetry snapshot interval (virtual seconds; "
-                   "default: --window, else 100us)")
     p.add_argument("--out", default="scioto-fleet-trace",
                    help="working directory for per-run spills "
                    "(default: scioto-fleet-trace/)")

@@ -10,9 +10,10 @@ committed trajectory (``BENCH_sim.json``) and understood by
 
 Two properties are recorded per entry and checked by the validator:
 
-* throughput is positive, and every entry carries the host core count
+* throughput is positive, and the record carries the host core count
   — scaling claims are meaningless without it (a 1-core container
-  cannot speed up CPU-bound work no matter how many workers it runs);
+  cannot speed up CPU-bound work no matter how many workers it runs),
+  so ``speedup`` appears only on entries with ``jobs <= cpus``;
 * the ``failing_digest`` — the content hash of the deduplicated
   failing-schedule set — is **identical across all entries**: changing
   ``--jobs`` may change the wall clock, never the result.
@@ -106,10 +107,12 @@ def run_fleet_bench(
                 f"{entry['schedules_per_sec']:8.1f} sched/s  "
                 f"steals={entry['steals']}  waves={entry['waves']}"
             )
+    host = _host_info()
     base = entries[0]["schedules_per_sec"]
     for entry in entries:
-        entry["speedup"] = entry["schedules_per_sec"] / base if base > 0 else 0.0
-    return {"schema": FLEET_SCHEMA, "host": _host_info(), "entries": entries}
+        if entry["jobs"] <= (host["cpus"] or 1):
+            entry["speedup"] = entry["schedules_per_sec"] / base if base > 0 else 0.0
+    return {"schema": FLEET_SCHEMA, "host": host, "entries": entries}
 
 
 def write_fleet_json(doc: dict, path: str | Path) -> Path:
@@ -122,13 +125,15 @@ def validate_fleet_json(doc: dict) -> None:
     """Raise ``ValueError`` unless ``doc`` is a valid fleet record.
 
     Checked: the schema tag, host core count, per-entry jobs /
-    schedules / positive throughput, and — the determinism guarantee —
-    that every entry's ``failing_digest`` is identical: the dedup'd
-    failing-schedule set must not depend on the worker count.
+    schedules / positive throughput, no ``speedup`` on an entry with
+    more jobs than cores, and — the determinism guarantee — that every
+    entry's ``failing_digest`` is identical: the dedup'd failing-schedule
+    set must not depend on the worker count.
     """
     if doc.get("schema") != FLEET_SCHEMA:
         raise ValueError(f"bad schema tag {doc.get('schema')!r}; want {FLEET_SCHEMA!r}")
-    if not isinstance(doc.get("host", {}).get("cpus"), int):
+    cpus = doc.get("host", {}).get("cpus")
+    if not isinstance(cpus, int):
         raise ValueError("host.cpus missing: scaling entries need the core count")
     entries = doc.get("entries")
     if not isinstance(entries, list) or not entries:
@@ -138,6 +143,10 @@ def validate_fleet_json(doc: dict) -> None:
         where = f"jobs={e.get('jobs')!r}"
         if not isinstance(e.get("jobs"), int) or e["jobs"] < 1:
             raise ValueError(f"{where}: bad jobs count")
+        if "speedup" in e and e["jobs"] > cpus:
+            raise ValueError(
+                f"{where}: speedup claimed with more jobs than host.cpus={cpus}"
+            )
         if not isinstance(e.get("schedules"), int) or e["schedules"] <= 0:
             raise ValueError(f"{where}: bad schedules {e.get('schedules')!r}")
         sps = e.get("schedules_per_sec")

@@ -37,10 +37,7 @@ embarrassingly parallel surfaces of the toolchain:
     directory.  The result carries only the spill path and counters —
     never the spans — so fleet-wide tracing stays bounded; the parent
     merges the spills into one multi-process Chrome trace with
-    :func:`repro.obs.stream.merge_spills`.  With ``live=True`` each
-    worker also publishes a telemetry feed (worker-local JSONL file)
-    that the parent interleaves into one cluster-wide timeline with
-    :func:`repro.obs.live.merge_feeds`.
+    :func:`repro.obs.stream.merge_spills`.
 
 ``probe``
     Fleet self-test jobs (sleep / crash / raise) used by the failure-
@@ -216,16 +213,12 @@ def obs_jobs(
     out_dir: str,
     nprocs: int = 4,
     seed: int = 0,
-    window: float | None = None,
     shard_size: int | None = None,
-    live: bool = False,
-    live_interval: float | None = None,
 ) -> list[Job]:
     """One streamed recording job per obs target.
 
     Each job spills into its own subdirectory of ``out_dir`` so merged
-    traces never interleave shards from different runs; with ``live``
-    each job also writes its own telemetry feed beside the spill.
+    traces never interleave shards from different runs.
     """
     return [
         Job(
@@ -236,12 +229,7 @@ def obs_jobs(
                 "nprocs": nprocs,
                 "seed": seed,
                 "spill_dir": os.path.join(out_dir, f"spill-{target}"),
-                "window": window,
                 "shard_size": shard_size,
-                "live_path": (
-                    os.path.join(out_dir, f"live-{target}.jsonl") if live else None
-                ),
-                "live_interval": live_interval,
             },
         )
         for target in targets
@@ -409,9 +397,6 @@ def _execute_obs(params: dict[str, Any]) -> dict[str, Any]:
         events=False,
         stream_dir=params["spill_dir"],
         shard_size=params.get("shard_size"),
-        window=params.get("window"),
-        live_path=params.get("live_path"),
-        live_interval=params.get("live_interval"),
         # Armed when the fleet was launched with --flight-dir: periodic
         # flushes mean a SIGKILL'd worker still leaves its last spans.
         flight=flight_from_env(context=f"obs-{params['target']}"),
@@ -423,7 +408,6 @@ def _execute_obs(params: dict[str, Any]) -> dict[str, Any]:
     return {
         "target": params["target"],
         "spill_dir": params["spill_dir"],
-        "live_path": params.get("live_path"),
         "nprocs": len(run.engine.procs),
         "elapsed": run.elapsed,
         "events": run.events,

@@ -29,9 +29,9 @@ __all__ = ["WorkerEvent", "ProcessPool", "InlinePool", "default_start_method"]
 
 #: Modules the forkserver imports before the first worker forks, so the
 #: heavy runtime import cost is paid once per campaign, not per worker.
-#: ``repro.obs.scenarios`` covers the ``obs`` jobs of ``fleet trace``
-#: (recording + live telemetry), which would otherwise re-import the
-#: app presets in every worker.
+#: ``repro.obs.scenarios`` covers the recording ``obs`` jobs of
+#: ``fleet trace``, which would otherwise re-import the app presets in
+#: every worker.
 _PRELOAD = ["repro.fleet.worker", "repro.check.runner", "repro.obs.scenarios"]
 
 

@@ -13,8 +13,12 @@ simulated runtime:
   schedule.
 * **Metrics** (:mod:`repro.obs.metrics`): counters (the long-standing
   ``Counters`` map is now a facade over :class:`CounterFamily`),
-  gauges, and fixed-bucket histograms (steal latency, stolen chunk
-  size, queue occupancy, wave round-trip, lock hold/wait).
+  gauges, and histograms (steal latency, stolen chunk size, queue
+  occupancy, wave round-trip, lock hold/wait) whose percentiles all
+  come from one mergeable :class:`~repro.obs.metrics.QuantileSketch`.
+* **Live telemetry** (:mod:`repro.obs.live`): the one windowed view —
+  per-interval frames of sketch-delta percentiles, counters and event
+  rates, appended to a JSONL feed that ``top`` renders.
 * **Events** (:mod:`repro.obs.tracing`): the structured event tracer,
   re-homed here from ``repro.sim.tracing`` (old path removed).
 * **Exporters** (:mod:`repro.obs.export`): Chrome ``trace_event`` JSON
@@ -37,6 +41,8 @@ CLI::
     python -m repro.obs critical-idle out.json --top 10
     python -m repro.obs critpath uts-small --trace crit.json
     python -m repro.obs whatif uts-small --scale steal=0.5
+    python -m repro.obs run uts-small --live feed.jsonl
+    python -m repro.obs top feed.jsonl --follow
     python -m repro.obs diff BENCH_sim.json fresh.json
     python -m repro.obs verify          # recording-on == recording-off
 

@@ -7,18 +7,18 @@ Subcommands:
   in Perfetto), a metrics JSON (``--metrics``), and/or print the ASCII
   timeline and summary.  ``--stream DIR`` records through the
   constant-memory spill sink (sharded JSONL; ``--trace`` then packs
-  the shards), ``--window SEC`` adds rolling metrics windows to the
-  metrics JSON, and ``--flight PATH`` arms the crash flight recorder.
-  ``--live PATH`` additionally publishes interval telemetry frames to
-  an append-only JSONL feed (``repro-obs-live/1``).
+  the shards), and ``--flight PATH`` arms the crash flight recorder.
+  ``--live PATH`` additionally publishes interval telemetry frames —
+  windowed counts, means and sketch percentiles — to an append-only
+  JSONL feed (``repro-obs-live/1``).
 * ``pack`` — convert a sealed spill directory (``repro-obs-stream/1``)
   into a Perfetto-loadable Chrome trace without materializing the run.
 * ``top`` — render a live (or finished) telemetry feed as a terminal
   status table; ``--follow`` keeps tailing while a run is in flight.
-* ``slo`` — evaluate a declarative SLO spec (``repro-obs-slo/1``) over
-  a telemetry feed: per-objective compliance plus multi-window
-  burn-rate alerts; ``--fail-on-burn`` makes it a CI gate.
-* ``summarize`` — post-hoc report over an exported trace JSON.
+  A damaged feed (anything but a torn final line) exits 2.
+* ``summarize`` — post-hoc report over an exported trace JSON;
+  ``--metrics`` adds the percentile table of a metrics JSON and exits 2
+  on a torn file or a schema other than ``repro-obs-metrics/3``.
 * ``critical-idle`` — the longest per-rank idle gaps in an exported
   trace, with the spans that bounded them.
 * ``critpath`` — run a target, build the cross-rank happens-before DAG
@@ -30,9 +30,9 @@ Subcommands:
   one or more blame categories scaled (``--scale steal=0.5``) and
   report the projected makespan.
 * ``diff`` — compare two benchmark/metrics JSON documents
-  (``repro-bench/1``, ``repro-bench-fleet/1``, ``repro-obs-metrics/*``)
-  and report relative changes beyond a threshold; the CI perf gate
-  runs this warn-only against the committed baselines.
+  (``repro-bench/1``, ``repro-bench-fleet/1``, ``repro-obs-metrics/3``)
+  and report relative changes beyond a threshold; CI runs it gating
+  against the committed ``BENCH_sim.json``.
 * ``verify`` — run targets with recording off and on, and require the
   virtual-time fingerprints (elapsed, event count, per-rank clocks and
   every ``Counters`` value) to match bit-for-bit; additionally run
@@ -48,9 +48,8 @@ Examples::
 
     python -m repro.obs run uts-small --trace out.json --metrics m.json
     python -m repro.obs run uts-medium --stream spill/ --trace out.json
-    python -m repro.obs run uts-small --live feed.jsonl --window 0.0001
+    python -m repro.obs run uts-small --live feed.jsonl --live-interval 0.0001
     python -m repro.obs top feed.jsonl --follow
-    python -m repro.obs slo feed.jsonl --spec slo.json --fail-on-burn
     python -m repro.obs pack spill/ --trace out.json
     python -m repro.obs run steals --timeline
     python -m repro.obs summarize out.json --top 10
@@ -103,7 +102,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         events=not args.stream,
         stream_dir=args.stream,
-        window=args.window,
         flight=flight,
         live_path=args.live,
         live_interval=args.live_interval,
@@ -169,6 +167,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
+    doc = None
+    if args.metrics:
+        try:
+            doc = load_metrics_json(args.metrics)
+        except (FileNotFoundError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     spans = load_chrome_trace(args.trace)
     other = json.loads(Path(args.trace).read_text()).get("otherData", {})
     dropped = other.get("spans_dropped", 0)
@@ -182,8 +187,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     print(summarize(spans, width=args.width, top=args.top))
     if dropped:
         print(f"\ndropped records: {dropped} (recording truncated at capacity)")
-    if args.metrics:
-        doc = load_metrics_json(args.metrics)
+    if doc is not None:
         print()
         print(f"histogram percentiles ({doc.get('schema')}):")
         print(percentile_table(doc.get("histograms", {})))
@@ -309,27 +313,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 0
 
 
-def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.obs.live import read_feed
-    from repro.obs.slo import evaluate, load_spec, render_report
-
-    try:
-        specs = load_spec(args.spec)
-        doc = read_feed(args.feed)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    results = evaluate(doc["frames"], specs, label=args.label)
-    print(render_report(results))
-    burning = [r.spec.name for r in results if r.burning]
-    violated = [r.spec.name for r in results if not r.met]
-    if args.fail_on_burn and (burning or violated):
-        bad = sorted(set(burning) | set(violated))
-        print(f"\nSLO FAILURE: {', '.join(bad)}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
     try:
         report = diff_files(args.old, args.new, threshold=args.threshold)
@@ -447,16 +430,13 @@ def main(argv: list[str] | None = None) -> int:
                        help="record through the constant-memory spill sink "
                        "into this directory (sharded JSONL, "
                        "repro-obs-stream/1); --trace then packs the shards")
-    p_run.add_argument("--window", type=float, metavar="SEC",
-                       help="rolling metrics windows at this virtual-time "
-                       "interval (exported under 'windows' in --metrics)")
     p_run.add_argument("--live", metavar="PATH",
                        help="publish live telemetry frames to this append-"
                        "only JSONL feed (repro-obs-live/1); tail it with "
                        "'repro.obs top PATH --follow'")
     p_run.add_argument("--live-interval", type=float, metavar="SEC",
                        help="virtual-time interval between telemetry frames "
-                       "(default: --window, else 100us)")
+                       "(default 100us)")
     p_run.add_argument("--flight", metavar="PATH",
                        help="arm the crash flight recorder; the most recent "
                        "spans/instants per rank are dumped here on failure")
@@ -479,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sum.add_argument("--width", type=int, default=80)
     p_sum.add_argument("--metrics", metavar="PATH",
                        help="also print histogram percentiles from this "
-                       "metrics JSON (schema /1 or /2)")
+                       "metrics JSON (repro-obs-metrics/3)")
     p_sum.set_defaults(fn=_cmd_summarize)
 
     p_idle = sub.add_parser("critical-idle", help="longest per-rank idle gaps")
@@ -517,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         "top", help="status table over a live telemetry feed"
     )
     p_top.add_argument("feed", help="repro-obs-live/1 JSONL feed (live or "
-                       "finished; merged fleet feeds supported)")
+                       "finished)")
     p_top.add_argument("--follow", action="store_true",
                        help="keep tailing the feed, re-rendering as frames "
                        "arrive (ctrl-C to stop)")
@@ -527,19 +507,6 @@ def main(argv: list[str] | None = None) -> int:
     p_top.add_argument("--counters", type=int, default=6,
                        help="top-N counters to show per stream (default 6)")
     p_top.set_defaults(fn=_cmd_top)
-
-    p_slo = sub.add_parser(
-        "slo", help="evaluate SLO burn rates over a telemetry feed"
-    )
-    p_slo.add_argument("feed", help="repro-obs-live/1 JSONL feed")
-    p_slo.add_argument("--spec", required=True, metavar="PATH",
-                       help="SLO spec JSON (repro-obs-slo/1)")
-    p_slo.add_argument("--label", metavar="NAME",
-                       help="restrict scoring to frames with this label")
-    p_slo.add_argument("--fail-on-burn", action="store_true",
-                       help="exit 1 when any alert fires or any objective "
-                       "misses its compliance target")
-    p_slo.set_defaults(fn=_cmd_slo)
 
     p_diff = sub.add_parser(
         "diff", help="compare two benchmark/metrics JSON documents"

@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.obs.export import ascii_timeline, self_times, summary_table
+from repro.obs.export import METRICS_SCHEMA, ascii_timeline, self_times, summary_table
 from repro.obs.record import SpanRecord
 
 __all__ = [
@@ -33,12 +33,6 @@ __all__ = [
     "critical_idle",
     "summarize",
 ]
-
-#: Metrics schemas this reader understands.  ``/1`` documents predate
-#: stored percentiles; :func:`load_metrics_json` recomputes them from
-#: the serialized bucket edges/counts so downstream code sees one shape.
-METRICS_SCHEMAS = ("repro-obs-metrics/1", "repro-obs-metrics/2")
-
 
 def load_chrome_trace(path: str | Path) -> list[SpanRecord]:
     """Load the complete ("X") events of a Chrome trace as span records.
@@ -66,40 +60,23 @@ def load_chrome_trace(path: str | Path) -> list[SpanRecord]:
     return spans
 
 
-def _bucket_quantile(hist: dict, q: float) -> float | None:
-    """Quantile from serialized edges/counts (same rule as Histogram)."""
-    count = hist.get("count", 0)
-    if not count:
-        return None
-    edges, counts = hist.get("edges", []), hist.get("counts", [])
-    target = q * count
-    seen = 0
-    for i, c in enumerate(counts):
-        seen += c
-        if seen >= target and c:
-            return edges[i] if i < len(edges) else hist.get("max")
-    return hist.get("max")
-
-
 def load_metrics_json(path: str | Path) -> dict:
-    """Load a metrics JSON document, accepting schemas ``/1`` and ``/2``.
+    """Load a metrics JSON document written by :func:`write_metrics_json`.
 
-    Returns the document normalized to the ``/2`` shape: every
-    histogram carries ``p50``/``p95``/``p99``.  A ``/1`` document (no
-    stored percentiles) gets them recomputed from its bucket counts,
-    so readers and the differ never need to branch on schema.
+    Only :data:`~repro.obs.export.METRICS_SCHEMA` is accepted; its
+    histograms carry sketch-read ``p50``/``p95``/``p99``.  A torn file,
+    a non-object document or any other schema raises :class:`ValueError`
+    naming the file.
     """
-    doc = json.loads(Path(path).read_text())
-    schema = doc.get("schema")
-    if schema not in METRICS_SCHEMAS:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON document ({exc})") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != METRICS_SCHEMA:
         raise ValueError(
-            f"{path}: unsupported metrics schema {schema!r}; "
-            f"expected one of {METRICS_SCHEMAS}"
+            f"{path}: unsupported metrics schema {schema!r}; expected {METRICS_SCHEMA}"
         )
-    for hist in doc.get("histograms", {}).values():
-        for q, key in ((0.50, "p50"), (0.95, "p95"), (0.99, "p99")):
-            if hist.get(key) is None:
-                hist[key] = _bucket_quantile(hist, q)
     return doc
 
 

@@ -3,22 +3,20 @@
 The repo commits reference trajectories — ``BENCH_sim.json`` (virtual
 time, schema ``repro-bench/1``) and ``BENCH_fleet.json``
 (``repro-bench-fleet/1``) — and ``repro.obs run`` writes metrics
-documents (``repro-obs-metrics/1`` or ``/2``).  ``python -m repro.obs diff OLD
-NEW`` loads two documents of the same schema, matches their series by
-stable keys, and reports every relative change beyond a threshold:
+documents (:data:`~repro.obs.export.METRICS_SCHEMA`).  ``python -m
+repro.obs diff OLD NEW`` loads two documents of the same schema,
+matches their series by stable keys, and reports every relative change
+beyond a threshold:
 
 * ``repro-bench/1`` — series matched by ``(experiment, label)``; the
   worst pointwise relative delta decides.  Direction comes from the
   unit/label: times (``us``, ``s``, ``seconds``) regress upward,
   rates (``speedup``, ``throughput``, ``tasks/s``) regress downward,
   anything else is direction-neutral and only *warns* on change.
-* ``repro-obs-metrics/1|2`` — counter totals and histogram count are
+* metrics documents — counter totals and histogram count are
   determinism signals (any change warns); histogram mean/p95 and
-  gauge min/max regress upward beyond the threshold.  A schema /2
-  ``windows`` series additionally diffs each metric's *worst window*
-  (maximum windowed p95/p99 across the run), with direction inferred
-  from the metric name's unit — latency-style metrics regress upward,
-  count-style ones only warn.
+  gauge max regress upward beyond the threshold.  Only the current
+  metrics schema is accepted.
 * ``repro-bench-fleet/1`` — entries matched by ``jobs``; ``schedules``
   and ``failing_digest`` must be exactly equal (the campaign is
   deterministic for any worker count) and ``schedules_per_sec``
@@ -33,6 +31,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.obs.export import METRICS_SCHEMA
 
 __all__ = ["DiffEntry", "DiffReport", "diff_documents", "diff_files", "render_diff"]
 
@@ -190,91 +190,12 @@ def _diff_metrics(report: DiffReport, old: dict, new: dict) -> None:
             continue
         _compare(report, f"histogram/{k}", "count", o.get("count"), n.get("count"))
         _compare(report, f"histogram/{k}", "mean", o.get("mean"), n.get("mean"), "down")
-        _compare(report, f"histogram/{k}", "p95",
-                 _hist_quantile(o, 0.95), _hist_quantile(n, 0.95), "down")
+        _compare(report, f"histogram/{k}", "p95", o.get("p95"), n.get("p95"), "down")
     ogauge = old.get("gauges", {})
     ngauge = new.get("gauges", {})
     for k in sorted(ogauge.keys() | ngauge.keys()):
         o, n = ogauge.get(k, {}), ngauge.get(k, {})
         _compare(report, f"gauge/{k}", "max", o.get("max"), n.get("max"), "down")
-    _diff_windows(report, old.get("windows") or {}, new.get("windows") or {})
-
-
-def _metric_direction(name: str) -> str:
-    """Direction for a windowed metric, inferred from its name's unit.
-
-    Latency-style metrics (seconds) regress upward; count-style ones
-    (chunk sizes, occupancy) are direction-neutral and only warn.
-    """
-    text = name.lower()
-    if any(h in text for h in ("latency", "wait", "hold", "time", "rtt", "wall")):
-        return "down"
-    return "neutral"
-
-
-def _diff_windows(report: DiffReport, old: dict, new: dict) -> None:
-    """Compare two rolling-window series (schema /2 ``windows`` key).
-
-    Window boundaries are virtual-time-deterministic, but two documents
-    may legitimately differ in which windows are non-empty, so series
-    are not matched window-by-window.  Instead each metric is reduced to
-    its *worst window* — the maximum windowed p95/p99 across the run —
-    which is exactly the tail-spike signal the windows exist to expose,
-    plus the total windowed count and the number of active windows as
-    determinism-style change signals.
-    """
-    if not old and not new:
-        return
-    _compare(report, "windows", "interval", old.get("interval"),
-             new.get("interval"), exact=True)
-
-    def aggregate(doc: dict) -> dict[str, dict]:
-        agg: dict[str, dict] = {}
-        for w in doc.get("series", []):
-            for name, h in w.get("histograms", {}).items():
-                a = agg.setdefault(
-                    name, {"count": 0, "windows": 0, "p95": None, "p99": None}
-                )
-                a["count"] += h.get("count", 0)
-                a["windows"] += 1
-                for q in ("p95", "p99"):
-                    v = h.get(q)
-                    if v is not None and (a[q] is None or v > a[q]):
-                        a[q] = v
-        return agg
-
-    oagg, nagg = aggregate(old), aggregate(new)
-    for name in sorted(oagg.keys() | nagg.keys()):
-        key = f"windows/{name}"
-        o, n = oagg.get(name), nagg.get(name)
-        if o is None or n is None:
-            _compare(report, key, "count",
-                     None if o is None else o["count"],
-                     None if n is None else n["count"])
-            continue
-        direction = _metric_direction(name)
-        _compare(report, key, "windows", o["windows"], n["windows"])
-        _compare(report, key, "count", o["count"], n["count"])
-        _compare(report, key, "worst p95", o["p95"], n["p95"], direction)
-        _compare(report, key, "worst p99", o["p99"], n["p99"], direction)
-
-
-def _hist_quantile(h: dict, q: float) -> float | None:
-    """Quantile of a serialized histogram; prefers a stored percentile."""
-    stored = h.get(f"p{int(q * 100)}")
-    if stored is not None:
-        return stored
-    count = h.get("count", 0)
-    if not count:
-        return None
-    edges, counts = h.get("edges", []), h.get("counts", [])
-    target = q * count
-    seen = 0
-    for i, c in enumerate(counts):
-        seen += c
-        if seen >= target and c:
-            return edges[i] if i < len(edges) else h.get("max")
-    return h.get("max")
 
 
 def _diff_fleet(report: DiffReport, old: dict, new: dict) -> None:
@@ -304,8 +225,7 @@ def _diff_fleet(report: DiffReport, old: dict, new: dict) -> None:
 
 _WALKERS = {
     "repro-bench/1": _diff_bench,
-    "repro-obs-metrics/1": _diff_metrics,
-    "repro-obs-metrics/2": _diff_metrics,
+    METRICS_SCHEMA: _diff_metrics,
     "repro-bench-fleet/1": _diff_fleet,
 }
 

@@ -52,15 +52,14 @@ __all__ = [
     "FLOW_KINDS",
 ]
 
-#: Schema tag stamped into every metrics JSON document.  ``/2`` added
-#: p50/p95/p99 to each histogram; readers accept both (see
-#: :func:`repro.obs.analyze.load_metrics_json`).  Each ``/2`` histogram
-#: also carries a ``sketch`` key — the serialized
-#: :class:`~repro.obs.metrics.QuantileSketch` — so documents from
-#: different runs/workers merge into exact percentile estimates
-#: (:meth:`~repro.obs.metrics.MetricsRegistry.merge_dict`); readers
-#: that predate the key ignore it.
-METRICS_SCHEMA = "repro-obs-metrics/2"
+#: Schema tag stamped into every metrics JSON document, and the only one
+#: :func:`repro.obs.analyze.load_metrics_json` and ``repro.obs diff``
+#: accept.  Each histogram carries count/sum/mean/min/max, p50/p95/p99
+#: read from its sketch, and the serialized
+#: :class:`~repro.obs.metrics.QuantileSketch` under ``sketch``, so
+#: documents from different runs/workers merge into exact percentile
+#: estimates (:meth:`~repro.obs.metrics.MetricsRegistry.merge_dict`).
+METRICS_SCHEMA = "repro-obs-metrics/3"
 
 #: Causal-edge kinds exported as Perfetto flow arrows by default.
 FLOW_KINDS: tuple[str, ...] = ("steal", "msg", "lock", "dirty")
@@ -322,8 +321,6 @@ def metrics_dict(
             "by_category": dict(sorted(recorder.category_counts.items())),
         },
     }
-    if recorder.windows is not None:
-        doc["windows"] = recorder.windows.to_dict()
     if process_stats is not None:
         doc["process_stats"] = process_stats
     return doc

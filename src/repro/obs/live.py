@@ -27,10 +27,6 @@ Frame boundaries are sampled at event granularity: the frame for window
 picked, and covers every event ticked — and every metric observation
 recorded — before that moment.  Intervals in which no event fired emit
 no frame (the feed is bounded by activity, not by elapsed virtual time).
-
-Fleet runs give each worker its own feed file; the parent interleaves
-them with :func:`merge_feeds`, annotating every frame with its worker id
-(``python -m repro.fleet trace --live``).
 """
 
 from __future__ import annotations
@@ -39,8 +35,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.metrics import QuantileSketch
-from repro.util.io import append_text_line, atomic_write_text
+from repro.util.io import append_text_line
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.record import Recorder
@@ -51,7 +46,6 @@ __all__ = [
     "TelemetryBus",
     "read_feed",
     "validate_feed",
-    "merge_feeds",
     "latest_frames",
     "render_top",
 ]
@@ -72,7 +66,7 @@ class TelemetryBus:
             frame).
         interval: Virtual-time window length in seconds.
         label: Stream label stamped into the meta line and every frame
-            (the target name; fleet merges add a worker id alongside).
+            (the target name).
     """
 
     def __init__(
@@ -206,37 +200,48 @@ class TelemetryBus:
 
 
 # ---------------------------------------------------------------------- #
-# Feed reading / validation / merging
+# Feed reading / validation
 # ---------------------------------------------------------------------- #
 def read_feed(path: str | Path) -> dict:
     """Parse a live feed into ``{"meta": ..., "frames": [...]}``.
 
-    Tolerates a truncated final line (a tailer racing the writer, or a
-    crash mid-append) by skipping it; raises :class:`ValueError` on a
-    missing or wrong-schema meta line.
+    Tolerates exactly one kind of damage: a torn *final* line (a tailer
+    racing the writer, or a crash mid-append) is skipped.  An
+    unparseable line anywhere else, a line that is not a JSON object, a
+    second meta line, and a missing or wrong-schema meta line raise
+    :class:`ValueError` (``"<path>:<line>: ..."`` where a line is at
+    fault).
     """
     path = Path(path)
     meta: dict | None = None
     frames: list[dict] = []
+    torn: str | None = None
     with path.open() as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
+            if torn is not None:
+                raise ValueError(torn)  # the bad line was not the last one
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn trailing line
+            except json.JSONDecodeError as exc:
+                torn = f"{path}:{lineno}: unparseable line ({exc.msg})"
+                continue
+            if not isinstance(doc, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: expected a JSON object, "
+                    f"got {type(doc).__name__}"
+                )
             if doc.get("kind") == "meta":
-                if meta is None:
-                    if doc.get("schema") != LIVE_SCHEMA:
-                        raise ValueError(
-                            f"{path}: unsupported live-feed schema "
-                            f"{doc.get('schema')!r}; expected {LIVE_SCHEMA}"
-                        )
-                    meta = doc
-                else:
-                    meta.setdefault("merged", []).append(doc)
+                if meta is not None:
+                    raise ValueError(f"{path}:{lineno}: second meta line")
+                if doc.get("schema") != LIVE_SCHEMA:
+                    raise ValueError(
+                        f"{path}:{lineno}: unsupported live-feed schema "
+                        f"{doc.get('schema')!r}; expected {LIVE_SCHEMA}"
+                    )
+                meta = doc
             elif doc.get("kind") == "frame":
                 frames.append(doc)
     if meta is None:
@@ -267,7 +272,7 @@ def validate_feed(doc: dict) -> list[str]:
         if isinstance(t0, (int, float)) and isinstance(t1, (int, float)):
             if not t0 < t1:
                 problems.append(f"{where}: empty window [{t0}, {t1})")
-            stream = f"{frame.get('label')}/{frame.get('worker', '')}"
+            stream = str(frame.get("label"))
             if t0 < prev_t1.get(stream, 0.0):
                 problems.append(f"{where}: window overlaps previous ({stream})")
             prev_t1[stream] = t1 if isinstance(t1, float) else float(t1)
@@ -283,53 +288,15 @@ def validate_feed(doc: dict) -> list[str]:
     return problems
 
 
-def merge_feeds(
-    inputs: list[tuple[int, str | Path]], out: str | Path
-) -> dict:
-    """Interleave per-worker feeds into one merged feed at ``out``.
-
-    ``inputs`` pairs each worker id with its feed path.  Frames are
-    annotated with ``worker`` and ordered by ``(t1, t0, label, worker)``
-    — virtual time is the shared axis, so the merged feed reads as one
-    cluster-wide timeline.  Written atomically (a finished merge, not an
-    append stream).  Returns the merged document.
-    """
-    metas: list[dict] = []
-    frames: list[dict] = []
-    for worker, path in inputs:
-        doc = read_feed(path)
-        meta = dict(doc["meta"])
-        meta["worker"] = worker
-        metas.append(meta)
-        for frame in doc["frames"]:
-            f = dict(frame)
-            f["worker"] = worker
-            frames.append(f)
-    frames.sort(key=lambda f: (f["t1"], f["t0"], f.get("label", ""), f["worker"]))
-    merged_meta = {
-        "schema": LIVE_SCHEMA,
-        "kind": "meta",
-        "label": "merged",
-        "interval": metas[0]["interval"] if metas else 0.0,
-        "merged": metas,
-    }
-    lines = [json.dumps(merged_meta, sort_keys=True, separators=(",", ":"))]
-    lines.extend(
-        json.dumps(f, sort_keys=True, separators=(",", ":")) for f in frames
-    )
-    atomic_write_text(out, "\n".join(lines) + "\n")
-    return {"meta": merged_meta, "frames": frames}
-
-
 # ---------------------------------------------------------------------- #
 # Terminal rendering (repro.obs top)
 # ---------------------------------------------------------------------- #
 def latest_frames(doc: dict) -> list[dict]:
-    """The most recent frame of each (label, worker) stream, sorted."""
-    latest: dict[tuple, dict] = {}
+    """The most recent frame of each labelled stream, sorted by label."""
+    latest: dict[str, dict] = {}
     for frame in doc.get("frames", ()):
-        latest[(frame.get("label"), frame.get("worker"))] = frame
-    return [latest[k] for k in sorted(latest, key=lambda k: (str(k[0]), str(k[1])))]
+        latest[str(frame.get("label"))] = frame
+    return [latest[k] for k in sorted(latest)]
 
 
 def _fmt_seconds(v: float | None) -> str:
@@ -359,11 +326,8 @@ def render_top(doc: dict, counters_top: int = 6) -> str:
     lines: list[str] = []
     interval = doc.get("meta", {}).get("interval")
     for frame in frames:
-        stream = str(frame.get("label", "?"))
-        if frame.get("worker") is not None:
-            stream += f" (worker {frame['worker']})"
         lines.append(
-            f"{stream}: t={_fmt_seconds(frame.get('t1'))} virtual  "
+            f"{frame.get('label', '?')}: t={_fmt_seconds(frame.get('t1'))} virtual  "
             f"frame #{frame.get('seq')}  events={frame.get('events')}  "
             f"window ev/s={frame.get('ev_s', 0.0):.4g}"
             + (f"  (interval {_fmt_seconds(interval)})" if interval else "")

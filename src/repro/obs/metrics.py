@@ -1,4 +1,4 @@
-"""Metrics primitives: counters, gauges, and fixed-bucket histograms.
+"""Metrics primitives: counters, gauges, and sketch-backed histograms.
 
 This module is the storage layer of the observability subsystem.  It
 deliberately imports nothing from the runtime layers (``repro.sim``,
@@ -12,18 +12,16 @@ Three metric kinds cover the paper's evaluation needs (§6):
   is now a thin compatibility facade over this class.
 * :class:`Gauge` — a per-rank last-value sample (queue occupancy and
   the like), with min/max/sample-count retained.
-* :class:`Histogram` — fixed bucket edges chosen per metric name
-  (:data:`DEFAULT_BUCKETS`), with an overflow bucket, plus per-rank
-  count/sum so summaries can localize skew.
+* :class:`Histogram` — count, sum, extremes and per-rank count/sum,
+  plus a :class:`QuantileSketch` that answers every percentile query.
 
-Bucket convention: a value ``v`` lands in the first bucket ``i`` with
-``v <= edges[i]``; values above ``edges[-1]`` land in the overflow
-bucket (index ``len(edges)``).
+:meth:`QuantileSketch.quantile` is the one percentile computation in
+the package: histogram exports, the live telemetry bus and fleet
+aggregation all read it.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import defaultdict
 
@@ -33,12 +31,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "QuantileSketch",
-    "RollingWindows",
-    "DEFAULT_BUCKETS",
-    "TIME_BUCKETS",
-    "COUNT_BUCKETS",
-    "HOST_TIME_BUCKETS",
-    "WIDE_COUNT_BUCKETS",
 ]
 
 
@@ -57,9 +49,10 @@ class QuantileSketch:
     Buckets are sparse integers in a dict, so memory is
     ``O(log(max/min) / alpha)`` regardless of observation count, and the
     structure is exactly mergeable (bucket-wise add, used for fleet
-    aggregation) and subtractable (bucket-wise delta, used for rolling
-    windows).  Everything is integer arithmetic plus one ``math.log`` per
-    observation: deterministic for a given value stream.
+    aggregation) and subtractable (bucket-wise delta, used for the live
+    telemetry bus's per-frame windows).  Everything is integer
+    arithmetic plus one ``math.log`` per observation: deterministic for
+    a given value stream.
     """
 
     #: Values at or below this (including non-positive) use the zero bucket.
@@ -93,8 +86,8 @@ class QuantileSketch:
     def quantile(self, q: float) -> float:
         """Quantile estimate within relative error ``alpha``.
 
-        Uses the same rank rule as :func:`_bucket_quantile`: the first
-        bucket whose cumulative count reaches ``q * count``.
+        Rank rule: the first bucket whose cumulative count reaches
+        ``q * count``.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
@@ -239,24 +232,16 @@ class Gauge:
 
 
 class Histogram:
-    """A fixed-bucket histogram with an overflow bucket.
+    """Count, sum, extremes and a :class:`QuantileSketch` of one metric.
 
-    ``counts[i]`` counts observations ``v`` with
-    ``edges[i-1] < v <= edges[i]`` (``counts[len(edges)]`` is the
-    overflow bucket).  Per-rank count/sum are kept alongside the global
-    distribution so summaries can show which ranks dominate.
-
-    Every observation also feeds a :class:`QuantileSketch`, so readers
-    that need relative-error-bounded percentiles (rolling windows, the
-    live telemetry bus) are not limited to bucket-edge resolution.
+    Per-rank count/sum are kept alongside the global distribution so
+    summaries can show which ranks dominate.  Percentiles are
+    ``sketch.quantile(q)``: within relative error ``alpha`` of a true
+    observation, whatever the metric's unit or range.
     """
 
-    def __init__(self, name: str, edges: tuple[float, ...]) -> None:
-        if not edges or any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError(f"histogram edges must be strictly increasing, got {edges!r}")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.edges = tuple(float(e) for e in edges)
-        self.counts = [0] * (len(self.edges) + 1)
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
@@ -267,7 +252,6 @@ class Histogram:
 
     def observe(self, value: float, rank: int | None = None) -> None:
         """Record one observation (optionally attributed to ``rank``)."""
-        self.counts[bisect.bisect_left(self.edges, value)] += 1
         self.count += 1
         self.sum += value
         self.min = min(self.min, value)
@@ -281,38 +265,17 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper edge of the bucket holding it.
-
-        Overflow observations report the observed maximum.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= target and c:
-                return self.edges[i] if i < len(self.edges) else self.max
-        return self.max
-
     def to_dict(self) -> dict:
+        some = self.count > 0
         return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
             "count": self.count,
             "sum": self.sum,
             "mean": self.mean,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            # Bucket-resolution percentiles (schema repro-obs-metrics/2);
-            # readers fall back to recomputing from edges/counts when
-            # loading a /1 document.
-            "p50": self.quantile(0.50) if self.count else None,
-            "p95": self.quantile(0.95) if self.count else None,
-            "p99": self.quantile(0.99) if self.count else None,
+            "min": self.min if some else None,
+            "max": self.max if some else None,
+            "p50": self.sketch.quantile(0.50) if some else None,
+            "p95": self.sketch.quantile(0.95) if some else None,
+            "p99": self.sketch.quantile(0.99) if some else None,
             "sketch": self.sketch.to_dict(),
             "per_rank": {
                 str(r): {"count": self._rank_count[r], "sum": self._rank_sum[r]}
@@ -321,49 +284,11 @@ class Histogram:
         }
 
 
-def _log_buckets(lo: float, hi: float, per_decade: int = 3) -> tuple[float, ...]:
-    """Log-spaced bucket edges from ``lo`` to ``hi`` inclusive."""
-    n = int(round(math.log10(hi / lo) * per_decade))
-    return tuple(lo * (hi / lo) ** (i / n) for i in range(n + 1))
-
-
-#: Latency-style default edges: 50ns .. 100ms, 3 buckets per decade.
-TIME_BUCKETS: tuple[float, ...] = _log_buckets(50e-9, 100e-3, per_decade=3)
-
-#: Small-integer default edges (chunk sizes, queue occupancy).
-COUNT_BUCKETS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
-#: Host-side latency edges: 1ms .. 100s — fleet job walls, not
-#: simulated-protocol latencies (those use TIME_BUCKETS).
-HOST_TIME_BUCKETS: tuple[float, ...] = _log_buckets(1e-3, 100.0, per_decade=3)
-
-#: Wide integer edges (per-schedule event counts): 1 .. 1M.
-WIDE_COUNT_BUCKETS: tuple[float, ...] = _log_buckets(1.0, 1e6, per_decade=1)
-
-#: Per-metric bucket edges; unnamed metrics fall back to TIME_BUCKETS.
-DEFAULT_BUCKETS: dict[str, tuple[float, ...]] = {
-    "steal_latency": TIME_BUCKETS,
-    "steal_fail_latency": TIME_BUCKETS,
-    "steal_chunk": COUNT_BUCKETS,
-    "queue_occupancy": COUNT_BUCKETS,
-    "wave_rtt": TIME_BUCKETS,
-    "lock_wait": TIME_BUCKETS,
-    "lock_hold": TIME_BUCKETS,
-    "task_time": TIME_BUCKETS,
-    "idle_wait": TIME_BUCKETS,
-    # Fleet (host-level) metrics — see repro.fleet.scheduler.
-    "job_wall": HOST_TIME_BUCKETS,
-    "steal_chunk_jobs": COUNT_BUCKETS,
-    "schedule_events": WIDE_COUNT_BUCKETS,
-}
-
-
 class MetricsRegistry:
     """One namespace of counters, gauges, and histograms.
 
     The observability :class:`~repro.obs.record.Recorder` owns one
-    registry per engine; metrics created on demand get their bucket
-    edges from :data:`DEFAULT_BUCKETS`.
+    registry per engine; every metric is created on first use.
     """
 
     def __init__(self) -> None:
@@ -372,11 +297,11 @@ class MetricsRegistry:
         self.histograms: dict[str, Histogram] = {}
 
     # -- creation-on-demand ------------------------------------------- #
-    def histogram(self, name: str, edges: tuple[float, ...] | None = None) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """The histogram called ``name``, created on first use."""
         h = self.histograms.get(name)
         if h is None:
-            h = Histogram(name, edges or DEFAULT_BUCKETS.get(name, TIME_BUCKETS))
+            h = Histogram(name)
             self.histograms[name] = h
         return h
 
@@ -421,7 +346,7 @@ class MetricsRegistry:
 
         The fleet scheduler uses this to aggregate metric snapshots that
         ride back from worker processes on job results: counter values
-        add, histogram buckets add (edges must match), gauges fold
+        add, histogram counts and sketches add, gauges fold
         min/max/samples and adopt the incoming last-values.
 
         Args:
@@ -446,140 +371,15 @@ class MetricsRegistry:
                 gauge.max = max(gauge.max, g["max"])
                 gauge.samples += g["samples"]
         for name, h in doc.get("histograms", {}).items():
-            edges = tuple(float(e) for e in h.get("edges", ()))
-            hist = self.histogram(name, edges=edges)
-            if hist.edges != edges:
-                raise ValueError(
-                    f"histogram {name!r}: cannot merge mismatched edges "
-                    f"{edges!r} into {hist.edges!r}"
-                )
-            for i, c in enumerate(h.get("counts", ())):
-                hist.counts[i] += c
+            hist = self.histogram(name)
             if h.get("count"):
                 hist.count += h["count"]
                 hist.sum += h["sum"]
                 hist.min = min(hist.min, h["min"])
                 hist.max = max(hist.max, h["max"])
-            sketch_doc = h.get("sketch")
-            if sketch_doc is not None:
-                hist.sketch.merge_dict(sketch_doc)
+            hist.sketch.merge_dict(h["sketch"])
             for rank_str, rc in h.get("per_rank", {}).items():
                 rank = into_rank if into_rank is not None else int(rank_str)
                 hist._rank_count[rank] += rc["count"]
                 hist._rank_sum[rank] += rc["sum"]
 
-
-def _bucket_quantile(
-    edges: tuple[float, ...], counts: list[int], count: int, q: float,
-    overflow_value: float,
-) -> float:
-    """Quantile over one bucket-count vector (Histogram.quantile's rule)."""
-    if count == 0:
-        return 0.0
-    target = q * count
-    seen = 0
-    for i, c in enumerate(counts):
-        seen += c
-        if seen >= target and c:
-            return edges[i] if i < len(edges) else overflow_value
-    return overflow_value
-
-
-class RollingWindows:
-    """Windowed histogram time series over a :class:`MetricsRegistry`.
-
-    The registry keeps *cumulative* distributions; this class snapshots
-    them at a fixed virtual-time ``interval`` and emits the per-window
-    *delta* — count, sum, mean, and sketch-resolution p50/p95/p99 (see
-    :class:`QuantileSketch`; within relative error ``alpha`` rather than
-    3-buckets-per-decade edge resolution) — as a time series.  ``roll(now)`` must be called (by the recorder's metric
-    hooks) before each observation is recorded, so a window ``[t0, t1)``
-    holds exactly the observations whose virtual timestamps fall inside
-    it.  Windows with no observations are skipped; boundaries depend
-    only on virtual time, so the series is deterministic.
-
-    The per-window p99 of, say, ``steal_latency`` is the SLO substrate
-    the open-loop serving scenario needs (ROADMAP item 3): a tail
-    spike is visible in its window rather than diluted into the
-    whole-run distribution.
-    """
-
-    def __init__(self, registry: MetricsRegistry, interval: float) -> None:
-        if interval <= 0:
-            raise ValueError("window interval must be > 0")
-        self.registry = registry
-        self.interval = float(interval)
-        self.windows: list[dict] = []
-        self._t0 = 0.0
-        self._last = 0.0
-        # name -> (counts copy, count, sum) at the last window boundary
-        self._snap: dict[str, tuple[list[int], int, float]] = {}
-        # name -> sketch snapshot at the last window boundary
-        self._sketch_snap: dict[str, tuple[dict[int, int], int, int]] = {}
-        self._finalized = False
-
-    def roll(self, now: float) -> None:
-        """Close every window that ends at or before ``now``."""
-        if now > self._last:
-            self._last = now
-        while now >= self._t0 + self.interval:
-            self._close_window(self._t0 + self.interval)
-
-    def _close_window(self, t1: float) -> None:
-        histograms: dict[str, dict] = {}
-        for name in sorted(self.registry.histograms):
-            h = self.registry.histograms[name]
-            prev = self._snap.get(name)
-            prev_counts, prev_count, prev_sum = (
-                prev if prev is not None else ([0] * len(h.counts), 0, 0.0)
-            )
-            dcount = h.count - prev_count
-            if dcount:
-                dsum = h.sum - prev_sum
-                dsketch = h.sketch.delta(self._sketch_snap.get(name, ({}, 0, 0)))
-                if dsketch.count == dcount:
-                    p50, p95, p99 = (dsketch.quantile(q) for q in (0.50, 0.95, 0.99))
-                else:
-                    # Registries merged from pre-sketch documents can have
-                    # sketch counts lagging bucket counts; fall back to
-                    # bucket-edge resolution rather than report a quantile
-                    # over a partial sketch.
-                    dcounts = [c - p for c, p in zip(h.counts, prev_counts)]
-                    p50 = _bucket_quantile(h.edges, dcounts, dcount, 0.50, h.max)
-                    p95 = _bucket_quantile(h.edges, dcounts, dcount, 0.95, h.max)
-                    p99 = _bucket_quantile(h.edges, dcounts, dcount, 0.99, h.max)
-                histograms[name] = {
-                    "count": dcount,
-                    "sum": dsum,
-                    "mean": dsum / dcount,
-                    "p50": p50,
-                    "p95": p95,
-                    "p99": p99,
-                }
-            self._snap[name] = (list(h.counts), h.count, h.sum)
-            self._sketch_snap[name] = h.sketch.snapshot()
-        if histograms:
-            self.windows.append({"t0": self._t0, "t1": t1, "histograms": histograms})
-        self._t0 = t1
-
-    def _has_delta(self) -> bool:
-        for name, h in self.registry.histograms.items():
-            prev = self._snap.get(name)
-            if h.count != (prev[1] if prev is not None else 0):
-                return True
-        return False
-
-    def finalize(self, t_end: float | None = None) -> None:
-        """Close the trailing (possibly partial) window (idempotent)."""
-        if self._finalized:
-            return
-        self._finalized = True
-        end = self._last if t_end is None else max(t_end, self._last)
-        while end >= self._t0 + self.interval:
-            self._close_window(self._t0 + self.interval)
-        if self._has_delta():
-            self._close_window(max(end, self._t0))
-
-    def to_dict(self) -> dict:
-        """JSON-ready view: the interval plus the non-empty window series."""
-        return {"interval": self.interval, "series": list(self.windows)}

@@ -170,11 +170,10 @@ class Recorder:
     in-memory lists (``recorder.spans`` et al. stay list-like views of
     it), while :class:`~repro.obs.stream.SpillSink` streams completed
     records to sharded JSONL in constant memory.  Optional side-taps:
-    ``windows`` (a :class:`repro.obs.metrics.RollingWindows`) snapshots
-    windowed histogram percentiles at a virtual-time interval, and
-    ``flight`` (a :class:`repro.obs.flight.FlightRecorder`) keeps a
-    bounded per-rank ring of recent records that is dumped to disk when
-    the engine fails.
+    ``live`` (a :class:`repro.obs.live.TelemetryBus`) publishes windowed
+    metric frames at a virtual-time interval, and ``flight`` (a
+    :class:`repro.obs.flight.FlightRecorder`) keeps a bounded per-rank
+    ring of recent records that is dumped to disk when the engine fails.
     """
 
     _KEY = _KEY
@@ -185,7 +184,6 @@ class Recorder:
         capacity: int = 2_000_000,
         edges: bool = True,
         sink: "Any | None" = None,
-        window: float | None = None,
         flight: "Any | None" = None,
         live: "Any | None" = None,
     ) -> None:
@@ -201,11 +199,6 @@ class Recorder:
         self.dropped_instants = 0
         self.dropped_edges = 0
         self.metrics = MetricsRegistry()
-        self.windows = None
-        if window is not None:
-            from repro.obs.metrics import RollingWindows
-
-            self.windows = RollingWindows(self.metrics, window)
         self.flight = None
         self._failure_hooked = False
         if flight is not None:
@@ -237,7 +230,6 @@ class Recorder:
         capacity: int = 2_000_000,
         edges: bool = True,
         sink: "Any | None" = None,
-        window: float | None = None,
         flight: "Any | None" = None,
         live: "Any | None" = None,
     ) -> "Recorder":
@@ -245,8 +237,8 @@ class Recorder:
         inst = engine.state.get(cls._KEY)
         if inst is None:
             inst = cls(
-                engine, capacity, edges=edges, sink=sink, window=window,
-                flight=flight, live=live,
+                engine, capacity, edges=edges, sink=sink, flight=flight,
+                live=live,
             )
             engine.state[cls._KEY] = inst
             engine.note_observer()
@@ -297,14 +289,12 @@ class Recorder:
             self.flight.dump(type(exc).__name__, error=str(exc))
 
     def finish(self) -> None:
-        """Finalize the recording (idempotent): close the last metrics
-        window and seal the sink's footer index (a no-op for the
+        """Finalize the recording (idempotent): emit the last telemetry
+        frame and seal the sink's footer index (a no-op for the
         in-memory sink)."""
         if self._finished:
             return
         self._finished = True
-        if self.windows is not None:
-            self.windows.finalize()
         if self.live is not None:
             self.live.finish()
         self.sink.seal(
@@ -508,8 +498,6 @@ def observe(proc: "Proc", name: str, value: float) -> None:
     """Observe ``value`` into histogram ``name`` (no-op when off)."""
     rec = proc.engine.state.get(_KEY)
     if rec is not None:
-        if rec.windows is not None:
-            rec.windows.roll(proc.now)
         rec.metrics.observe(name, value, rank=proc.rank)
 
 
@@ -517,8 +505,6 @@ def count(proc: "Proc", name: str, amount: float = 1.0) -> None:
     """Increment obs counter ``name`` for ``proc``'s rank (no-op when off)."""
     rec = proc.engine.state.get(_KEY)
     if rec is not None:
-        if rec.windows is not None:
-            rec.windows.roll(proc.now)
         rec.metrics.add(proc.rank, name, amount)
 
 
@@ -526,8 +512,6 @@ def sample(proc: "Proc", name: str, value: float) -> None:
     """Set gauge ``name`` on ``proc``'s rank to ``value`` (no-op when off)."""
     rec = proc.engine.state.get(_KEY)
     if rec is not None:
-        if rec.windows is not None:
-            rec.windows.roll(proc.now)
         rec.metrics.sample(name, proc.rank, value)
 
 

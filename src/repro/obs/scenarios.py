@@ -72,15 +72,11 @@ def _attach(
     events: bool,
     edges: bool = True,
     sink: Any | None = None,
-    window: float | None = None,
     flight: Any | None = None,
     live: Any | None = None,
 ) -> tuple[Recorder | None, Tracer | None]:
     rec = (
-        Recorder.attach(
-            engine, edges=edges, sink=sink, window=window, flight=flight,
-            live=live,
-        )
+        Recorder.attach(engine, edges=edges, sink=sink, flight=flight, live=live)
         if record
         else None
     )
@@ -210,7 +206,6 @@ def run_target(
     edges: bool = True,
     stream_dir: Any | None = None,
     shard_size: int | None = None,
-    window: float | None = None,
     flight: Any | None = None,
     sink: Any | None = None,
     live_path: Any | None = None,
@@ -227,13 +222,11 @@ def run_target(
 
     Streaming options: ``stream_dir`` records through a constant-memory
     :class:`~repro.obs.stream.SpillSink` spilling sharded JSONL there
-    (sealed with a footer index when the run finishes); ``window``
-    enables rolling metrics windows at that virtual-time interval;
-    ``flight`` installs a :class:`~repro.obs.flight.FlightRecorder`; and
+    (sealed with a footer index when the run finishes); ``flight``
+    installs a :class:`~repro.obs.flight.FlightRecorder`; and
     ``live_path`` publishes interval telemetry frames there as an
-    append-only ``repro-obs-live/1`` feed (interval from
-    ``live_interval``, falling back to ``window`` and then the bus
-    default).
+    append-only ``repro-obs-live/1`` feed (every ``live_interval``
+    virtual seconds, default 100 µs).
     """
     try:
         runner = TARGETS[name]
@@ -252,13 +245,10 @@ def run_target(
         from repro.obs.live import DEFAULT_INTERVAL, TelemetryBus
 
         live = TelemetryBus(
-            live_path,
-            interval=live_interval or window or DEFAULT_INTERVAL,
-            label=name,
+            live_path, interval=live_interval or DEFAULT_INTERVAL, label=name
         )
     run = runner(
-        nprocs, seed, record, events, edges, sink=sink, window=window,
-        flight=flight, live=live,
+        nprocs, seed, record, events, edges, sink=sink, flight=flight, live=live
     )
     if run.recorder is not None:
         run.recorder.finish()

@@ -35,9 +35,7 @@ ids offset so cross-rank arrows never collide between workers.
 
 Spill directories hold the *span* stream; the companion *metrics*
 stream — interval telemetry frames — is the live feed of
-:mod:`repro.obs.live`, whose :func:`~repro.obs.live.merge_feeds` plays
-the same fleet-aggregation role for frames that :func:`merge_spills`
-plays for spans.
+:mod:`repro.obs.live`.
 """
 
 from __future__ import annotations

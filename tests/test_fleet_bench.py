@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.fleet import bench
 from repro.fleet.bench import (
     FLEET_SCHEMA,
     run_fleet_bench,
@@ -59,6 +61,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="host.cpus"):
             validate_fleet_json(doc)
 
+    def test_committed_record_validates(self):
+        validate_fleet_json(json.loads(Path("BENCH_fleet.json").read_text()))
+
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
@@ -70,6 +75,7 @@ class TestValidation:
              "schedules_per_sec"),
             (lambda d: d["entries"][0].update(failing_digest=""),
              "failing_digest"),
+            (lambda d: d["host"].update(cpus=1), "jobs=2: speedup claimed"),
         ],
     )
     def test_malformed_documents_rejected(self, mutate, fragment):
@@ -150,3 +156,14 @@ class TestRunFleetBench:
         assert [e["jobs"] for e in doc["entries"]] == [1, 2]
         assert doc["entries"][0]["speedup"] == 1.0
         assert diff_documents(doc, copy.deepcopy(doc)).ok
+
+    def test_speedup_only_where_jobs_fit_the_host(self, monkeypatch):
+        host = {"platform": "test", "python": "3.x", "cpus": 1}
+        monkeypatch.setattr(bench, "_host_info", lambda: host)
+        doc = run_fleet_bench(
+            jobs_levels=(1, 2), targets=["queue"], schedules=4, verbose=False
+        )
+        validate_fleet_json(doc)
+        one, two = doc["entries"]
+        assert one["speedup"] == 1.0
+        assert "speedup" not in two

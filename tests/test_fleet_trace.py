@@ -19,11 +19,10 @@ from repro.obs.stream import SpillReader, merge_spills
 
 class TestObsJobs:
     def test_builder_one_spill_dir_per_target(self, tmp_path):
-        jobs = obs_jobs(["queue", "steals"], str(tmp_path), window=1e-3)
+        jobs = obs_jobs(["queue", "steals"], str(tmp_path))
         assert [j.key for j in jobs] == ["obs/queue", "obs/steals"]
         dirs = {j.params["spill_dir"] for j in jobs}
         assert len(dirs) == 2
-        assert all(j.params["window"] == 1e-3 for j in jobs)
 
     def test_execute_obs_spills_and_returns_counts_only(self, tmp_path):
         job = obs_jobs(["queue"], str(tmp_path))[0]

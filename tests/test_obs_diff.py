@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.obs.diff import diff_documents, diff_files, render_diff
-from repro.obs.export import metrics_dict, write_metrics_json
+from repro.obs.export import METRICS_SCHEMA, metrics_dict, write_metrics_json
 from repro.obs.scenarios import run_target
 
 
@@ -94,59 +94,16 @@ class TestMetricsDiff:
         assert report.ok  # counters are direction-neutral
         assert any(e.status == "changed" for e in report.changes)
 
-    def test_v1_document_diffs_against_v2(self):
+    @pytest.mark.parametrize("schema", ["repro-obs-metrics/1", "repro-obs-metrics/2"])
+    def test_old_metrics_schemas_refused(self, schema):
         doc = metrics_dict(run_target("steals").recorder)
+        assert doc["schema"] == METRICS_SCHEMA
         old = copy.deepcopy(doc)
-        old["schema"] = "repro-obs-metrics/1"
-        for h in old["histograms"].values():  # /1 had no stored percentiles
-            for k in ("p50", "p95", "p99"):
-                h.pop(k, None)
-        report = diff_documents(old, doc)
-        assert report.ok
-
-
-class TestWindowsDiff:
-    def _doc(self):
-        return metrics_dict(run_target("steals", window=50e-6).recorder)
-
-    def test_windowed_roundtrip_is_clean(self):
-        doc = self._doc()
-        assert doc["windows"]["series"]  # windows actually present
-        report = diff_documents(doc, copy.deepcopy(doc))
-        assert report.ok and not report.changes
-
-    def test_worst_window_latency_spike_regresses(self):
-        old = self._doc()
-        new = copy.deepcopy(old)
-        for w in new["windows"]["series"]:
-            h = w["histograms"].get("steal_fail_latency")
-            if h:
-                h["p99"] *= 3.0
-        report = diff_documents(old, new)
-        (regress,) = [e for e in report.regressions
-                      if e.key == "windows/steal_fail_latency"]
-        assert regress.metric == "worst p99"
-
-    def test_count_style_window_metrics_warn_without_regressing(self):
-        old = self._doc()
-        new = copy.deepcopy(old)
-        for w in new["windows"]["series"]:
-            h = w["histograms"].get("steal_chunk")
-            if h:
-                h["p99"] *= 3.0
-        report = diff_documents(old, new)
-        assert report.ok  # chunk sizes are direction-neutral
-        assert any(e.key == "windows/steal_chunk" for e in report.changes)
-
-    def test_interval_change_is_a_mismatch(self):
-        old = self._doc()
-        new = copy.deepcopy(old)
-        new["windows"]["interval"] *= 2
-        report = diff_documents(old, new)
-        assert any(
-            e.key == "windows" and e.status == "mismatch"
-            for e in report.regressions
-        )
+        old["schema"] = schema
+        with pytest.raises(ValueError, match="schema mismatch"):
+            diff_documents(old, doc)
+        with pytest.raises(ValueError, match="unsupported schema"):
+            diff_documents(old, old)
 
 
 class TestSchemaHandling:
@@ -206,3 +163,26 @@ class TestCli:
         assert main(["summarize", str(trace), "--metrics", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "histogram percentiles" in out and "p95" in out
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ('{"schema": "repro-obs-metrics/2", "histograms": {}}',
+             "unsupported metrics schema 'repro-obs-metrics/2'"),
+            ('{"schema": "repro-obs-metrics/3", "histo', "not a JSON document"),
+        ],
+        ids=["schema-v2", "torn"],
+    )
+    def test_summarize_refuses_bad_metrics_with_exit_2(
+        self, tmp_path, capsys, text, fragment
+    ):
+        from repro.obs.__main__ import main
+        from repro.obs.export import write_chrome_trace
+
+        trace = write_chrome_trace(run_target("steals").recorder, tmp_path / "t.json")
+        metrics = tmp_path / "m.json"
+        metrics.write_text(text)
+        assert main(["summarize", str(trace), "--metrics", str(metrics)]) == 2
+        captured = capsys.readouterr()
+        assert str(metrics) in captured.err and fragment in captured.err
+        assert captured.out == ""

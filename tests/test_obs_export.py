@@ -83,7 +83,8 @@ class TestMetricsJson:
         hs = doc["histograms"]
         assert hs["steal_latency"]["count"] > 0
         assert hs["wave_rtt"]["count"] > 0
-        assert len(hs["steal_latency"]["counts"]) == len(hs["steal_latency"]["edges"]) + 1
+        assert hs["steal_latency"]["sketch"]["count"] == hs["steal_latency"]["count"]
+        assert "edges" not in hs["steal_latency"] and "counts" not in hs["steal_latency"]
         assert doc["spans"]["recorded"] == len(run.recorder.spans)
 
     def test_process_stats_embedded_when_given(self):

@@ -1,15 +1,19 @@
-"""Live telemetry bus: feed determinism, merging, rendering, fleet wiring.
+"""Live telemetry bus: feed determinism, window edges, reading, rendering.
 
 The bus is an observer: two identical runs produce byte-identical feeds
 and attaching it never changes the run fingerprint (``repro.obs verify``
-checks both for every check scenario).  These tests also
-cover the feed reader's torn-line tolerance, the schema validator, the
-parent-side fleet merge, and the flight recorder's latest-frame capture.
+checks both for every check scenario).  It is the only windowed view of
+the metrics, so these tests pin its bytes (sha256 goldens), its window
+boundaries and its counts against the cumulative registry.  They also
+cover the feed reader's damage rules, the schema validator, and the
+flight recorder's latest-frame capture.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,18 +22,58 @@ from repro.obs.live import (
     LIVE_SCHEMA,
     TelemetryBus,
     latest_frames,
-    merge_feeds,
     read_feed,
     render_top,
     validate_feed,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.scenarios import fingerprint, run_target
+
+#: sha256 of each target's feed (P=4, seed 0, 50 us frames), recorded
+#: before rolling windows were deleted: the surviving window path must
+#: keep emitting these exact bytes.
+FEED_GOLDENS = {
+    "graph": "a8f389eb9a202c198d9a7684b98453bcd25787fdd1db7f86ac94f0ea9145c7e0",
+    "queue": "be693ea525dcf6c5d0d39c231b58aa4e66c5065d6dfe3917ed3cd0b7685d78c8",
+    "queue-wf": "3404dae6659b409243dfb3fb6e5c0ecb1cebbc9bb2e1018236846d1c1d94a889",
+    "steals": "1287941d4f39dbc9d74ff51b0a1c52e3aeb56fee48fbb11483d6e23d4767c9c6",
+    "termination": "b0e142183566ea1f2cead88410711afefb1bb1968c336afe50e61ab1520b3b28",
+    "waitfree": "1ed1486b2bc878c242c81cb68e3fb9cb9180c52252e4897b6165cb9586efbb4e",
+    "uts-small": "dde715b0f85c22c2aaf6af1daebc15aad180344638a749c247ca14f8e702df29",
+}
 
 
 def run_with_feed(tmp_path, target="queue", name="feed.jsonl", **kw):
     path = tmp_path / name
     run = run_target(target, record=True, live_path=path, live_interval=50e-6, **kw)
     return run, path
+
+
+def bare_bus(tmp_path, interval=1.0):
+    """A bus bound to a stand-in engine: ``event(t)`` does what the engine
+    does per event — tick the bus with the event's time, then count it."""
+    engine = SimpleNamespace(nprocs=1, events=0, _tick=None)
+    rec = SimpleNamespace(engine=engine, metrics=MetricsRegistry(), flight=None)
+    bus = TelemetryBus(tmp_path / "f.jsonl", interval=interval)
+    bus.bind(rec)
+
+    def event(t):
+        engine._tick(t)
+        engine.events += 1
+
+    return bus, rec.metrics, event
+
+
+def frames_of(bus):
+    return read_feed(bus.path)["frames"]
+
+
+@pytest.mark.parametrize("target", sorted(FEED_GOLDENS))
+def test_feed_bytes_match_golden(tmp_path, target):
+    path = tmp_path / "feed.jsonl"
+    run_target(target, nprocs=4, seed=0, record=True, live_path=path,
+               live_interval=50e-6)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FEED_GOLDENS[target]
 
 
 class TestFeedDeterminism:
@@ -52,15 +96,88 @@ class TestFeedDeterminism:
         assert validate_feed(doc) == []
 
     def test_frames_cover_disjoint_increasing_windows(self, tmp_path):
-        _, path = run_with_feed(tmp_path)
+        _, path = run_with_feed(tmp_path, target="uts-small")
         frames = read_feed(path)["frames"]
+        assert len(frames) > 1
         for prev, cur in zip(frames, frames[1:]):
             assert prev["t1"] <= cur["t0"]
             assert prev["seq"] < cur["seq"]
+        for frame in frames:
+            assert frame["t1"] > frame["t0"]
+            for h in frame["histograms"].values():
+                assert h["count"] > 0
+                assert h["p50"] <= h["p95"] <= h["p99"]
+
+    def test_frame_counts_sum_to_cumulative(self, tmp_path):
+        run, path = run_with_feed(tmp_path, target="steals")
+        frames = read_feed(path)["frames"]
+        histograms = run.recorder.metrics.histograms
+        assert histograms
+        for name, hist in histograms.items():
+            windowed = sum(
+                f["histograms"][name]["count"]
+                for f in frames
+                if name in f["histograms"]
+            )
+            assert windowed == hist.count
 
     def test_interval_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             TelemetryBus(tmp_path / "f.jsonl", interval=0.0)
+
+
+class TestWindowEdges:
+    def test_empty_final_window_not_emitted(self, tmp_path):
+        bus, reg, event = bare_bus(tmp_path)
+        event(0.5)
+        reg.observe("lock_wait", 1e-6)
+        # Virtual time passes through several quiet intervals.
+        event(5.5)
+        bus.finish(9.0)
+        frames = frames_of(bus)
+        assert [(f["t0"], f["t1"]) for f in frames] == [(0.0, 1.0), (5.0, 6.0)]
+        assert frames[0]["histograms"]["lock_wait"]["count"] == 1
+        assert frames[1]["histograms"] == {} and frames[1]["d_events"] == 1
+
+    def test_observation_on_interval_boundary_lands_in_next_window(self, tmp_path):
+        bus, reg, event = bare_bus(tmp_path)
+        event(0.2)
+        reg.observe("lock_wait", 1e-6)
+        # The tick for an event at t fires before the event records
+        # anything: the boundary observation belongs to [1, 2).
+        event(1.0)
+        reg.observe("lock_wait", 2e-6)
+        bus.finish(2.0)
+        frames = frames_of(bus)
+        assert [f["histograms"]["lock_wait"]["count"] for f in frames] == [1, 1]
+        assert [f["t0"] for f in frames] == [0.0, 1.0]
+
+    def test_zero_duration_run_with_observations(self, tmp_path):
+        bus, reg, event = bare_bus(tmp_path)
+        event(0.0)
+        reg.observe("lock_wait", 1e-6)
+        bus.finish(0.0)
+        (frame,) = frames_of(bus)
+        assert frame["t0"] == 0.0 and frame["t1"] == 0.0
+        assert frame["histograms"]["lock_wait"]["count"] == 1
+
+    def test_zero_duration_run_without_observations(self, tmp_path):
+        bus, _, _ = bare_bus(tmp_path)
+        bus.finish(0.0)
+        assert frames_of(bus) == [] and bus.frames_emitted == 0
+
+    def test_window_percentiles_use_sketch_resolution(self, tmp_path):
+        # Three values within 40% of each other: each frame percentile
+        # stays within the sketch's 1% of the true value.
+        bus, reg, event = bare_bus(tmp_path)
+        event(0.0)
+        for v in (100e-9, 101e-9, 140e-9):
+            reg.observe("lock_wait", v)
+        bus.finish(1.0)
+        h = frames_of(bus)[0]["histograms"]["lock_wait"]
+        assert abs(h["p50"] - 101e-9) <= 0.01 * 101e-9 * 1.001
+        assert abs(h["p99"] - 140e-9) <= 0.01 * 140e-9 * 1.001
+        assert h["p50"] <= h["p95"] <= h["p99"]
 
 
 class TestFeedReader:
@@ -70,6 +187,30 @@ class TestFeedReader:
         with path.open("a") as fh:
             fh.write('{"kind": "frame", "label": "torn", "t0"')
         assert len(read_feed(path)["frames"]) == len(whole["frames"])
+
+    def test_bad_line_before_the_last_is_refused(self, tmp_path):
+        _, path = run_with_feed(tmp_path)
+        lines = path.read_text().splitlines()
+        assert len(lines) > 2
+        lines.insert(2, '{"kind": "frame", "t0"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"{path.name}:3: unparseable"):
+            read_feed(path)
+
+    def test_non_object_line_is_refused(self, tmp_path):
+        _, path = run_with_feed(tmp_path)
+        with path.open("a") as fh:
+            fh.write("[1]\n")
+        with pytest.raises(ValueError, match="expected a JSON object, got list"):
+            read_feed(path)
+
+    def test_second_meta_line_is_refused(self, tmp_path):
+        _, path = run_with_feed(tmp_path)
+        meta = path.read_text().splitlines()[0]
+        with path.open("a") as fh:
+            fh.write(meta + "\n")
+        with pytest.raises(ValueError, match="second meta line"):
+            read_feed(path)
 
     def test_missing_meta_rejected(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -97,29 +238,15 @@ class TestFeedReader:
 
 
 class TestMergeAndRender:
-    def test_merge_annotates_workers_and_orders_by_time(self, tmp_path):
-        _, a = run_with_feed(tmp_path, target="queue", name="a.jsonl")
-        _, b = run_with_feed(tmp_path, target="steals", name="b.jsonl")
-        out = tmp_path / "merged.jsonl"
-        merged = merge_feeds([(0, a), (1, b)], out)
-        assert validate_feed(merged) == []
-        workers = {f["worker"] for f in merged["frames"]}
-        assert workers == {0, 1}
-        t1s = [f["t1"] for f in merged["frames"]]
-        assert t1s == sorted(t1s)
-        # The merged file re-reads identically.
-        again = read_feed(out)
-        assert again["frames"] == merged["frames"]
-
     def test_latest_frames_picks_one_per_stream(self, tmp_path):
         _, a = run_with_feed(tmp_path, target="queue", name="a.jsonl")
         _, b = run_with_feed(tmp_path, target="steals", name="b.jsonl")
-        merged = merge_feeds([(0, a), (1, b)], tmp_path / "m.jsonl")
-        latest = latest_frames(merged)
-        assert len(latest) == 2
+        doc = read_feed(a)
+        doc["frames"] += read_feed(b)["frames"]
+        latest = latest_frames(doc)
+        assert [f["label"] for f in latest] == ["queue", "steals"]
         for f in latest:
-            same = [g for g in merged["frames"]
-                    if g["label"] == f["label"] and g["worker"] == f["worker"]]
+            same = [g for g in doc["frames"] if g["label"] == f["label"]]
             assert f["seq"] == max(g["seq"] for g in same)
 
     def test_render_top_mentions_streams_and_metrics(self, tmp_path):
@@ -149,27 +276,14 @@ class TestFlightIntegration:
 
 
 class TestFleetWiring:
-    def test_obs_job_publishes_feed_and_parent_merge_matches(self, tmp_path):
-        from repro.fleet.jobs import execute_job, obs_jobs
-
-        jobs = obs_jobs(["queue", "steals"], str(tmp_path), live=True,
-                        live_interval=50e-6)
-        feeds = []
-        for i, job in enumerate(jobs):
-            result = execute_job(job, worker=i)
-            assert result.ok, result.error
-            assert result.payload["live_path"]
-            feeds.append((i, result.payload["live_path"]))
-        merged = merge_feeds(feeds, tmp_path / "fleet.jsonl")
-        assert validate_feed(merged) == []
-        assert {f["label"] for f in merged["frames"]} == {"queue", "steals"}
-
     def test_obs_job_without_live_has_no_feed(self, tmp_path):
         from repro.fleet.jobs import execute_job, obs_jobs
 
         job = obs_jobs(["queue"], str(tmp_path))[0]
         result = execute_job(job)
-        assert result.ok and result.payload["live_path"] is None
+        assert result.ok, result.error
+        assert "live_path" not in job.params and "live_path" not in result.payload
+        assert list(tmp_path.glob("*.jsonl")) == []
 
 
 class TestCli:
@@ -188,4 +302,5 @@ class TestCli:
 
         p = tmp_path / "x.jsonl"
         p.write_text(json.dumps({"schema": "nope"}) + "\n")
-        assert main(["top", str(p)]) != 0
+        assert main(["top", str(p)]) == 2
+        assert str(p) in capsys.readouterr().err

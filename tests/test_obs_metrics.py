@@ -1,55 +1,22 @@
-"""Metrics primitives: histogram bucket edges, gauges, counter facade."""
+"""Metrics primitives: sketch-backed histograms, gauges, counter facade."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    DEFAULT_BUCKETS,
-    TIME_BUCKETS,
     CounterFamily,
     Gauge,
     Histogram,
     MetricsRegistry,
+    QuantileSketch,
 )
 from repro.sim.counters import Counters
 
 
 class TestHistogram:
-    def test_value_on_edge_lands_in_that_bucket(self):
-        h = Histogram("h", edges=(1.0, 2.0, 4.0))
-        h.observe(1.0)  # == edges[0]
-        h.observe(2.0)  # == edges[1]
-        h.observe(4.0)  # == edges[2]
-        assert h.counts == [1, 1, 1, 0]
-
-    def test_value_just_above_edge_lands_in_next_bucket(self):
-        h = Histogram("h", edges=(1.0, 2.0, 4.0))
-        h.observe(1.0000001)
-        h.observe(2.5)
-        assert h.counts == [0, 1, 1, 0]
-
-    def test_overflow_bucket(self):
-        h = Histogram("h", edges=(1.0, 2.0))
-        h.observe(100.0)
-        assert h.counts == [0, 0, 1]
-        assert h.max == 100.0
-
-    def test_below_first_edge_lands_in_first_bucket(self):
-        h = Histogram("h", edges=(1.0, 2.0))
-        h.observe(0.0)
-        h.observe(-5.0)
-        assert h.counts == [2, 0, 0]
-
-    def test_edges_must_strictly_increase(self):
-        with pytest.raises(ValueError):
-            Histogram("h", edges=(1.0, 1.0, 2.0))
-        with pytest.raises(ValueError):
-            Histogram("h", edges=())
-
     def test_stats_and_per_rank_attribution(self):
-        h = Histogram("h", edges=(1.0, 10.0))
+        h = Histogram("h")
         h.observe(0.5, rank=0)
         h.observe(5.0, rank=1)
         h.observe(5.0, rank=1)
@@ -60,17 +27,43 @@ class TestHistogram:
         assert d["per_rank"]["1"] == {"count": 2, "sum": 10.0}
         assert d["min"] == 0.5 and d["max"] == 5.0
 
-    def test_quantile_reports_bucket_upper_edge(self):
-        h = Histogram("h", edges=(1.0, 2.0, 4.0))
+    def test_overflow_bucket(self):
+        # No top edge to overflow: a large value gets its own sketch
+        # bucket and an exact max.
+        h = Histogram("h")
+        h.observe(100.0)
+        assert h.max == 100.0
+        assert h.sketch.count == 1 and h.sketch.zero == 0
+        assert h.to_dict()["p99"] == pytest.approx(100.0, rel=h.sketch.alpha)
+
+    def test_below_first_edge_lands_in_first_bucket(self):
+        # Non-positive values land in the sketch's zero bucket.
+        h = Histogram("h")
+        h.observe(0.0)
+        h.observe(-5.0)
+        assert h.sketch.zero == 2 and h.sketch.count == 2
+        assert (h.min, h.max, h.count) == (-5.0, 0.0, 2)
+
+    def test_percentiles_come_from_the_sketch(self):
+        h = Histogram("h")
         for v in (0.5, 0.6, 1.5, 3.0):
             h.observe(v)
-        assert h.quantile(0.5) == 1.0  # two of four in the first bucket
-        assert h.quantile(1.0) == 4.0
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
+        d = h.to_dict()
+        for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+            assert d[key] == h.sketch.quantile(q)
+        assert d["p50"] == pytest.approx(0.6, rel=h.sketch.alpha)
+        assert d["p99"] == pytest.approx(3.0, rel=h.sketch.alpha)
+        assert set(d) == {
+            "count", "sum", "mean", "min", "max", "p50", "p95", "p99",
+            "sketch", "per_rank",
+        }
 
     def test_empty_quantile_is_zero(self):
-        assert Histogram("h", edges=(1.0,)).quantile(0.9) == 0.0
+        h = Histogram("h")
+        assert h.sketch.quantile(0.9) == 0.0
+        d = h.to_dict()
+        assert d["p50"] is d["p95"] is d["p99"] is None
+        assert d["min"] is None and d["max"] is None
 
 
 class TestGauge:
@@ -101,13 +94,6 @@ class TestCounters:
 
 
 class TestRegistry:
-    def test_named_metrics_get_their_default_buckets(self):
-        reg = MetricsRegistry()
-        assert reg.histogram("steal_chunk").edges == tuple(float(e) for e in COUNT_BUCKETS)
-        assert reg.histogram("steal_latency").edges == TIME_BUCKETS
-        assert reg.histogram("unheard_of").edges == TIME_BUCKETS
-        assert set(DEFAULT_BUCKETS) >= {"steal_latency", "wave_rtt", "lock_wait"}
-
     def test_observe_sample_add_roundtrip_through_to_dict(self):
         reg = MetricsRegistry()
         reg.observe("steal_latency", 1e-6, rank=0)
@@ -162,14 +148,13 @@ class TestMergeDict:
         assert g.samples == 2
         assert g.min == g.max == 5.0
 
-    def test_mismatched_histogram_edges_rejected(self):
+    def test_mismatched_sketch_alpha_rejected(self):
         fleet = MetricsRegistry()
-        # Materialize the histogram with its default bucket edges first;
-        # the incoming snapshot then disagrees and must be refused.
-        fleet.observe("schedule_events", 10.0, rank=0)
+        other = QuantileSketch(alpha=0.05)
+        other.observe(1.0)
         doc = {"histograms": {"schedule_events": {
-            "edges": [1.0, 2.0], "counts": [1, 0, 0],
-            "count": 1, "sum": 1.0, "min": 1.0, "max": 1.0, "per_rank": {},
+            "count": 1, "sum": 1.0, "min": 1.0, "max": 1.0,
+            "sketch": other.to_dict(), "per_rank": {},
         }}}
-        with pytest.raises(ValueError, match="mismatched edges"):
+        with pytest.raises(ValueError, match="alpha"):
             fleet.merge_dict(doc)

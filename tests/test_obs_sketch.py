@@ -1,12 +1,13 @@
-"""QuantileSketch error bound, merge algebra, and RollingWindows edges.
+"""QuantileSketch error bound and merge algebra.
 
-The sketch's contract is the tentpole of the live-telemetry work: every
-quantile estimate is within relative error ``alpha`` of a true sample
-value, merges are exact (fleet aggregation), and deltas are exact
-(rolling windows).  The property test drives the bound with hypothesis;
-the fleet test checks that sketches merged from serialized worker
-registries answer percentile queries identically to one single-process
-registry over the same observations.
+The sketch is the one percentile path: every quantile estimate is within
+relative error ``alpha`` of a true sample value, merges are exact (fleet
+aggregation), and deltas are exact (live telemetry frames).  The
+property test drives the bound with hypothesis, through the bare sketch
+and through a :class:`Histogram`'s exported percentiles; the fleet test
+checks that sketches merged from serialized worker registries answer
+percentile queries identically to one single-process registry over the
+same observations.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import MetricsRegistry, QuantileSketch, RollingWindows
+from repro.obs.metrics import Histogram, MetricsRegistry, QuantileSketch
 
 
 def exact_quantile(values, q):
@@ -44,13 +45,22 @@ class TestErrorBound:
     )
     def test_quantile_within_relative_error(self, values, q):
         sk = QuantileSketch(alpha=0.01)
+        hist = Histogram("h")
         for v in values:
             sk.observe(v)
+            hist.observe(v)
         est = sk.quantile(q)
         exact = exact_quantile(values, q)
         # Boundary values may round into the adjacent bucket; the
         # midpoint estimate still lands within alpha of the true value.
         assert abs(est - exact) <= sk.alpha * exact * (1 + 1e-9) + 1e-15
+        # A histogram's exported percentiles are its sketch's answers,
+        # held to the same bound against the sorted-list reference.
+        doc = hist.to_dict()
+        for key, hq in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+            assert doc[key] == hist.sketch.quantile(hq)
+            ref = exact_quantile(values, hq)
+            assert abs(doc[key] - ref) <= sk.alpha * ref * (1 + 1e-9) + 1e-15
 
     def test_zero_and_negative_values_use_zero_bucket(self):
         sk = QuantileSketch()
@@ -140,61 +150,3 @@ class TestSerialization:
         for q in (0.5, 0.95, 0.99):
             assert merged.quantile(q) == base.quantile(q)
 
-
-class TestRollingWindowsEdges:
-    def test_empty_final_window_not_emitted(self):
-        reg = MetricsRegistry()
-        win = RollingWindows(reg, interval=1.0)
-        win.roll(0.5)
-        reg.observe("lock_wait", 1e-6)
-        # Time passes through several empty intervals after the burst.
-        win.roll(5.5)
-        win.finalize(9.0)
-        assert len(win.windows) == 1
-        assert win.windows[0]["t0"] == 0.0 and win.windows[0]["t1"] == 1.0
-
-    def test_observation_on_interval_boundary_lands_in_next_window(self):
-        reg = MetricsRegistry()
-        win = RollingWindows(reg, interval=1.0)
-        win.roll(0.2)
-        reg.observe("lock_wait", 1e-6)
-        # roll(t) is called before recording an observation at time t:
-        # the boundary observation belongs to [1, 2), not [0, 1).
-        win.roll(1.0)
-        reg.observe("lock_wait", 2e-6)
-        win.finalize(2.0)
-        counts = [w["histograms"]["lock_wait"]["count"] for w in win.windows]
-        assert counts == [1, 1]
-        assert [w["t0"] for w in win.windows] == [0.0, 1.0]
-
-    def test_zero_duration_run_with_observations(self):
-        reg = MetricsRegistry()
-        win = RollingWindows(reg, interval=1.0)
-        reg.observe("lock_wait", 1e-6)
-        win.finalize(0.0)
-        assert len(win.windows) == 1
-        w = win.windows[0]
-        assert w["t0"] == 0.0 and w["t1"] == 0.0
-        assert w["histograms"]["lock_wait"]["count"] == 1
-
-    def test_zero_duration_run_without_observations(self):
-        reg = MetricsRegistry()
-        win = RollingWindows(reg, interval=1.0)
-        win.finalize(0.0)
-        assert win.windows == []
-        assert win.to_dict() == {"interval": 1.0, "series": []}
-
-    def test_window_percentiles_use_sketch_resolution(self):
-        # All observations inside one bucket-edge span: edge-resolution
-        # percentiles would collapse to the same edge; the sketch keeps
-        # them within 1% of the true values.
-        reg = MetricsRegistry()
-        win = RollingWindows(reg, interval=1.0)
-        values = [100e-9, 101e-9, 140e-9]
-        for v in values:
-            reg.observe("lock_wait", v)
-        win.finalize(1.0)
-        h = win.windows[0]["histograms"]["lock_wait"]
-        assert abs(h["p50"] - 101e-9) <= 0.01 * 101e-9 * 1.001
-        assert abs(h["p99"] - 140e-9) <= 0.01 * 140e-9 * 1.001
-        assert h["p50"] <= h["p95"] <= h["p99"]

@@ -1,4 +1,4 @@
-"""Streaming observability: spill sinks, pack equivalence, windows.
+"""Streaming observability: spill sinks, pack equivalence, merged spills.
 
 The load-bearing guarantees tested here:
 
@@ -24,6 +24,7 @@ import pytest
 
 from repro.obs.critpath import CausalGraph, critical_path
 from repro.obs.export import write_chrome_trace
+from repro.obs.live import read_feed
 from repro.obs.scenarios import fingerprint, run_target
 from repro.obs.stream import (
     STREAM_SCHEMA,
@@ -166,34 +167,24 @@ class TestDropAccounting:
 
 
 # ---------------------------------------------------------------------- #
-# Rolling windows
+# Rolling windows (the telemetry bus is the only windowed path)
 # ---------------------------------------------------------------------- #
 class TestRollingWindows:
-    def test_windows_snapshot_and_are_deterministic(self):
-        a = run_target("uts-small", window=1e-3)
-        b = run_target("uts-small", window=1e-3)
-        doc = a.recorder.windows.to_dict()
-        assert doc["interval"] == 1e-3
-        assert len(doc["series"]) > 1
-        for w in doc["series"]:
+    def test_windows_snapshot_and_are_deterministic(self, tmp_path):
+        def frames(name):
+            path = tmp_path / name
+            run_target("uts-small", record=True, live_path=path, live_interval=1e-3)
+            return read_feed(path)["frames"]
+
+        series = frames("a.jsonl")
+        assert len(series) > 1
+        for w in series:
             assert w["t1"] > w["t0"]
             for h in w["histograms"].values():
                 assert h["count"] > 0
                 assert h["p50"] <= h["p95"] <= h["p99"]
         # windows derive from virtual time only: bit-for-bit repeatable
-        assert doc == b.recorder.windows.to_dict()
-
-    def test_windowed_counts_sum_to_cumulative(self):
-        run = run_target("steals", window=5e-4)
-        rec = run.recorder
-        series = rec.windows.to_dict()["series"]
-        for name, hist in rec.metrics.histograms.items():
-            windowed = sum(
-                w["histograms"][name]["count"]
-                for w in series
-                if name in w["histograms"]
-            )
-            assert windowed == hist.count
+        assert series == frames("b.jsonl")
 
 
 # ---------------------------------------------------------------------- #
