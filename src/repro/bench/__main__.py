@@ -52,11 +52,13 @@ EXPERIMENTS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.fleet.__main__ import positive_int
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=["quick", "full"], default=None)
     parser.add_argument("--only", nargs="*", choices=sorted(EXPERIMENTS),
                         help="run only these experiments")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=None, metavar="N",
                         help="run experiments sharded over N fleet workers "
                              "(python -m repro.fleet; default: in-process)")
     parser.add_argument("--json", default="BENCH_sim.json", metavar="PATH",
@@ -115,10 +117,7 @@ def _run_fleet(chosen: list[str], scale_name: str, jobs: int):
         print(render(sweep, **render_kwargs))
         print(f"  ({res.wall_s:.1f}s wall on worker {res.worker})\n")
         measured.append((sweep, res.wall_s))
-    print(
-        f"fleet: {len(report.completed)} experiments on {jobs} workers, "
-        f"{report.steals} steals, {report.waves} waves\n"
-    )
+    print(f"fleet: {len(report.completed)} experiments on {jobs} workers\n")
     return measured
 
 

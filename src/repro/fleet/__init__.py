@@ -1,11 +1,10 @@
-"""``repro.fleet`` — work-stealing multi-core meta-scheduler.
+"""``repro.fleet`` — multi-core meta-scheduler for the toolchain.
 
 Farms simulation jobs (schedule-exploration shards, bench experiments,
-mutation-matrix cells) out over ``multiprocessing`` workers using the
-paper's own split-queue work-stealing algorithm at the host level:
-per-worker job deques with a release/reacquire split, steal-half
-chunking, neighbor-first victim selection, and wave-based quiescence
-detection mirroring :mod:`repro.core.termination`.
+mutation-matrix cells) out over ``multiprocessing`` workers from one
+FIFO of pending jobs: the lowest-numbered idle worker takes the head, a
+job whose worker dies is requeued once at the head, and every job ends
+completed or flagged as crashed, never dropped.
 
 Entry points: ``python -m repro.fleet``, ``python -m repro.check
 explore --jobs N``, ``python -m repro.bench --jobs N``.  See
@@ -28,9 +27,8 @@ from repro.fleet.results import (
     merge_explore,
     persist_failures,
 )
-from repro.fleet.scheduler import FleetReport, FleetScheduler, QuiescenceDetector
+from repro.fleet.scheduler import FleetReport, FleetScheduler
 from repro.fleet.seeds import derive_seed, derive_seeds
-from repro.fleet.wsqueue import WorkerDeque, neighbor_order
 
 __all__ = [
     "Job",
@@ -47,9 +45,6 @@ __all__ = [
     "persist_failures",
     "FleetScheduler",
     "FleetReport",
-    "QuiescenceDetector",
     "derive_seed",
     "derive_seeds",
-    "WorkerDeque",
-    "neighbor_order",
 ]

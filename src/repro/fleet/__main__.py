@@ -53,11 +53,22 @@ MATRIX_CELLS = (
 )
 
 
+def positive_int(text: str) -> int:
+    """argparse type for worker and batch counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def _progress_printer(stats: dict) -> None:
     print(
         f"  [{stats['wall_s']:6.1f}s] {stats['done']}/{stats['total']} jobs  "
         f"{stats['jobs_per_sec']:5.1f} jobs/s  "
-        f"occupancy {stats['occupancy']:.0%}  steals {stats['steals']}"
+        f"occupancy {stats['occupancy']:.0%}"
         + (f"  requeues {stats['requeues']}" if stats["requeues"] else ""),
         flush=True,
     )
@@ -67,8 +78,7 @@ def _print_fleet_summary(report: FleetReport) -> None:
     print(
         f"fleet: {len(report.completed)}/{report.jobs_total} jobs on "
         f"{report.nworkers} workers in {report.wall_s:.1f}s "
-        f"({report.jobs_per_sec:.1f} jobs/s, {report.steals} steals, "
-        f"{report.waves} waves)"
+        f"({report.jobs_per_sec:.1f} jobs/s)"
     )
     if report.worker_deaths:
         print(
@@ -226,8 +236,8 @@ def probe_main(args: argparse.Namespace) -> int:
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.fleet",
-        description="Work-stealing multi-core meta-scheduler for the "
-        "repro toolchain (see docs/fleet.md).",
+        description="Multi-core meta-scheduler for the repro toolchain "
+        "(see docs/fleet.md).",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -235,7 +245,7 @@ def _parser() -> argparse.ArgumentParser:
     add_explore_arguments(ex)
 
     be = sub.add_parser("bench", help="measure scaling; write BENCH_fleet.json")
-    be.add_argument("--jobs-levels", type=int, nargs="*",
+    be.add_argument("--jobs-levels", type=positive_int, nargs="+",
                     default=list(DEFAULT_JOBS_LEVELS),
                     help="worker counts to measure (default: 1 2 4)")
     be.add_argument("--schedules", type=int, default=DEFAULT_SCHEDULES,
@@ -245,7 +255,7 @@ def _parser() -> argparse.ArgumentParser:
     be.add_argument("--no-json", action="store_true")
 
     ma = sub.add_parser("matrix", help="run the mutation matrix, one cell per job")
-    ma.add_argument("--jobs", type=int, default=2, help="worker count")
+    ma.add_argument("--jobs", type=positive_int, default=2, help="worker count")
     ma.add_argument("--schedules", type=int, default=200,
                     help="schedules per cell (default: %(default)s)")
     ma.add_argument("--seed", type=int, default=0)
@@ -257,7 +267,7 @@ def _parser() -> argparse.ArgumentParser:
     add_trace_arguments(tr)
 
     pr = sub.add_parser("probe", help="fleet self-test (incl. crash handling)")
-    pr.add_argument("--jobs", type=int, default=2, help="worker count")
+    pr.add_argument("--jobs", type=positive_int, default=2, help="worker count")
     pr.add_argument("--count", type=int, default=8, help="probe jobs to run")
     pr.add_argument("--crash", action="store_true",
                     help="include a probe that SIGKILLs its worker")
@@ -279,7 +289,7 @@ def add_trace_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", nargs="+", default=["queue", "steals"],
                    choices=sorted(TARGETS),
                    help="obs targets to record (default: queue steals)")
-    p.add_argument("--jobs", type=int, default=2, help="worker count")
+    p.add_argument("--jobs", type=positive_int, default=2, help="worker count")
     p.add_argument("--nprocs", type=int, default=4,
                    help="simulated ranks for app targets (default: 4)")
     p.add_argument("--seed", type=int, default=0)
@@ -303,13 +313,13 @@ def add_explore_arguments(p: argparse.ArgumentParser) -> None:
                    help="scenario(s) to check (default: queue)")
     p.add_argument("--schedules", type=int, default=500,
                    help="schedules per target (default: %(default)s)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                    help="fleet worker count (default: 1)")
     p.add_argument("--strategy", default="random", choices=sorted(STRATEGIES))
     p.add_argument("--seed", type=int, default=0, help="base campaign seed")
     p.add_argument("--engine-seed", type=int, default=0)
     p.add_argument("--mutate", default="none", choices=sorted(MUTATIONS))
-    p.add_argument("--batch", type=int, default=None,
+    p.add_argument("--batch", type=positive_int, default=None,
                    help="schedules per job (default: auto, ~4 jobs/worker)")
     p.add_argument("--out", default="scioto-check",
                    help="directory for failure traces (default: scioto-check/)")

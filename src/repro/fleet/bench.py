@@ -13,7 +13,8 @@ Two properties are recorded per entry and checked by the validator:
 * throughput is positive, and the record carries the host core count
   — scaling claims are meaningless without it (a 1-core container
   cannot speed up CPU-bound work no matter how many workers it runs),
-  so ``speedup`` appears only on entries with ``jobs <= cpus``;
+  so ``speedup`` appears only on entries with ``jobs <= cpus``, and
+  only when a ``jobs == 1`` entry gives it a base;
 * the ``failing_digest`` — the content hash of the deduplicated
   failing-schedule set — is **identical across all entries**: changing
   ``--jobs`` may change the wall clock, never the result.
@@ -92,9 +93,6 @@ def run_fleet_bench(
             "events": summary.events_total,
             "wall_s": wall,
             "schedules_per_sec": summary.schedules_run / wall if wall > 0 else 0.0,
-            "steals": report.steals,
-            "jobs_stolen": report.jobs_stolen,
-            "waves": report.waves,
             "requeues": len(report.requeued_keys),
             "failures": len(summary.failures),
             "failing_digest": failing_set_digest(summary),
@@ -104,14 +102,16 @@ def run_fleet_bench(
             print(
                 f"  jobs={nworkers}  {entry['schedules']:>5} schedules  "
                 f"{entry['wall_s']:7.2f}s  "
-                f"{entry['schedules_per_sec']:8.1f} sched/s  "
-                f"steals={entry['steals']}  waves={entry['waves']}"
+                f"{entry['schedules_per_sec']:8.1f} sched/s"
             )
     host = _host_info()
-    base = entries[0]["schedules_per_sec"]
-    for entry in entries:
-        if entry["jobs"] <= (host["cpus"] or 1):
-            entry["speedup"] = entry["schedules_per_sec"] / base if base > 0 else 0.0
+    # Speedup is relative to one worker; without a jobs=1 entry there is
+    # no base, so no entry claims one.
+    base = next((e["schedules_per_sec"] for e in entries if e["jobs"] == 1), None)
+    if base is not None:
+        for entry in entries:
+            if entry["jobs"] <= (host["cpus"] or 1):
+                entry["speedup"] = entry["schedules_per_sec"] / base if base > 0 else 0.0
     return {"schema": FLEET_SCHEMA, "host": host, "entries": entries}
 
 
@@ -126,7 +126,8 @@ def validate_fleet_json(doc: dict) -> None:
 
     Checked: the schema tag, host core count, per-entry jobs /
     schedules / positive throughput, no ``speedup`` on an entry with
-    more jobs than cores, and — the determinism guarantee — that every
+    more jobs than cores or in a record without a ``jobs == 1`` entry
+    (its base), and — the determinism guarantee — that every
     entry's ``failing_digest`` is identical: the dedup'd failing-schedule
     set must not depend on the worker count.
     """
@@ -138,6 +139,7 @@ def validate_fleet_json(doc: dict) -> None:
     entries = doc.get("entries")
     if not isinstance(entries, list) or not entries:
         raise ValueError("entries must be a non-empty list")
+    has_base = any(e.get("jobs") == 1 for e in entries)
     digests = set()
     for e in entries:
         where = f"jobs={e.get('jobs')!r}"
@@ -147,6 +149,8 @@ def validate_fleet_json(doc: dict) -> None:
             raise ValueError(
                 f"{where}: speedup claimed with more jobs than host.cpus={cpus}"
             )
+        if "speedup" in e and not has_base:
+            raise ValueError(f"{where}: speedup claimed without a jobs=1 entry")
         if not isinstance(e.get("schedules"), int) or e["schedules"] <= 0:
             raise ValueError(f"{where}: bad schedules {e.get('schedules')!r}")
         sps = e.get("schedules_per_sec")

@@ -126,16 +126,17 @@ def explore_jobs(
 ) -> list[Job]:
     """Shard ``schedules`` interleavings of each target into fleet jobs.
 
-    The default batch size aims for ~4 jobs per worker per target so
-    the work-stealing scheduler has slack to rebalance; explicit
-    ``batch`` overrides.  Index ranges are contiguous per job, so jobs
-    for one target stay adjacent in the initial distribution (locality)
-    while remaining partition-independent thanks to derived seeds.
+    The default batch size aims for ~4 jobs per worker per target, so
+    the scheduler can balance across idle workers; explicit ``batch``
+    overrides.  Index ranges are contiguous per job, and derived seeds
+    make the explored set independent of how indices were sharded.
     """
     if schedules < 0:
         raise ValueError("schedules must be >= 0")
     if batch is None:
         batch = max(1, schedules // max(1, nworkers * 4))
+    elif batch < 1:
+        raise ValueError("batch must be >= 1")
     jobs = []
     for target in targets:
         for lo in range(0, schedules, batch):
@@ -280,14 +281,10 @@ def _execute_explore(params: dict[str, Any]) -> dict[str, Any]:
     from repro.check.scenarios import make_scenario
     from repro.check.strategies import make_strategy
     from repro.fleet.seeds import derive_seed
-    from repro.obs.metrics import MetricsRegistry
 
     target = params["target"]
     strategy_name = params["strategy"]
     scenario = make_scenario(target)
-    # Worker-local registry; rides back on the result and is merged into
-    # the fleet registry under this worker's id (MetricsRegistry.merge_dict).
-    registry = MetricsRegistry()
     events = 0
     failures = []
     for index in params["indices"]:
@@ -300,10 +297,7 @@ def _execute_explore(params: dict[str, Any]) -> dict[str, Any]:
             mutation=params["mutation"],
         )
         events += outcome.events
-        registry.observe("schedule_events", outcome.events, rank=0)
-        registry.add(0, "schedules_run")
         if outcome.failed:
-            registry.add(0, "failing_schedules")
             failures.append(
                 {
                     "index": index,
@@ -328,7 +322,6 @@ def _execute_explore(params: dict[str, Any]) -> dict[str, Any]:
         "schedules": len(params["indices"]),
         "events": events,
         "failures": failures,
-        "metrics": registry.to_dict(),
     }
 
 
@@ -415,7 +408,6 @@ def _execute_obs(params: dict[str, Any]) -> dict[str, Any]:
         "instants": rec.instant_count,
         "edges": rec.edge_count,
         "dropped": rec.dropped,
-        "metrics": rec.metrics.to_dict(),
     }
 
 

@@ -5,8 +5,8 @@
 already imported the runtime, so per-worker startup is cheap and no
 engine threads leak across the fork).  :class:`InlinePool` implements
 the same interface but executes jobs synchronously in the parent; the
-scheduler's policy tests use it to exercise deques, stealing, and
-quiescence deterministically without process machinery.
+scheduler's dispatch tests use it to pin the FIFO order
+deterministically without process machinery.
 
 The pool surface is three calls — ``send``, ``poll``, ``respawn`` —
 plus ``close``.  ``poll`` multiplexes over every live worker's result
@@ -64,19 +64,14 @@ class _Slot:
 class ProcessPool:
     """``nworkers`` seats, each backed by a child process and a pipe."""
 
-    def __init__(
-        self,
-        nworkers: int,
-        start_method: str | None = None,
-        flight_dir: str | None = None,
-    ) -> None:
+    def __init__(self, nworkers: int, flight_dir: str | None = None) -> None:
         if nworkers < 1:
             raise ValueError("nworkers must be >= 1")
         self.nworkers = nworkers
         #: When set, workers arm the crash flight recorder and drop
         #: per-job breadcrumbs here (see repro.fleet.worker).
         self.flight_dir = None if flight_dir is None else str(flight_dir)
-        self._ctx = multiprocessing.get_context(start_method or default_start_method())
+        self._ctx = multiprocessing.get_context(default_start_method())
         if self._ctx.get_start_method() == "forkserver":
             try:
                 self._ctx.set_forkserver_preload(_PRELOAD)
@@ -184,7 +179,7 @@ class ProcessPool:
 class InlinePool:
     """Same interface, no processes: jobs execute synchronously on send.
 
-    For scheduler policy tests and debugging.  ``crash``/``exit``
+    For scheduler dispatch tests and debugging.  ``crash``/``exit``
     probes cannot be simulated inline (they would kill the parent), so
     the pool refuses them; use :class:`ProcessPool` for failure-path
     tests.

@@ -1,108 +1,39 @@
-"""The fleet meta-scheduler: split deques, stealing, quiescence waves.
+"""The fleet meta-scheduler: one FIFO of pending jobs.
 
-This is the paper's scheduling loop lifted one level up: instead of
-simulated ranks pulling task descriptors from split queues, host
-workers pull simulation *jobs* from split deques
-(:mod:`repro.fleet.wsqueue`).  The scheduler parent is single-threaded
-and event-driven: it dispatches one job per idle worker, multiplexes
-over result pipes and process sentinels
-(:mod:`repro.fleet.pool`), and rebalances by stealing half of a
-neighbour's shared portion when a worker's deque drains.
-
-Termination mirrors :mod:`repro.core.termination`'s wave algorithm
-structurally: when the parent believes the fleet is passive (no
-in-flight jobs, all deques empty) it runs a *wave* — folding per-worker
-WHITE/BLACK votes up the same binary spanning tree the simulated
-protocol uses.  Any activity since a worker's last vote (a dispatched
-job, a steal from its deque, a requeue landing on it) marks it dirty
-and blackens the wave, forcing another round; only an all-white wave
-declares the campaign done.  In a single-threaded parent a plain
-counter check would suffice — the wave detector is the dogfooded
-version, and its cross-check (completed + failed + crashed == submitted)
-is what guarantees no job is ever silently dropped.
+The parent is single-threaded and event-driven.  It keeps one queue of
+pending jobs; whenever a worker is idle, the lowest-numbered idle worker
+takes the head.  It multiplexes over result pipes and process sentinels
+(:mod:`repro.fleet.pool`), and the campaign ends when nothing is
+pending and nothing is in flight.  Before returning, it checks that
+every submitted job has a known fate (``completed + crashed ==
+submitted``): no job is ever silently dropped.
 
 Worker crashes are first-class: a worker that dies mid-job (SIGKILL,
 OOM, segfault) is detected via its process sentinel, its job is
-requeued exactly once, and a second death of the same job lands it in
-``report.crashed`` — flagged, never dropped.  The dead seat is
-respawned so fleet capacity is maintained.
-
-Fleet-level metrics stream through the existing observability registry
-(:class:`repro.obs.metrics.MetricsRegistry`) with worker ids as ranks:
-``jobs_done``/``steals``/``requeues`` counters, ``job_wall``
-histograms, and a ``fleet_occupancy`` gauge; worker-side metric
-snapshots riding on job results are merged in via
-:meth:`~repro.obs.metrics.MetricsRegistry.merge_dict`.  Histogram
-snapshots carry their quantile sketches, and sketch merging is exact
-(bucket-wise add), so fleet-aggregated percentiles equal what one
-process observing every worker's stream would report.
+requeued once at the head of the queue, and a second death of the same
+job lands it in ``report.crashed`` — flagged, never dropped.  The dead
+seat is respawned so fleet capacity is maintained.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.fleet.jobs import Job, JobResult
 from repro.fleet.pool import InlinePool, ProcessPool
-from repro.fleet.wsqueue import WorkerDeque, neighbor_order
-from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["FleetScheduler", "FleetReport", "QuiescenceDetector"]
-
-_WHITE = 0
-_BLACK = 1
+__all__ = ["FleetScheduler", "FleetReport"]
 
 #: Pipe-multiplex timeout while jobs are in flight (seconds).
 _POLL_TIMEOUT = 0.05
 
-
-class QuiescenceDetector:
-    """Wave-based passivity detection over the worker set.
-
-    The host-level analogue of :class:`repro.core.termination.
-    TerminationDetector`: per-worker dirty flags stand in for the §5.3
-    dirty marks (a steal or a requeue dirties the *victim*, exactly as
-    a thief marks its victim in the simulated protocol), and votes fold
-    bottom-up over the binary spanning tree (children of ``w`` are
-    ``2w+1``/``2w+2``).  A wave only runs while the scheduler observes
-    no in-flight jobs; it returns WHITE — and latches ``done`` — only
-    if every deque is empty and no worker was dirtied since its last
-    vote.
-    """
-
-    def __init__(self, nworkers: int) -> None:
-        self.nworkers = nworkers
-        self.dirty = [False] * nworkers
-        self.waves = 0
-        self.done = False
-
-    def mark_dirty(self, worker: int) -> None:
-        self.dirty[worker] = True
-
-    def wave(self, deques: list[WorkerDeque], in_flight: int) -> bool:
-        """Run one wave; returns True when quiescence is established."""
-        if self.done:
-            return True
-        self.waves += 1
-        # Up-wave: leaves vote first; a child's black token blackens its
-        # ancestors, mirroring _combined_color in core/termination.py.
-        votes = [
-            _BLACK if (self.dirty[w] or not deques[w].empty()) else _WHITE
-            for w in range(self.nworkers)
-        ]
-        for w in range(self.nworkers - 1, 0, -1):
-            parent = (w - 1) // 2
-            votes[parent] = max(votes[parent], votes[w])
-        root = _BLACK if in_flight else votes[0] if votes else _WHITE
-        # Voting resets each worker's dirty flag for the next wave.
-        self.dirty = [False] * self.nworkers
-        if root == _WHITE:
-            self.done = True
-        return self.done
+#: Seconds between two progress callbacks.
+_PROGRESS_INTERVAL = 0.5
 
 
 @dataclass
@@ -115,12 +46,8 @@ class FleetReport:
     #: Jobs whose worker died twice: flagged, never silently dropped.
     crashed: list[dict[str, Any]] = field(default_factory=list)
     requeued_keys: list[str] = field(default_factory=list)
-    steals: int = 0
-    jobs_stolen: int = 0
-    waves: int = 0
     worker_deaths: int = 0
     wall_s: float = 0.0
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property
     def failed_results(self) -> list[JobResult]:
@@ -142,28 +69,20 @@ class FleetReport:
 
 
 class FleetScheduler:
-    """Work-stealing dispatcher over a pool of simulation workers."""
+    """FIFO dispatcher over a pool of simulation workers."""
 
     def __init__(
         self,
         nworkers: int,
         inline: bool = False,
-        start_method: str | None = None,
-        max_requeues: int = 1,
-        release_threshold: int = 2,
         progress: Callable[[dict[str, Any]], None] | None = None,
-        progress_interval: float = 0.5,
         flight_dir: str | Path | None = None,
     ) -> None:
         if nworkers < 1:
             raise ValueError("nworkers must be >= 1")
         self.nworkers = nworkers
         self.inline = inline
-        self.start_method = start_method
-        self.max_requeues = max_requeues
-        self.release_threshold = release_threshold
         self.progress = progress
-        self.progress_interval = progress_interval
         #: When set, workers arm the crash flight recorder there and the
         #: scheduler writes a ``fleet-crash-w<worker>-<n>.json`` report
         #: beside the worker's flight dump on every death.
@@ -173,38 +92,26 @@ class FleetScheduler:
     # Campaign entry point
     # ------------------------------------------------------------------ #
     def run(self, jobs: list[Job]) -> FleetReport:
-        """Execute ``jobs`` to quiescence and return the fleet report."""
+        """Execute every job in ``jobs`` and return the fleet report."""
         keys = [j.key for j in jobs]
         if len(set(keys)) != len(keys):
             raise ValueError("job keys must be unique within a campaign")
         report = FleetReport(nworkers=self.nworkers, jobs_total=len(jobs))
         # All wall-clock below is sanctioned host-side scheduling time.
         t0 = time.perf_counter()  # repro: lint-disable=RPR002
-        if not jobs:
-            # Still exercise the detector: an empty campaign quiesces on
-            # the first wave (nothing was ever dirtied).
-            detector = QuiescenceDetector(self.nworkers)
-            deques = [WorkerDeque(w, self.release_threshold) for w in range(self.nworkers)]
-            detector.wave(deques, in_flight=0)
-            report.waves = detector.waves
-            report.wall_s = time.perf_counter() - t0  # repro: lint-disable=RPR002
-            return report
-        if self.flight_dir is not None:
-            self.flight_dir.mkdir(parents=True, exist_ok=True)
-        flight_dir = None if self.flight_dir is None else str(self.flight_dir)
-        pool = (
-            InlinePool(self.nworkers, flight_dir=flight_dir)
-            if self.inline
-            else ProcessPool(
-                self.nworkers,
-                start_method=self.start_method,
-                flight_dir=flight_dir,
+        if jobs:  # an empty campaign spawns no workers
+            if self.flight_dir is not None:
+                self.flight_dir.mkdir(parents=True, exist_ok=True)
+            flight_dir = None if self.flight_dir is None else str(self.flight_dir)
+            pool = (
+                InlinePool(self.nworkers, flight_dir=flight_dir)
+                if self.inline
+                else ProcessPool(self.nworkers, flight_dir=flight_dir)
             )
-        )
-        try:
-            self._run_loop(jobs, pool, report)
-        finally:
-            pool.close()
+            try:
+                self._run_loop(jobs, pool, report)
+            finally:
+                pool.close()
         report.wall_s = time.perf_counter() - t0  # repro: lint-disable=RPR002
         if report.accounted() != report.jobs_total:  # pragma: no cover - invariant
             raise RuntimeError(
@@ -217,143 +124,68 @@ class FleetScheduler:
     # Main loop
     # ------------------------------------------------------------------ #
     def _run_loop(self, jobs: list[Job], pool, report: FleetReport) -> None:
-        metrics = report.metrics
-        deques = [WorkerDeque(w, self.release_threshold) for w in range(self.nworkers)]
-        detector = QuiescenceDetector(self.nworkers)
-        # Initial distribution: contiguous blocks, so jobs of one target
-        # land on one worker (locality) and stealing restores balance.
-        for i, job in enumerate(jobs):
-            w = i * self.nworkers // len(jobs)
-            deques[w].push(job)
-            detector.mark_dirty(w)
+        pending = deque(jobs)
         idle: set[int] = set(range(self.nworkers))
         in_flight: dict[int, Job] = {}
         last_progress = t_start = time.perf_counter()  # repro: lint-disable=RPR002
 
         while True:
             for w in sorted(idle):
-                job = self._acquire(w, deques, detector, metrics, report)
-                if job is None:
-                    continue
+                if not pending:
+                    break
+                job = pending.popleft()
                 job.attempts += 1
                 in_flight[w] = job
                 idle.discard(w)
                 pool.send(w, job)
-            metrics.sample("fleet_occupancy", 0, len(in_flight) / self.nworkers)
             if not in_flight:
-                if all(d.empty() for d in deques):
-                    if detector.wave(deques, in_flight=0):
-                        break
-                    continue
-                continue  # idle workers will pick the remaining jobs up
+                # An idle worker would have taken any pending job, so
+                # nothing is pending either: the campaign is done.
+                break
             for event in pool.poll(_POLL_TIMEOUT):
                 if event.kind == "result":
-                    self._on_result(event.worker, event.result, in_flight,
-                                    detector, metrics, report)
-                    idle.add(event.worker)
+                    in_flight.pop(event.worker, None)
+                    report.completed.append(event.result)
                 else:  # crash
-                    self._on_crash(event.worker, deques, in_flight, pool,
-                                   detector, metrics, report)
-                    idle.add(event.worker)
+                    self._on_crash(event.worker, pending, in_flight, pool, report)
+                idle.add(event.worker)
             now = time.perf_counter()  # repro: lint-disable=RPR002
-            if self.progress is not None and (
-                now - last_progress >= self.progress_interval
-            ):
+            if self.progress is not None and now - last_progress >= _PROGRESS_INTERVAL:
                 last_progress = now
                 self.progress(self._progress_stats(report, in_flight, now - t_start))
-        report.waves = detector.waves
 
     # ------------------------------------------------------------------ #
-    # Job acquisition: own deque, then neighbor-first steal-half
+    # Crash handling
     # ------------------------------------------------------------------ #
-    def _acquire(
-        self,
-        w: int,
-        deques: list[WorkerDeque],
-        detector: QuiescenceDetector,
-        metrics: MetricsRegistry,
-        report: FleetReport,
-    ) -> Job | None:
-        job = deques[w].pop()
-        if job is not None:
-            return job
-        for victim in neighbor_order(w, self.nworkers):
-            chunk = deques[victim].steal_half()
-            if chunk:
-                deques[w].push_all(chunk)
-                # Mirror §5.3: the steal dirties the victim (its queue
-                # changed behind its back) as well as the thief.
-                detector.mark_dirty(victim)
-                detector.mark_dirty(w)
-                report.steals += 1
-                report.jobs_stolen += len(chunk)
-                metrics.add(w, "steals")
-                metrics.add(w, "jobs_stolen", len(chunk))
-                metrics.observe("steal_chunk_jobs", len(chunk), rank=w)
-                return deques[w].pop()
-        return None
-
-    # ------------------------------------------------------------------ #
-    # Event handling
-    # ------------------------------------------------------------------ #
-    def _on_result(
-        self,
-        w: int,
-        result: JobResult,
-        in_flight: dict[int, Job],
-        detector: QuiescenceDetector,
-        metrics: MetricsRegistry,
-        report: FleetReport,
-    ) -> None:
-        in_flight.pop(w, None)
-        detector.mark_dirty(w)
-        report.completed.append(result)
-        metrics.add(w, "jobs_done")
-        if not result.ok:
-            metrics.add(w, "jobs_failed")
-        metrics.observe("job_wall", result.wall_s, rank=w)
-        payload_metrics = result.payload.get("metrics")
-        if payload_metrics:
-            metrics.merge_dict(payload_metrics, into_rank=w)
-
     def _on_crash(
         self,
         w: int,
-        deques: list[WorkerDeque],
+        pending: deque[Job],
         in_flight: dict[int, Job],
         pool,
-        detector: QuiescenceDetector,
-        metrics: MetricsRegistry,
         report: FleetReport,
     ) -> None:
         report.worker_deaths += 1
-        metrics.add(w, "worker_deaths")
-        detector.mark_dirty(w)
         job = in_flight.pop(w, None)
-        fate = "idle"
-        if job is not None:
-            fate = "requeued" if job.attempts <= self.max_requeues else "crashed"
+        # ``attempts`` counts dispatches: the first death requeues the
+        # job, the second flags it.
+        requeue = job is not None and job.attempts == 1
+        fate = "idle" if job is None else "requeued" if requeue else "crashed"
         if self.flight_dir is not None:
             self._write_crash_report(w, job, fate, pool, report)
-        if job is not None:
-            if job.attempts <= self.max_requeues:
-                # Requeue exactly once (attempts counts dispatches): the
-                # respawned seat's own deque gets it back, and the dirty
-                # mark forces another quiescence wave.
-                deques[w].push(job)
-                report.requeued_keys.append(job.key)
-                metrics.add(w, "requeues")
-            else:
-                report.crashed.append(
-                    {
-                        "key": job.key,
-                        "kind": job.kind,
-                        "attempts": job.attempts,
-                        "error": f"worker {w} died while running this job "
-                        f"(attempt {job.attempts})",
-                    }
-                )
-                metrics.add(w, "jobs_crashed")
+        if requeue:
+            pending.appendleft(job)
+            report.requeued_keys.append(job.key)
+        elif job is not None:
+            report.crashed.append(
+                {
+                    "key": job.key,
+                    "kind": job.kind,
+                    "attempts": job.attempts,
+                    "error": f"worker {w} died while running this job "
+                    f"(attempt {job.attempts})",
+                }
+            )
         pool.respawn(w)
 
     def _write_crash_report(
@@ -402,7 +234,6 @@ class FleetScheduler:
             "in_flight": len(in_flight),
             "occupancy": len(in_flight) / self.nworkers,
             "jobs_per_sec": done / elapsed if elapsed > 0 else 0.0,
-            "steals": report.steals,
             "requeues": len(report.requeued_keys),
             "wall_s": elapsed,
         }

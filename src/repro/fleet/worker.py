@@ -1,13 +1,10 @@
 """Fleet worker process: the loop that runs on the far side of the pipe.
 
 Workers are deliberately dumb: they hold no queue and make no
-scheduling decisions.  The parent owns every deque and sends exactly
-one job at a time; the worker executes it and sends back one
-:class:`~repro.fleet.jobs.JobResult`.  All the work-stealing policy
-(split deques, steal-half, neighbor-first victims, quiescence waves)
-stays in the single-threaded scheduler parent, where it is
-deterministic and testable — the process boundary carries only
-(job, result) pairs.
+scheduling decisions.  The parent owns the one queue of pending jobs
+and sends exactly one job at a time; the worker executes it and sends
+back one :class:`~repro.fleet.jobs.JobResult`.  The process boundary
+carries only (job, result) pairs.
 
 When the pool was built with a ``flight_dir``, each worker arms the
 crash flight recorder before serving jobs: it exports

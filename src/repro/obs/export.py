@@ -57,8 +57,8 @@ __all__ = [
 #: accept.  Each histogram carries count/sum/mean/min/max, p50/p95/p99
 #: read from its sketch, and the serialized
 #: :class:`~repro.obs.metrics.QuantileSketch` under ``sketch``, so
-#: documents from different runs/workers merge into exact percentile
-#: estimates (:meth:`~repro.obs.metrics.MetricsRegistry.merge_dict`).
+#: sketches from different runs merge into exact percentile estimates
+#: (:meth:`~repro.obs.metrics.QuantileSketch.merge_dict`).
 METRICS_SCHEMA = "repro-obs-metrics/3"
 
 #: Causal-edge kinds exported as Perfetto flow arrows by default.

@@ -16,8 +16,7 @@ Three metric kinds cover the paper's evaluation needs (§6):
   plus a :class:`QuantileSketch` that answers every percentile query.
 
 :meth:`QuantileSketch.quantile` is the one percentile computation in
-the package: histogram exports, the live telemetry bus and fleet
-aggregation all read it.
+the package: histogram exports and the live telemetry bus both read it.
 """
 
 from __future__ import annotations
@@ -48,11 +47,10 @@ class QuantileSketch:
 
     Buckets are sparse integers in a dict, so memory is
     ``O(log(max/min) / alpha)`` regardless of observation count, and the
-    structure is exactly mergeable (bucket-wise add, used for fleet
-    aggregation) and subtractable (bucket-wise delta, used for the live
-    telemetry bus's per-frame windows).  Everything is integer
-    arithmetic plus one ``math.log`` per observation: deterministic for
-    a given value stream.
+    structure is exactly mergeable (bucket-wise add) and subtractable
+    (bucket-wise delta, used for the live telemetry bus's per-frame
+    windows).  Everything is integer arithmetic plus one ``math.log``
+    per observation: deterministic for a given value stream.
     """
 
     #: Values at or below this (including non-positive) use the zero bucket.
@@ -339,47 +337,3 @@ class MetricsRegistry:
             "gauges": {k: g.to_dict() for k, g in sorted(self.gauges.items())},
             "histograms": {k: h.to_dict() for k, h in sorted(self.histograms.items())},
         }
-
-    # -- aggregation ---------------------------------------------------- #
-    def merge_dict(self, doc: dict, into_rank: int | None = None) -> None:
-        """Fold a serialized registry (:meth:`to_dict` form) into this one.
-
-        The fleet scheduler uses this to aggregate metric snapshots that
-        ride back from worker processes on job results: counter values
-        add, histogram counts and sketches add, gauges fold
-        min/max/samples and adopt the incoming last-values.
-
-        Args:
-            doc: A document produced by :meth:`to_dict` (possibly in
-                another process).
-            into_rank: When given, every per-rank value in ``doc`` is
-                attributed to this rank — used to re-key a worker's
-                local ranks to its fleet worker id.  When ``None``,
-                original rank keys are preserved.
-        """
-        for rank_str, kv in doc.get("counters", {}).get("per_rank", {}).items():
-            rank = into_rank if into_rank is not None else int(rank_str)
-            for key, value in kv.items():
-                self.counters.add(rank, key, value)
-        for name, g in doc.get("gauges", {}).items():
-            gauge = self.gauge(name)
-            for rank_str, value in g.get("last", {}).items():
-                rank = into_rank if into_rank is not None else int(rank_str)
-                gauge.last[rank] = value
-            if g.get("samples"):
-                gauge.min = min(gauge.min, g["min"])
-                gauge.max = max(gauge.max, g["max"])
-                gauge.samples += g["samples"]
-        for name, h in doc.get("histograms", {}).items():
-            hist = self.histogram(name)
-            if h.get("count"):
-                hist.count += h["count"]
-                hist.sum += h["sum"]
-                hist.min = min(hist.min, h["min"])
-                hist.max = max(hist.max, h["max"])
-            hist.sketch.merge_dict(h["sketch"])
-            for rank_str, rc in h.get("per_rank", {}).items():
-                rank = into_rank if into_rank is not None else int(rank_str)
-                hist._rank_count[rank] += rc["count"]
-                hist._rank_sum[rank] += rc["sum"]
-

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from repro.fleet.bench import (
     validate_fleet_json,
     write_fleet_json,
 )
+from repro.fleet.scheduler import FleetScheduler
 from repro.obs.diff import diff_documents
 
 
@@ -32,9 +34,6 @@ def make_doc(digest="abc123", levels=(1, 2)):
                 "events": 4000,
                 "wall_s": 2.0 / n,
                 "schedules_per_sec": 20.0 * n,
-                "steals": 0,
-                "jobs_stolen": 0,
-                "waves": 2,
                 "requeues": 0,
                 "failures": 0,
                 "failing_digest": digest,
@@ -76,6 +75,7 @@ class TestValidation:
             (lambda d: d["entries"][0].update(failing_digest=""),
              "failing_digest"),
             (lambda d: d["host"].update(cpus=1), "jobs=2: speedup claimed"),
+            (lambda d: d["entries"].pop(0), "without a jobs=1 entry"),
         ],
     )
     def test_malformed_documents_rejected(self, mutate, fragment):
@@ -167,3 +167,25 @@ class TestRunFleetBench:
         one, two = doc["entries"]
         assert one["speedup"] == 1.0
         assert "speedup" not in two
+
+    def _inline_sweep(self, monkeypatch, levels):
+        host = {"platform": "test", "python": "3.x", "cpus": 4}
+        monkeypatch.setattr(bench, "_host_info", lambda: host)
+        monkeypatch.setattr(
+            bench, "FleetScheduler", functools.partial(FleetScheduler, inline=True)
+        )
+        return run_fleet_bench(
+            jobs_levels=levels, targets=["queue"], schedules=4, verbose=False
+        )
+
+    def test_speedup_base_is_the_jobs_1_entry(self, monkeypatch):
+        doc = self._inline_sweep(monkeypatch, (2, 1))
+        validate_fleet_json(doc)
+        two, one = doc["entries"]
+        assert one["jobs"] == 1 and one["speedup"] == 1.0
+        assert two["speedup"] == two["schedules_per_sec"] / one["schedules_per_sec"]
+
+    def test_no_speedup_without_a_jobs_1_entry(self, monkeypatch):
+        doc = self._inline_sweep(monkeypatch, (2,))
+        validate_fleet_json(doc)
+        assert "speedup" not in doc["entries"][0]

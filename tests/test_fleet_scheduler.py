@@ -1,18 +1,21 @@
-"""Unit and policy tests for the fleet meta-scheduler.
+"""Unit and dispatch tests for the fleet meta-scheduler.
 
 Everything here runs on the :class:`~repro.fleet.pool.InlinePool` (or
-no pool at all), so the split-deque policy, neighbor-first stealing,
-and wave-based quiescence are exercised deterministically.  The
-process-boundary failure paths live in ``test_fleet_failures.py``.
+no pool at all), so the FIFO dispatch order is exercised
+deterministically.  The process-boundary failure paths live in
+``test_fleet_failures.py``.
 """
 
 from __future__ import annotations
 
+import importlib
+from collections import deque
+
 import pytest
 
 from repro.fleet.jobs import Job, bench_jobs, execute_job, explore_jobs, mutation_jobs
-from repro.fleet.scheduler import FleetReport, FleetScheduler, QuiescenceDetector
-from repro.fleet.wsqueue import WorkerDeque, neighbor_order
+from repro.fleet.pool import InlinePool
+from repro.fleet.scheduler import FleetReport, FleetScheduler
 
 
 def probe_jobs(n, action="ok"):
@@ -20,108 +23,6 @@ def probe_jobs(n, action="ok"):
         Job(kind="probe", key=f"probe/{i}", params={"action": action})
         for i in range(n)
     ]
-
-
-class TestNeighborOrder:
-    def test_ring_distance_increases_right_first(self):
-        # Thief 0 of 5: distance 1 right, 1 left, 2 right, 2 left.
-        assert neighbor_order(0, 5) == [1, 4, 2, 3]
-
-    def test_middle_worker(self):
-        assert neighbor_order(2, 5) == [3, 1, 4, 0]
-
-    def test_covers_everyone_once(self):
-        for n in (2, 3, 4, 7, 8):
-            for w in range(n):
-                order = neighbor_order(w, n)
-                assert sorted(order) == [x for x in range(n) if x != w]
-
-    def test_single_worker_has_no_victims(self):
-        assert neighbor_order(0, 1) == []
-
-
-class TestWorkerDeque:
-    def test_fifo_within_private(self):
-        d = WorkerDeque(0, release_threshold=4)
-        jobs = probe_jobs(3)
-        d.push_all(jobs)
-        assert [d.pop() for _ in range(3)] == jobs
-        assert d.pop() is None
-
-    def test_release_spills_surplus_to_shared(self):
-        d = WorkerDeque(0, release_threshold=2)
-        d.push_all(probe_jobs(5))
-        assert d.private_size() == 2
-        assert d.shared_size() == 3
-        assert d.release_ops == 1
-
-    def test_reacquire_reclaims_half_when_private_drains(self):
-        d = WorkerDeque(0, release_threshold=1)
-        d.push_all(probe_jobs(5))  # private=1, shared=4
-        d.pop()  # drains private
-        assert d.pop() is not None  # triggered reacquire of 2
-        assert d.reacquire_ops == 1
-        assert d.shared_size() == 2
-
-    def test_steal_half_takes_ceil_from_shared_tail(self):
-        d = WorkerDeque(0, release_threshold=1)
-        jobs = probe_jobs(6)
-        d.push_all(jobs)  # private=1, shared=5
-        chunk = d.steal_half()
-        assert len(chunk) == 3  # ceil(5/2)
-        assert chunk == jobs[3:]  # the tail: owner's last-reached jobs
-        assert d.steals_suffered == 1
-        assert d.jobs_stolen_away == 3
-
-    def test_steal_never_touches_private(self):
-        d = WorkerDeque(0, release_threshold=3)
-        d.push_all(probe_jobs(3))  # all private
-        assert d.steal_half() == []
-        assert d.size() == 3
-
-    def test_steal_empty_is_noop(self):
-        d = WorkerDeque(0)
-        assert d.steal_half() == []
-        assert d.steals_suffered == 0
-
-    def test_release_threshold_validated(self):
-        with pytest.raises(ValueError, match="release_threshold"):
-            WorkerDeque(0, release_threshold=0)
-
-
-class TestQuiescenceDetector:
-    def _empty_deques(self, n):
-        return [WorkerDeque(w) for w in range(n)]
-
-    def test_clean_fleet_quiesces_on_first_wave(self):
-        det = QuiescenceDetector(4)
-        assert det.wave(self._empty_deques(4), in_flight=0)
-        assert det.waves == 1
-
-    def test_dirty_worker_blackens_the_wave(self):
-        det = QuiescenceDetector(4)
-        det.mark_dirty(3)  # a leaf; its token must fold up to the root
-        assert not det.wave(self._empty_deques(4), in_flight=0)
-        # Voting cleared the dirty flag, so the next wave is white.
-        assert det.wave(self._empty_deques(4), in_flight=0)
-        assert det.waves == 2
-
-    def test_in_flight_work_blackens_the_wave(self):
-        det = QuiescenceDetector(2)
-        assert not det.wave(self._empty_deques(2), in_flight=1)
-
-    def test_nonempty_deque_blackens_the_wave(self):
-        det = QuiescenceDetector(2)
-        deques = self._empty_deques(2)
-        deques[1].push(probe_jobs(1)[0])
-        assert not det.wave(deques, in_flight=0)
-
-    def test_done_latches(self):
-        det = QuiescenceDetector(2)
-        assert det.wave(self._empty_deques(2), in_flight=0)
-        det.mark_dirty(0)
-        assert det.wave(self._empty_deques(2), in_flight=0)  # still done
-        assert det.waves == 1  # latched: no further waves run
 
 
 class TestJobBuilders:
@@ -145,6 +46,11 @@ class TestJobBuilders:
         assert len(jobs) == 8
         assert all(len(j.params["indices"]) == 10 for j in jobs)
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_explore_batch_below_one_rejected(self, batch):
+        with pytest.raises(ValueError, match="batch"):
+            explore_jobs(["queue"], 10, batch=batch)
+
     def test_bench_and_mutation_keys(self):
         assert [j.key for j in bench_jobs(["table1"], "quick")] == ["bench/table1"]
         jobs = mutation_jobs([("queue", "unlocked_split")], schedules=5)
@@ -159,11 +65,10 @@ class TestJobBuilders:
 
 
 class TestInlineScheduler:
-    def test_empty_campaign_quiesces_in_one_wave(self):
+    def test_empty_campaign_ends_at_once(self):
         report = FleetScheduler(3, inline=True).run([])
         assert report.ok
         assert report.completed == []
-        assert report.waves == 1
         assert report.accounted() == 0
 
     def test_all_jobs_complete_and_are_accounted(self):
@@ -171,8 +76,30 @@ class TestInlineScheduler:
         assert report.ok
         assert len(report.completed) == 10
         assert report.accounted() == report.jobs_total == 10
-        assert report.waves >= 1
-        assert report.metrics.counters.total("jobs_done") == 10
+
+    def test_fifo_lowest_idle_worker_takes_the_head(self):
+        jobs = probe_jobs(4)
+        report = FleetScheduler(2, inline=True).run(jobs)
+        # Completion order is submission order, dealt round the workers.
+        assert [r.key for r in report.completed] == [j.key for j in jobs]
+        assert [r.worker for r in report.completed] == [0, 1, 0, 1]
+
+    def test_crashed_job_requeued_once_at_the_head(self):
+        sched = FleetScheduler(2, inline=True)
+        pool = InlinePool(2)
+        report = FleetReport(nworkers=2, jobs_total=3)
+        victim = Job(kind="probe", key="probe/victim", attempts=1)
+        pending = deque(probe_jobs(2))
+        sched._on_crash(0, pending, {0: victim}, pool, report)
+        assert pending[0] is victim and len(pending) == 3
+        assert report.requeued_keys == ["probe/victim"]
+        # The second death flags it instead of requeueing it again.
+        victim = pending.popleft()
+        victim.attempts += 1
+        sched._on_crash(1, pending, {1: victim}, pool, report)
+        assert victim not in pending
+        assert [c["key"] for c in report.crashed] == ["probe/victim"]
+        assert report.worker_deaths == 2
 
     def test_more_workers_than_jobs(self):
         report = FleetScheduler(6, inline=True).run(probe_jobs(2))
@@ -201,52 +128,28 @@ class TestInlineScheduler:
             FleetScheduler(0)
 
 
-class TestStealPolicy:
-    """Drive FleetScheduler._acquire directly against hand-built deques."""
+class TestCliCounts:
+    """Worker, batch and level counts are integers >= 1, checked by
+    argparse: exit 2 with the flag named on stderr."""
 
-    def _setup(self, nworkers):
-        sched = FleetScheduler(nworkers, inline=True)
-        deques = [WorkerDeque(w, release_threshold=1) for w in range(nworkers)]
-        det = QuiescenceDetector(nworkers)
-        report = FleetReport(nworkers=nworkers, jobs_total=0)
-        return sched, deques, det, report
-
-    def test_own_deque_preferred_over_stealing(self):
-        sched, deques, det, report = self._setup(2)
-        mine = probe_jobs(2)
-        deques[0].push_all(mine)
-        deques[1].push_all(probe_jobs(4))
-        job = sched._acquire(0, deques, det, report.metrics, report)
-        assert job is mine[0]
-        assert report.steals == 0
-
-    def test_steal_half_from_nearest_victim(self):
-        sched, deques, det, report = self._setup(3)
-        deques[1].push_all(probe_jobs(5))  # private=1, shared=4
-        job = sched._acquire(0, deques, det, report.metrics, report)
-        assert job is not None
-        assert report.steals == 1
-        assert report.jobs_stolen == 2  # ceil(4/2)
-        # The steal dirties both the victim and the thief.
-        assert det.dirty[1] and det.dirty[0]
-        # Stolen surplus (beyond the thief's own pop) stays with the thief.
-        assert deques[0].size() == 1
-
-    def test_neighbor_first_victim_order(self):
-        sched, deques, det, report = self._setup(4)
-        # Worker 1 (distance 1 from thief 0) and worker 2 (distance 2)
-        # both have stealable work; the nearer one must be hit.
-        far, near = probe_jobs(4), [
-            Job(kind="probe", key=f"near/{i}") for i in range(4)
-        ]
-        deques[2].push_all(far)
-        deques[1].push_all(near)
-        job = sched._acquire(0, deques, det, report.metrics, report)
-        assert job.key.startswith("near/")
-        assert deques[2].steals_suffered == 0
-
-    def test_no_victim_returns_none(self):
-        sched, deques, det, report = self._setup(3)
-        deques[1].push(probe_jobs(1)[0])  # private only: not stealable
-        assert sched._acquire(0, deques, det, report.metrics, report) is None
-        assert report.steals == 0
+    @pytest.mark.parametrize(
+        "cli, argv, flag",
+        [
+            ("check", ["explore", "--jobs", "0"], "--jobs"),
+            ("check", ["explore", "--batch", "0"], "--batch"),
+            ("check", ["explore", "--batch", "-1"], "--batch"),
+            ("fleet", ["explore", "--jobs", "-2"], "--jobs"),
+            ("fleet", ["matrix", "--jobs", "0"], "--jobs"),
+            ("fleet", ["trace", "--jobs", "0"], "--jobs"),
+            ("fleet", ["probe", "--jobs", "0"], "--jobs"),
+            ("fleet", ["bench", "--jobs-levels"], "--jobs-levels"),
+            ("fleet", ["bench", "--jobs-levels", "1", "0"], "--jobs-levels"),
+            ("bench", ["--jobs", "0", "--no-json"], "--jobs"),
+        ],
+    )
+    def test_count_below_one_exits_2_naming_the_flag(self, cli, argv, flag, capsys):
+        main = importlib.import_module(f"repro.{cli}.__main__").main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err

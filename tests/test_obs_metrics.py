@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    QuantileSketch,
 )
 from repro.sim.counters import Counters
 
@@ -103,58 +102,3 @@ class TestRegistry:
         assert d["histograms"]["steal_latency"]["count"] == 1
         assert d["gauges"]["queue_len"]["last"]["2"] == 9.0
         assert d["counters"]["total"]["events"] == 4.0
-
-
-class TestMergeDict:
-    """Cross-process aggregation: fold a worker's to_dict() snapshot in."""
-
-    def _worker_doc(self):
-        reg = MetricsRegistry()
-        reg.add(0, "schedules_run", 3.0)
-        reg.observe("schedule_events", 120.0, rank=0)
-        reg.observe("schedule_events", 80.0, rank=0)
-        reg.sample("queue_len", 0, 5.0)
-        return reg.to_dict()
-
-    def test_counters_add_under_into_rank(self):
-        fleet = MetricsRegistry()
-        fleet.add(2, "schedules_run", 1.0)
-        fleet.merge_dict(self._worker_doc(), into_rank=2)
-        assert fleet.counters.total("schedules_run") == 4.0
-        assert fleet.counters.per_rank_snapshot()[2]["schedules_run"] == 4.0
-
-    def test_original_ranks_preserved_without_into_rank(self):
-        fleet = MetricsRegistry()
-        fleet.merge_dict(self._worker_doc())
-        assert fleet.counters.per_rank_snapshot()[0]["schedules_run"] == 3.0
-
-    def test_histograms_fold_counts_and_extremes(self):
-        fleet = MetricsRegistry()
-        fleet.observe("schedule_events", 500.0, rank=1)
-        fleet.merge_dict(self._worker_doc(), into_rank=1)
-        h = fleet.histogram("schedule_events")
-        assert h.count == 3
-        assert h.sum == 700.0
-        assert h.min == 80.0
-        assert h.max == 500.0
-
-    def test_two_worker_snapshots_accumulate(self):
-        fleet = MetricsRegistry()
-        fleet.merge_dict(self._worker_doc(), into_rank=0)
-        fleet.merge_dict(self._worker_doc(), into_rank=1)
-        assert fleet.counters.total("schedules_run") == 6.0
-        assert fleet.histogram("schedule_events").count == 4
-        g = fleet.gauge("queue_len")
-        assert g.samples == 2
-        assert g.min == g.max == 5.0
-
-    def test_mismatched_sketch_alpha_rejected(self):
-        fleet = MetricsRegistry()
-        other = QuantileSketch(alpha=0.05)
-        other.observe(1.0)
-        doc = {"histograms": {"schedule_events": {
-            "count": 1, "sum": 1.0, "min": 1.0, "max": 1.0,
-            "sketch": other.to_dict(), "per_rank": {},
-        }}}
-        with pytest.raises(ValueError, match="alpha"):
-            fleet.merge_dict(doc)

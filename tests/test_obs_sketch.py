@@ -1,13 +1,10 @@
 """QuantileSketch error bound and merge algebra.
 
 The sketch is the one percentile path: every quantile estimate is within
-relative error ``alpha`` of a true sample value, merges are exact (fleet
-aggregation), and deltas are exact (live telemetry frames).  The
-property test drives the bound with hypothesis, through the bare sketch
-and through a :class:`Histogram`'s exported percentiles; the fleet test
-checks that sketches merged from serialized worker registries answer
-percentile queries identically to one single-process registry over the
-same observations.
+relative error ``alpha`` of a true sample value, merges are exact, and
+deltas are exact (live telemetry frames).  The property test drives the
+bound with hypothesis, through the bare sketch and through a
+:class:`Histogram`'s exported percentiles.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import Histogram, MetricsRegistry, QuantileSketch
+from repro.obs.metrics import Histogram, QuantileSketch
 
 
 def exact_quantile(values, q):
@@ -130,23 +127,3 @@ class TestSerialization:
         assert back.count == sk.count and back.zero == sk.zero
         for q in (0.0, 0.5, 0.95, 0.99, 1.0):
             assert back.quantile(q) == sk.quantile(q)
-
-    def test_fleet_merged_registries_equal_single_process(self):
-        # Two "worker" registries over disjoint halves of one stream,
-        # serialized and folded into a parent registry, must answer
-        # percentile queries exactly like one registry that saw it all.
-        values = [1e-6 * (i + 1) for i in range(40)]
-        single = MetricsRegistry()
-        workers = [MetricsRegistry(), MetricsRegistry()]
-        for i, v in enumerate(values):
-            single.observe("steal_latency", v, rank=0)
-            workers[i % 2].observe("steal_latency", v, rank=0)
-        parent = MetricsRegistry()
-        for w, reg in enumerate(workers):
-            parent.merge_dict(json.loads(json.dumps(reg.to_dict())), into_rank=w)
-        merged = parent.histograms["steal_latency"].sketch
-        base = single.histograms["steal_latency"].sketch
-        assert merged.buckets == base.buckets and merged.count == base.count
-        for q in (0.5, 0.95, 0.99):
-            assert merged.quantile(q) == base.quantile(q)
-
