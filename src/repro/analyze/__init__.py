@@ -1,20 +1,26 @@
 """Static and dynamic analyses for the Scioto runtime (``repro.analyze``).
 
-Two complementary prongs, both deterministic (unlike the schedule
-*search* in :mod:`repro.check`, these flag violations on every run):
+Three complementary prongs.  The first two read one captured trace and
+are deterministic (unlike the schedule *search* in :mod:`repro.check`,
+they flag violations on every run); the third reads source:
 
 * :mod:`repro.analyze.race` — a happens-before data-race detector for
-  the simulated PGAS machine: per-rank vector clocks, synchronization
-  edges derived from mutexes, barriers, message delivery, remote
-  atomics and fences, and access hooks on every ARMCI shared region
-  (queue descriptors, termination flags, GA patches).
+  the simulated PGAS machine: it captures synchronization (mutexes,
+  barriers, message delivery, remote atomics, fences) and every access
+  to an ARMCI shared region (queue descriptors, termination flags, GA
+  patches), then computes per-rank vector clocks over that trace.
+* :mod:`repro.analyze.predict` — predictive analysis over the same
+  trace: lockset, weakened happens-before, §5.3 steal/mark obligations
+  and lock-order cycles feasible in *other* schedules, each confirmed
+  by a steered witness replay.
 * :mod:`repro.analyze.lint` — an AST lint framework with
-  Scioto-specific rules (RPR001–RPR005) enforcing the locking, fencing
-  and determinism discipline the protocols rely on.
+  Scioto-specific rules (RPR001–RPR007) enforcing the locking, fencing,
+  determinism and coroutine discipline the protocols rely on.
 
-Run both from the command line::
+Run them from the command line::
 
     python -m repro.analyze race --target all
+    python -m repro.analyze predict
     python -m repro.analyze lint src/repro
 """
 

@@ -128,6 +128,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.fleet.__main__ import positive_int
+
     parser = argparse.ArgumentParser(prog="repro.analyze", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -175,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_pred.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=1,
         help="run scenarios in parallel worker processes (repro.fleet)",
     )

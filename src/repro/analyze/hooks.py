@@ -82,9 +82,8 @@ def flag_read(proc: "Proc", region: Hashable) -> None:
 def protocol(proc: "Proc", kind: str, **data) -> None:
     """Record a runtime-protocol event (steal transfer, vote, wave).
 
-    Only visible to full-trace capture (``attach(engine,
-    capture=True)``); has no happens-before effect and costs a dict
-    probe when analysis is off.
+    Read by the predictive passes and witness strategies; has no
+    happens-before effect and costs a dict probe when analysis is off.
     """
     det = proc.engine.state.get(_KEY)
     if det is not None:

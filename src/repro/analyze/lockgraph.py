@@ -74,10 +74,11 @@ class DeadlockFinding:
 def build_lock_graph(events: list[TraceEvent]) -> dict[tuple[str, str], list[LockEdge]]:
     """All nested-acquisition edges, keyed ``(outer, inner)``.
 
-    The capture's ``held`` tuple on an ``acquire`` event lists the locks
-    held *before* the grant, so every element is an outer lock of this
-    acquisition.  The rmw pseudo-locks participate: holding a real mutex
-    across a reservation atomic is an ordering commitment too.
+    The ``held`` tuple on an ``acquire`` event lists the locks held at
+    the grant, so every element other than the granted lock is an outer
+    lock of this acquisition.  The rmw pseudo-locks participate:
+    holding a real mutex across a reservation atomic is an ordering
+    commitment too.
     """
     edges: dict[tuple[str, str], list[LockEdge]] = {}
     for ev in events:

@@ -11,11 +11,11 @@ Four passes share one captured trace (:mod:`repro.analyze.capture`):
 1. **Lockset** (:mod:`repro.analyze.lockset`) — Eraser-style empty
    lockset intersection over lock-disciplined regions.  Schedule
    insensitive; may over-report accesses ordered by non-lock sync.
-2. **Weakened happens-before** (here) — recompute vector clocks keeping
-   only the ordering a scheduler cannot reverse (program order,
-   collectives, message delivery, target-serialized atomic chains) and
-   *dropping* reversible edges (lock release→acquire, flag-cell joins).
-   Conflicting accesses unordered under the weak relation with no
+2. **Weakened happens-before** (here) — the race detector's walker over
+   the must-only edges: the ordering a scheduler cannot reverse (program
+   order, collectives, message delivery, target-serialized atomic
+   chains), with the reversible ones (lock release→acquire, flag-cell
+   joins) dropped.  Conflicting accesses unordered under it with no
    common lock are predicted races with a witness reordering.
 3. **Steal/mark obligation** (here) — every steal transfer must carry a
    §5.3 mark decision from the thief's (unmutated) termination
@@ -32,7 +32,7 @@ a :class:`~repro.check.witness.WitnessStrategy` that steers a
 run either fails outright (invariant violation, protocol error,
 :class:`~repro.analyze.capture.PredictedDeadlockError`), re-observes
 the race under the standard detector, or exhibits the mark-after-vote
-window in its capture; the prediction is upgraded PREDICTED →
+window in its trace; the prediction is upgraded PREDICTED →
 CONFIRMED and the decision trace persisted for ``repro.check replay``.
 """
 
@@ -45,8 +45,12 @@ from typing import Hashable, Sequence
 from repro.analyze.capture import TraceEvent
 from repro.analyze.lockgraph import deadlock_pass
 from repro.analyze.lockset import lockset_pass
-from repro.analyze.race import RaceDetector, region_class
-from repro.analyze.vectorclock import VectorClock
+from repro.analyze.race import (
+    RaceDetector,
+    happens_before,
+    region_class,
+    unordered_conflicts,
+)
 
 __all__ = [
     "Prediction",
@@ -80,37 +84,19 @@ class CaptureRun:
 def capture_trace(
     target: str, mutation: str | None = None, engine_seed: int = 0
 ) -> CaptureRun:
-    """Run ``target`` on the default deterministic schedule with full
-    trace capture (and the observed-schedule detector) attached."""
-    from repro.core.task import reset_uids
-    from repro.check.mutations import apply_mutation
-    from repro.check.scenarios import make_scenario
-    from repro.sim.engine import Engine
-    from repro.util.errors import ReproError, SimDeadlockError
+    """Run ``target`` on the default deterministic schedule with the
+    detector attached; keep its captured trace."""
+    from repro.analyze.runner import run_race_detection
 
-    scenario = make_scenario(target)
-    reset_uids()
-    error: str | None = None
-    with apply_mutation(mutation):
-        engine = Engine(
-            scenario.nprocs, seed=engine_seed, max_events=scenario.max_events
-        )
-        det = RaceDetector.attach(engine, capture=True)
-        scenario.build(engine)
-        try:
-            engine.run()
-        except SimDeadlockError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        except (ReproError, RuntimeError, AssertionError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
+    res = run_race_detection(target, mutation=mutation, engine_seed=engine_seed)
     return CaptureRun(
         target=target,
         mutation=mutation,
         engine_seed=engine_seed,
-        nprocs=scenario.nprocs,
-        events=det.capture.events if det.capture is not None else [],
-        observed_races=len(det.races),
-        error=error,
+        nprocs=res.nprocs,
+        events=res.trace,
+        observed_races=len(res.races),
+        error=res.error,
     )
 
 
@@ -135,128 +121,45 @@ class WeakHbFinding:
         )
 
 
-def _weak_snapshots(
-    events: list[TraceEvent], nprocs: int
-) -> dict[int, Sequence[int]]:
-    """Per-rank clocks over must-edges only; snapshot at data/flag events.
-
-    Must-edges kept: program order, collectives, post→poll delivery of
-    the matched message, and rmw reservation chains per target (the
-    reservation order could change in another schedule, but each order
-    is a serialization — treating the executed one as fixed only ever
-    *hides* reorderings, it cannot invent them, so it is the
-    false-positive-safe choice).  Dropped: mutex release→acquire (the
-    scheduler may hand the lock over in either order; mutual exclusion
-    itself is handled by the common-lockset test) and flag-cell joins
-    (the §5.3 analyses reason about those explicitly).
-    """
-    vc = [VectorClock(nprocs) for _ in range(nprocs)]
-    for r in range(nprocs):
-        vc[r].tick(r)
-    fifo: dict[tuple[int, str], list[VectorClock]] = {}
-    rmw_cells: dict[int, VectorClock] = {}
-    pending_coll: dict[tuple[int, ...], list[int]] = {}
-    # Snapshots are consumed by integer indexing only, so they stay in
-    # the clock's native array representation: one memcpy per snapshot
-    # instead of boxing every component into a tuple.
-    snaps: dict[int, Sequence[int]] = {}
-    for ev in events:
-        r = ev.rank
-        kind = ev.kind
-        if kind == "access" or kind == "flag-write" or kind == "flag-read":
-            vc[r].tick(r)
-            snaps[ev.seq] = vc[r].snapshot()
-        elif kind == "collective":
-            ranks = ev.data["ranks"]
-            group = pending_coll.setdefault(ranks, [])
-            group.append(r)
-            if len(group) == len(ranks):
-                joined = VectorClock(nprocs)
-                for p in ranks:
-                    joined.join(vc[p])
-                for p in ranks:
-                    vc[p].join(joined)
-                    vc[p].tick(p)
-                del pending_coll[ranks]
-        elif kind == "post":
-            key = (ev.data["target"], ev.data["tag"])
-            fifo.setdefault(key, []).append(vc[r].copy())
-            vc[r].tick(r)
-        elif kind == "poll":
-            box = fifo.get((r, ev.data["tag"]))
-            if box:
-                vc[r].join(box.pop(0))
-            vc[r].tick(r)
-        elif kind == "rmw":
-            cell = rmw_cells.get(ev.data["target"])
-            if cell is not None:
-                vc[r].join(cell)
-            vc[r].tick(r)
-        elif kind == "rmw-done":
-            rmw_cells[ev.data["target"]] = vc[r].copy()
-            vc[r].tick(r)
-    return snaps
-
-
 def weakened_hb_pass(
     events: list[TraceEvent], nprocs: int
 ) -> list[WeakHbFinding]:
-    """Predicted races: weak-unordered conflicts with no common lock."""
-    snaps = _weak_snapshots(events, nprocs)
-    # region -> rank -> last (op, site, held, snap, seq) per access class
-    reads: dict[Hashable, dict[int, tuple]] = {}
-    writes: dict[Hashable, dict[int, tuple]] = {}
-    atomics: dict[Hashable, dict[int, tuple]] = {}
+    """Predicted races: conflicts unordered under the must-only edges
+    (:func:`~repro.analyze.race.happens_before`) with no common lock.
+
+    The must-only relation keeps rmw reservation chains: the order could
+    change in another schedule, but each order is a serialization, so
+    treating the executed one as fixed only ever *hides* reorderings —
+    the false-positive-safe choice.  Mutual exclusion itself, whose
+    hand-over edge is dropped, is the common-lock test.
+    """
+    tables: dict[Hashable, tuple[dict, dict, dict]] = {}
     findings: list[WeakHbFinding] = []
     dedup: set[tuple] = set()
-
-    def conflict(prior: tuple, cur: tuple, region: Hashable) -> None:
-        p_op, p_site, p_held, p_snap, p_seq, p_rank = prior
-        c_op, c_site, c_held, c_snap, c_seq, c_rank = cur
-        if p_snap[p_rank] <= c_snap[p_rank]:  # weak-ordered (epoch test)
-            return
-        if set(p_held) & set(c_held):  # mutually excluded
-            return
-        key = (region_class(region), tuple(sorted((p_site, c_site))))
-        if key in dedup:
-            return
-        dedup.add(key)
-        findings.append(
-            WeakHbFinding(
-                region=region,
-                region_cls=key[0],
-                sites=(p_site, c_site),
-                ranks=(p_rank, c_rank),
-                seqs=(p_seq, c_seq),
-            )
-        )
-
-    for ev in events:
+    for ev, clock in happens_before(events, nprocs, must_only=True):
         if ev.kind != "access":
             continue
-        region = ev.data["region"]
-        op = ev.data["op"]
-        cur = (op, ev.data["site"], ev.held, snaps[ev.seq], ev.seq, ev.rank)
-        r_tab = reads.setdefault(region, {})
-        w_tab = writes.setdefault(region, {})
-        a_tab = atomics.setdefault(region, {})
-        if op == "a":
-            against = (r_tab, w_tab)
-        elif op == "r":
-            against = (w_tab, a_tab)
-        else:
-            against = (r_tab, w_tab, a_tab)
-        for table in against:
-            for rank, prior in table.items():
-                if rank != ev.rank:
-                    conflict(prior, cur, region)
-        if op == "a":
-            a_tab[ev.rank] = cur
-        else:
-            if op != "r":
-                w_tab[ev.rank] = cur
-            if op in ("r", "rw"):
-                r_tab[ev.rank] = cur
+        region, site, held = ev.data["region"], ev.data["site"], ev.held
+        priors = unordered_conflicts(
+            tables, region, ev.data["op"], ev.rank, clock.snapshot(),
+            (site, held, ev.seq, ev.rank),
+        )
+        for p_site, p_held, p_seq, p_rank in priors:
+            if set(p_held) & set(held):  # mutually excluded
+                continue
+            key = (region_class(region), tuple(sorted((p_site, site))))
+            if key in dedup:
+                continue
+            dedup.add(key)
+            findings.append(
+                WeakHbFinding(
+                    region=region,
+                    region_cls=key[0],
+                    sites=(p_site, site),
+                    ranks=(p_rank, ev.rank),
+                    seqs=(p_seq, ev.seq),
+                )
+            )
     return findings
 
 
@@ -324,7 +227,7 @@ def obligation_pass(events: list[TraceEvent]) -> list[ObligationFinding]:
         )
         for (t, v), seqs in sorted(unattested.items())
     ]
-    # Release-mode marks (a message-based §5.3 protocol): the weak
+    # Release-mode marks (a message-based §5.3 protocol): the must-only
     # relation has no edge from the mark's landing to the victim's next
     # vote, so a vote can precede it in another schedule.
     snaps: dict[int, Sequence[int]] | None = None
@@ -337,7 +240,11 @@ def obligation_pass(events: list[TraceEvent]) -> list[ObligationFinding]:
         if target is None or target == ev.rank:
             continue
         if snaps is None:
-            snaps = _weak_snapshots(events, nprocs)
+            snaps = {
+                e.seq: clock.snapshot()
+                for e, clock in happens_before(events, nprocs, must_only=True)
+                if e.kind == "flag-write" or e.kind == "flag-read"
+            }
         vote = next(
             (
                 e
@@ -524,42 +431,25 @@ class _NoGates:
         pass
 
 
-def _witness_run(scenario, controller, engine_seed, mutation):
-    """One monitored run under a witness controller; returns
-    (outcome, detector)."""
+def _monitored_run(scenario, strategy, engine_seed, mutation):
+    """One run under ``strategy`` with the detector attached (a witness
+    strategy listening to its events); returns (outcome, detector)."""
     from repro.check.runner import run_once
     from repro.check.witness import WitnessStrategy
 
-    holder = {}
+    dets = []
 
     def hook(engine):
-        det = RaceDetector.attach(engine, capture=True)
-        det.capture.listeners.append(strategy.on_event)
-        holder["det"] = det
+        det = RaceDetector.attach(engine)
+        if isinstance(strategy, WitnessStrategy):
+            det.listeners.append(strategy.on_event)
+        dets.append(det)
 
-    strategy = WitnessStrategy(controller)
     outcome = run_once(
         scenario, strategy, engine_seed=engine_seed, mutation=mutation,
         engine_hook=hook,
     )
-    return outcome, holder["det"]
-
-
-def _replay_run(scenario, decisions, engine_seed, mutation):
-    """Replay a recorded decision list with the monitor re-attached."""
-    from repro.check.runner import run_once
-    from repro.check.strategies import ReplayStrategy
-
-    holder = {}
-
-    def hook(engine):
-        holder["det"] = RaceDetector.attach(engine, capture=True)
-
-    outcome = run_once(
-        scenario, ReplayStrategy(decisions), engine_seed=engine_seed,
-        mutation=mutation, engine_hook=hook,
-    )
-    return outcome, holder["det"]
+    return outcome, dets[0]
 
 
 def _persist_witness(
@@ -597,11 +487,17 @@ def confirm_prediction(
 ) -> Prediction:
     """Steer replays toward ``pred``'s reordering; upgrade on success."""
     from repro.check.scenarios import make_scenario
-    from repro.check.witness import DeadlockWitness, DirtyMarkWitness
+    from repro.check.strategies import ReplayStrategy
+    from repro.check.witness import DeadlockWitness, DirtyMarkWitness, WitnessStrategy
 
     scenario = make_scenario(target)
 
-    def upgraded(outcome, how: str, window_check: bool) -> bool:
+    def witness_run(controller):
+        return _monitored_run(
+            scenario, WitnessStrategy(controller), engine_seed, mutation
+        )
+
+    def upgraded(outcome, how: str, window_check: bool) -> None:
         """Persist + replay-verify a successful witness run."""
         pred.status = "CONFIRMED"
         pred.confirmed_how = how
@@ -609,23 +505,19 @@ def confirm_prediction(
             pred, target, mutation, engine_seed, scenario, outcome, out_dir,
             ordinal=ordinal,
         )
-        re_out, re_det = _replay_run(
-            scenario, list(outcome.decisions), engine_seed, mutation
+        re_out, re_det = _monitored_run(
+            scenario, ReplayStrategy(list(outcome.decisions)), engine_seed, mutation
         )
         if window_check:
-            pred.replay_ok = (
-                find_mark_window(re_det.capture.events) is not None
-            )
+            pred.replay_ok = find_mark_window(re_det.events) is not None
         else:
             pred.replay_ok = re_out.signature == outcome.signature
-        return True
 
     if pred.kind == "data-race":
-        outcome, det = _witness_run(scenario, _NoGates(), engine_seed, mutation)
+        outcome, det = witness_run(_NoGates())
         cls = tuple(pred.data.get("region_cls", []))
-        hit = any(region_class(r.region) == cls for r in det.races)
-        if hit:
-            return pred if not upgraded(outcome, "observed-race-replay", False) else pred
+        if any(region_class(r.region) == cls for r in det.races):
+            upgraded(outcome, "observed-race-replay", False)
         return pred
 
     if pred.kind == "steal-after-vote":
@@ -643,13 +535,11 @@ def confirm_prediction(
                 if v != t and (t, v) not in variants:
                     variants.append((t, v))
         for t, v in variants[:6]:
-            outcome, det = _witness_run(
-                scenario, DirtyMarkWitness(t, v), engine_seed, mutation
-            )
+            outcome, det = witness_run(DirtyMarkWitness(t, v))
             if outcome.failed:
                 upgraded(outcome, f"witness-replay-failure:{outcome.describe()}", False)
                 return pred
-            window = find_mark_window(det.capture.events)
+            window = find_mark_window(det.events)
             if window is not None:
                 upgraded(
                     outcome,
@@ -662,9 +552,7 @@ def confirm_prediction(
         return pred
 
     if pred.kind == "deadlock":
-        outcome, _det = _witness_run(
-            scenario, DeadlockWitness(), engine_seed, mutation
-        )
+        outcome, _det = witness_run(DeadlockWitness())
         if outcome.error is not None and outcome.error.startswith(
             "PredictedDeadlockError"
         ):

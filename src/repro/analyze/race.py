@@ -1,39 +1,28 @@
 """Happens-before data-race detection for the simulated PGAS machine.
 
 A :class:`RaceDetector` attaches to an :class:`~repro.sim.engine.Engine`
-(like the tracer: ``RaceDetector.attach(engine)``) and observes two
-kinds of events through hooks in the runtime layers:
+(like the tracer: ``RaceDetector.attach(engine)``) and is the one
+analysis observer: every hook in the runtime layers — synchronization
+(mutexes, collectives, post → poll, remote atomics, fences) and every
+access to ARMCI shared state — appends one
+:class:`~repro.analyze.capture.TraceEvent` to :attr:`RaceDetector.events`
+and does nothing else, bar the wait-for monitor that fails a run fast
+when a lock cycle closes.
 
-* **Synchronization** — mutex acquire/release, barrier and collective
-  completion, one-sided message delivery (post → poll), remote atomics,
-  and fences.  Each maintains the vector-clock partial order: a release
-  publishes the releaser's clock on the sync object, the matching
-  acquire joins it.
-* **Shared-region accesses** — reads/writes of ARMCI shared state
-  (split-queue descriptors and metadata, termination flags, GA
-  patches), recorded by hook calls placed at the state-touch points in
-  ``repro.core`` / ``repro.ga``.
+Every happens-before result is computed after the run from that list by
+one walker, :func:`happens_before`, over one of two edge sets: the full
+set feeds :func:`race_pass` (:attr:`RaceDetector.races`), the must-only
+set the predictive passes (:mod:`repro.analyze.predict`).
 
 Two accesses to the same region race when they conflict (different
-ranks, at least one write) and neither happens-before the other.  This
-is the PGAS analogue of a ThreadSanitizer report: it fires on *every*
-schedule that executes the unsynchronized code path, not only on the
-schedule where the interleaving actually corrupts state — which is what
-makes it deterministic where :mod:`repro.check` is a search.
-
-The model knows three access classes (see ``docs/analyze.md``):
-
-* *plain* — ordinary data; participates fully in race detection.
-* *atomic* — target-side serialized operations (GA accumulates); never
-  races with other atomics, still races with plain accesses.
-* *flags* — termination/steal flags are **synchronization objects**
-  (release/acquire cells), not data: stores and loads never race among
-  themselves, and a load joins the stored clocks.  A *release* store
-  (a thief's dirty mark) must be fence-ordered after the initiator's
-  earlier one-sided ops to the same target; a store with unfenced
-  pending ops is reported as a race between the flag store and the
-  pending op — the pair is unordered at the target, which is exactly
-  the §5.3 window the fence closes.
+ranks, at least one write, not both atomic) and neither happens-before
+the other — the PGAS analogue of a ThreadSanitizer report, so it fires
+on *every* schedule that executes the unsynchronized path.  Flags are
+synchronization objects, not data: they never race, a load joins every
+earlier store, and a *release* store (a thief's dirty mark) with an
+unfenced one-sided op to its target pending is an
+``unfenced-flag-store`` race — the §5.3 window a fence closes (see
+``docs/analyze.md``).
 """
 
 from __future__ import annotations
@@ -42,15 +31,18 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
 
-from repro.analyze.capture import TraceCapture
+from repro.analyze.capture import PredictedDeadlockError, TraceEvent
 from repro.analyze.vectorclock import VectorClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine, Proc
 
-__all__ = ["Access", "Race", "RaceDetector", "RaceGroup", "dedupe_races", "region_class"]
+__all__ = [
+    "Access", "Race", "RaceDetector", "RaceGroup", "dedupe_races",
+    "happens_before", "race_pass", "region_class", "unordered_conflicts",
+]
 
 #: Hook-call frames skipped when attributing an access to a call site.
 _SITE_SKIP = (
@@ -88,10 +80,6 @@ class Access:
     site: str
     vc: tuple[int, ...]
 
-    @property
-    def writes(self) -> bool:
-        return self.op != "r"
-
     def describe(self) -> str:
         kind = {"r": "read", "w": "write", "rw": "update", "a": "atomic",
                 "fw": "flag store"}.get(self.op, self.op)
@@ -120,68 +108,209 @@ class Race:
         return f"{head}\n    {self.first.describe()}\n    {self.second.describe()}"
 
 
-class _Region:
-    """Per-region last-access table (one slot per rank and access class)."""
+# ---------------------------------------------------------------------- #
+# The one happens-before walker
+# ---------------------------------------------------------------------- #
+def happens_before(
+    events: list[TraceEvent], nprocs: int, must_only: bool = False
+) -> Iterator[tuple[TraceEvent, VectorClock]]:
+    """Yield every event with its rank's vector clock at that event.
 
-    __slots__ = ("reads", "writes", "atomics")
+    The clock is live: copy it (``snapshot()``) to keep it.  An access
+    has ticked its own epoch first; a store or message is stamped
+    before it publishes.  The full edge set is program order plus:
+    mutex release → next acquire of the same lock, every flag store →
+    every later load of that region, all-to-all within a collective,
+    FIFO post → poll per (target, tag), and rmw-done → next rmw at the
+    same target.  ``must_only`` drops the two edges a scheduler can
+    reverse — mutex hand-over and flag-cell joins — leaving the
+    must-order relation of the predictive passes.
+    """
+    vc = [VectorClock(nprocs) for _ in range(nprocs)]
+    for rank, clock in enumerate(vc):
+        clock.tick(rank)
+    # ("mutex", key) / ("rmw", target) / ("flag", region) -> published clock
+    cells: dict[tuple, VectorClock] = {}
+    boxes: dict[tuple[int, str], deque[VectorClock]] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for ev in events:
+        r, kind, data = ev.rank, ev.kind, ev.data
+        clock = vc[r]
+        # acquire side: join what the sync object published
+        if kind == "access":
+            clock.tick(r)
+        elif kind == "acquire":
+            cell = None if must_only else cells.get(("mutex", data["mutex"]))
+            if cell is not None:
+                clock.join(cell)
+            clock.tick(r)
+        elif kind == "rmw":
+            cell = cells.get(("rmw", data["target"]))
+            if cell is not None:
+                clock.join(cell)
+            clock.tick(r)
+        elif kind == "flag-read":
+            cell = None if must_only else cells.get(("flag", data["region"]))
+            if cell is not None:
+                clock.join(cell)
+        elif kind == "poll":
+            box = boxes.get((r, data["tag"]))
+            if box:
+                clock.join(box.popleft())
+                clock.tick(r)
+        elif kind == "collective":
+            ranks = data["ranks"]
+            group = groups.setdefault(ranks, [])
+            group.append(r)
+            if len(group) == len(ranks):
+                del groups[ranks]
+                joined = VectorClock(nprocs)
+                for p in ranks:
+                    joined.join(vc[p])
+                for p in ranks:
+                    vc[p].join(joined)
+                    vc[p].tick(p)
+        yield ev, clock
+        # release side: publish, then start a new epoch
+        if kind == "release":
+            if not must_only:
+                cells[("mutex", data["mutex"])] = clock.copy()
+            clock.tick(r)
+        elif kind == "rmw-done":
+            cells[("rmw", data["target"])] = clock.copy()
+            clock.tick(r)
+        elif kind == "flag-write":
+            if not must_only:
+                cells.setdefault(("flag", data["region"]), VectorClock(nprocs)).join(clock)
+            clock.tick(r)
+        elif kind == "post":
+            boxes.setdefault((data["target"], data["tag"]), deque()).append(clock.copy())
+            clock.tick(r)
 
-    def __init__(self) -> None:
-        self.reads: dict[int, Access] = {}
-        self.writes: dict[int, Access] = {}
-        self.atomics: dict[int, Access] = {}
+
+def unordered_conflicts(
+    tables: dict[Hashable, tuple[dict, dict, dict]], region: Hashable, op: str,
+    rank: int, stamp, item: Any,
+) -> list:
+    """The conflict scanner both happens-before passes share.
+
+    ``tables`` keeps, per region, the last read, write and atomic of
+    each rank as ``(stamp, item)``.  Returns the items of earlier
+    conflicting accesses by other ranks that ``stamp`` has not observed
+    (epoch test), then records this access.  A write conflicts with
+    reads, writes and atomics; a read with writes and atomics; an
+    atomic only with plain reads/writes.
+    """
+    reads, writes, atomics = tables.setdefault(region, ({}, {}, {}))
+    if op == "a":
+        against = (reads, writes)
+    elif op == "r":
+        against = (writes, atomics)
+    else:
+        against = (reads, writes, atomics)
+    found = [
+        prior
+        for table in against
+        for prior_rank, (prior_stamp, prior) in table.items()
+        if prior_rank != rank and prior_stamp[prior_rank] > stamp[prior_rank]
+    ]
+    entry = (stamp, item)
+    if op == "a":
+        atomics[rank] = entry
+    else:
+        if op != "r":
+            writes[rank] = entry
+        if op != "w":
+            reads[rank] = entry
+    return found
 
 
+def race_pass(events: list[TraceEvent], nprocs: int) -> list[Race]:
+    """Every race of a captured trace, under the full edge set.
+
+    Also applies the fence discipline: a release flag store with an
+    unfenced one-sided write to the same target pending is reported as
+    an ``unfenced-flag-store`` race against the latest such write.
+    """
+    races: list[Race] = []
+    seen: set[tuple] = set()
+    tables: dict[Hashable, tuple[dict, dict, dict]] = {}
+    # (initiator, target) -> latest unfenced one-sided write
+    pending: dict[tuple[int, int], Access] = {}
+
+    def report(kind: str, region: Hashable, first: Access, second: Access) -> None:
+        key = (kind, region, first.rank, first.site, second.rank, second.site)
+        if key not in seen:
+            seen.add(key)
+            races.append(Race(kind=kind, region=region, first=first, second=second))
+
+    for ev, clock in happens_before(events, nprocs):
+        kind, rank, data = ev.kind, ev.rank, ev.data
+        if kind == "access":
+            region, op = data["region"], data["op"]
+            access = Access(rank, op, region, ev.time, data["site"], tuple(clock.c))
+            for prior in unordered_conflicts(tables, region, op, rank, access.vc, access):
+                report("data-race", region, prior, access)
+        elif kind == "put":
+            target = data["target"]
+            pending[(rank, target)] = Access(
+                rank, "w", ("one-sided", rank, target), ev.time, data["site"],
+                tuple(clock.c),
+            )
+        elif kind == "fence":
+            if data["target"] is not None:
+                pending.pop((rank, data["target"]), None)
+            else:
+                for key in [k for k in pending if k[0] == rank]:
+                    del pending[key]
+        elif kind == "flag-write" and data["release"] and data["target"] is not None:
+            prior = pending.get((rank, data["target"]))
+            if prior is not None:
+                region = data["region"]
+                store = Access(rank, "fw", region, ev.time, data["site"], tuple(clock.c))
+                report("unfenced-flag-store", region, prior, store)
+    return races
+
+
+# ---------------------------------------------------------------------- #
+# The one analysis observer
+# ---------------------------------------------------------------------- #
 class RaceDetector:
-    """Engine-wide vector-clock race detector.
+    """Engine-wide event capture; races are a pass over what it captured.
 
     Attach before :meth:`Engine.run`; read :attr:`races` (or
     :meth:`report`) after the run.  Costs nothing when not attached —
-    every hook is a single dict probe, the same pattern as the tracer.
+    every hook site is a single dict probe, the same pattern as the
+    tracer.  Capture is strictly observational: it performs no
+    ``sync``/``advance`` and draws no randomness, so an observed run is
+    bit-for-bit the run it observes.
     """
 
     _KEY = "race-detector"
 
-    def __init__(self, engine: "Engine", capture: bool = False) -> None:
+    def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        #: Full-trace event capture for the predictive passes
-        #: (:mod:`repro.analyze.predict`); None keeps the detector lean.
-        self.capture: TraceCapture | None = (
-            TraceCapture(engine) if capture else None
-        )
+        self.events: list[TraceEvent] = []
+        #: Live observers (witness strategies); called with each event.
+        self.listeners: list[Callable[[TraceEvent], None]] = []
         n = engine.nprocs
-        self.vc = [VectorClock(n) for _ in range(n)]
-        for rank in range(n):
-            self.vc[rank].tick(rank)
-        # sync-object clocks
-        self._mutex_clocks: dict[int, VectorClock] = {}  # id(mutex) -> clock
-        self._rmw_cells: dict[int, VectorClock] = {}  # target rank -> clock
-        self._flag_cells: dict[Hashable, VectorClock] = {}  # flag region -> clock
-        self._messages: dict[tuple[int, str], deque[VectorClock]] = {}
-        # (initiator, target) -> unfenced one-sided write ops, oldest first
-        self._pending: dict[tuple[int, int], list[Access]] = {}
-        self._regions: dict[Hashable, _Region] = {}
-        self.races: list[Race] = []
-        self._seen: set[tuple] = set()
-        self.accesses = 0
+        self._idx = [0] * n
+        self._held: list[list[str]] = [[] for _ in range(n)]
+        self._locks: dict[Any, str] = {}  # mutex object -> lock key
+        # wait-for monitor: rank -> lock key it is blocked on, and lock
+        # key -> rank currently holding it
+        self._waiting_on: dict[int, str] = {}
+        self._holder_of: dict[str, int] = {}
+        self._races: tuple[int, list[Race]] = (-1, [])
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
     @classmethod
-    def attach(cls, engine: "Engine", capture: bool = False) -> "RaceDetector":
-        """Enable race detection on ``engine`` (idempotent).
-
-        ``capture=True`` additionally records the full event trace
-        (see :class:`~repro.analyze.capture.TraceCapture`); asking for
-        capture on an already-attached detector upgrades it in place.
-        """
+    def attach(cls, engine: "Engine") -> "RaceDetector":
+        """Enable race detection on ``engine`` (idempotent)."""
         inst = engine.state.get(cls._KEY)
         if inst is None:
-            inst = cls(engine, capture=capture)
+            inst = cls(engine)
             engine.state[cls._KEY] = inst
             engine.note_observer()
-        elif capture and inst.capture is None:
-            inst.capture = TraceCapture(engine)
         return inst
 
     @classmethod
@@ -189,222 +318,157 @@ class RaceDetector:
         """The engine's detector, or None if detection is off."""
         return engine.state.get(cls._KEY)
 
-    # ------------------------------------------------------------------ #
-    # Synchronization edges
-    # ------------------------------------------------------------------ #
+    def _emit(self, proc: "Proc", kind: str, data: dict[str, Any]) -> None:
+        """Append one event (and notify live listeners)."""
+        rank = proc.rank
+        ev = TraceEvent(
+            kind=kind,
+            rank=rank,
+            idx=self._idx[rank],
+            seq=len(self.events),
+            time=proc.now,
+            held=tuple(self._held[rank]),
+            data=data,
+        )
+        self._idx[rank] += 1
+        self.events.append(ev)
+        for fn in self.listeners:
+            fn(ev)
+
+    def _lock(self, mutex: Any) -> str:
+        """The lock key of ``mutex``: its name, made unique per object.
+
+        A second mutex with an already-taken name gets ``name#n``, so
+        two objects never share a key in the monitor, the held sets or
+        the walker's release clocks.
+        """
+        key = self._locks.get(mutex)
+        if key is None:
+            key, n = mutex.name, len(self._locks)
+            while key in self._locks.values():
+                key, n = f"{mutex.name}#{n}", n + 1
+            self._locks[mutex] = key
+        return key
+
     def on_mutex_request(self, proc: "Proc", mutex: Any) -> None:
         """A mutex was requested (pre-grant).
 
-        No happens-before effect; feeds the capture's wait-for graph so
-        a monitored run can fail fast on a closing lock cycle.
+        A park that closes a wait-for cycle raises
+        :class:`~repro.analyze.capture.PredictedDeadlockError` here:
+        mutex waiters never time out, so the cycle *is* a deadlock, and
+        raising early turns a hang into a replayable failure.
         """
-        if self.capture is not None:
-            self.capture.on_request(proc, mutex)
+        key = self._lock(mutex)
+        holder = mutex.holder
+        blocking = holder.rank if holder is not None else None
+        self._emit(
+            proc, "request", {"mutex": key, "host": mutex.host_rank, "blocking": blocking}
+        )
+        if blocking is None or blocking == proc.rank:
+            return
+        self._waiting_on[proc.rank] = key
+        cycle = self._find_cycle(proc.rank)
+        if cycle is not None:
+            self._waiting_on.pop(proc.rank, None)
+            raise PredictedDeadlockError(
+                "lock-order cycle closed: "
+                + " -> ".join(f"rank {r} waits {m}" for r, m in cycle)
+            )
+
+    def _find_cycle(self, start: int) -> list[tuple[int, str]] | None:
+        """Walk rank-waits-lock-held-by-rank links from ``start``."""
+        chain: list[tuple[int, str]] = []
+        rank = start
+        while rank in self._waiting_on and len(chain) <= self.engine.nprocs:
+            key = self._waiting_on[rank]
+            chain.append((rank, key))
+            rank = self._holder_of.get(key)
+            if rank == start:
+                return chain
+        return None
 
     def on_mutex_acquire(self, proc: "Proc", mutex: Any) -> None:
-        """Join the mutex's release clock into the new holder (acquire)."""
-        clock = self._mutex_clocks.get(id(mutex))
-        if clock is not None:
-            self.vc[proc.rank].join(clock)
-        self.vc[proc.rank].tick(proc.rank)
-        if self.capture is not None:
-            self.capture.on_acquire(proc, mutex)
+        key = self._lock(mutex)
+        self._waiting_on.pop(proc.rank, None)
+        self._holder_of[key] = proc.rank
+        self._held[proc.rank].append(key)
+        self._emit(proc, "acquire", {"mutex": key, "host": mutex.host_rank})
 
     def on_mutex_release(self, proc: "Proc", mutex: Any) -> None:
-        """Publish the releaser's clock on the mutex (release)."""
-        vc = self.vc[proc.rank]
-        self._mutex_clocks[id(mutex)] = vc.copy()
-        vc.tick(proc.rank)
-        if self.capture is not None:
-            self.capture.on_release(proc, mutex)
+        key = self._lock(mutex)
+        if key in self._held[proc.rank]:
+            self._held[proc.rank].remove(key)
+        if self._holder_of.get(key) == proc.rank:
+            del self._holder_of[key]
+        self._emit(proc, "release", {"mutex": key, "host": mutex.host_rank})
 
     def on_collective(self, procs: list["Proc"]) -> None:
-        """Barrier/allreduce completion: all participants join everyone.
-
-        A barrier also fences: all pending one-sided ops of the
-        participants are ordered by it.
-        """
-        joined = VectorClock(self.engine.nprocs)
+        """Barrier/allreduce completion; a collective also fences."""
         for p in procs:
-            joined.join(self.vc[p.rank])
+            self._emit(p, "fence", {"target": None})
+        ranks = tuple(sorted(p.rank for p in procs))
         for p in procs:
-            self.vc[p.rank].join(joined)
-            self.vc[p.rank].tick(p.rank)
-            self.on_fence(p, None)
-        if self.capture is not None:
-            self.capture.on_collective(procs)
+            self._emit(p, "collective", {"ranks": ranks})
 
     def on_post(self, proc: "Proc", target: int, tag: str) -> None:
-        """A one-sided message deposit carries the sender's clock."""
-        key = (target, tag)
-        box = self._messages.get(key)
-        if box is None:
-            box = self._messages[key] = deque()
-        box.append(self.vc[proc.rank].copy())
-        self.vc[proc.rank].tick(proc.rank)
-        if self.capture is not None:
-            self.capture.on_post(proc, target, tag)
+        self._emit(proc, "post", {"target": target, "tag": tag})
 
     def on_poll(self, proc: "Proc", tag: str) -> None:
-        """Receiving a message joins the sender's clock (acquire)."""
-        box = self._messages.get((proc.rank, tag))
-        if box:
-            self.vc[proc.rank].join(box.popleft())
-            self.vc[proc.rank].tick(proc.rank)
-        if self.capture is not None:
-            self.capture.on_poll(proc, tag)
+        self._emit(proc, "poll", {"tag": tag})
 
     def on_rmw(self, proc: "Proc", target: int) -> None:
-        """Acquire side of a remote atomic: rmw requests serialize at the
-        target, so the initiator joins the per-target cell before its
-        update function runs."""
-        cell = self._rmw_cells.get(target)
-        if cell is not None:
-            self.vc[proc.rank].join(cell)
-        self.vc[proc.rank].tick(proc.rank)
-        if self.capture is not None:
-            self.capture.on_rmw(proc, target)
+        """Open a remote-atomic bracket: the rank's lockset gains the
+        pseudo-lock ``rmw[target]`` until the matching ``rmw-done``."""
+        self._emit(proc, "rmw", {"target": target})
+        self._held[proc.rank].append(f"rmw[{target}]")
 
     def on_rmw_done(self, proc: "Proc", target: int) -> None:
-        """Release side of a remote atomic: publish the initiator's clock
-        (including any accesses made inside the update function) on the
-        per-target cell so the next rmw there is ordered after them."""
-        vc = self.vc[proc.rank]
-        self._rmw_cells[target] = vc.copy()
-        vc.tick(proc.rank)
-        if self.capture is not None:
-            self.capture.on_rmw_done(proc, target)
+        pseudo = f"rmw[{target}]"
+        if pseudo in self._held[proc.rank]:
+            self._held[proc.rank].remove(pseudo)
+        self._emit(proc, "rmw-done", {"target": target})
 
     def on_put(self, proc: "Proc", target: int) -> None:
-        """Track an unfenced one-sided write for the §5.3 fence discipline."""
-        if target == proc.rank:
-            return
-        if self.capture is not None:
-            self.capture.on_put(proc, target)
-        key = (proc.rank, target)
-        ops = self._pending.get(key)
-        if ops is None:
-            ops = self._pending[key] = []
-        ops.append(
-            Access(
-                rank=proc.rank,
-                op="w",
-                region=("one-sided", proc.rank, target),
-                time=proc.now,
-                site=_call_site(),
-                vc=tuple(self.vc[proc.rank].c),
-            )
-        )
+        """An unfenced one-sided write, for the §5.3 fence discipline."""
+        if target != proc.rank:
+            self._emit(proc, "put", {"target": target, "site": _call_site()})
 
     def on_fence(self, proc: "Proc", target: int | None) -> None:
         """A fence completes this rank's one-sided ops (to ``target`` or all)."""
-        if self.capture is not None:
-            self.capture.on_fence(proc, target)
-        if target is not None:
-            self._pending.pop((proc.rank, target), None)
-            return
-        for key in [k for k in self._pending if k[0] == proc.rank]:
-            del self._pending[key]
+        self._emit(proc, "fence", {"target": target})
 
-    # ------------------------------------------------------------------ #
-    # Shared-region accesses
-    # ------------------------------------------------------------------ #
     def record(
-        self,
-        proc: "Proc",
-        region: Hashable,
-        op: str,
-        site: str | None = None,
+        self, proc: "Proc", region: Hashable, op: str, site: str | None = None
     ) -> None:
-        """Record a shared-region access and check it for races.
+        """Record a shared-region access.
 
         ``op`` is ``"r"``, ``"w"``, ``"rw"`` or ``"a"`` (atomic: races
         with plain accesses but not with other atomics).
         """
-        vc = self.vc[proc.rank]
-        vc.tick(proc.rank)
-        access = Access(
-            rank=proc.rank,
-            op=op,
-            region=region,
-            time=proc.now,
-            site=site if site is not None else _call_site(),
-            vc=tuple(vc.c),
+        self._emit(
+            proc,
+            "access",
+            {"region": region, "op": op, "site": site if site is not None else _call_site()},
         )
-        self.accesses += 1
-        if self.capture is not None:
-            self.capture.on_access(proc, region, op, access.site)
-        entry = self._regions.get(region)
-        if entry is None:
-            entry = self._regions[region] = _Region()
-        # A write conflicts with reads, writes and atomics; a read with
-        # writes and atomics; an atomic only with plain reads/writes.
-        if op == "a":
-            against = (entry.reads, entry.writes)
-        elif access.writes:
-            against = (entry.reads, entry.writes, entry.atomics)
-        else:
-            against = (entry.writes, entry.atomics)
-        for table in against:
-            for rank, prior in table.items():
-                if rank == proc.rank:
-                    continue
-                if not self._ordered(prior, vc):
-                    self._report("data-race", region, prior, access)
-        if op == "a":
-            entry.atomics[proc.rank] = access
-        else:
-            if access.writes:
-                entry.writes[proc.rank] = access
-            if op in ("r", "rw"):
-                entry.reads[proc.rank] = access
 
-    # ------------------------------------------------------------------ #
-    # Flag cells (synchronization objects)
-    # ------------------------------------------------------------------ #
     def flag_write(
-        self,
-        proc: "Proc",
-        region: Hashable,
-        target: int | None = None,
+        self, proc: "Proc", region: Hashable, target: int | None = None,
         release: bool = False,
     ) -> None:
-        """A store to a termination/steal flag.
+        """A store to a termination/steal flag (a sync object).
 
-        Flags are sync objects: the store publishes the writer's clock
-        on the flag cell.  A *release* store (``release=True``, used for
-        remote dirty marks) additionally requires the writer's earlier
-        one-sided ops to ``target`` to be fenced; an unfenced pending op
-        means the pair is unordered at the target and is reported.
+        A *release* store (``release=True``, a remote dirty mark) must
+        be fenced after the writer's earlier one-sided ops to
+        ``target``, so it records its call site for that report.
         """
-        vc = self.vc[proc.rank]
+        data = {"region": region, "target": target, "release": release}
         if release and target is not None:
-            pending = self._pending.get((proc.rank, target))
-            if pending:
-                store = Access(
-                    rank=proc.rank,
-                    op="fw",
-                    region=region,
-                    time=proc.now,
-                    site=_call_site(),
-                    vc=tuple(vc.c),
-                )
-                self._report("unfenced-flag-store", region, pending[-1], store)
-        cell = self._flag_cells.get(region)
-        if cell is None:
-            cell = self._flag_cells[region] = VectorClock(self.engine.nprocs)
-        cell.join(vc)
-        vc.tick(proc.rank)
-        if self.capture is not None:
-            self.capture.on_flag_write(proc, region, target, release)
+            data["site"] = _call_site()
+        self._emit(proc, "flag-write", data)
 
     def flag_read(self, proc: "Proc", region: Hashable) -> None:
         """A load of a flag joins the stored clocks (acquire)."""
-        cell = self._flag_cells.get(region)
-        if cell is not None:
-            self.vc[proc.rank].join(cell)
-        if self.capture is not None:
-            self.capture.on_flag_read(proc, region)
+        self._emit(proc, "flag-read", {"region": region})
 
     def on_protocol(self, proc: "Proc", kind: str, data: dict) -> None:
         """A runtime-layer protocol event (steal transfer, vote, wave...).
@@ -412,29 +476,29 @@ class RaceDetector:
         No happens-before effect; captured verbatim for the predictive
         passes and for witness-strategy gates.
         """
-        if self.capture is not None:
-            self.capture.on_protocol(proc, kind, data)
+        self._emit(proc, "protocol", {"what": kind, **data})
 
-    # ------------------------------------------------------------------ #
-    # Reporting
-    # ------------------------------------------------------------------ #
-    def _ordered(self, prior: Access, current_vc: VectorClock) -> bool:
-        """Has ``current_vc`` observed ``prior`` (epoch test)?"""
-        return prior.vc[prior.rank] <= current_vc.c[prior.rank]
+    @property
+    def races(self) -> list[Race]:
+        """Every race in the events captured so far (:func:`race_pass`)."""
+        seen, races = self._races
+        if seen != len(self.events):
+            races = race_pass(self.events, self.engine.nprocs)
+            self._races = (len(self.events), races)
+        return races
 
-    def _report(self, kind: str, region: Hashable, first: Access, second: Access) -> None:
-        key = (kind, region, first.rank, first.site, second.rank, second.site)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.races.append(Race(kind=kind, region=region, first=first, second=second))
+    @property
+    def accesses(self) -> int:
+        """Shared-region accesses captured so far."""
+        return sum(1 for ev in self.events if ev.kind == "access")
 
     def report(self) -> str:
         """Human-readable summary of every race found."""
-        if not self.races:
-            return f"no races ({self.accesses} shared accesses checked)"
-        lines = [f"{len(self.races)} race(s) in {self.accesses} shared accesses:"]
-        for i, race in enumerate(self.races):
+        races, accesses = self.races, self.accesses
+        if not races:
+            return f"no races ({accesses} shared accesses checked)"
+        lines = [f"{len(races)} race(s) in {accesses} shared accesses:"]
+        for i, race in enumerate(races):
             lines.append(f"  #{i + 1} {race.describe()}")
         return "\n".join(lines)
 

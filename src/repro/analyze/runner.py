@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analyze.capture import TraceEvent
 from repro.analyze.race import Race, RaceDetector
 from repro.check.mutations import apply_mutation
 from repro.check.scenarios import SCENARIOS, make_scenario
 from repro.core.task import reset_uids
 from repro.sim.engine import Engine
-from repro.util.errors import ReproError, SimDeadlockError
+from repro.util.errors import ReproError
 
 __all__ = ["RaceRunResult", "run_race_detection"]
 
@@ -34,6 +35,9 @@ class RaceRunResult:
     events: int = 0
     error: str | None = None
     report: str = ""
+    nprocs: int = 0
+    #: The detector's captured trace (what :attr:`races` was computed from).
+    trace: list[TraceEvent] = field(default_factory=list)
 
     @property
     def racy(self) -> bool:
@@ -48,9 +52,10 @@ def run_race_detection(
     """Run ``target`` once under the deterministic schedule with the
     race detector attached; return every race found.
 
-    A mutated run may crash or deadlock before completing — races found
-    up to that point are still reported (the detector observes accesses
-    as they happen, not post-mortem).
+    A mutated run may crash or deadlock before completing — races in
+    the trace captured up to that point are still reported.  The
+    detector's wait-for monitor ends a run whose lock cycle closes with
+    :class:`~repro.analyze.capture.PredictedDeadlockError`.
     """
     if target not in SCENARIOS:
         raise ValueError(f"unknown scenario {target!r} (have: {sorted(SCENARIOS)})")
@@ -67,12 +72,12 @@ def run_race_detection(
         scenario.build(engine)
         try:
             engine.run()
-        except SimDeadlockError as exc:
-            result.error = f"{type(exc).__name__}: {exc}"
         except (ReproError, RuntimeError, AssertionError) as exc:
             result.error = f"{type(exc).__name__}: {exc}"
     result.races = list(detector.races)
     result.accesses = detector.accesses
     result.events = engine.events
     result.report = detector.report()
+    result.nprocs = scenario.nprocs
+    result.trace = detector.events
     return result

@@ -112,7 +112,7 @@ def run_once(
 
     ``engine_hook`` (when given) is called with the engine after
     creation and before the scenario builds — the attachment point for
-    extra observers (race detector, trace capture, witness listeners)
+    extra observers (race detector, witness listeners)
     without perturbing the run.
     """
     out = RunOutcome()

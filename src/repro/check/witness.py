@@ -5,7 +5,7 @@ that are feasible in *other* interleavings of an observed trace.  This
 module turns such a prediction into a targeted
 :class:`~repro.sim.engine.SchedulingStrategy`: a
 :class:`WitnessStrategy` watches the live event stream of a monitored
-run (via the trace capture's listener hook) and *defers* specific ranks
+run (via ``RaceDetector.listeners``) and *defers* specific ranks
 at specific protocol points, walking the schedule into the predicted
 reordering.  Every pick is recorded in the standard decision format, so
 a successful witness run persists as an ordinary
@@ -30,7 +30,7 @@ Two gate controllers are provided:
 * :class:`DeadlockWitness` — drives a predicted lock-order cycle
   closed: freeze each rank at the apex of its inverted acquisition
   chain until another rank blocks on the frozen rank's lock, then
-  release so the cross-request completes the cycle (which the capture's
+  release so the cross-request completes the cycle (which the detector's
   wait-for monitor reports as
   :class:`~repro.analyze.capture.PredictedDeadlockError`).
 """
@@ -50,8 +50,8 @@ __all__ = ["WitnessStrategy", "DirtyMarkWitness", "DeadlockWitness"]
 class WitnessStrategy(ExplorationStrategy):
     """Event-gated deterministic strategy (no randomness is drawn).
 
-    Wire it to a run with ``RaceDetector.attach(engine, capture=True)``
-    and ``detector.capture.listeners.append(strategy.on_event)`` — the
+    Wire it to a run with ``RaceDetector.attach(engine)`` and
+    ``detector.listeners.append(strategy.on_event)`` — the
     ``engine_hook`` parameter of :func:`repro.check.runner.run_once` is
     the intended seam.
     """
@@ -119,7 +119,7 @@ class DirtyMarkWitness:
            the victim is released to drain and vote
         3  victim casts a WHITE vote -> the window is open; release the
            thief and let the run finish (an invariant violation or a
-           mark-after-vote window in the capture confirms the
+           mark-after-vote window in the captured trace confirms the
            prediction)
 
     The root is never deferred: it must stay live to post down-tokens

@@ -168,13 +168,27 @@ class FlightRecorder:
 
 
 def load_flight_dump(path: str | Path) -> dict:
-    """Read and schema-check one flight dump."""
-    doc = json.loads(Path(path).read_text())
+    """Read and schema-check one flight dump.
+
+    Raises:
+        ValueError: Naming ``path``, for torn JSON, a document that is
+            not a JSON object, an unsupported schema, or no ``rings``.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: torn or garbled flight dump: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"{path}: a flight dump is a JSON object, not {type(doc).__name__}"
+        )
     if doc.get("schema") != FLIGHT_SCHEMA:
         raise ValueError(
             f"{path}: unsupported flight schema {doc.get('schema')!r}; "
             f"expected {FLIGHT_SCHEMA}"
         )
+    if "rings" not in doc:
+        raise ValueError(f"{path}: missing required key rings")
     return doc
 
 

@@ -63,7 +63,7 @@ class SimMutex:
         det = RaceDetector.of(engine) if engine.observed else None
         if det is not None:
             # Pre-grant request: no yield happens between here and the
-            # holder check below, so the capture's wait-for graph sees
+            # holder check below, so the detector's wait-for graph sees
             # exactly the park this call is about to commit to.
             det.on_mutex_request(proc, self)
         if self.holder is None:

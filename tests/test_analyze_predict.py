@@ -324,7 +324,7 @@ class TestFalsePositiveGuards:
         holder = {}
 
         def hook(engine):
-            holder["det"] = RaceDetector.attach(engine, capture=True)
+            holder["det"] = RaceDetector.attach(engine)
             holder["nprocs"] = engine.nprocs
 
         if app == "uts":
@@ -350,7 +350,7 @@ class TestFalsePositiveGuards:
             )
         det = holder["det"]
         assert det.races == []
-        assert analyze_trace(det.capture.events, holder["nprocs"]) == []
+        assert analyze_trace(det.events, holder["nprocs"]) == []
 
 
 class TestFleetIntegration:
@@ -381,6 +381,15 @@ class TestFleetIntegration:
             "--no-confirm",
         ]) == 1
         assert "PREDICTED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_cli_jobs_below_one_exits_2_naming_the_flag(self, jobs, capsys):
+        from repro.analyze.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--target", "queue", "--no-confirm", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analyze import RaceDetector, VectorClock
+from repro.analyze.capture import PredictedDeadlockError
 from repro.analyze.runner import run_race_detection
 from repro.armci.runtime import Armci
 from repro.sim.engine import Engine
@@ -178,6 +179,43 @@ class TestFenceDiscipline:
 
         _, det = _run(3, main)
         assert det.races == []
+
+
+def _two_default_mutexes(detect, inverted):
+    """Ranks 0 and 1 each hold one of two mutexes that share the default
+    name; rank 1 then requests rank 0's (and, ``inverted``, rank 0
+    requests rank 1's: a real cycle)."""
+    eng = Engine(2, seed=0, max_events=10_000)
+    det = RaceDetector.attach(eng) if detect else None
+    armci = Armci.attach(eng)
+    a, b = armci.create_mutex(0), armci.create_mutex(1)
+    assert a.name == b.name
+
+    def main(proc):
+        own, other = (a, b) if proc.rank == 0 else (b, a)
+        yield from own.co_acquire(proc)
+        yield from proc.co_sleep(5e-6 if proc.rank else 20e-6)
+        if proc.rank == 1 or inverted:
+            yield from other.co_acquire(proc)
+            yield from other.co_release(proc)
+        yield from own.co_release(proc)
+
+    eng.spawn_all(main)
+    return eng.run(), det
+
+
+class TestWaitForMonitor:
+    def test_same_named_mutexes_are_distinct_locks(self):
+        # Rank 0 waits on nothing, so rank 1's park closes no cycle.
+        observed, det = _two_default_mutexes(detect=True, inverted=False)
+        plain, _ = _two_default_mutexes(detect=False, inverted=False)
+        assert observed.elapsed == plain.elapsed
+        requests = [e for e in det.events if e.kind == "request"]
+        assert len({e.data["mutex"] for e in requests}) == 2
+
+    def test_cycle_over_same_named_mutexes_is_caught(self):
+        with pytest.raises(PredictedDeadlockError, match="lock-order cycle closed"):
+            _two_default_mutexes(detect=True, inverted=True)
 
 
 class TestScenarioRuns:

@@ -58,6 +58,25 @@ class TestRing:
         with pytest.raises(ValueError, match="unsupported flight schema"):
             load_flight_dump(tmp_path / "x.json")
 
+    def test_load_names_the_file_of_a_torn_dump(self, tmp_path):
+        fl = FlightRecorder(tmp_path / "f.json", per_rank=4)
+        fl.record_span(_span(0, 0.0, 1.0))
+        fl.dump("test")
+        torn = tmp_path / "torn.json"
+        torn.write_text((tmp_path / "f.json").read_text()[:40])
+        with pytest.raises(ValueError, match="torn.json: torn or garbled"):
+            load_flight_dump(torn)
+
+    def test_load_rejects_a_non_object(self, tmp_path):
+        (tmp_path / "x.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="x.json: a flight dump is a JSON object"):
+            load_flight_dump(tmp_path / "x.json")
+
+    def test_load_rejects_a_dump_without_rings(self, tmp_path):
+        (tmp_path / "x.json").write_text(json.dumps({"schema": FLIGHT_SCHEMA}))
+        with pytest.raises(ValueError, match="x.json: missing required key rings"):
+            load_flight_dump(tmp_path / "x.json")
+
 
 class TestEngineFailureDump:
     def test_deadlock_dumps_recent_spans(self, tmp_path):
