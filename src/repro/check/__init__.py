@@ -16,13 +16,15 @@ invariants on every one:
   TaskGraph extension.
 * :mod:`repro.check.mutations` — intentional bugs that validate the
   checker catches what it claims to.
-* :mod:`repro.check.runner` / :mod:`repro.check.traces` — the explore /
-  persist / replay / minimize loop.
+* :mod:`repro.check.runner` / :mod:`repro.check.traces` — the one
+  campaign: explore (sharded over ``repro.fleet`` jobs, in-process at
+  ``jobs=1``), then persist / replay / minimize every kept failure.
 
 Command line::
 
     python -m repro.check --target queue --schedules 500
     python -m repro.check --target termination --strategy pct
+    python -m repro.check --target all --jobs 4
     python -m repro.check --replay scioto-check/queue-random-s17.min.json
 """
 

@@ -7,9 +7,9 @@ Examples::
     python -m repro.check --target queue --mutate unlocked_split
     python -m repro.check --replay scioto-check/queue-random-s17.trace.json
 
-    # shard a campaign across worker processes (see docs/fleet.md);
-    # the failing-schedule set is identical for any --jobs N
-    python -m repro.check explore --target all --schedules 200 --jobs 4
+    # shard the campaign across worker processes (see docs/fleet.md);
+    # the output is the same for any --jobs N
+    python -m repro.check --target all --schedules 200 --jobs 4
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.check.runner import ExploreResult, explore, replay
 from repro.check.scenarios import SCENARIOS
 from repro.check.strategies import STRATEGIES
 from repro.check.traces import DecisionTrace
+from repro.fleet.__main__ import add_flight_argument, positive_int, print_progress
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -33,13 +34,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--target",
-        default="queue",
+        nargs="+",
+        default=["queue"],
         choices=sorted(SCENARIOS) + ["all"],
-        help="protocol scenario to check (default: queue)",
+        help="protocol scenario(s) to check (default: queue)",
     )
     p.add_argument(
         "--schedules",
-        type=int,
+        type=positive_int,
         default=500,
         help="number of interleavings to explore per target (default: 500)",
     )
@@ -60,18 +62,21 @@ def _parser() -> argparse.ArgumentParser:
         help="apply an intentional protocol bug (checker self-test)",
     )
     p.add_argument(
+        "--jobs",
+        type=positive_int,
+        default=1,
+        metavar="N",
+        help="fleet worker processes (default: 1, in this process)",
+    )
+    p.add_argument(
         "--out",
         default="scioto-check",
         help="directory for failure traces (default: scioto-check/)",
     )
     p.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="keep exploring after a failure, collecting distinct signatures",
+        "--quiet", action="store_true", help="suppress live progress lines"
     )
-    p.add_argument(
-        "--no-minimize", action="store_true", help="skip trace minimization"
-    )
+    add_flight_argument(p)
     p.add_argument(
         "--replay",
         metavar="TRACE",
@@ -83,12 +88,15 @@ def _parser() -> argparse.ArgumentParser:
 def _print_result(res: ExploreResult, elapsed: float) -> None:
     status = "OK" if res.ok else "FAIL"
     print(
-        f"[{status}] target={res.target} strategy={res.strategy} "
+        f"[{status}] target={','.join(res.targets)} strategy={res.strategy} "
         f"schedules={res.schedules_run} events={res.events_total} "
         f"({elapsed:.1f}s)"
     )
     for f in res.failures:
-        print(f"  schedule #{f.schedule_index} (strategy seed {f.strategy_seed}):")
+        print(
+            f"  [{f.target}] schedule #{f.schedule_index} "
+            f"(strategy seed {f.strategy_seed}):"
+        )
         print(f"    failure:   {f.outcome.describe()}")
         print(f"    trace:     {f.trace_path} ({f.decisions_total} decisions)")
         print(f"    replay:    {'reproduces' if f.replay_confirmed else 'DIVERGED'}")
@@ -97,34 +105,10 @@ def _print_result(res: ExploreResult, elapsed: float) -> None:
                 f"    minimized: {f.minimized_path} "
                 f"({f.decisions_minimized} decisions)"
             )
-
-
-def _explore_fleet(argv: list[str]) -> int:
-    """``repro.check explore``: the fleet-sharded campaign runner."""
-    # Imported lazily: the fleet layer builds on repro.check, not the
-    # other way round, so the plain CLI stays import-light.
-    from repro.fleet.__main__ import (
-        add_explore_arguments,
-        explore_main,
-        normalize_explore_targets,
-    )
-
-    p = argparse.ArgumentParser(
-        prog="python -m repro.check explore",
-        description="Explore schedules sharded across fleet workers "
-        "(python -m repro.fleet explore).",
-    )
-    add_explore_arguments(p)
-    args = p.parse_args(argv)
-    normalize_explore_targets(args)
-    return explore_main(args)
+    print(f"failing set: {len(res.failures)} distinct (digest {res.digest[:16]})")
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "explore":
-        return _explore_fleet(argv[1:])
     args = _parser().parse_args(argv)
 
     if args.replay:
@@ -143,26 +127,26 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  signature match:  {'yes' if same else 'NO'}")
         return 0 if same else 1
 
-    targets = sorted(SCENARIOS) if args.target == "all" else [args.target]
-    mutation = None if args.mutate == "none" else args.mutate
-    exit_code = 0
-    for target in targets:
-        t0 = time.perf_counter()  # host-side timing # repro: lint-disable=RPR002
+    targets = sorted(SCENARIOS) if "all" in args.target else args.target
+    t0 = time.perf_counter()  # host-side timing # repro: lint-disable=RPR002
+    try:
         res = explore(
-            target,
+            targets,
             schedules=args.schedules,
             strategy_name=args.strategy,
             seed=args.seed,
             engine_seed=args.engine_seed,
-            mutation=mutation,
+            mutation=None if args.mutate == "none" else args.mutate,
             out_dir=args.out,
-            stop_on_failure=not args.keep_going,
-            minimize=not args.no_minimize,
+            jobs=args.jobs,
+            progress=None if args.quiet else print_progress,
+            flight_dir=args.flight_dir,
         )
-        _print_result(res, time.perf_counter() - t0)  # repro: lint-disable=RPR002
-        if not res.ok:
-            exit_code = 1
-    return exit_code
+    except RuntimeError as exc:  # a shard raised or its worker died twice
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    _print_result(res, time.perf_counter() - t0)  # repro: lint-disable=RPR002
+    return 0 if res.ok else 1
 
 
 if __name__ == "__main__":

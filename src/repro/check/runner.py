@@ -1,11 +1,17 @@
 """Exploration runner: many schedules, invariant checks, replay, shrink.
 
-The core loop is :func:`explore`: run a scenario under a fresh seeded
-exploration strategy N times; after each run, feed the recorded event
-stream to the scenario's invariant checkers.  On the first failure —
-an invariant violation, a deadlock, or any protocol exception — the
-decision trace is persisted, replayed to confirm determinism, minimized
-by delta debugging, and reported.
+:func:`explore` is the one campaign.  It shards targets × schedule
+indices into fleet ``explore`` jobs (run in-process at ``jobs=1``), and
+each job runs :func:`run_schedules`, the per-schedule loop: schedule
+``i`` of a target runs under a fresh exploration strategy seeded
+``seed + i``, and the recorded event stream goes to the scenario's
+invariant checkers.  The shards are merged in (target, index) order and
+the lowest index of each (target, failure signature) is kept.  Every
+kept failure — an invariant violation, a deadlock, or any protocol
+exception — has its decision trace persisted, replayed to confirm
+determinism, and minimized by delta debugging.  Nothing in that
+pipeline depends on how the indices were sharded, so ``jobs`` changes
+the wall clock, never the answer.
 
 A *failure signature* identifies a failure class for reproduction
 purposes: the sorted set of violated invariant names, or the exception
@@ -15,9 +21,11 @@ deadlock" means the same stuck configuration, not just any deadlock).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable
 
 from repro.check.invariants import Violation
 from repro.check.mutations import apply_mutation
@@ -30,7 +38,18 @@ from repro.obs.flight import maybe_attach_flight
 from repro.obs.tracing import Tracer
 from repro.util.errors import ReproError, SimDeadlockError
 
-__all__ = ["RunOutcome", "FailureReport", "ExploreResult", "run_once", "explore", "replay"]
+__all__ = [
+    "RunOutcome",
+    "FailureReport",
+    "ExploreResult",
+    "run_once",
+    "run_schedules",
+    "explore",
+    "replay",
+]
+
+#: Replay budget for minimizing one failing decision trace.
+MINIMIZE_REPLAYS = 150
 
 
 @dataclass
@@ -74,8 +93,13 @@ class RunOutcome:
 
 @dataclass
 class FailureReport:
-    """A failing schedule plus its replay artifacts."""
+    """A failing schedule plus its replay artifacts.
 
+    Shards send these back from fleet workers with only the first four
+    fields set; :func:`explore` fills in the rest in the parent.
+    """
+
+    target: str
     schedule_index: int
     strategy_seed: int
     outcome: RunOutcome
@@ -90,11 +114,15 @@ class FailureReport:
 class ExploreResult:
     """Summary of one :func:`explore` campaign."""
 
-    target: str
+    targets: list[str]
     strategy: str
-    schedules_run: int
+    schedules_run: int = 0
     events_total: int = 0
+    #: The kept failures in (target, schedule index) order.
     failures: list[FailureReport] = field(default_factory=list)
+    #: SHA-256 over the kept failures' trace fingerprints: the failing
+    #: set's identity, the same for any ``jobs``.
+    digest: str = ""
 
     @property
     def ok(self) -> bool:
@@ -181,114 +209,195 @@ def replay(trace: DecisionTrace, decisions: list[dict] | None = None) -> RunOutc
     )
 
 
-def explore(
+def run_schedules(
     target: str,
+    strategy: str,
+    indices: list[int],
+    seed: int = 0,
+    engine_seed: int = 0,
+    mutation: str | None = None,
+) -> dict:
+    """Run schedules ``indices`` of ``target``: the loop of every campaign.
+
+    Schedule ``i`` runs under strategy ``strategy`` seeded ``seed + i``.
+    Returns one shard's payload: the schedule and event counts, and as
+    ``failures`` the lowest-index failing schedule of each signature.
+    """
+    scenario = make_scenario(target)
+    events = 0
+    failures: list[FailureReport] = []
+    seen: set[tuple] = set()
+    for i in indices:
+        outcome = run_once(
+            scenario,
+            make_strategy(strategy, seed=seed + i),
+            engine_seed=engine_seed,
+            mutation=mutation,
+        )
+        events += outcome.events
+        if outcome.failed and outcome.signature not in seen:
+            seen.add(outcome.signature)
+            failures.append(FailureReport(target, i, seed + i, outcome))
+    return {"schedules": len(indices), "events": events, "failures": failures}
+
+
+def explore(
+    targets: str | Iterable[str],
     schedules: int,
     strategy_name: str = "random",
     seed: int = 0,
     engine_seed: int = 0,
     mutation: str | None = None,
     out_dir: str | Path | None = None,
-    stop_on_failure: bool = True,
-    minimize: bool = True,
-    max_minimize_replays: int = 150,
-    progress=None,
+    jobs: int = 1,
+    progress: Callable[[dict], None] | None = None,
+    flight_dir: str | Path | None = None,
 ) -> ExploreResult:
-    """Explore ``schedules`` interleavings of ``target`` and check invariants.
+    """Explore ``schedules`` interleavings of each target and check invariants.
 
     Args:
-        target: Scenario name (see ``repro.check.scenarios.SCENARIOS``).
-        schedules: Number of schedules to run; schedule ``i`` uses
-            strategy seed ``seed + i``.
+        targets: Scenario name, or several (see
+            ``repro.check.scenarios.SCENARIOS``); repeats collapse in order.
+        schedules: Schedules per target; schedule ``i`` uses strategy
+            seed ``seed + i``.
         strategy_name: ``random``, ``pct``, ``delay`` or ``deterministic``.
         seed: Base strategy seed.
         engine_seed: Engine (workload) seed, fixed across schedules.
         mutation: Optional intentional bug to apply (``repro.check.mutations``).
         out_dir: Where to persist failure traces (default ``scioto-check/``).
-        stop_on_failure: Stop at the first failing schedule (default) or
-            keep exploring and collect every distinct failure.
-        minimize: Shrink the failing decision trace by delta debugging.
-        max_minimize_replays: Replay budget for the minimizer.
-        progress: Optional ``fn(i, outcome)`` called after each schedule.
-    """
-    scenario = make_scenario(target)
-    result = ExploreResult(target=target, strategy=strategy_name, schedules_run=0)
-    out_dir = Path(out_dir) if out_dir is not None else Path("scioto-check")
-    seen_signatures: set[tuple] = set()
+        jobs: Fleet workers; ``1`` runs every shard in this process.
+        progress: Optional fleet progress callback (``FleetScheduler``).
+        flight_dir: Arm the crash flight recorder for every run, dumping
+            there (see ``repro.obs.flight``).
 
-    for i in range(schedules):
-        strategy = make_strategy(strategy_name, seed=seed + i)
-        outcome = run_once(scenario, strategy, engine_seed=engine_seed, mutation=mutation)
-        result.schedules_run += 1
-        result.events_total += outcome.events
-        if progress is not None:
-            progress(i, outcome)
-        if not outcome.failed:
-            continue
-        if outcome.signature in seen_signatures:
-            continue
-        seen_signatures.add(outcome.signature)
-        report = _report_failure(
-            target,
-            strategy_name,
-            seed + i,
-            engine_seed,
-            mutation,
-            i,
-            outcome,
-            out_dir,
-            minimize,
-            max_minimize_replays,
-        )
-        result.failures.append(report)
-        if stop_on_failure:
-            break
+    Raises:
+        ValueError: For ``schedules < 1`` or an unknown target, before
+            any schedule runs.
+        RuntimeError: When a shard raised or its worker died twice.
+    """
+    targets = list(dict.fromkeys([targets] if isinstance(targets, str) else targets))
+    if schedules < 1:
+        raise ValueError(f"schedules must be >= 1, got {schedules}")
+    for target in targets:
+        make_scenario(target)  # an unknown target raises here
+    # The fleet builds on repro.check; importing it here keeps the
+    # importers of run_once (the ledger among them) light.
+    from repro.fleet.jobs import explore_jobs
+    from repro.fleet.scheduler import FleetScheduler
+
+    shards = explore_jobs(
+        targets,
+        schedules,
+        strategy=strategy_name,
+        seed=seed,
+        engine_seed=engine_seed,
+        mutation=mutation,
+        nworkers=jobs,
+    )
+    report = FleetScheduler(
+        jobs, inline=jobs == 1, progress=progress, flight_dir=flight_dir
+    ).run(shards)
+    if not report.ok:
+        lost = [f"{c['key']}: {c['error']}" for c in report.crashed]
+        lost += [f"{r.key}: {r.error}" for r in report.failed_results]
+        raise RuntimeError("campaign incomplete: " + "; ".join(lost))
+    result = ExploreResult(targets=targets, strategy=strategy_name)
+    result.schedules_run, result.events_total, result.failures = _merge_shards(
+        [r.payload for r in report.completed], targets
+    )
+    out_dir = Path(out_dir) if out_dir is not None else Path("scioto-check")
+    for failure in result.failures:
+        _report_failure(failure, strategy_name, engine_seed, mutation, out_dir)
+    result.digest = _failing_set_digest(result.failures, strategy_name, engine_seed, mutation)
     return result
 
 
+def _merge_shards(
+    payloads: list[dict], targets: list[str]
+) -> tuple[int, int, list[FailureReport]]:
+    """Fold shard payloads into ``(schedules, events, kept failures)``.
+
+    Failures are ordered by (campaign target order, schedule index), and
+    the first of each (target, signature) is kept: the rule one loop over
+    every index applies, whatever the partition and completion order.
+    """
+    order = {t: n for n, t in enumerate(targets)}
+    found = [f for p in payloads for f in p["failures"]]
+    found.sort(key=lambda f: (order[f.target], f.schedule_index))
+    seen: set[tuple] = set()
+    kept = []
+    for f in found:
+        if (f.target, f.outcome.signature) not in seen:
+            seen.add((f.target, f.outcome.signature))
+            kept.append(f)
+    return (
+        sum(p["schedules"] for p in payloads),
+        sum(p["events"] for p in payloads),
+        kept,
+    )
+
+
+def _failing_set_digest(
+    failures: list[FailureReport], strategy: str, engine_seed: int, mutation: str | None
+) -> str:
+    """SHA-256 over each failure's trace fingerprint, in order.
+
+    A fingerprint is the canonical-JSON SHA-256 of everything that
+    determines the failing interleaving, so equal campaigns give equal
+    digests in any process.
+    """
+    h = hashlib.sha256()
+    for f in failures:
+        doc = json.dumps(
+            {
+                "target": f.target,
+                "strategy": strategy,
+                "strategy_seed": f.strategy_seed,
+                "engine_seed": engine_seed,
+                "mutation": mutation or "none",
+                "signature": f.outcome.signature_json,
+                "decisions": f.outcome.decisions,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        h.update(hashlib.sha256(doc.encode()).hexdigest().encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def _report_failure(
-    target: str,
+    report: FailureReport,
     strategy_name: str,
-    strategy_seed: int,
     engine_seed: int,
     mutation: str | None,
-    index: int,
-    outcome: RunOutcome,
     out_dir: Path,
-    minimize: bool,
-    max_minimize_replays: int,
-) -> FailureReport:
+) -> None:
     """Persist, replay-confirm, and minimize one failing schedule."""
+    outcome = report.outcome
     trace = DecisionTrace(
-        target=target,
+        target=report.target,
         strategy=strategy_name,
-        strategy_seed=strategy_seed,
+        strategy_seed=report.strategy_seed,
         engine_seed=engine_seed,
-        nprocs=make_scenario(target).nprocs,
-        schedule_index=index,
+        nprocs=make_scenario(report.target).nprocs,
+        schedule_index=report.schedule_index,
         failure=outcome.describe(),
         mutation=mutation if mutation is not None else "none",
         signature=outcome.signature_json,
         decisions=outcome.decisions,
     )
-    stem = f"{target}-{strategy_name}-s{strategy_seed}"
-    trace_path = trace.save(out_dir / f"{stem}.trace.json")
-    report = FailureReport(
-        schedule_index=index,
-        strategy_seed=strategy_seed,
-        outcome=outcome,
-        trace_path=trace_path,
-        decisions_total=len(outcome.decisions),
-    )
+    stem = f"{report.target}-{strategy_name}-s{report.strategy_seed}"
+    report.trace_path = trace.save(out_dir / f"{stem}.trace.json")
+    report.decisions_total = len(outcome.decisions)
     want = outcome.signature
     report.replay_confirmed = replay(trace).signature == want
-    if minimize and report.replay_confirmed and outcome.decisions:
+    if report.replay_confirmed and outcome.decisions:
         minimized, _used = minimize_decisions(
             outcome.decisions,
             lambda ds: replay(trace, decisions=ds).signature == want,
-            max_replays=max_minimize_replays,
+            max_replays=MINIMIZE_REPLAYS,
         )
         min_trace = DecisionTrace(**{**trace.__dict__, "decisions": minimized})
         report.minimized_path = min_trace.save(out_dir / f"{stem}.min.json")
         report.decisions_minimized = len(minimized)
-    return report

@@ -57,9 +57,9 @@ class DecisionTrace:
     def save(self, path: str | Path) -> Path:
         """Write the trace as JSON (atomically); returns the path written.
 
-        Atomic temp-file + ``os.replace``: parallel fleet workers
-        persisting into one directory, or an interrupted campaign, can
-        never leave a torn trace file.
+        Atomic temp-file + ``os.replace``: parallel campaigns persisting
+        into one directory, or an interrupted one, can never leave a torn
+        trace file.
         """
         path = Path(path)
         payload = {
@@ -84,9 +84,11 @@ class DecisionTrace:
         Raises:
             ValueError: Naming ``path``, when the file is not a whole
                 trace: torn JSON, an unsupported format, a missing
-                required key, a decision that is not a ``pick`` or
-                ``delay`` with its fields, or a pick rank outside
-                ``[0, nprocs)``.
+                required key, a seed or schedule index that is not an
+                integer, a decision that is not a ``pick`` or ``delay``
+                with its fields, a pick rank outside ``[0, nprocs)``, or
+                a delay whose ``i`` is not an integer or ``s`` not a
+                number.
         """
         try:
             data = json.loads(Path(path).read_text())
@@ -102,6 +104,9 @@ class DecisionTrace:
         nprocs = data["nprocs"]
         if type(nprocs) is not int or nprocs < 1:
             raise ValueError(f"{path}: nprocs must be a positive integer, not {nprocs!r}")
+        for key in ("engine_seed", "strategy_seed", "schedule_index"):
+            if type(data[key]) is not int:
+                raise ValueError(f"{path}: {key} must be an integer, not {data[key]!r}")
         if not isinstance(data["decisions"], list):
             raise ValueError(f"{path}: decisions must be a list")
         for n, d in enumerate(data["decisions"]):
@@ -117,6 +122,13 @@ class DecisionTrace:
             if d["k"] == "pick" and (type(d["rank"]) is not int or not 0 <= d["rank"] < nprocs):
                 raise ValueError(
                     f"{path}: decision {n} picks rank {d['rank']!r}, outside [0, {nprocs})"
+                )
+            if d["k"] == "delay" and (
+                type(d["i"]) is not int or type(d["s"]) not in (int, float)
+            ):
+                raise ValueError(
+                    f"{path}: decision {n} is a delay without an integer i and "
+                    f"a numeric s: {d!r}"
                 )
         return cls(
             target=data["target"],

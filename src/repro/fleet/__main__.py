@@ -2,12 +2,6 @@
 
 Examples::
 
-    # shard a check campaign over 4 workers
-    python -m repro.fleet explore --target queue steals --schedules 400 --jobs 4
-
-    # the whole mutation matrix, one cell per job
-    python -m repro.fleet matrix --jobs 4
-
     # measure the scaling trajectory and write BENCH_fleet.json
     python -m repro.fleet bench
 
@@ -18,8 +12,9 @@ Examples::
     # per-worker process tracks (open fleet_trace.json in Perfetto)
     python -m repro.fleet trace --target queue steals uts-small --jobs 2
 
-``repro.check explore --jobs N`` and ``repro.bench --jobs N`` forward
-here, so the fleet is reachable from the tools it parallelizes.
+Check campaigns shard over the fleet through ``python -m repro.check
+--jobs N`` (:func:`repro.check.runner.explore`); ``repro.bench --jobs
+N`` and ``repro.analyze predict --jobs N`` submit their own jobs.
 Passing ``--flight-dir DIR`` to any campaign arms the crash flight
 recorder in every worker (see docs/observability.md): engine failures
 dump their last spans there, and a worker death leaves a
@@ -37,24 +32,12 @@ from repro.fleet.bench import (
     run_fleet_bench,
     write_fleet_json,
 )
-from repro.fleet.jobs import Job, explore_jobs, mutation_jobs, obs_jobs
-from repro.fleet.results import failing_set_digest, merge_explore, persist_failures
+from repro.fleet.jobs import Job, obs_jobs
 from repro.fleet.scheduler import FleetReport, FleetScheduler
-
-#: Mutation-matrix cells: each seeded bug paired with the scenario whose
-#: invariants expose it under schedule exploration (the pairs CI's
-#: checker self-test exercises).  ``fence_elision`` and
-#: ``late_dirty_mark`` are deliberately absent: those bugs are caught by
-#: the race detector (``repro.analyze race --mutate``) and the pinned
-#: task-graph regression workload, not by random exploration.
-MATRIX_CELLS = (
-    ("queue", "unlocked_split"),
-    ("steals", "no_dirty_mark"),
-)
 
 
 def positive_int(text: str) -> int:
-    """argparse type for worker and batch counts: an integer >= 1."""
+    """argparse type for worker, schedule and probe counts: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -64,7 +47,7 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _progress_printer(stats: dict) -> None:
+def print_progress(stats: dict) -> None:
     print(
         f"  [{stats['wall_s']:6.1f}s] {stats['done']}/{stats['total']} jobs  "
         f"{stats['jobs_per_sec']:5.1f} jobs/s  "
@@ -91,50 +74,6 @@ def _print_fleet_summary(report: FleetReport) -> None:
         print(f"  JOB ERROR {r.key}: {r.error}")
 
 
-def explore_main(args: argparse.Namespace) -> int:
-    """Shared implementation behind ``repro.fleet explore`` and
-    ``repro.check explore``."""
-    mutation = None if args.mutate == "none" else args.mutate
-    jobs = explore_jobs(
-        args.target,
-        args.schedules,
-        strategy=args.strategy,
-        seed=args.seed,
-        engine_seed=args.engine_seed,
-        mutation=mutation,
-        batch=args.batch,
-        nworkers=args.jobs,
-    )
-    sched = FleetScheduler(
-        args.jobs,
-        progress=None if args.quiet else _progress_printer,
-        flight_dir=args.flight_dir,
-    )
-    report = sched.run(jobs)
-    _print_fleet_summary(report)
-    summary = merge_explore(report.completed)
-    digest = failing_set_digest(summary)
-    print(
-        f"explored {summary.schedules_run} schedules "
-        f"({summary.events_total} events) across {sorted(summary.per_target)}"
-    )
-    print(f"failing set: {len(summary.failures)} distinct (digest {digest[:16]})")
-    for f in summary.failures:
-        print(
-            f"  [{f.target}] schedule #{f.index} (seed {f.strategy_seed}): "
-            f"{f.failure}"
-        )
-    if summary.failures and not args.no_persist:
-        paths = persist_failures(
-            summary, args.out, engine_seed=args.engine_seed, mutation=mutation
-        )
-        for p in paths:
-            print(f"  trace: {p}")
-    if not report.ok:
-        return 2
-    return 1 if summary.failures else 0
-
-
 def bench_main(args: argparse.Namespace) -> int:
     print(f"# fleet scaling — jobs levels {args.jobs_levels}\n")
     doc = run_fleet_bench(
@@ -152,26 +91,6 @@ def bench_main(args: argparse.Namespace) -> int:
     return 0
 
 
-def matrix_main(args: argparse.Namespace) -> int:
-    jobs = mutation_jobs(list(MATRIX_CELLS), schedules=args.schedules, seed=args.seed)
-    sched = FleetScheduler(args.jobs, progress=None if args.quiet else _progress_printer)
-    report = sched.run(jobs)
-    _print_fleet_summary(report)
-    exit_code = 0
-    for res in sorted(report.completed, key=lambda r: r.key):
-        if not res.ok:
-            exit_code = 2
-            continue
-        p = res.payload
-        status = "caught" if p["caught"] else "MISSED"
-        print(f"  {p['target']:<12} {p['mutation']:<18} {status}")
-        if not p["caught"]:
-            exit_code = 1
-    if not report.ok:
-        exit_code = 2
-    return exit_code
-
-
 def trace_main(args: argparse.Namespace) -> int:
     from repro.obs.stream import merge_spills
 
@@ -183,7 +102,7 @@ def trace_main(args: argparse.Namespace) -> int:
     )
     sched = FleetScheduler(
         args.jobs,
-        progress=None if args.quiet else _progress_printer,
+        progress=None if args.quiet else print_progress,
         flight_dir=args.flight_dir,
     )
     report = sched.run(jobs)
@@ -241,25 +160,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    ex = sub.add_parser("explore", help="shard a check campaign over workers")
-    add_explore_arguments(ex)
-
     be = sub.add_parser("bench", help="measure scaling; write BENCH_fleet.json")
     be.add_argument("--jobs-levels", type=positive_int, nargs="+",
                     default=list(DEFAULT_JOBS_LEVELS),
                     help="worker counts to measure (default: 1 2 4)")
-    be.add_argument("--schedules", type=int, default=DEFAULT_SCHEDULES,
+    be.add_argument("--schedules", type=positive_int, default=DEFAULT_SCHEDULES,
                     help="schedules per scenario (default: %(default)s)")
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--json", default="BENCH_fleet.json", metavar="PATH")
     be.add_argument("--no-json", action="store_true")
-
-    ma = sub.add_parser("matrix", help="run the mutation matrix, one cell per job")
-    ma.add_argument("--jobs", type=positive_int, default=2, help="worker count")
-    ma.add_argument("--schedules", type=int, default=200,
-                    help="schedules per cell (default: %(default)s)")
-    ma.add_argument("--seed", type=int, default=0)
-    ma.add_argument("--quiet", action="store_true")
 
     tr = sub.add_parser(
         "trace", help="record targets across workers; merge one fleet trace"
@@ -268,7 +177,7 @@ def _parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("probe", help="fleet self-test (incl. crash handling)")
     pr.add_argument("--jobs", type=positive_int, default=2, help="worker count")
-    pr.add_argument("--count", type=int, default=8, help="probe jobs to run")
+    pr.add_argument("--count", type=positive_int, default=8, help="probe jobs to run")
     pr.add_argument("--crash", action="store_true",
                     help="include a probe that SIGKILLs its worker")
     add_flight_argument(pr)
@@ -302,51 +211,10 @@ def add_trace_arguments(p: argparse.ArgumentParser) -> None:
     add_flight_argument(p)
 
 
-def add_explore_arguments(p: argparse.ArgumentParser) -> None:
-    """Explore-campaign flags, shared with ``repro.check explore``."""
-    from repro.check.mutations import MUTATIONS
-    from repro.check.scenarios import SCENARIOS
-    from repro.check.strategies import STRATEGIES
-
-    p.add_argument("--target", nargs="+", default=["queue"],
-                   choices=sorted(SCENARIOS) + ["all"],
-                   help="scenario(s) to check (default: queue)")
-    p.add_argument("--schedules", type=int, default=500,
-                   help="schedules per target (default: %(default)s)")
-    p.add_argument("--jobs", type=positive_int, default=1, metavar="N",
-                   help="fleet worker count (default: 1)")
-    p.add_argument("--strategy", default="random", choices=sorted(STRATEGIES))
-    p.add_argument("--seed", type=int, default=0, help="base campaign seed")
-    p.add_argument("--engine-seed", type=int, default=0)
-    p.add_argument("--mutate", default="none", choices=sorted(MUTATIONS))
-    p.add_argument("--batch", type=positive_int, default=None,
-                   help="schedules per job (default: auto, ~4 jobs/worker)")
-    p.add_argument("--out", default="scioto-check",
-                   help="directory for failure traces (default: scioto-check/)")
-    p.add_argument("--no-persist", action="store_true",
-                   help="skip writing failure trace files")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress live progress lines")
-    add_flight_argument(p)
-
-
-def normalize_explore_targets(args: argparse.Namespace) -> None:
-    """Expand ``--target all`` into the full scenario matrix."""
-    from repro.check.scenarios import SCENARIOS
-
-    if "all" in args.target:
-        args.target = sorted(SCENARIOS)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.cmd == "explore":
-        normalize_explore_targets(args)
-        return explore_main(args)
     if args.cmd == "bench":
         return bench_main(args)
-    if args.cmd == "matrix":
-        return matrix_main(args)
     if args.cmd == "trace":
         return trace_main(args)
     if args.cmd == "probe":

@@ -1,9 +1,11 @@
 """Fleet scaling trajectory: schedules/sec at jobs = 1, 2, 4.
 
-``python -m repro.fleet bench`` runs the same exploration campaign —
-the full ``repro.check`` scenario matrix under the random-walk
-strategy — at several worker counts and records how schedule
-throughput scales, in ``BENCH_fleet.json`` (schema
+``python -m repro.fleet bench`` times the same exploration campaign —
+:func:`repro.check.runner.explore` over the full ``repro.check``
+scenario matrix under the random-walk strategy — at several worker
+counts and records how schedule throughput scales.  The ``jobs=1``
+entry is the in-process campaign ``python -m repro.check`` runs
+without ``--jobs``.  The record lives in ``BENCH_fleet.json`` (schema
 ``repro-bench-fleet/1``) at the repo root, validated like the other
 committed trajectory (``BENCH_sim.json``) and understood by
 ``python -m repro.obs diff``.
@@ -29,9 +31,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.fleet.jobs import explore_jobs
-from repro.fleet.results import failing_set_digest, merge_explore
-from repro.fleet.scheduler import FleetScheduler
+from repro.check.runner import explore
 from repro.util.io import atomic_write_text
 
 __all__ = [
@@ -75,27 +75,21 @@ def run_fleet_bench(
         targets = sorted(SCENARIOS)
     entries = []
     for nworkers in jobs_levels:
-        jobs = explore_jobs(
-            targets, schedules, strategy=strategy, seed=seed, nworkers=nworkers
-        )
-        sched = FleetScheduler(nworkers)
         # Sanctioned wall-clock site: host throughput is the measurement.
         t0 = time.perf_counter()  # repro: lint-disable=RPR002
-        report = sched.run(jobs)
+        res = explore(targets, schedules, strategy, seed=seed, jobs=nworkers)
         wall = time.perf_counter() - t0  # repro: lint-disable=RPR002
-        summary = merge_explore(report.completed)
         entry = {
             "jobs": nworkers,
             "scenarios": list(targets),
             "strategy": strategy,
             "seed": seed,
-            "schedules": summary.schedules_run,
-            "events": summary.events_total,
+            "schedules": res.schedules_run,
+            "events": res.events_total,
             "wall_s": wall,
-            "schedules_per_sec": summary.schedules_run / wall if wall > 0 else 0.0,
-            "requeues": len(report.requeued_keys),
-            "failures": len(summary.failures),
-            "failing_digest": failing_set_digest(summary),
+            "schedules_per_sec": res.schedules_run / wall if wall > 0 else 0.0,
+            "failures": len(res.failures),
+            "failing_digest": res.digest,
         }
         entries.append(entry)
         if verbose:

@@ -2,26 +2,21 @@
 
 A :class:`Job` is a small, picklable description of one batch of
 simulation work; :func:`execute_job` runs it *inside a worker process*
-and returns a picklable :class:`JobResult`.  Three job kinds cover the
+and returns a picklable :class:`JobResult`.  The job kinds cover the
 embarrassingly parallel surfaces of the toolchain:
 
 ``explore``
-    One shard of a schedule-exploration campaign: a scenario, a
-    strategy, and a list of schedule indices.  Each index maps to a
-    strategy seed through :func:`repro.fleet.seeds.derive_seed`, so the
-    explored schedule set is independent of how indices were sharded
-    into jobs.  Failures come back with their full decision lists so
-    the parent can persist replayable traces.
+    One shard of a :func:`repro.check.runner.explore` campaign: a
+    scenario, a strategy, and a list of schedule indices, run by
+    :func:`repro.check.runner.run_schedules` (schedule ``i`` under
+    strategy seed ``seed + i``).  Failures come back as
+    :class:`~repro.check.runner.FailureReport` objects carrying their
+    full outcomes, so the parent can persist, replay and minimize them.
 
 ``bench``
     One experiment of the paper-figure suite (``repro.bench``), run at
     a given scale.  Virtual-time results are deterministic, so a
     sharded suite reproduces the serial record exactly.
-
-``mutation``
-    One cell of the mutation matrix: explore a scenario under an
-    intentionally seeded protocol bug and report whether the checker
-    caught it — the fleet-scale version of the checker's self-test.
 
 ``predict``
     One scenario of a predictive-analysis campaign
@@ -47,8 +42,6 @@ embarrassingly parallel surfaces of the toolchain:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import signal
 import time
@@ -61,14 +54,12 @@ __all__ = [
     "execute_job",
     "explore_jobs",
     "bench_jobs",
-    "mutation_jobs",
     "predict_jobs",
     "obs_jobs",
-    "trace_fingerprint",
     "JOB_KINDS",
 ]
 
-JOB_KINDS = ("explore", "bench", "mutation", "predict", "obs", "probe")
+JOB_KINDS = ("explore", "bench", "predict", "obs", "probe")
 
 
 @dataclass
@@ -128,8 +119,9 @@ def explore_jobs(
 
     The default batch size aims for ~4 jobs per worker per target, so
     the scheduler can balance across idle workers; explicit ``batch``
-    overrides.  Index ranges are contiguous per job, and derived seeds
-    make the explored set independent of how indices were sharded.
+    overrides.  Index ranges are contiguous per job; a schedule's seed
+    depends only on its index, so the explored set does not depend on
+    how indices were sharded.
     """
     if schedules < 0:
         raise ValueError("schedules must be >= 0")
@@ -163,25 +155,6 @@ def bench_jobs(experiments: list[str], scale: str) -> list[Job]:
     return [
         Job(kind="bench", key=f"bench/{name}", params={"experiment": name, "scale": scale})
         for name in experiments
-    ]
-
-
-def mutation_jobs(
-    cells: list[tuple[str, str]], schedules: int, seed: int = 0
-) -> list[Job]:
-    """One job per ``(target, mutation)`` cell of the mutation matrix."""
-    return [
-        Job(
-            kind="mutation",
-            key=f"mutation/{target}/{mutation}",
-            params={
-                "target": target,
-                "mutation": mutation,
-                "schedules": schedules,
-                "seed": seed,
-            },
-        )
-        for target, mutation in cells
     ]
 
 
@@ -238,91 +211,14 @@ def obs_jobs(
 
 
 # ---------------------------------------------------------------------- #
-# Trace fingerprints
-# ---------------------------------------------------------------------- #
-def trace_fingerprint(
-    target: str,
-    strategy: str,
-    strategy_seed: int,
-    engine_seed: int,
-    mutation: str | None,
-    signature: list,
-    decisions: list[dict],
-) -> str:
-    """Content hash identifying one failing schedule for deduplication.
-
-    Canonical-JSON SHA-256 over everything that determines the failing
-    interleaving, so two workers that independently hit the same
-    schedule produce byte-identical fingerprints.
-    """
-    doc = json.dumps(
-        {
-            "target": target,
-            "strategy": strategy,
-            "strategy_seed": strategy_seed,
-            "engine_seed": engine_seed,
-            "mutation": mutation or "none",
-            "signature": signature,
-            "decisions": decisions,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(doc.encode()).hexdigest()
-
-
-# ---------------------------------------------------------------------- #
 # Execution (worker side)
 # ---------------------------------------------------------------------- #
 def _execute_explore(params: dict[str, Any]) -> dict[str, Any]:
     # Imports live here so the scheduler parent can be imported without
     # pulling the whole runtime, and so forkserver preload stays light.
-    from repro.check.runner import run_once
-    from repro.check.scenarios import make_scenario
-    from repro.check.strategies import make_strategy
-    from repro.fleet.seeds import derive_seed
+    from repro.check.runner import run_schedules
 
-    target = params["target"]
-    strategy_name = params["strategy"]
-    scenario = make_scenario(target)
-    events = 0
-    failures = []
-    for index in params["indices"]:
-        strat_seed = derive_seed(target, strategy_name, params["seed"], index)
-        strategy = make_strategy(strategy_name, seed=strat_seed)
-        outcome = run_once(
-            scenario,
-            strategy,
-            engine_seed=params["engine_seed"],
-            mutation=params["mutation"],
-        )
-        events += outcome.events
-        if outcome.failed:
-            failures.append(
-                {
-                    "index": index,
-                    "strategy_seed": strat_seed,
-                    "signature": outcome.signature_json,
-                    "failure": outcome.describe(),
-                    "decisions": outcome.decisions,
-                    "fingerprint": trace_fingerprint(
-                        target,
-                        strategy_name,
-                        strat_seed,
-                        params["engine_seed"],
-                        params["mutation"],
-                        outcome.signature_json,
-                        outcome.decisions,
-                    ),
-                }
-            )
-    return {
-        "target": target,
-        "strategy": strategy_name,
-        "schedules": len(params["indices"]),
-        "events": events,
-        "failures": failures,
-    }
+    return run_schedules(**params)
 
 
 def _execute_bench(params: dict[str, Any]) -> dict[str, Any]:
@@ -332,28 +228,6 @@ def _execute_bench(params: dict[str, Any]) -> dict[str, Any]:
     fn, _render = EXPERIMENTS[name]
     result = fn(params["scale"])
     return {"experiment": name, "result": result.to_dict()}
-
-
-def _execute_mutation(params: dict[str, Any]) -> dict[str, Any]:
-    shard = _execute_explore(
-        {
-            "target": params["target"],
-            "strategy": "random",
-            "indices": list(range(params["schedules"])),
-            "seed": params["seed"],
-            "engine_seed": 0,
-            "mutation": params["mutation"],
-        }
-    )
-    return {
-        "target": params["target"],
-        "mutation": params["mutation"],
-        "schedules": shard["schedules"],
-        "caught": bool(shard["failures"]),
-        "signatures": sorted(
-            {json.dumps(f["signature"]) for f in shard["failures"]}
-        ),
-    }
 
 
 def _execute_predict(params: dict[str, Any]) -> dict[str, Any]:
@@ -432,7 +306,6 @@ def _execute_probe(params: dict[str, Any]) -> dict[str, Any]:
 _EXECUTORS = {
     "explore": _execute_explore,
     "bench": _execute_bench,
-    "mutation": _execute_mutation,
     "predict": _execute_predict,
     "obs": _execute_obs,
     "probe": _execute_probe,

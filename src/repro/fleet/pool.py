@@ -4,7 +4,8 @@
 (forkserver by default — children fork from a warm server that has
 already imported the runtime, so per-worker startup is cheap and no
 engine threads leak across the fork).  :class:`InlinePool` implements
-the same interface but executes jobs synchronously in the parent; the
+the same interface but executes jobs synchronously in the parent: a
+``repro.check`` campaign at ``--jobs 1`` runs on it, and the
 scheduler's dispatch tests use it to pin the FIFO order
 deterministically without process machinery.
 
@@ -18,6 +19,7 @@ hang: crash detection is the pool's one non-trivial job.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
@@ -33,6 +35,9 @@ __all__ = ["WorkerEvent", "ProcessPool", "InlinePool", "default_start_method"]
 #: ``fleet trace``, which would otherwise re-import the app presets in
 #: every worker.
 _PRELOAD = ["repro.fleet.worker", "repro.check.runner", "repro.obs.scenarios"]
+
+#: Read by ``repro.obs.flight.maybe_attach_flight`` in every engine run.
+_FLIGHT_ENV = "REPRO_FLIGHT_DIR"
 
 
 def default_start_method() -> str:
@@ -179,7 +184,8 @@ class ProcessPool:
 class InlinePool:
     """Same interface, no processes: jobs execute synchronously on send.
 
-    For scheduler dispatch tests and debugging.  ``crash``/``exit``
+    For in-process campaigns, scheduler dispatch tests and debugging.
+    ``crash``/``exit``
     probes cannot be simulated inline (they would kill the parent), so
     the pool refuses them; use :class:`ProcessPool` for failure-path
     tests.
@@ -189,8 +195,8 @@ class InlinePool:
         if nworkers < 1:
             raise ValueError("nworkers must be >= 1")
         self.nworkers = nworkers
-        # Accepted for interface parity; inline jobs run in the parent,
-        # which arms its own flight recorder via $REPRO_FLIGHT_DIR.
+        #: When set, every job runs with ``$REPRO_FLIGHT_DIR`` pointing
+        #: here, as it would in a ProcessPool worker.
         self.flight_dir = None if flight_dir is None else str(flight_dir)
         self._pending: list[WorkerEvent] = []
 
@@ -200,9 +206,17 @@ class InlinePool:
     def send(self, worker: int, job: Job) -> None:
         if job.kind == "probe" and job.params.get("action") in ("crash", "exit"):
             raise ValueError("crash/exit probes require a ProcessPool")
-        self._pending.append(
-            WorkerEvent(worker=worker, kind="result", result=execute_job(job, worker))
-        )
+        saved = os.environ.get(_FLIGHT_ENV)
+        if self.flight_dir is not None:
+            os.environ[_FLIGHT_ENV] = self.flight_dir
+        try:
+            result = execute_job(job, worker)
+        finally:
+            if saved is None:
+                os.environ.pop(_FLIGHT_ENV, None)
+            else:
+                os.environ[_FLIGHT_ENV] = saved
+        self._pending.append(WorkerEvent(worker=worker, kind="result", result=result))
 
     def respawn(self, worker: int) -> None:  # pragma: no cover - nothing dies inline
         pass

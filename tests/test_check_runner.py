@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from repro.check import runner
 from repro.check.invariants import CheckContext
 from repro.check.runner import explore, replay, run_once
 from repro.check.scenarios import SCENARIOS, Scenario, make_scenario
@@ -30,14 +32,45 @@ class TestCleanExploration:
             explore("nonsense", schedules=1)
 
 
+class TestCampaign:
+    """One campaign over several targets, validated before it runs."""
+
+    @pytest.mark.parametrize("schedules", [0, -5])
+    def test_schedules_below_one_rejected(self, schedules):
+        with pytest.raises(ValueError, match="schedules must be >= 1"):
+            explore("queue", schedules=schedules)
+
+    def test_unknown_target_rejected_before_any_schedule_runs(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(runner, "run_once", lambda *a, **k: runs.append(a))
+        with pytest.raises(ValueError, match="unknown target 'nonsense'"):
+            explore(["queue", "nonsense"], schedules=3)
+        assert runs == []
+
+    def test_repeated_targets_collapse_in_order(self, tmp_path):
+        res = explore(["steals", "queue", "steals"], schedules=4, out_dir=tmp_path)
+        assert res.targets == ["steals", "queue"]
+        assert res.schedules_run == 8
+
+    def test_flight_dir_armed_in_process(self, tmp_path, monkeypatch):
+        """At jobs=1 the shards run in this process; --flight-dir must
+        still reach every engine run, and only for the campaign."""
+        monkeypatch.delenv("REPRO_FLIGHT_DIR", raising=False)
+        monkeypatch.setenv("REPRO_FLIGHT_FLUSH_EVERY", "64")  # dump clean runs too
+        flight = tmp_path / "flight"
+        assert explore("queue", schedules=1, out_dir=tmp_path, flight_dir=flight).ok
+        assert list(flight.glob("flight-check-queue-*.json"))
+        assert "REPRO_FLIGHT_DIR" not in os.environ
+
+
 class TestMutationCaught:
     def test_unlocked_split_caught_and_minimized(self, tmp_path):
-        """The acceptance bar from the issue: a queue with the split-move
-        lock removed must be caught within 500 schedules, and the failure
-        must come back as a minimized, replayable trace."""
+        """A queue with the split-move lock removed must be caught well
+        within 500 schedules (schedule #4 fails), and the failure must
+        come back as a minimized, replayable trace."""
         res = explore(
             "queue",
-            schedules=500,
+            schedules=10,
             seed=0,
             mutation="unlocked_split",
             out_dir=tmp_path,
@@ -65,7 +98,7 @@ class TestMutationCaught:
         the steal-only scenario exposes it at low depth."""
         res = explore(
             "steals",
-            schedules=100,
+            schedules=2,
             seed=0,
             mutation="no_dirty_mark",
             out_dir=tmp_path,
@@ -219,6 +252,27 @@ _CORRUPT = {
     "negative-rank": (
         lambda d: d["decisions"][0].update(rank=-1), r"picks rank -1, outside \[0, 3\)"
     ),
+    "engine-seed-string": (
+        lambda d: d.update(engine_seed="abc"), "engine_seed must be an integer, not 'abc'"
+    ),
+    "engine-seed-float": (
+        lambda d: d.update(engine_seed=1.5), "engine_seed must be an integer, not 1.5"
+    ),
+    "strategy-seed-bool": (
+        lambda d: d.update(strategy_seed=True), "strategy_seed must be an integer"
+    ),
+    "schedule-index-null": (
+        lambda d: d.update(schedule_index=None), "schedule_index must be an integer"
+    ),
+    "delay-seconds-string": (
+        lambda d: d["decisions"][1].update(s="x"), "decision 1 is a delay without"
+    ),
+    "delay-seconds-bool": (
+        lambda d: d["decisions"][1].update(s=True), "decision 1 is a delay without"
+    ),
+    "delay-index-float": (
+        lambda d: d["decisions"][1].update(i=0.5), "decision 1 is a delay without"
+    ),
     "nprocs": (lambda d: d.update(nprocs=4), None),  # loads; replay refuses it
 }
 
@@ -243,7 +297,10 @@ class TestBadTraces:
         with pytest.raises(ValueError, match="nprocs=4 but target 'queue' runs 3"):
             replay(trace)
 
-    @pytest.mark.parametrize("case", ["torn", "pick-without-rank", "nprocs"])
+    @pytest.mark.parametrize(
+        "case",
+        ["torn", "pick-without-rank", "nprocs", "engine-seed-string", "delay-seconds-string"],
+    )
     def test_cli_replay_exits_2_naming_the_file(self, tmp_path, capsys, case):
         from repro.check.__main__ import main
 
@@ -260,6 +317,13 @@ class TestCli:
 
         assert main(["--target", "queue", "--schedules", "10", "--out", str(tmp_path)]) == 0
 
+    def test_repeated_targets_collapse(self, tmp_path, capsys):
+        from repro.check.__main__ import main
+
+        argv = ["--target", "queue", "queue", "--schedules", "3", "--quiet"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert "target=queue strategy=random schedules=3 " in capsys.readouterr().out
+
     def test_mutated_run_exits_nonzero_and_replays(self, tmp_path):
         from repro.check.__main__ import main
 
@@ -268,7 +332,7 @@ class TestCli:
                 "--target",
                 "queue",
                 "--schedules",
-                "300",
+                "10",
                 "--mutate",
                 "unlocked_split",
                 "--out",

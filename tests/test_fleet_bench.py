@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 import copy
-import functools
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.fleet import bench
+from repro.fleet import bench, scheduler
 from repro.fleet.bench import (
     FLEET_SCHEMA,
     run_fleet_bench,
     validate_fleet_json,
     write_fleet_json,
 )
-from repro.fleet.scheduler import FleetScheduler
+from repro.fleet.pool import InlinePool
 from repro.obs.diff import diff_documents
 
 
@@ -171,9 +170,8 @@ class TestRunFleetBench:
     def _inline_sweep(self, monkeypatch, levels):
         host = {"platform": "test", "python": "3.x", "cpus": 4}
         monkeypatch.setattr(bench, "_host_info", lambda: host)
-        monkeypatch.setattr(
-            bench, "FleetScheduler", functools.partial(FleetScheduler, inline=True)
-        )
+        # Every jobs level runs on the inline pool: no worker processes.
+        monkeypatch.setattr(scheduler, "ProcessPool", InlinePool)
         return run_fleet_bench(
             jobs_levels=levels, targets=["queue"], schedules=4, verbose=False
         )

@@ -1,166 +1,194 @@
-"""Determinism regression: a sharded campaign equals the serial one.
+"""Campaign goldens: a sharded campaign equals the serial one, byte for byte.
 
-The acceptance bar from the fleet issue: for a fixed campaign
-(targets, strategy, seed, schedules), ``--jobs N`` must produce a
-byte-identical deduplicated failing-schedule set for any ``N`` — same
-digest, same merged failures, same persisted trace files.  These tests
-pin jobs=1 vs jobs=2 (and odd batch partitions) on a campaign with a
-non-empty failing set (the ``no_dirty_mark`` mutation on the steals
-scenario, which random-walk exploration reliably catches).
+For a fixed campaign (targets, strategy, seed, schedules),
+:func:`repro.check.runner.explore` must write the same files for any
+``jobs`` — the same ``.trace.json`` and ``.min.json`` bytes — and report
+the same failing-set digest.  The hashes below were taken from the
+serial explorer (one loop, strategy seed ``seed + i``, every distinct
+failure kept) before campaigns were sharded; they are reproduced here in
+process (``jobs=1``), over two worker processes, and over an odd
+partition.  Every kept failure must also be the schedule the ledger's
+``explore_campaign`` workload runs for that index.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+
 import pytest
 
-from repro.fleet.jobs import JobResult, explore_jobs
-from repro.fleet.results import failing_set_digest, merge_explore, persist_failures
-from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.seeds import derive_seed, derive_seeds
+from repro.check.invariants import Violation
+from repro.check.runner import (
+    FailureReport,
+    RunOutcome,
+    _failing_set_digest,
+    _merge_shards,
+    explore,
+    run_once,
+)
+from repro.check.scenarios import make_scenario
+from repro.check.strategies import make_strategy
+from repro.fleet import jobs as fleet_jobs
 
-TARGET = "steals"
-MUTATION = "no_dirty_mark"
-SCHEDULES = 60
+#: sha256 over (file name, file bytes) of every file a campaign writes,
+#: in name order: (target, mutation, schedules) -> digest.
+GOLDENS = {
+    ("queue", "unlocked_split", 200): (
+        "53a6c694d57e1de54d04b6483ab96c836382214896f19476aca515ad68fb60b7"
+    ),
+    ("steals", "no_dirty_mark", 200): (
+        "92a4af9e9f12bbbcf6374fe01c02309b8a3ad02b0c9eb3379cd00b26ed87a522"
+    ),
+    ("queue-wf", "unlocked_split", 200): (
+        "2dd9d360556d0f42162e6d8b8a01c3c8abc6670642743c4aa1d50236ebb708dd"
+    ),
+    # a clean campaign writes nothing: the hash of no input
+    ("queue", None, 120): hashlib.sha256().hexdigest(),
+}
+
+STEALS = ("steals", "no_dirty_mark", 200)
 
 
-def run_campaign(nworkers, inline=True, batch=None, tmp_dir=None):
-    jobs = explore_jobs(
-        [TARGET], SCHEDULES, seed=0, mutation=MUTATION,
-        batch=batch, nworkers=nworkers,
-    )
-    report = FleetScheduler(nworkers, inline=inline).run(jobs)
-    assert report.ok
-    summary = merge_explore(report.completed)
-    if tmp_dir is not None:
-        persist_failures(summary, tmp_dir, mutation=MUTATION)
-    return summary
+def files_digest(out_dir):
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
-class TestSeedDerivation:
-    def test_pinned_values(self):
-        """Derived seeds are part of the campaign contract: changing the
-        derivation silently changes every committed digest."""
-        assert derive_seed("queue", "random", 0, 0) == 3521436104167924406
-        assert derive_seed("steals", "random", 0, 5) == 4376423859564137318
+def run_campaign(case, out_dir, jobs=1):
+    target, mutation, schedules = case
+    return explore(target, schedules, seed=0, mutation=mutation, out_dir=out_dir, jobs=jobs)
 
-    def test_pure_function_of_coordinates(self):
-        a = derive_seeds("queue", "random", 7, range(20))
-        b = [derive_seed("queue", "random", 7, i) for i in range(20)]
-        assert a == b
 
-    def test_distinct_across_scenario_strategy_and_index(self):
-        seeds = {
-            derive_seed(sc, st, 0, i)
-            for sc in ("queue", "steals")
-            for st in ("random", "pct")
-            for i in range(50)
-        }
-        assert len(seeds) == 2 * 2 * 50
-
-    def test_base_seed_shifts_the_whole_stream(self):
-        assert derive_seeds("queue", "random", 0, range(5)) != derive_seeds(
-            "queue", "random", 1, range(5)
+def assert_ledger_reproduces(res, mutation):
+    """The ledger's per-schedule call gives each kept failure's signature."""
+    for f in res.failures:
+        outcome = run_once(
+            make_scenario(f.target),
+            make_strategy("random", seed=0 + f.schedule_index),
+            0,
+            mutation,
         )
+        assert outcome.signature == f.outcome.signature, f
+
+
+def failure_keys(res):
+    return [
+        (f.target, f.schedule_index, f.strategy_seed, f.outcome.signature)
+        for f in res.failures
+    ]
+
+
+class TestCampaignGoldens:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "case", [c for c in GOLDENS if c != STEALS], ids=lambda c: f"{c[0]}-{c[1]}"
+    )
+    def test_files_match_the_serial_golden(self, case, jobs, tmp_path):
+        res = run_campaign(case, tmp_path, jobs)
+        assert res.schedules_run == case[2]
+        assert files_digest(tmp_path) == GOLDENS[case]
+        assert res.ok == (case[1] is None)
+        assert_ledger_reproduces(res, case[1])
 
 
 class TestShardingEquality:
     @pytest.fixture(scope="class")
     def serial(self, tmp_path_factory):
         d = tmp_path_factory.mktemp("serial")
-        return run_campaign(1, tmp_dir=d), d
+        return run_campaign(STEALS, d), d
+
+    @pytest.fixture(scope="class")
+    def two_processes(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("jobs2")
+        return run_campaign(STEALS, d, jobs=2), d
 
     def test_campaign_actually_fails(self, serial):
-        summary, _ = serial
-        assert summary.failures, (
+        res, out_dir = serial
+        assert res.failures, (
             "mutation campaign found no failures; the equality tests "
             "below would be vacuous"
         )
-        assert summary.schedules_run == SCHEDULES
+        assert res.schedules_run == STEALS[2]
+        assert files_digest(out_dir) == GOLDENS[STEALS]
+        assert all(f.replay_confirmed and f.minimized_path for f in res.failures)
+        assert_ledger_reproduces(res, STEALS[1])
 
-    def test_two_workers_same_digest_and_failures(self, serial, tmp_path):
-        base, base_dir = serial
-        sharded = run_campaign(2, tmp_dir=tmp_path)
-        assert failing_set_digest(sharded) == failing_set_digest(base)
-        assert sharded.failures == base.failures
-        assert sharded.per_target == base.per_target
-        # Persisted traces are byte-identical, file for file.
-        base_files = sorted(p.name for p in base_dir.iterdir())
-        new_files = sorted(p.name for p in tmp_path.iterdir())
-        assert new_files == base_files
-        for name in base_files:
-            assert (tmp_path / name).read_bytes() == (base_dir / name).read_bytes()
-
-    def test_odd_batch_partition_same_digest(self, serial):
+    def test_two_workers_same_digest_and_failures(self, serial, two_processes):
         base, _ = serial
-        # batch=7 does not divide 60: shards of uneven length, last short.
-        sharded = run_campaign(3, batch=7)
-        assert failing_set_digest(sharded) == failing_set_digest(base)
-        assert sharded.failures == base.failures
+        sharded, _ = two_processes
+        assert sharded.digest == base.digest
+        assert failure_keys(sharded) == failure_keys(base)
+        assert sharded.events_total == base.events_total
 
-    def test_process_pool_same_digest(self, serial, tmp_path):
-        """The real thing: two worker *processes*, results over pipes."""
-        base, base_dir = serial
-        sharded = run_campaign(2, inline=False, tmp_dir=tmp_path)
-        assert failing_set_digest(sharded) == failing_set_digest(base)
-        assert sharded.failures == base.failures
-        for p in base_dir.iterdir():
-            assert (tmp_path / p.name).read_bytes() == p.read_bytes()
+    def test_odd_batch_partition_same_digest(self, serial, tmp_path, monkeypatch):
+        base, _ = serial
+        # batch=7 does not divide 200: shards of uneven length, last short.
+        monkeypatch.setattr(
+            fleet_jobs, "explore_jobs", functools.partial(fleet_jobs.explore_jobs, batch=7)
+        )
+        sharded = run_campaign(STEALS, tmp_path, jobs=3)
+        assert sharded.digest == base.digest
+        assert failure_keys(sharded) == failure_keys(base)
+        assert files_digest(tmp_path) == GOLDENS[STEALS]
+
+    def test_process_pool_same_digest(self, two_processes):
+        """The real thing: two worker *processes*, results over pipes,
+        and every persisted and minimized trace byte-identical."""
+        res, out_dir = two_processes
+        assert files_digest(out_dir) == GOLDENS[STEALS]
+        assert_ledger_reproduces(res, STEALS[1])
+
+
+def _shard(*failures):
+    """One shard's payload: five schedules, ten events each."""
+    return {"schedules": 5, "events": 50, "failures": list(failures)}
+
+
+def _failure(target, index, invariant):
+    outcome = RunOutcome(
+        violations=[Violation(invariant, "boom")], decisions=[{"k": "pick", "rank": 0}]
+    )
+    return FailureReport(target, index, 100 + index, outcome)
 
 
 class TestMergeExplore:
-    def _result(self, key, target, failures, schedules=5, events=50):
-        return JobResult(
-            key=key, kind="explore", worker=0,
-            payload={
-                "target": target, "strategy": "random",
-                "schedules": schedules, "events": events,
-                "failures": failures, "metrics": {},
-            },
-        )
-
-    def _failure(self, index, signature, fingerprint):
-        return {
-            "index": index, "strategy_seed": 100 + index,
-            "signature": signature, "failure": f"invariant at {index}",
-            "decisions": [{"kind": "step", "rank": 0}],
-            "fingerprint": fingerprint,
-        }
-
     def test_dedup_keeps_lowest_index_per_signature(self):
-        sig = ["lost_task", 1]
-        results = [
-            self._result("b", "queue", [self._failure(9, sig, "fp9")]),
-            self._result("a", "queue", [self._failure(2, sig, "fp2")]),
+        shards = [
+            _shard(_failure("queue", 9, "lost")),
+            _shard(_failure("queue", 2, "lost")),
         ]
-        summary = merge_explore(results)
-        assert len(summary.failures) == 1
-        assert summary.failures[0].index == 2
-        assert summary.all_failure_fingerprints == ["fp2", "fp9"]
-        assert summary.per_target["queue"]["failures"] == 1
+        schedules, events, kept = _merge_shards(shards, ["queue"])
+        assert (schedules, events) == (10, 100)
+        assert [f.schedule_index for f in kept] == [2]
 
     def test_same_signature_different_targets_both_kept(self):
-        sig = ["lost_task", 1]
-        results = [
-            self._result("a", "queue", [self._failure(1, sig, "fpq")]),
-            self._result("b", "steals", [self._failure(1, sig, "fps")]),
+        shards = [
+            _shard(_failure("steals", 1, "lost")),
+            _shard(_failure("queue", 1, "lost")),
         ]
-        assert len(merge_explore(results).failures) == 2
+        _, _, kept = _merge_shards(shards, ["queue", "steals"])
+        # campaign target order, not completion order
+        assert [f.target for f in kept] == ["queue", "steals"]
 
     def test_digest_independent_of_result_order(self):
-        results = [
-            self._result("a", "queue", [self._failure(3, ["x"], "fp3")]),
-            self._result("b", "queue", [self._failure(1, ["y"], "fp1")]),
+        shards = [
+            _shard(_failure("queue", 3, "x")),
+            _shard(_failure("queue", 1, "y")),
         ]
-        d1 = failing_set_digest(merge_explore(results))
-        d2 = failing_set_digest(merge_explore(list(reversed(results))))
-        assert d1 == d2
+        digests = {
+            _failing_set_digest(_merge_shards(order, ["queue"])[2], "random", 0, None)
+            for order in (shards, shards[::-1])
+        }
+        assert len(digests) == 1
 
-    def test_errored_and_foreign_results_skipped(self):
-        results = [
-            self._result("a", "queue", []),
-            JobResult(key="bad", kind="explore", error="boom"),
-            JobResult(key="bench", kind="bench", payload={"experiment": "t"}),
-        ]
-        summary = merge_explore(results)
-        assert summary.schedules_run == 5
-        assert summary.ok
+    def test_errored_shard_fails_the_campaign(self, monkeypatch):
+        def boom(**params):
+            raise RuntimeError("shard exploded")
+
+        monkeypatch.setattr("repro.check.runner.run_schedules", boom)
+        with pytest.raises(RuntimeError, match="campaign incomplete: .*shard exploded"):
+            explore("queue", schedules=4)

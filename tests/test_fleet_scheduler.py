@@ -13,7 +13,7 @@ from collections import deque
 
 import pytest
 
-from repro.fleet.jobs import Job, bench_jobs, execute_job, explore_jobs, mutation_jobs
+from repro.fleet.jobs import Job, bench_jobs, execute_job, explore_jobs
 from repro.fleet.pool import InlinePool
 from repro.fleet.scheduler import FleetReport, FleetScheduler
 
@@ -51,10 +51,8 @@ class TestJobBuilders:
         with pytest.raises(ValueError, match="batch"):
             explore_jobs(["queue"], 10, batch=batch)
 
-    def test_bench_and_mutation_keys(self):
+    def test_bench_keys(self):
         assert [j.key for j in bench_jobs(["table1"], "quick")] == ["bench/table1"]
-        jobs = mutation_jobs([("queue", "unlocked_split")], schedules=5)
-        assert jobs[0].key == "mutation/queue/unlocked_split"
 
     def test_job_error_is_captured_not_raised(self):
         res = execute_job(
@@ -129,22 +127,23 @@ class TestInlineScheduler:
 
 
 class TestCliCounts:
-    """Worker, batch and level counts are integers >= 1, checked by
-    argparse: exit 2 with the flag named on stderr."""
+    """Worker, schedule, probe and level counts are integers >= 1,
+    checked by argparse: exit 2 with the flag named on stderr."""
 
     @pytest.mark.parametrize(
         "cli, argv, flag",
         [
-            ("check", ["explore", "--jobs", "0"], "--jobs"),
-            ("check", ["explore", "--batch", "0"], "--batch"),
-            ("check", ["explore", "--batch", "-1"], "--batch"),
-            ("fleet", ["explore", "--jobs", "-2"], "--jobs"),
-            ("fleet", ["matrix", "--jobs", "0"], "--jobs"),
+            ("check", ["--jobs", "0"], "--jobs"),
+            ("check", ["--schedules", "0"], "--schedules"),
+            ("check", ["--schedules", "-1"], "--schedules"),
+            ("fleet", ["bench", "--schedules", "0"], "--schedules"),
+            ("fleet", ["probe", "--count", "-3"], "--count"),
             ("fleet", ["trace", "--jobs", "0"], "--jobs"),
             ("fleet", ["probe", "--jobs", "0"], "--jobs"),
             ("fleet", ["bench", "--jobs-levels"], "--jobs-levels"),
             ("fleet", ["bench", "--jobs-levels", "1", "0"], "--jobs-levels"),
             ("bench", ["--jobs", "0", "--no-json"], "--jobs"),
+            ("check", ["--schedules", "-5"], "--schedules"),
         ],
     )
     def test_count_below_one_exits_2_naming_the_flag(self, cli, argv, flag, capsys):
@@ -153,3 +152,13 @@ class TestCliCounts:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cli, argv",
+        [("check", ["explore"]), ("fleet", ["explore"]), ("fleet", ["matrix"])],
+    )
+    def test_retired_subcommands_exit_2(self, cli, argv):
+        main = importlib.import_module(f"repro.{cli}.__main__").main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
