@@ -24,6 +24,7 @@ from repro.check.scenarios import SCENARIOS
 from repro.check.strategies import STRATEGIES
 from repro.check.traces import DecisionTrace
 from repro.fleet.__main__ import add_flight_argument, positive_int, print_progress
+from repro.util.io import RecordError
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -114,11 +115,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.replay:
         try:
             trace = DecisionTrace.load(args.replay)
+        except RecordError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
             outcome = replay(trace)
-        except (OSError, ValueError) as exc:
-            # a bad trace file: say which and why, no traceback
-            msg = str(exc) if args.replay in str(exc) else f"{args.replay}: {exc}"
-            print(f"error: {msg}", file=sys.stderr)
+        except ValueError as exc:  # a whole trace this tree cannot replay
+            print(f"error: {args.replay}: {exc}", file=sys.stderr)
             return 2
         same = outcome.signature_json == trace.signature
         print(f"replaying {args.replay}")

@@ -21,15 +21,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.util.io import atomic_write_text
+from repro.util.io import RecordError, atomic_write_text, read_record, require
 
 __all__ = ["DecisionTrace", "minimize_decisions"]
 
 _FORMAT = 1
-_REQUIRED = (
-    "target", "strategy", "strategy_seed", "engine_seed", "nprocs",
-    "schedule_index", "failure", "decisions",
-)
 #: The fields each decision kind must carry (see ``repro.check.strategies``).
 _DECISION_FIELDS = {"pick": ("rank",), "delay": ("i", "s")}
 
@@ -82,51 +78,43 @@ class DecisionTrace:
         """Read a trace previously written by :meth:`save`.
 
         Raises:
-            ValueError: Naming ``path``, when the file is not a whole
-                trace: torn JSON, an unsupported format, a missing
-                required key, a seed or schedule index that is not an
+            RecordError: Naming ``path``, when the file is not a whole
+                trace: a missing or torn file, an unsupported format, a
+                missing required key, a target, strategy or failure that
+                is not a string, a seed or schedule index that is not an
                 integer, a decision that is not a ``pick`` or ``delay``
                 with its fields, a pick rank outside ``[0, nprocs)``, or
                 a delay whose ``i`` is not an integer or ``s`` not a
                 number.
         """
-        try:
-            data = json.loads(Path(path).read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: torn or garbled trace: {exc}") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: a trace is a JSON object, not {type(data).__name__}")
+        data = read_record(path, None)
         if data.get("format") != _FORMAT:
-            raise ValueError(f"{path}: unsupported trace format {data.get('format')!r}")
-        missing = [key for key in _REQUIRED if key not in data]
-        if missing:
-            raise ValueError(f"{path}: missing required key(s) {', '.join(missing)}")
+            raise RecordError(f"{path}: unsupported trace format {data.get('format')!r}")
+        for key in ("target", "strategy", "failure"):
+            require(path, data, key, str)
+        for key in ("engine_seed", "strategy_seed", "schedule_index", "nprocs"):
+            require(path, data, key, int)
         nprocs = data["nprocs"]
-        if type(nprocs) is not int or nprocs < 1:
-            raise ValueError(f"{path}: nprocs must be a positive integer, not {nprocs!r}")
-        for key in ("engine_seed", "strategy_seed", "schedule_index"):
-            if type(data[key]) is not int:
-                raise ValueError(f"{path}: {key} must be an integer, not {data[key]!r}")
-        if not isinstance(data["decisions"], list):
-            raise ValueError(f"{path}: decisions must be a list")
-        for n, d in enumerate(data["decisions"]):
+        if nprocs < 1:
+            raise RecordError(f"{path}: nprocs must be a positive integer, not {nprocs!r}")
+        for n, d in enumerate(require(path, data, "decisions", list)):
             if (
                 not isinstance(d, dict)
                 or d.get("k") not in ("pick", "delay")
                 or any(f not in d for f in _DECISION_FIELDS[d["k"]])
             ):
-                raise ValueError(
+                raise RecordError(
                     f"{path}: decision {n} is neither a pick (k, rank) nor a "
                     f"delay (k, i, s): {d!r}"
                 )
             if d["k"] == "pick" and (type(d["rank"]) is not int or not 0 <= d["rank"] < nprocs):
-                raise ValueError(
+                raise RecordError(
                     f"{path}: decision {n} picks rank {d['rank']!r}, outside [0, {nprocs})"
                 )
             if d["k"] == "delay" and (
                 type(d["i"]) is not int or type(d["s"]) not in (int, float)
             ):
-                raise ValueError(
+                raise RecordError(
                     f"{path}: decision {n} is a delay without an integer i and "
                     f"a numeric s: {d!r}"
                 )

@@ -1,16 +1,9 @@
 """CLI for the fleet meta-scheduler.
 
-Examples::
-
-    # measure the scaling trajectory and write BENCH_fleet.json
-    python -m repro.fleet bench
+Example::
 
     # fleet self-test: probe jobs, including a worker crash + requeue
     python -m repro.fleet probe --jobs 2 --crash
-
-    # record several targets across workers; merge into one trace with
-    # per-worker process tracks (open fleet_trace.json in Perfetto)
-    python -m repro.fleet trace --target queue steals uts-small --jobs 2
 
 Check campaigns shard over the fleet through ``python -m repro.check
 --jobs N`` (:func:`repro.check.runner.explore`); ``repro.bench --jobs
@@ -26,13 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.fleet.bench import (
-    DEFAULT_JOBS_LEVELS,
-    DEFAULT_SCHEDULES,
-    run_fleet_bench,
-    write_fleet_json,
-)
-from repro.fleet.jobs import Job, obs_jobs
+from repro.fleet.jobs import Job
 from repro.fleet.scheduler import FleetReport, FleetScheduler
 
 
@@ -74,63 +61,6 @@ def _print_fleet_summary(report: FleetReport) -> None:
         print(f"  JOB ERROR {r.key}: {r.error}")
 
 
-def bench_main(args: argparse.Namespace) -> int:
-    print(f"# fleet scaling — jobs levels {args.jobs_levels}\n")
-    doc = run_fleet_bench(
-        jobs_levels=tuple(args.jobs_levels),
-        schedules=args.schedules,
-        seed=args.seed,
-    )
-    for e in doc["entries"]:
-        # No speedup where jobs exceed the host's cores (see run_fleet_bench).
-        speedup = f" (speedup {e['speedup']:.2f}x)" if "speedup" in e else ""
-        print(f"jobs={e['jobs']}: {e['schedules_per_sec']:.1f} schedules/s{speedup}")
-    if not args.no_json:
-        out = write_fleet_json(doc, args.json)
-        print(f"\nfleet record -> {out}")
-    return 0
-
-
-def trace_main(args: argparse.Namespace) -> int:
-    from repro.obs.stream import merge_spills
-
-    jobs = obs_jobs(
-        args.target,
-        args.out,
-        nprocs=args.nprocs,
-        seed=args.seed,
-    )
-    sched = FleetScheduler(
-        args.jobs,
-        progress=None if args.quiet else print_progress,
-        flight_dir=args.flight_dir,
-    )
-    report = sched.run(jobs)
-    _print_fleet_summary(report)
-    # One process track per recorded run, labelled with the worker that
-    # produced it; pids are assigned in key order so the merged trace is
-    # independent of completion order.
-    items = []
-    for res in sorted(report.completed, key=lambda r: r.key):
-        if not res.ok:
-            continue
-        p = res.payload
-        items.append(
-            (len(items) + 1, f"w{res.worker}:{p['target']}", p["spill_dir"])
-        )
-        print(
-            f"  {p['target']:<12} w{res.worker}  {p['spans']:>8} spans  "
-            f"{p['edges']:>6} edges  {p['events']:>8} events"
-            + (f"  DROPPED {p['dropped']}" if p["dropped"] else "")
-        )
-    if not items:
-        print("no successful recordings; nothing to merge")
-        return 2
-    out = merge_spills(items, args.trace)
-    print(f"merged trace -> {out} ({len(items)} process tracks)")
-    return 0 if report.ok else 2
-
-
 def probe_main(args: argparse.Namespace) -> int:
     jobs = [
         Job(kind="probe", key=f"probe/{i}", params={"action": "sleep", "seconds": 0.02})
@@ -160,21 +90,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    be = sub.add_parser("bench", help="measure scaling; write BENCH_fleet.json")
-    be.add_argument("--jobs-levels", type=positive_int, nargs="+",
-                    default=list(DEFAULT_JOBS_LEVELS),
-                    help="worker counts to measure (default: 1 2 4)")
-    be.add_argument("--schedules", type=positive_int, default=DEFAULT_SCHEDULES,
-                    help="schedules per scenario (default: %(default)s)")
-    be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--json", default="BENCH_fleet.json", metavar="PATH")
-    be.add_argument("--no-json", action="store_true")
-
-    tr = sub.add_parser(
-        "trace", help="record targets across workers; merge one fleet trace"
-    )
-    add_trace_arguments(tr)
-
     pr = sub.add_parser("probe", help="fleet self-test (incl. crash handling)")
     pr.add_argument("--jobs", type=positive_int, default=2, help="worker count")
     pr.add_argument("--count", type=positive_int, default=8, help="probe jobs to run")
@@ -192,34 +107,9 @@ def add_flight_argument(p: argparse.ArgumentParser) -> None:
     )
 
 
-def add_trace_arguments(p: argparse.ArgumentParser) -> None:
-    from repro.obs.scenarios import TARGETS
-
-    p.add_argument("--target", nargs="+", default=["queue", "steals"],
-                   choices=sorted(TARGETS),
-                   help="obs targets to record (default: queue steals)")
-    p.add_argument("--jobs", type=positive_int, default=2, help="worker count")
-    p.add_argument("--nprocs", type=int, default=4,
-                   help="simulated ranks for app targets (default: 4)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="scioto-fleet-trace",
-                   help="working directory for per-run spills "
-                   "(default: scioto-fleet-trace/)")
-    p.add_argument("--trace", default="fleet_trace.json", metavar="PATH",
-                   help="merged Chrome trace output (default: %(default)s)")
-    p.add_argument("--quiet", action="store_true")
-    add_flight_argument(p)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.cmd == "bench":
-        return bench_main(args)
-    if args.cmd == "trace":
-        return trace_main(args)
-    if args.cmd == "probe":
-        return probe_main(args)
-    raise AssertionError(f"unhandled command {args.cmd!r}")  # pragma: no cover
+    return probe_main(args)
 
 
 if __name__ == "__main__":

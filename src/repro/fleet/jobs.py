@@ -25,15 +25,6 @@ embarrassingly parallel surfaces of the toolchain:
     confirm predictions with witness replays — all worker-side; the
     parent gets a serialized report plus its rendered text.
 
-``obs``
-    One recorded run of an observability target
-    (:mod:`repro.obs.scenarios`) streamed through a constant-memory
-    :class:`~repro.obs.stream.SpillSink` into a worker-local spill
-    directory.  The result carries only the spill path and counters —
-    never the spans — so fleet-wide tracing stays bounded; the parent
-    merges the spills into one multi-process Chrome trace with
-    :func:`repro.obs.stream.merge_spills`.
-
 ``probe``
     Fleet self-test jobs (sleep / crash / raise) used by the failure-
     path tests and ``python -m repro.fleet probe``; a ``crash`` probe
@@ -55,11 +46,10 @@ __all__ = [
     "explore_jobs",
     "bench_jobs",
     "predict_jobs",
-    "obs_jobs",
     "JOB_KINDS",
 ]
 
-JOB_KINDS = ("explore", "bench", "predict", "obs", "probe")
+JOB_KINDS = ("explore", "bench", "predict", "probe")
 
 
 @dataclass
@@ -182,34 +172,6 @@ def predict_jobs(
     ]
 
 
-def obs_jobs(
-    targets: list[str],
-    out_dir: str,
-    nprocs: int = 4,
-    seed: int = 0,
-    shard_size: int | None = None,
-) -> list[Job]:
-    """One streamed recording job per obs target.
-
-    Each job spills into its own subdirectory of ``out_dir`` so merged
-    traces never interleave shards from different runs.
-    """
-    return [
-        Job(
-            kind="obs",
-            key=f"obs/{target}",
-            params={
-                "target": target,
-                "nprocs": nprocs,
-                "seed": seed,
-                "spill_dir": os.path.join(out_dir, f"spill-{target}"),
-                "shard_size": shard_size,
-            },
-        )
-        for target in targets
-    ]
-
-
 # ---------------------------------------------------------------------- #
 # Execution (worker side)
 # ---------------------------------------------------------------------- #
@@ -252,39 +214,6 @@ def _execute_predict(params: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _execute_obs(params: dict[str, Any]) -> dict[str, Any]:
-    from repro.obs.flight import flight_from_env
-    from repro.obs.scenarios import run_target
-
-    run = run_target(
-        params["target"],
-        nprocs=params.get("nprocs", 4),
-        seed=params.get("seed", 0),
-        record=True,
-        events=False,
-        stream_dir=params["spill_dir"],
-        shard_size=params.get("shard_size"),
-        # Armed when the fleet was launched with --flight-dir: periodic
-        # flushes mean a SIGKILL'd worker still leaves its last spans.
-        flight=flight_from_env(context=f"obs-{params['target']}"),
-    )
-    rec = run.recorder
-    # Only the spill path and counters cross the pipe; the spans stay on
-    # disk in the worker-local spill, keeping results O(1) regardless of
-    # run length.
-    return {
-        "target": params["target"],
-        "spill_dir": params["spill_dir"],
-        "nprocs": len(run.engine.procs),
-        "elapsed": run.elapsed,
-        "events": run.events,
-        "spans": rec.span_count,
-        "instants": rec.instant_count,
-        "edges": rec.edge_count,
-        "dropped": rec.dropped,
-    }
-
-
 def _execute_probe(params: dict[str, Any]) -> dict[str, Any]:
     action = params.get("action", "ok")
     if action == "sleep":
@@ -307,7 +236,6 @@ _EXECUTORS = {
     "explore": _execute_explore,
     "bench": _execute_bench,
     "predict": _execute_predict,
-    "obs": _execute_obs,
     "probe": _execute_probe,
 }
 

@@ -31,10 +31,7 @@ __all__ = ["WorkerEvent", "ProcessPool", "InlinePool", "default_start_method"]
 
 #: Modules the forkserver imports before the first worker forks, so the
 #: heavy runtime import cost is paid once per campaign, not per worker.
-#: ``repro.obs.scenarios`` covers the recording ``obs`` jobs of
-#: ``fleet trace``, which would otherwise re-import the app presets in
-#: every worker.
-_PRELOAD = ["repro.fleet.worker", "repro.check.runner", "repro.obs.scenarios"]
+_PRELOAD = ["repro.fleet.worker", "repro.check.runner"]
 
 #: Read by ``repro.obs.flight.maybe_attach_flight`` in every engine run.
 _FLIGHT_ENV = "REPRO_FLIGHT_DIR"

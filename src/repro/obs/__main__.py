@@ -15,10 +15,10 @@ Subcommands:
   into a Perfetto-loadable Chrome trace without materializing the run.
 * ``top`` — render a live (or finished) telemetry feed as a terminal
   status table; ``--follow`` keeps tailing while a run is in flight.
-  A damaged feed (anything but a torn final line) exits 2.
+  A damaged feed (anything but a torn final line) is refused.
 * ``summarize`` — post-hoc report over an exported trace JSON;
-  ``--metrics`` adds the percentile table of a metrics JSON and exits 2
-  on a torn file or a schema other than ``repro-obs-metrics/3``.
+  ``--metrics`` adds the percentile table of a metrics JSON
+  (``repro-obs-metrics/3`` only).
 * ``critical-idle`` — the longest per-rank idle gaps in an exported
   trace, with the spans that bounded them.
 * ``critpath`` — run a target, build the cross-rank happens-before DAG
@@ -30,9 +30,9 @@ Subcommands:
   one or more blame categories scaled (``--scale steal=0.5``) and
   report the projected makespan.
 * ``diff`` — compare two benchmark/metrics JSON documents
-  (``repro-bench/1``, ``repro-bench-fleet/1``, ``repro-obs-metrics/3``)
-  and report relative changes beyond a threshold; CI runs it gating
-  against the committed ``BENCH_sim.json``.
+  (``repro-bench/1`` or ``repro-obs-metrics/3``) and report relative
+  changes beyond a threshold; CI runs it gating against the committed
+  ``BENCH_sim.json``.
 * ``verify`` — run targets with recording off and on, and require the
   virtual-time fingerprints (elapsed, event count, per-rank clocks and
   every ``Counters`` value) to match bit-for-bit; additionally run
@@ -43,6 +43,10 @@ Subcommands:
   telemetry bus and requires both the fingerprint to stay unchanged
   and the emitted feed to be byte-identical across two runs.  Any
   dropped record fails the check.  Exits 1 on any divergence.
+
+A file that a command cannot read as a whole record of its kind (a
+missing file, torn JSON, a wrong schema or shape) exits 2 with the
+file named on stderr.
 
 Examples::
 
@@ -63,7 +67,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -86,6 +89,7 @@ from repro.obs.export import (
 )
 from repro.obs.scenarios import TARGETS, fingerprint, run_target
 from repro.obs.whatif import parse_scales, project, render_projection
+from repro.util.io import RecordError
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -167,15 +171,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    doc = None
-    if args.metrics:
-        try:
-            doc = load_metrics_json(args.metrics)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    spans = load_chrome_trace(args.trace)
-    other = json.loads(Path(args.trace).read_text()).get("otherData", {})
+    doc = load_metrics_json(args.metrics) if args.metrics else None
+    spans, other = load_chrome_trace(args.trace)
     dropped = other.get("spans_dropped", 0)
     if dropped:
         print(
@@ -197,12 +194,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 def _cmd_pack(args: argparse.Namespace) -> int:
     from repro.obs.stream import SpillReader, pack
 
-    try:
-        reader = SpillReader(args.spill)
-        path = pack(args.spill, args.trace)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    reader = SpillReader(args.spill)
+    path = pack(args.spill, args.trace)
     idx = reader.index
     print(
         f"packed {idx.get('spans', 0)} spans, {idx.get('instants', 0)} "
@@ -218,7 +211,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical_idle(args: argparse.Namespace) -> int:
-    spans = load_chrome_trace(args.trace)
+    spans, _ = load_chrome_trace(args.trace)
     gaps = critical_idle(spans, top=args.top)
     if not gaps:
         print("no idle gaps between spans")
@@ -287,22 +280,18 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return render_top(doc, counters_top=args.counters), len(doc["frames"])
 
     if not args.follow:
-        try:
-            text, _ = render_once()
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(text)
+        print(render_once()[0])
         return 0
     seen = -1
     try:
         while True:
             try:
                 text, nframes = render_once()
-            except FileNotFoundError:
-                text, nframes = f"waiting for {args.feed} ...", -1
-            except ValueError as exc:
-                text, nframes = f"error: {exc}", -1
+            except RecordError as exc:
+                if Path(args.feed).exists():
+                    text, nframes = f"error: {exc}", -1
+                else:
+                    text, nframes = f"waiting for {args.feed} ...", -1
             if nframes != seen:
                 seen = nframes
                 if sys.stdout.isatty():
@@ -314,11 +303,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    try:
-        report = diff_files(args.old, args.new, threshold=args.threshold)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = diff_files(args.old, args.new, threshold=args.threshold)
     print(render_diff(report, verbose=args.verbose))
     if report.regressions and args.fail_on_regress:
         return 1
@@ -533,7 +518,11 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecordError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

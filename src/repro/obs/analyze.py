@@ -17,13 +17,13 @@ the signal needed to diagnose steal latency and termination waves
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.export import METRICS_SCHEMA, ascii_timeline, self_times, summary_table
 from repro.obs.record import SpanRecord
+from repro.util.io import RecordError, read_record, require
 
 __all__ = [
     "load_chrome_trace",
@@ -34,19 +34,24 @@ __all__ = [
     "summarize",
 ]
 
-def load_chrome_trace(path: str | Path) -> list[SpanRecord]:
+def load_chrome_trace(path: str | Path) -> tuple[list[SpanRecord], dict]:
     """Load the complete ("X") events of a Chrome trace as span records.
 
-    Instant and metadata events are skipped; timestamps convert back
-    from microseconds to seconds of virtual time.
+    Returns the spans and the trace's ``otherData`` block.  Instant and
+    metadata events are skipped; timestamps convert back from
+    microseconds to seconds of virtual time.  The trace must be an
+    object with a ``traceEvents`` list of event objects, and every
+    ``"X"`` event must carry a numeric ``ts``; anything else raises
+    :class:`~repro.util.io.RecordError` naming the file.
     """
-    data = json.loads(Path(path).read_text())
-    events = data["traceEvents"] if isinstance(data, dict) else data
+    doc = read_record(path, None)
     spans: list[SpanRecord] = []
-    for ev in events:
+    for ev in require(path, doc, "traceEvents", list):
+        if type(ev) is not dict:
+            raise RecordError(f"{path}: trace event {ev!r} is not an object")
         if ev.get("ph") != "X":
             continue
-        start = ev["ts"] / 1e6
+        start = require(path, ev, "ts", (int, float)) / 1e6
         spans.append(
             SpanRecord(
                 rank=int(ev.get("tid", 0)),
@@ -57,7 +62,7 @@ def load_chrome_trace(path: str | Path) -> list[SpanRecord]:
                 detail=(ev.get("args") or {}).get("detail"),
             )
         )
-    return spans
+    return spans, doc.get("otherData", {})
 
 
 def load_metrics_json(path: str | Path) -> dict:
@@ -65,18 +70,11 @@ def load_metrics_json(path: str | Path) -> dict:
 
     Only :data:`~repro.obs.export.METRICS_SCHEMA` is accepted; its
     histograms carry sketch-read ``p50``/``p95``/``p99``.  A torn file,
-    a non-object document or any other schema raises :class:`ValueError`
-    naming the file.
+    a non-object document, any other schema or no ``histograms`` object
+    raises :class:`~repro.util.io.RecordError` naming the file.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not a JSON document ({exc})") from None
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != METRICS_SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported metrics schema {schema!r}; expected {METRICS_SCHEMA}"
-        )
+    doc = read_record(path, METRICS_SCHEMA)
+    require(path, doc, "histograms", dict)
     return doc
 
 

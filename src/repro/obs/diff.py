@@ -1,12 +1,11 @@
 """Trajectory differ: compare two benchmark/metrics JSON documents.
 
-The repo commits reference trajectories — ``BENCH_sim.json`` (virtual
-time, schema ``repro-bench/1``) and ``BENCH_fleet.json``
-(``repro-bench-fleet/1``) — and ``repro.obs run`` writes metrics
+The repo commits a reference trajectory, ``BENCH_sim.json`` (virtual
+time, schema ``repro-bench/1``), and ``repro.obs run`` writes metrics
 documents (:data:`~repro.obs.export.METRICS_SCHEMA`).  ``python -m
-repro.obs diff OLD NEW`` loads two documents of the same schema,
-matches their series by stable keys, and reports every relative change
-beyond a threshold:
+repro.obs diff OLD NEW`` loads two documents of the same schema —
+these two are the only ones it knows — matches their series by stable
+keys, and reports every relative change beyond a threshold:
 
 * ``repro-bench/1`` — series matched by ``(experiment, label)``; the
   worst pointwise relative delta decides.  Direction comes from the
@@ -17,22 +16,22 @@ beyond a threshold:
   determinism signals (any change warns); histogram mean/p95 and
   gauge max regress upward beyond the threshold.  Only the current
   metrics schema is accepted.
-* ``repro-bench-fleet/1`` — entries matched by ``jobs``; ``schedules``
-  and ``failing_digest`` must be exactly equal (the campaign is
-  deterministic for any worker count) and ``schedules_per_sec``
-  regresses downward.
 
-The CI perf gate runs this warn-only against the committed baseline;
-``--fail-on-regress`` turns regressions into exit code 1.
+A file that is not a whole document of a known schema, or whose schema
+differs from the other file's, raises
+:class:`~repro.util.io.RecordError` naming it.  The CI perf gate runs
+this against the committed baseline; ``--fail-on-regress`` turns
+regressions into exit code 1.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.bench.harness import BENCH_SCHEMA
 from repro.obs.export import METRICS_SCHEMA
+from repro.util.io import read_record, require
 
 __all__ = ["DiffEntry", "DiffReport", "diff_documents", "diff_files", "render_diff"]
 
@@ -117,7 +116,6 @@ def _compare(
     old: float | None,
     new: float | None,
     direction: str = "neutral",
-    exact: bool = False,
 ) -> None:
     if old is None and new is None:
         return
@@ -128,10 +126,7 @@ def _compare(
         report.entries.append(DiffEntry(key, metric, old, None, 0.0, "removed"))
         return
     rel = _rel(old, new)
-    if exact:
-        status = "ok" if new == old else "mismatch"
-    else:
-        status = _classify(rel, report.threshold, direction)
+    status = _classify(rel, report.threshold, direction)
     report.entries.append(DiffEntry(key, metric, old, new, rel, status))
 
 
@@ -198,35 +193,9 @@ def _diff_metrics(report: DiffReport, old: dict, new: dict) -> None:
         _compare(report, f"gauge/{k}", "max", o.get("max"), n.get("max"), "down")
 
 
-def _diff_fleet(report: DiffReport, old: dict, new: dict) -> None:
-    def entry_map(doc: dict) -> dict[int, dict]:
-        return {e["jobs"]: e for e in doc.get("entries", [])}
-
-    olds, news = entry_map(old), entry_map(new)
-    for k in sorted(olds.keys() | news.keys()):
-        key = f"fleet[jobs={k}]"
-        o, n = olds.get(k), news.get(k)
-        if o is None or n is None:
-            _compare(report, key, "entry", None if o is None else 0.0,
-                     None if n is None else 0.0)
-            continue
-        # The campaign is deterministic: schedule counts and the failing
-        # set must match exactly; throughput regresses downward.
-        _compare(report, key, "schedules", o.get("schedules"),
-                 n.get("schedules"), exact=True)
-        _compare(report, key, "schedules_per_sec", o.get("schedules_per_sec"),
-                 n.get("schedules_per_sec"), "up")
-        od, nd = o.get("failing_digest"), n.get("failing_digest")
-        if od != nd:
-            report.entries.append(
-                DiffEntry(key, "failing_digest", 0.0, 1.0, 0.0, "mismatch")
-            )
-
-
 _WALKERS = {
-    "repro-bench/1": _diff_bench,
+    BENCH_SCHEMA: _diff_bench,
     METRICS_SCHEMA: _diff_metrics,
-    "repro-bench-fleet/1": _diff_fleet,
 }
 
 
@@ -247,13 +216,23 @@ def diff_documents(
     return report
 
 
+def _read(path: str | Path, schema: str | tuple[str, ...]) -> dict:
+    doc = read_record(path, schema)
+    if doc["schema"] == BENCH_SCHEMA:  # the keys _diff_bench matches on
+        for exp in require(path, doc, "experiments", list):
+            require(path, exp, "experiment", str)
+            for series in require(path, exp, "series", list):
+                require(path, series, "label", str)
+    return doc
+
+
 def diff_files(
     old_path: str | Path, new_path: str | Path,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> DiffReport:
-    """Load two JSON files and diff them."""
-    old = json.loads(Path(old_path).read_text())
-    new = json.loads(Path(new_path).read_text())
+    """Load two JSON files and diff them; ``NEW`` must share ``OLD``'s schema."""
+    old = _read(old_path, tuple(_WALKERS))
+    new = _read(new_path, old["schema"])
     return diff_documents(old, new, threshold)
 
 

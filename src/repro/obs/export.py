@@ -89,34 +89,23 @@ def _span_args(span: SpanRecord) -> dict | None:
 # shape (and dict key order — the streamed pack in repro.obs.stream
 # reuses these to stay byte-identical with the in-memory exporter).
 # ---------------------------------------------------------------------- #
-def meta_events(nprocs: int, pid: int = 0, process: str = "scioto-sim") -> list[dict]:
+def meta_events(nprocs: int) -> list[dict]:
     """Process/thread metadata events for one simulated engine's tracks."""
     events: list[dict] = [
         {
             "name": "process_name",
             "ph": "M",
-            "pid": pid,
+            "pid": 0,
             "tid": 0,
-            "args": {"name": process},
+            "args": {"name": "scioto-sim"},
         }
     ]
-    if pid != 0:
-        # Fleet-merged traces: keep worker processes in worker-id order.
-        events.append(
-            {
-                "name": "process_sort_index",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"sort_index": pid},
-            }
-        )
     for r in range(nprocs):
         events.append(
             {
                 "name": "thread_name",
                 "ph": "M",
-                "pid": pid,
+                "pid": 0,
                 "tid": r,
                 "args": {"name": f"rank {r}"},
             }
@@ -126,7 +115,7 @@ def meta_events(nprocs: int, pid: int = 0, process: str = "scioto-sim") -> list[
             {
                 "name": "thread_sort_index",
                 "ph": "M",
-                "pid": pid,
+                "pid": 0,
                 "tid": r,
                 "args": {"sort_index": r},
             }
@@ -134,7 +123,7 @@ def meta_events(nprocs: int, pid: int = 0, process: str = "scioto-sim") -> list[
     return events
 
 
-def span_event(span: SpanRecord, pid: int = 0) -> dict:
+def span_event(span: SpanRecord) -> dict:
     """One finished span as a complete (``"ph": "X"``) event."""
     ev = {
         "name": span.name,
@@ -142,7 +131,7 @@ def span_event(span: SpanRecord, pid: int = 0) -> dict:
         "ph": "X",
         "ts": span.start * 1e6,
         "dur": span.duration * 1e6,
-        "pid": pid,
+        "pid": 0,
         "tid": span.rank,
     }
     args = _span_args(span)
@@ -151,7 +140,7 @@ def span_event(span: SpanRecord, pid: int = 0) -> dict:
     return ev
 
 
-def instant_event(inst: InstantRecord, pid: int = 0) -> dict:
+def instant_event(inst: InstantRecord) -> dict:
     """One marker as a thread-scoped instant (``"ph": "i"``) event."""
     return {
         "name": inst.name,
@@ -159,20 +148,18 @@ def instant_event(inst: InstantRecord, pid: int = 0) -> dict:
         "ph": "i",
         "s": "t",  # thread-scoped instant
         "ts": inst.time * 1e6,
-        "pid": pid,
+        "pid": 0,
         "tid": inst.rank,
     }
 
 
-def flow_event_pair(
-    edge: EdgeRecord, pid: int = 0, eid_offset: int = 0
-) -> tuple[dict, dict]:
+def flow_event_pair(edge: EdgeRecord) -> tuple[dict, dict]:
     """One causal edge as a Perfetto flow-arrow ``("s", "f")`` pair."""
     base = {
         "name": edge.kind,
         "cat": "causal",
-        "id": edge.eid + eid_offset,
-        "pid": pid,
+        "id": edge.eid,
+        "pid": 0,
     }
     if edge.detail is not None:
         base["args"] = {"detail": str(edge.detail)}

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.record import InstantRecord, Recorder, SpanRecord
-from repro.util.io import atomic_write_text
+from repro.util.io import atomic_write_text, read_record, require
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -171,76 +171,48 @@ def load_flight_dump(path: str | Path) -> dict:
     """Read and schema-check one flight dump.
 
     Raises:
-        ValueError: Naming ``path``, for torn JSON, a document that is
-            not a JSON object, an unsupported schema, or no ``rings``.
+        RecordError: Naming ``path``, for a missing or torn file, a
+            document that is not a JSON object, an unsupported schema,
+            or no ``rings`` object.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: torn or garbled flight dump: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(
-            f"{path}: a flight dump is a JSON object, not {type(doc).__name__}"
-        )
-    if doc.get("schema") != FLIGHT_SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported flight schema {doc.get('schema')!r}; "
-            f"expected {FLIGHT_SCHEMA}"
-        )
-    if "rings" not in doc:
-        raise ValueError(f"{path}: missing required key rings")
+    doc = read_record(path, FLIGHT_SCHEMA)
+    require(path, doc, "rings", dict)
     return doc
 
 
-def flight_from_env(
-    context: str = "run",
-    per_rank: int = 256,
-    flush_every: int = 0,
-    extra: dict | None = None,
-) -> FlightRecorder | None:
+def flight_from_env(context: str = "run") -> FlightRecorder | None:
     """Build a flight recorder from the environment, or ``None``.
 
     Returns a recorder dumping to ``flight-<context>-pid<pid>.json``
     under :data:`ENV_FLIGHT_DIR` (so concurrent processes — fleet
     workers — never collide), with the flush cadence taken from
-    :data:`ENV_FLIGHT_FLUSH` unless ``flush_every`` overrides it.
+    :data:`ENV_FLIGHT_FLUSH`.
     """
     flight_dir = os.environ.get(ENV_FLIGHT_DIR)
     if not flight_dir:
         return None
-    if flush_every == 0:
-        try:
-            flush_every = int(os.environ.get(ENV_FLIGHT_FLUSH, "0"))
-        except ValueError:
-            flush_every = 0
+    try:
+        flush_every = int(os.environ.get(ENV_FLIGHT_FLUSH, "0"))
+    except ValueError:
+        flush_every = 0
     directory = Path(flight_dir)
     directory.mkdir(parents=True, exist_ok=True)
     safe = "".join(c if c.isalnum() or c in "-_." else "-" for c in context)
     flight = FlightRecorder(
-        directory / f"flight-{safe}-pid{os.getpid()}.json",
-        per_rank=per_rank,
-        flush_every=flush_every,
+        directory / f"flight-{safe}-pid{os.getpid()}.json", flush_every=flush_every
     )
-    flight.context = {"context": context, **(extra or {})}
+    flight.context = {"context": context}
     return flight
 
 
-def maybe_attach_flight(
-    engine: "Engine",
-    context: str = "run",
-    per_rank: int = 256,
-    flush_every: int = 0,
-    extra: dict | None = None,
-) -> FlightRecorder | None:
+def maybe_attach_flight(engine: "Engine", context: str = "run") -> FlightRecorder | None:
     """Arm the flight recorder on ``engine`` when :data:`ENV_FLIGHT_DIR` is set.
 
     Reuses the engine's recorder when one is attached (any sink); when
     none is, attaches one with a :class:`~repro.obs.stream.NullSink` so
     flight recording adds only the ring's constant memory.
     """
-    flight = flight_from_env(
-        context, per_rank=per_rank, flush_every=flush_every, extra=extra
-    )
+    flight = flight_from_env(context)
     if flight is None:
         return None
     rec = Recorder.of(engine)

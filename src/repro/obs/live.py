@@ -35,7 +35,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.util.io import append_text_line
+from repro.util.io import RecordError, append_text_line, read_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.record import Recorder
@@ -206,46 +206,44 @@ def read_feed(path: str | Path) -> dict:
     """Parse a live feed into ``{"meta": ..., "frames": [...]}``.
 
     Tolerates exactly one kind of damage: a torn *final* line (a tailer
-    racing the writer, or a crash mid-append) is skipped.  An
-    unparseable line anywhere else, a line that is not a JSON object, a
-    second meta line, and a missing or wrong-schema meta line raise
-    :class:`ValueError` (``"<path>:<line>: ..."`` where a line is at
-    fault).
+    racing the writer, or a crash mid-append) is skipped.  A missing or
+    unreadable file, an unparseable line anywhere else, a line that is
+    not a JSON object, a second meta line, and a missing or wrong-schema
+    meta line raise :class:`~repro.util.io.RecordError`
+    (``"<path>:<line>: ..."`` where a line is at fault).
     """
-    path = Path(path)
     meta: dict | None = None
     frames: list[dict] = []
     torn: str | None = None
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if torn is not None:
-                raise ValueError(torn)  # the bad line was not the last one
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                torn = f"{path}:{lineno}: unparseable line ({exc.msg})"
-                continue
-            if not isinstance(doc, dict):
-                raise ValueError(
-                    f"{path}:{lineno}: expected a JSON object, "
-                    f"got {type(doc).__name__}"
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if torn is not None:
+            raise RecordError(torn)  # the bad line was not the last one
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            torn = f"{path}:{lineno}: unparseable line ({exc.msg})"
+            continue
+        if not isinstance(doc, dict):
+            raise RecordError(
+                f"{path}:{lineno}: expected a JSON object, "
+                f"got {type(doc).__name__}"
+            )
+        if doc.get("kind") == "meta":
+            if meta is not None:
+                raise RecordError(f"{path}:{lineno}: second meta line")
+            if doc.get("schema") != LIVE_SCHEMA:
+                raise RecordError(
+                    f"{path}:{lineno}: unsupported live-feed schema "
+                    f"{doc.get('schema')!r}; expected {LIVE_SCHEMA}"
                 )
-            if doc.get("kind") == "meta":
-                if meta is not None:
-                    raise ValueError(f"{path}:{lineno}: second meta line")
-                if doc.get("schema") != LIVE_SCHEMA:
-                    raise ValueError(
-                        f"{path}:{lineno}: unsupported live-feed schema "
-                        f"{doc.get('schema')!r}; expected {LIVE_SCHEMA}"
-                    )
-                meta = doc
-            elif doc.get("kind") == "frame":
-                frames.append(doc)
+            meta = doc
+        elif doc.get("kind") == "frame":
+            frames.append(doc)
     if meta is None:
-        raise ValueError(f"{path}: not a live telemetry feed (no meta line)")
+        raise RecordError(f"{path}: not a live telemetry feed (no meta line)")
     return {"meta": meta, "frames": frames}
 
 

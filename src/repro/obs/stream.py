@@ -28,11 +28,6 @@ shard files — the packed bytes equal what
 recorded in memory (tested on every check scenario).  Instants and
 edges are order-preserving streams, so their shards concatenate.
 
-:func:`merge_spills` generalizes :func:`pack` to fleet-wide trace
-aggregation: each worker's spill directory becomes its own Perfetto
-*process* (``pid`` = worker id) in one merged trace, with flow-arrow
-ids offset so cross-rank arrows never collide between workers.
-
 Spill directories hold the *span* stream; the companion *metrics*
 stream — interval telemetry frames — is the live feed of
 :mod:`repro.obs.live`.
@@ -47,10 +42,10 @@ import tempfile
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Callable, Iterator
 
 from repro.obs.record import EdgeRecord, InstantRecord, SpanRecord
-from repro.util.io import atomic_write_text
+from repro.util.io import RecordError, atomic_write_text, read_record, require
 
 __all__ = [
     "STREAM_SCHEMA",
@@ -61,7 +56,6 @@ __all__ = [
     "TeeSink",
     "SpillReader",
     "pack",
-    "merge_spills",
 ]
 
 #: Schema tag sealed into every spill directory's ``index.json``.
@@ -389,7 +383,7 @@ class SpillSink(SpanSink):
     # -- full-stream reads --------------------------------------------- #
     def _reader(self) -> "SpillReader":
         self.flush()
-        return SpillReader(self.directory, index=None, shards=self.shards)
+        return SpillReader(self.directory, shards=self.shards)
 
     def span_stream(self) -> list[SpanRecord]:
         spans = list(self._reader().iter_spans())
@@ -421,81 +415,77 @@ def _parse_block(path: Path, first_lineno: int, lines: list[str]) -> list[list]:
             try:
                 rows.append(json.loads(line))
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                raise RecordError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 
 class SpillReader:
     """Read-side of a spill directory (sealed or mid-write)."""
 
-    def __init__(
-        self,
-        directory: str | Path,
-        index: dict | None = None,
-        shards: dict | None = None,
-    ) -> None:
+    def __init__(self, directory: str | Path, shards: dict | None = None) -> None:
+        """Read ``directory``'s sealed ``index.json``, or, mid-write, take
+        the sink's own ``shards`` list (there is no index yet)."""
         self.directory = Path(directory)
-        if index is None and shards is None:
-            index_path = self.directory / "index.json"
-            if not index_path.exists():
-                raise FileNotFoundError(
-                    f"{self.directory} holds no index.json; not a sealed "
-                    f"spill directory (schema {STREAM_SCHEMA})"
-                )
-            index = json.loads(index_path.read_text())
-            if index.get("schema") != STREAM_SCHEMA:
-                raise ValueError(
-                    f"{index_path}: unsupported spill schema "
-                    f"{index.get('schema')!r}; expected {STREAM_SCHEMA}"
-                )
-        self.index = index or {}
-        self.shards = shards if shards is not None else self.index["shards"]
+        self.index: dict = {}
+        if shards is None:
+            path = self.directory / "index.json"
+            self.index = read_record(path, STREAM_SCHEMA)
+            shards = require(path, self.index, "shards", dict)
+            for kind in ("spans", "instants", "edges"):
+                for shard in require(path, shards, kind, list):
+                    require(path, shard, "file", str)
+                    require(path, shard, "count", int)
+        self.shards = shards
 
     @property
     def nprocs(self) -> int:
         return int(self.index.get("nprocs", 0))
 
-    def _iter_shard(self, shard: dict) -> Iterator[list]:
-        """One shard's rows, ``_BLOCK`` lines per parse.
+    def _iter_shard(self, shard: dict, make: Callable[[list], Any]) -> Iterator:
+        """One shard's records, ``_BLOCK`` lines per parse.
 
-        Raises ``ValueError`` naming the shard file on a line that does
-        not parse (with its line number) and, at the end of the shard,
-        on a row count that disagrees with the index — a truncated spill
-        must not pack as if it were whole.
+        Raises :class:`~repro.util.io.RecordError` naming the shard file
+        on a file that cannot be read, a line that does not parse (with
+        its line number) or a row that is not a record and, at the end
+        of the shard, on a row count that disagrees with the index — a
+        truncated spill must not pack as if it were whole.
         """
         path = self.directory / shard["file"]
         lineno = rows_seen = 0
-        with open(path, "r") as fh:
-            while lines := list(islice(fh, _BLOCK)):
-                rows = _parse_block(path, lineno + 1, lines)
-                lineno += len(lines)
-                rows_seen += len(rows)
-                yield from rows
+        try:
+            with open(path, "r") as fh:
+                while lines := list(islice(fh, _BLOCK)):
+                    rows = _parse_block(path, lineno + 1, lines)
+                    lineno += len(lines)
+                    rows_seen += len(rows)
+                    yield from map(make, rows)
+        except RecordError:
+            raise
+        except (OSError, ValueError, TypeError) as exc:
+            raise RecordError(f"{path}: unreadable shard ({exc})") from None
         if rows_seen != shard["count"]:
-            raise ValueError(
+            raise RecordError(
                 f"{path}: index.json records {shard['count']} records in this "
                 f"shard, the file holds {rows_seen} (truncated or edited spill)"
             )
 
     def iter_spans_merged(self) -> Iterator[SpanRecord]:
         """All spans in Chrome-trace order: k-way merge of sorted shards."""
-        streams = [
-            map(_span_from_line, self._iter_shard(sh)) for sh in self.shards["spans"]
-        ]
+        streams = [self._iter_shard(sh, _span_from_line) for sh in self.shards["spans"]]
         return heapq.merge(*streams, key=_span_sort_key)
 
     def iter_spans(self) -> Iterator[SpanRecord]:
         """All spans, shard order (use ``sorted(..., key=sid)`` for stream order)."""
         for sh in self.shards["spans"]:
-            yield from map(_span_from_line, self._iter_shard(sh))
+            yield from self._iter_shard(sh, _span_from_line)
 
     def iter_instants(self) -> Iterator[InstantRecord]:
         for sh in self.shards["instants"]:
-            yield from map(_instant_from_line, self._iter_shard(sh))
+            yield from self._iter_shard(sh, _instant_from_line)
 
     def iter_edges(self) -> Iterator[EdgeRecord]:
         for sh in self.shards["edges"]:
-            yield from map(_edge_from_line, self._iter_shard(sh))
+            yield from self._iter_shard(sh, _edge_from_line)
 
     def load(self) -> tuple[list[SpanRecord], list[InstantRecord], list[EdgeRecord]]:
         """Materialize the full stream (for small-run analysis/verify)."""
@@ -562,48 +552,6 @@ def _atomic_stream(path: Path):
     return fh, publish, discard
 
 
-def _write_spill(
-    w: _EventWriter,
-    reader: SpillReader,
-    flow_kinds: tuple[str, ...] | None,
-    pid: int = 0,
-    eid_base: int = 0,
-    **meta: Any,
-) -> tuple[int, int]:
-    """Stream one spill's events into ``w`` as Perfetto process ``pid``
-    (``meta`` goes to :func:`~repro.obs.export.meta_events`).
-
-    Returns ``(flow arrows written, edge ids consumed)``.
-    """
-    # Imported here: export imports record, stream must stay importable
-    # from record's siblings without a cycle.
-    from repro.obs.export import (
-        FLOW_KINDS,
-        flow_event_pair,
-        instant_event,
-        meta_events,
-        span_event,
-    )
-
-    if flow_kinds is None:
-        flow_kinds = FLOW_KINDS
-    for ev in meta_events(reader.nprocs, pid=pid, **meta):
-        w.event(ev)
-    for span in reader.iter_spans_merged():
-        if span.end is not None:
-            w.event(span_event(span, pid=pid))
-    for inst in reader.iter_instants():
-        w.event(instant_event(inst, pid=pid))
-    flows, max_eid = 0, -1
-    for edge in reader.iter_edges():
-        max_eid = max(max_eid, edge.eid)
-        if edge.kind in flow_kinds:
-            flows += 1
-            for ev in flow_event_pair(edge, pid=pid, eid_offset=eid_base):
-                w.event(ev)
-    return flows, max_eid + 1
-
-
 def pack(
     spill_dir: str | Path,
     out_path: str | Path,
@@ -618,12 +566,36 @@ def pack(
     path attached).  The output is published atomically; a spill that
     fails to read (:class:`SpillReader`) leaves no output behind.
     """
+    # Imported here: export imports record, stream must stay importable
+    # from record's siblings without a cycle.
+    from repro.obs.export import (
+        FLOW_KINDS,
+        flow_event_pair,
+        instant_event,
+        meta_events,
+        span_event,
+    )
+
+    if flow_kinds is None:
+        flow_kinds = FLOW_KINDS
     reader = SpillReader(spill_dir)
     out_path = Path(out_path)
     fh, publish, discard = _atomic_stream(out_path)
     try:
         w = _EventWriter(fh)
-        flows, _ = _write_spill(w, reader, flow_kinds)
+        for ev in meta_events(reader.nprocs):
+            w.event(ev)
+        for span in reader.iter_spans_merged():
+            if span.end is not None:
+                w.event(span_event(span))
+        for inst in reader.iter_instants():
+            w.event(instant_event(inst))
+        flows = 0
+        for edge in reader.iter_edges():
+            if edge.kind in flow_kinds:
+                flows += 1
+                for ev in flow_event_pair(edge):
+                    w.event(ev)
         w.finish(
             {
                 "displayTimeUnit": "ns",
@@ -634,54 +606,6 @@ def pack(
                     "edges_recorded": reader.index.get("edges", 0),
                     "flow_events": flows,
                 },
-            }
-        )
-        publish()
-    except BaseException:
-        discard()
-        raise
-    return out_path
-
-
-def merge_spills(
-    items: Iterable[tuple[int, str, str | Path]],
-    out_path: str | Path,
-    flow_kinds: tuple[str, ...] | None = None,
-) -> Path:
-    """Merge several spill directories into one fleet-wide Chrome trace.
-
-    Args:
-        items: ``(pid, label, spill_dir)`` triples — each spill becomes
-            its own Perfetto process (one track per simulated rank
-            inside it), named ``label``.
-        out_path: Merged trace destination (written atomically).
-        flow_kinds: Causal-edge kinds drawn as flow arrows.
-
-    Flow-arrow ids are offset per process so arrows from different
-    workers never alias.  Streams shard files; memory stays constant in
-    total event count.
-    """
-    out_path = Path(out_path)
-    fh, publish, discard = _atomic_stream(out_path)
-    totals = {"spans": 0, "edges": 0, "dropped": 0, "flow_events": 0, "processes": 0}
-    try:
-        w = _EventWriter(fh)
-        eid_base = 0
-        for pid, label, spill_dir in items:
-            reader = SpillReader(spill_dir)
-            totals["processes"] += 1
-            totals["spans"] += int(reader.index.get("spans", 0))
-            totals["edges"] += int(reader.index.get("edges", 0))
-            totals["dropped"] += int(reader.index.get("dropped", 0))
-            flows, eids = _write_spill(
-                w, reader, flow_kinds, pid=pid, eid_base=eid_base, process=label
-            )
-            totals["flow_events"] += flows
-            eid_base += eids
-        w.finish(
-            {
-                "displayTimeUnit": "ns",
-                "otherData": {"source": "repro.fleet trace", **totals},
             }
         )
         publish()

@@ -1,6 +1,6 @@
-"""Atomic file I/O for persisted artifacts.
+"""File I/O for persisted artifacts: atomic writes, one typed read path.
 
-Decision traces, benchmark records, and fleet trajectories are written
+Decision traces, benchmark records and recordings are written
 by tools that may run concurrently (parallel fleet workers, an explore
 campaign racing a bench regeneration) and may be interrupted at any
 point (a worker SIGKILL mid-write, ctrl-C during a campaign).  A plain
@@ -12,15 +12,28 @@ the destination directory and publishes it with :func:`os.replace`,
 which is atomic on POSIX when source and destination share a
 filesystem.  Readers therefore see either the old complete document or
 the new complete document, never a prefix.
+
+Every JSON document is read back through :func:`read_record`, which
+raises one error type, :class:`RecordError`, whose message starts with
+the file's path.  A CLI maps that one exception to exit status 2.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Any
 
-__all__ = ["atomic_write_text", "append_text_line"]
+__all__ = [
+    "atomic_write_text",
+    "append_text_line",
+    "RecordError",
+    "read_text",
+    "read_record",
+    "require",
+]
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -71,3 +84,63 @@ def append_text_line(path: str | Path, line: str) -> Path:
     finally:
         os.close(fd)
     return path
+
+
+class RecordError(ValueError):
+    """An on-disk record that cannot be read; the message starts with
+    ``"<path>: "`` (or ``"<path>:<line>: "`` when a line is at fault)."""
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; :class:`RecordError` if unreadable."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise RecordError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError:
+        raise RecordError(f"{path}: not UTF-8 text") from None
+
+
+def read_record(path: str | Path, schema: str | tuple[str, ...] | None) -> dict:
+    """Parse the JSON object in ``path`` and check its ``schema`` tag.
+
+    ``schema`` is the one tag accepted, a tuple of accepted tags, or
+    ``None`` for formats that carry no tag (their readers check their
+    own shape with :func:`require`).  A missing or unreadable file, torn
+    JSON, a root that is not an object and any other tag raise
+    :class:`RecordError`.
+    """
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise RecordError(f"{path}: torn or garbled JSON ({exc})") from None
+    if type(doc) is not dict:
+        raise RecordError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    if schema is not None:
+        tags = (schema,) if isinstance(schema, str) else schema
+        if doc.get("schema") not in tags:
+            raise RecordError(
+                f"{path}: unsupported schema {doc.get('schema')!r}; "
+                f"expected {' or '.join(tags)}"
+            )
+    return doc
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a float"}
+
+
+def require(path: str | Path, doc: Any, key: str, types: type | tuple[type, ...]) -> Any:
+    """``doc[key]``, whose exact type must be one of ``types``, else
+    :class:`RecordError` naming ``path``.
+
+    JSON parses to exact builtin types, so ``bool`` never passes for
+    ``int``.  A ``doc`` that is not an object counts as missing ``key``.
+    """
+    types = types if isinstance(types, tuple) else (types,)
+    if type(doc) is not dict or key not in doc:
+        raise RecordError(f"{path}: missing required key {key}")
+    value = doc[key]
+    if type(value) not in types:
+        kinds = " or ".join(_KINDS[t] for t in types)
+        raise RecordError(f"{path}: {key} must be {kinds}, not {value!r}")
+    return value

@@ -282,7 +282,7 @@ class TestBadTraces:
 
     def test_torn_json(self, tmp_path):
         path = _write_corrupt(tmp_path, "torn")
-        with pytest.raises(ValueError, match=r"torn\.json: torn or garbled trace"):
+        with pytest.raises(ValueError, match=r"torn\.json: torn or garbled JSON"):
             DecisionTrace.load(path)
 
     @pytest.mark.parametrize("case", sorted(c for c in _CORRUPT if _CORRUPT[c][1]))

@@ -127,7 +127,7 @@ class TestInlineScheduler:
 
 
 class TestCliCounts:
-    """Worker, schedule, probe and level counts are integers >= 1,
+    """Worker, schedule and probe counts are integers >= 1,
     checked by argparse: exit 2 with the flag named on stderr."""
 
     @pytest.mark.parametrize(
@@ -136,12 +136,12 @@ class TestCliCounts:
             ("check", ["--jobs", "0"], "--jobs"),
             ("check", ["--schedules", "0"], "--schedules"),
             ("check", ["--schedules", "-1"], "--schedules"),
-            ("fleet", ["bench", "--schedules", "0"], "--schedules"),
+            ("fleet", ["probe", "--count", "0"], "--count"),
             ("fleet", ["probe", "--count", "-3"], "--count"),
-            ("fleet", ["trace", "--jobs", "0"], "--jobs"),
+            ("fleet", ["probe", "--jobs", "-1"], "--jobs"),
             ("fleet", ["probe", "--jobs", "0"], "--jobs"),
-            ("fleet", ["bench", "--jobs-levels"], "--jobs-levels"),
-            ("fleet", ["bench", "--jobs-levels", "1", "0"], "--jobs-levels"),
+            ("fleet", ["probe", "--count"], "--count"),
+            ("fleet", ["probe", "--jobs", "x"], "--jobs"),
             ("bench", ["--jobs", "0", "--no-json"], "--jobs"),
             ("check", ["--schedules", "-5"], "--schedules"),
         ],
@@ -155,7 +155,13 @@ class TestCliCounts:
 
     @pytest.mark.parametrize(
         "cli, argv",
-        [("check", ["explore"]), ("fleet", ["explore"]), ("fleet", ["matrix"])],
+        [
+            ("check", ["explore"]),
+            ("fleet", ["explore"]),
+            ("fleet", ["matrix"]),
+            ("fleet", ["bench"]),
+            ("fleet", ["trace"]),
+        ],
     )
     def test_retired_subcommands_exit_2(self, cli, argv):
         main = importlib.import_module(f"repro.{cli}.__main__").main

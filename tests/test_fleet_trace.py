@@ -1,83 +1,17 @@
-"""Fleet-wide trace aggregation and crash forensics.
+"""Fleet crash forensics.
 
-``obs`` jobs record a target through a constant-memory spill in the
-worker, ship only the spill path + counters over the pipe, and the
-parent merges the spills into one multi-process Chrome trace.  With a
-``flight_dir``, workers leave breadcrumbs and periodic flight dumps,
-and the scheduler writes a crash report for every worker death —
-forensics that survive SIGKILL.
+With a ``flight_dir``, workers leave breadcrumbs and flight dumps, and
+the scheduler writes a crash report for every worker death — forensics
+that survive SIGKILL.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.fleet.jobs import Job, execute_job, obs_jobs
+from repro.fleet.jobs import Job, explore_jobs
 from repro.fleet.scheduler import FleetScheduler
-from repro.obs.stream import SpillReader, merge_spills
-
-
-class TestObsJobs:
-    def test_builder_one_spill_dir_per_target(self, tmp_path):
-        jobs = obs_jobs(["queue", "steals"], str(tmp_path))
-        assert [j.key for j in jobs] == ["obs/queue", "obs/steals"]
-        dirs = {j.params["spill_dir"] for j in jobs}
-        assert len(dirs) == 2
-
-    def test_execute_obs_spills_and_returns_counts_only(self, tmp_path):
-        job = obs_jobs(["queue"], str(tmp_path))[0]
-        result = execute_job(job)
-        assert result.ok, result.error
-        p = result.payload
-        assert p["spans"] > 0 and p["dropped"] == 0
-        # only the path crosses the pipe; the spans live in the spill
-        assert "span_records" not in p
-        reader = SpillReader(p["spill_dir"])
-        assert reader.index["spans"] == p["spans"]
-        assert reader.nprocs == p["nprocs"]
-
-    def test_inline_campaign_then_merge(self, tmp_path):
-        jobs = obs_jobs(["queue", "steals"], str(tmp_path / "spills"))
-        report = FleetScheduler(2, inline=True).run(jobs)
-        assert report.ok
-        items = [
-            (i + 1, r.payload["target"], r.payload["spill_dir"])
-            for i, r in enumerate(sorted(report.completed, key=lambda r: r.key))
-        ]
-        out = merge_spills(items, tmp_path / "merged.json")
-        doc = json.loads(out.read_text())
-        assert doc["otherData"]["processes"] == 2
-        assert doc["otherData"]["spans"] == sum(
-            r.payload["spans"] for r in report.completed
-        )
-
-
-class TestTraceCli:
-    def test_trace_subcommand_merges_across_workers(self, tmp_path, capsys):
-        from repro.fleet.__main__ import main
-
-        trace = tmp_path / "fleet_trace.json"
-        rc = main(
-            [
-                "trace",
-                "--target", "queue", "steals",
-                "--jobs", "2",
-                "--out", str(tmp_path / "spills"),
-                "--trace", str(trace),
-                "--quiet",
-            ]
-        )
-        assert rc == 0
-        doc = json.loads(trace.read_text())
-        assert doc["otherData"]["source"] == "repro.fleet trace"
-        assert doc["otherData"]["processes"] == 2
-        labels = {
-            e["args"]["name"]
-            for e in doc["traceEvents"]
-            if e.get("ph") == "M" and e["name"] == "process_name"
-        }
-        # labels carry the worker that recorded each run
-        assert {lbl.split(":", 1)[1] for lbl in labels} == {"queue", "steals"}
+from repro.obs.flight import load_flight_dump
 
 
 class TestCrashForensics:
@@ -104,16 +38,16 @@ class TestCrashForensics:
             assert doc["breadcrumb"]["job_key"] == "probe/crash"
             assert doc["breadcrumb"]["pid"] == doc["pid"]
 
-    def test_obs_job_worker_leaves_periodic_flight_dump(self, tmp_path):
+    def test_explore_job_worker_leaves_flight_dump(self, tmp_path):
         flight = tmp_path / "flight"
-        jobs = obs_jobs(["uts-small"], str(tmp_path / "spills"))
+        jobs = explore_jobs(["steals"], 20, mutation="no_dirty_mark")
         report = FleetScheduler(1, flight_dir=flight).run(jobs)
         assert report.ok
-        dumps = list(flight.glob("flight-obs-uts-small-*.json"))
+        dumps = list(flight.glob("flight-check-steals-pid*.json"))
         assert len(dumps) == 1
-        doc = json.loads(dumps[0].read_text())
-        # flushed mid-run (no failure occurred), so a SIGKILL at any
-        # point would still have found a recent snapshot on disk
-        assert doc["reason"] == "periodic"
-        assert doc["records_seen"] > 0
+        doc = load_flight_dump(dumps[0])
+        # armed by a real worker process, at the worker's flush cadence
+        # (a clean check run records too few spans to reach a periodic
+        # flush; the seeded bug's invariant failure writes this dump)
+        assert doc["config"]["flush_every"] == 512
         assert doc["rings"]

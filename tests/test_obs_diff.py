@@ -113,7 +113,7 @@ class TestSchemaHandling:
 
     def test_cross_schema_rejected(self):
         with pytest.raises(ValueError, match="schema mismatch"):
-            diff_documents(_bench_doc(), {"schema": "repro-bench-fleet/1", "entries": []})
+            diff_documents(_bench_doc(), {"schema": METRICS_SCHEMA, "histograms": {}})
 
 
 class TestCli:
@@ -168,8 +168,8 @@ class TestCli:
         "text, fragment",
         [
             ('{"schema": "repro-obs-metrics/2", "histograms": {}}',
-             "unsupported metrics schema 'repro-obs-metrics/2'"),
-            ('{"schema": "repro-obs-metrics/3", "histo', "not a JSON document"),
+             "unsupported schema 'repro-obs-metrics/2'"),
+            ('{"schema": "repro-obs-metrics/3", "histo', "torn or garbled JSON"),
         ],
         ids=["schema-v2", "torn"],
     )

@@ -67,7 +67,7 @@ class TestChromeTrace:
     def test_roundtrip_through_file(self, tmp_path):
         run = _recorded_run()
         path = write_chrome_trace(run.recorder, tmp_path / "t.json", tracer=run.tracer)
-        spans = load_chrome_trace(path)
+        spans, _ = load_chrome_trace(path)
         assert len(spans) == len(run.recorder.finished_spans())
         cats = {s.category for s in spans}
         assert "steal" in cats

@@ -55,7 +55,7 @@ class TestRing:
 
     def test_load_rejects_foreign_schema(self, tmp_path):
         (tmp_path / "x.json").write_text('{"schema": "other/1"}')
-        with pytest.raises(ValueError, match="unsupported flight schema"):
+        with pytest.raises(ValueError, match="x.json: unsupported schema 'other/1'"):
             load_flight_dump(tmp_path / "x.json")
 
     def test_load_names_the_file_of_a_torn_dump(self, tmp_path):
@@ -69,7 +69,7 @@ class TestRing:
 
     def test_load_rejects_a_non_object(self, tmp_path):
         (tmp_path / "x.json").write_text("[1, 2]")
-        with pytest.raises(ValueError, match="x.json: a flight dump is a JSON object"):
+        with pytest.raises(ValueError, match="x.json: expected a JSON object, got list"):
             load_flight_dump(tmp_path / "x.json")
 
     def test_load_rejects_a_dump_without_rings(self, tmp_path):
@@ -170,8 +170,6 @@ class TestEnvAttachment:
         monkeypatch.setenv(ENV_FLIGHT_DIR, str(tmp_path))
         monkeypatch.setenv(ENV_FLIGHT_FLUSH, "7")
         assert flight_from_env().flush_every == 7
-        # explicit argument wins over the environment
-        assert flight_from_env(flush_every=3).flush_every == 3
 
     def test_flight_does_not_perturb_the_run(self, tmp_path, monkeypatch):
         from repro.obs.scenarios import fingerprint, run_target

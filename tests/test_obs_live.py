@@ -275,17 +275,6 @@ class TestFlightIntegration:
         assert doc["config"]["per_rank"] == 8
 
 
-class TestFleetWiring:
-    def test_obs_job_without_live_has_no_feed(self, tmp_path):
-        from repro.fleet.jobs import execute_job, obs_jobs
-
-        job = obs_jobs(["queue"], str(tmp_path))[0]
-        result = execute_job(job)
-        assert result.ok, result.error
-        assert "live_path" not in job.params and "live_path" not in result.payload
-        assert list(tmp_path.glob("*.jsonl")) == []
-
-
 class TestCli:
     def test_run_and_top(self, tmp_path, capsys):
         from repro.obs.__main__ import main

@@ -5,7 +5,7 @@
 * sha256 goldens of every spill file and of the packed trace, taken at
   the last commit that wrote one ``json.dumps`` per record;
 * records are still immutable, picklable and drop-counted per kind;
-* a truncated or garbled spill fails with a ``ValueError`` that names
+* a truncated or garbled spill fails with a ``RecordError`` that names
   the shard (it used to pack as if whole, or raise a bare
   ``JSONDecodeError: line 1 column 74``).
 """
@@ -26,8 +26,9 @@ from repro.core.task import reset_uids
 from repro.obs import stream
 from repro.obs.record import EdgeRecord, InstantRecord, SpanRecord
 from repro.obs.scenarios import run_target
-from repro.obs.stream import MemorySink, SpillReader, SpillSink, merge_spills, pack
+from repro.obs.stream import MemorySink, SpillReader, SpillSink, pack
 from repro.obs.tracing import TraceEvent
+from repro.util.io import RecordError
 
 # ---------------------------------------------------------------------- #
 # Encoder equality
@@ -128,19 +129,6 @@ def test_spill_and_packed_bytes_match_parent(case, tmp_path):
     assert got == SPILL_GOLDEN[case]
 
 
-def test_merged_trace_bytes_match_parent(tmp_path):
-    reset_uids()
-    run_target("steals", stream_dir=tmp_path / "a", shard_size=64)
-    run_target("termination", stream_dir=tmp_path / "b")
-    run_target("uts-tiny", nprocs=3, seed=2, stream_dir=tmp_path / "c", shard_size=100)
-    out = merge_spills(
-        [(1, "w0:steals", tmp_path / "a"), (2, "w1:term", tmp_path / "b"),
-         (5, "w2:uts", tmp_path / "c")],
-        tmp_path / "merged.json",
-    )
-    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "0673420995596009"
-
-
 # ---------------------------------------------------------------------- #
 # Record semantics
 # ---------------------------------------------------------------------- #
@@ -221,7 +209,6 @@ def _truncate(spill, kind: str, keep: int) -> tuple[str, int]:
 
 READERS = {
     "pack": lambda spill, out: pack(spill, out),
-    "merge_spills": lambda spill, out: merge_spills([(1, "w0", spill)], out),
     "load": lambda spill, out: SpillReader(spill).load(),
     "iter_spans": lambda spill, out: list(SpillReader(spill).iter_spans()),
     "iter_spans_merged": lambda spill, out: list(SpillReader(spill).iter_spans_merged()),
@@ -234,7 +221,7 @@ def test_truncated_shard_is_refused(reader, tmp_path):
     name, count = _truncate(spill, "spans", keep=5)
     assert count > 5
     out = tmp_path / "out.json"
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(RecordError) as err:
         READERS[reader](spill, out)
     assert name in str(err.value)
     assert f"{count} records" in str(err.value) and "holds 5" in str(err.value)
@@ -245,9 +232,9 @@ def test_truncated_shard_is_refused(reader, tmp_path):
 def test_truncated_edge_and_instant_shards_are_refused(tmp_path):
     spill = _spill(tmp_path)
     name, _ = _truncate(spill, "edges", keep=1)
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(RecordError, match=name):
         list(SpillReader(spill).iter_edges())
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(RecordError, match=name):
         pack(spill, tmp_path / "out.json")
 
 
@@ -258,11 +245,10 @@ def test_garbled_line_is_located(lineno, tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     lines[lineno - 1] = lines[lineno - 1][: len(lines[lineno - 1]) // 2] + "\n"
     path.write_text("".join(lines))
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(RecordError) as err:
         list(SpillReader(spill).iter_edges())
-    assert not isinstance(err.value, json.JSONDecodeError)
     assert str(err.value).startswith(f"{path}:{lineno}: ")
-    with pytest.raises(ValueError, match=f"edges-00000.jsonl:{lineno}: "):
+    with pytest.raises(RecordError, match=f"edges-00000.jsonl:{lineno}: "):
         pack(spill, tmp_path / "out.json")
     assert not (tmp_path / "out.json").exists()
 

@@ -1,4 +1,4 @@
-"""Streaming observability: spill sinks, pack equivalence, merged spills.
+"""Streaming observability: spill sinks, pack equivalence.
 
 The load-bearing guarantees tested here:
 
@@ -32,10 +32,10 @@ from repro.obs.stream import (
     SpillReader,
     SpillSink,
     TeeSink,
-    merge_spills,
     pack,
 )
 from repro.obs.whatif import project
+from repro.util.io import RecordError
 
 CHECK_TARGETS = ["graph", "queue", "queue-wf", "steals", "termination", "waitfree"]
 
@@ -73,12 +73,12 @@ class TestSpillFormat:
         assert all(not buf for buf in sink._bufs.values())
 
     def test_reader_rejects_unsealed_or_foreign_dirs(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(RecordError, match="nope/index.json: cannot read"):
             SpillReader(tmp_path / "nope")
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "index.json").write_text('{"schema": "something-else/9"}')
-        with pytest.raises(ValueError, match="unsupported spill schema"):
+        with pytest.raises(RecordError, match="bad/index.json: unsupported schema"):
             SpillReader(bad)
 
 
@@ -200,38 +200,10 @@ class TestAtomicity:
 
     def test_failed_pack_cleans_up(self, tmp_path):
         (tmp_path / "spill").mkdir()
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(RecordError, match="spill/index.json"):
             pack(tmp_path / "spill", tmp_path / "out.json")
         assert not (tmp_path / "out.json").exists()
         assert [p.name for p in tmp_path.glob(".out.json.*")] == []
-
-
-# ---------------------------------------------------------------------- #
-# Fleet-wide merge
-# ---------------------------------------------------------------------- #
-class TestMergeSpills:
-    def test_merged_trace_has_one_process_per_spill(self, tmp_path):
-        run_target("queue", stream_dir=tmp_path / "a")
-        run_target("steals", stream_dir=tmp_path / "b")
-        out = merge_spills(
-            [(1, "w0:queue", tmp_path / "a"), (2, "w1:steals", tmp_path / "b")],
-            tmp_path / "merged.json",
-        )
-        doc = json.loads(out.read_text())
-        evs = doc["traceEvents"]
-        names = {
-            e["pid"]: e["args"]["name"]
-            for e in evs
-            if e.get("ph") == "M" and e["name"] == "process_name"
-        }
-        assert names == {1: "w0:queue", 2: "w1:steals"}
-        assert doc["otherData"]["processes"] == 2
-        # flow ids must not alias between processes
-        flow_ids = {1: set(), 2: set()}
-        for e in evs:
-            if e.get("ph") == "s":
-                flow_ids[e["pid"]].add(e["id"])
-        assert not (flow_ids[1] & flow_ids[2])
 
 
 # ---------------------------------------------------------------------- #
