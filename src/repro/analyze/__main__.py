@@ -39,6 +39,8 @@ from repro.analyze.race import dedupe_races
 from repro.analyze.runner import run_race_detection
 from repro.check.mutations import MUTATIONS
 from repro.check.scenarios import SCENARIOS
+from repro.cli import positive_int
+from repro.targets import TARGETS
 
 
 def _cmd_race(args: argparse.Namespace) -> int:
@@ -128,25 +130,25 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.fleet.__main__ import positive_int
-
     parser = argparse.ArgumentParser(prog="repro.analyze", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_race = sub.add_parser("race", help="vector-clock race detection")
-    p_race.add_argument(
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument(
         "--target",
-        choices=["all", *sorted(SCENARIOS)],
+        choices=["all", *sorted(TARGETS)],
         default="all",
-        help="scenario to run (default: all)",
+        help="target to run; all = every protocol scenario (default: all)",
     )
-    p_race.add_argument(
+    run.add_argument(
         "--mutate",
         choices=sorted(MUTATIONS),
         default="none",
         help="apply an intentional protocol bug first",
     )
-    p_race.add_argument("--engine-seed", type=int, default=0)
+    run.add_argument("--engine-seed", type=int, default=0)
+
+    p_race = sub.add_parser("race", parents=[run], help="vector-clock race detection")
     p_race.add_argument(
         "--all",
         action="store_true",
@@ -155,21 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     p_race.set_defaults(fn=_cmd_race)
 
     p_pred = sub.add_parser(
-        "predict", help="predictive analysis with witness confirmation"
+        "predict", parents=[run], help="predictive analysis with witness confirmation"
     )
-    p_pred.add_argument(
-        "--target",
-        choices=["all", *sorted(SCENARIOS)],
-        default="all",
-        help="scenario to run (default: all)",
-    )
-    p_pred.add_argument(
-        "--mutate",
-        choices=sorted(MUTATIONS),
-        default="none",
-        help="apply an intentional protocol bug first",
-    )
-    p_pred.add_argument("--engine-seed", type=int, default=0)
     p_pred.add_argument(
         "--no-confirm",
         action="store_true",

@@ -45,17 +45,16 @@ from typing import Hashable, Sequence
 from repro.analyze.capture import TraceEvent
 from repro.analyze.lockgraph import deadlock_pass
 from repro.analyze.lockset import lockset_pass
-from repro.analyze.race import (
-    RaceDetector,
-    happens_before,
-    region_class,
-    unordered_conflicts,
-)
+from repro.analyze.race import happens_before, region_class, unordered_conflicts
+from repro.analyze.runner import monitored_run, run_race_detection
+from repro.check.strategies import ReplayStrategy
+from repro.check.traces import DecisionTrace
+from repro.check.witness import DeadlockWitness, DirtyMarkWitness, WitnessStrategy
+from repro.targets import make_target
 
 __all__ = [
     "Prediction",
     "PredictReport",
-    "capture_trace",
     "weakened_hb_pass",
     "obligation_pass",
     "analyze_trace",
@@ -63,41 +62,6 @@ __all__ = [
     "confirm_prediction",
     "predict",
 ]
-
-
-# ---------------------------------------------------------------------- #
-# Trace capture of one (target, mutation) run
-# ---------------------------------------------------------------------- #
-@dataclass
-class CaptureRun:
-    """One instrumented default-schedule run of a check scenario."""
-
-    target: str
-    mutation: str | None
-    engine_seed: int
-    nprocs: int
-    events: list[TraceEvent]
-    observed_races: int
-    error: str | None
-
-
-def capture_trace(
-    target: str, mutation: str | None = None, engine_seed: int = 0
-) -> CaptureRun:
-    """Run ``target`` on the default deterministic schedule with the
-    detector attached; keep its captured trace."""
-    from repro.analyze.runner import run_race_detection
-
-    res = run_race_detection(target, mutation=mutation, engine_seed=engine_seed)
-    return CaptureRun(
-        target=target,
-        mutation=mutation,
-        engine_seed=engine_seed,
-        nprocs=res.nprocs,
-        events=res.trace,
-        observed_races=len(res.races),
-        error=res.error,
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -431,32 +395,9 @@ class _NoGates:
         pass
 
 
-def _monitored_run(scenario, strategy, engine_seed, mutation):
-    """One run under ``strategy`` with the detector attached (a witness
-    strategy listening to its events); returns (outcome, detector)."""
-    from repro.check.runner import run_once
-    from repro.check.witness import WitnessStrategy
-
-    dets = []
-
-    def hook(engine):
-        det = RaceDetector.attach(engine)
-        if isinstance(strategy, WitnessStrategy):
-            det.listeners.append(strategy.on_event)
-        dets.append(det)
-
-    outcome = run_once(
-        scenario, strategy, engine_seed=engine_seed, mutation=mutation,
-        engine_hook=hook,
-    )
-    return outcome, dets[0]
-
-
 def _persist_witness(
     pred, target, mutation, engine_seed, scenario, outcome, out_dir, ordinal=0
 ) -> None:
-    from repro.check.traces import DecisionTrace
-
     if out_dir is None:
         return
     out_dir = Path(out_dir)
@@ -486,14 +427,10 @@ def confirm_prediction(
     ordinal: int = 0,
 ) -> Prediction:
     """Steer replays toward ``pred``'s reordering; upgrade on success."""
-    from repro.check.scenarios import make_scenario
-    from repro.check.strategies import ReplayStrategy
-    from repro.check.witness import DeadlockWitness, DirtyMarkWitness, WitnessStrategy
-
-    scenario = make_scenario(target)
+    scenario = make_target(target)
 
     def witness_run(controller):
-        return _monitored_run(
+        return monitored_run(
             scenario, WitnessStrategy(controller), engine_seed, mutation
         )
 
@@ -505,7 +442,7 @@ def confirm_prediction(
             pred, target, mutation, engine_seed, scenario, outcome, out_dir,
             ordinal=ordinal,
         )
-        re_out, re_det = _monitored_run(
+        re_out, re_det = monitored_run(
             scenario, ReplayStrategy(list(outcome.decisions)), engine_seed, mutation
         )
         if window_check:
@@ -607,8 +544,8 @@ def predict(
     out_dir: str | Path | None = None,
 ) -> PredictReport:
     """Capture one default-schedule trace, analyze it, confirm findings."""
-    run = capture_trace(target, mutation=mutation, engine_seed=engine_seed)
-    predictions = analyze_trace(run.events, run.nprocs)
+    run = run_race_detection(target, mutation=mutation, engine_seed=engine_seed)
+    predictions = analyze_trace(run.trace, run.nprocs)
     if run.error is not None and run.error.startswith("PredictedDeadlockError"):
         # The wait-for monitor caught a cycle closing at request time —
         # the base run never actually wedged, so this is a prediction
@@ -633,7 +570,7 @@ def predict(
         target=target,
         mutation=mutation,
         engine_seed=engine_seed,
-        events_captured=len(run.events),
+        events_captured=len(run.trace),
         base_error=run.error,
         predictions=predictions,
     )

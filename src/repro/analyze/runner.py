@@ -1,9 +1,9 @@
-"""Race-detection runner: execute check scenarios with the detector on.
+"""Race-detection runner: one run of a target with the detector on.
 
 Unlike :mod:`repro.check` — which *searches* schedules for an
 interleaving that corrupts state — the race detector fires on any
 schedule that executes an unsynchronized code path, so a single
-deterministic run per scenario suffices.  Mutations from
+deterministic run per target suffices.  Mutations from
 :mod:`repro.check.mutations` can be applied to demonstrate the detector
 against known-bad protocol variants (``unlocked_split``,
 ``fence_elision``).
@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 from repro.analyze.capture import TraceEvent
 from repro.analyze.race import Race, RaceDetector
-from repro.check.mutations import apply_mutation
-from repro.check.scenarios import SCENARIOS, make_scenario
-from repro.core.task import reset_uids
-from repro.sim.engine import Engine
-from repro.util.errors import ReproError
+from repro.check.runner import RunOutcome, run_once
+from repro.check.scenarios import Scenario
+from repro.check.witness import WitnessStrategy
+from repro.sim.engine import SchedulingStrategy
+from repro.targets import make_target
 
-__all__ = ["RaceRunResult", "run_race_detection"]
+__all__ = ["RaceRunResult", "monitored_run", "run_race_detection"]
 
 
 @dataclass
@@ -44,6 +44,30 @@ class RaceRunResult:
         return bool(self.races)
 
 
+def monitored_run(
+    scenario: Scenario,
+    strategy: SchedulingStrategy | None,
+    engine_seed: int = 0,
+    mutation: str | None = None,
+) -> tuple[RunOutcome, RaceDetector]:
+    """One :func:`~repro.check.runner.run_once` with the detector
+    attached (a witness strategy listening to its events); returns
+    ``(outcome, detector)``."""
+    dets: list[RaceDetector] = []
+
+    def hook(engine):
+        det = RaceDetector.attach(engine)
+        if isinstance(strategy, WitnessStrategy):
+            det.listeners.append(strategy.on_event)
+        dets.append(det)
+
+    outcome = run_once(
+        scenario, strategy, engine_seed=engine_seed, mutation=mutation,
+        engine_hook=hook,
+    )
+    return outcome, dets[0]
+
+
 def run_race_detection(
     target: str,
     mutation: str | None = None,
@@ -57,27 +81,16 @@ def run_race_detection(
     detector's wait-for monitor ends a run whose lock cycle closes with
     :class:`~repro.analyze.capture.PredictedDeadlockError`.
     """
-    if target not in SCENARIOS:
-        raise ValueError(f"unknown scenario {target!r} (have: {sorted(SCENARIOS)})")
-    result = RaceRunResult(target=target, mutation=mutation)
-    reset_uids()
-    scenario = make_scenario(target)
-    with apply_mutation(mutation):
-        engine = Engine(
-            scenario.nprocs,
-            seed=engine_seed,
-            max_events=scenario.max_events,
-        )
-        detector = RaceDetector.attach(engine)
-        scenario.build(engine)
-        try:
-            engine.run()
-        except (ReproError, RuntimeError, AssertionError) as exc:
-            result.error = f"{type(exc).__name__}: {exc}"
-    result.races = list(detector.races)
-    result.accesses = detector.accesses
-    result.events = engine.events
-    result.report = detector.report()
-    result.nprocs = scenario.nprocs
-    result.trace = detector.events
-    return result
+    scenario = make_target(target)
+    outcome, detector = monitored_run(scenario, None, engine_seed, mutation)
+    return RaceRunResult(
+        target=target,
+        mutation=mutation,
+        races=list(detector.races),
+        accesses=detector.accesses,
+        events=outcome.events,
+        error=outcome.error,
+        report=detector.report(),
+        nprocs=scenario.nprocs,
+        trace=detector.events,
+    )

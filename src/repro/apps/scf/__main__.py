@@ -19,23 +19,18 @@ from repro.apps.scf import (
     run_scf_scioto,
     run_scf_sequential,
 )
-from repro.sim.machines import cray_xt4, heterogeneous_cluster, uniform_cluster
-
-_MACHINES = {
-    "cluster": uniform_cluster,
-    "het": heterogeneous_cluster,
-    "xt4": cray_xt4,
-}
+from repro.cli import positive_int
+from repro.sim.machines import MACHINES
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="repro.apps.scf", description=__doc__)
-    p.add_argument("--nprocs", type=int, default=8)
+    p.add_argument("--nprocs", type=positive_int, default=8)
     p.add_argument("--scheduler", choices=["scioto", "original"], default="scioto")
-    p.add_argument("--machine", choices=sorted(_MACHINES), default="het")
-    p.add_argument("--nblocks", type=int, default=20)
-    p.add_argument("--blocksize", type=int, default=5)
-    p.add_argument("--iters", type=int, default=4)
+    p.add_argument("--machine", choices=sorted(MACHINES), default="het")
+    p.add_argument("--nblocks", type=positive_int, default=20)
+    p.add_argument("--blocksize", type=positive_int, default=5)
+    p.add_argument("--iters", type=positive_int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true",
                    help="check energies against the sequential reference")
@@ -45,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     problem = SCFProblem(nblocks=args.nblocks, blocksize=args.blocksize)
-    machine = _MACHINES[args.machine](args.nprocs)
+    machine = MACHINES[args.machine](args.nprocs)
     runner = run_scf_scioto if args.scheduler == "scioto" else run_scf_original
     r = runner(args.nprocs, problem, iterations=args.iters, machine=machine,
                seed=args.seed)

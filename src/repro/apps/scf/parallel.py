@@ -30,7 +30,7 @@ from repro.ga import GlobalArray
 from repro.sim.engine import Engine, SimResult
 from repro.sim.machines import MachineSpec
 
-__all__ = ["run_scf_scioto", "run_scf_original", "SCFRunResult"]
+__all__ = ["run_scf_scioto", "run_scf_original", "spawn_scf", "scf_result", "SCFRunResult"]
 
 #: Local cost of examining one pair while seeding / enumerating.
 _PAIR_SCAN_COST = 0.05e-6
@@ -159,19 +159,19 @@ def _scf_main(proc, problem: SCFProblem, iterations: int, mode: str,
     return (energies, elapsed, fock_time)
 
 
-def _run(mode: str, nprocs: int, problem: SCFProblem, iterations: int,
-         machine: MachineSpec | None, seed: int,
-         config: SciotoConfig | None, max_events: int | None,
-         convergence: float | None, engine_hook=None) -> SCFRunResult:
-    eng = Engine(nprocs, machine=machine, seed=seed, max_events=max_events)
-    if engine_hook is not None:
-        engine_hook(eng)
-    eng.spawn_all(_scf_main, problem, iterations, mode, config, convergence)
-    sim = eng.run()
+def spawn_scf(engine: Engine, problem: SCFProblem, iterations: int = 4,
+              mode: str = "scioto", config: SciotoConfig | None = None,
+              convergence: float | None = None) -> None:
+    """Spawn the SCF loop of ``problem`` on every rank of ``engine``."""
+    engine.spawn_all(_scf_main, problem, iterations, mode, config, convergence)
+
+
+def scf_result(engine: Engine, sim: SimResult, mode: str = "scioto") -> SCFRunResult:
+    """Read the outcome of a finished :func:`spawn_scf` run."""
     energies, elapsed, fock_time = sim.returns[0]
     return SCFRunResult(
         mode=mode,
-        nprocs=nprocs,
+        nprocs=engine.nprocs,
         energies=energies,
         elapsed=elapsed,
         fock_time=fock_time,
@@ -197,8 +197,11 @@ def run_scf_scioto(
     ``engine_hook`` is called with the Engine before spawning (observer
     attachment point, see ``repro.obs``).
     """
-    return _run("scioto", nprocs, problem, iterations, machine, seed, config,
-                max_events, convergence, engine_hook)
+    eng = Engine(nprocs, machine=machine, seed=seed, max_events=max_events)
+    if engine_hook is not None:
+        engine_hook(eng)
+    spawn_scf(eng, problem, iterations, "scioto", config, convergence)
+    return scf_result(eng, eng.run())
 
 
 def run_scf_original(
@@ -212,5 +215,8 @@ def run_scf_original(
     engine_hook=None,
 ) -> SCFRunResult:
     """SCF with the original replicated-list + global-counter scheduler."""
-    return _run("original", nprocs, problem, iterations, machine, seed, None,
-                max_events, convergence, engine_hook)
+    eng = Engine(nprocs, machine=machine, seed=seed, max_events=max_events)
+    if engine_hook is not None:
+        engine_hook(eng)
+    spawn_scf(eng, problem, iterations, "original", None, convergence)
+    return scf_result(eng, eng.run(), "original")

@@ -20,23 +20,18 @@ from repro.apps.tce import (
     run_tce_original,
     run_tce_scioto,
 )
-from repro.sim.machines import cray_xt4, heterogeneous_cluster, uniform_cluster
-
-_MACHINES = {
-    "cluster": uniform_cluster,
-    "het": heterogeneous_cluster,
-    "xt4": cray_xt4,
-}
+from repro.cli import positive_int
+from repro.sim.machines import MACHINES
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="repro.apps.tce", description=__doc__)
-    p.add_argument("--nprocs", type=int, default=8)
+    p.add_argument("--nprocs", type=positive_int, default=8)
     p.add_argument("--scheduler", choices=["scioto", "original"], default="scioto")
     p.add_argument("--placement", choices=["owner", "roundrobin"], default="owner")
-    p.add_argument("--machine", choices=sorted(_MACHINES), default="het")
-    p.add_argument("--nblocks", type=int, default=10)
-    p.add_argument("--blocksize", type=int, default=48)
+    p.add_argument("--machine", choices=sorted(MACHINES), default="het")
+    p.add_argument("--nblocks", type=positive_int, default=10)
+    p.add_argument("--blocksize", type=positive_int, default=48)
     p.add_argument("--density", type=float, default=0.4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true",
@@ -48,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     problem = TCEProblem(nblocks=args.nblocks, blocksize=args.blocksize,
                          density=args.density)
-    machine = _MACHINES[args.machine](args.nprocs)
+    machine = MACHINES[args.machine](args.nprocs)
     if args.scheduler == "scioto":
         r = run_tce_scioto(args.nprocs, problem, machine=machine, seed=args.seed,
                            placement=args.placement)

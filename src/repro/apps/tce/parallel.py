@@ -28,7 +28,7 @@ from repro.ga import GlobalArray
 from repro.sim.engine import Engine, SimResult
 from repro.sim.machines import MachineSpec
 
-__all__ = ["run_tce_scioto", "run_tce_original", "TCERunResult"]
+__all__ = ["run_tce_scioto", "run_tce_original", "spawn_tce", "tce_result", "TCERunResult"]
 
 #: Local cost of examining one triple while seeding.
 _TRIPLE_SCAN_COST = 0.04e-6
@@ -131,27 +131,25 @@ def _tce_main(proc, problem: TCEProblem, mode: str, config: SciotoConfig | None,
     return (elapsed, nreal)
 
 
-def _run(mode, nprocs, problem, machine, seed, config, max_events,
-         placement="owner", engine_hook=None) -> TCERunResult:
-    eng = Engine(nprocs, machine=machine, seed=seed, max_events=max_events)
-    if engine_hook is not None:
-        engine_hook(eng)
-    eng.spawn_all(_tce_main, problem, mode, config, placement)
-    sim = eng.run()
-    elapsed = sim.returns[0][0]
-    # assemble C for verification from the engine's GA state
-    from repro.ga.array import GaRuntime
+def spawn_tce(engine: Engine, problem: TCEProblem, mode: str = "scioto",
+              config: SciotoConfig | None = None, placement: str = "owner") -> None:
+    """Spawn the contraction of ``problem`` on every rank of ``engine``."""
+    engine.spawn_all(_tce_main, problem, mode, config, placement)
 
-    ga_rt: GaRuntime = eng.state["ga"]
-    c_ga = next(a for a in ga_rt.arrays if a.name == "C")
+
+def tce_result(engine: Engine, sim: SimResult, problem: TCEProblem,
+               mode: str = "scioto") -> TCERunResult:
+    """Read the outcome of a finished :func:`spawn_tce` run."""
+    # assemble C for verification from the engine's GA state
+    c_ga = next(a for a in engine.state["ga"].arrays if a.name == "C")
     return TCERunResult(
         mode=mode,
-        nprocs=nprocs,
-        elapsed=elapsed,
+        nprocs=engine.nprocs,
+        elapsed=sim.returns[0][0],
         result=c_ga.unsafe_snapshot(),
         tasks_real=len(problem.nonzero_triples()),
         sim=sim,
-        comm=Armci.attach(eng).counters.snapshot(),
+        comm=Armci.attach(engine).counters.snapshot(),
     )
 
 
@@ -174,8 +172,11 @@ def run_tce_scioto(
     """
     if placement not in ("owner", "roundrobin"):
         raise ValueError(f"unknown placement {placement!r}")
-    return _run("scioto", nprocs, problem, machine, seed, config, max_events,
-                placement=placement, engine_hook=engine_hook)
+    eng = Engine(nprocs, machine=machine, seed=seed, max_events=max_events)
+    if engine_hook is not None:
+        engine_hook(eng)
+    spawn_tce(eng, problem, "scioto", config, placement)
+    return tce_result(eng, eng.run(), problem)
 
 
 def run_tce_original(
@@ -186,4 +187,6 @@ def run_tce_original(
     max_events: int | None = None,
 ) -> TCERunResult:
     """Block-sparse contraction with the original counter scheme."""
-    return _run("original", nprocs, problem, machine, seed, None, max_events)
+    eng = Engine(nprocs, machine=machine, seed=seed, max_events=max_events)
+    spawn_tce(eng, problem, "original")
+    return tce_result(eng, eng.run(), problem, "original")

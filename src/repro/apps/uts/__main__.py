@@ -13,21 +13,16 @@ import argparse
 import sys
 
 from repro.apps.uts import UTSParams, count_tree, run_uts_mpi, run_uts_scioto
+from repro.cli import positive_int
 from repro.core import SciotoConfig
-from repro.sim.machines import cray_xt4, heterogeneous_cluster, uniform_cluster
-
-_MACHINES = {
-    "cluster": uniform_cluster,
-    "het": heterogeneous_cluster,
-    "xt4": cray_xt4,
-}
+from repro.sim.machines import MACHINES
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="repro.apps.uts", description=__doc__)
-    p.add_argument("--nprocs", type=int, default=8)
+    p.add_argument("--nprocs", type=positive_int, default=8)
     p.add_argument("--impl", choices=["scioto", "mpi"], default="scioto")
-    p.add_argument("--machine", choices=sorted(_MACHINES), default="het")
+    p.add_argument("--machine", choices=sorted(MACHINES), default="het")
     p.add_argument("--tree", choices=["geometric", "binomial"], default="geometric")
     p.add_argument("--b0", type=float, default=4.0)
     p.add_argument("--gen-mx", type=int, default=10)
@@ -35,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--root-seed", type=int, default=17)
     p.add_argument("--seed", type=int, default=1, help="scheduler RNG seed")
-    p.add_argument("--chunk", type=int, default=10)
+    p.add_argument("--chunk", type=positive_int, default=10)
     p.add_argument("--no-split", action="store_true", help="use fully locked queues")
     p.add_argument("--wait-free", action="store_true", help="wait-free steal protocol")
     p.add_argument("--steal-policy", choices=["random", "ring", "last_victim"],
@@ -51,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     ref = count_tree(params, max_nodes=20_000_000)
     print(f"tree: {ref.nodes} nodes, {ref.leaves} leaves, depth {ref.max_depth}")
-    machine = _MACHINES[args.machine](args.nprocs)
+    machine = MACHINES[args.machine](args.nprocs)
     if args.impl == "scioto":
         cfg = SciotoConfig(
             split_queues=not args.no_split,

@@ -18,7 +18,7 @@ from repro.core.stats import ProcessStats
 from repro.sim.engine import Engine, SimResult
 from repro.sim.machines import MachineSpec
 
-__all__ = ["run_uts_scioto", "UTSRunResult", "UTS_BODY_BYTES"]
+__all__ = ["run_uts_scioto", "spawn_uts", "uts_result", "UTSRunResult", "UTS_BODY_BYTES"]
 
 #: Wire size of a UTS task body (digest + depth + bookkeeping).
 UTS_BODY_BYTES = 32
@@ -85,6 +85,24 @@ def _uts_main(proc, params: UTSParams, config: SciotoConfig):
     return (total, elapsed, pstats)
 
 
+def spawn_uts(engine: Engine, params: UTSParams, config: SciotoConfig | None = None) -> None:
+    """Spawn the UTS traversal of ``params`` on every rank of ``engine``."""
+    engine.spawn_all(_uts_main, params, config if config is not None else SciotoConfig())
+
+
+def uts_result(engine: Engine, sim: SimResult) -> UTSRunResult:
+    """Read the outcome of a finished :func:`spawn_uts` run."""
+    total, elapsed, _ = sim.returns[0]
+    return UTSRunResult(
+        stats=total,
+        elapsed=elapsed,
+        throughput=total.nodes / elapsed if elapsed > 0 else 0.0,
+        nprocs=engine.nprocs,
+        per_rank=[r[2] for r in sim.returns],
+        sim=sim,
+    )
+
+
 def run_uts_scioto(
     nprocs: int,
     params: UTSParams,
@@ -100,19 +118,8 @@ def run_uts_scioto(
     :class:`~repro.sim.engine.Engine` before any rank is spawned — the
     attachment point for observers (``repro.obs``, ``repro.analyze``).
     """
-    cfg = config if config is not None else SciotoConfig()
     eng = Engine(nprocs, machine=machine, seed=seed, max_events=max_events)
     if engine_hook is not None:
         engine_hook(eng)
-    eng.spawn_all(_uts_main, params, cfg)
-    sim = eng.run()
-    total, elapsed, _ = sim.returns[0]
-    per_rank = [r[2] for r in sim.returns]
-    return UTSRunResult(
-        stats=total,
-        elapsed=elapsed,
-        throughput=total.nodes / elapsed if elapsed > 0 else 0.0,
-        nprocs=nprocs,
-        per_rank=per_rank,
-        sim=sim,
-    )
+    spawn_uts(eng, params, config)
+    return uts_result(eng, eng.run())

@@ -36,6 +36,7 @@ from repro.bench.harness import scale as resolve_scale
 from repro.bench.harness import write_bench_json
 from repro.bench.report import render
 from repro.bench.table1 import run_table1
+from repro.cli import positive_int
 
 EXPERIMENTS = {
     "table1": (run_table1, dict(x_label="op", fmt="{:.3f}")),
@@ -52,8 +53,6 @@ EXPERIMENTS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.fleet.__main__ import positive_int
-
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=["quick", "full"], default=None)
     parser.add_argument("--only", nargs="*", choices=sorted(EXPERIMENTS),

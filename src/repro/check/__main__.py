@@ -23,7 +23,8 @@ from repro.check.runner import ExploreResult, explore, replay
 from repro.check.scenarios import SCENARIOS
 from repro.check.strategies import STRATEGIES
 from repro.check.traces import DecisionTrace
-from repro.fleet.__main__ import add_flight_argument, positive_int, print_progress
+from repro.cli import add_flight_argument, positive_int, print_progress
+from repro.targets import TARGETS
 from repro.util.io import RecordError
 
 
@@ -37,8 +38,8 @@ def _parser() -> argparse.ArgumentParser:
         "--target",
         nargs="+",
         default=["queue"],
-        choices=sorted(SCENARIOS) + ["all"],
-        help="protocol scenario(s) to check (default: queue)",
+        choices=sorted(TARGETS) + ["all"],
+        help="target(s) to check; all = every protocol scenario (default: queue)",
     )
     p.add_argument(
         "--schedules",

@@ -29,13 +29,15 @@ from typing import Callable, Iterable
 
 from repro.check.invariants import Violation
 from repro.check.mutations import apply_mutation
-from repro.check.scenarios import Scenario, make_scenario
+from repro.check.scenarios import Scenario
 from repro.check.strategies import ExplorationStrategy, ReplayStrategy, make_strategy
 from repro.check.traces import DecisionTrace, minimize_decisions
 from repro.core.task import reset_uids
-from repro.sim.engine import Engine, SchedulingStrategy
+from repro.sim.engine import SchedulingStrategy
 from repro.obs.flight import maybe_attach_flight
 from repro.obs.tracing import Tracer
+# a module import: repro.targets imports this package back
+from repro import targets as target_table
 from repro.util.errors import ReproError, SimDeadlockError
 
 __all__ = [
@@ -148,12 +150,7 @@ def run_once(
     # mean the same thing when the trace is replayed in a new process
     reset_uids()
     with apply_mutation(mutation):
-        engine = Engine(
-            scenario.nprocs,
-            seed=engine_seed,
-            max_events=scenario.max_events,
-            strategy=strategy,
-        )
+        engine = scenario.make_engine(engine_seed, strategy)
         tracer = Tracer.attach(engine)
         if engine_hook is not None:
             engine_hook(engine)
@@ -189,12 +186,14 @@ def run_once(
 def replay(trace: DecisionTrace, decisions: list[dict] | None = None) -> RunOutcome:
     """Re-execute a persisted trace (optionally with an edited decision list).
 
+    An app preset is built at the trace's ``nprocs``.
+
     Raises:
         ValueError: If the trace's target or mutation is unknown, or it
             was recorded for a different number of ranks than its
-            target runs.
+            check scenario runs.
     """
-    scenario = make_scenario(trace.target)
+    scenario = target_table.make_target(trace.target, trace.nprocs)
     if trace.nprocs != scenario.nprocs:
         raise ValueError(
             f"trace has nprocs={trace.nprocs} but target {trace.target!r} "
@@ -223,7 +222,7 @@ def run_schedules(
     Returns one shard's payload: the schedule and event counts, and as
     ``failures`` the lowest-index failing schedule of each signature.
     """
-    scenario = make_scenario(target)
+    scenario = target_table.make_target(target)
     events = 0
     failures: list[FailureReport] = []
     seen: set[tuple] = set()
@@ -256,8 +255,8 @@ def explore(
     """Explore ``schedules`` interleavings of each target and check invariants.
 
     Args:
-        targets: Scenario name, or several (see
-            ``repro.check.scenarios.SCENARIOS``); repeats collapse in order.
+        targets: Target name, or several (see ``repro.targets.TARGETS``);
+            repeats collapse in order.
         schedules: Schedules per target; schedule ``i`` uses strategy
             seed ``seed + i``.
         strategy_name: ``random``, ``pct``, ``delay`` or ``deterministic``.
@@ -279,7 +278,7 @@ def explore(
     if schedules < 1:
         raise ValueError(f"schedules must be >= 1, got {schedules}")
     for target in targets:
-        make_scenario(target)  # an unknown target raises here
+        target_table.make_target(target)  # an unknown target raises here
     # The fleet builds on repro.check; importing it here keeps the
     # importers of run_once (the ledger among them) light.
     from repro.fleet.jobs import explore_jobs
@@ -380,7 +379,7 @@ def _report_failure(
         strategy=strategy_name,
         strategy_seed=report.strategy_seed,
         engine_seed=engine_seed,
-        nprocs=make_scenario(report.target).nprocs,
+        nprocs=target_table.make_target(report.target).nprocs,
         schedule_index=report.schedule_index,
         failure=outcome.describe(),
         mutation=mutation if mutation is not None else "none",

@@ -14,7 +14,7 @@ deterministic and only the *schedule* varies between exploration runs.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.check.invariants import (
     CheckContext,
@@ -29,8 +29,9 @@ from repro.core.collection import TaskCollection
 from repro.core.config import SciotoConfig
 from repro.core.graph import TaskGraph
 from repro.core.queue import SplitQueue
+from repro.core.stats import ProcessStats
 from repro.core.task import Task
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, SchedulingStrategy, SimResult
 from repro.sim.counters import Counters
 
 __all__ = [
@@ -55,13 +56,26 @@ class Scenario:
 
     name: str = "scenario"
     nprocs: int = 4
-    max_events: int = 500_000
+    max_events: int | None = 500_000
+
+    def make_engine(
+        self, seed: int = 0, strategy: SchedulingStrategy | None = None
+    ) -> Engine:
+        """A fresh engine for one run of this workload."""
+        return Engine(self.nprocs, seed=seed, max_events=self.max_events, strategy=strategy)
 
     def build(self, engine: Engine) -> CheckContext:
         raise NotImplementedError
 
     def checkers(self) -> list[InvariantChecker]:
         raise NotImplementedError
+
+    def summarize(
+        self, engine: Engine, sim: SimResult
+    ) -> tuple[float, dict[str, Any], list[ProcessStats] | None]:
+        """``(elapsed, extra, process_stats)`` of a finished run; the
+        last two are figures to print and per-rank task statistics."""
+        return sim.elapsed, {}, None
 
 
 class QueueScenario(Scenario):

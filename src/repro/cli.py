@@ -1,0 +1,53 @@
+"""Argument types and shared flags of the ``python -m repro.*`` command lines.
+
+A value out of range exits 2 (argparse's usage error) with the flag
+named on stderr, never a traceback from deeper down.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+
+__all__ = ["positive_int", "positive_float", "add_flight_argument", "print_progress"]
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts and sizes: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type for intervals: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+def add_flight_argument(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--flight-dir", default=None, metavar="DIR",
+        help="arm the crash flight recorder in every worker; dumps, "
+        "breadcrumbs and crash reports land here",
+    )
+
+
+def print_progress(stats: dict) -> None:
+    """Fleet progress callback: one line per report."""
+    print(
+        f"  [{stats['wall_s']:6.1f}s] {stats['done']}/{stats['total']} jobs  "
+        f"{stats['jobs_per_sec']:5.1f} jobs/s  "
+        f"occupancy {stats['occupancy']:.0%}"
+        + (f"  requeues {stats['requeues']}" if stats["requeues"] else ""),
+        flush=True,
+    )

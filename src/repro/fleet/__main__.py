@@ -19,29 +19,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cli import add_flight_argument, positive_int
 from repro.fleet.jobs import Job
 from repro.fleet.scheduler import FleetReport, FleetScheduler
-
-
-def positive_int(text: str) -> int:
-    """argparse type for worker, schedule and probe counts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
-    return value
-
-
-def print_progress(stats: dict) -> None:
-    print(
-        f"  [{stats['wall_s']:6.1f}s] {stats['done']}/{stats['total']} jobs  "
-        f"{stats['jobs_per_sec']:5.1f} jobs/s  "
-        f"occupancy {stats['occupancy']:.0%}"
-        + (f"  requeues {stats['requeues']}" if stats["requeues"] else ""),
-        flush=True,
-    )
 
 
 def _print_fleet_summary(report: FleetReport) -> None:
@@ -97,14 +77,6 @@ def _parser() -> argparse.ArgumentParser:
                     help="include a probe that SIGKILLs its worker")
     add_flight_argument(pr)
     return p
-
-
-def add_flight_argument(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--flight-dir", default=None, metavar="DIR",
-        help="arm the crash flight recorder in every worker; dumps, "
-        "breadcrumbs and crash reports land here",
-    )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -72,6 +72,7 @@ import tempfile
 from pathlib import Path
 
 from repro.check.scenarios import SCENARIOS as CHECK_SCENARIOS
+from repro.cli import positive_float, positive_int
 from repro.obs.analyze import (
     critical_idle,
     load_chrome_trace,
@@ -87,8 +88,9 @@ from repro.obs.export import (
     write_chrome_trace,
     write_metrics_json,
 )
-from repro.obs.scenarios import TARGETS, fingerprint, run_target
+from repro.obs.scenarios import fingerprint, run_target
 from repro.obs.whatif import parse_scales, project, render_projection
+from repro.targets import TARGETS
 from repro.util.io import RecordError
 
 
@@ -399,18 +401,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.obs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a target with recording on")
-    p_run.add_argument("target", choices=sorted(TARGETS))
-    p_run.add_argument("--nprocs", type=int, default=4,
-                       help="rank count for application presets")
-    p_run.add_argument("--seed", type=int, default=0)
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("target", choices=sorted(TARGETS))
+    target.add_argument("--nprocs", type=positive_int, default=4,
+                        help="rank count for application presets")
+    target.add_argument("--seed", type=int, default=0)
+
+    p_run = sub.add_parser("run", parents=[target],
+                           help="run a target with recording on")
     p_run.add_argument("--trace", metavar="PATH",
                        help="write Chrome trace_event JSON here")
     p_run.add_argument("--metrics", metavar="PATH",
                        help="write flat metrics JSON here")
     p_run.add_argument("--timeline", action="store_true",
                        help="print the ASCII per-rank timeline + summary")
-    p_run.add_argument("--width", type=int, default=80)
+    p_run.add_argument("--width", type=positive_int, default=80)
     p_run.add_argument("--stream", metavar="DIR",
                        help="record through the constant-memory spill sink "
                        "into this directory (sharded JSONL, "
@@ -419,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="publish live telemetry frames to this append-"
                        "only JSONL feed (repro-obs-live/1); tail it with "
                        "'repro.obs top PATH --follow'")
-    p_run.add_argument("--live-interval", type=float, metavar="SEC",
+    p_run.add_argument("--live-interval", type=positive_float, metavar="SEC",
                        help="virtual-time interval between telemetry frames "
                        "(default 100us)")
     p_run.add_argument("--flight", metavar="PATH",
@@ -440,8 +445,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_sum = sub.add_parser("summarize", help="report over an exported trace")
     p_sum.add_argument("trace", help="Chrome trace JSON written by 'run'")
-    p_sum.add_argument("--top", type=int, default=5)
-    p_sum.add_argument("--width", type=int, default=80)
+    p_sum.add_argument("--top", type=positive_int, default=5)
+    p_sum.add_argument("--width", type=positive_int, default=80)
     p_sum.add_argument("--metrics", metavar="PATH",
                        help="also print histogram percentiles from this "
                        "metrics JSON (repro-obs-metrics/3)")
@@ -449,16 +454,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p_idle = sub.add_parser("critical-idle", help="longest per-rank idle gaps")
     p_idle.add_argument("trace", help="Chrome trace JSON written by 'run'")
-    p_idle.add_argument("--top", type=int, default=5)
+    p_idle.add_argument("--top", type=positive_int, default=5)
     p_idle.set_defaults(fn=_cmd_critical_idle)
 
     p_crit = sub.add_parser(
-        "critpath", help="critical path + blame decomposition of a run"
+        "critpath", parents=[target],
+        help="critical path + blame decomposition of a run",
     )
-    p_crit.add_argument("target", choices=sorted(TARGETS))
-    p_crit.add_argument("--nprocs", type=int, default=4)
-    p_crit.add_argument("--seed", type=int, default=0)
-    p_crit.add_argument("--top", type=int, default=12,
+    p_crit.add_argument("--top", type=positive_int, default=12,
                         help="longest path steps to print")
     p_crit.add_argument("--trace", metavar="PATH",
                         help="write a Chrome trace with the path highlighted")
@@ -468,11 +471,9 @@ def main(argv: list[str] | None = None) -> int:
     p_crit.set_defaults(fn=_cmd_critpath)
 
     p_what = sub.add_parser(
-        "whatif", help="causal what-if projection over the happens-before DAG"
+        "whatif", parents=[target],
+        help="causal what-if projection over the happens-before DAG",
     )
-    p_what.add_argument("target", choices=sorted(TARGETS))
-    p_what.add_argument("--nprocs", type=int, default=4)
-    p_what.add_argument("--seed", type=int, default=0)
     p_what.add_argument("--scale", action="append", metavar="CAT=FACTOR",
                         help="scale a blame category, e.g. steal=0.5 "
                         "(repeatable)")
@@ -486,10 +487,10 @@ def main(argv: list[str] | None = None) -> int:
     p_top.add_argument("--follow", action="store_true",
                        help="keep tailing the feed, re-rendering as frames "
                        "arrive (ctrl-C to stop)")
-    p_top.add_argument("--poll", type=float, default=0.5, metavar="SEC",
+    p_top.add_argument("--poll", type=positive_float, default=0.5, metavar="SEC",
                        help="host-time poll interval with --follow "
                        "(default 0.5)")
-    p_top.add_argument("--counters", type=int, default=6,
+    p_top.add_argument("--counters", type=positive_int, default=6,
                        help="top-N counters to show per stream (default 6)")
     p_top.set_defaults(fn=_cmd_top)
 
@@ -513,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_ver.add_argument("targets", nargs="*",
                        help="targets to verify (default: all check scenarios)")
-    p_ver.add_argument("--nprocs", type=int, default=4)
+    p_ver.add_argument("--nprocs", type=positive_int, default=4)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(fn=_cmd_verify)
 

@@ -1,36 +1,29 @@
-"""Recordable targets for the ``repro.obs`` CLI.
+"""Recorded runs for the ``repro.obs`` CLI.
 
-A target is anything we can run under the recorder: any model-checker
-scenario from :mod:`repro.check.scenarios` (small adversarial protocol
-drivers) or an application preset — UTS trees, an SCF iteration, a TCE
-contraction.  Each run returns an :class:`ObsRun` carrying the engine,
-the recorder/tracer, and a determinism *fingerprint*: the virtual-time
-results and every ``Counters`` map, per rank and bit-for-bit, which is
-what ``python -m repro.obs verify`` compares between recording-on and
-recording-off runs.
+:func:`run_target` runs any target of :mod:`repro.targets` — a
+model-checker scenario (small adversarial protocol drivers) or an
+application preset (UTS trees, SCF iterations, a TCE contraction) —
+under the recorder.  Each run returns an :class:`ObsRun` carrying the
+engine, the recorder/tracer, and a determinism *fingerprint*: the
+virtual-time results and every ``Counters`` map, per rank and
+bit-for-bit, which is what ``python -m repro.obs verify`` compares
+between recording-on and recording-off runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from repro.apps.scf.parallel import run_scf_scioto
-from repro.apps.scf.problem import SCFProblem
-from repro.apps.tce.parallel import run_tce_scioto
-from repro.apps.tce.problem import TCEProblem
-from repro.apps.uts.presets import PRESETS, preset
-from repro.apps.uts.scioto_uts import run_uts_scioto
 from repro.armci.runtime import Armci
-from repro.check.scenarios import SCENARIOS as CHECK_SCENARIOS
-from repro.check.scenarios import make_scenario
 from repro.core.collection import TaskCollection
 from repro.core.stats import ProcessStats
 from repro.obs.record import Recorder
 from repro.obs.tracing import Tracer
 from repro.sim.engine import Engine
+from repro.targets import make_target
 
-__all__ = ["ObsRun", "TARGETS", "run_target", "fingerprint"]
+__all__ = ["ObsRun", "run_target", "fingerprint"]
 
 
 @dataclass
@@ -66,137 +59,6 @@ def fingerprint(run: ObsRun) -> dict:
     return fp
 
 
-def _attach(
-    engine: Engine,
-    record: bool,
-    events: bool,
-    edges: bool = True,
-    sink: Any | None = None,
-    flight: Any | None = None,
-    live: Any | None = None,
-) -> tuple[Recorder | None, Tracer | None]:
-    rec = (
-        Recorder.attach(engine, edges=edges, sink=sink, flight=flight, live=live)
-        if record
-        else None
-    )
-    trc = Tracer.attach(engine) if record and events else None
-    return rec, trc
-
-
-def _run_check(
-    name: str, seed: int, record: bool, events: bool, edges: bool = True, **obs: Any
-) -> ObsRun:
-    scenario = make_scenario(name)
-    engine = Engine(scenario.nprocs, seed=seed, max_events=scenario.max_events)
-    rec, trc = _attach(engine, record, events, edges, **obs)
-    scenario.build(engine)
-    result = engine.run()
-    return ObsRun(
-        target=name,
-        engine=engine,
-        recorder=rec,
-        tracer=trc,
-        elapsed=result.elapsed,
-        events=result.events,
-    )
-
-
-def _run_uts(
-    preset_name: str, nprocs: int, seed: int, record: bool, events: bool,
-    edges: bool = True, **obs: Any,
-) -> ObsRun:
-    captured: list[Engine] = []
-
-    def hook(engine: Engine) -> None:
-        captured.append(engine)
-        _attach(engine, record, events, edges, **obs)
-
-    r = run_uts_scioto(nprocs, preset(preset_name), seed=seed, engine_hook=hook)
-    engine = captured[0]
-    return ObsRun(
-        target=f"uts-{preset_name}",
-        engine=engine,
-        recorder=Recorder.of(engine),
-        tracer=Tracer.of(engine),
-        elapsed=r.elapsed,
-        events=r.sim.events,
-        process_stats=r.per_rank,
-        extra={"nodes": r.stats.nodes, "throughput": r.throughput},
-    )
-
-
-def _run_scf(
-    nprocs: int, seed: int, record: bool, events: bool, edges: bool = True,
-    **obs: Any,
-) -> ObsRun:
-    captured: list[Engine] = []
-
-    def hook(engine: Engine) -> None:
-        captured.append(engine)
-        _attach(engine, record, events, edges, **obs)
-
-    problem = SCFProblem(nblocks=8, blocksize=4, decay=0.9)
-    r = run_scf_scioto(nprocs, problem, iterations=2, seed=seed, engine_hook=hook)
-    engine = captured[0]
-    return ObsRun(
-        target="scf",
-        engine=engine,
-        recorder=Recorder.of(engine),
-        tracer=Tracer.of(engine),
-        elapsed=r.elapsed,
-        events=r.sim.events,
-        extra={"energy": r.energies[-1], "iterations": r.iterations},
-    )
-
-
-def _run_tce(
-    nprocs: int, seed: int, record: bool, events: bool, edges: bool = True,
-    **obs: Any,
-) -> ObsRun:
-    captured: list[Engine] = []
-
-    def hook(engine: Engine) -> None:
-        captured.append(engine)
-        _attach(engine, record, events, edges, **obs)
-
-    problem = TCEProblem(nblocks=6, blocksize=8, density=0.4, seed=3)
-    r = run_tce_scioto(nprocs, problem, seed=seed, engine_hook=hook)
-    engine = captured[0]
-    return ObsRun(
-        target="tce",
-        engine=engine,
-        recorder=Recorder.of(engine),
-        tracer=Tracer.of(engine),
-        elapsed=r.elapsed,
-        events=r.sim.events,
-        extra={"tasks_real": r.tasks_real},
-    )
-
-
-def _target_table() -> dict[str, Callable[..., ObsRun]]:
-    table: dict[str, Callable[..., ObsRun]] = {}
-    for name in CHECK_SCENARIOS:
-        table[name] = (
-            lambda nprocs, seed, record, events, edges=True, _n=name, **obs: (
-                _run_check(_n, seed, record, events, edges, **obs)
-            )
-        )
-    for p in PRESETS:
-        table[f"uts-{p}"] = (
-            lambda nprocs, seed, record, events, edges=True, _p=p, **obs: (
-                _run_uts(_p, nprocs, seed, record, events, edges, **obs)
-            )
-        )
-    table["scf"] = _run_scf
-    table["tce"] = _run_tce
-    return table
-
-
-#: Target name -> runner(nprocs, seed, record, events, edges=True).
-TARGETS: dict[str, Callable[..., ObsRun]] = _target_table()
-
-
 def run_target(
     name: str,
     nprocs: int = 4,
@@ -227,29 +89,47 @@ def run_target(
     ``live_path`` publishes interval telemetry frames there as an
     append-only ``repro-obs-live/1`` feed (every ``live_interval``
     virtual seconds, default 100 µs).
+
+    Raises:
+        ValueError: For an unknown target, or a ``shard_size`` or
+            ``live_interval`` the sink or bus refuses.
     """
-    try:
-        runner = TARGETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown obs target {name!r}; choose from {sorted(TARGETS)}"
-        ) from None
+    target = make_target(name, nprocs)
     if stream_dir is not None:
         if sink is not None:
             raise ValueError("pass either stream_dir or sink, not both")
         from repro.obs.stream import DEFAULT_SHARD_SIZE, SpillSink
 
-        sink = SpillSink(stream_dir, shard_size=shard_size or DEFAULT_SHARD_SIZE)
+        sink = SpillSink(
+            stream_dir, shard_size=DEFAULT_SHARD_SIZE if shard_size is None else shard_size
+        )
     live = None
     if live_path is not None:
         from repro.obs.live import DEFAULT_INTERVAL, TelemetryBus
 
         live = TelemetryBus(
-            live_path, interval=live_interval or DEFAULT_INTERVAL, label=name
+            live_path,
+            interval=DEFAULT_INTERVAL if live_interval is None else live_interval,
+            label=name,
         )
-    run = runner(
-        nprocs, seed, record, events, edges, sink=sink, flight=flight, live=live
+    engine = target.make_engine(seed)
+    rec = trc = None
+    if record:
+        rec = Recorder.attach(engine, edges=edges, sink=sink, flight=flight, live=live)
+        if events:
+            trc = Tracer.attach(engine)
+    target.build(engine)
+    sim = engine.run()
+    elapsed, extra, process_stats = target.summarize(engine, sim)
+    if rec is not None:
+        rec.finish()
+    return ObsRun(
+        target=name,
+        engine=engine,
+        recorder=rec,
+        tracer=trc,
+        elapsed=elapsed,
+        events=sim.events,
+        process_stats=process_stats,
+        extra=extra,
     )
-    if run.recorder is not None:
-        run.recorder.finish()
-    return run

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
+    "MACHINES",
     "MachineSpec",
     "uniform_cluster",
     "heterogeneous_cluster",
@@ -184,3 +186,11 @@ def cray_xt4(nprocs: int) -> MachineSpec:
     """The paper's Cray XT4 (§6): slower cores, higher-latency interconnect."""
     del nprocs
     return MachineSpec(name="cray-xt4", cpu_factors=XT4_FACTOR, **_XT4_NET)
+
+
+#: ``--machine`` name -> machine model factory(nprocs).
+MACHINES: dict[str, Callable[[int], MachineSpec]] = {
+    "cluster": uniform_cluster,
+    "het": heterogeneous_cluster,
+    "xt4": cray_xt4,
+}

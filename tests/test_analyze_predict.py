@@ -20,13 +20,12 @@ from repro.analyze.lockgraph import deadlock_pass
 from repro.analyze.lockset import lockset_pass
 from repro.analyze.predict import (
     analyze_trace,
-    capture_trace,
     find_mark_window,
     obligation_pass,
     predict,
     weakened_hb_pass,
 )
-from repro.analyze.race import RaceDetector
+from repro.analyze.runner import run_race_detection
 from repro.check.scenarios import SCENARIOS
 
 
@@ -314,43 +313,19 @@ class TestPinnedRegressions:
 class TestFalsePositiveGuards:
     @pytest.mark.parametrize("target", sorted(SCENARIOS))
     def test_clean_scenarios_yield_no_predictions(self, target):
-        run = capture_trace(target)
+        run = run_race_detection(target)
         assert run.error is None
-        assert run.observed_races == 0
-        assert analyze_trace(run.events, run.nprocs) == []
+        assert run.races == []
+        assert analyze_trace(run.trace, run.nprocs) == []
 
-    @pytest.mark.parametrize("app", ["uts", "scf", "tce"])
-    def test_application_presets_yield_no_predictions(self, app):
-        holder = {}
-
-        def hook(engine):
-            holder["det"] = RaceDetector.attach(engine)
-            holder["nprocs"] = engine.nprocs
-
-        if app == "uts":
-            from repro.apps.uts.presets import preset
-            from repro.apps.uts.scioto_uts import run_uts_scioto
-
-            run_uts_scioto(3, preset("tiny"), seed=0, engine_hook=hook)
-        elif app == "scf":
-            from repro.apps.scf.parallel import run_scf_scioto
-            from repro.apps.scf.problem import SCFProblem
-
-            run_scf_scioto(
-                3, SCFProblem(nblocks=8, blocksize=4, decay=0.9),
-                iterations=2, seed=0, engine_hook=hook,
-            )
-        else:
-            from repro.apps.tce.parallel import run_tce_scioto
-            from repro.apps.tce.problem import TCEProblem
-
-            run_tce_scioto(
-                3, TCEProblem(nblocks=6, blocksize=8, density=0.4, seed=3),
-                seed=0, engine_hook=hook,
-            )
-        det = holder["det"]
-        assert det.races == []
-        assert analyze_trace(det.events, holder["nprocs"]) == []
+    @pytest.mark.parametrize(
+        "target", [pytest.param("uts-tiny", id="uts"), "scf", "tce"]
+    )
+    def test_application_presets_yield_no_predictions(self, target):
+        run = run_race_detection(target)
+        assert run.error is None
+        assert run.races == []
+        assert analyze_trace(run.trace, run.nprocs) == []
 
 
 class TestFleetIntegration:

@@ -259,7 +259,7 @@ class TestScenarioRuns:
         assert "vc=" in text and ".py" in text
 
     def test_unknown_target_rejected(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
+        with pytest.raises(ValueError, match="unknown target"):
             run_race_detection("nonesuch")
 
 

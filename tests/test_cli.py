@@ -70,3 +70,48 @@ class TestTceCli:
         rc = tce_main(["--nprocs", "3", "--nblocks", "6", "--blocksize", "8",
                        "--placement", "roundrobin"])
         assert rc == 0
+
+
+def _obs_main(argv):
+    from repro.obs.__main__ import main
+
+    return main(argv)
+
+
+#: (entry point, argv) -> the flag argparse must name; every value is
+#: out of range, and none of these may reach the code behind the flag.
+_OUT_OF_RANGE = [
+    (_obs_main, ["run", "uts-tiny", "--nprocs", "0"], "--nprocs"),
+    (_obs_main, ["critpath", "uts-tiny", "--nprocs", "-1"], "--nprocs"),
+    (_obs_main, ["whatif", "uts-tiny", "--nprocs", "0"], "--nprocs"),
+    (_obs_main, ["verify", "--nprocs", "0"], "--nprocs"),
+    (_obs_main, ["run", "uts-tiny", "--timeline", "--width", "0"], "--width"),
+    (_obs_main, ["summarize", "x.json", "--width", "0"], "--width"),
+    (_obs_main, ["summarize", "x.json", "--top", "0"], "--top"),
+    (_obs_main, ["critical-idle", "x.json", "--top", "-2"], "--top"),
+    (_obs_main, ["critpath", "uts-tiny", "--top", "0"], "--top"),
+    (_obs_main, ["top", "f.jsonl", "--counters", "0"], "--counters"),
+    (_obs_main, ["run", "uts-tiny", "--live", "f", "--live-interval", "0"],
+     "--live-interval"),
+    (_obs_main, ["run", "uts-tiny", "--live-interval", "-1"], "--live-interval"),
+    (_obs_main, ["top", "f.jsonl", "--poll", "0"], "--poll"),
+    (uts_main, ["--nprocs", "0"], "--nprocs"),
+    (uts_main, ["--chunk", "0"], "--chunk"),
+    (scf_main, ["--nprocs", "0"], "--nprocs"),
+    (scf_main, ["--iters", "0"], "--iters"),
+    (scf_main, ["--nblocks", "0"], "--nblocks"),
+    (scf_main, ["--blocksize", "0"], "--blocksize"),
+    (tce_main, ["--nprocs", "-3"], "--nprocs"),
+    (tce_main, ["--nblocks", "0"], "--nblocks"),
+    (tce_main, ["--blocksize", "0"], "--blocksize"),
+]
+
+
+@pytest.mark.parametrize(
+    "main,argv,flag", _OUT_OF_RANGE, ids=[" ".join(a) for _, a, _ in _OUT_OF_RANGE]
+)
+def test_out_of_range_value_exits_2_naming_the_flag(main, argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
