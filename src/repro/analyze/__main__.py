@@ -14,7 +14,8 @@ Subcommands:
   steal/mark obligations, lock-order graph).  Each prediction is then
   confirmed by steering a witness replay toward the reordering
   (``--no-confirm`` skips that stage).  Exits 1 if anything was
-  predicted.
+  predicted, 2 if a scenario's analysis raised (``--jobs N`` shards
+  scenarios over fleet workers; the output is the same for any N).
 * ``lint`` — run the RPR rule suite over source trees.  Exits 1 if
   any finding survives suppression comments.
 
@@ -39,7 +40,7 @@ from repro.analyze.race import dedupe_races
 from repro.analyze.runner import run_race_detection
 from repro.check.mutations import MUTATIONS
 from repro.check.scenarios import SCENARIOS
-from repro.cli import positive_int
+from repro.cli import add_jobs_argument
 from repro.targets import TARGETS
 
 
@@ -74,43 +75,28 @@ def _cmd_race(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.analyze.predict import predict
+    from repro.fleet.jobs import Job
+    from repro.fleet.scheduler import run_campaign
 
     targets = sorted(SCENARIOS) if args.target == "all" else [args.target]
     mutation = None if args.mutate == "none" else args.mutate
-    confirm = not args.no_confirm
-    total = confirmed = 0
-    if args.jobs > 1:
-        from repro.fleet.jobs import predict_jobs
-        from repro.fleet.scheduler import FleetScheduler
-
-        jobs = predict_jobs(
-            targets, mutation=mutation, engine_seed=args.engine_seed,
-            confirm=confirm, out_dir=args.out,
-        )
-        fleet_report = FleetScheduler(nworkers=args.jobs).run(jobs)
-        for res in sorted(fleet_report.completed, key=lambda r: r.key):
-            if not res.ok:
-                print(f"{res.key}: job error: {res.error}")
-                total += 1  # a failed analysis is not a clean bill
-                continue
-            print(res.payload["text"])
-            print()
-            total += res.payload["predictions"]
-            confirmed += res.payload["confirmed"]
-        if not fleet_report.ok:
-            total += len(fleet_report.crashed)
-            for crashed in fleet_report.crashed:
-                print(f"{crashed.get('key', '?')}: worker crashed")
-    else:
-        for t in targets:
-            report = predict(
-                t, mutation=mutation, engine_seed=args.engine_seed,
-                confirm=confirm, out_dir=args.out,
-            )
-            print(report.describe())
-            print()
-            total += len(report.predictions)
-            confirmed += report.confirmed
+    jobs = [
+        Job(f"predict/{t}", predict, {
+            "target": t, "mutation": mutation, "engine_seed": args.engine_seed,
+            "confirm": not args.no_confirm, "out_dir": args.out,
+        })
+        for t in targets
+    ]
+    try:
+        reports = [r.value for r in run_campaign(jobs, args.jobs)]
+    except RuntimeError as exc:  # a scenario raised or its worker died twice
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for report in reports:
+        print(report.describe())
+        print()
+    total = sum(len(r.predictions) for r in reports)
+    confirmed = sum(r.confirmed for r in reports)
     print(
         f"total: {total} prediction(s) ({confirmed} confirmed) across "
         f"{len(targets)} scenario(s)"
@@ -164,12 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="report predictions without witness-replay confirmation",
     )
-    p_pred.add_argument(
-        "--jobs",
-        type=positive_int,
-        default=1,
-        help="run scenarios in parallel worker processes (repro.fleet)",
-    )
+    add_jobs_argument(p_pred)
     p_pred.add_argument(
         "--out",
         default="scioto-check",

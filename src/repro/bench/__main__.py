@@ -6,6 +6,7 @@ Usage::
     python -m repro.bench --scale full         # paper-scale process counts
     python -m repro.bench --only figure7 table1
     python -m repro.bench --json out.json      # custom record path
+    python -m repro.bench --jobs 4             # same record, four workers
 
 Every run also writes the machine-readable record ``BENCH_sim.json``
 (schema ``repro-bench/1``: per-experiment series plus host wall
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from repro.bench.ablations import (
     run_ablation_affinity,
@@ -36,7 +36,9 @@ from repro.bench.harness import scale as resolve_scale
 from repro.bench.harness import write_bench_json
 from repro.bench.report import render
 from repro.bench.table1 import run_table1
-from repro.cli import positive_int
+from repro.cli import add_jobs_argument
+from repro.fleet.jobs import Job
+from repro.fleet.scheduler import run_campaign
 
 EXPERIMENTS = {
     "table1": (run_table1, dict(x_label="op", fmt="{:.3f}")),
@@ -57,67 +59,31 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", choices=["quick", "full"], default=None)
     parser.add_argument("--only", nargs="*", choices=sorted(EXPERIMENTS),
                         help="run only these experiments")
-    parser.add_argument("--jobs", type=positive_int, default=None, metavar="N",
-                        help="run experiments sharded over N fleet workers "
-                             "(python -m repro.fleet; default: in-process)")
+    add_jobs_argument(parser)
     parser.add_argument("--json", default="BENCH_sim.json", metavar="PATH",
                         help="machine-readable record path (default: %(default)s)")
     parser.add_argument("--no-json", action="store_true",
                         help="skip writing the JSON record")
     args = parser.parse_args(argv)
     s = resolve_scale(args.scale)
-    chosen = args.only or list(EXPERIMENTS)
-    if args.jobs is not None:
-        measured = _run_fleet(chosen, s, args.jobs)
-    else:
-        print(f"# repro benchmark suite — scale={s}\n")
-        measured = []
-        for name in chosen:
-            fn, render_kwargs = EXPERIMENTS[name]
-            # Sanctioned wall-clock site: this measures how long the *host*
-            # takes to run the experiment, not anything in virtual time.
-            t0 = time.perf_counter()  # repro: lint-disable=RPR002
-            result = fn(s)
-            wall = time.perf_counter() - t0  # repro: lint-disable=RPR002
-            print(render(result, **render_kwargs))
-            print(f"  ({wall:.1f}s wall)\n")
-            measured.append((result, wall))
+    chosen = list(dict.fromkeys(args.only or EXPERIMENTS))
+    jobs = [
+        Job(f"bench/{name}", EXPERIMENTS[name][0], {"scale": s}) for name in chosen
+    ]
+    print(f"# repro benchmark suite — scale={s}\n")
+    try:
+        results = run_campaign(jobs, args.jobs)
+    except RuntimeError as exc:  # an experiment raised or its worker died twice
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for name, res in zip(chosen, results):
+        print(render(res.value, **EXPERIMENTS[name][1]))
+        # Host wall time of the experiment, measured where it ran.
+        print(f"  ({res.wall_s:.1f}s wall)\n")
     if not args.no_json:
-        out = write_bench_json(measured, args.json, s)
+        out = write_bench_json([(r.value, r.wall_s) for r in results], args.json, s)
         print(f"bench record -> {out}")
     return 0
-
-
-def _run_fleet(chosen: list[str], scale_name: str, jobs: int):
-    """Run ``chosen`` experiments as fleet jobs; results keep suite order.
-
-    Virtual-time results are deterministic, so the sharded record is
-    identical to the serial one — only the host wall differs (and the
-    per-experiment wall is measured *inside* the worker, so the record
-    stays comparable).
-    """
-    from repro.fleet.jobs import bench_jobs
-    from repro.fleet.scheduler import FleetScheduler
-    from repro.util.records import SweepResult
-
-    print(f"# repro benchmark suite — scale={scale_name}, fleet jobs={jobs}\n")
-    report = FleetScheduler(jobs).run(bench_jobs(chosen, scale_name))
-    if not report.ok:
-        details = [c["key"] for c in report.crashed] + [
-            f"{r.key}: {r.error}" for r in report.failed_results
-        ]
-        raise RuntimeError(f"fleet bench run failed: {details}")
-    by_name = {r.payload["experiment"]: r for r in report.completed}
-    measured = []
-    for name in chosen:
-        res = by_name[name]
-        sweep = SweepResult.from_dict(res.payload["result"])
-        _fn, render_kwargs = EXPERIMENTS[name]
-        print(render(sweep, **render_kwargs))
-        print(f"  ({res.wall_s:.1f}s wall on worker {res.worker})\n")
-        measured.append((sweep, res.wall_s))
-    print(f"fleet: {len(report.completed)} experiments on {jobs} workers\n")
-    return measured
 
 
 if __name__ == "__main__":

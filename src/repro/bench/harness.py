@@ -63,9 +63,7 @@ def write_bench_json(
         results: ``(sweep_result, wall_seconds)`` per experiment run, in
             run order.  Wall seconds are *host* time for the experiment
             (the sanctioned wall-clock measurement), everything inside
-            the sweeps is virtual time.  Each result may be a
-            ``SweepResult`` or its ``to_dict()`` form (fleet workers
-            return the latter across the process boundary).
+            the sweeps is virtual time.
         path: Output file, conventionally ``BENCH_sim.json`` at the
             repo root so the perf trajectory is tracked across commits.
         scale_name: The active scale (``quick`` or ``full``).
@@ -77,8 +75,7 @@ def write_bench_json(
         "schema": BENCH_SCHEMA,
         "scale": scale_name,
         "experiments": [
-            {**(r if isinstance(r, dict) else r.to_dict()), "wall_seconds": wall}
-            for r, wall in results
+            {**r.to_dict(), "wall_seconds": wall} for r, wall in results
         ],
     }
     validate_bench_json(doc)

@@ -23,7 +23,12 @@ from repro.check.runner import ExploreResult, explore, replay
 from repro.check.scenarios import SCENARIOS
 from repro.check.strategies import STRATEGIES
 from repro.check.traces import DecisionTrace
-from repro.cli import add_flight_argument, positive_int, print_progress
+from repro.cli import (
+    add_flight_argument,
+    add_jobs_argument,
+    positive_int,
+    print_progress,
+)
 from repro.targets import TARGETS
 from repro.util.io import RecordError
 
@@ -63,13 +68,7 @@ def _parser() -> argparse.ArgumentParser:
         choices=sorted(MUTATIONS),
         help="apply an intentional protocol bug (checker self-test)",
     )
-    p.add_argument(
-        "--jobs",
-        type=positive_int,
-        default=1,
-        metavar="N",
-        help="fleet worker processes (default: 1, in this process)",
-    )
+    add_jobs_argument(p)
     p.add_argument(
         "--out",
         default="scioto-check",

@@ -1,8 +1,8 @@
 """Exploration runner: many schedules, invariant checks, replay, shrink.
 
 :func:`explore` is the one campaign.  It shards targets × schedule
-indices into fleet ``explore`` jobs (run in-process at ``jobs=1``), and
-each job runs :func:`run_schedules`, the per-schedule loop: schedule
+indices into fleet jobs (run in-process at ``jobs=1``), and each job
+runs :func:`run_schedules`, the per-schedule loop: schedule
 ``i`` of a target runs under a fresh exploration strategy seeded
 ``seed + i``, and the recorded event stream goes to the scenario's
 invariant checkers.  The shards are merged in (target, index) order and
@@ -282,7 +282,7 @@ def explore(
     # The fleet builds on repro.check; importing it here keeps the
     # importers of run_once (the ledger among them) light.
     from repro.fleet.jobs import explore_jobs
-    from repro.fleet.scheduler import FleetScheduler
+    from repro.fleet.scheduler import run_campaign
 
     shards = explore_jobs(
         targets,
@@ -293,16 +293,10 @@ def explore(
         mutation=mutation,
         nworkers=jobs,
     )
-    report = FleetScheduler(
-        jobs, inline=jobs == 1, progress=progress, flight_dir=flight_dir
-    ).run(shards)
-    if not report.ok:
-        lost = [f"{c['key']}: {c['error']}" for c in report.crashed]
-        lost += [f"{r.key}: {r.error}" for r in report.failed_results]
-        raise RuntimeError("campaign incomplete: " + "; ".join(lost))
+    results = run_campaign(shards, jobs, progress=progress, flight_dir=flight_dir)
     result = ExploreResult(targets=targets, strategy=strategy_name)
     result.schedules_run, result.events_total, result.failures = _merge_shards(
-        [r.payload for r in report.completed], targets
+        [r.value for r in results], targets
     )
     out_dir = Path(out_dir) if out_dir is not None else Path("scioto-check")
     for failure in result.failures:

@@ -9,7 +9,13 @@ from __future__ import annotations
 import argparse
 import math
 
-__all__ = ["positive_int", "positive_float", "add_flight_argument", "print_progress"]
+__all__ = [
+    "positive_int",
+    "positive_float",
+    "add_jobs_argument",
+    "add_flight_argument",
+    "print_progress",
+]
 
 
 def positive_int(text: str) -> int:
@@ -32,6 +38,14 @@ def positive_float(text: str) -> float:
     if not 0.0 < value < math.inf:  # also refuses nan
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
     return value
+
+
+def add_jobs_argument(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--jobs", type=positive_int, default=1, metavar="N",
+        help="fleet worker processes (default: 1, in this process); "
+        "the answer is the same for any N",
+    )
 
 
 def add_flight_argument(p: argparse.ArgumentParser) -> None:

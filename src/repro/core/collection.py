@@ -282,10 +282,6 @@ class TaskCollection:
         """Tasks currently queued on the calling rank (owner view)."""
         return self._shared.queues[self.rank].size()
 
-    def total_size(self) -> int:
-        """Tasks queued across all ranks (test/debug: not cost-charged)."""
-        return sum(q.size() for q in self._shared.queues)
-
     def counters(self) -> Counters:
         """The collection's cumulative statistics counters."""
         return self._shared.counters

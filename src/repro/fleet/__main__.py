@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from repro.cli import add_flight_argument, positive_int
-from repro.fleet.jobs import Job
+from repro.fleet.jobs import Job, probe
 from repro.fleet.scheduler import FleetReport, FleetScheduler
 
 
@@ -43,11 +43,11 @@ def _print_fleet_summary(report: FleetReport) -> None:
 
 def probe_main(args: argparse.Namespace) -> int:
     jobs = [
-        Job(kind="probe", key=f"probe/{i}", params={"action": "sleep", "seconds": 0.02})
+        Job(f"probe/{i}", probe, {"action": "sleep", "seconds": 0.02})
         for i in range(args.count)
     ]
     if args.crash:
-        jobs.append(Job(kind="probe", key="probe/crash", params={"action": "crash"}))
+        jobs.append(Job("probe/crash", probe, {"action": "crash"}))
     report = FleetScheduler(args.jobs, flight_dir=args.flight_dir).run(jobs)
     _print_fleet_summary(report)
     # A --crash probe is *expected* to end up flagged after one requeue;

@@ -1,55 +1,32 @@
 """Fleet jobs: the unit of work the meta-scheduler farms out.
 
-A :class:`Job` is a small, picklable description of one batch of
-simulation work; :func:`execute_job` runs it *inside a worker process*
-and returns a picklable :class:`JobResult`.  The job kinds cover the
-embarrassingly parallel surfaces of the toolchain:
+A :class:`Job` is a key, a module-level function and its keyword
+arguments — the paper's task shape (a registered callback plus a body of
+portable arguments), with ``pickle``'s by-reference function handle as
+the registry.  :func:`execute_job` calls ``fn(**kwargs)``, in a worker
+process or inline, and returns the value whole in a picklable
+:class:`JobResult`.  The callers build their own jobs:
 
-``explore``
-    One shard of a :func:`repro.check.runner.explore` campaign: a
-    scenario, a strategy, and a list of schedule indices, run by
-    :func:`repro.check.runner.run_schedules` (schedule ``i`` under
-    strategy seed ``seed + i``).  Failures come back as
-    :class:`~repro.check.runner.FailureReport` objects carrying their
-    full outcomes, so the parent can persist, replay and minimize them.
-
-``bench``
-    One experiment of the paper-figure suite (``repro.bench``), run at
-    a given scale.  Virtual-time results are deterministic, so a
-    sharded suite reproduces the serial record exactly.
-
-``predict``
-    One scenario of a predictive-analysis campaign
-    (:mod:`repro.analyze.predict`): capture a default-schedule trace,
-    run the lockset / weakened-HB / obligation / lock-graph passes, and
-    confirm predictions with witness replays — all worker-side; the
-    parent gets a serialized report plus its rendered text.
-
-``probe``
-    Fleet self-test jobs (sleep / crash / raise) used by the failure-
-    path tests and ``python -m repro.fleet probe``; a ``crash`` probe
-    SIGKILLs its own worker mid-job to exercise requeue handling.
+* ``repro.check`` — :func:`explore_jobs`, shards of
+  :func:`repro.check.runner.run_schedules`;
+* ``repro.bench`` — one paper-figure experiment per job;
+* ``repro.analyze predict`` — one :func:`repro.analyze.predict.predict`
+  per target;
+* ``repro.fleet probe`` and the failure tests — :func:`probe`, whose
+  ``crash`` action SIGKILLs its own worker mid-job to exercise requeue
+  handling.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-__all__ = [
-    "Job",
-    "JobResult",
-    "execute_job",
-    "explore_jobs",
-    "bench_jobs",
-    "predict_jobs",
-    "JOB_KINDS",
-]
-
-JOB_KINDS = ("explore", "bench", "predict", "probe")
+__all__ = ["Job", "JobResult", "execute_job", "explore_jobs", "probe"]
 
 
 @dataclass
@@ -57,23 +34,32 @@ class Job:
     """One schedulable unit of fleet work.
 
     Attributes:
-        kind: One of :data:`JOB_KINDS`.
         key: Stable identifier, unique within a campaign; used for
             reporting and requeue accounting.
-        params: Kind-specific payload (picklable primitives only).
+        fn: A module-level function, so it crosses to a worker process
+            by reference; anything else is refused at construction.
+        kwargs: ``fn``'s keyword arguments (picklable).
         attempts: Dispatch count so far; maintained by the scheduler.
             A job whose worker dies is requeued exactly once
             (``attempts`` reaches 2) before being reported as crashed.
     """
 
-    kind: str
     key: str
-    params: dict[str, Any] = field(default_factory=dict)
+    fn: Callable[..., Any]
+    kwargs: dict[str, Any] = field(default_factory=dict)
     attempts: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in JOB_KINDS:
-            raise ValueError(f"unknown job kind {self.kind!r}; use one of {JOB_KINDS}")
+        # Checked at any --jobs: a lambda would otherwise run inline and
+        # fail only once sent to a worker process.
+        try:
+            pickle.dumps(self.fn)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            name = getattr(self.fn, "__qualname__", repr(self.fn))
+            raise ValueError(
+                f"job {self.key!r}: function {name!r} cannot be pickled by "
+                "reference; use a module-level function"
+            ) from exc
 
 
 @dataclass
@@ -81,20 +67,16 @@ class JobResult:
     """What a worker sends back for one completed job."""
 
     key: str
-    kind: str
     worker: int = -1
     wall_s: float = 0.0
     error: str | None = None
-    payload: dict[str, Any] = field(default_factory=dict)
+    value: Any = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
 
-# ---------------------------------------------------------------------- #
-# Job builders (parent side)
-# ---------------------------------------------------------------------- #
 def explore_jobs(
     targets: list[str],
     schedules: int,
@@ -113,6 +95,10 @@ def explore_jobs(
     depends only on its index, so the explored set does not depend on
     how indices were sharded.
     """
+    # Imported here so the scheduler parent can be imported without
+    # pulling the whole runtime.
+    from repro.check.runner import run_schedules
+
     if schedules < 0:
         raise ValueError("schedules must be >= 0")
     if batch is None:
@@ -125,9 +111,9 @@ def explore_jobs(
             indices = list(range(lo, min(lo + batch, schedules)))
             jobs.append(
                 Job(
-                    kind="explore",
-                    key=f"explore/{target}/{strategy}/{indices[0]}-{indices[-1]}",
-                    params={
+                    f"explore/{target}/{strategy}/{indices[0]}-{indices[-1]}",
+                    run_schedules,
+                    {
                         "target": target,
                         "strategy": strategy,
                         "indices": indices,
@@ -140,112 +126,36 @@ def explore_jobs(
     return jobs
 
 
-def bench_jobs(experiments: list[str], scale: str) -> list[Job]:
-    """One job per paper-figure experiment."""
-    return [
-        Job(kind="bench", key=f"bench/{name}", params={"experiment": name, "scale": scale})
-        for name in experiments
-    ]
-
-
-def predict_jobs(
-    targets: list[str],
-    mutation: str | None = None,
-    engine_seed: int = 0,
-    confirm: bool = True,
-    out_dir: str | None = None,
-) -> list[Job]:
-    """One job per target of a predictive-analysis campaign."""
-    return [
-        Job(
-            kind="predict",
-            key=f"predict/{target}/{mutation or 'none'}",
-            params={
-                "target": target,
-                "mutation": mutation,
-                "engine_seed": engine_seed,
-                "confirm": confirm,
-                "out_dir": out_dir,
-            },
-        )
-        for target in targets
-    ]
-
-
-# ---------------------------------------------------------------------- #
-# Execution (worker side)
-# ---------------------------------------------------------------------- #
-def _execute_explore(params: dict[str, Any]) -> dict[str, Any]:
-    # Imports live here so the scheduler parent can be imported without
-    # pulling the whole runtime, and so forkserver preload stays light.
-    from repro.check.runner import run_schedules
-
-    return run_schedules(**params)
-
-
-def _execute_bench(params: dict[str, Any]) -> dict[str, Any]:
-    from repro.bench.__main__ import EXPERIMENTS
-
-    name = params["experiment"]
-    fn, _render = EXPERIMENTS[name]
-    result = fn(params["scale"])
-    return {"experiment": name, "result": result.to_dict()}
-
-
-def _execute_predict(params: dict[str, Any]) -> dict[str, Any]:
-    from repro.analyze.predict import predict
-
-    report = predict(
-        params["target"],
-        mutation=params["mutation"],
-        engine_seed=params["engine_seed"],
-        confirm=params["confirm"],
-        out_dir=params["out_dir"],
-    )
-    return {
-        "target": report.target,
-        "mutation": report.mutation,
-        "events_captured": report.events_captured,
-        "base_error": report.base_error,
-        "predictions": len(report.predictions),
-        "confirmed": report.confirmed,
-        "kinds": sorted({p.kind for p in report.predictions}),
-        "text": report.describe(),
-    }
-
-
-def _execute_probe(params: dict[str, Any]) -> dict[str, Any]:
-    action = params.get("action", "ok")
+def probe(
+    action: str = "ok",
+    seconds: float = 0.05,
+    code: int = 17,
+    message: str = "probe raised",
+) -> int:
+    """Fleet self-test job: ``ok``, ``sleep``, ``raise``, ``exit`` or
+    ``crash``; returns the pid that ran it."""
     if action == "sleep":
-        time.sleep(params.get("seconds", 0.05))
+        time.sleep(seconds)
     elif action == "crash":
         # Self-test of the fleet's crash handling: die mid-job the way
         # an OOM-killed or segfaulted worker would — no reply, no exit
         # handler, just a vanished process.
         os.kill(os.getpid(), signal.SIGKILL)
     elif action == "exit":
-        os._exit(params.get("code", 17))
+        os._exit(code)
     elif action == "raise":
-        raise RuntimeError(params.get("message", "probe raised"))
+        raise RuntimeError(message)
     elif action != "ok":
         raise ValueError(f"unknown probe action {action!r}")
-    return {"echo": params.get("payload"), "pid": os.getpid()}
-
-
-_EXECUTORS = {
-    "explore": _execute_explore,
-    "bench": _execute_bench,
-    "predict": _execute_predict,
-    "probe": _execute_probe,
-}
+    return os.getpid()
 
 
 def execute_job(job: Job, worker: int = -1) -> JobResult:
     """Run ``job`` to completion; exceptions become ``result.error``."""
     t0 = time.perf_counter()  # host-side timing # repro: lint-disable=RPR002
-    result = JobResult(key=job.key, kind=job.kind, worker=worker)
+    result = JobResult(key=job.key, worker=worker)
     try:
-        result.payload = _EXECUTORS[job.kind](job.params)
+        result.value = job.fn(**job.kwargs)
     except Exception as exc:  # noqa: BLE001 - worker must never die on a job error
         result.error = f"{type(exc).__name__}: {exc}"
     result.wall_s = time.perf_counter() - t0  # repro: lint-disable=RPR002

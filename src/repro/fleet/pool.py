@@ -4,10 +4,10 @@
 (forkserver by default — children fork from a warm server that has
 already imported the runtime, so per-worker startup is cheap and no
 engine threads leak across the fork).  :class:`InlinePool` implements
-the same interface but executes jobs synchronously in the parent: a
-``repro.check`` campaign at ``--jobs 1`` runs on it, and the
-scheduler's dispatch tests use it to pin the FIFO order
-deterministically without process machinery.
+the same interface but executes jobs synchronously in the parent: every
+campaign at ``--jobs 1`` runs on it, and the scheduler's dispatch tests
+use it to pin the FIFO order deterministically without process
+machinery.
 
 The pool surface is three calls — ``send``, ``poll``, ``respawn`` —
 plus ``close``.  ``poll`` multiplexes over every live worker's result
@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
 
-from repro.fleet.jobs import Job, JobResult, execute_job
+from repro.fleet.jobs import Job, JobResult, execute_job, probe
 from repro.fleet.worker import worker_main
 
 __all__ = ["WorkerEvent", "ProcessPool", "InlinePool", "default_start_method"]
@@ -182,10 +182,9 @@ class InlinePool:
     """Same interface, no processes: jobs execute synchronously on send.
 
     For in-process campaigns, scheduler dispatch tests and debugging.
-    ``crash``/``exit``
-    probes cannot be simulated inline (they would kill the parent), so
-    the pool refuses them; use :class:`ProcessPool` for failure-path
-    tests.
+    ``crash``/``exit`` probes cannot be simulated inline (they would
+    kill the parent), so the pool refuses them; use
+    :class:`ProcessPool` for failure-path tests.
     """
 
     def __init__(self, nworkers: int, flight_dir: str | None = None) -> None:
@@ -201,7 +200,7 @@ class InlinePool:
         return None
 
     def send(self, worker: int, job: Job) -> None:
-        if job.kind == "probe" and job.params.get("action") in ("crash", "exit"):
+        if job.fn is probe and job.kwargs.get("action") in ("crash", "exit"):
             raise ValueError("crash/exit probes require a ProcessPool")
         saved = os.environ.get(_FLIGHT_ENV)
         if self.flight_dir is not None:

@@ -13,6 +13,10 @@ OOM, segfault) is detected via its process sentinel, its job is
 requeued once at the head of the queue, and a second death of the same
 job lands it in ``report.crashed`` — flagged, never dropped.  The dead
 seat is respawned so fleet capacity is maintained.
+
+:func:`run_campaign` is the one entry point of ``repro.check``,
+``repro.bench`` and ``repro.analyze predict``: in this process at one
+worker, results in submission order at any count.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Any, Callable
 from repro.fleet.jobs import Job, JobResult
 from repro.fleet.pool import InlinePool, ProcessPool
 
-__all__ = ["FleetScheduler", "FleetReport"]
+__all__ = ["FleetScheduler", "FleetReport", "run_campaign"]
 
 #: Pipe-multiplex timeout while jobs are in flight (seconds).
 _POLL_TIMEOUT = 0.05
@@ -66,6 +70,30 @@ class FleetReport:
         """Jobs with a known fate; the scheduler asserts this equals
         ``jobs_total`` before returning (nothing silently dropped)."""
         return len(self.completed) + len(self.crashed)
+
+
+def run_campaign(
+    jobs: list[Job],
+    nworkers: int = 1,
+    progress: Callable[[dict[str, Any]], None] | None = None,
+    flight_dir: str | Path | None = None,
+) -> list[JobResult]:
+    """Run ``jobs`` on ``nworkers`` (``1``: in this process) and return
+    their results in submission order, the same for any ``nworkers``.
+
+    Raises:
+        RuntimeError: Naming every job that raised or whose worker died
+            twice.
+    """
+    report = FleetScheduler(
+        nworkers, inline=nworkers == 1, progress=progress, flight_dir=flight_dir
+    ).run(jobs)
+    if not report.ok:
+        lost = [f"{c['key']}: {c['error']}" for c in report.crashed]
+        lost += [f"{r.key}: {r.error}" for r in report.failed_results]
+        raise RuntimeError("campaign incomplete: " + "; ".join(lost))
+    by_key = {r.key: r for r in report.completed}
+    return [by_key[j.key] for j in jobs]
 
 
 class FleetScheduler:
@@ -180,7 +208,6 @@ class FleetScheduler:
             report.crashed.append(
                 {
                     "key": job.key,
-                    "kind": job.kind,
                     "attempts": job.attempts,
                     "error": f"worker {w} died while running this job "
                     f"(attempt {job.attempts})",
@@ -209,9 +236,7 @@ class FleetScheduler:
             "worker": w,
             "pid": pool.pid(w),
             "death_number": report.worker_deaths,
-            "job": None
-            if job is None
-            else {"key": job.key, "kind": job.kind, "attempts": job.attempts},
+            "job": None if job is None else {"key": job.key, "attempts": job.attempts},
             "job_fate": fate,
             "breadcrumb": breadcrumb,
         }

@@ -56,7 +56,6 @@ def _drop_breadcrumb(
         "worker": worker_id,
         "pid": os.getpid(),
         "job_key": job.key,
-        "job_kind": job.kind,
         "attempt": job.attempts,
         "status": status,  # "running" | "done" | "failed"
         "error": error,

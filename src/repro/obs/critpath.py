@@ -297,15 +297,6 @@ class CausalGraph:
             return 1.0  # a zero-length segment imposes no local work
         return sum(blame.get(c, 0.0) for c in _WAIT_BLAME) / total
 
-    def aggregate_blame(self) -> dict[str, float]:
-        """Whole-graph blame totals across every rank's full timeline."""
-        out: dict[str, float] = defaultdict(float)
-        for segs in self.segments:
-            for blame in segs:
-                for cat, d in blame.items():
-                    out[cat] += d
-        return dict(out)
-
 
 @dataclass(frozen=True)
 class PathStep:

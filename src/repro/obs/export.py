@@ -177,7 +177,6 @@ def chrome_trace(
     recorder: Recorder,
     tracer: "Tracer | None" = None,
     critpath: "object | None" = None,
-    flow_kinds: tuple[str, ...] = FLOW_KINDS,
 ) -> dict:
     """Build a Chrome ``trace_event`` document from a recording.
 
@@ -187,7 +186,8 @@ def chrome_trace(
             as instant events on the owning rank's track.
         critpath: Optional :class:`repro.obs.critpath.CritPath`; its
             steps become a highlighted "critical path" process.
-        flow_kinds: Causal-edge kinds to draw as flow arrows.
+
+    Causal edges of the :data:`FLOW_KINDS` kinds are drawn as flow arrows.
     """
     events: list[dict] = meta_events(recorder.engine.nprocs)
     span_events = []
@@ -218,7 +218,7 @@ def chrome_trace(
             )
     flows = 0
     for edge in recorder.edges:
-        if edge.kind not in flow_kinds:
+        if edge.kind not in FLOW_KINDS:
             continue
         flows += 1
         start, finish = flow_event_pair(edge)

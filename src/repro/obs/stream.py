@@ -552,11 +552,7 @@ def _atomic_stream(path: Path):
     return fh, publish, discard
 
 
-def pack(
-    spill_dir: str | Path,
-    out_path: str | Path,
-    flow_kinds: tuple[str, ...] | None = None,
-) -> Path:
+def pack(spill_dir: str | Path, out_path: str | Path) -> Path:
     """Convert a sealed spill directory into a Chrome trace JSON.
 
     Streams shard files straight into the output (constant memory) and
@@ -575,9 +571,6 @@ def pack(
         meta_events,
         span_event,
     )
-
-    if flow_kinds is None:
-        flow_kinds = FLOW_KINDS
     reader = SpillReader(spill_dir)
     out_path = Path(out_path)
     fh, publish, discard = _atomic_stream(out_path)
@@ -592,7 +585,7 @@ def pack(
             w.event(instant_event(inst))
         flows = 0
         for edge in reader.iter_edges():
-            if edge.kind in flow_kinds:
+            if edge.kind in FLOW_KINDS:
                 flows += 1
                 for ev in flow_event_pair(edge):
                     w.event(ev)

@@ -9,7 +9,7 @@ from repro.util.errors import (
     TaskCollectionError,
 )
 from repro.util.format import format_table, format_us, format_rate
-from repro.util.records import ExperimentRecord, Series, SweepResult
+from repro.util.records import Series, SweepResult
 
 __all__ = [
     "ReproError",
@@ -21,7 +21,6 @@ __all__ = [
     "format_table",
     "format_us",
     "format_rate",
-    "ExperimentRecord",
     "Series",
     "SweepResult",
 ]

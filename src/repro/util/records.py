@@ -11,27 +11,6 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class ExperimentRecord:
-    """One measured data point of an experiment.
-
-    Attributes:
-        experiment: Experiment id, e.g. ``"figure7"``.
-        config: Configuration label, e.g. ``"scioto-split"``.
-        x: Sweep variable (typically the process count).
-        value: Measured value in ``unit``.
-        unit: Unit string, e.g. ``"nodes/s"`` or ``"us"``.
-        extra: Free-form auxiliary measurements (message counts, steals...).
-    """
-
-    experiment: str
-    config: str
-    x: float
-    value: float
-    unit: str
-    extra: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
 class Series:
     """A named series of (x, y) points, one line of a paper figure."""
 
@@ -43,17 +22,6 @@ class Series:
     def add(self, x: float, y: float) -> None:
         self.xs.append(x)
         self.ys.append(y)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Series":
-        """Inverse of :meth:`to_dict` (fleet results cross process
-        boundaries in dict form)."""
-        return cls(
-            label=data["label"],
-            xs=list(data.get("xs", [])),
-            ys=list(data.get("ys", [])),
-            unit=data.get("unit", ""),
-        )
 
     def y_at(self, x: float) -> float:
         """Return the y value recorded at sweep point ``x``."""
@@ -94,12 +62,3 @@ class SweepResult:
             "series": [s.to_dict() for s in self.series],
             "notes": list(self.notes),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            experiment=data["experiment"],
-            series=[Series.from_dict(s) for s in data.get("series", [])],
-            notes=list(data.get("notes", [])),
-        )

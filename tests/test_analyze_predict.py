@@ -19,6 +19,7 @@ from repro.analyze.capture import TraceEvent
 from repro.analyze.lockgraph import deadlock_pass
 from repro.analyze.lockset import lockset_pass
 from repro.analyze.predict import (
+    PredictReport,
     analyze_trace,
     find_mark_window,
     obligation_pass,
@@ -328,23 +329,38 @@ class TestFalsePositiveGuards:
         assert analyze_trace(run.trace, run.nprocs) == []
 
 
+def _raising_predict(**kwargs):
+    raise RuntimeError("analysis exploded")
+
+
 class TestFleetIntegration:
     def test_predict_job_roundtrip(self):
-        from repro.fleet.jobs import Job, execute_job, predict_jobs
-
-        jobs = predict_jobs(["queue"], mutation="unlocked_split",
-                            confirm=False)
-        assert [j.key for j in jobs] == ["predict/queue/unlocked_split"]
-        result = execute_job(jobs[0])
-        assert result.ok, result.error
-        assert result.payload["target"] == "queue"
-        assert result.payload["predictions"] >= 1
-        assert "data-race" in result.payload["kinds"]
-        assert "PREDICTED" in result.payload["text"]
-        # Payloads must stay picklable primitives for the fleet wire.
         import pickle
 
-        pickle.dumps(result)
+        from repro.fleet.jobs import Job, execute_job
+
+        job = Job("predict/queue", predict, {
+            "target": "queue", "mutation": "unlocked_split", "confirm": False,
+        })
+        result = execute_job(job)
+        assert result.ok, result.error
+        report = result.value
+        assert isinstance(report, PredictReport)
+        assert report.target == "queue"
+        assert report.predictions
+        assert "data-race" in {p.kind for p in report.predictions}
+        assert "PREDICTED" in report.describe()
+        # The whole report crosses the fleet wire.
+        back = pickle.loads(pickle.dumps(result)).value
+        assert back.describe() == report.describe()
+
+    def test_job_error_exits_2_naming_the_job(self, monkeypatch, capsys):
+        from repro.analyze.__main__ import main
+
+        monkeypatch.setattr("repro.analyze.predict.predict", _raising_predict)
+        assert main(["predict", "--target", "queue", "--no-confirm"]) == 2
+        err = capsys.readouterr().err
+        assert "predict/queue" in err and "analysis exploded" in err
 
     def test_cli_exit_codes(self, capsys):
         from repro.analyze.__main__ import main

@@ -59,15 +59,35 @@ def test_validate_rejects_malformed_documents(tmp_path, mutation, fragment):
         validate_bench_json(doc)
 
 
-def test_bench_cli_writes_record(tmp_path):
-    from repro.bench.__main__ import main
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_cli_writes_record(tmp_path, jobs):
+    """The record's series are the experiments' own, at any --jobs."""
+    from repro.bench.__main__ import EXPERIMENTS, main
 
     out = tmp_path / "BENCH_sim.json"
-    assert main(["--only", "table1", "--json", str(out)]) == 0
+    argv = ["--only", "table1", "figure4", "--jobs", jobs, "--json", str(out)]
+    assert main(argv) == 0
     doc = json.loads(out.read_text())
     validate_bench_json(doc)
-    assert [e["experiment"] for e in doc["experiments"]] == ["table1"]
-    assert doc["experiments"][0]["wall_seconds"] > 0
+    assert [e["experiment"] for e in doc["experiments"]] == ["table1", "figure4"]
+    assert all(e["wall_seconds"] > 0 for e in doc["experiments"])
+    assert [e["series"] for e in doc["experiments"]] == [
+        EXPERIMENTS[name][0]("quick").to_dict()["series"]
+        for name in ("table1", "figure4")
+    ]
+
+
+def _raising_experiment(scale):
+    raise RuntimeError("experiment exploded")
+
+
+def test_bench_job_error_exits_2_naming_the_job(monkeypatch, capsys):
+    from repro.bench.__main__ import EXPERIMENTS, main
+
+    monkeypatch.setitem(EXPERIMENTS, "table1", (_raising_experiment, {}))
+    assert main(["--only", "table1", "--no-json"]) == 2
+    err = capsys.readouterr().err
+    assert "bench/table1" in err and "experiment exploded" in err
 
 
 def test_process_stats_to_dict_includes_derived_fields():

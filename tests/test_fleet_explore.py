@@ -143,6 +143,10 @@ class TestShardingEquality:
         assert_ledger_reproduces(res, STEALS[1])
 
 
+def _exploding_shard(**kwargs):
+    raise RuntimeError("shard exploded")
+
+
 def _shard(*failures):
     """One shard's payload: five schedules, ten events each."""
     return {"schedules": 5, "events": 50, "failures": list(failures)}
@@ -186,9 +190,6 @@ class TestMergeExplore:
         assert len(digests) == 1
 
     def test_errored_shard_fails_the_campaign(self, monkeypatch):
-        def boom(**params):
-            raise RuntimeError("shard exploded")
-
-        monkeypatch.setattr("repro.check.runner.run_schedules", boom)
+        monkeypatch.setattr("repro.check.runner.run_schedules", _exploding_shard)
         with pytest.raises(RuntimeError, match="campaign incomplete: .*shard exploded"):
             explore("queue", schedules=4)

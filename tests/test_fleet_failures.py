@@ -12,21 +12,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fleet.jobs import Job
+from repro.fleet.jobs import Job, probe
 from repro.fleet.pool import InlinePool, ProcessPool
-from repro.fleet.scheduler import FleetScheduler
+from repro.fleet.scheduler import FleetScheduler, run_campaign
 
 
 def sleep_jobs(n, seconds=0.01):
     return [
-        Job(kind="probe", key=f"probe/{i}",
-            params={"action": "sleep", "seconds": seconds})
+        Job(f"probe/{i}", probe, {"action": "sleep", "seconds": seconds})
         for i in range(n)
     ]
 
 
 def crash_job(key="probe/crash"):
-    return Job(kind="probe", key=key, params={"action": "crash"})
+    return Job(key, probe, {"action": "crash"})
 
 
 class TestWorkerCrash:
@@ -50,9 +49,7 @@ class TestWorkerCrash:
 
     def test_hard_exit_is_also_a_crash(self):
         """os._exit (no traceback, no reply) takes the same path."""
-        jobs = sleep_jobs(2) + [
-            Job(kind="probe", key="probe/exit", params={"action": "exit"})
-        ]
+        jobs = sleep_jobs(2) + [Job("probe/exit", probe, {"action": "exit"})]
         report = FleetScheduler(2).run(jobs)
         assert len(report.completed) == 2
         assert [c["key"] for c in report.crashed] == ["probe/exit"]
@@ -62,8 +59,7 @@ class TestWorkerCrash:
         """A Python exception must come back as result.error — the
         worker survives and keeps serving jobs."""
         jobs = sleep_jobs(3) + [
-            Job(kind="probe", key="probe/raise",
-                params={"action": "raise", "message": "synthetic"})
+            Job("probe/raise", probe, {"action": "raise", "message": "synthetic"})
         ]
         report = FleetScheduler(2).run(jobs)
         assert len(report.completed) == 4
@@ -85,6 +81,13 @@ class TestPoolBehaviour:
     def test_results_attributed_to_worker_seats(self):
         report = FleetScheduler(2).run(sleep_jobs(6))
         assert {r.worker for r in report.completed} <= {0, 1}
+
+    def test_campaign_results_in_submission_order(self):
+        """The slow head job completes last but is returned first."""
+        jobs = sleep_jobs(1, seconds=0.3) + sleep_jobs(3)[1:]
+        results = run_campaign(jobs, 2)
+        assert [r.key for r in results] == [j.key for j in jobs]
+        assert len({r.worker for r in results}) == 2
 
     def test_inline_pool_refuses_crash_probes(self):
         with pytest.raises(ValueError, match="ProcessPool"):

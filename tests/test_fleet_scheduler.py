@@ -13,26 +13,29 @@ from collections import deque
 
 import pytest
 
-from repro.fleet.jobs import Job, bench_jobs, execute_job, explore_jobs
+from repro.check.runner import run_schedules
+from repro.fleet.jobs import Job, execute_job, explore_jobs, probe
 from repro.fleet.pool import InlinePool
 from repro.fleet.scheduler import FleetReport, FleetScheduler
 
 
 def probe_jobs(n, action="ok"):
-    return [
-        Job(kind="probe", key=f"probe/{i}", params={"action": action})
-        for i in range(n)
-    ]
+    return [Job(f"probe/{i}", probe, {"action": action}) for i in range(n)]
 
 
 class TestJobBuilders:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown job kind"):
-            Job(kind="nonsense", key="x")
+    def test_unpicklable_function_rejected(self):
+        def nested():
+            return 1
+
+        for fn, name in [(lambda: 1, "<lambda>"), (nested, "nested")]:
+            with pytest.raises(ValueError, match=f"{name}.*cannot be pickled"):
+                Job("x", fn)
 
     def test_explore_jobs_cover_all_indices_contiguously(self):
         jobs = explore_jobs(["queue"], 10, batch=3)
-        indices = [i for j in jobs for i in j.params["indices"]]
+        assert all(j.fn is run_schedules for j in jobs)
+        indices = [i for j in jobs for i in j.kwargs["indices"]]
         assert indices == list(range(10))
         assert [j.key for j in jobs] == [
             "explore/queue/random/0-2",
@@ -44,20 +47,15 @@ class TestJobBuilders:
     def test_explore_default_batch_targets_four_jobs_per_worker(self):
         jobs = explore_jobs(["queue"], 80, nworkers=2)
         assert len(jobs) == 8
-        assert all(len(j.params["indices"]) == 10 for j in jobs)
+        assert all(len(j.kwargs["indices"]) == 10 for j in jobs)
 
     @pytest.mark.parametrize("batch", [0, -1])
     def test_explore_batch_below_one_rejected(self, batch):
         with pytest.raises(ValueError, match="batch"):
             explore_jobs(["queue"], 10, batch=batch)
 
-    def test_bench_keys(self):
-        assert [j.key for j in bench_jobs(["table1"], "quick")] == ["bench/table1"]
-
     def test_job_error_is_captured_not_raised(self):
-        res = execute_job(
-            Job(kind="probe", key="p", params={"action": "raise", "message": "boom"})
-        )
+        res = execute_job(Job("p", probe, {"action": "raise", "message": "boom"}))
         assert not res.ok
         assert "boom" in res.error
 
@@ -86,7 +84,7 @@ class TestInlineScheduler:
         sched = FleetScheduler(2, inline=True)
         pool = InlinePool(2)
         report = FleetReport(nworkers=2, jobs_total=3)
-        victim = Job(kind="probe", key="probe/victim", attempts=1)
+        victim = Job("probe/victim", probe, attempts=1)
         pending = deque(probe_jobs(2))
         sched._on_crash(0, pending, {0: victim}, pool, report)
         assert pending[0] is victim and len(pending) == 3
@@ -111,9 +109,7 @@ class TestInlineScheduler:
             FleetScheduler(2, inline=True).run(jobs)
 
     def test_job_level_error_flags_report_not_ok(self):
-        jobs = probe_jobs(3) + [
-            Job(kind="probe", key="probe/bad", params={"action": "raise"})
-        ]
+        jobs = probe_jobs(3) + [Job("probe/bad", probe, {"action": "raise"})]
         report = FleetScheduler(2, inline=True).run(jobs)
         assert not report.ok
         assert len(report.failed_results) == 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from repro.fleet.jobs import Job, explore_jobs
+from repro.fleet.jobs import Job, explore_jobs, probe
 from repro.fleet.scheduler import FleetScheduler
 from repro.obs.flight import load_flight_dump
 
@@ -18,10 +18,9 @@ class TestCrashForensics:
     def test_sigkill_leaves_breadcrumb_and_crash_reports(self, tmp_path):
         flight = tmp_path / "flight"
         jobs = [
-            Job(kind="probe", key=f"probe/{i}",
-                params={"action": "sleep", "seconds": 0.01})
+            Job(f"probe/{i}", probe, {"action": "sleep", "seconds": 0.01})
             for i in range(3)
-        ] + [Job(kind="probe", key="probe/crash", params={"action": "crash"})]
+        ] + [Job("probe/crash", probe, {"action": "crash"})]
         report = FleetScheduler(2, flight_dir=flight).run(jobs)
         assert len(report.crashed) == 1
         # one crash report per death: the requeue and the final flagging

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.util.format import format_rate, format_table, format_us
-from repro.util.records import ExperimentRecord, Series, SweepResult
+from repro.util.records import Series, SweepResult
 
 
 class TestFormat:
@@ -43,10 +43,6 @@ class TestRecords:
         assert r.labels() == ["a", "b"]
         with pytest.raises(KeyError):
             r.get("c")
-
-    def test_experiment_record_defaults(self):
-        rec = ExperimentRecord("figure7", "scioto", 64, 72.0, "Mnodes/s")
-        assert rec.extra == {}
 
 
 class TestBenchHarness:
