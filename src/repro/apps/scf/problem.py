@@ -85,18 +85,30 @@ class SCFProblem:
             a = rng.standard_normal((self.nbf, self.nbf))
             h = -0.5 * (a + a.T) / np.sqrt(self.nbf)
             h -= np.diag(1.0 + rng.random(self.nbf))
+            h.setflags(write=False)
             self._cache["H"] = h
         return self._cache["H"]
 
+    def _magnitudes(self) -> list[list[float]]:
+        """The ``nblocks x nblocks`` table of pair magnitudes, built once."""
+        if "mag" not in self._cache:
+            nb = self.nblocks
+            table = [[0.0] * nb for _ in range(nb)]
+            for i in range(nb):
+                for j in range(i, nb):
+                    base = float(np.exp(-self.decay * abs(i - j)))
+                    jitter = 0.5 + (stable_hash(self.seed, "mag", i, j) % 1000) / 1000.0
+                    table[i][j] = table[j][i] = base * jitter
+            self._cache["mag"] = table
+        return self._cache["mag"]
+
     def pair_magnitude(self, i: int, j: int) -> float:
         """Schwarz-style magnitude of block pair ``(i, j)``."""
-        base = float(np.exp(-self.decay * abs(i - j)))
-        jitter = 0.5 + (stable_hash(self.seed, "mag", min(i, j), max(i, j)) % 1000) / 1000.0
-        return base * jitter
+        return self._magnitudes()[i][j]
 
     def significant(self, i: int, j: int) -> bool:
         """Whether the pair survives screening."""
-        return self.pair_magnitude(i, j) >= self.screen_threshold
+        return self._magnitudes()[i][j] >= self.screen_threshold
 
     def significant_pairs(self) -> list[tuple[int, int]]:
         """All ordered significant block pairs, in deterministic order."""
@@ -120,6 +132,8 @@ class SCFProblem:
             b = self.blocksize
             m = mag * 0.2 * rng.standard_normal((b, b)) / np.sqrt(self.nbf)
             n = mag * 0.2 * rng.standard_normal((b, b)) / np.sqrt(self.nbf)
+            m.setflags(write=False)
+            n.setflags(write=False)
             self._cache[key] = (m, n)
         return self._cache[key]
 
@@ -137,9 +151,10 @@ class SCFProblem:
 
     def task_flops(self, i: int, j: int) -> float:
         """Cost model of one Fock-block task (irregular across pairs)."""
-        if not self.significant(i, j):
+        mag = self._magnitudes()[i][j]
+        if mag < self.screen_threshold:
             return SCREEN_FLOPS
-        weight = 0.25 + 2.0 * self.pair_magnitude(i, j)
+        weight = 0.25 + 2.0 * mag
         return FLOPS_PER_ELEMENT * weight * self.blocksize * self.blocksize
 
     # ------------------------------------------------------------------ #

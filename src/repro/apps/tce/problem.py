@@ -72,9 +72,14 @@ class TCEProblem:
         nb = self.nblocks
         return [(i, j, k) for i in range(nb) for j in range(nb) for k in range(nb)]
 
-    def nonzero_triples(self) -> list[tuple[int, int, int]]:
+    def nonzero_triples(self) -> tuple[tuple[int, int, int], ...]:
         """Triples with real work, in deterministic order."""
-        return [t for t in self.all_triples() if self.nonzero_a(t[0], t[2]) and self.nonzero_b(t[2], t[1])]
+        if "triples" not in self._cache:
+            a, b = self._mask("A"), self._mask("B")
+            self._cache["triples"] = tuple(
+                (i, j, k) for i, j, k in self.all_triples() if a[i, k] and b[k, j]
+            )
+        return self._cache["triples"]
 
     # ------------------------------------------------------------------ #
     # Deterministic block data
@@ -96,19 +101,24 @@ class TCEProblem:
         return rng.standard_normal((b, b)) / np.sqrt(self.n)
 
     def dense_a(self) -> np.ndarray:
-        """Assemble A densely (reference / GA initialization)."""
-        return self._assemble(self.block_a)
+        """A assembled densely (reference / GA initialization); read-only."""
+        return self._assemble("A", self.block_a)
 
     def dense_b(self) -> np.ndarray:
-        return self._assemble(self.block_b)
+        """B assembled densely; read-only."""
+        return self._assemble("B", self.block_b)
 
-    def _assemble(self, block_fn) -> np.ndarray:
-        n, b = self.n, self.blocksize
-        out = np.zeros((n, n))
-        for i in range(self.nblocks):
-            for j in range(self.nblocks):
-                out[i * b : (i + 1) * b, j * b : (j + 1) * b] = block_fn(i, j)
-        return out
+    def _assemble(self, which: str, block_fn) -> np.ndarray:
+        key = ("dense", which)
+        if key not in self._cache:
+            n, b = self.n, self.blocksize
+            out = np.zeros((n, n))
+            for i in range(self.nblocks):
+                for j in range(self.nblocks):
+                    out[i * b : (i + 1) * b, j * b : (j + 1) * b] = block_fn(i, j)
+            out.setflags(write=False)
+            self._cache[key] = out
+        return self._cache[key]
 
     # ------------------------------------------------------------------ #
     # Cost model

@@ -10,6 +10,7 @@ accumulation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from typing import Any
 
@@ -136,9 +137,7 @@ class GlobalArray:
     def _box_chunks(plo: tuple, phi: tuple) -> tuple[int, int]:
         """(elements, contiguous chunks) of a sub-box: rows are strided."""
         dims = [h - l for l, h in zip(plo, phi)]
-        elements = int(np.prod(dims))
-        nchunks = int(np.prod(dims[:-1])) if len(dims) > 1 else 1
-        return elements, max(1, nchunks)
+        return math.prod(dims), max(1, math.prod(dims[:-1]))
 
     def co_get(self, proc: Proc, lo: Sequence[int], hi: Sequence[int]):
         """Fetch the patch ``[lo, hi)`` into a private buffer (NGA_Get).
@@ -200,7 +199,7 @@ class GlobalArray:
             [h - l for l, h in zip(lo, hi)]
         )
         for rank, (plo, phi) in self.dist.patches_intersecting(lo, hi):
-            nbytes = int(np.prod([h - l for l, h in zip(plo, phi)])) * self.dtype.itemsize
+            nbytes = math.prod(h - l for l, h in zip(plo, phi)) * self.dtype.itemsize
             chunk = data[self._rel(lo, plo, phi)].copy()
             yield from self._runtime.armci.co_acc(
                 proc,

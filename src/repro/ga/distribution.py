@@ -3,15 +3,28 @@
 Follows GA's default strategy: factor the process count into a grid as
 square as possible, split each dimension into contiguous near-equal
 chunks, and give each rank one rectangular patch.
+
+Ownership lookups are plain-int arithmetic: each dimension keeps its
+chunk bounds as an int tuple, an index's grid coordinate is a
+``bisect`` into them, and the owning rank is the row-major stride sum
+of the coordinates.  Patches are a per-rank table built once, and the
+owner pieces of a box are memoized per distinct ``(lo, hi)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-
-import numpy as np
+import itertools
+from bisect import bisect_right
+from collections.abc import Sequence
 
 __all__ = ["BlockDistribution", "factor_grid"]
+
+#: Distinct boxes whose owner pieces one distribution remembers; the
+#: memo is emptied when it reaches this size, so programs that touch
+#: many different boxes stay bounded in memory.
+BOX_MEMO_CAP = 4096
+
+Box = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def factor_grid(nprocs: int, ndims: int) -> tuple[int, ...]:
@@ -24,10 +37,9 @@ def factor_grid(nprocs: int, ndims: int) -> tuple[int, ...]:
         (2, 2, 2)
     """
     grid = [1] * ndims
-    remaining = nprocs
     # Peel prime factors largest-first onto the currently-smallest grid dim.
     factors: list[int] = []
-    n = remaining
+    n = nprocs
     d = 2
     while d * d <= n:
         while n % d == 0:
@@ -37,8 +49,7 @@ def factor_grid(nprocs: int, ndims: int) -> tuple[int, ...]:
     if n > 1:
         factors.append(n)
     for f in sorted(factors, reverse=True):
-        i = int(np.argmin(grid))
-        grid[i] *= f
+        grid[grid.index(min(grid))] *= f
     return tuple(sorted(grid, reverse=True))
 
 
@@ -57,66 +68,91 @@ class BlockDistribution:
             raise ValueError(f"invalid shape {shape!r}")
         self.nprocs = nprocs
         self.grid = factor_grid(nprocs, len(self.shape))
-        # Per-dimension chunk boundaries, e.g. [0, 3, 6, 8] for extent 8 / grid 3.
-        self._bounds: list[np.ndarray] = []
+        # Per-dimension chunk boundaries, e.g. (0, 3, 6, 8) for extent 8 / grid 3,
+        # with np.array_split semantics: the first chunks are one element larger.
+        bounds = []
         for extent, g in zip(self.shape, self.grid):
-            # np.array_split semantics: first chunks one element larger.
             base, rem = divmod(extent, g)
-            sizes = [base + (1 if i < rem else 0) for i in range(g)]
-            self._bounds.append(np.cumsum([0] + sizes))
+            bounds.append(tuple(itertools.accumulate(
+                (base + (1 if i < rem else 0) for i in range(g)), initial=0
+            )))
+        self._bounds = tuple(bounds)
+        # Row-major strides of the process grid: rank = sum(coord * stride).
+        strides = [1] * len(self.grid)
+        for d in range(len(self.grid) - 2, -1, -1):
+            strides[d] = strides[d + 1] * self.grid[d + 1]
+        self._strides = tuple(strides)
+        # itertools.product enumerates grid coordinates in row-major
+        # (rank) order, so the table is indexed by rank.
+        self._patches: tuple[Box, ...] = tuple(
+            (
+                tuple(b[c] for b, c in zip(self._bounds, coords)),
+                tuple(b[c + 1] for b, c in zip(self._bounds, coords)),
+            )
+            for coords in itertools.product(*(range(g) for g in self.grid))
+        )
+        self._boxes: dict[Box, tuple[tuple[int, Box], ...]] = {}
 
     # ------------------------------------------------------------------ #
-    def _grid_coords(self, rank: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.unravel_index(rank, self.grid))
+    def _check_ndim(self, what: str, index: Sequence[int]) -> None:
+        if len(index) != len(self.shape):
+            raise IndexError(
+                f"{what} {tuple(index)} has {len(index)} coordinates; "
+                f"the array has shape {self.shape}"
+            )
 
-    def rank_of_coords(self, coords: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(coords), self.grid))
-
-    def patch(self, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def patch(self, rank: int) -> Box:
         """Return the ``(lo, hi)`` patch owned by ``rank`` (hi exclusive).
 
-        Ranks beyond the grid own empty patches (GA allows nprocs that do
-        not factor perfectly; here the grid always covers all ranks).
+        When ranks outnumber the elements of a dimension, the trailing
+        ranks along it own empty patches (``lo == hi``).
         """
-        coords = self._grid_coords(rank)
-        lo = tuple(int(self._bounds[d][c]) for d, c in enumerate(coords))
-        hi = tuple(int(self._bounds[d][c + 1]) for d, c in enumerate(coords))
-        return lo, hi
+        if not 0 <= rank < self.nprocs:
+            raise IndexError(f"rank {rank} out of range for {self.nprocs} ranks")
+        return self._patches[rank]
 
     def locate(self, index: Sequence[int]) -> int:
         """Rank owning element ``index``."""
-        coords = []
-        for d, i in enumerate(index):
-            if not 0 <= i < self.shape[d]:
+        self._check_ndim("index", index)
+        rank = 0
+        for i, extent, bounds, stride in zip(index, self.shape, self._bounds, self._strides):
+            if not 0 <= i < extent:
                 raise IndexError(f"index {tuple(index)} out of bounds for {self.shape}")
-            coords.append(int(np.searchsorted(self._bounds[d], i, side="right")) - 1)
-        return self.rank_of_coords(coords)
+            rank += (bisect_right(bounds, i) - 1) * stride
+        return rank
 
     def patches_intersecting(
         self, lo: Sequence[int], hi: Sequence[int]
-    ) -> Iterator[tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]]:
-        """Yield ``(rank, (plo, phi))`` for each owner patch overlapping [lo, hi).
+    ) -> tuple[tuple[int, Box], ...]:
+        """The ``(rank, (plo, phi))`` owner pieces of the box [lo, hi).
 
-        ``(plo, phi)`` is the overlapping sub-box in global coordinates.
+        ``(plo, phi)`` is the overlapping sub-box in global coordinates;
+        pieces come in row-major rank order.
         """
+        key = (tuple(lo), tuple(hi))
+        pieces = self._boxes.get(key)
+        if pieces is None:
+            pieces = self._pieces(*key)
+            if len(self._boxes) >= BOX_MEMO_CAP:
+                self._boxes.clear()
+            self._boxes[key] = pieces
+        return pieces
+
+    def _pieces(self, lo: tuple, hi: tuple) -> tuple[tuple[int, Box], ...]:
+        self._check_ndim("box lo", lo)
+        self._check_ndim("box hi", hi)
         lo = tuple(int(x) for x in lo)
         hi = tuple(int(x) for x in hi)
-        for d in range(len(self.shape)):
-            if not (0 <= lo[d] and lo[d] < hi[d] <= self.shape[d]):
-                raise IndexError(f"patch [{lo}, {hi}) out of bounds for {self.shape}")
         # per-dim range of grid coordinates touched
         coord_ranges = []
-        for d in range(len(self.shape)):
-            c_lo = int(np.searchsorted(self._bounds[d], lo[d], side="right")) - 1
-            c_hi = int(np.searchsorted(self._bounds[d], hi[d] - 1, side="right")) - 1
-            coord_ranges.append(range(c_lo, c_hi + 1))
-        for coords in np.ndindex(*[len(r) for r in coord_ranges]):
-            gcoords = tuple(coord_ranges[d][coords[d]] for d in range(len(coords)))
-            rank = self.rank_of_coords(gcoords)
-            plo = tuple(
-                max(lo[d], int(self._bounds[d][gcoords[d]])) for d in range(len(gcoords))
-            )
-            phi = tuple(
-                min(hi[d], int(self._bounds[d][gcoords[d] + 1])) for d in range(len(gcoords))
-            )
-            yield rank, (plo, phi)
+        for l, h, extent, bounds in zip(lo, hi, self.shape, self._bounds):
+            if not 0 <= l < h <= extent:
+                raise IndexError(f"patch [{lo}, {hi}) out of bounds for {self.shape}")
+            coord_ranges.append(range(bisect_right(bounds, l) - 1, bisect_right(bounds, h - 1)))
+        pieces = []
+        for coords in itertools.product(*coord_ranges):
+            rank = sum(c * s for c, s in zip(coords, self._strides))
+            plo = tuple(max(l, b[c]) for l, b, c in zip(lo, self._bounds, coords))
+            phi = tuple(min(h, b[c + 1]) for h, b, c in zip(hi, self._bounds, coords))
+            pieces.append((rank, (plo, phi)))
+        return tuple(pieces)

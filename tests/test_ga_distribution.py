@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ga import distribution
 from repro.ga.distribution import BlockDistribution, factor_grid
 
 
@@ -67,6 +70,20 @@ class TestBlockDistribution:
         with pytest.raises(IndexError):
             list(dist.patches_intersecting((2, 0), (2, 4)))  # empty box
 
+    def test_wrong_length_index_rejected(self):
+        dist = BlockDistribution((4, 4), 2)
+        for bad in [(3,), (0, 0, 0)]:
+            with pytest.raises(IndexError, match=r"\(4, 4\)") as info:
+                dist.locate(bad)
+            assert str(bad) in str(info.value)
+
+    def test_wrong_length_box_rejected(self):
+        dist = BlockDistribution((4, 4), 2)
+        with pytest.raises(IndexError, match=r"\(0, 0, 0\).*\(4, 4\)"):
+            dist.patches_intersecting((0, 0, 0), (2, 2, 2))
+        with pytest.raises(IndexError, match=r"\(2,\).*\(4, 4\)"):
+            dist.patches_intersecting((0, 0), (2,))
+
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
             BlockDistribution((0, 4), 2)
@@ -101,3 +118,56 @@ class TestBlockDistribution:
         assert (hits[box] == 1).all()
         hits[box] = 0
         assert (hits == 0).all()
+
+
+def _brute_owners(shape: tuple[int, ...], nprocs: int) -> np.ndarray:
+    """Owner of every element, from np.array_split chunks of each dimension."""
+    grid = factor_grid(nprocs, len(shape))
+    coords = []
+    for extent, g in zip(shape, grid):
+        chunk_of = np.empty(extent, dtype=int)
+        for c, part in enumerate(np.array_split(np.arange(extent), g)):
+            chunk_of[part] = c
+        coords.append(chunk_of)
+    mesh = np.meshgrid(*coords, indexing="ij")
+    return np.ravel_multi_index(tuple(mesh), grid)
+
+
+@st.composite
+def _layouts(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    # up to twice the element count, so some layouts have empty patches
+    nprocs = draw(st.integers(1, min(2 * int(np.prod(shape)), 40)))
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = tuple(draw(st.integers(0, s - 1)) for s in shape)
+        hi = tuple(draw(st.integers(l + 1, s)) for l, s in zip(lo, shape))
+        boxes.append((lo, hi))
+    return shape, nprocs, boxes
+
+
+@settings(max_examples=120, deadline=None)
+@given(_layouts())
+def test_property_matches_brute_force_owner_map(layout):
+    """Pieces partition each box and lie in their owner's patch, and
+    locate agrees with a brute-force owner map, also across memo resets."""
+    shape, nprocs, boxes = layout
+    owners = _brute_owners(shape, nprocs)
+    with mock.patch.object(distribution, "BOX_MEMO_CAP", 2):
+        dist = BlockDistribution(shape, nprocs)
+        for idx in np.ndindex(*shape):
+            assert dist.locate(idx) == owners[idx]
+        # every box twice: the second pass reads the memo, or recomputes
+        # after the memo was emptied at its cap
+        for lo, hi in boxes + boxes:
+            hits = np.zeros(shape, dtype=int)
+            for rank, (plo, phi) in dist.patches_intersecting(lo, hi):
+                piece = tuple(slice(a, b) for a, b in zip(plo, phi))
+                assert (owners[piece] == rank).all()
+                olo, ohi = dist.patch(rank)
+                assert all(o <= a and b <= p for o, a, b, p in zip(olo, plo, phi, ohi))
+                hits[piece] += 1
+            expect = np.zeros(shape, dtype=int)
+            expect[tuple(slice(a, b) for a, b in zip(lo, hi))] = 1
+            assert (hits == expect).all()
+            assert len(dist._boxes) <= 2

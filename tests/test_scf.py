@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from repro.apps.scf import (
     run_scf_scioto,
     run_scf_sequential,
 )
+from repro.apps.scf import parallel
 from repro.apps.scf.problem import stable_hash
 from repro.apps.scf.reference import build_fock_sequential
+from repro.apps.tce import TCEProblem
 from repro.core import SciotoConfig
 from repro.sim.machines import heterogeneous_cluster
 
@@ -137,3 +141,59 @@ class TestConvergence:
         assert np.allclose(r.energies, seq, atol=1e-10)
         assert np.allclose(o.energies, seq, atol=1e-10)
         assert r.iterations == len(seq)
+
+
+def _count_next_density(monkeypatch) -> list[int]:
+    calls = [0]
+    solve = SCFProblem.next_density
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SCFProblem, "next_density", counted)
+    return calls
+
+
+class TestSharedEigensolve:
+    """The replicated density update is solved once per iteration."""
+
+    @pytest.mark.parametrize("convergence", [None, 1e-2])
+    def test_one_solve_per_iteration_and_no_slot_left(self, monkeypatch, convergence):
+        calls = _count_next_density(monkeypatch)
+        engines = []
+        r = run_scf_scioto(4, PROB, iterations=20 if convergence else 3,
+                           convergence=convergence, engine_hook=engines.append,
+                           max_events=20_000_000)
+        seq = run_scf_sequential(PROB, iterations=20 if convergence else 3,
+                                 convergence=convergence)
+        assert len(r.energies) == len(seq)
+        assert np.allclose(r.energies, seq, atol=1e-10)
+        # the last iteration of a converged run stops before the update
+        solves = len(seq) - 1 if convergence else len(seq)
+        assert calls[0] == 2 * solves  # parallel + sequential
+        assert not engines[0].state.get(parallel._DENSITY_SLOTS)
+
+    def test_differing_inputs_solve_separately(self, monkeypatch):
+        calls = _count_next_density(monkeypatch)
+        nprocs = 3
+        proc = SimpleNamespace(engine=SimpleNamespace(state={}), nprocs=nprocs)
+        d = PROB.initial_density()
+        focks = [build_fock_sequential(PROB, d * (1.0 + 0.1 * r)) for r in range(nprocs)]
+        outs = [parallel._replicated_density(proc, PROB, 0, f, d) for f in focks]
+        assert calls[0] == nprocs
+        for f, out in zip(focks, outs):
+            assert np.array_equal(out, PROB.next_density(f, d))
+        assert not proc.engine.state[parallel._DENSITY_SLOTS]
+
+
+def test_shared_and_cached_arrays_are_read_only():
+    """An in-place update by one caller must not corrupt later runs."""
+    scf = SCFProblem(nblocks=4, blocksize=3)
+    tce = TCEProblem(nblocks=3, blocksize=4)
+    proc = SimpleNamespace(engine=SimpleNamespace(state={}), nprocs=2)
+    d = scf.initial_density()
+    shared = parallel._replicated_density(proc, scf, 0, build_fock_sequential(scf, d), d)
+    for arr in [scf.core_hamiltonian(), *scf.coupling(0, 1), tce.dense_a(), tce.dense_b(), shared]:
+        with pytest.raises(ValueError):
+            arr += 1.0
