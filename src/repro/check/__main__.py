@@ -7,6 +7,10 @@ Examples::
     python -m repro.check --target queue --mutate unlocked_split
     python -m repro.check --replay scioto-check/queue-random-s17.trace.json
 
+    # replay it again, recording every span as a Chrome trace
+    python -m repro.check --replay scioto-check/queue-random-s17.trace.json \
+        --trace replay.json
+
     # shard the campaign across worker processes (see docs/fleet.md);
     # the output is the same for any --jobs N
     python -m repro.check --target all --schedules 200 --jobs 4
@@ -23,12 +27,10 @@ from repro.check.runner import ExploreResult, explore, replay
 from repro.check.scenarios import SCENARIOS
 from repro.check.strategies import STRATEGIES
 from repro.check.traces import DecisionTrace
-from repro.cli import (
-    add_flight_argument,
-    add_jobs_argument,
-    positive_int,
-    print_progress,
-)
+from repro.cli import add_jobs_argument, positive_int, print_progress
+from repro.obs.export import write_chrome_trace
+from repro.obs.record import Recorder
+from repro.obs.tracing import Tracer
 from repro.targets import TARGETS
 from repro.util.io import RecordError
 
@@ -77,11 +79,16 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--quiet", action="store_true", help="suppress live progress lines"
     )
-    add_flight_argument(p)
     p.add_argument(
         "--replay",
         metavar="TRACE",
         help="replay a persisted trace file instead of exploring",
+    )
+    p.add_argument(
+        "--trace",
+        metavar="OUT",
+        help="with --replay: record the replayed run and write its Chrome "
+        "trace JSON here",
     )
     return p
 
@@ -100,17 +107,21 @@ def _print_result(res: ExploreResult, elapsed: float) -> None:
         )
         print(f"    failure:   {f.outcome.describe()}")
         print(f"    trace:     {f.trace_path} ({f.decisions_total} decisions)")
-        print(f"    replay:    {'reproduces' if f.replay_confirmed else 'DIVERGED'}")
+        print(f"    confirmed: {'yes' if f.replay_confirmed else 'DIVERGED'}")
         if f.minimized_path is not None:
             print(
                 f"    minimized: {f.minimized_path} "
                 f"({f.decisions_minimized} decisions)"
             )
+        print(f"    replay:    python -m repro.check --replay {f.trace_path}")
     print(f"failing set: {len(res.failures)} distinct (digest {res.digest[:16]})")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.trace and not args.replay:
+        parser.error("argument --trace: only valid with --replay")
 
     if args.replay:
         try:
@@ -118,8 +129,13 @@ def main(argv: list[str] | None = None) -> int:
         except RecordError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        recorded = []
+
+        def record(engine) -> None:
+            recorded.append(Recorder.attach(engine))
+
         try:
-            outcome = replay(trace)
+            outcome = replay(trace, engine_hook=record if args.trace else None)
         except ValueError as exc:  # a whole trace this tree cannot replay
             print(f"error: {args.replay}: {exc}", file=sys.stderr)
             return 2
@@ -128,6 +144,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  recorded failure: {trace.failure}")
         print(f"  replay outcome:   {outcome.describe()}")
         print(f"  signature match:  {'yes' if same else 'NO'}")
+        if recorded:
+            rec = recorded[0]
+            path = write_chrome_trace(rec, args.trace, tracer=Tracer.of(rec.engine))
+            print(f"  trace:            {path} ({rec.span_count} spans)")
         return 0 if same else 1
 
     targets = sorted(SCENARIOS) if "all" in args.target else args.target
@@ -143,7 +163,6 @@ def main(argv: list[str] | None = None) -> int:
             out_dir=args.out,
             jobs=args.jobs,
             progress=None if args.quiet else print_progress,
-            flight_dir=args.flight_dir,
         )
     except RuntimeError as exc:  # a shard raised or its worker died twice
         print(f"error: {exc}", file=sys.stderr)

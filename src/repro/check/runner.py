@@ -34,7 +34,6 @@ from repro.check.strategies import ExplorationStrategy, ReplayStrategy, make_str
 from repro.check.traces import DecisionTrace, minimize_decisions
 from repro.core.task import reset_uids
 from repro.sim.engine import SchedulingStrategy
-from repro.obs.flight import maybe_attach_flight
 from repro.obs.tracing import Tracer
 # a module import: repro.targets imports this package back
 from repro import targets as target_table
@@ -154,10 +153,6 @@ def run_once(
         tracer = Tracer.attach(engine)
         if engine_hook is not None:
             engine_hook(engine)
-        # When $REPRO_FLIGHT_DIR is set, arm the flight recorder: engine
-        # failures (deadlock, PredictedDeadlockError, limits, crashes)
-        # dump the last spans per rank via the engine's failure hooks.
-        flight = maybe_attach_flight(engine, context=f"check-{scenario.name}")
         ctx = scenario.build(engine)
         try:
             engine.run()
@@ -175,18 +170,16 @@ def run_once(
         events = tracer.events
         for checker in scenario.checkers():
             out.violations.extend(checker.check(events, ctx))
-        if out.violations and flight is not None:
-            flight.dump(
-                "invariant-failure",
-                error="; ".join(str(v) for v in out.violations[:4]),
-            )
     return out
 
 
-def replay(trace: DecisionTrace, decisions: list[dict] | None = None) -> RunOutcome:
+def replay(
+    trace: DecisionTrace, decisions: list[dict] | None = None, engine_hook=None
+) -> RunOutcome:
     """Re-execute a persisted trace (optionally with an edited decision list).
 
-    An app preset is built at the trace's ``nprocs``.
+    An app preset is built at the trace's ``nprocs``.  ``engine_hook``
+    is passed to :func:`run_once` (e.g. to attach a span recorder).
 
     Raises:
         ValueError: If the trace's target or mutation is unknown, or it
@@ -205,6 +198,7 @@ def replay(trace: DecisionTrace, decisions: list[dict] | None = None) -> RunOutc
         strategy,
         engine_seed=trace.engine_seed,
         mutation=trace.mutation,
+        engine_hook=engine_hook,
     )
 
 
@@ -250,7 +244,6 @@ def explore(
     out_dir: str | Path | None = None,
     jobs: int = 1,
     progress: Callable[[dict], None] | None = None,
-    flight_dir: str | Path | None = None,
 ) -> ExploreResult:
     """Explore ``schedules`` interleavings of each target and check invariants.
 
@@ -266,8 +259,6 @@ def explore(
         out_dir: Where to persist failure traces (default ``scioto-check/``).
         jobs: Fleet workers; ``1`` runs every shard in this process.
         progress: Optional fleet progress callback (``FleetScheduler``).
-        flight_dir: Arm the crash flight recorder for every run, dumping
-            there (see ``repro.obs.flight``).
 
     Raises:
         ValueError: For ``schedules < 1`` or an unknown target, before
@@ -293,7 +284,7 @@ def explore(
         mutation=mutation,
         nworkers=jobs,
     )
-    results = run_campaign(shards, jobs, progress=progress, flight_dir=flight_dir)
+    results = run_campaign(shards, jobs, progress=progress)
     result = ExploreResult(targets=targets, strategy=strategy_name)
     result.schedules_run, result.events_total, result.failures = _merge_shards(
         [r.value for r in results], targets

@@ -13,7 +13,6 @@ __all__ = [
     "positive_int",
     "positive_float",
     "add_jobs_argument",
-    "add_flight_argument",
     "print_progress",
 ]
 
@@ -45,14 +44,6 @@ def add_jobs_argument(p: argparse.ArgumentParser) -> None:
         "--jobs", type=positive_int, default=1, metavar="N",
         help="fleet worker processes (default: 1, in this process); "
         "the answer is the same for any N",
-    )
-
-
-def add_flight_argument(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--flight-dir", default=None, metavar="DIR",
-        help="arm the crash flight recorder in every worker; dumps, "
-        "breadcrumbs and crash reports land here",
     )
 
 

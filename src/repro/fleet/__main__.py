@@ -8,10 +8,8 @@ Example::
 Check campaigns shard over the fleet through ``python -m repro.check
 --jobs N`` (:func:`repro.check.runner.explore`); ``repro.bench --jobs
 N`` and ``repro.analyze predict --jobs N`` submit their own jobs.
-Passing ``--flight-dir DIR`` to any campaign arms the crash flight
-recorder in every worker (see docs/observability.md): engine failures
-dump their last spans there, and a worker death leaves a
-``fleet-crash-*.json`` report beside the worker's breadcrumb.
+Every lost job is printed with a ``replay:`` command that reruns it
+alone.
 """
 
 from __future__ import annotations
@@ -19,12 +17,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli import add_flight_argument, positive_int
+from repro.cli import positive_int
 from repro.fleet.jobs import Job, probe
 from repro.fleet.scheduler import FleetReport, FleetScheduler
 
 
-def _print_fleet_summary(report: FleetReport) -> None:
+def _print_fleet_summary(report: FleetReport, jobs: list[Job]) -> None:
     print(
         f"fleet: {len(report.completed)}/{report.jobs_total} jobs on "
         f"{report.nworkers} workers in {report.wall_s:.1f}s "
@@ -35,10 +33,13 @@ def _print_fleet_summary(report: FleetReport) -> None:
             f"  worker deaths: {report.worker_deaths} "
             f"(requeued: {len(report.requeued_keys)})"
         )
+    by_key = {j.key: j for j in jobs}
     for c in report.crashed:
         print(f"  CRASHED {c['key']}: {c['error']}")
+        print(f"    replay: {by_key[c['key']].replay_command()}")
     for r in report.failed_results:
         print(f"  JOB ERROR {r.key}: {r.error}")
+        print(f"    replay: {by_key[r.key].replay_command()}")
 
 
 def probe_main(args: argparse.Namespace) -> int:
@@ -48,8 +49,8 @@ def probe_main(args: argparse.Namespace) -> int:
     ]
     if args.crash:
         jobs.append(Job("probe/crash", probe, {"action": "crash"}))
-    report = FleetScheduler(args.jobs, flight_dir=args.flight_dir).run(jobs)
-    _print_fleet_summary(report)
+    report = FleetScheduler(args.jobs).run(jobs)
+    _print_fleet_summary(report, jobs)
     # A --crash probe is *expected* to end up flagged after one requeue;
     # anything else unaccounted for is a self-test failure.
     expected_crashed = 1 if args.crash else 0
@@ -75,7 +76,6 @@ def _parser() -> argparse.ArgumentParser:
     pr.add_argument("--count", type=positive_int, default=8, help="probe jobs to run")
     pr.add_argument("--crash", action="store_true",
                     help="include a probe that SIGKILLs its worker")
-    add_flight_argument(pr)
     return p
 
 

@@ -5,7 +5,9 @@ arguments — the paper's task shape (a registered callback plus a body of
 portable arguments), with ``pickle``'s by-reference function handle as
 the registry.  :func:`execute_job` calls ``fn(**kwargs)``, in a worker
 process or inline, and returns the value whole in a picklable
-:class:`JobResult`.  The callers build their own jobs:
+:class:`JobResult`.  Because the kwargs are literals,
+:meth:`Job.replay_command` renders any job as one shell command that
+reruns it alone.  The callers build their own jobs:
 
 * ``repro.check`` — :func:`explore_jobs`, shards of
   :func:`repro.check.runner.run_schedules`;
@@ -19,8 +21,10 @@ process or inline, and returns the value whole in a picklable
 
 from __future__ import annotations
 
+import ast
 import os
 import pickle
+import shlex
 import signal
 import time
 from dataclasses import dataclass, field
@@ -38,7 +42,8 @@ class Job:
             reporting and requeue accounting.
         fn: A module-level function, so it crosses to a worker process
             by reference; anything else is refused at construction.
-        kwargs: ``fn``'s keyword arguments (picklable).
+        kwargs: ``fn``'s keyword arguments: Python literals, so that
+            :meth:`replay_command` can spell them out.
         attempts: Dispatch count so far; maintained by the scheduler.
             A job whose worker dies is requeued exactly once
             (``attempts`` reaches 2) before being reported as crashed.
@@ -60,6 +65,23 @@ class Job:
                 f"job {self.key!r}: function {name!r} cannot be pickled by "
                 "reference; use a module-level function"
             ) from exc
+        for name, value in self.kwargs.items():
+            try:
+                same = ast.literal_eval(repr(value)) == value
+            except (ValueError, SyntaxError):
+                same = False
+            if not same:
+                raise ValueError(
+                    f"job {self.key!r}: argument {name!r} is not a Python literal"
+                )
+
+    def replay_command(self) -> str:
+        """A shell command that reruns this job alone, outside the fleet."""
+        code = (
+            f"from {self.fn.__module__} import {self.fn.__qualname__} as f; "
+            f"f(**{self.kwargs!r})"
+        )
+        return f"python -c {shlex.quote(code)}"
 
 
 @dataclass

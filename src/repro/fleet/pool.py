@@ -19,7 +19,6 @@ hang: crash detection is the pool's one non-trivial job.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import warnings
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
@@ -32,9 +31,6 @@ __all__ = ["WorkerEvent", "ProcessPool", "InlinePool", "default_start_method"]
 #: Modules the forkserver imports before the first worker forks, so the
 #: heavy runtime import cost is paid once per campaign, not per worker.
 _PRELOAD = ["repro.fleet.worker", "repro.check.runner"]
-
-#: Read by ``repro.obs.flight.maybe_attach_flight`` in every engine run.
-_FLIGHT_ENV = "REPRO_FLIGHT_DIR"
 
 
 def default_start_method() -> str:
@@ -66,13 +62,10 @@ class _Slot:
 class ProcessPool:
     """``nworkers`` seats, each backed by a child process and a pipe."""
 
-    def __init__(self, nworkers: int, flight_dir: str | None = None) -> None:
+    def __init__(self, nworkers: int) -> None:
         if nworkers < 1:
             raise ValueError("nworkers must be >= 1")
         self.nworkers = nworkers
-        #: When set, workers arm the crash flight recorder and drop
-        #: per-job breadcrumbs here (see repro.fleet.worker).
-        self.flight_dir = None if flight_dir is None else str(flight_dir)
         self._ctx = multiprocessing.get_context(default_start_method())
         if self._ctx.get_start_method() == "forkserver":
             try:
@@ -85,7 +78,7 @@ class ProcessPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, worker_id, self.flight_dir),
+            args=(child_conn, worker_id),
             name=f"fleet-worker-{worker_id}",
             daemon=True,
         )
@@ -96,9 +89,6 @@ class ProcessPool:
     # ------------------------------------------------------------------ #
     # Scheduler interface
     # ------------------------------------------------------------------ #
-    def pid(self, worker: int) -> int | None:
-        return self._slots[worker].proc.pid
-
     def send(self, worker: int, job: Job) -> None:
         slot = self._slots[worker]
         if not slot.alive:
@@ -187,31 +177,16 @@ class InlinePool:
     :class:`ProcessPool` for failure-path tests.
     """
 
-    def __init__(self, nworkers: int, flight_dir: str | None = None) -> None:
+    def __init__(self, nworkers: int) -> None:
         if nworkers < 1:
             raise ValueError("nworkers must be >= 1")
         self.nworkers = nworkers
-        #: When set, every job runs with ``$REPRO_FLIGHT_DIR`` pointing
-        #: here, as it would in a ProcessPool worker.
-        self.flight_dir = None if flight_dir is None else str(flight_dir)
         self._pending: list[WorkerEvent] = []
-
-    def pid(self, worker: int) -> int | None:
-        return None
 
     def send(self, worker: int, job: Job) -> None:
         if job.fn is probe and job.kwargs.get("action") in ("crash", "exit"):
             raise ValueError("crash/exit probes require a ProcessPool")
-        saved = os.environ.get(_FLIGHT_ENV)
-        if self.flight_dir is not None:
-            os.environ[_FLIGHT_ENV] = self.flight_dir
-        try:
-            result = execute_job(job, worker)
-        finally:
-            if saved is None:
-                os.environ.pop(_FLIGHT_ENV, None)
-            else:
-                os.environ[_FLIGHT_ENV] = saved
+        result = execute_job(job, worker)
         self._pending.append(WorkerEvent(worker=worker, kind="result", result=result))
 
     def respawn(self, worker: int) -> None:  # pragma: no cover - nothing dies inline

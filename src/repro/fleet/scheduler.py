@@ -12,7 +12,9 @@ Worker crashes are first-class: a worker that dies mid-job (SIGKILL,
 OOM, segfault) is detected via its process sentinel, its job is
 requeued once at the head of the queue, and a second death of the same
 job lands it in ``report.crashed`` — flagged, never dropped.  The dead
-seat is respawned so fleet capacity is maintained.
+seat is respawned so fleet capacity is maintained.  A job's inputs are
+its whole story, so the forensics of any lost job is
+:meth:`~repro.fleet.jobs.Job.replay_command`: rerun it alone.
 
 :func:`run_campaign` is the one entry point of ``repro.check``,
 ``repro.bench`` and ``repro.analyze predict``: in this process at one
@@ -21,11 +23,9 @@ worker, results in submission order at any count.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.fleet.jobs import Job, JobResult
@@ -76,22 +76,26 @@ def run_campaign(
     jobs: list[Job],
     nworkers: int = 1,
     progress: Callable[[dict[str, Any]], None] | None = None,
-    flight_dir: str | Path | None = None,
 ) -> list[JobResult]:
     """Run ``jobs`` on ``nworkers`` (``1``: in this process) and return
     their results in submission order, the same for any ``nworkers``.
 
     Raises:
         RuntimeError: Naming every job that raised or whose worker died
-            twice.
+            twice, each followed by a ``replay:`` command that reruns it.
     """
-    report = FleetScheduler(
-        nworkers, inline=nworkers == 1, progress=progress, flight_dir=flight_dir
-    ).run(jobs)
+    report = FleetScheduler(nworkers, inline=nworkers == 1, progress=progress).run(jobs)
     if not report.ok:
-        lost = [f"{c['key']}: {c['error']}" for c in report.crashed]
-        lost += [f"{r.key}: {r.error}" for r in report.failed_results]
-        raise RuntimeError("campaign incomplete: " + "; ".join(lost))
+        by_key = {j.key: j for j in jobs}
+        lost = [(c["key"], c["error"]) for c in report.crashed]
+        lost += [(r.key, r.error) for r in report.failed_results]
+        raise RuntimeError(
+            "campaign incomplete: "
+            + "\n".join(
+                f"{key}: {error}\n  replay: {by_key[key].replay_command()}"
+                for key, error in lost
+            )
+        )
     by_key = {r.key: r for r in report.completed}
     return [by_key[j.key] for j in jobs]
 
@@ -104,17 +108,12 @@ class FleetScheduler:
         nworkers: int,
         inline: bool = False,
         progress: Callable[[dict[str, Any]], None] | None = None,
-        flight_dir: str | Path | None = None,
     ) -> None:
         if nworkers < 1:
             raise ValueError("nworkers must be >= 1")
         self.nworkers = nworkers
         self.inline = inline
         self.progress = progress
-        #: When set, workers arm the crash flight recorder there and the
-        #: scheduler writes a ``fleet-crash-w<worker>-<n>.json`` report
-        #: beside the worker's flight dump on every death.
-        self.flight_dir = None if flight_dir is None else Path(flight_dir)
 
     # ------------------------------------------------------------------ #
     # Campaign entry point
@@ -128,14 +127,7 @@ class FleetScheduler:
         # All wall-clock below is sanctioned host-side scheduling time.
         t0 = time.perf_counter()  # repro: lint-disable=RPR002
         if jobs:  # an empty campaign spawns no workers
-            if self.flight_dir is not None:
-                self.flight_dir.mkdir(parents=True, exist_ok=True)
-            flight_dir = None if self.flight_dir is None else str(self.flight_dir)
-            pool = (
-                InlinePool(self.nworkers, flight_dir=flight_dir)
-                if self.inline
-                else ProcessPool(self.nworkers, flight_dir=flight_dir)
-            )
+            pool = (InlinePool if self.inline else ProcessPool)(self.nworkers)
             try:
                 self._run_loop(jobs, pool, report)
             finally:
@@ -198,9 +190,6 @@ class FleetScheduler:
         # ``attempts`` counts dispatches: the first death requeues the
         # job, the second flags it.
         requeue = job is not None and job.attempts == 1
-        fate = "idle" if job is None else "requeued" if requeue else "crashed"
-        if self.flight_dir is not None:
-            self._write_crash_report(w, job, fate, pool, report)
         if requeue:
             pending.appendleft(job)
             report.requeued_keys.append(job.key)
@@ -214,37 +203,6 @@ class FleetScheduler:
                 }
             )
         pool.respawn(w)
-
-    def _write_crash_report(
-        self, w: int, job: Job | None, fate: str, pool, report: FleetReport
-    ) -> None:
-        """Persist what is known about a worker death next to its flight
-        dump: the in-flight job, the dead pid, and the worker's last
-        breadcrumb (its own view of what it was running when killed)."""
-        from repro.fleet.worker import breadcrumb_path
-        from repro.util.io import atomic_write_text
-
-        breadcrumb = None
-        try:
-            breadcrumb = json.loads(
-                breadcrumb_path(self.flight_dir, w).read_text()
-            )
-        except (OSError, ValueError):
-            pass  # worker died before its first breadcrumb
-        doc = {
-            "schema": "repro-fleet-crash/1",
-            "worker": w,
-            "pid": pool.pid(w),
-            "death_number": report.worker_deaths,
-            "job": None if job is None else {"key": job.key, "attempts": job.attempts},
-            "job_fate": fate,
-            "breadcrumb": breadcrumb,
-        }
-        path = self.flight_dir / f"fleet-crash-w{w}-{report.worker_deaths}.json"
-        try:
-            atomic_write_text(path, json.dumps(doc, indent=2))
-        except OSError:  # pragma: no cover - reporting is best-effort
-            pass
 
     # ------------------------------------------------------------------ #
     # Progress

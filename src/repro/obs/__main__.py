@@ -7,10 +7,9 @@ Subcommands:
   in Perfetto), a metrics JSON (``--metrics``), and/or print the ASCII
   timeline and summary.  ``--stream DIR`` records through the
   constant-memory spill sink (sharded JSONL; ``--trace`` then packs
-  the shards), and ``--flight PATH`` arms the crash flight recorder.
-  ``--live PATH`` additionally publishes interval telemetry frames —
-  windowed counts, means and sketch percentiles — to an append-only
-  JSONL feed (``repro-obs-live/1``).
+  the shards).  ``--live PATH`` additionally publishes interval
+  telemetry frames — windowed counts, means and sketch percentiles —
+  to an append-only JSONL feed (``repro-obs-live/1``).
 * ``pack`` — convert a sealed spill directory (``repro-obs-stream/1``)
   into a Perfetto-loadable Chrome trace without materializing the run.
 * ``top`` — render a live (or finished) telemetry feed as a terminal
@@ -95,11 +94,6 @@ from repro.util.io import RecordError
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    flight = None
-    if args.flight:
-        from repro.obs.flight import FlightRecorder
-
-        flight = FlightRecorder(args.flight, flush_every=args.flight_flush)
     # Streamed runs skip the tracer: its in-memory event list is
     # unbounded, which would defeat the constant-memory spill path.
     run = run_target(
@@ -108,7 +102,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         events=not args.stream,
         stream_dir=args.stream,
-        flight=flight,
         live_path=args.live,
         live_interval=args.live_interval,
     )
@@ -427,12 +420,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--live-interval", type=positive_float, metavar="SEC",
                        help="virtual-time interval between telemetry frames "
                        "(default 100us)")
-    p_run.add_argument("--flight", metavar="PATH",
-                       help="arm the crash flight recorder; the most recent "
-                       "spans/instants per rank are dumped here on failure")
-    p_run.add_argument("--flight-flush", type=int, default=0, metavar="N",
-                       help="also rewrite the flight dump every N records "
-                       "(survives SIGKILL; 0 = only on failure)")
     p_run.set_defaults(fn=_cmd_run)
 
     p_pack = sub.add_parser(

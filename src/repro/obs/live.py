@@ -187,9 +187,6 @@ class TelemetryBus:
             }
             self._write(frame)
             self.frames_emitted += 1
-            flight = self.recorder.flight
-            if flight is not None:
-                flight.record_frame(frame)
         self._events_prev = events
         self._t0 = t1
 

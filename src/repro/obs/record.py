@@ -169,11 +169,9 @@ class Recorder:
     default :class:`~repro.obs.stream.MemorySink` keeps the historical
     in-memory lists (``recorder.spans`` et al. stay list-like views of
     it), while :class:`~repro.obs.stream.SpillSink` streams completed
-    records to sharded JSONL in constant memory.  Optional side-taps:
-    ``live`` (a :class:`repro.obs.live.TelemetryBus`) publishes windowed
-    metric frames at a virtual-time interval, and ``flight`` (a
-    :class:`repro.obs.flight.FlightRecorder`) keeps a bounded per-rank
-    ring of recent records that is dumped to disk when the engine fails.
+    records to sharded JSONL in constant memory.  The optional ``live``
+    side-tap (a :class:`repro.obs.live.TelemetryBus`) publishes windowed
+    metric frames at a virtual-time interval.
     """
 
     _KEY = _KEY
@@ -184,7 +182,6 @@ class Recorder:
         capacity: int = 2_000_000,
         edges: bool = True,
         sink: "Any | None" = None,
-        flight: "Any | None" = None,
         live: "Any | None" = None,
     ) -> None:
         from repro.obs.stream import MemorySink  # sibling; cycle-free at call time
@@ -199,10 +196,6 @@ class Recorder:
         self.dropped_instants = 0
         self.dropped_edges = 0
         self.metrics = MetricsRegistry()
-        self.flight = None
-        self._failure_hooked = False
-        if flight is not None:
-            self.set_flight(flight)
         # Live telemetry bus: binds to the engine's per-event tick and
         # publishes interval frames to its feed (repro-obs-live/1).
         self.live = live
@@ -230,16 +223,12 @@ class Recorder:
         capacity: int = 2_000_000,
         edges: bool = True,
         sink: "Any | None" = None,
-        flight: "Any | None" = None,
         live: "Any | None" = None,
     ) -> "Recorder":
         """Enable recording on ``engine`` (idempotent)."""
         inst = engine.state.get(cls._KEY)
         if inst is None:
-            inst = cls(
-                engine, capacity, edges=edges, sink=sink, flight=flight,
-                live=live,
-            )
+            inst = cls(engine, capacity, edges=edges, sink=sink, live=live)
             engine.state[cls._KEY] = inst
             engine.note_observer()
         return inst
@@ -275,18 +264,6 @@ class Recorder:
     def dropped(self) -> int:
         """Total records refused by the sink (spans + instants + edges)."""
         return self.dropped_spans + self.dropped_instants + self.dropped_edges
-
-    def set_flight(self, flight: "Any") -> None:
-        """Install a flight recorder and hook it to engine failures."""
-        self.flight = flight
-        hooks = getattr(self.engine, "failure_hooks", None)
-        if flight is not None and hooks is not None and not self._failure_hooked:
-            hooks.append(self._on_failure)
-            self._failure_hooked = True
-
-    def _on_failure(self, exc: BaseException) -> None:
-        if self.flight is not None:
-            self.flight.dump(type(exc).__name__, error=str(exc))
 
     def finish(self) -> None:
         """Finalize the recording (idempotent): emit the last telemetry
@@ -347,8 +324,6 @@ class Recorder:
         if span is not None:
             span.end = proc.now
             self.sink.on_close(span)
-            if self.flight is not None:
-                self.flight.record_span(span)
 
     def complete_span(
         self,
@@ -375,8 +350,6 @@ class Recorder:
         self.span_count = sid + 1
         self.category_counts[category] = self.category_counts.get(category, 0) + 1
         self.sink.on_complete(rec)
-        if self.flight is not None:
-            self.flight.record_span(rec)
 
     def instant_event(
         self, proc: "Proc", name: str, category: str, detail: Any = None
@@ -388,8 +361,6 @@ class Recorder:
         rec = InstantRecord(proc.now, proc.rank, name, category, detail)
         self.instant_count += 1
         self.sink.on_instant(rec)
-        if self.flight is not None:
-            self.flight.record_instant(rec)
 
     # ------------------------------------------------------------------ #
     # Causal-edge API (metadata-only; see module docstring)

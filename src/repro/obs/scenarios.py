@@ -68,7 +68,6 @@ def run_target(
     edges: bool = True,
     stream_dir: Any | None = None,
     shard_size: int | None = None,
-    flight: Any | None = None,
     sink: Any | None = None,
     live_path: Any | None = None,
     live_interval: float | None = None,
@@ -84,8 +83,7 @@ def run_target(
 
     Streaming options: ``stream_dir`` records through a constant-memory
     :class:`~repro.obs.stream.SpillSink` spilling sharded JSONL there
-    (sealed with a footer index when the run finishes); ``flight``
-    installs a :class:`~repro.obs.flight.FlightRecorder`; and
+    (sealed with a footer index when the run finishes), and
     ``live_path`` publishes interval telemetry frames there as an
     append-only ``repro-obs-live/1`` feed (every ``live_interval``
     virtual seconds, default 100 µs).
@@ -115,7 +113,7 @@ def run_target(
     engine = target.make_engine(seed)
     rec = trc = None
     if record:
-        rec = Recorder.attach(engine, edges=edges, sink=sink, flight=flight, live=live)
+        rec = Recorder.attach(engine, edges=edges, sink=sink, live=live)
         if events:
             trc = Tracer.attach(engine)
     target.build(engine)

@@ -16,9 +16,6 @@ more — it pushes records into a :class:`SpanSink`:
   the run.  Recorder memory is bounded by the open-span stacks plus one
   shard buffer, independent of run length — this is what lets a
   million-event run be recorded at all (ROADMAP item 3).
-* :class:`NullSink` stores nothing; it exists so the flight recorder
-  (:mod:`repro.obs.flight`) can tap the completed-span stream without
-  any retention.
 
 Span shards are written **pre-sorted by the Chrome-trace event order**
 ``(tid, ts, -dur, sid)``, so :func:`pack` can produce a byte-identical
@@ -52,7 +49,6 @@ __all__ = [
     "SpanSink",
     "MemorySink",
     "SpillSink",
-    "NullSink",
     "TeeSink",
     "SpillReader",
     "pack",
@@ -175,19 +171,6 @@ class MemorySink(SpanSink):
 
     def edge_stream(self) -> list[EdgeRecord]:
         return self.edges
-
-
-class NullSink(SpanSink):
-    """Keeps nothing.  Used when only side-taps (flight rings) matter."""
-
-    def span_stream(self) -> list[SpanRecord]:
-        return []
-
-    def instant_stream(self) -> list[InstantRecord]:
-        return []
-
-    def edge_stream(self) -> list[EdgeRecord]:
-        return []
 
 
 class TeeSink(SpanSink):

@@ -382,9 +382,6 @@ class Engine:
         self.observed = False
         # Global shared-state namespace used by comm layers (keyed by layer).
         self.state: dict[str, Any] = {}
-        # Called with the failure just before run() re-raises it —
-        # observers (e.g. the obs flight recorder) dump state here.
-        self.failure_hooks: list[Callable[[BaseException], None]] = []
         # Per-event telemetry tick: called with the event's virtual time
         # from both accounting sites (_pick and the co_sync elision
         # path).  None when no live telemetry bus is attached, so an
@@ -625,11 +622,6 @@ class Engine:
                         break
                 dst = pick()
             if self._failure is not None:
-                for hook in self.failure_hooks:
-                    try:
-                        hook(self._failure)
-                    except Exception:  # noqa: BLE001 - a dump must never mask the failure
-                        pass
                 raise self._failure
         finally:
             self._teardown()

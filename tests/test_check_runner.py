@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import os
+import shlex
 
 import pytest
 
@@ -51,16 +51,6 @@ class TestCampaign:
         res = explore(["steals", "queue", "steals"], schedules=4, out_dir=tmp_path)
         assert res.targets == ["steals", "queue"]
         assert res.schedules_run == 8
-
-    def test_flight_dir_armed_in_process(self, tmp_path, monkeypatch):
-        """At jobs=1 the shards run in this process; --flight-dir must
-        still reach every engine run, and only for the campaign."""
-        monkeypatch.delenv("REPRO_FLIGHT_DIR", raising=False)
-        monkeypatch.setenv("REPRO_FLIGHT_FLUSH_EVERY", "64")  # dump clean runs too
-        flight = tmp_path / "flight"
-        assert explore("queue", schedules=1, out_dir=tmp_path, flight_dir=flight).ok
-        assert list(flight.glob("flight-check-queue-*.json"))
-        assert "REPRO_FLIGHT_DIR" not in os.environ
 
 
 class TestMutationCaught:
@@ -344,3 +334,27 @@ class TestCli:
         assert min_traces
         # the trace records its mutation, so replay re-applies it itself
         assert main(["--replay", str(min_traces[0])]) == 0
+
+    def test_printed_replay_records_the_failure(self, tmp_path, capsys):
+        from repro.check.__main__ import main
+        from repro.obs.analyze import load_chrome_trace
+
+        argv = ["--target", "queue", "--schedules", "10", "--mutate", "unlocked_split"]
+        assert main(argv + ["--quiet", "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        (cmd,) = [line.split("replay:", 1)[1] for line in out.splitlines() if "replay:" in line]
+        words = shlex.split(cmd)
+        assert words[:4] == ["python", "-m", "repro.check", "--replay"]
+        chrome = tmp_path / "out.json"
+        assert main(words[3:] + ["--trace", str(chrome)]) == 0
+        assert "signature match:  yes" in capsys.readouterr().out
+        spans, _ = load_chrome_trace(chrome)
+        assert len(spans) > 0
+
+    def test_trace_without_replay_is_a_usage_error(self, capsys):
+        from repro.check.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--trace", "x.json"])
+        assert exc.value.code == 2
+        assert "argument --trace" in capsys.readouterr().err

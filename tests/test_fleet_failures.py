@@ -112,6 +112,13 @@ class TestPoolBehaviour:
             with pytest.raises(RuntimeError, match="dead"):
                 pool.send(0, sleep_jobs(1)[0])
             pool.respawn(0)
-            assert pool.pid(0) is not None
+            # the respawned seat serves jobs again
+            pool.send(0, sleep_jobs(1)[0])
+            events = []
+            for _ in range(100):
+                events = pool.poll(0.1)
+                if events:
+                    break
+            assert events and events[0].kind == "result" and events[0].result.ok
         finally:
             pool.close()

@@ -5,8 +5,7 @@ and attaching it never changes the run fingerprint (``repro.obs verify``
 checks both for every check scenario).  It is the only windowed view of
 the metrics, so these tests pin its bytes (sha256 goldens), its window
 boundaries and its counts against the cumulative registry.  They also
-cover the feed reader's damage rules, the schema validator, and the
-flight recorder's latest-frame capture.
+cover the feed reader's damage rules and the schema validator.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.obs.flight import FlightRecorder, load_flight_dump
 from repro.obs.live import (
     LIVE_SCHEMA,
     TelemetryBus,
@@ -53,7 +51,7 @@ def bare_bus(tmp_path, interval=1.0):
     """A bus bound to a stand-in engine: ``event(t)`` does what the engine
     does per event — tick the bus with the event's time, then count it."""
     engine = SimpleNamespace(nprocs=1, events=0, _tick=None)
-    rec = SimpleNamespace(engine=engine, metrics=MetricsRegistry(), flight=None)
+    rec = SimpleNamespace(engine=engine, metrics=MetricsRegistry())
     bus = TelemetryBus(tmp_path / "f.jsonl", interval=interval)
     bus.bind(rec)
 
@@ -258,21 +256,6 @@ class TestMergeAndRender:
 
     def test_render_top_empty_feed(self):
         assert "no frames" in render_top({"meta": {}, "frames": []})
-
-
-class TestFlightIntegration:
-    def test_flight_dump_carries_latest_frame_and_config(self, tmp_path):
-        flight = FlightRecorder(tmp_path / "flight.json", per_rank=8)
-        run = run_target(
-            "queue", record=True, live_path=tmp_path / "f.jsonl",
-            live_interval=50e-6, flight=flight,
-        )
-        assert run.recorder.live.frames_emitted > 0
-        flight.dump("test")
-        doc = load_flight_dump(tmp_path / "flight.json")
-        assert doc["telemetry"]["kind"] == "frame"
-        assert doc["telemetry"]["seq"] == run.recorder.live.frames_emitted - 1
-        assert doc["config"]["per_rank"] == 8
 
 
 class TestCli:

@@ -22,8 +22,7 @@ from repro.check.traces import DecisionTrace
 from repro.obs.analyze import load_chrome_trace, load_metrics_json
 from repro.obs.diff import diff_files
 from repro.obs.export import write_chrome_trace, write_metrics_json
-from repro.obs.flight import FlightRecorder, load_flight_dump
-from repro.obs.record import EdgeRecord, SpanRecord
+from repro.obs.record import EdgeRecord
 from repro.obs.scenarios import run_target
 from repro.obs.stream import SpillSink, pack
 from repro.util.io import RecordError
@@ -36,13 +35,6 @@ def _trace(path: Path) -> Path:
         nprocs=3, schedule_index=0, failure="ok",
         decisions=[{"k": "pick", "rank": 2}, {"k": "delay", "i": 0, "s": 1e-6}],
     ).save(path)
-
-
-def _flight(path: Path) -> Path:
-    fl = FlightRecorder(path, per_rank=4)
-    for i in range(6):
-        fl.record_span(SpanRecord(i % 2, f"s{i}", "task", i * 1e-6, (i + 1) * 1e-6, 0))
-    return fl.dump("test")
 
 
 def _spill(path: Path) -> Path:
@@ -69,8 +61,6 @@ ROWS = {
     "trace": ("t.json", _trace, lambda d: DecisionTrace.load(d / "t.json"),
               "format", ["target", "strategy", "strategy_seed", "engine_seed", "nprocs",
                          "schedule_index", "failure", "decisions"]),
-    "flight": ("f.json", _flight, lambda d: load_flight_dump(d / "f.json"),
-               "schema", ["rings"]),
     "metrics": ("m.json", lambda p: write_metrics_json(_recorder(), p),
                 lambda d: load_metrics_json(d / "m.json"), "schema", ["histograms"]),
     "chrome": ("c.json", lambda p: write_chrome_trace(_recorder(), p),
