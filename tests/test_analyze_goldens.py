@@ -8,6 +8,10 @@ goldens fix:
 * ``predict(...).describe()`` (the output directory normalised) plus
   the name and bytes of every witness trace it persisted.
 
+Call sites are labelled ``path:LINE (function)``; every digest hashes
+the text with each ``:LINE (`` written as `` (``, so a golden pins
+behaviour and moving code within a file leaves it unchanged.
+
 The hashes were computed with the live vector-clock detector that the
 post-run pass over the captured trace replaced.  The one intended
 difference is ``lock_order_inversion`` on the three scenarios where a
@@ -19,6 +23,7 @@ so the race run ends at the fatal request with
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
 
@@ -28,17 +33,26 @@ from repro.check.mutations import MUTATIONS
 from repro.check.scenarios import SCENARIOS
 
 
+_LINE = re.compile(r":\d+ \(")
+
+
+def _unlined(text):
+    """``text`` with every call site's ``:LINE (`` written as `` (``."""
+    return _LINE.sub(" (", text)
+
+
 def _race_digest(target, mutation):
     res = run_race_detection(target, mutation=mutation)
-    return hashlib.sha256(res.report.encode()).hexdigest()
+    return hashlib.sha256(_unlined(res.report).encode()).hexdigest()
 
 
 def _predict_digest(target, mutation, out_dir):
     report = predict(target, mutation=mutation, out_dir=out_dir)
-    h = hashlib.sha256(report.describe().replace(str(out_dir), "<out>").encode())
+    text = report.describe().replace(str(out_dir), "<out>")
+    h = hashlib.sha256(_unlined(text).encode())
     for path in sorted(out_dir.iterdir()):
         h.update(path.name.encode())
-        h.update(path.read_bytes())
+        h.update(_unlined(path.read_text()).encode())
     return h.hexdigest()
 
 
@@ -46,7 +60,7 @@ def _predict_digest(target, mutation, out_dir):
 #: digest of None marks a run that now ends at the wait-for monitor.
 GOLDENS = {
     ("graph", "fence_elision"): (
-        "1cb2ac1c0a86cbaf3cbf644be421080ceaf9d2a04b974e9df5a9330df5c929aa",
+        "3e732222721f0b31aa0d8cd809df7d5091c68fe257c558b394789e743157841f",
         "d4a33972b0822907a49b9484d202517c32bc8f7f5fb90528b3a4dfb5e902ea07",
     ),
     ("graph", "late_dirty_mark"): (
@@ -66,8 +80,8 @@ GOLDENS = {
         "329477822959ff27089ab24aaa7fc113dce14ff13c68ad4d17ada09d625bd8b4",
     ),
     ("graph", "unlocked_split"): (
-        "dd22a337fa3269c6ae218e8af0383c5ccb17d933e9e5b6babb5b2f2e168e2cab",
-        "317903a869b7ba2ac1174069b1e6620040dce0d5187b8562eff5a22af4d26007",
+        "fa8ec43db02596a1491fd9d4fd533239d9b66252a067aff740ddc3fd8488c6df",
+        "ae2feb3dd71b827f0bc72bc29c7941addf2cc721d76464051f1be36ba4e76f1d",
     ),
     ("queue", "fence_elision"): (
         "4288ae13c15701d1bbaba4cd274fc38f6c8099713da72853b64c03e1d347cdde",
@@ -90,8 +104,8 @@ GOLDENS = {
         "4be91c5db0df659a1fe39b5b7d06ec040b2bc48a5e5ce80149e08975dbb50130",
     ),
     ("queue", "unlocked_split"): (
-        "47b4925fbefc92d4d85151f86df441b76dcdac81068128c868cbb03e8f2a468d",
-        "18fc707ceef4933366d48c859f751add127dc04c9c521665b49bf44a1fc842b8",
+        "b67eb17823ec1f82e9a57e442082c525f7e276c52bd0273700f8e10abf5e862f",
+        "90c14abb7832183034917591a83a0dbed76b6ffb9e30b8c203c23a3edc0627e6",
     ),
     ("queue-wf", "fence_elision"): (
         "8e4278a2b9981e70df49adf9f43cde304195c2590775a795768926d1bd75eacc",
@@ -114,8 +128,8 @@ GOLDENS = {
         "64085d14f957a09a0b364691f718fb4d4a49a8e1b1ed338b2079920f7b255238",
     ),
     ("queue-wf", "unlocked_split"): (
-        "698a4e940cb41891658cdd353da9475fc825461f40d9b47825cf437e07d459dd",
-        "2c8a4811e40c6538362343abde82201931357858c14bcec916438fc96eb6c67e",
+        "ed952cd7a105eb8b72cc5aac276ad645fa2d811b17bff554c376667a53140263",
+        "b6290ebb2afb4cdcb64f2182e811f361280f093736f77fab168a444d4938aabb",
     ),
     ("steals", "fence_elision"): (
         "2d9717beb5003a2abe61a2d11ca55444fb3061f4c5725e4bfed8bb1a934f33b9",
@@ -138,8 +152,8 @@ GOLDENS = {
         "2fbafb5e5f7c1cf0b4992d8d3ef64d37267970c0505602c97cda2708e7e8aaed",
     ),
     ("steals", "unlocked_split"): (
-        "5be2e852ddfc212e70a78030f343a9d6752af2c9d1ea6496b83553b77120b1ad",
-        "490b8c28b253dac4f86c7d6678b03f78a4375e11da250b0bc3d616689ff10cdf",
+        "7f0277f3bb259b02947216ad5542ccdaf4435b6d456df15f9bb64986d6a643e3",
+        "2ab7a0ec4e02af43e6058919eaae44b34eba9c9cfc5fa055c2fbc777a3f45e62",
     ),
     ("termination", "fence_elision"): (
         "dd6ba8ad32e91f1a6c5b7f6984af67d0f71336982684c991711f3aa7e64981e3",
@@ -162,8 +176,8 @@ GOLDENS = {
         "2c70e31c7af732ecd0b1f99bc24164fdff53c396b4b58d35e6c2545bab6df7dd",
     ),
     ("termination", "unlocked_split"): (
-        "02bedcd488b6a0c3cbbaa1022a4395020b2aaea11d508e5eb49e996dcb0c959b",
-        "240ddac708ab0a8bca57508e4776cf4351c01673c19c7d8a7ec2ec2e54132c0f",
+        "f5192e32fe621b1cb5d4b5dadf1c3960637626d79837b44eba28745995a88d92",
+        "54e653b18bd407be00f53ed20775fb5ce57ecc67f312884016537ae4e056c546",
     ),
     ("waitfree", "fence_elision"): (
         "abf52766b8caa730fd5064c40fe82345d87a403afaa3b3e75642ddf508c5bb35",
@@ -186,8 +200,8 @@ GOLDENS = {
         "676d39a94e48bb916f80348b2c8d036633caaa734b69e0f5f0f0b8d30e06f7b1",
     ),
     ("waitfree", "unlocked_split"): (
-        "cf2be42e451c1df17f3f66de1513849b72bdf014457701ebf66839e562e25350",
-        "6b4ecac3b7c2c0686a0e222ec5f7ce64fde6324f7351b923d3f1c8f06aab13f7",
+        "d480f97ca090f439a4526afe53b38ddc52b5d5b65d1e046a67c3193fbf24ca2a",
+        "ff1fa27cdc37414a29b9a0f6db6de3559ad60f025ca37ce3d91d5be4693d97e4",
     ),
 }
 
