@@ -100,6 +100,7 @@ def root_node(params: UTSParams) -> UTSNode:
 
 _UNIFORM_SCALE = float(1 << 56)
 _from_bytes = int.from_bytes  # bound once: the type lookup costs more than the call
+_new = object.__new__
 
 #: Big-endian 4-byte child indices, the SHA-1 suffix of the common case.
 _SUFFIXES = tuple(i.to_bytes(4, "big") for i in range(256))
@@ -136,7 +137,13 @@ def children_of(params: UTSParams, node: UTSNode) -> list[UTSNode]:
     for i in range(n):
         h = fork()
         h.update(_SUFFIXES[i] if i < 256 else i.to_bytes(4, "big"))
-        out.append(UTSNode(h.digest(), depth))
+        # UTSNode(h.digest(), depth) without the frozen dataclass
+        # __init__, which stores each field through object.__setattr__.
+        child = _new(UTSNode)
+        fields = child.__dict__
+        fields["digest"] = h.digest()
+        fields["depth"] = depth
+        out.append(child)
     return out
 
 

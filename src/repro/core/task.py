@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Any
 
 __all__ = ["Task", "AFFINITY_HIGH", "AFFINITY_LOW", "TASK_HEADER_BYTES", "reset_uids"]
@@ -33,7 +32,6 @@ def reset_uids() -> None:
 _ATOMIC_TYPE_SET = frozenset({type(None), bool, int, float, complex, str, bytes, frozenset})
 
 
-@cache
 def _is_frozen_dataclass(tp: type) -> bool:
     """A frozen dataclass that keeps every field in the instance
     ``__dict__`` (no ``__slots__`` anywhere in its MRO)?"""
@@ -43,6 +41,11 @@ def _is_frozen_dataclass(tp: type) -> bool:
         and bool(params.frozen)
         and not any("__slots__" in vars(c) for c in tp.__mro__[:-1])
     )
+
+
+#: ``_is_frozen_dataclass`` per body type; a dict lookup costs less than
+#: a ``functools.cache`` call on the clone path.
+_FROZEN_MEMO: dict[type, bool] = {}
 
 
 def _copy_body(body: Any) -> Any:
@@ -60,10 +63,13 @@ def _copy_body(body: Any) -> Any:
         return body
     if tp is tuple:
         values = body
-    elif _is_frozen_dataclass(tp):
-        values = body.__dict__.values()
     else:
-        return copy.deepcopy(body)
+        frozen = _FROZEN_MEMO.get(tp)
+        if frozen is None:
+            frozen = _FROZEN_MEMO[tp] = _is_frozen_dataclass(tp)
+        if not frozen:
+            return copy.deepcopy(body)
+        values = body.__dict__.values()
     for v in values:
         if type(v) not in atomic:
             return copy.deepcopy(body)

@@ -120,6 +120,23 @@ class TestTree:
             assert widest == params.b0 > 256
         assert seen >= 2000 or not frontier
 
+    def test_children_are_ordinary_frozen_nodes(self):
+        """``children_of`` fills each child's fields without the dataclass
+        ``__init__``: the child must still hash, compare, refuse writes and
+        be shared (not deep-copied) by ``Task.clone``, as a constructed
+        ``UTSNode`` is."""
+        import dataclasses
+
+        from repro.core import Task
+
+        child = children_of(preset("small"), root_node(preset("small")))[0]
+        built = UTSNode(child.digest, child.depth)
+        assert child == built and hash(child) == hash(built)
+        assert repr(child) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            child.depth = 0
+        assert Task(0, child).clone().body is child
+
 
 class TestParallelUTS:
     @pytest.mark.parametrize("nprocs", [1, 2, 5])
