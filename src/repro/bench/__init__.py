@@ -10,8 +10,10 @@ module                    paper exhibit
 ``repro.bench.figure4``   Fig. 4 — termination vs barrier timings
 ``repro.bench.figure56``  Fig. 5/6 — SCF & TCE speedup and runtime
 ``repro.bench.figure7``   Fig. 7 — UTS on the heterogeneous cluster
+                          (plus the binomial-tree supplement)
 ``repro.bench.figure8``   Fig. 8 — UTS on the Cray XT4
-``repro.bench.ablations`` A2-A5 — design-choice ablations
+``repro.bench.ablations`` A2-A6 — design-choice ablations
+``repro.bench.claims``    the paper's shape, checked over the results
 ========================  ==========================================
 
 Run everything from the command line::
@@ -20,11 +22,10 @@ Run everything from the command line::
 
 Scale ``quick`` (default) uses reduced process counts and workloads so
 the whole suite finishes in minutes; ``full`` uses the paper's process
-counts (to 512 ranks for Figure 8).  Set via ``REPRO_SCALE`` or
-``--scale``.
+counts (to 512 ranks for Figure 8), set with ``--scale full``.
 """
 
 from repro.bench.harness import scale, sweep_procs
-from repro.bench.report import render, paper_vs_measured
+from repro.bench.report import render
 
-__all__ = ["scale", "sweep_procs", "render", "paper_vs_measured"]
+__all__ = ["scale", "sweep_procs", "render"]

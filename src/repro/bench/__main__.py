@@ -30,7 +30,8 @@ from repro.bench.ablations import (
 )
 from repro.bench.figure4 import run_figure4
 from repro.bench.figure56 import run_figure56
-from repro.bench.figure7 import run_figure7
+from repro.bench.claims import CLAIMS
+from repro.bench.figure7 import run_binomial, run_figure7
 from repro.bench.figure8 import run_figure8
 from repro.bench.harness import scale as resolve_scale
 from repro.bench.harness import write_bench_json
@@ -51,6 +52,7 @@ EXPERIMENTS = {
     "ablation-affinity": (run_ablation_affinity, dict(x_label="mode", fmt="{:.3g}")),
     "ablation-static": (run_ablation_static, dict(fmt="{:.2f}")),
     "ablation-waitfree": (run_ablation_waitfree, dict(fmt="{:.2f}")),
+    "supplement-binomial": (run_binomial, dict(fmt="{:.2f}")),
 }
 
 
@@ -83,7 +85,13 @@ def main(argv: list[str] | None = None) -> int:
     if not args.no_json:
         out = write_bench_json([(r.value, r.wall_s) for r in results], args.json, s)
         print(f"bench record -> {out}")
-    return 0
+    ran = {r.value.experiment: r.value for r in results}
+    checked = [c for c in CLAIMS if s in c.scales and c.experiment in ran]
+    failed = [why for c in checked if (why := c.failure(ran))]
+    print(f"claims: {len(checked) - len(failed)}/{len(checked)} hold at scale={s}")
+    for why in failed:
+        print(f"claim failed: {why}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

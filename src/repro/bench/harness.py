@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -30,12 +29,8 @@ FULL = "full"
 
 
 def scale(override: str | None = None) -> str:
-    """The active benchmark scale (``quick`` or ``full``).
-
-    Priority: explicit ``override`` argument, then the ``REPRO_SCALE``
-    environment variable, then ``quick``.
-    """
-    s = override or os.environ.get("REPRO_SCALE", QUICK)
+    """The active benchmark scale: ``override`` (``--scale``) or ``quick``."""
+    s = override or QUICK
     if s not in (QUICK, FULL):
         raise ValueError(f"unknown scale {s!r}; use 'quick' or 'full'")
     return s

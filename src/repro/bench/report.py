@@ -1,4 +1,4 @@
-"""Rendering of benchmark results: aligned tables and paper-vs-measured."""
+"""Rendering of benchmark results as aligned tables."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.util.records import SweepResult
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.stats import ProcessStats
 
-__all__ = ["render", "paper_vs_measured", "per_rank_table"]
+__all__ = ["render", "per_rank_table"]
 
 
 def render(result: SweepResult, x_label: str = "procs", fmt: str = "{:.3g}") -> str:
@@ -57,14 +57,3 @@ def per_rank_table(stats: Sequence["ProcessStats"], title: str = "per-rank") -> 
         rows.append(row)
     return format_table(headers, rows, title=f"== {title} ==")
 
-
-def paper_vs_measured(
-    title: str,
-    rows: Sequence[tuple[str, str, str, str]],
-) -> str:
-    """Render a (quantity, paper value, measured value, verdict) table."""
-    return format_table(
-        ["quantity", "paper", "measured", "shape"],
-        rows,
-        title=title,
-    )

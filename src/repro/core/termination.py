@@ -26,8 +26,9 @@ cannot matter:
     voted in the current wave AND NOT ``pv votes-before pt`` (i.e. ``pv``
     is not a descendant of ``pt`` in the spanning tree).
 
-Both modes are implemented; the benchmark ``bench_ablation_termination``
-counts the messages saved.
+Both modes are implemented; ablation A2
+(``python -m repro.bench --only ablation-termination``) counts the
+messages saved.
 
 Tokens travel as one-sided messages into per-process mailboxes (how an
 ARMCI-based implementation delivers them); each scheduler iteration

@@ -62,3 +62,12 @@ class SweepResult:
             "series": [s.to_dict() for s in self.series],
             "notes": list(self.notes),
         }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SweepResult":
+        """Inverse of :meth:`to_dict`: one experiment of a bench record."""
+        return cls(
+            experiment=doc["experiment"],
+            series=[Series(**s) for s in doc["series"]],
+            notes=list(doc["notes"]),
+        )

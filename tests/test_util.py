@@ -49,11 +49,10 @@ class TestBenchHarness:
     def test_scale_resolution(self, monkeypatch):
         from repro.bench.harness import scale
 
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
         assert scale() == "quick"
+        assert scale("full") == "full"  # the --scale argument is the one way
         monkeypatch.setenv("REPRO_SCALE", "full")
-        assert scale() == "full"
-        assert scale("quick") == "quick"  # explicit override wins
+        assert scale() == "quick"  # no environment variable is read
         with pytest.raises(ValueError):
             scale("huge")
 
