@@ -31,7 +31,7 @@ from repro.core.task import Task
 from repro.core.termination import TerminationDetector
 from repro.sim.engine import Engine, Proc
 from repro.sim.counters import Counters
-from repro.obs.tracing import trace
+from repro.obs.tracing import Tracer
 from repro.util.errors import TaskCollectionError
 
 __all__ = ["TaskCollection"]
@@ -250,7 +250,9 @@ class TaskCollection:
         if affinity is not None:
             t.affinity = affinity
         if engine.observed:
-            trace(proc, "task-add", t.uid)
+            tracer = engine.state.get(Tracer._KEY)
+            if tracer is not None:
+                tracer.record(proc, "task-add", t.uid)
         if dest == myrank:
             return shared.queues[dest].co_push_local(proc, t)
         return self._co_add_remote(t, dest)

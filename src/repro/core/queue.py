@@ -31,8 +31,8 @@ from repro.analyze import hooks
 from repro.armci.runtime import Armci
 from repro.core.config import SciotoConfig
 from repro.core.task import Task
-from repro.obs.record import edge_here, edge_mark, observe, span
-from repro.obs.tracing import trace
+from repro.obs.record import Recorder, edge_here, edge_mark, observe, span
+from repro.obs.tracing import Tracer, trace
 from repro.sim.engine import Engine, Proc
 from repro.sim.counters import Counters
 from repro.util.errors import TaskCollectionError
@@ -165,10 +165,14 @@ class SplitQueue:
         if engine.observed:
             if not split:
                 hooks.shared_write(proc, self._race_region)
-            trace(proc, "q-push", (self.owner, task.uid))
-            edge_mark(proc, ("spawn", task.uid), detail=task.uid)
-            if not split:
-                edge_mark(proc, self._share_key)
+            tracer = engine.state.get(Tracer._KEY)
+            if tracer is not None:
+                tracer.record(proc, "q-push", (self.owner, task.uid))
+            rec = engine.state.get(Recorder._KEY)
+            if rec is not None and rec.edges_enabled:
+                rec.spawn_sources[task.uid] = (proc.rank, proc._clock)
+                if not split:
+                    rec.mark(self._share_key, proc)
         if not split:
             yield from self.mutex.co_release(proc)
         elif not self._shared and len(region) >= 2:
@@ -196,7 +200,9 @@ class SplitQueue:
         if region:
             task = region.pop(0)
             if engine.observed:
-                trace(proc, "q-pop", (self.owner, task.uid))
+                tracer = engine.state.get(Tracer._KEY)
+                if tracer is not None:
+                    tracer.record(proc, "q-pop", (self.owner, task.uid))
             cost = self._copy_costs.get(task.body_size)
             if cost is None:
                 cost = engine.machine.local_copy_time(self._wire(task))
@@ -426,11 +432,16 @@ class SplitQueue:
         def _insert() -> None:
             self._check_capacity(1)
             self._insert_by_affinity(self._shared, task)
-            if self.engine.observed:
+            engine = self.engine
+            if engine.observed:
                 hooks.shared_write(proc, self._race_region)
-                trace(proc, "q-add-remote", (self.owner, task.uid))
-                edge_mark(proc, ("spawn", task.uid), detail=task.uid)
-                edge_mark(proc, self._share_key)
+                tracer = engine.state.get(Tracer._KEY)
+                if tracer is not None:
+                    tracer.record(proc, "q-add-remote", (self.owner, task.uid))
+                rec = engine.state.get(Recorder._KEY)
+                if rec is not None and rec.edges_enabled:
+                    rec.spawn_sources[task.uid] = (proc.rank, proc._clock)
+                    rec.mark(self._share_key, proc)
 
         if self.config.wait_free_steals:
             # reserve a slot with one atomic, then put the descriptor

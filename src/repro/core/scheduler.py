@@ -15,8 +15,8 @@ from types import GeneratorType
 from repro.armci.runtime import Armci
 from repro.core.stats import ProcessStats
 from repro.core.stealing import make_victim_selector
-from repro.obs.record import Recorder, edge_here, observe, span
-from repro.obs.tracing import trace
+from repro.obs.record import Recorder, observe, span
+from repro.obs.tracing import Tracer
 from repro.util.errors import TaskCollectionError
 
 __all__ = ["co_run_process"]
@@ -85,14 +85,20 @@ def co_run_process(tc):
                 # The dispatch is written twice so an unobserved run pays
                 # nothing for the span/trace/edge wrappers.
                 if engine.observed:
-                    trace(proc, "task-exec", task.uid)
-                    edge_here(proc, ("spawn", task.uid), "spawn",
-                              detail=task.uid, clear=True)
-                    with span(proc, "task", "task", detail=task.uid):
+                    tracer = engine.state.get(Tracer._KEY)
+                    if tracer is not None:
+                        tracer.record(proc, "task-exec", task.uid)
+                    rec = engine.state.get(Recorder._KEY)
+                    task_span = None if rec is None else rec.open_task(proc, task.uid)
+                    try:
                         res = fn(tc, task)
                         if type(res) is GeneratorType:
                             yield from res
-                    observe(proc, "task_time", proc._clock - t0)
+                    finally:
+                        if rec is not None:
+                            rec.close(proc, task_span)
+                    if rec is not None:
+                        rec.task_time.observe(proc._clock - t0, proc.rank)
                 else:
                     res = fn(tc, task)
                     if type(res) is GeneratorType:

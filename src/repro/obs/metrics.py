@@ -252,8 +252,10 @@ class Histogram:
         """Record one observation (optionally attributed to ``rank``)."""
         self.count += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         self.sketch.observe(value)
         if rank is not None:
             self._rank_count[rank] += 1

@@ -6,7 +6,11 @@ the race detector: ``Recorder.attach(engine)`` before ``engine.run()``,
 functions in this module (:func:`span`, :func:`observe`, :func:`count`,
 :func:`sample`, :func:`instant`) at their interesting points; when no
 recorder is attached each call costs a single dict probe and records
-nothing, so instrumented code stays safe on hot paths.
+nothing, so instrumented code stays safe on hot paths.  The four
+hottest sites (task add, queue push and pop, task exec) skip the free
+functions: behind ``engine.observed`` they fetch the tracer and the
+recorder from ``engine.state`` once and call them directly, and the
+task-exec site's spawn edge and span are one :meth:`Recorder.open_task`.
 
 Recording is an *observer* of virtual time: hooks only ever read
 ``proc.now`` — they never advance a clock, yield to the engine, or touch
@@ -53,7 +57,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine, Proc
@@ -158,7 +162,7 @@ class _OpenSpan:
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        self._rec._close(self._proc, self._span)
+        self._rec.close(self._proc, self._span)
         return False
 
 
@@ -211,6 +215,15 @@ class Recorder:
         self._stacks: list[list[SpanRecord | None]] = [
             [] for _ in range(engine.nprocs)
         ]
+        # A sink that never refuses (``SpillSink``) is not probed with
+        # ``accepts_*`` and not told about opens; every other sink is.
+        self._probe = not getattr(self.sink, "never_refuses", False)
+        # task uid -> (rank, time) of the queue insertion that made it
+        # runnable: the source of its ``spawn`` edge.  The queue's insert
+        # sites write it, :meth:`open_task` consumes it.
+        self.spawn_sources: dict[int, tuple[int, float]] = {}
+        # the ``task_time`` histogram, fetched on the first task
+        self.task_time: Histogram | None = None
         # single-slot edge sources: key -> (rank, time, detail)
         self._edge_marks: dict[Any, tuple[int, float, Any]] = {}
         # FIFO edge sources mirroring message queues: key -> deque of sources
@@ -293,27 +306,51 @@ class Recorder:
     # ------------------------------------------------------------------ #
     def span(self, proc: "Proc", name: str, category: str, detail: Any = None) -> _OpenSpan:
         """Open a span on ``proc``'s rank; close it by exiting the context."""
+        return _OpenSpan(self, proc, self._open(proc, name, category, detail))
+
+    def open_task(self, proc: "Proc", uid: int) -> SpanRecord | None:
+        """The task-exec site: emit task ``uid``'s ``spawn`` edge and open
+        its ``task`` span.  The caller closes it with :meth:`close` (in a
+        ``finally``, as ``with span(...)`` would) and observes its time
+        into :attr:`task_time`."""
+        src = self.spawn_sources.pop(uid, None)
+        if src is not None:
+            self.add_edge("spawn", src[0], src[1], proc.rank, proc._clock, uid)
+        if self.task_time is None:
+            self.task_time = self.metrics.histogram("task_time")
+        return self._open(proc, "task", "task", uid)
+
+    def _open(
+        self, proc: "Proc", name: str, category: str, detail: Any
+    ) -> SpanRecord | None:
+        """Push a new span (or a dropped placeholder, None) on the rank's stack."""
         stack = self._stacks[proc.rank]
-        if not self.sink.accepts_span():
-            self.dropped_spans += 1
-            stack.append(None)
-            return _OpenSpan(self, proc, None)
-        parent = None
-        for open_span in reversed(stack):  # skip dropped placeholders
-            if open_span is not None:
-                parent = open_span.sid
-                break
+        if self._probe:
+            if not self.sink.accepts_span():
+                self.dropped_spans += 1
+                stack.append(None)
+                return None
+            parent = None
+            for open_span in reversed(stack):  # skip dropped placeholders
+                if open_span is not None:
+                    parent = open_span.sid
+                    break
+        else:  # nothing was dropped, so the stack holds no placeholders
+            parent = stack[-1].sid if stack else None
         sid = self.span_count
         rec = SpanRecord(
-            proc.rank, name, category, proc.now, None, len(stack), parent, detail, sid
+            proc.rank, name, category, proc._clock, None, len(stack), parent, detail, sid
         )
         self.span_count = sid + 1
-        self.category_counts[category] = self.category_counts.get(category, 0) + 1
-        self.sink.on_open(rec)
+        counts = self.category_counts
+        counts[category] = counts.get(category, 0) + 1
+        if self._probe:
+            self.sink.on_open(rec)
         stack.append(rec)
-        return _OpenSpan(self, proc, rec)
+        return rec
 
-    def _close(self, proc: "Proc", span: SpanRecord | None) -> None:
+    def close(self, proc: "Proc", span: SpanRecord | None) -> None:
+        """Close ``span`` (the top of its rank's stack) at the rank's time."""
         stack = self._stacks[proc.rank]
         if not stack or stack[-1] is not span:  # pragma: no cover - misuse guard
             raise RuntimeError(
@@ -322,7 +359,7 @@ class Recorder:
             )
         stack.pop()
         if span is not None:
-            span.end = proc.now
+            span.end = proc._clock
             self.sink.on_close(span)
 
     def complete_span(
@@ -340,7 +377,7 @@ class Recorder:
         completed in a later one) or a contended lock wait.  Recorded at
         depth 0; it still lands on the rank's track in the exports.
         """
-        if not self.sink.accepts_span():
+        if self._probe and not self.sink.accepts_span():
             self.dropped_spans += 1
             return
         sid = self.span_count
@@ -355,7 +392,7 @@ class Recorder:
         self, proc: "Proc", name: str, category: str, detail: Any = None
     ) -> None:
         """Record a zero-duration marker at the rank's current time."""
-        if not self.sink.accepts_instant():
+        if self._probe and not self.sink.accepts_instant():
             self.dropped_instants += 1
             return
         rec = InstantRecord(proc.now, proc.rank, name, category, detail)
@@ -375,7 +412,7 @@ class Recorder:
         detail: Any = None,
     ) -> None:
         """Record one happens-before edge with a stable, monotone id."""
-        if not self.sink.accepts_edge():
+        if self._probe and not self.sink.accepts_edge():
             self.dropped_edges += 1
             return
         eid = self.edge_count
@@ -389,11 +426,10 @@ class Recorder:
         self._edge_marks[key] = (proc.rank, proc.now, detail)
 
     def edge_from_mark(
-        self, key: Any, proc: "Proc", kind: str, detail: Any = None,
-        clear: bool = False,
+        self, key: Any, proc: "Proc", kind: str, detail: Any = None
     ) -> None:
         """Emit an edge from the remembered source for ``key`` to here."""
-        src = self._edge_marks.pop(key, None) if clear else self._edge_marks.get(key)
+        src = self._edge_marks.get(key)
         if src is None:
             return
         self.add_edge(
@@ -518,13 +554,11 @@ def edge_mark(proc: "Proc", key: Any, detail: Any = None) -> None:
         rec.mark(key, proc, detail)
 
 
-def edge_here(
-    proc: "Proc", key: Any, kind: str, detail: Any = None, clear: bool = False
-) -> None:
+def edge_here(proc: "Proc", key: Any, kind: str, detail: Any = None) -> None:
     """Emit an edge from ``key``'s remembered source to here (no-op when off)."""
     rec = _edge_recorder(proc)
     if rec is not None:
-        rec.edge_from_mark(key, proc, kind, detail=detail, clear=clear)
+        rec.edge_from_mark(key, proc, kind, detail=detail)
 
 
 def edge_send(proc: "Proc", key: Any, detail: Any = None) -> None:

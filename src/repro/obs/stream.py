@@ -39,7 +39,7 @@ import tempfile
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator
+from typing import IO, Any, Callable, Container, Iterator
 
 from repro.obs.record import EdgeRecord, InstantRecord, SpanRecord
 from repro.util.io import RecordError, atomic_write_text, read_record, require
@@ -90,7 +90,24 @@ class SpanSink:
     completed spans, and ``on_instant``/``on_edge`` for the other record
     kinds.  ``accepts_*`` lets a bounded sink refuse a record *before*
     the recorder allocates it (the refusal is counted as a drop).
+
+    A sink class that sets :attr:`never_refuses` is never probed and
+    never sent ``on_open``.  A subclass that overrides an ``accepts_*``
+    probe or ``on_open`` without setting it again is probed as usual.
     """
+
+    #: True when every ``accepts_*`` returns True and ``on_open`` does
+    #: nothing, so the recorder may skip those calls.
+    never_refuses = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "never_refuses" not in own and any(
+            name in own
+            for name in ("accepts_span", "accepts_instant", "accepts_edge", "on_open")
+        ):
+            cls.never_refuses = False
 
     def accepts_span(self) -> bool:
         return True
@@ -233,9 +250,10 @@ class TeeSink(SpanSink):
         return self.sinks[0].edge_stream()
 
 
-# The three line formatters write exactly the bytes ``json.dumps`` gives
-# for the same list (tested byte for byte), without building an encoder
-# per record.
+# The line formatters write exactly the bytes ``json.dumps`` gives for
+# the same list (tested byte for byte), without building an encoder per
+# record.  ``SpillSink.on_close``/``on_edge`` inline the float case and
+# fall back to these for any other number type.
 _NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
@@ -274,6 +292,20 @@ def _edge_line(edge: EdgeRecord) -> str:
     )
 
 
+def _span_event_text(span: SpanRecord) -> str:
+    """``json.dumps(span_event(span))`` of a finished span, without the
+    dict or the encoder (tested byte for byte)."""
+    start, detail = span.start, span.detail
+    ts = float.__repr__(start * 1e6)
+    dur = float.__repr__((span.end - start) * 1e6)
+    args = "" if detail is None else f', "args": {{"detail": {_quote(str(detail))}}}'
+    return (
+        f'{{"name": {_quote(span.name)}, "cat": {_quote(span.category)}, '
+        f'"ph": "X", "ts": {_NONFINITE.get(ts, ts)}, '
+        f'"dur": {_NONFINITE.get(dur, dur)}, "pid": 0, "tid": {span.rank}{args}}}'
+    )
+
+
 def _span_from_line(fields: list) -> SpanRecord:
     sid, rank, name, category, start, end, depth, parent, detail = fields
     return SpanRecord(rank, name, category, start, end, depth, parent, detail, sid)
@@ -292,6 +324,8 @@ def _edge_from_line(fields: list) -> EdgeRecord:
 class SpillSink(SpanSink):
     """Constant-memory sink: sharded JSONL spill under one directory.
 
+    It keeps every record it is given (:attr:`never_refuses`).
+
     Completed records are formatted as they arrive and buffer, as
     lines, up to ``shard_size`` before flushing as one atomically
     written shard file (strings are invisible to the cyclic collector;
@@ -302,6 +336,8 @@ class SpillSink(SpanSink):
     Detail payloads are stringified exactly the way the Chrome exporter
     would (``str(detail)``).
     """
+
+    never_refuses = True
 
     def __init__(
         self, directory: str | Path, shard_size: int = DEFAULT_SHARD_SIZE
@@ -317,22 +353,49 @@ class SpillSink(SpanSink):
 
     # -- recorder interface -------------------------------------------- #
     def on_close(self, span: SpanRecord) -> None:
-        self._push("spans", (*_span_sort_key(span), _span_line(span)))
+        start, end, parent, detail = span.start, span.end, span.parent, span.detail
+        buf = self._bufs["spans"]
+        try:
+            s, e = float.__repr__(start), float.__repr__(end)
+        except TypeError:  # not float times; the recorder's clocks always are
+            buf.append((*_span_sort_key(span), _span_line(span)))
+        else:
+            # the _span_sort_key fields, then the line
+            buf.append((
+                span.rank, start * 1e6, -((end - start) * 1e6), span.sid,
+                f"[{span.sid}, {span.rank}, {_quote(span.name)}, "
+                f"{_quote(span.category)}, {_NONFINITE.get(s, s)}, "
+                f"{_NONFINITE.get(e, e)}, {span.depth}, "
+                f"{'null' if parent is None else parent}, "
+                f"{'null' if detail is None else _quote(str(detail))}]",
+            ))
+        if len(buf) >= self.shard_size:
+            self._flush("spans")
 
-    def on_complete(self, span: SpanRecord) -> None:
-        self._push("spans", (*_span_sort_key(span), _span_line(span)))
+    on_complete = on_close
 
     def on_instant(self, inst: InstantRecord) -> None:
-        self._push("instants", _instant_line(inst))
+        buf = self._bufs["instants"]
+        buf.append(_instant_line(inst))
+        if len(buf) >= self.shard_size:
+            self._flush("instants")
 
     def on_edge(self, edge: EdgeRecord) -> None:
-        self._push("edges", _edge_line(edge))
-
-    def _push(self, kind: str, entry: "str | tuple") -> None:
-        buf = self._bufs[kind]
-        buf.append(entry)
+        eid, kind, src_rank, src_time, dst_rank, dst_time, detail = edge
+        try:
+            s, d = float.__repr__(src_time), float.__repr__(dst_time)
+        except TypeError:  # not float times; the recorder's clocks always are
+            line = _edge_line(edge)
+        else:
+            line = (
+                f"[{eid}, {_quote(kind)}, {src_rank}, {_NONFINITE.get(s, s)}, "
+                f"{dst_rank}, {_NONFINITE.get(d, d)}, "
+                f"{'null' if detail is None else _quote(str(detail))}]"
+            )
+        buf = self._bufs["edges"]
+        buf.append(line)
         if len(buf) >= self.shard_size:
-            self._flush(kind)
+            self._flush("edges")
 
     def _flush(self, kind: str) -> None:
         buf = self._bufs[kind]
@@ -424,8 +487,14 @@ class SpillReader:
     def nprocs(self) -> int:
         return int(self.index.get("nprocs", 0))
 
-    def _iter_shard(self, shard: dict, make: Callable[[list], Any]) -> Iterator:
-        """One shard's records, ``_BLOCK`` lines per parse.
+    def _iter_shard(
+        self,
+        shard: dict,
+        make: Callable[[list], Any],
+        keep: Callable[[list], bool] | None = None,
+    ) -> Iterator:
+        """One shard's records, ``_BLOCK`` lines per parse; with ``keep``,
+        only the rows it accepts become records (every row still counts).
 
         Raises :class:`~repro.util.io.RecordError` naming the shard file
         on a file that cannot be read, a line that does not parse (with
@@ -441,10 +510,10 @@ class SpillReader:
                     rows = _parse_block(path, lineno + 1, lines)
                     lineno += len(lines)
                     rows_seen += len(rows)
-                    yield from map(make, rows)
+                    yield from map(make, rows if keep is None else filter(keep, rows))
         except RecordError:
             raise
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError, TypeError, IndexError) as exc:
             raise RecordError(f"{path}: unreadable shard ({exc})") from None
         if rows_seen != shard["count"]:
             raise RecordError(
@@ -466,9 +535,11 @@ class SpillReader:
         for sh in self.shards["instants"]:
             yield from self._iter_shard(sh, _instant_from_line)
 
-    def iter_edges(self) -> Iterator[EdgeRecord]:
+    def iter_edges(self, kinds: Container[str] | None = None) -> Iterator[EdgeRecord]:
+        """All edges in emission order, or only those of ``kinds``."""
+        keep = None if kinds is None else (lambda row: row[1] in kinds)
         for sh in self.shards["edges"]:
-            yield from self._iter_shard(sh, _edge_from_line)
+            yield from self._iter_shard(sh, _edge_from_line, keep)
 
     def load(self) -> tuple[list[SpanRecord], list[InstantRecord], list[EdgeRecord]]:
         """Materialize the full stream (for small-run analysis/verify)."""
@@ -487,20 +558,37 @@ class _EventWriter:
     def __init__(self, fh: IO[str]) -> None:
         self._fh = fh
         self._block: list[dict] = []
+        self._texts: list[str] = []  # events already encoded
         self._sep = ""
         self._fh.write('{"traceEvents": [')
 
     def event(self, ev: dict) -> None:
+        if self._texts:
+            self._flush()
         self._block.append(ev)
         if len(self._block) >= _BLOCK:
             self._flush()
 
+    def text(self, ev: str) -> None:
+        """Append one event given as its ``json.dumps`` text."""
+        if self._block:
+            self._flush()
+        self._texts.append(ev)
+        if len(self._texts) >= _BLOCK:
+            self._flush()
+
     def _flush(self) -> None:
+        # At most one of the two blocks is non-empty: each call to
+        # ``event``/``text`` flushes the other one first.
         if self._block:
             # The encoded list minus its brackets is the ", "-joined events.
             self._fh.write(self._sep + json.dumps(self._block)[1:-1])
             self._sep = ", "
             self._block.clear()
+        elif self._texts:
+            self._fh.write(self._sep + ", ".join(self._texts))
+            self._sep = ", "
+            self._texts.clear()
 
     def finish(self, trailer: dict) -> None:
         """Close the event array and append the remaining document keys."""
@@ -552,7 +640,6 @@ def pack(spill_dir: str | Path, out_path: str | Path) -> Path:
         flow_event_pair,
         instant_event,
         meta_events,
-        span_event,
     )
     reader = SpillReader(spill_dir)
     out_path = Path(out_path)
@@ -563,15 +650,14 @@ def pack(spill_dir: str | Path, out_path: str | Path) -> Path:
             w.event(ev)
         for span in reader.iter_spans_merged():
             if span.end is not None:
-                w.event(span_event(span))
+                w.text(_span_event_text(span))
         for inst in reader.iter_instants():
             w.event(instant_event(inst))
         flows = 0
-        for edge in reader.iter_edges():
-            if edge.kind in FLOW_KINDS:
-                flows += 1
-                for ev in flow_event_pair(edge):
-                    w.event(ev)
+        for edge in reader.iter_edges(FLOW_KINDS):
+            flows += 1
+            for ev in flow_event_pair(edge):
+                w.event(ev)
         w.finish(
             {
                 "displayTimeUnit": "ns",

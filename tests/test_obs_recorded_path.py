@@ -22,12 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Task, TaskCollection
 from repro.core.task import reset_uids
 from repro.obs import stream
-from repro.obs.record import EdgeRecord, InstantRecord, SpanRecord
+from repro.obs.export import span_event
+from repro.obs.record import EdgeRecord, InstantRecord, Recorder, SpanRecord, span
 from repro.obs.scenarios import run_target
 from repro.obs.stream import MemorySink, SpillReader, SpillSink, pack
-from repro.obs.tracing import TraceEvent
+from repro.obs.tracing import TraceEvent, Tracer
+from repro.sim.engine import Engine
 from repro.util.io import RecordError
 
 # ---------------------------------------------------------------------- #
@@ -76,6 +79,42 @@ def test_edge_line_is_json_dumps(eid, kind, src_rank, src_time, dst_rank, dst_ti
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(ints, texts, texts, floats, floats, details)
+def test_pack_span_event_text_is_json_dumps(rank, name, cat, start, end, detail):
+    span = SpanRecord(rank, name, cat, start, end, 0, None, detail, 0)
+    assert stream._span_event_text(span) == json.dumps(span_event(span))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ints, ints, texts, texts, times, times, ints, st.one_of(st.none(), ints), details)
+def test_spill_sink_on_close_line_is_json_dumps(
+    sid, rank, name, cat, start, end, depth, parent, detail
+):
+    # on_close formats its line inline; any time that is not a float
+    # takes the _span_line path.  Both must be json.dumps.
+    span = SpanRecord(rank, name, cat, start, end, depth, parent, detail, sid)
+    sink = SpillSink.__new__(SpillSink)
+    sink._bufs, sink.shard_size = {"spans": []}, 2
+    sink.on_close(span)
+    (entry,) = sink._bufs["spans"]
+    assert repr(entry[:-1]) == repr(stream._span_sort_key(span))  # NaN-safe
+    assert entry[-1] == dumped([sid, rank, name, cat, start, end, depth, parent], detail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ints, texts, ints, times, ints, times, details)
+def test_spill_sink_on_edge_line_is_json_dumps(
+    eid, kind, src_rank, src_time, dst_rank, dst_time, detail
+):
+    sink = SpillSink.__new__(SpillSink)
+    sink._bufs, sink.shard_size = {"edges": []}, 2
+    sink.on_edge(EdgeRecord(eid, kind, src_rank, src_time, dst_rank, dst_time, detail))
+    assert sink._bufs["edges"] == [
+        dumped([eid, kind, src_rank, src_time, dst_rank, dst_time], detail)
+    ]
+
+
 @pytest.mark.parametrize("n", [0, 1, stream._BLOCK - 1, stream._BLOCK, stream._BLOCK + 1])
 def test_event_writer_batches_are_json_dumps(n):
     events = [
@@ -89,6 +128,20 @@ def test_event_writer_batches_are_json_dumps(n):
         w.event(ev)
     w.finish(trailer)
     assert fh.getvalue() == json.dumps({"traceEvents": events, **trailer})
+
+
+def test_event_writer_mixes_text_and_dict_events_in_order():
+    events = [{"a": i} for i in range(3)] + [{"t": i} for i in range(stream._BLOCK + 2)]
+    events += [{"b": 1}]
+    fh = io.StringIO()
+    w = stream._EventWriter(fh)
+    for ev in events:
+        if "t" in ev:
+            w.text(json.dumps(ev))
+        else:
+            w.event(ev)
+    w.finish({"k": 1})
+    assert fh.getvalue() == json.dumps({"traceEvents": events, "k": 1})
 
 
 # ---------------------------------------------------------------------- #
@@ -269,3 +322,47 @@ def test_cli_pack_refuses_truncated_spill(tmp_path, capsys):
     assert main(["pack", str(spill), "--trace", str(trace)]) != 0
     assert name in capsys.readouterr().err
     assert not trace.exists()
+
+
+# ---------------------------------------------------------------------- #
+# The fused task site keeps the ``with span(...)`` exception behaviour
+# ---------------------------------------------------------------------- #
+class Exploded(Exception):
+    pass
+
+
+@pytest.mark.parametrize("communicates", [False, True])
+def test_raising_task_surfaces_its_exception_and_closes_its_span(communicates):
+    def main(proc):
+        tc = yield from TaskCollection.co_create(proc)
+
+        def plain(tc_, task):
+            with span(tc_.proc, "inner", "comm"):
+                tc_.proc.advance(1e-6)
+                raise Exploded(f"task on rank {tc_.rank}")
+
+        def gen(tc_, task):
+            with span(tc_.proc, "inner", "comm"):
+                yield from tc_.proc.co_sleep(1e-6)
+                raise Exploded(f"task on rank {tc_.rank}")
+
+        h = tc.register(gen if communicates else plain)
+        if proc.rank == 0:
+            yield from tc.co_add(Task(callback=h))
+        yield from tc.co_process()
+
+    eng = Engine(2, max_events=100_000)
+    rec = Recorder.attach(eng)
+    Tracer.attach(eng)
+    eng.spawn_all(main)
+    with pytest.raises(Exploded, match="task on rank"):
+        eng.run()
+    (task,) = rec.by_category("task")
+    (inner,) = [s for s in rec.spans if s.name == "inner"]
+    # as `with span(...)` leaves it: both spans closed at the raise, the
+    # inner one nested in the task span, the rank's stack empty again
+    assert inner.parent == task.sid and inner.depth == task.depth + 1
+    assert task.end is not None and inner.end == task.end
+    assert task.end - task.start == pytest.approx(1e-6)
+    assert rec._stacks[task.rank] == []
+    assert rec.metrics.histogram("task_time").count == 0  # observed only on return

@@ -98,7 +98,7 @@ class TestEquivalence:
         spill = run_target("uts-small", stream_dir=tmp_path / "spill")
         assert spill.recorder.stream_fingerprint() == mem.recorder.stream_fingerprint()
 
-    @pytest.mark.parametrize("target", ["queue", "steals"])
+    @pytest.mark.parametrize("target", ["queue", "steals", "uts-small"])
     def test_packed_trace_bytes_equal_in_memory_export(self, target, tmp_path):
         # One run, two sinks: the only byte-rigorous comparison (span
         # details carry process-global task uids, so two separate runs
