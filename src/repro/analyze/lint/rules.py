@@ -215,8 +215,7 @@ _POLLY = re.compile(r"(done|dirty|ready|pending|empty|flag|mailbox|poll|busy)", 
 #: scheduler's ``_service`` advance time internally), so the rule only
 #: fires on loops that provably spin without the engine ever running.
 _KNOWN_NONYIELDING = {
-    "mailbox_empty", "empty_fast", "locked", "size", "shared_size",
-    "private_size",
+    "mailbox_empty", "locked", "size", "shared_size", "private_size",
     "len", "min", "max", "abs", "sum", "range", "int", "float", "bool",
     "sorted", "list", "tuple", "set", "dict", "enumerate", "zip",
     "isinstance", "print",

@@ -1,10 +1,11 @@
 """Task-parallel blocked matrix multiplication over Global Arrays (§4).
 
-The paper's worked example (Figure 3): all ranks collectively create a
-task collection, register the multiply callback, and seed one task per
-block triple they own; ``tc_process`` runs the MIMD phase.  The task
-body carries portable references — GA handles are integers — plus the
-block indices, exactly like the paper's ``mm_task`` struct.
+The paper's worked example (Figure 3), written in its C names
+(``repro.core.capi``): all ranks collectively create a task collection,
+register the multiply callback, and seed one task per block triple they
+own; ``tc_process`` runs the MIMD phase.  The task body carries portable
+references — GA handles are integers — plus the block indices, exactly
+like the paper's ``mm_task`` struct.  ``examples/quickstart.py`` runs it.
 """
 
 from __future__ import annotations
@@ -14,9 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.armci.runtime import Armci
-from repro.core import AFFINITY_HIGH, SciotoConfig, Task, TaskCollection
+from repro.core import AFFINITY_HIGH, SciotoConfig
+from repro.core.capi import (
+    tc_add,
+    tc_create,
+    tc_destroy,
+    tc_process,
+    tc_register,
+    tc_task_body,
+    tc_task_create,
+    tc_task_reuse,
+)
 from repro.core.stats import ProcessStats
-from repro.ga import GlobalArray
+from repro.ga import GaRuntime, GlobalArray
 from repro.sim.engine import Engine, SimResult
 from repro.sim.machines import MachineSpec
 
@@ -38,59 +49,57 @@ def _mm_main(proc, a_mat: np.ndarray, b_mat: np.ndarray, num_blocks: int,
              config: SciotoConfig):
     n = a_mat.shape[0]
     bs = n // num_blocks
-    a_ga = yield from GlobalArray.co_create(proc, "A", (n, n))
-    b_ga = yield from GlobalArray.co_create(proc, "B", (n, n))
-    c_ga = yield from GlobalArray.co_create(proc, "C", (n, n))
-    (plo, phi) = a_ga.distribution(proc.rank)
-    sl = tuple(slice(l, h) for l, h in zip(plo, phi))
-    a_ga.access(proc)[...] = a_mat[sl]
-    b_ga.access(proc)[...] = b_mat[sl]
-    yield from a_ga.co_sync(proc)
-
-    tc = yield from TaskCollection.co_create(
-        proc, task_size=64, max_tasks=num_blocks**3 + 8, config=config
-    )
 
     def box(i, j):
         return (i * bs, j * bs), ((i + 1) * bs, (j + 1) * bs)
 
-    def mm_task_fcn(tc_, task):
-        # mm task body: GA handles are portable integer references (§2.2)
-        a_gid, b_gid, c_gid, i, j, k = task.body
-        p = tc_.proc
-        from repro.ga.array import GaRuntime
-
+    def mm_task_fcn(tc, task):
+        """Multiply one block pair and accumulate into C (the paper's callback)."""
+        a_h, b_h, c_h, i, j, k = tc_task_body(task)  # portable GA handles (§2.2)
+        p = tc.proc
         arrays = GaRuntime.attach(p.engine).arrays
-        a, b, c = arrays[a_gid], arrays[b_gid], arrays[c_gid]
-        lo_a, hi_a = box(i, k)
-        lo_b, hi_b = box(k, j)
-        lo_c, hi_c = box(i, j)
-        a_blk = yield from a.co_get(p, lo_a, hi_a)
-        b_blk = yield from b.co_get(p, lo_b, hi_b)
+        a, b, c = arrays[a_h], arrays[b_h], arrays[c_h]
+        a_blk = yield from a.co_get(p, *box(i, k))
+        b_blk = yield from b.co_get(p, *box(k, j))
         p.compute(2.0 * bs**3 * p.machine.seconds_per_flop)
-        yield from c.co_acc(p, lo_c, hi_c, a_blk @ b_blk)
+        yield from c.co_acc(p, *box(i, j), a_blk @ b_blk)
 
-    hdl = tc.register(mm_task_fcn)
+    # Initialize Global Arrays: A, B, and C
+    a = yield from GlobalArray.co_create(proc, "A", (n, n))
+    b = yield from GlobalArray.co_create(proc, "B", (n, n))
+    c = yield from GlobalArray.co_create(proc, "C", (n, n))
+    lo, hi = a.distribution(proc.rank)
+    sl = tuple(slice(x, y) for x, y in zip(lo, hi))
+    a.access(proc)[...] = a_mat[sl]
+    b.access(proc)[...] = b_mat[sl]
+    yield from a.co_sync(proc)
+
+    tc = yield from tc_create(proc, task_sz=64, chunk_sz=config.chunk_size,
+                              max_sz=num_blocks**3 + 8, config=config)
+    hdl = tc_register(tc, mm_task_fcn)
+    task = tc_task_create(body_sz=64, task_handle=hdl)
 
     def get_owner(i, j, k):
         """Owner of the A block read by task (i, j, k), as in Figure 3."""
-        return a_ga.locate((i * bs, k * bs))
+        return a.locate((i * bs, k * bs))
 
+    me = proc.rank
     for i in range(num_blocks):
         for j in range(num_blocks):
             for k in range(num_blocks):
-                if get_owner(i, j, k) == proc.rank:
-                    task = Task(callback=hdl,
-                                body=(a_ga.gid, b_ga.gid, c_ga.gid, i, j, k))
-                    yield from tc.co_add(task, rank=proc.rank, affinity=AFFINITY_HIGH)
+                if get_owner(i, j, k) == me:
+                    task.body = (a.gid, b.gid, c.gid, i, j, k)
+                    yield from tc_add(tc, me, AFFINITY_HIGH, task)
+                    task = tc_task_reuse(task)
+
     armci = Armci.attach(proc.engine)
     yield from armci.co_barrier(proc)
     t0 = proc.now
-    stats = yield from tc.co_process()
-    yield from c_ga.co_sync(proc)
+    stats = yield from tc_process(tc)
+    yield from c.co_sync(proc)
     elapsed = yield from armci.co_allreduce(proc, proc.now - t0, max)
-    yield from tc.co_destroy()
-    return (elapsed, stats, c_ga)
+    yield from tc_destroy(tc)
+    return (elapsed, stats, c)
 
 
 def run_matmul(
@@ -110,6 +119,8 @@ def run_matmul(
     n = a_mat.shape[0]
     if a_mat.shape != (n, n) or b_mat.shape != (n, n):
         raise ValueError("matrices must be square and of equal shape")
+    if num_blocks < 1:
+        raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
     if n % num_blocks:
         raise ValueError(f"matrix size {n} not divisible by num_blocks={num_blocks}")
     cfg = config if config is not None else SciotoConfig()

@@ -33,8 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk", type=positive_int, default=10)
     p.add_argument("--no-split", action="store_true", help="use fully locked queues")
     p.add_argument("--wait-free", action="store_true", help="wait-free steal protocol")
-    p.add_argument("--steal-policy", choices=["random", "ring", "last_victim"],
-                   default="random")
     return p
 
 
@@ -52,7 +50,6 @@ def main(argv: list[str] | None = None) -> int:
             split_queues=not args.no_split,
             chunk_size=args.chunk,
             wait_free_steals=args.wait_free,
-            steal_policy=args.steal_policy,
         )
         r = run_uts_scioto(args.nprocs, params, machine=machine, seed=args.seed,
                            config=cfg)

@@ -24,7 +24,6 @@ from repro.sim.engine import Engine, Proc
 from repro.sim.resources import SimBarrier, SimMutex
 from repro.sim.counters import Counters
 from repro.armci.collectives import armci_barrier_cost
-from repro.util.errors import CommError
 
 __all__ = ["Armci", "NbHandle"]
 
@@ -400,7 +399,7 @@ class Armci:
         """Combine ``value`` across all ranks with ``op``; all ranks get the result.
 
         Modelled as arrive-at-barrier + reduction critical path; used by
-        GA's ``dgop`` and by applications for convergence checks.
+        applications for convergence checks and timing.
         """
         yield from proc.co_sync()
         n = self.engine.nprocs
@@ -424,14 +423,3 @@ class Armci:
         proc.advance(release_at - proc.now)
         yield from proc.co_sync()
         return result
-
-    def co_broadcast(self, proc: Proc, value: Any, root: int = 0):
-        """Broadcast ``value`` from ``root`` to all ranks (tree cost model)."""
-        chosen = yield from self.co_allreduce(
-            proc,
-            (proc.rank == root, value),
-            lambda a, b: a if a[0] else b,
-        )
-        if not chosen[0]:
-            raise CommError("broadcast: no rank claimed to be root")
-        return chosen[1]

@@ -1,6 +1,6 @@
 """C-style facade matching the paper's §3 function names.
 
-This module exists so the quickstart example can read like Figure 3 of
+This module exists so ``repro.apps.matmul`` can read like Figure 3 of
 the paper; it is a thin veneer over the object API in
 ``repro.core.collection``.
 

@@ -209,10 +209,6 @@ class TaskCollection:
     def nprocs(self) -> int:
         return self.proc.nprocs
 
-    @property
-    def config(self) -> SciotoConfig:
-        return self._shared.config
-
     def co_add(
         self,
         task: Task,
@@ -264,11 +260,6 @@ class TaskCollection:
         if td is not None:
             td.note_remote_add(proc, dest)
 
-    def task(self, callback: int, body: Any = None, affinity: int = 0,
-             body_size: int | None = None) -> Task:
-        """Convenience constructor for a task descriptor."""
-        return Task(callback=callback, body=body, affinity=affinity, body_size=body_size)
-
     def co_process(self):
         """Collectively process the collection to global termination
         (``tc_process``).  See ``repro.core.scheduler`` for the loop."""
@@ -283,10 +274,6 @@ class TaskCollection:
     def local_size(self) -> int:
         """Tasks currently queued on the calling rank (owner view)."""
         return self._shared.queues[self.rank].size()
-
-    def counters(self) -> Counters:
-        """The collection's cumulative statistics counters."""
-        return self._shared.counters
 
     def _check_alive(self) -> None:
         if self._shared.destroyed:

@@ -11,6 +11,9 @@ __all__ = ["SciotoConfig"]
 class SciotoConfig:
     """Knobs controlling queueing, stealing, and termination detection.
 
+    Thieves always pick a victim uniformly at random (§5.1); see
+    :mod:`repro.core.stealing`.
+
     Attributes:
         split_queues: Use the paper's split (private/shared) queues.  When
             False, every queue operation — including the owner's — locks
@@ -19,9 +22,6 @@ class SciotoConfig:
         load_balancing: Enable work stealing.  §3 allows disabling dynamic
             load balancing to rely on the initial task placement.
         chunk_size: Maximum tasks transferred by a single steal (§5.1).
-        steal_policy: Victim selection — ``"random"`` (the paper's
-            uniform choice), ``"ring"``, or ``"last_victim"``; see
-            :mod:`repro.core.stealing`.
         termination_opt: Apply the token-coloring *votes-before*
             optimization of §5.3, which elides dirty-mark messages from
             thief to victim when provably unnecessary.
@@ -45,7 +45,6 @@ class SciotoConfig:
     load_balancing: bool = True
     chunk_size: int = 10
     wait_free_steals: bool = False
-    steal_policy: str = "random"
     termination_opt: bool = True
     release_fraction: float = 0.5
     reacquire_fraction: float = 0.5
@@ -53,14 +52,8 @@ class SciotoConfig:
     max_idle_backoff: float = 20e-6
 
     def __post_init__(self) -> None:
-        from repro.core.stealing import STEAL_POLICIES
-
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.steal_policy not in STEAL_POLICIES:
-            raise ValueError(
-                f"steal_policy must be one of {STEAL_POLICIES}, got {self.steal_policy!r}"
-            )
         if not (0.0 < self.release_fraction <= 1.0):
             raise ValueError("release_fraction must be in (0, 1]")
         if not (0.0 < self.reacquire_fraction <= 1.0):

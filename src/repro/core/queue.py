@@ -102,17 +102,6 @@ class SplitQueue:
     def shared_size(self) -> int:
         return len(self._shared)
 
-    def empty_fast(self, proc: Proc) -> bool:
-        """Owner's cheap emptiness probe: a local flag read, no global sync.
-
-        May be slightly stale with respect to in-flight remote inserts,
-        so callers must re-check through :meth:`pop_local` (which
-        synchronizes) before treating the queue as drained.  Kept as a
-        public utility for applications that poll their own queue.
-        """
-        proc.advance(self.engine.machine.local_get_overhead)
-        return self.size() == 0
-
     # ------------------------------------------------------------------ #
     # Owner-side operations
     # ------------------------------------------------------------------ #

@@ -14,7 +14,7 @@ from types import GeneratorType
 
 from repro.armci.runtime import Armci
 from repro.core.stats import ProcessStats
-from repro.core.stealing import make_victim_selector
+from repro.core.stealing import RandomSelector
 from repro.obs.record import Recorder, observe, span
 from repro.obs.tracing import Tracer
 from repro.util.errors import TaskCollectionError
@@ -50,7 +50,7 @@ def co_run_process(tc):
     td = shared.detectors_for(generation)[proc.rank]
     shared.active[proc.rank] = td
 
-    selector = make_victim_selector(cfg.steal_policy, proc)
+    selector = RandomSelector(proc)
     before = {k: shared.counters.get(proc.rank, c) for k, c in _STAT_KEYS.items()}
     yield from armci.co_barrier(proc)
     t_start = proc.now

@@ -1,30 +1,20 @@
-"""Victim-selection policies for work stealing.
+"""Victim selection for work stealing.
 
-The paper uses uniform random victim selection (§5.1).  Two classic
-alternatives are provided for experimentation:
-
-* ``random`` — uniform over the other ranks (the paper's policy).
-* ``ring`` — cycle deterministically through victims starting from the
-  rank's right neighbour; bounds the time to find the one loaded rank
-  but creates convoys under contention.
-* ``last_victim`` — retry the last successful victim first (work tends
-  to stay where it was found), falling back to random after a failure.
-
-Policies are deterministic functions of the per-rank RNG stream and
-their own state, preserving the simulator's reproducibility.
+The paper steals from a uniformly random victim (§5.1).  The choice is
+a deterministic function of the per-rank RNG stream, preserving the
+simulator's reproducibility.
 """
 
 from __future__ import annotations
 
 from repro.sim.engine import Proc
-from repro.util.errors import TaskCollectionError
 
-__all__ = ["make_victim_selector", "STEAL_POLICIES"]
-
-STEAL_POLICIES = ("random", "ring", "last_victim")
+__all__ = ["RandomSelector"]
 
 
-class _RandomSelector:
+class RandomSelector:
+    """Uniform choice over the other ranks."""
+
     def __init__(self, proc: Proc) -> None:
         self.proc = proc
 
@@ -33,53 +23,4 @@ class _RandomSelector:
         return victim + 1 if victim >= self.proc.rank else victim
 
     def report(self, victim: int, success: bool) -> None:
-        pass
-
-
-class _RingSelector:
-    def __init__(self, proc: Proc) -> None:
-        self.proc = proc
-        self._next = (proc.rank + 1) % proc.nprocs
-
-    def next_victim(self) -> int:
-        victim = self._next
-        self._next = (self._next + 1) % self.proc.nprocs
-        if self._next == self.proc.rank:
-            self._next = (self._next + 1) % self.proc.nprocs
-        if victim == self.proc.rank:  # only possible transiently at start
-            victim = (victim + 1) % self.proc.nprocs
-        return victim
-
-    def report(self, victim: int, success: bool) -> None:
-        if success:
-            self._next = victim  # keep draining the same neighbourhood
-
-    # ring never selects self by construction
-
-
-class _LastVictimSelector(_RandomSelector):
-    def __init__(self, proc: Proc) -> None:
-        super().__init__(proc)
-        self._last: int | None = None
-
-    def next_victim(self) -> int:
-        if self._last is not None:
-            victim, self._last = self._last, None
-            return victim
-        return super().next_victim()
-
-    def report(self, victim: int, success: bool) -> None:
-        self._last = victim if success else None
-
-
-def make_victim_selector(policy: str, proc: Proc):
-    """Instantiate the victim selector named by ``policy`` for ``proc``."""
-    if policy == "random":
-        return _RandomSelector(proc)
-    if policy == "ring":
-        return _RingSelector(proc)
-    if policy == "last_victim":
-        return _LastVictimSelector(proc)
-    raise TaskCollectionError(
-        f"unknown steal policy {policy!r}; choose from {STEAL_POLICIES}"
-    )
+        """Outcome of a steal from ``victim``; uniform choice ignores it."""

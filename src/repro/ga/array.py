@@ -208,12 +208,6 @@ class GlobalArray:
                 lambda r=rank, a=plo, b=phi, c=chunk: self._accumulate(r, a, b, c, alpha),
             )
 
-    def co_fill(self, proc: Proc, value: float):
-        """Collectively fill the array with ``value`` (GA_Fill)."""
-        hooks.shared_write(proc, ("ga", self.gid, proc.rank))
-        self._patches[proc.rank][...] = value
-        yield from self._runtime.armci.co_barrier(proc)
-
     def co_read_full(self, proc: Proc):
         """Fetch the whole array into a private buffer (charged get)."""
         return (yield from self.co_get(proc, [0] * len(self.shape), list(self.shape)))

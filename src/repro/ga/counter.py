@@ -55,7 +55,3 @@ class GlobalCounter:
         if proc.rank == self.host_rank:
             self._value = 0
         yield from self.armci.co_barrier(proc)
-
-    def peek(self) -> int:
-        """Read the value without cost (test/debug only)."""
-        return self._value

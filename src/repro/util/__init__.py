@@ -8,7 +8,7 @@ from repro.util.errors import (
     CommError,
     TaskCollectionError,
 )
-from repro.util.format import format_table, format_us, format_rate
+from repro.util.format import format_table
 from repro.util.records import Series, SweepResult
 
 __all__ = [
@@ -19,8 +19,6 @@ __all__ = [
     "CommError",
     "TaskCollectionError",
     "format_table",
-    "format_us",
-    "format_rate",
     "Series",
     "SweepResult",
 ]

@@ -10,16 +10,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 
-def format_us(seconds: float, digits: int = 4) -> str:
-    """Render a duration in seconds as microseconds, e.g. ``18.0819us``."""
-    return f"{seconds * 1e6:.{digits}f}us"
-
-
-def format_rate(per_second: float) -> str:
-    """Render a rate as millions per second, e.g. ``63.1 M/s``."""
-    return f"{per_second / 1e6:.2f} M/s"
-
-
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],

@@ -190,15 +190,6 @@ class TestCollectives:
         _, res = _run(3, main)
         assert res.returns == [(3, 2)] * 3
 
-    def test_broadcast_from_root(self):
-        def main(proc):
-            armci = Armci.attach(proc.engine)
-            value = "payload" if proc.rank == 2 else None
-            return (yield from armci.co_broadcast(proc, value, root=2))
-
-        _, res = _run(4, main)
-        assert res.returns == ["payload"] * 4
-
     def test_attach_is_idempotent(self):
         eng = Engine(2)
         assert Armci.attach(eng) is Armci.attach(eng)

@@ -26,7 +26,7 @@ class TestUtsCli:
     def test_binomial_and_flags(self, capsys):
         rc = uts_main([
             "--nprocs", "3", "--tree", "binomial", "--b0", "10",
-            "--q", "0.1", "--m", "4", "--no-split", "--steal-policy", "ring",
+            "--q", "0.1", "--m", "4", "--no-split",
         ])
         assert rc == 0
 

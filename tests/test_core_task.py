@@ -114,7 +114,6 @@ class TestSciotoConfig:
             {"reacquire_fraction": -0.1},
             {"idle_backoff": -1e-6},
             {"max_idle_backoff": 1e-7},
-            {"steal_policy": "psychic"},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

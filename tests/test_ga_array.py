@@ -62,15 +62,6 @@ class TestGlobalArray:
         # 4 ranks x 3 accs x alpha 2 = 24 added to every element
         assert np.allclose(res.returns[0], 24.0)
 
-    def test_fill(self):
-        def main(proc):
-            ga = yield from GlobalArray.co_create(proc, "f", (5, 3))
-            yield from ga.co_fill(proc, 7.5)
-            return (yield from ga.co_read_full(proc))
-
-        _, res = _run(3, main)
-        assert np.allclose(res.returns[2], 7.5)
-
     def test_unsafe_snapshot_matches_read_full(self):
         def main(proc):
             ga = yield from GlobalArray.co_create(proc, "s", (7, 5))

@@ -76,20 +76,18 @@ def _run_tree_workload(
     split=st.booleans(),
     opt=st.booleans(),
     waitfree=st.booleans(),
-    policy=st.sampled_from(["random", "ring", "last_victim"]),
     chunk=st.integers(1, 8),
     fanout=st.integers(1, 3),
     depth=st.integers(0, 4),
     roots=st.integers(1, 5),
 )
 def test_every_task_executes_exactly_once(
-    nprocs, seed, split, opt, waitfree, policy, chunk, fanout, depth, roots
+    nprocs, seed, split, opt, waitfree, chunk, fanout, depth, roots
 ):
     cfg = SciotoConfig(
         split_queues=split,
         termination_opt=opt,
         wait_free_steals=waitfree,
-        steal_policy=policy,
         chunk_size=chunk,
     )
     executed, expected, _ = _run_tree_workload(nprocs, seed, cfg, fanout, depth, roots)

@@ -1,25 +1,21 @@
-"""Tests for victim-selection policies."""
+"""Tests for uniform random victim selection (§5.1)."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.uts import UTSParams, count_tree, run_uts_scioto
-from repro.core import SciotoConfig
-from repro.core.stealing import STEAL_POLICIES, make_victim_selector
-from repro.sim.engine import Engine, run_spmd
-from repro.util.errors import TaskCollectionError
+from repro.core.stealing import RandomSelector
+from repro.sim.engine import run_spmd
 
 SMALL = UTSParams(b0=4.0, gen_mx=8, root_seed=6)
 
 
 class TestSelectors:
-    @pytest.mark.parametrize("policy", STEAL_POLICIES)
-    def test_never_selects_self(self, policy):
+    def test_never_selects_self(self):
         def main(proc):
-            sel = make_victim_selector(policy, proc)
+            sel = RandomSelector(proc)
             picks = [sel.next_victim() for _ in range(50)]
             return picks
 
@@ -27,56 +23,17 @@ class TestSelectors:
         for rank, picks in enumerate(res.returns):
             assert all(0 <= v < 5 and v != rank for v in picks), (rank, picks)
 
-    def test_ring_cycles_through_everyone(self):
-        def main(proc):
-            sel = make_victim_selector("ring", proc)
-            return [sel.next_victim() for _ in range(6)]
-
-        res = run_spmd(4, main)
-        for rank, picks in enumerate(res.returns):
-            others = {r for r in range(4) if r != rank}
-            assert set(picks[:3]) == others
-
-    def test_last_victim_retries_successful_victim(self):
-        def main(proc):
-            sel = make_victim_selector("last_victim", proc)
-            v1 = sel.next_victim()
-            sel.report(v1, success=True)
-            v2 = sel.next_victim()
-            sel.report(v2, success=False)
-            return (v1, v2)
-
-        res = run_spmd(3, main, seed=4)
-        for v1, v2 in res.returns:
-            assert v1 == v2, "successful victim must be retried"
-
-    def test_unknown_policy_rejected(self):
-        def main(proc):
-            make_victim_selector("psychic", proc)
-
-        with pytest.raises(TaskCollectionError, match="unknown steal policy"):
-            run_spmd(2, main)
-
-    def test_config_validates_policy(self):
-        with pytest.raises(ValueError, match="steal_policy"):
-            SciotoConfig(steal_policy="psychic")
-
 
 class TestPoliciesEndToEnd:
-    @pytest.mark.parametrize("policy", STEAL_POLICIES)
-    def test_uts_exact_under_each_policy(self, policy):
+    def test_uts_exact(self):
         ref = count_tree(SMALL)
-        r = run_uts_scioto(
-            4, SMALL, seed=2, config=SciotoConfig(steal_policy=policy),
-            max_events=3_000_000,
-        )
+        r = run_uts_scioto(4, SMALL, seed=2, max_events=3_000_000)
         assert r.stats.nodes == ref.nodes
 
     @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(0, 2000), policy=st.sampled_from(STEAL_POLICIES))
-    def test_policies_deterministic(self, seed, policy):
-        cfg = SciotoConfig(steal_policy=policy)
-        a = run_uts_scioto(3, SMALL, seed=seed, config=cfg, max_events=3_000_000)
-        b = run_uts_scioto(3, SMALL, seed=seed, config=cfg, max_events=3_000_000)
+    @given(seed=st.integers(0, 2000))
+    def test_policies_deterministic(self, seed):
+        a = run_uts_scioto(3, SMALL, seed=seed, max_events=3_000_000)
+        b = run_uts_scioto(3, SMALL, seed=seed, max_events=3_000_000)
         assert a.elapsed == b.elapsed
         assert a.total_steals == b.total_steals

@@ -116,3 +116,6 @@ class TestMatmulExample:
             run_matmul(2, a, a, num_blocks=3)
         with pytest.raises(ValueError, match="square"):
             run_matmul(2, np.ones((4, 6)), np.ones((4, 6)))
+        for bad in (0, -1, -2):
+            with pytest.raises(ValueError, match="num_blocks"):
+                run_matmul(2, a, a, num_blocks=bad)

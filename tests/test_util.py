@@ -4,18 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.util.format import format_rate, format_table, format_us
+from repro.util.format import format_table
 from repro.util.records import Series, SweepResult
 
 
 class TestFormat:
-    def test_format_us(self):
-        assert format_us(18.0819e-6) == "18.0819us"
-        assert format_us(0.5e-6, digits=2) == "0.50us"
-
-    def test_format_rate(self):
-        assert format_rate(63_100_000) == "63.10 M/s"
-
     def test_format_table_alignment(self):
         text = format_table(["a", "bbbb"], [[1, 2], [333, 4]], title="T")
         lines = text.splitlines()
