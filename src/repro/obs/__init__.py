@@ -71,7 +71,6 @@ from repro.obs.export import (
     FLOW_KINDS,
     METRICS_SCHEMA,
     ascii_timeline,
-    chrome_trace,
     metrics_dict,
     self_times,
     summary_table,
@@ -117,7 +116,6 @@ __all__ = [
     "Tracer",
     "TraceEvent",
     "trace",
-    "chrome_trace",
     "write_chrome_trace",
     "metrics_dict",
     "write_metrics_json",

@@ -2,7 +2,7 @@
 
 Three views of one recording:
 
-* :func:`chrome_trace` — the Chrome/Perfetto ``trace_event`` format
+* :func:`write_chrome_trace` — the Chrome/Perfetto ``trace_event`` format
   (load the file at https://ui.perfetto.dev or ``chrome://tracing``).
   One track (``tid``) per rank, spans as complete (``"ph": "X"``)
   events, marker events as instants (``"ph": "i"``), and cross-rank
@@ -26,19 +26,23 @@ Three views of one recording:
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from collections import defaultdict
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, Iterable
 
 from repro.obs.record import EdgeRecord, InstantRecord, Recorder, SpanRecord
+from repro.obs.stream import _NONFINITE, _span_sort_key
 from repro.util.io import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracing import Tracer
 
 __all__ = [
-    "chrome_trace",
     "write_chrome_trace",
+    "write_trace",
     "metrics_dict",
     "write_metrics_json",
     "ascii_timeline",
@@ -64,6 +68,10 @@ METRICS_SCHEMA = "repro-obs-metrics/3"
 #: Causal-edge kinds exported as Perfetto flow arrows by default.
 FLOW_KINDS: tuple[str, ...] = ("steal", "msg", "lock", "dirty")
 
+#: Trace events encoded per ``json.dumps`` by :func:`write_trace`: one
+#: encoder call per block, with memory still constant in run length.
+_EVENT_BLOCK = 1024
+
 #: Category -> single character used by the ASCII timeline, in priority
 #: order (earlier wins when a bucket holds several categories).
 CATEGORY_CHARS: tuple[tuple[str, str], ...] = (
@@ -85,9 +93,9 @@ def _span_args(span: SpanRecord) -> dict | None:
 
 
 # ---------------------------------------------------------------------- #
-# Shared event builders: one definition of each Chrome event's exact
-# shape (and dict key order — the streamed pack in repro.obs.stream
-# reuses these to stay byte-identical with the in-memory exporter).
+# Event builders and the one writer: each Chrome event's exact shape
+# (and dict key order) is defined once, and write_trace emits them for
+# both the in-memory export and the streamed pack in repro.obs.stream.
 # ---------------------------------------------------------------------- #
 def meta_events(nprocs: int) -> list[dict]:
     """Process/thread metadata events for one simulated engine's tracks."""
@@ -173,72 +181,6 @@ def flow_event_pair(edge: EdgeRecord) -> tuple[dict, dict]:
     return start, finish
 
 
-def chrome_trace(
-    recorder: Recorder,
-    tracer: "Tracer | None" = None,
-    critpath: "object | None" = None,
-) -> dict:
-    """Build a Chrome ``trace_event`` document from a recording.
-
-    Args:
-        recorder: The engine's span/metrics recorder.
-        tracer: Optional structured-event tracer; its events are added
-            as instant events on the owning rank's track.
-        critpath: Optional :class:`repro.obs.critpath.CritPath`; its
-            steps become a highlighted "critical path" process.
-
-    Causal edges of the :data:`FLOW_KINDS` kinds are drawn as flow arrows.
-    """
-    events: list[dict] = meta_events(recorder.engine.nprocs)
-    span_events = []
-    for span in recorder.spans:
-        if span.end is None:
-            continue  # still open: the run aborted inside this span
-        span_events.append(span_event(span))
-    # Spans recorded out-of-stack (Recorder.complete_span) are appended
-    # at close time; re-sort so each rank's track is start-ordered, with
-    # the enclosing span first on ties.
-    span_events.sort(key=lambda e: (e["tid"], e["ts"], -e["dur"]))
-    events.extend(span_events)
-    for inst in recorder.instants:
-        events.append(instant_event(inst))
-    if tracer is not None:
-        for e in tracer.events:
-            events.append(
-                {
-                    "name": e.kind,
-                    "cat": "trace",
-                    "ph": "i",
-                    "s": "t",
-                    "ts": e.time * 1e6,
-                    "pid": 0,
-                    "tid": e.rank,
-                    "args": {} if e.detail is None else {"detail": str(e.detail)},
-                }
-            )
-    flows = 0
-    for edge in recorder.edges:
-        if edge.kind not in FLOW_KINDS:
-            continue
-        flows += 1
-        start, finish = flow_event_pair(edge)
-        events.append(start)
-        events.append(finish)
-    if critpath is not None:
-        events.extend(_critpath_events(critpath))
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "source": "repro.obs",
-            "spans_recorded": recorder.span_count,
-            "spans_dropped": recorder.dropped,
-            "edges_recorded": recorder.edge_count,
-            "flow_events": flows,
-        },
-    }
-
-
 def _critpath_events(critpath) -> list[dict]:
     """Render a ``CritPath`` as its own Perfetto process (``pid`` 1)."""
     events: list[dict] = [
@@ -279,18 +221,202 @@ def _critpath_events(critpath) -> list[dict]:
     return events
 
 
+def _span_event_text(span: SpanRecord) -> str:
+    """``json.dumps(span_event(span))`` of a finished span, without the
+    dict or the encoder (tested byte for byte)."""
+    start, detail = span.start, span.detail
+    ts = float.__repr__(start * 1e6)
+    dur = float.__repr__((span.end - start) * 1e6)
+    args = "" if detail is None else f', "args": {{"detail": {_quote(str(detail))}}}'
+    return (
+        f'{{"name": {_quote(span.name)}, "cat": {_quote(span.category)}, '
+        f'"ph": "X", "ts": {_NONFINITE.get(ts, ts)}, '
+        f'"dur": {_NONFINITE.get(dur, dur)}, "pid": 0, "tid": {span.rank}{args}}}'
+    )
+
+
+class _EventWriter:
+    """Writes a Chrome ``trace_event`` JSON byte-identically to
+    ``json.dumps({"traceEvents": [...], ...})`` without holding the
+    event list in memory."""
+
+    def __init__(self, fh: IO[str]) -> None:
+        self._fh = fh
+        self._block: list[dict] = []
+        self._texts: list[str] = []  # events already encoded
+        self._sep = ""
+        self._fh.write('{"traceEvents": [')
+
+    def event(self, ev: dict) -> None:
+        if self._texts:
+            self._flush()
+        self._block.append(ev)
+        if len(self._block) >= _EVENT_BLOCK:
+            self._flush()
+
+    def text(self, ev: str) -> None:
+        """Append one event given as its ``json.dumps`` text."""
+        if self._block:
+            self._flush()
+        self._texts.append(ev)
+        if len(self._texts) >= _EVENT_BLOCK:
+            self._flush()
+
+    def _flush(self) -> None:
+        # At most one of the two blocks is non-empty: each call to
+        # ``event``/``text`` flushes the other one first.
+        if self._block:
+            # The encoded list minus its brackets is the ", "-joined events.
+            self._fh.write(self._sep + json.dumps(self._block)[1:-1])
+            self._sep = ", "
+            self._block.clear()
+        elif self._texts:
+            self._fh.write(self._sep + ", ".join(self._texts))
+            self._sep = ", "
+            self._texts.clear()
+
+    def finish(self, trailer: dict) -> None:
+        """Close the event array and append the remaining document keys."""
+        self._flush()
+        self._fh.write("]")
+        for key, value in trailer.items():
+            self._fh.write(f", {json.dumps(key)}: {json.dumps(value)}")
+        self._fh.write("}")
+
+
+def _atomic_stream(path: Path):
+    """(file handle, publish, discard) for writing ``path`` atomically."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    fh = os.fdopen(fd, "w")
+
+    def publish() -> None:
+        fh.close()
+        os.replace(tmp_name, path)
+
+    def discard() -> None:
+        try:
+            fh.close()
+        finally:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+
+    return fh, publish, discard
+
+
+def write_trace(
+    path: str | Path,
+    nprocs: int,
+    spans: Iterable[SpanRecord],
+    instants: Iterable[InstantRecord],
+    edges: Iterable[EdgeRecord],
+    counts: tuple[int, int, int],
+    marks: Iterable[dict] = (),
+    tail: Iterable[dict] = (),
+) -> Path:
+    """Stream a Chrome ``trace_event`` JSON to ``path`` (atomically).
+
+    The one writer of Chrome trace events, shared by
+    :func:`write_chrome_trace` and :func:`repro.obs.stream.pack`.  It
+    writes, in order: the rank tracks' metadata, the ``spans`` (finished
+    ones only, given in :func:`~repro.obs.stream._span_sort_key` order),
+    the ``instants``, the ready-made ``marks``, one flow-arrow pair per
+    edge (the caller passes only :data:`FLOW_KINDS` edges), then the
+    ready-made ``tail``.
+    ``counts`` is ``(spans recorded, records dropped, edges recorded)``
+    for ``otherData``.  Nothing is held beyond one block of events; a
+    failure leaves no output behind.
+    """
+    path = Path(path)
+    fh, publish, discard = _atomic_stream(path)
+    try:
+        w = _EventWriter(fh)
+        for ev in meta_events(nprocs):
+            w.event(ev)
+        for span in spans:
+            w.text(_span_event_text(span))
+        for inst in instants:
+            w.event(instant_event(inst))
+        for ev in marks:
+            w.event(ev)
+        flows = 0
+        for edge in edges:
+            flows += 1
+            for ev in flow_event_pair(edge):
+                w.event(ev)
+        for ev in tail:
+            w.event(ev)
+        spans_recorded, dropped, edges_recorded = counts
+        w.finish(
+            {
+                "displayTimeUnit": "ns",
+                "otherData": {
+                    "source": "repro.obs",
+                    "spans_recorded": spans_recorded,
+                    "spans_dropped": dropped,
+                    "edges_recorded": edges_recorded,
+                    "flow_events": flows,
+                },
+            }
+        )
+        publish()
+    except BaseException:
+        discard()
+        raise
+    return path
+
+
+def _trace_mark(event) -> dict:
+    """One tracer event as a ``trace`` instant on its rank's track."""
+    return {
+        "name": event.kind,
+        "cat": "trace",
+        "ph": "i",
+        "s": "t",
+        "ts": event.time * 1e6,
+        "pid": 0,
+        "tid": event.rank,
+        "args": {} if event.detail is None else {"detail": str(event.detail)},
+    }
+
+
 def write_chrome_trace(
     recorder: Recorder,
     path: str | Path,
     tracer: "Tracer | None" = None,
     critpath: "object | None" = None,
 ) -> Path:
-    """Write the Chrome trace JSON to ``path`` (atomically) and return it."""
-    path = Path(path)
-    atomic_write_text(
-        path, json.dumps(chrome_trace(recorder, tracer, critpath=critpath))
+    """Write a recording as Chrome trace JSON to ``path`` (atomically).
+
+    Args:
+        recorder: The engine's span/metrics recorder.
+        tracer: Optional structured-event tracer; its events are added
+            as instant events on the owning rank's track.
+        critpath: Optional :class:`repro.obs.critpath.CritPath`; its
+            steps become a highlighted "critical path" process.
+
+    Causal edges of the :data:`FLOW_KINDS` kinds are drawn as flow arrows.
+    """
+    # Spans recorded out-of-stack (Recorder.complete_span) are stored at
+    # close time; the sort makes each rank's track start-ordered, with
+    # the enclosing span first on ties.
+    spans = sorted(
+        (s for s in recorder.spans if s.end is not None), key=_span_sort_key
     )
-    return path
+    return write_trace(
+        path,
+        recorder.engine.nprocs,
+        spans,
+        recorder.instants,
+        (e for e in recorder.edges if e.kind in FLOW_KINDS),
+        (recorder.span_count, recorder.dropped, recorder.edge_count),
+        marks=() if tracer is None else map(_trace_mark, tracer.events),
+        tail=() if critpath is None else _critpath_events(critpath),
+    )
 
 
 def metrics_dict(

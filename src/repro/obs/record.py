@@ -53,6 +53,7 @@ checks this.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple
@@ -172,8 +173,9 @@ class Recorder:
     Storage is delegated to a :class:`repro.obs.stream.SpanSink`: the
     default :class:`~repro.obs.stream.MemorySink` keeps the historical
     in-memory lists (``recorder.spans`` et al. stay list-like views of
-    it), while :class:`~repro.obs.stream.SpillSink` streams completed
-    records to sharded JSONL in constant memory.  The optional ``live``
+    it) up to its ``capacity`` per record kind, while
+    :class:`~repro.obs.stream.SpillSink` streams completed records to
+    sharded JSONL in constant memory.  The optional ``live``
     side-tap (a :class:`repro.obs.live.TelemetryBus`) publishes windowed
     metric frames at a virtual-time interval.
     """
@@ -183,7 +185,6 @@ class Recorder:
     def __init__(
         self,
         engine: "Engine",
-        capacity: int = 2_000_000,
         edges: bool = True,
         sink: "Any | None" = None,
         live: "Any | None" = None,
@@ -191,11 +192,13 @@ class Recorder:
         from repro.obs.stream import MemorySink  # sibling; cycle-free at call time
 
         self.engine = engine
-        self.capacity = capacity
-        self.sink = sink if sink is not None else MemorySink(capacity)
+        self.sink = sink if sink is not None else MemorySink()
+        # The sink's capacity is the one loss rule; a sink that keeps all
+        # (None) gets a bound no run reaches, so each hook makes one compare.
+        cap = self.sink.capacity
+        self._limit = sys.maxsize if cap is None else cap
         self.edges_enabled = edges
-        # Per-kind drop accounting (mirrors obs/tracing.py); ``dropped``
-        # stays available as the aggregate.
+        # Per-kind drop accounting; ``dropped`` is the aggregate.
         self.dropped_spans = 0
         self.dropped_instants = 0
         self.dropped_edges = 0
@@ -215,9 +218,6 @@ class Recorder:
         self._stacks: list[list[SpanRecord | None]] = [
             [] for _ in range(engine.nprocs)
         ]
-        # A sink that never refuses (``SpillSink``) is not probed with
-        # ``accepts_*`` and not told about opens; every other sink is.
-        self._probe = not getattr(self.sink, "never_refuses", False)
         # task uid -> (rank, time) of the queue insertion that made it
         # runnable: the source of its ``spawn`` edge.  The queue's insert
         # sites write it, :meth:`open_task` consumes it.
@@ -233,7 +233,6 @@ class Recorder:
     def attach(
         cls,
         engine: "Engine",
-        capacity: int = 2_000_000,
         edges: bool = True,
         sink: "Any | None" = None,
         live: "Any | None" = None,
@@ -241,7 +240,7 @@ class Recorder:
         """Enable recording on ``engine`` (idempotent)."""
         inst = engine.state.get(cls._KEY)
         if inst is None:
-            inst = cls(engine, capacity, edges=edges, sink=sink, live=live)
+            inst = cls(engine, edges=edges, sink=sink, live=live)
             engine.state[cls._KEY] = inst
             engine.note_observer()
         return inst
@@ -325,27 +324,21 @@ class Recorder:
     ) -> SpanRecord | None:
         """Push a new span (or a dropped placeholder, None) on the rank's stack."""
         stack = self._stacks[proc.rank]
-        if self._probe:
-            if not self.sink.accepts_span():
-                self.dropped_spans += 1
-                stack.append(None)
-                return None
-            parent = None
-            for open_span in reversed(stack):  # skip dropped placeholders
-                if open_span is not None:
-                    parent = open_span.sid
-                    break
-        else:  # nothing was dropped, so the stack holds no placeholders
-            parent = stack[-1].sid if stack else None
         sid = self.span_count
+        if sid >= self._limit:
+            self.dropped_spans += 1
+            stack.append(None)
+            return None
+        # The capacity is fixed and span_count only grows, so no span opens
+        # after a drop: the stack below holds no placeholders.
+        parent = stack[-1].sid if stack else None
         rec = SpanRecord(
             proc.rank, name, category, proc._clock, None, len(stack), parent, detail, sid
         )
         self.span_count = sid + 1
         counts = self.category_counts
         counts[category] = counts.get(category, 0) + 1
-        if self._probe:
-            self.sink.on_open(rec)
+        self.sink.on_open(rec)
         stack.append(rec)
         return rec
 
@@ -377,10 +370,10 @@ class Recorder:
         completed in a later one) or a contended lock wait.  Recorded at
         depth 0; it still lands on the rank's track in the exports.
         """
-        if self._probe and not self.sink.accepts_span():
+        sid = self.span_count
+        if sid >= self._limit:
             self.dropped_spans += 1
             return
-        sid = self.span_count
         rec = SpanRecord(
             proc.rank, name, category, start, proc.now, 0, None, detail, sid
         )
@@ -392,7 +385,7 @@ class Recorder:
         self, proc: "Proc", name: str, category: str, detail: Any = None
     ) -> None:
         """Record a zero-duration marker at the rank's current time."""
-        if self._probe and not self.sink.accepts_instant():
+        if self.instant_count >= self._limit:
             self.dropped_instants += 1
             return
         rec = InstantRecord(proc.now, proc.rank, name, category, detail)
@@ -412,10 +405,10 @@ class Recorder:
         detail: Any = None,
     ) -> None:
         """Record one happens-before edge with a stable, monotone id."""
-        if self._probe and not self.sink.accepts_edge():
+        eid = self.edge_count
+        if eid >= self._limit:
             self.dropped_edges += 1
             return
-        eid = self.edge_count
         self.edge_count = eid + 1
         self.sink.on_edge(
             EdgeRecord(eid, kind, src_rank, src_time, dst_rank, dst_time, detail)
@@ -481,13 +474,6 @@ class Recorder:
             ),
             tuple((i.time, i.rank, i.name, i.category) for i in self.instants),
         )
-
-    def finished_spans(self) -> list[SpanRecord]:
-        """All spans that have been closed (open ones are excluded)."""
-        return [s for s in self.spans if s.end is not None]
-
-    def by_category(self, category: str) -> list[SpanRecord]:
-        return [s for s in self.spans if s.category == category]
 
 
 # ---------------------------------------------------------------------- #

@@ -6,8 +6,8 @@ more — it pushes records into a :class:`SpanSink`:
 * :class:`MemorySink` (the default) is the historical in-memory list
   behaviour, bit-for-bit: spans are appended at *open* time (so list
   index equals the span's stable ``sid``), instants and edges append in
-  emission order, and the ``capacity`` bound drops-and-counts exactly
-  as before.
+  emission order, and its ``capacity`` bounds each record kind (the
+  recorder counts every record past it as dropped).
 * :class:`SpillSink` holds **no** completed records in memory: it
   buffers up to ``shard_size`` records and flushes them as sharded
   JSONL files (``spans-00000.jsonl`` …) in a spill directory, written
@@ -34,12 +34,10 @@ from __future__ import annotations
 
 import heapq
 import json
-import os
-import tempfile
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import IO, Any, Callable, Container, Iterator
+from typing import Any, Callable, Container, Iterator
 
 from repro.obs.record import EdgeRecord, InstantRecord, SpanRecord
 from repro.util.io import RecordError, atomic_write_text, read_record, require
@@ -61,9 +59,9 @@ STREAM_SCHEMA = "repro-obs-stream/1"
 #: the per-shard sort cost; 32k span records is ~4 MB of JSONL.
 DEFAULT_SHARD_SIZE = 32_768
 
-#: Shard lines parsed per ``json.loads`` and trace events encoded per
-#: ``json.dumps`` in :func:`pack`: one codec call per block instead of
-#: one per record, with memory still constant in run length.
+#: Shard lines parsed per ``json.loads`` in :func:`pack`: one codec
+#: call per block instead of one per record, with memory still constant
+#: in run length.
 _BLOCK = 1024
 
 
@@ -71,8 +69,8 @@ def _span_sort_key(span: SpanRecord) -> tuple:
     """The Chrome-trace global span order: ``(tid, ts, -dur, sid)``.
 
     Computed with the exact float expressions the exporter uses for
-    ``ts``/``dur``, so the shard merge reproduces the in-memory stable
-    sort (which is sid-ordered input under key ``(tid, ts, -dur)``).
+    ``ts``/``dur``.  The shard merge and the in-memory export both
+    order spans by it, so they write the same bytes.
     """
     return (
         span.rank,
@@ -88,35 +86,15 @@ class SpanSink:
     The recorder calls ``on_open`` when a span begins, ``on_close`` when
     it completes (``end`` is set), ``on_complete`` for out-of-stack
     completed spans, and ``on_instant``/``on_edge`` for the other record
-    kinds.  ``accepts_*`` lets a bounded sink refuse a record *before*
-    the recorder allocates it (the refusal is counted as a drop).
+    kinds.
 
-    A sink class that sets :attr:`never_refuses` is never probed and
-    never sent ``on_open``.  A subclass that overrides an ``accepts_*``
-    probe or ``on_open`` without setting it again is probed as usual.
+    :attr:`capacity` is the one loss rule: the number of records of each
+    kind the sink keeps (None keeps all).  The recorder refuses every
+    record past it before allocating one, and counts each refusal in
+    its ``dropped_*`` tallies.
     """
 
-    #: True when every ``accepts_*`` returns True and ``on_open`` does
-    #: nothing, so the recorder may skip those calls.
-    never_refuses = False
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        own = vars(cls)
-        if "never_refuses" not in own and any(
-            name in own
-            for name in ("accepts_span", "accepts_instant", "accepts_edge", "on_open")
-        ):
-            cls.never_refuses = False
-
-    def accepts_span(self) -> bool:
-        return True
-
-    def accepts_instant(self) -> bool:
-        return True
-
-    def accepts_edge(self) -> bool:
-        return True
+    capacity: int | None = None
 
     def on_open(self, span: SpanRecord) -> None:
         pass
@@ -157,15 +135,6 @@ class MemorySink(SpanSink):
         self.instants: list[InstantRecord] = []
         self.edges: list[EdgeRecord] = []
 
-    def accepts_span(self) -> bool:
-        return len(self.spans) < self.capacity
-
-    def accepts_instant(self) -> bool:
-        return len(self.instants) < self.capacity
-
-    def accepts_edge(self) -> bool:
-        return len(self.edges) < self.capacity
-
     def on_open(self, span: SpanRecord) -> None:
         # Appending at open keeps list index == sid, which is what makes
         # ``parent`` usable as an index into ``Recorder.spans``.
@@ -193,9 +162,9 @@ class MemorySink(SpanSink):
 class TeeSink(SpanSink):
     """Duplicates one recording into several sinks.
 
-    A record is accepted only if *every* child accepts it, so the drop
-    decision (and the recorder's sid allocation) is shared — each child
-    sees the exact same stream.  Reads delegate to the first child.
+    Its capacity is the smallest child capacity, so the drop decision
+    (and the recorder's sid allocation) is shared — each child sees the
+    exact same stream.  Reads delegate to the first child.
     The equivalence tests use this to record one run into a
     :class:`MemorySink` and a :class:`SpillSink` simultaneously, which
     is the only way to compare the two paths byte-for-byte (two
@@ -206,15 +175,8 @@ class TeeSink(SpanSink):
         if not sinks:
             raise ValueError("TeeSink needs at least one child sink")
         self.sinks = sinks
-
-    def accepts_span(self) -> bool:
-        return all(s.accepts_span() for s in self.sinks)
-
-    def accepts_instant(self) -> bool:
-        return all(s.accepts_instant() for s in self.sinks)
-
-    def accepts_edge(self) -> bool:
-        return all(s.accepts_edge() for s in self.sinks)
+        caps = [s.capacity for s in sinks if s.capacity is not None]
+        self.capacity = min(caps, default=None)
 
     def on_open(self, span: SpanRecord) -> None:
         for s in self.sinks:
@@ -292,20 +254,6 @@ def _edge_line(edge: EdgeRecord) -> str:
     )
 
 
-def _span_event_text(span: SpanRecord) -> str:
-    """``json.dumps(span_event(span))`` of a finished span, without the
-    dict or the encoder (tested byte for byte)."""
-    start, detail = span.start, span.detail
-    ts = float.__repr__(start * 1e6)
-    dur = float.__repr__((span.end - start) * 1e6)
-    args = "" if detail is None else f', "args": {{"detail": {_quote(str(detail))}}}'
-    return (
-        f'{{"name": {_quote(span.name)}, "cat": {_quote(span.category)}, '
-        f'"ph": "X", "ts": {_NONFINITE.get(ts, ts)}, '
-        f'"dur": {_NONFINITE.get(dur, dur)}, "pid": 0, "tid": {span.rank}{args}}}'
-    )
-
-
 def _span_from_line(fields: list) -> SpanRecord:
     sid, rank, name, category, start, end, depth, parent, detail = fields
     return SpanRecord(rank, name, category, start, end, depth, parent, detail, sid)
@@ -324,7 +272,7 @@ def _edge_from_line(fields: list) -> EdgeRecord:
 class SpillSink(SpanSink):
     """Constant-memory sink: sharded JSONL spill under one directory.
 
-    It keeps every record it is given (:attr:`never_refuses`).
+    It keeps every record it is given (``capacity`` None).
 
     Completed records are formatted as they arrive and buffer, as
     lines, up to ``shard_size`` before flushing as one atomically
@@ -336,8 +284,6 @@ class SpillSink(SpanSink):
     Detail payloads are stringified exactly the way the Chrome exporter
     would (``str(detail)``).
     """
-
-    never_refuses = True
 
     def __init__(
         self, directory: str | Path, shard_size: int = DEFAULT_SHARD_SIZE
@@ -550,128 +496,29 @@ class SpillReader:
 # ---------------------------------------------------------------------- #
 # Streaming pack: spill directory -> Chrome trace JSON, constant memory
 # ---------------------------------------------------------------------- #
-class _EventWriter:
-    """Writes a Chrome ``trace_event`` JSON byte-identically to
-    ``json.dumps({"traceEvents": [...], ...})`` without holding the
-    event list in memory."""
-
-    def __init__(self, fh: IO[str]) -> None:
-        self._fh = fh
-        self._block: list[dict] = []
-        self._texts: list[str] = []  # events already encoded
-        self._sep = ""
-        self._fh.write('{"traceEvents": [')
-
-    def event(self, ev: dict) -> None:
-        if self._texts:
-            self._flush()
-        self._block.append(ev)
-        if len(self._block) >= _BLOCK:
-            self._flush()
-
-    def text(self, ev: str) -> None:
-        """Append one event given as its ``json.dumps`` text."""
-        if self._block:
-            self._flush()
-        self._texts.append(ev)
-        if len(self._texts) >= _BLOCK:
-            self._flush()
-
-    def _flush(self) -> None:
-        # At most one of the two blocks is non-empty: each call to
-        # ``event``/``text`` flushes the other one first.
-        if self._block:
-            # The encoded list minus its brackets is the ", "-joined events.
-            self._fh.write(self._sep + json.dumps(self._block)[1:-1])
-            self._sep = ", "
-            self._block.clear()
-        elif self._texts:
-            self._fh.write(self._sep + ", ".join(self._texts))
-            self._sep = ", "
-            self._texts.clear()
-
-    def finish(self, trailer: dict) -> None:
-        """Close the event array and append the remaining document keys."""
-        self._flush()
-        self._fh.write("]")
-        for key, value in trailer.items():
-            self._fh.write(f", {json.dumps(key)}: {json.dumps(value)}")
-        self._fh.write("}")
-
-
-def _atomic_stream(path: Path):
-    """(fd-backed file handle, publish callable) for atomic streaming."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    fh = os.fdopen(fd, "w")
-
-    def publish() -> None:
-        fh.close()
-        os.replace(tmp_name, path)
-
-    def discard() -> None:
-        try:
-            fh.close()
-        finally:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-
-    return fh, publish, discard
-
-
 def pack(spill_dir: str | Path, out_path: str | Path) -> Path:
     """Convert a sealed spill directory into a Chrome trace JSON.
 
-    Streams shard files straight into the output (constant memory) and
-    produces bytes identical to
-    :func:`repro.obs.export.write_chrome_trace` over the same run
-    recorded with a :class:`MemorySink` (without a tracer or critical
-    path attached).  The output is published atomically; a spill that
-    fails to read (:class:`SpillReader`) leaves no output behind.
+    Streams the k-way merged span shards and the instant and edge
+    shards through :func:`repro.obs.export.write_trace`, the writer
+    :func:`~repro.obs.export.write_chrome_trace` uses too, so memory is
+    constant in run length and the bytes equal what the in-memory
+    export writes for the same run recorded with a :class:`MemorySink`
+    (without a tracer or critical path attached).  Span shards hold
+    closed spans only (:class:`SpillSink` writes a span when it closes).
+    The output is published atomically; a spill that fails to read
+    (:class:`SpillReader`) leaves no output behind.
     """
-    # Imported here: export imports record, stream must stay importable
-    # from record's siblings without a cycle.
-    from repro.obs.export import (
-        FLOW_KINDS,
-        flow_event_pair,
-        instant_event,
-        meta_events,
-    )
+    # Imported here: export imports this module.
+    from repro.obs.export import FLOW_KINDS, write_trace
+
     reader = SpillReader(spill_dir)
-    out_path = Path(out_path)
-    fh, publish, discard = _atomic_stream(out_path)
-    try:
-        w = _EventWriter(fh)
-        for ev in meta_events(reader.nprocs):
-            w.event(ev)
-        for span in reader.iter_spans_merged():
-            if span.end is not None:
-                w.text(_span_event_text(span))
-        for inst in reader.iter_instants():
-            w.event(instant_event(inst))
-        flows = 0
-        for edge in reader.iter_edges(FLOW_KINDS):
-            flows += 1
-            for ev in flow_event_pair(edge):
-                w.event(ev)
-        w.finish(
-            {
-                "displayTimeUnit": "ns",
-                "otherData": {
-                    "source": "repro.obs",
-                    "spans_recorded": reader.index.get("spans", 0),
-                    "spans_dropped": reader.index.get("dropped", 0),
-                    "edges_recorded": reader.index.get("edges", 0),
-                    "flow_events": flows,
-                },
-            }
-        )
-        publish()
-    except BaseException:
-        discard()
-        raise
-    return out_path
+    idx = reader.index
+    return write_trace(
+        out_path,
+        reader.nprocs,
+        reader.iter_spans_merged(),
+        reader.iter_instants(),
+        reader.iter_edges(FLOW_KINDS),
+        (idx.get("spans", 0), idx.get("dropped", 0), idx.get("edges", 0)),
+    )

@@ -9,7 +9,6 @@ from repro.obs import (
     METRICS_SCHEMA,
     Recorder,
     ascii_timeline,
-    chrome_trace,
     critical_idle,
     load_chrome_trace,
     metrics_dict,
@@ -27,9 +26,10 @@ def _recorded_run():
 
 
 class TestChromeTrace:
-    def test_document_is_valid_and_loadable(self):
+    def test_document_is_valid_and_loadable(self, tmp_path):
         run = _recorded_run()
-        doc = json.loads(json.dumps(chrome_trace(run.recorder, tracer=run.tracer)))
+        path = write_chrome_trace(run.recorder, tmp_path / "t.json", tracer=run.tracer)
+        doc = json.loads(path.read_text())
         events = doc["traceEvents"]
         assert events, "trace must not be empty"
         for ev in events:
@@ -43,9 +43,9 @@ class TestChromeTrace:
                 assert ev["dur"] >= 0.0
         assert doc["otherData"]["spans_dropped"] == 0
 
-    def test_span_timestamps_monotone_per_rank_track(self):
+    def test_span_timestamps_monotone_per_rank_track(self, tmp_path):
         run = _recorded_run()
-        doc = chrome_trace(run.recorder)
+        doc = json.loads(write_chrome_trace(run.recorder, tmp_path / "t.json").read_text())
         per_tid = defaultdict(list)
         for ev in doc["traceEvents"]:
             if ev["ph"] == "X":
@@ -54,9 +54,9 @@ class TestChromeTrace:
         for tid, ts in per_tid.items():
             assert ts == sorted(ts), f"track {tid} out of order"
 
-    def test_metadata_names_every_rank_track(self):
+    def test_metadata_names_every_rank_track(self, tmp_path):
         run = _recorded_run()
-        doc = chrome_trace(run.recorder)
+        doc = json.loads(write_chrome_trace(run.recorder, tmp_path / "t.json").read_text())
         named = {
             ev["tid"]
             for ev in doc["traceEvents"]
@@ -68,7 +68,7 @@ class TestChromeTrace:
         run = _recorded_run()
         path = write_chrome_trace(run.recorder, tmp_path / "t.json", tracer=run.tracer)
         spans, _ = load_chrome_trace(path)
-        assert len(spans) == len(run.recorder.finished_spans())
+        assert len(spans) == len([s for s in run.recorder.spans if s.end is not None])
         cats = {s.category for s in spans}
         assert "steal" in cats
 
@@ -102,7 +102,8 @@ def _span(rank, name, cat, start, end):
 class TestAnalysis:
     def test_ascii_timeline_rows_and_legend(self):
         run = _recorded_run()
-        art = ascii_timeline(run.recorder.finished_spans(), run.engine.nprocs, width=40)
+        spans = [s for s in run.recorder.spans if s.end is not None]
+        art = ascii_timeline(spans, run.engine.nprocs, width=40)
         lines = art.splitlines()
         assert sum(1 for ln in lines if ln.startswith("rank")) == run.engine.nprocs
         assert "legend:" in lines[-1]
@@ -151,7 +152,8 @@ class TestAnalysis:
 
     def test_summarize_report_sections(self):
         run = _recorded_run()
-        text = summarize(run.recorder.finished_spans(), width=40, top=3)
+        spans = [s for s in run.recorder.spans if s.end is not None]
+        text = summarize(spans, width=40, top=3)
         assert "timeline:" in text
         assert "longest 3 spans:" in text
         assert "aggregate self time by category:" in text

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 
 from repro.core import Task, TaskCollection
 from repro.core.task import reset_uids
-from repro.obs import stream
+from repro.obs import export, stream
+from repro.obs.__main__ import main as obs_main
 from repro.obs.export import span_event
 from repro.obs.record import EdgeRecord, InstantRecord, Recorder, SpanRecord, span
 from repro.obs.scenarios import run_target
@@ -83,7 +85,7 @@ def test_edge_line_is_json_dumps(eid, kind, src_rank, src_time, dst_rank, dst_ti
 @given(ints, texts, texts, floats, floats, details)
 def test_pack_span_event_text_is_json_dumps(rank, name, cat, start, end, detail):
     span = SpanRecord(rank, name, cat, start, end, 0, None, detail, 0)
-    assert stream._span_event_text(span) == json.dumps(span_event(span))
+    assert export._span_event_text(span) == json.dumps(span_event(span))
 
 
 @settings(max_examples=200, deadline=None)
@@ -115,7 +117,10 @@ def test_spill_sink_on_edge_line_is_json_dumps(
     ]
 
 
-@pytest.mark.parametrize("n", [0, 1, stream._BLOCK - 1, stream._BLOCK, stream._BLOCK + 1])
+BLOCK = export._EVENT_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
 def test_event_writer_batches_are_json_dumps(n):
     events = [
         {"name": f"n{i}", "ph": "X", "ts": i * 1e-3, "args": {"detail": 'q"\\ ☃'}}
@@ -123,7 +128,7 @@ def test_event_writer_batches_are_json_dumps(n):
     ]
     trailer = {"displayTimeUnit": "ns", "otherData": {"source": "t", "flow_events": n}}
     fh = io.StringIO()
-    w = stream._EventWriter(fh)
+    w = export._EventWriter(fh)
     for ev in events:
         w.event(ev)
     w.finish(trailer)
@@ -131,10 +136,10 @@ def test_event_writer_batches_are_json_dumps(n):
 
 
 def test_event_writer_mixes_text_and_dict_events_in_order():
-    events = [{"a": i} for i in range(3)] + [{"t": i} for i in range(stream._BLOCK + 2)]
+    events = [{"a": i} for i in range(3)] + [{"t": i} for i in range(BLOCK + 2)]
     events += [{"b": 1}]
     fh = io.StringIO()
-    w = stream._EventWriter(fh)
+    w = export._EventWriter(fh)
     for ev in events:
         if "t" in ev:
             w.text(json.dumps(ev))
@@ -182,6 +187,25 @@ def test_spill_and_packed_bytes_match_parent(case, tmp_path):
     assert got == SPILL_GOLDEN[case]
 
 
+#: argv -> digest of the Chrome trace ``repro.obs`` writes from an
+#: in-memory recording, after ``reset_uids()``.  Unlike the packed
+#: traces above these carry the tracer's instants (``run``) and the
+#: critical-path process (``critpath``).
+MEMORY_TRACE_GOLDEN = {
+    ("run", "steals"): "fede0ff9c1a812c5",
+    ("critpath", "steals"): "ec3f9ca5c5d77348",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(MEMORY_TRACE_GOLDEN), ids="-".join)
+def test_in_memory_trace_bytes_match_parent(argv, tmp_path):
+    path = tmp_path / "trace.json"
+    reset_uids()
+    assert obs_main([*argv, "--trace", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert digest == MEMORY_TRACE_GOLDEN[argv]
+
+
 # ---------------------------------------------------------------------- #
 # Record semantics
 # ---------------------------------------------------------------------- #
@@ -220,8 +244,8 @@ def test_tracer_events_are_rows_in_emission_order():
     events = run.tracer.events
     assert events and all(type(e) is TraceEvent for e in events)
     assert events == run.tracer.events  # a view: rebuilt per access, equal
-    assert sum(run.tracer.counts().values()) == len(events)
-    assert [e.time for e in run.tracer.by_rank(0)] == sorted(
+    assert sum(Counter(e.kind for e in run.tracer.events).values()) == len(events)
+    assert [e.time for e in run.tracer.events if e.rank == 0] == sorted(
         e.time for e in events if e.rank == 0
     )
 
@@ -291,9 +315,9 @@ def test_truncated_edge_and_instant_shards_are_refused(tmp_path):
         pack(spill, tmp_path / "out.json")
 
 
-@pytest.mark.parametrize("lineno", [1, 700, stream._BLOCK + 1, 2 * stream._BLOCK + 77])
+@pytest.mark.parametrize("lineno", [1, 700, export._EVENT_BLOCK + 1, 2 * export._EVENT_BLOCK + 77])
 def test_garbled_line_is_located(lineno, tmp_path):
-    spill = _spill(tmp_path, edges=2 * stream._BLOCK + 100)
+    spill = _spill(tmp_path, edges=2 * export._EVENT_BLOCK + 100)
     path = spill / "edges-00000.jsonl"
     lines = path.read_text().splitlines(keepends=True)
     lines[lineno - 1] = lines[lineno - 1][: len(lines[lineno - 1]) // 2] + "\n"
@@ -357,7 +381,7 @@ def test_raising_task_surfaces_its_exception_and_closes_its_span(communicates):
     eng.spawn_all(main)
     with pytest.raises(Exploded, match="task on rank"):
         eng.run()
-    (task,) = rec.by_category("task")
+    (task,) = [s for s in rec.spans if s.category == "task"]
     (inner,) = [s for s in rec.spans if s.name == "inner"]
     # as `with span(...)` leaves it: both spans closed at the raise, the
     # inner one nested in the task span, the rank's stack empty again

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.obs.record import _NULL_SPAN, Recorder, instant, observe, span
+from repro.obs.stream import MemorySink
 from repro.sim.engine import Engine
 
 
@@ -20,7 +21,7 @@ def test_spans_nest_with_depth_and_parent():
 
     eng.spawn_all(main)
     eng.run()
-    spans = rec.finished_spans()
+    spans = [s for s in rec.spans if s.end is not None]
     assert len(spans) == 4  # outer + inner per rank
     for r in range(2):
         outer = next(s for s in spans if s.rank == r and s.name == "outer")
@@ -81,7 +82,7 @@ def test_complete_span_and_instants():
 
     eng.spawn_all(main)
     eng.run()
-    (s,) = rec.by_category("termination")
+    (s,) = [s for s in rec.spans if s.category == "termination"]
     assert s.name == "wave 1" and abs(s.duration - 5e-6) < 1e-12
     (i,) = rec.instants
     assert i.name == "dirty-mark" and i.detail == 3
@@ -89,7 +90,7 @@ def test_complete_span_and_instants():
 
 def test_capacity_drops_spans_but_keeps_stack_consistent():
     eng = Engine(1, max_events=100_000)
-    rec = Recorder.attach(eng, capacity=2)
+    rec = Recorder.attach(eng, sink=MemorySink(capacity=2))
 
     def main(proc):
         for i in range(5):

@@ -143,10 +143,20 @@ class TestDropAccounting:
             rec.dropped_spans + rec.dropped_instants + rec.dropped_edges
         )
 
+    def test_tee_takes_its_smallest_child_capacity(self, tmp_path):
+        tee = TeeSink(MemorySink(capacity=5), SpillSink(tmp_path / "spill"))
+        rec = run_target("queue", sink=tee).recorder
+        assert tee.capacity == 5 and rec.span_count == 5 and rec.dropped_spans > 0
+        spans, _instants, edges = SpillReader(tmp_path / "spill").load()
+        # both children saw the same records (the spill stringifies details)
+        assert [(s.sid, s.name, s.end) for s in spans] == [
+            (s.sid, s.name, s.end) for s in rec.spans
+        ]
+        assert [e.eid for e in edges] == [e.eid for e in rec.edges] == list(range(5))
+
     def test_drops_surface_in_seal_footer(self, tmp_path):
         class Stingy(SpillSink):
-            def accepts_span(self):
-                return False
+            capacity = 0
 
         sink = Stingy(tmp_path / "spill")
         run = run_target("queue", sink=sink)
@@ -156,8 +166,7 @@ class TestDropAccounting:
 
     def test_pack_propagates_drop_counts(self, tmp_path):
         class Stingy(SpillSink):
-            def accepts_span(self):
-                return False
+            capacity = 0
 
         run_target("queue", sink=Stingy(tmp_path / "spill"))
         out = pack(tmp_path / "spill", tmp_path / "t.json")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core import Task, TaskCollection
@@ -32,7 +34,7 @@ def test_tracer_records_steals_and_tokens():
     eng = Engine(4, seed=3, max_events=2_000_000)
     tracer = Tracer.attach(eng)
     _scioto_workload(eng)
-    counts = tracer.counts()
+    counts = Counter(e.kind for e in tracer.events)
     assert counts.get("steal", 0) >= 1
     assert counts.get("td-msg", 0) >= 3  # down + up + done at minimum
     # events carry valid coordinates
@@ -58,7 +60,7 @@ def test_tracing_does_not_perturb_virtual_time():
     assert run(False) == run(True)
 
 
-def test_render_and_filters():
+def test_events_filter_by_kind_and_rank():
     eng = Engine(2, seed=1, max_events=2_000_000)
     tracer = Tracer.attach(eng)
 
@@ -69,48 +71,8 @@ def test_render_and_filters():
 
     eng.spawn_all(main)
     eng.run()
-    text = tracer.render(kinds={"custom"})
-    assert "custom" in text
-    assert len(tracer.by_kind("custom")) == 2
-    assert len(tracer.by_rank(1)) == 1
-
-
-def test_capacity_limit_drops_and_reports():
-    eng = Engine(1, max_events=100_000)
-    tracer = Tracer.attach(eng, capacity=5)
-
-    def main(proc):
-        for i in range(10):
-            trace(proc, "tick", i)
-
-    eng.spawn_all(main)
-    eng.run()
-    assert len(tracer.events) == 5
-    assert tracer.dropped == 5
-    assert "dropped" in tracer.render()
-
-
-def test_dropped_events_counted_in_counts_render_reports_total():
-    """Drop accounting: every event past capacity increments ``dropped``
-    exactly once, recorded events keep their order, and ``render``
-    reports the overflow even when kind filters hide all kept events."""
-    eng = Engine(2, max_events=100_000)
-    tracer = Tracer.attach(eng, capacity=3)
-
-    def main(proc):
-        for i in range(4):
-            trace(proc, f"kind{proc.rank}", i)
-            proc.advance(1e-6)
-            yield from proc.co_sync()
-
-    eng.spawn_all(main)
-    eng.run()
-    assert len(tracer.events) == 3
-    assert tracer.dropped == 2 * 4 - 3
-    times = [e.time for e in tracer.events]
-    assert times == sorted(times)
-    filtered = tracer.render(kinds={"no-such-kind"})
-    assert "5 events dropped" in filtered
+    assert len([e for e in tracer.events if e.kind == "custom"]) == 2
+    assert len([e for e in tracer.events if e.rank == 1]) == 1
 
 
 def test_old_import_paths_are_gone():
