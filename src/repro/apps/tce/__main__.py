@@ -40,9 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    problem = TCEProblem(nblocks=args.nblocks, blocksize=args.blocksize,
-                         density=args.density)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        problem = TCEProblem(nblocks=args.nblocks, blocksize=args.blocksize,
+                             density=args.density)
+    except ValueError as exc:
+        parser.error(f"argument --density: {exc}")
     machine = MACHINES[args.machine](args.nprocs)
     if args.scheduler == "scioto":
         r = run_tce_scioto(args.nprocs, problem, machine=machine, seed=args.seed,

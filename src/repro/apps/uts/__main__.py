@@ -37,11 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    params = UTSParams(
-        tree_type=args.tree, b0=args.b0, gen_mx=args.gen_mx,
-        q=args.q, m=args.m, root_seed=args.root_seed,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        params = UTSParams(
+            tree_type=args.tree, b0=args.b0, gen_mx=args.gen_mx,
+            q=args.q, m=args.m, root_seed=args.root_seed,
+        )
+    except ValueError as exc:
+        parser.error(f"argument --q/--m: {exc}")
     ref = count_tree(params, max_nodes=20_000_000)
     print(f"tree: {ref.nodes} nodes, {ref.leaves} leaves, depth {ref.max_depth}")
     machine = MACHINES[args.machine](args.nprocs)

@@ -13,7 +13,7 @@ from repro.sim.machines import MachineSpec
 __all__ = ["run_uts_mpi"]
 
 
-def _uts_mpi_main(proc, params: UTSParams, chunk: int, poll_interval: int):
+def _uts_mpi_main(proc, params: UTSParams, chunk: int):
     local = TreeStats()
     node_cost = proc.machine.cpu_reference
 
@@ -28,13 +28,7 @@ def _uts_mpi_main(proc, params: UTSParams, chunk: int, poll_interval: int):
         for child in kids:
             push(child)
 
-    ws = MpiWorkStealing(
-        proc,
-        process_node,
-        item_bytes=UTS_BODY_BYTES,
-        chunk=chunk,
-        poll_interval=poll_interval,
-    )
+    ws = MpiWorkStealing(proc, process_node, item_bytes=UTS_BODY_BYTES, chunk=chunk)
     mpi = Mpi.attach(proc.engine)
     yield from mpi.barrier(proc)
     t0 = proc.now
@@ -54,12 +48,11 @@ def run_uts_mpi(
     machine: MachineSpec | None = None,
     seed: int = 0,
     chunk: int = 10,
-    poll_interval: int = 4,
     max_events: int | None = None,
 ) -> UTSRunResult:
     """Run UTS with the MPI work-stealing baseline on ``nprocs`` ranks."""
     eng = Engine(nprocs, machine=machine, seed=seed, max_events=max_events)
-    eng.spawn_all(_uts_mpi_main, params, chunk, poll_interval)
+    eng.spawn_all(_uts_mpi_main, params, chunk)
     sim = eng.run()
     total, elapsed, _ = sim.returns[0]
     return UTSRunResult(

@@ -52,10 +52,10 @@ class UTSParams:
     def __post_init__(self) -> None:
         if self.tree_type not in ("geometric", "binomial"):
             raise ValueError(f"unknown tree_type {self.tree_type!r}")
-        if self.tree_type == "binomial" and self.q * self.m >= 1.0:
+        if self.tree_type == "binomial" and not self.q * self.m < 1.0:  # also nan
             raise ValueError(
-                f"binomial tree with q*m = {self.q * self.m:.3f} >= 1 is "
-                "supercritical (infinite with positive probability)"
+                f"binomial tree needs q*m < 1, got {self.q * self.m:.3f} "
+                "(>= 1 is supercritical: infinite with positive probability)"
             )
         # Geometric trees: log(1 - p(d)) per depth, the denominator of the
         # inverse-CDF sample in num_children (0.0 where b(d) <= 0: no

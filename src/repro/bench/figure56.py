@@ -36,7 +36,7 @@ def run_figure56(scale: str = "quick") -> SweepResult:
     iters = 2
     scf = scf_problem(scale)
     tce = tce_problem(scale)
-    procs = sweep_procs(scale, max_full=64, max_quick=16)
+    procs = sweep_procs(scale)
     base_scf = run_scf_scioto(1, scf, iterations=iters).elapsed
     base_tce = run_tce_scioto(1, tce).elapsed
 

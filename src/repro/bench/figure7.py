@@ -34,7 +34,7 @@ def uts_tree(scale: str) -> UTSParams:
 
 def run_figure7(scale: str = "quick") -> SweepResult:
     params = uts_tree(scale)
-    procs = sweep_procs(scale, max_full=64, max_quick=16)
+    procs = sweep_procs(scale)
     result = SweepResult(experiment="figure7")
     split = Series(label="Split-Queues", unit="Mnodes/s")
     mpi = Series(label="MPI-WS", unit="Mnodes/s")

@@ -36,9 +36,14 @@ def scale(override: str | None = None) -> str:
     return s
 
 
-def sweep_procs(scale_name: str, max_full: int = 64, max_quick: int = 16) -> list[int]:
+#: Largest process count of a scaling sweep at quick and at full scale.
+MAX_PROCS_QUICK = 16
+MAX_PROCS_FULL = 64
+
+
+def sweep_procs(scale_name: str) -> list[int]:
     """Power-of-two process counts for a scaling sweep."""
-    limit = max_full if scale_name == FULL else max_quick
+    limit = MAX_PROCS_FULL if scale_name == FULL else MAX_PROCS_QUICK
     out = []
     p = 2
     while p <= limit:

@@ -19,7 +19,7 @@ import contextlib
 from typing import Callable, Iterator
 
 from repro.analyze import hooks
-from repro.core.queue import SplitQueue
+from repro.core.queue import REACQUIRE_FRACTION, SplitQueue
 from repro.core.termination import TerminationDetector
 
 __all__ = ["MUTATIONS", "apply_mutation"]
@@ -42,7 +42,7 @@ def unlocked_split() -> Iterator[None]:
     def racy_reacquire(self: SplitQueue, proc):
         if not self._shared:
             return
-        k = max(1, int(len(self._shared) * self.config.reacquire_fraction))
+        k = max(1, int(len(self._shared) * REACQUIRE_FRACTION))
         hooks.shared_read(proc, self._race_region)
         moved = self._shared[:k]  # read the split window ...
         # ... unlocked, and spanning several scheduler yields — the

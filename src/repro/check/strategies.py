@@ -37,6 +37,19 @@ __all__ = [
     "STRATEGIES",
 ]
 
+#: PCT bug depth: ``PCT_DEPTH - 1`` priority change points per run.
+PCT_DEPTH = 3
+#: Decision points over which PCT draws its change points.
+PCT_HORIZON = 4000
+#: Consecutive wins after which PCT demotes the running process.
+PCT_FAIR_BOUND = 64
+#: Chance that a delay site injects latency under :class:`DelayInjector`.
+DELAY_P = 0.2
+#: Upper bound of one injected delay (virtual seconds).
+DELAY_MAX = 5e-6
+#: Chance that a :class:`DelayInjector` pick resumes a random process.
+DELAY_P_PREEMPT = 0.1
+
 
 class DeterministicStrategy(SchedulingStrategy):
     """The engine's historical order, bit-for-bit (explicit spelling of
@@ -97,18 +110,13 @@ class PctStrategy(ExplorationStrategy):
     PCT assumes programs terminate under any fair schedule; the Scioto
     runtime's steal/poll loops do not (an idle thief re-enters the
     runnable set on every poll timeout), so strict priority would starve
-    every other process forever.  ``fair_bound`` caps how many
+    every other process forever.  :data:`PCT_FAIR_BOUND` caps how many
     consecutive decision points one process may win while others are
     runnable; hitting the cap forces an extra priority change point.
     """
 
-    def __init__(
-        self, seed: int = 0, depth: int = 3, horizon: int = 4000, fair_bound: int = 64
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)
-        self.depth = depth
-        self.horizon = horizon
-        self.fair_bound = fair_bound
         self._steps = 0
         self._change_points: set[int] = set()
         self._priorities: dict[int, float] = {}
@@ -122,10 +130,7 @@ class PctStrategy(ExplorationStrategy):
         self.rng.shuffle(ranks)
         # initial priorities are a random permutation, all above 0
         self._priorities = {r: float(i + 1) for i, r in enumerate(ranks)}
-        n_changes = max(0, self.depth - 1)
-        self._change_points = set(
-            self.rng.sample(range(self.horizon), min(n_changes, self.horizon))
-        )
+        self._change_points = set(self.rng.sample(range(PCT_HORIZON), PCT_DEPTH - 1))
 
     def _demote(self, rank: int) -> None:
         self._demote_next -= 1.0
@@ -137,7 +142,7 @@ class PctStrategy(ExplorationStrategy):
         rank = candidates[idx][2]
         if rank == self._last_rank:
             self._run_len += 1
-            if self._run_len >= self.fair_bound:
+            if self._run_len >= PCT_FAIR_BOUND:
                 self._demote(rank)
                 idx = max(range(len(candidates)), key=by_priority)
                 rank = candidates[idx][2]
@@ -164,20 +169,8 @@ class DelayInjector(ExplorationStrategy):
     with jitter comparable to real message-latency variance.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        p_delay: float = 0.2,
-        max_delay: float = 5e-6,
-        p_preempt: float = 0.1,
-    ) -> None:
-        super().__init__(seed)
-        self.p_delay = p_delay
-        self.max_delay = max_delay
-        self.p_preempt = p_preempt
-
     def choose(self, candidates: list[tuple[float, int, int, int]]) -> int:
-        if self.rng.random() < self.p_preempt:
+        if self.rng.random() < DELAY_P_PREEMPT:
             idx = self.rng.randrange(len(candidates))
         else:
             idx = 0  # engine default: earliest (time, seq)
@@ -186,8 +179,8 @@ class DelayInjector(ExplorationStrategy):
 
     def delay(self, proc, site: str) -> float:
         d = 0.0
-        if self.rng.random() < self.p_delay:
-            d = self.rng.uniform(0.0, self.max_delay)
+        if self.rng.random() < DELAY_P:
+            d = self.rng.uniform(0.0, DELAY_MAX)
             self._record_delay(d, site)
         self._delay_calls += 1
         return d

@@ -46,6 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["WitnessStrategy", "DirtyMarkWitness", "DeadlockWitness"]
 
+#: Picks after which a witness run opens every gate (the safety valve).
+MAX_DECISIONS = 20_000
+
 
 class WitnessStrategy(ExplorationStrategy):
     """Event-gated deterministic strategy (no randomness is drawn).
@@ -56,10 +59,9 @@ class WitnessStrategy(ExplorationStrategy):
     the intended seam.
     """
 
-    def __init__(self, controller, max_decisions: int = 20_000) -> None:
+    def __init__(self, controller) -> None:
         super().__init__(seed=0)
         self.controller = controller
-        self.max_decisions = max_decisions
         #: rank -> deferral priority (higher defers harder)
         self.deferred: dict[int, int] = {}
         self._tripped = False
@@ -80,7 +82,7 @@ class WitnessStrategy(ExplorationStrategy):
 
     # -- SchedulingStrategy -------------------------------------------- #
     def choose(self, candidates: list[tuple[float, int, int, int]]) -> int:
-        if len(self.decisions) >= self.max_decisions and not self._tripped:
+        if len(self.decisions) >= MAX_DECISIONS and not self._tripped:
             # Safety valve: open every gate so the run finishes cleanly.
             self._tripped = True
             self.deferred.clear()

@@ -12,6 +12,7 @@ import math
 __all__ = [
     "positive_int",
     "positive_float",
+    "non_negative_float",
     "add_jobs_argument",
     "print_progress",
 ]
@@ -28,14 +29,26 @@ def positive_int(text: str) -> int:
     return value
 
 
-def positive_float(text: str) -> float:
-    """argparse type for intervals: a finite number > 0."""
+def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def positive_float(text: str) -> float:
+    """argparse type for intervals: a finite number > 0."""
+    value = _float(text)
     if not 0.0 < value < math.inf:  # also refuses nan
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """argparse type for thresholds: a number >= 0."""
+    value = _float(text)
+    if not value >= 0.0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text}")
     return value
 
 

@@ -37,10 +37,16 @@ from repro.sim.engine import Engine, Proc
 from repro.sim.counters import Counters
 from repro.util.errors import TaskCollectionError
 
-__all__ = ["SplitQueue", "QUEUE_META_BYTES"]
+__all__ = ["SplitQueue", "QUEUE_META_BYTES", "RELEASE_FRACTION", "REACQUIRE_FRACTION"]
 
 #: Bytes of queue metadata (head/split/tail indices) read/written remotely.
 QUEUE_META_BYTES = 24
+#: Fraction of the private queue released to the shared portion when the
+#: shared portion runs empty.
+RELEASE_FRACTION = 0.5
+#: Fraction of the shared portion reclaimed when the private portion runs
+#: empty.
+REACQUIRE_FRACTION = 0.5
 
 
 class SplitQueue:
@@ -158,7 +164,7 @@ class SplitQueue:
             if tracer is not None:
                 tracer.record(proc, "q-push", (self.owner, task.uid))
             rec = engine.state.get(Recorder._KEY)
-            if rec is not None and rec.edges_enabled:
+            if rec is not None:
                 rec.spawn_sources[task.uid] = (proc.rank, proc._clock)
                 if not split:
                     rec.mark(self._share_key, proc)
@@ -211,7 +217,7 @@ class SplitQueue:
         """Feed surplus private work to the shared portion (split move).
 
         Triggered when the shared portion has been drained (by thieves or
-        by reacquisition): ``release_fraction`` of the private queue —
+        by reacquisition): :data:`RELEASE_FRACTION` of the private queue —
         its lowest-affinity tail — becomes stealable.  Checking only on
         emptiness keeps the owner's fast path lock-free in steady state.
         """
@@ -219,7 +225,7 @@ class SplitQueue:
             return
         k = min(
             len(self._private) - 1,
-            max(1, int(len(self._private) * self.config.release_fraction)),
+            max(1, int(len(self._private) * RELEASE_FRACTION)),
         )
 
         def _move() -> None:
@@ -242,7 +248,7 @@ class SplitQueue:
         """Reclaim shared work for local execution (split move)."""
         if not self._shared:
             return
-        k = max(1, int(len(self._shared) * self.config.reacquire_fraction))
+        k = max(1, int(len(self._shared) * REACQUIRE_FRACTION))
 
         def _move() -> None:
             # highest-affinity shared tasks (the front) come back to private
@@ -428,7 +434,7 @@ class SplitQueue:
                 if tracer is not None:
                     tracer.record(proc, "q-add-remote", (self.owner, task.uid))
                 rec = engine.state.get(Recorder._KEY)
-                if rec is not None and rec.edges_enabled:
+                if rec is not None:
                     rec.spawn_sources[task.uid] = (proc.rank, proc._clock)
                     rec.mark(self._share_key, proc)
 

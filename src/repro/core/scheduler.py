@@ -21,6 +21,12 @@ from repro.util.errors import TaskCollectionError
 
 __all__ = ["co_run_process"]
 
+#: Virtual-time delay after the first failed steal; doubles per
+#: consecutive failure (woken early by incoming termination tokens).
+IDLE_BACKOFF = 0.5e-6
+#: Cap on the exponential idle backoff.
+MAX_IDLE_BACKOFF = 20e-6
+
 #: Counter keys copied into :class:`ProcessStats` after a phase.
 _STAT_KEYS = {
     "steals_attempted": "steal_attempt",
@@ -140,10 +146,7 @@ def co_run_process(tc):
                 fail_streak += 1
             # Exponential backoff between failed steals; woken early the
             # moment a termination token lands in the mailbox.
-            backoff = min(
-                cfg.idle_backoff * (1 << min(fail_streak, 16)),
-                cfg.max_idle_backoff,
-            )
+            backoff = min(IDLE_BACKOFF * (1 << min(fail_streak, 16)), MAX_IDLE_BACKOFF)
             t_idle = proc.now
             with span(proc, "idle-wait", "idle", detail=fail_streak):
                 yield from armci.co_wait_mailbox(proc, td.tag, backoff)

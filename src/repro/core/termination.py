@@ -174,7 +174,7 @@ class TerminationDetector:
         if self._need_mark(victim):
             instant(proc, "dirty-mark", "termination", detail=victim)
             rec = Recorder.of(self.engine)
-            if rec is not None and rec.edges_enabled:
+            if rec is not None:
                 # One-sided write landing in the victim's memory: a
                 # zero-latency cross-rank edge (the victim's next vote
                 # causally follows the thief's mark).

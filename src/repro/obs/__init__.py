@@ -24,8 +24,8 @@ simulated runtime:
 * **Exporters** (:mod:`repro.obs.export`): Chrome ``trace_event`` JSON
   (open in Perfetto; causal edges drawn as flow arrows, the critical
   path as its own process), flat metrics JSON, ASCII per-rank timeline.
-* **Analysis** (:mod:`repro.obs.analyze`): post-hoc summaries and
-  critical-idle gap hunting over exported traces.
+* **Analysis** (:mod:`repro.obs.analyze`): post-hoc summaries over
+  exported traces, including the longest per-rank idle gaps.
 * **Causal profiling** (:mod:`repro.obs.critpath`,
   :mod:`repro.obs.whatif`): the cross-rank happens-before DAG built
   from spans plus causal edges, critical-path extraction with an exact
@@ -37,8 +37,7 @@ simulated runtime:
 CLI::
 
     python -m repro.obs run uts-small --trace out.json --metrics m.json
-    python -m repro.obs summarize out.json
-    python -m repro.obs critical-idle out.json --top 10
+    python -m repro.obs summarize out.json --top 10
     python -m repro.obs critpath uts-small --trace crit.json
     python -m repro.obs whatif uts-small --scale steal=0.5
     python -m repro.obs run uts-small --live feed.jsonl

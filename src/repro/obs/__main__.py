@@ -15,11 +15,10 @@ Subcommands:
 * ``top`` — render a live (or finished) telemetry feed as a terminal
   status table; ``--follow`` keeps tailing while a run is in flight.
   A damaged feed (anything but a torn final line) is refused.
-* ``summarize`` — post-hoc report over an exported trace JSON;
-  ``--metrics`` adds the percentile table of a metrics JSON
-  (``repro-obs-metrics/3`` only).
-* ``critical-idle`` — the longest per-rank idle gaps in an exported
-  trace, with the spans that bounded them.
+* ``summarize`` — post-hoc report over an exported trace JSON: per-rank
+  time by category, the longest spans, and the longest per-rank idle
+  gaps with the spans that bounded them; ``--metrics`` adds the
+  percentile table of a metrics JSON (``repro-obs-metrics/3`` only).
 * ``critpath`` — run a target, build the cross-rank happens-before DAG
   from its spans and causal edges, extract the critical path, and
   print the blame decomposition (the blamed durations sum to the
@@ -34,14 +33,14 @@ Subcommands:
   ``BENCH_sim.json``.
 * ``verify`` — run targets with recording off and on, and require the
   virtual-time fingerprints (elapsed, event count, per-rank clocks and
-  every ``Counters`` value) to match bit-for-bit; additionally run
-  with causal edges off and require the span/instant stream to be
-  unchanged (edges are metadata-only), and run through the streaming
-  spill sink and require *its* span/instant stream to match the
-  in-memory recorder's bit-for-bit.  A fourth pass enables the live
-  telemetry bus and requires both the fingerprint to stay unchanged
-  and the emitted feed to be byte-identical across two runs.  Any
-  dropped record fails the check.  Exits 1 on any divergence.
+  every ``Counters`` value) to match bit-for-bit (the recorded run
+  keeps causal edges, so this also shows they are metadata-only);
+  additionally run through the streaming spill sink and require *its*
+  span/instant stream to match the in-memory recorder's bit-for-bit.
+  A third pass enables the live telemetry bus and requires both the
+  fingerprint to stay unchanged and the emitted feed to be
+  byte-identical across two runs.  Any dropped record fails the check.
+  Exits 1 on any divergence.
 
 A file that a command cannot read as a whole record of its kind (a
 missing file, torn JSON, a wrong schema or shape) exits 2 with the
@@ -56,7 +55,6 @@ Examples::
     python -m repro.obs pack spill/ --trace out.json
     python -m repro.obs run steals --timeline
     python -m repro.obs summarize out.json --top 10
-    python -m repro.obs critical-idle out.json
     python -m repro.obs critpath uts-small --trace crit.json
     python -m repro.obs whatif uts-small --scale steal=0.5 --scale lock=0
     python -m repro.obs diff BENCH_sim.json fresh.json --threshold 0.15
@@ -71,9 +69,8 @@ import tempfile
 from pathlib import Path
 
 from repro.check.scenarios import SCENARIOS as CHECK_SCENARIOS
-from repro.cli import positive_float, positive_int
+from repro.cli import non_negative_float, positive_float, positive_int
 from repro.obs.analyze import (
-    critical_idle,
     load_chrome_trace,
     load_metrics_json,
     percentile_table,
@@ -205,18 +202,6 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_critical_idle(args: argparse.Namespace) -> int:
-    spans, _ = load_chrome_trace(args.trace)
-    gaps = critical_idle(spans, top=args.top)
-    if not gaps:
-        print("no idle gaps between spans")
-        return 0
-    print(f"longest {len(gaps)} idle gaps:")
-    for g in gaps:
-        print(f"  {g.describe()}")
-    return 0
-
-
 def _cmd_critpath(args: argparse.Namespace) -> int:
     run = run_target(args.target, nprocs=args.nprocs, seed=args.seed)
     rec = run.recorder
@@ -272,7 +257,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     def render_once() -> tuple[str, int]:
         doc = read_feed(args.feed)
-        return render_top(doc, counters_top=args.counters), len(doc["frames"])
+        return render_top(doc), len(doc["frames"])
 
     if not args.follow:
         print(render_once()[0])
@@ -322,15 +307,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     print(f"  {key}: off={base.get(key)!r}")
                     print(f"  {key}:  on={rec.get(key)!r}")
             continue
-        # Causal edges must be metadata-only: recording with them
-        # disabled must reproduce the identical span stream.
-        off = run_target(name, nprocs=args.nprocs, seed=args.seed,
-                         record=True, edges=False)
-        assert on.recorder is not None and off.recorder is not None
-        if on.recorder.stream_fingerprint() != off.recorder.stream_fingerprint():
-            bad += 1
-            print(f"{name}: span stream DIVERGED between edges on and off")
-            continue
+        assert on.recorder is not None
         # The streaming spill sink must be an exact stand-in for the
         # in-memory recorder: same run fingerprint, same span/instant
         # stream bit-for-bit.
@@ -375,8 +352,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                       f"runs (not bit-deterministic)")
                 continue
             drops = (
-                on.recorder.dropped + off.recorder.dropped
-                + streamed.recorder.dropped + lived.recorder.dropped
+                on.recorder.dropped + streamed.recorder.dropped
+                + lived.recorder.dropped
             )
         if drops:
             bad += 1
@@ -439,11 +416,6 @@ def main(argv: list[str] | None = None) -> int:
                        "metrics JSON (repro-obs-metrics/3)")
     p_sum.set_defaults(fn=_cmd_summarize)
 
-    p_idle = sub.add_parser("critical-idle", help="longest per-rank idle gaps")
-    p_idle.add_argument("trace", help="Chrome trace JSON written by 'run'")
-    p_idle.add_argument("--top", type=positive_int, default=5)
-    p_idle.set_defaults(fn=_cmd_critical_idle)
-
     p_crit = sub.add_parser(
         "critpath", parents=[target],
         help="critical path + blame decomposition of a run",
@@ -477,8 +449,6 @@ def main(argv: list[str] | None = None) -> int:
     p_top.add_argument("--poll", type=positive_float, default=0.5, metavar="SEC",
                        help="host-time poll interval with --follow "
                        "(default 0.5)")
-    p_top.add_argument("--counters", type=positive_int, default=6,
-                       help="top-N counters to show per stream (default 6)")
     p_top.set_defaults(fn=_cmd_top)
 
     p_diff = sub.add_parser(
@@ -486,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_diff.add_argument("old", help="baseline JSON document")
     p_diff.add_argument("new", help="candidate JSON document")
-    p_diff.add_argument("--threshold", type=float, default=0.10,
+    p_diff.add_argument("--threshold", type=non_negative_float, default=0.10,
                         help="relative change below this is noise "
                         "(default 0.10)")
     p_diff.add_argument("--fail-on-regress", action="store_true",

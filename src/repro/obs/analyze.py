@@ -137,9 +137,7 @@ def _merged_cover(intervals: list[tuple[float, float, str]]) -> list[tuple[float
     return [(s, e, first, last) for s, e, first, last in merged]
 
 
-def critical_idle(
-    spans: list[SpanRecord], top: int = 5, min_gap: float = 0.0
-) -> list[IdleGap]:
+def critical_idle(spans: list[SpanRecord], top: int = 5) -> list[IdleGap]:
     """The ``top`` longest per-rank gaps not covered by any span.
 
     A gap is bounded by the span activity around it: ``before`` names
@@ -156,7 +154,7 @@ def critical_idle(
     for rank, intervals in by_rank.items():
         cover = _merged_cover(intervals)
         for (s0, e0, _f0, last), (s1, _e1, first, _l1) in zip(cover, cover[1:]):
-            if s1 - e0 > min_gap:
+            if s1 > e0:
                 gaps.append(IdleGap(rank, e0, s1, before=last, after=first))
     gaps.sort(key=lambda g: -g.duration)
     return gaps[:top]

@@ -84,7 +84,11 @@ _TRANSPARENT: dict[str, str] = {"comm": "comm", "runtime": "runtime"}
 
 #: Blame categories counted as *waiting* when deciding whether a cut
 #: point was released by an incoming edge (see the walk rule above).
-_WAIT_BLAME = frozenset({"idle", "lock"})
+WAIT_BLAME = frozenset({"idle", "lock"})
+#: A segment whose wait share exceeds this was released by its incoming
+#: edge: the critical-path walk hops the edge and what-if projection
+#: treats the wait as elastic.
+WAIT_THRESHOLD = 0.5
 
 
 def edge_blame(edge: EdgeRecord) -> str:
@@ -295,7 +299,7 @@ class CausalGraph:
         total = sum(blame.values())
         if total <= 0.0:
             return 1.0  # a zero-length segment imposes no local work
-        return sum(blame.get(c, 0.0) for c in _WAIT_BLAME) / total
+        return sum(blame.get(c, 0.0) for c in WAIT_BLAME) / total
 
 
 @dataclass(frozen=True)
@@ -380,12 +384,12 @@ def _binding_edge(
     return max(candidates, key=lambda e: (e.src_time, -e.src_rank, -e.eid))
 
 
-def critical_path(graph: CausalGraph, wait_threshold: float = 0.5) -> CritPath:
+def critical_path(graph: CausalGraph) -> CritPath:
     """Walk the makespan-determining chain backwards through the DAG.
 
     At each cut point: hop across the binding incoming edge when the
     local segment leading to the point was mostly waiting (blamed
-    idle/lock beyond ``wait_threshold``), else consume the local
+    idle/lock beyond :data:`WAIT_THRESHOLD`), else consume the local
     segment.  The returned steps are time-ordered and contiguous over
     ``[t0, t1]``, so their blamed durations sum to the makespan.
     """
@@ -400,7 +404,7 @@ def critical_path(graph: CausalGraph, wait_threshold: float = 0.5) -> CritPath:
         if (
             edge is not None
             and seg >= 0
-            and graph.wait_fraction(rank, seg) > wait_threshold
+            and graph.wait_fraction(rank, seg) > WAIT_THRESHOLD
         ):
             steps.append(
                 PathStep(

@@ -313,7 +313,11 @@ def _fmt_value(name: str, v: float | None) -> str:
     return _fmt_seconds(v)
 
 
-def render_top(doc: dict, counters_top: int = 6) -> str:
+#: Counters shown per frame by :func:`render_top`, largest first.
+TOP_COUNTERS = 6
+
+
+def render_top(doc: dict) -> str:
     """One status table over the latest frame(s) of a feed."""
     frames = latest_frames(doc)
     if not frames:
@@ -352,7 +356,7 @@ def render_top(doc: dict, counters_top: int = 6) -> str:
             )
         counters = frame.get("counters") or {}
         if counters:
-            top = sorted(counters.items(), key=lambda kv: -kv[1])[:counters_top]
+            top = sorted(counters.items(), key=lambda kv: -kv[1])[:TOP_COUNTERS]
             lines.append(
                 "  counters: "
                 + "  ".join(f"{k}={v:g}" for k, v in top)

@@ -46,9 +46,8 @@ depends on another's:
   (``core/termination.py``).
 
 Edges are metadata-only: emission reads ``proc.now`` and appends to a
-list, exactly like spans, so the span stream (and the schedule) is
-bit-for-bit identical with edges on or off — ``repro.obs verify``
-checks this.
+list, exactly like spans, so a recorded run keeps the schedule of an
+unrecorded one — ``repro.obs verify`` checks this.
 """
 
 from __future__ import annotations
@@ -185,7 +184,6 @@ class Recorder:
     def __init__(
         self,
         engine: "Engine",
-        edges: bool = True,
         sink: "Any | None" = None,
         live: "Any | None" = None,
     ) -> None:
@@ -197,7 +195,6 @@ class Recorder:
         # (None) gets a bound no run reaches, so each hook makes one compare.
         cap = self.sink.capacity
         self._limit = sys.maxsize if cap is None else cap
-        self.edges_enabled = edges
         # Per-kind drop accounting; ``dropped`` is the aggregate.
         self.dropped_spans = 0
         self.dropped_instants = 0
@@ -233,14 +230,13 @@ class Recorder:
     def attach(
         cls,
         engine: "Engine",
-        edges: bool = True,
         sink: "Any | None" = None,
         live: "Any | None" = None,
     ) -> "Recorder":
         """Enable recording on ``engine`` (idempotent)."""
         inst = engine.state.get(cls._KEY)
         if inst is None:
-            inst = cls(engine, edges=edges, sink=sink, live=live)
+            inst = cls(engine, sink=sink, live=live)
             engine.state[cls._KEY] = inst
             engine.note_observer()
         return inst
@@ -464,7 +460,7 @@ class Recorder:
         process-wide counter, so two otherwise identical runs in one
         process record different uids.  Everything structural — rank,
         name, category, timing, nesting — is covered, which is what the
-        edges-on vs. edges-off equality check in ``repro.obs verify``
+        spilled vs. in-memory equality check in ``repro.obs verify``
         needs.
         """
         return (
@@ -515,11 +511,6 @@ def instant(proc: "Proc", name: str, category: str = "runtime", detail: Any = No
         rec.instant_event(proc, name, category, detail)
 
 
-def _edge_recorder(proc: "Proc") -> "Recorder | None":
-    rec = proc.engine.state.get(_KEY)
-    return rec if rec is not None and rec.edges_enabled else None
-
-
 def causal_edge(
     proc: "Proc",
     kind: str,
@@ -528,34 +519,34 @@ def causal_edge(
     detail: Any = None,
 ) -> None:
     """Record an edge from ``(src_rank, src_time)`` to here (no-op when off)."""
-    rec = _edge_recorder(proc)
+    rec = proc.engine.state.get(_KEY)
     if rec is not None:
         rec.add_edge(kind, src_rank, src_time, proc.rank, proc.now, detail)
 
 
 def edge_mark(proc: "Proc", key: Any, detail: Any = None) -> None:
     """Remember this point as the edge source for ``key`` (no-op when off)."""
-    rec = _edge_recorder(proc)
+    rec = proc.engine.state.get(_KEY)
     if rec is not None:
         rec.mark(key, proc, detail)
 
 
 def edge_here(proc: "Proc", key: Any, kind: str, detail: Any = None) -> None:
     """Emit an edge from ``key``'s remembered source to here (no-op when off)."""
-    rec = _edge_recorder(proc)
+    rec = proc.engine.state.get(_KEY)
     if rec is not None:
         rec.edge_from_mark(key, proc, kind, detail=detail)
 
 
 def edge_send(proc: "Proc", key: Any, detail: Any = None) -> None:
     """FIFO-enqueue this point as a pending edge source (no-op when off)."""
-    rec = _edge_recorder(proc)
+    rec = proc.engine.state.get(_KEY)
     if rec is not None:
         rec.push_pending(key, proc, detail)
 
 
 def edge_recv(proc: "Proc", key: Any, kind: str, detail: Any = None) -> None:
     """Emit an edge from the oldest pending source for ``key`` to here."""
-    rec = _edge_recorder(proc)
+    rec = proc.engine.state.get(_KEY)
     if rec is not None:
         rec.edge_from_pending(key, proc, kind, detail=detail)

@@ -65,7 +65,6 @@ def run_target(
     seed: int = 0,
     record: bool = True,
     events: bool = True,
-    edges: bool = True,
     stream_dir: Any | None = None,
     shard_size: int | None = None,
     sink: Any | None = None,
@@ -77,9 +76,7 @@ def run_target(
     Check-scenario targets use their scenario's fixed rank count;
     ``nprocs`` applies to the application presets.  With
     ``record=False`` nothing attaches — the run is the pristine
-    baseline the determinism check compares against.  ``edges=False``
-    records spans but not causal edges (the other half of the
-    determinism check: edges must be metadata-only).
+    baseline the determinism check compares against.
 
     Streaming options: ``stream_dir`` records through a constant-memory
     :class:`~repro.obs.stream.SpillSink` spilling sharded JSONL there
@@ -113,7 +110,7 @@ def run_target(
     engine = target.make_engine(seed)
     rec = trc = None
     if record:
-        rec = Recorder.attach(engine, edges=edges, sink=sink, live=live)
+        rec = Recorder.attach(engine, sink=sink, live=live)
         if events:
             trc = Tracer.attach(engine)
     target.build(engine)

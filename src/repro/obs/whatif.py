@@ -33,15 +33,19 @@ which is the sanity property ``repro.obs whatif`` is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from repro.obs.critpath import BLAME_CATEGORIES, CausalGraph, edge_blame
+from repro.obs.critpath import (
+    BLAME_CATEGORIES,
+    WAIT_BLAME,
+    WAIT_THRESHOLD,
+    CausalGraph,
+    edge_blame,
+)
 
 __all__ = ["Projection", "project", "parse_scales", "render_projection"]
-
-#: Blame categories treated as elastic wait (see module docstring).
-_WAIT_BLAME = frozenset({"idle", "lock"})
 
 
 @dataclass
@@ -77,9 +81,12 @@ def parse_scales(specs: list[str]) -> dict[str, float]:
             raise ValueError(
                 f"unknown blame category {cat!r}; choose from {BLAME_CATEGORIES}"
             )
-        factor = float(raw)
-        if factor < 0.0:
-            raise ValueError(f"--scale factor must be >= 0, got {factor}")
+        try:
+            factor = float(raw)
+        except ValueError:
+            raise ValueError(f"bad --scale {spec!r}: factor is not a number") from None
+        if not 0.0 <= factor < math.inf:  # also refuses nan
+            raise ValueError(f"--scale factor must be a finite number >= 0, got {raw}")
         scales[cat] = factor
     return scales
 
@@ -94,7 +101,7 @@ def _segment_cost(
     blame = graph.segments[rank][seg]
     cost = 0.0
     for cat, d in blame.items():
-        if elastic and cat in _WAIT_BLAME:
+        if elastic and cat in WAIT_BLAME:
             continue  # slack behind the releasing edge, not imposed work
         cost += d * scales.get(cat, 1.0)
     return cost
@@ -106,11 +113,7 @@ def _edge_cost(edge, scales: dict[str, float]) -> float:
     return edge.latency * scales.get(edge_blame(edge), 1.0)
 
 
-def project(
-    graph: CausalGraph,
-    scales: dict[str, float],
-    wait_threshold: float = 0.5,
-) -> Projection:
+def project(graph: CausalGraph, scales: dict[str, float]) -> Projection:
     """Re-schedule the graph with per-category scale factors applied."""
     # Node (rank, idx) for every cut point; program-order and cross-rank
     # dependencies share one adjacency list of (dst, cost) resolved to
@@ -126,7 +129,7 @@ def project(
             if i > 0:
                 elastic = (
                     bool(graph.edges_in.get((r, t)))
-                    and graph.wait_fraction(r, i - 1) > wait_threshold
+                    and graph.wait_fraction(r, i - 1) > WAIT_THRESHOLD
                 # Past the rank's last activity its timeline is pure
                 # window padding — slack, not a constraint.
                 ) or graph.points[r][i - 1] >= graph.rank_ends[r]

@@ -88,15 +88,17 @@ _OUT_OF_RANGE = [
     (_obs_main, ["run", "uts-tiny", "--timeline", "--width", "0"], "--width"),
     (_obs_main, ["summarize", "x.json", "--width", "0"], "--width"),
     (_obs_main, ["summarize", "x.json", "--top", "0"], "--top"),
-    (_obs_main, ["critical-idle", "x.json", "--top", "-2"], "--top"),
     (_obs_main, ["critpath", "uts-tiny", "--top", "0"], "--top"),
-    (_obs_main, ["top", "f.jsonl", "--counters", "0"], "--counters"),
     (_obs_main, ["run", "uts-tiny", "--live", "f", "--live-interval", "0"],
      "--live-interval"),
     (_obs_main, ["run", "uts-tiny", "--live-interval", "-1"], "--live-interval"),
     (_obs_main, ["top", "f.jsonl", "--poll", "0"], "--poll"),
+    (_obs_main, ["diff", "x.json", "x.json", "--threshold", "-1"], "--threshold"),
+    (_obs_main, ["diff", "x.json", "x.json", "--threshold", "nan"], "--threshold"),
     (uts_main, ["--nprocs", "0"], "--nprocs"),
     (uts_main, ["--chunk", "0"], "--chunk"),
+    (uts_main, ["--tree", "binomial", "--q", "0.5", "--m", "4"], "--q"),
+    (uts_main, ["--tree", "binomial", "--q", "nan"], "--q"),
     (scf_main, ["--nprocs", "0"], "--nprocs"),
     (scf_main, ["--iters", "0"], "--iters"),
     (scf_main, ["--nblocks", "0"], "--nblocks"),
@@ -104,6 +106,9 @@ _OUT_OF_RANGE = [
     (tce_main, ["--nprocs", "-3"], "--nprocs"),
     (tce_main, ["--nblocks", "0"], "--nblocks"),
     (tce_main, ["--blocksize", "0"], "--blocksize"),
+    (tce_main, ["--density", "1.5"], "--density"),
+    (tce_main, ["--density", "0"], "--density"),
+    (tce_main, ["--density", "nan"], "--density"),
 ]
 
 

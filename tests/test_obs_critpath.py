@@ -222,6 +222,13 @@ class TestWhatIf:
         with pytest.raises(ValueError):
             parse_scales(["steal=-1"])
 
+    @pytest.mark.parametrize("factor", ["nan", "inf", "-1", "x"])
+    def test_cli_refuses_bad_factor_naming_the_flag(self, factor, capsys):
+        from repro.obs.__main__ import main
+
+        assert main(["whatif", "uts-tiny", "--scale", f"steal={factor}"]) == 2
+        assert "--scale" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_path_and_projection_identical_across_runs(self):

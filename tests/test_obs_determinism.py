@@ -28,13 +28,6 @@ def test_recorded_run_actually_recorded_something():
     assert run.recorder.metrics.histograms  # at least one histogram fed
 
 
-def test_recording_without_edges_keeps_span_stream_identical():
-    on = run_target("steals", record=True, edges=True)
-    off = run_target("steals", record=True, edges=False)
-    assert on.recorder.edges and not off.recorder.edges
-    assert on.recorder.stream_fingerprint() == off.recorder.stream_fingerprint()
-
-
 def test_verify_cli_passes_on_check_scenarios(capsys):
     from repro.obs.__main__ import main
 

@@ -182,5 +182,6 @@ class TestCli:
         trace = tmp_path / "t.json"
         assert main(["run", "steals", "--trace", str(trace)]) == 0
         assert main(["summarize", str(trace), "--width", "40"]) == 0
-        assert main(["critical-idle", str(trace)]) == 0
-        assert "timeline:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "timeline:" in out
+        assert "idle gaps" in out  # the critical-idle section, folded into summarize

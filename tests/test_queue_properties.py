@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SciotoConfig
-from repro.core.queue import SplitQueue
+from repro.core.queue import REACQUIRE_FRACTION, RELEASE_FRACTION, SplitQueue
 from repro.core.task import Task
 from repro.sim.engine import Engine
 from repro.sim.counters import Counters
@@ -172,7 +172,7 @@ class _RefQueue:
     def _release(self):
         n = len(self.private)
         if self.cfg.split_queues and not self.shared and n >= 2:
-            k = min(n - 1, max(1, int(n * self.cfg.release_fraction)))
+            k = min(n - 1, max(1, int(n * RELEASE_FRACTION)))
             self.private, self.shared = self.private[:-k], self.private[-k:]
 
     def push(self, t):
@@ -183,7 +183,7 @@ class _RefQueue:
         if not self.cfg.split_queues:
             return self.shared.pop(0) if self.shared else None
         if not self.private and self.shared:
-            k = max(1, int(len(self.shared) * self.cfg.reacquire_fraction))
+            k = max(1, int(len(self.shared) * REACQUIRE_FRACTION))
             self.private, self.shared = self.shared[:k], self.shared[k:]
         if not self.private:
             return None

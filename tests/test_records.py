@@ -140,8 +140,7 @@ PROBES = {
     "summarize-torn": (["summarize", "{f}"], TORN),
     "summarize-missing": (["summarize", "{f}"], None),
     "summarize-x-without-ts": (["summarize", "{f}"], NO_TS),
-    "critical-idle-torn": (["critical-idle", "{f}"], TORN),
-    "critical-idle-list-root": (["critical-idle", "{f}"], "[1]"),
+    "summarize-list-root": (["summarize", "{f}"], "[1]"),
     "diff-list-root": (["diff", "{f}", "{f}"], "[1]"),
     "diff-torn": (["diff", "{f}", "{f}"], '{"schema": "repro-bench/1", "exp'),
     "pack-torn-index": (["pack", "{d}", "--trace", "{d}/out.json"], '{"schema": "repro-'),

@@ -52,8 +52,8 @@ class TestBenchHarness:
     def test_sweep_procs(self):
         from repro.bench.harness import sweep_procs
 
-        assert sweep_procs("quick", max_quick=16) == [2, 4, 8, 16]
-        assert sweep_procs("full", max_full=64) == [2, 4, 8, 16, 32, 64]
+        assert sweep_procs("quick") == [2, 4, 8, 16]
+        assert sweep_procs("full") == [2, 4, 8, 16, 32, 64]
 
     def test_render_mixed_xs(self):
         from repro.bench.report import render
