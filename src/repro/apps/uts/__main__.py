@@ -18,6 +18,13 @@ from repro.core import SciotoConfig
 from repro.sim.machines import MACHINES
 
 
+#: UTSParams field -> the flag that sets it.
+_FLAGS = {
+    "tree_type": "--tree", "b0": "--b0", "gen_mx": "--gen-mx", "q": "--q", "m": "--m",
+    "root_seed": "--root-seed",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="repro.apps.uts", description=__doc__)
     p.add_argument("--nprocs", type=positive_int, default=8)
@@ -45,7 +52,8 @@ def main(argv: list[str] | None = None) -> int:
             q=args.q, m=args.m, root_seed=args.root_seed,
         )
     except ValueError as exc:
-        parser.error(f"argument --q/--m: {exc}")
+        field, _, why = str(exc).partition(": ")
+        parser.error(f"argument {_FLAGS[field]}: {why}")
     ref = count_tree(params, max_nodes=20_000_000)
     print(f"tree: {ref.nodes} nodes, {ref.leaves} leaves, depth {ref.max_depth}")
     machine = MACHINES[args.machine](args.nprocs)

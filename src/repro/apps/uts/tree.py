@@ -50,21 +50,39 @@ class UTSParams:
     root_seed: int = 19
 
     def __post_init__(self) -> None:
+        """Check each field against its domain; a ``ValueError`` message
+        starts with the field's name and a colon.  Each test is written as
+        ``not <in domain>``, so that nan fails it too."""
         if self.tree_type not in ("geometric", "binomial"):
-            raise ValueError(f"unknown tree_type {self.tree_type!r}")
-        if self.tree_type == "binomial" and not self.q * self.m < 1.0:  # also nan
-            raise ValueError(
-                f"binomial tree needs q*m < 1, got {self.q * self.m:.3f} "
-                "(>= 1 is supercritical: infinite with positive probability)"
-            )
+            raise ValueError(f"tree_type: unknown tree type {self.tree_type!r}")
+        if not (math.isfinite(self.b0) and self.b0 > 0):
+            raise ValueError(f"b0: must be a finite number > 0, got {self.b0}")
+        if not 0 <= self.root_seed < 2**64:  # the root digest hashes 8 bytes
+            raise ValueError(f"root_seed: must be in [0, 2**64), got {self.root_seed}")
+        if self.tree_type == "geometric" and not self.gen_mx >= 1:
+            raise ValueError(f"gen_mx: must be >= 1, got {self.gen_mx}")
+        if self.tree_type == "binomial":
+            if not self.b0 >= 1:
+                raise ValueError(f"b0: a binomial root needs >= 1 child, got {self.b0}")
+            if not self.m >= 1:
+                raise ValueError(f"m: must be >= 1, got {self.m}")
+            if not self.q >= 0:
+                raise ValueError(f"q: must be >= 0, got {self.q}")
+            if not self.q * self.m < 1.0:
+                raise ValueError(
+                    f"q: binomial tree needs q*m < 1, got {self.q * self.m:.3f} "
+                    "(>= 1 is supercritical: infinite with positive probability)"
+                )
         # Geometric trees: log(1 - p(d)) per depth, the denominator of the
-        # inverse-CDF sample in num_children (0.0 where b(d) <= 0: no
-        # children).  A plain attribute, not a field: eq/hash/repr ignore it.
+        # inverse-CDF sample in num_children (0.0 where 1 - p(d) rounds to
+        # 0: b(d) too small for any children).  A plain attribute, not a
+        # field: eq/hash/repr ignore it.
         table = []
         if self.tree_type == "geometric":
             for depth in range(self.gen_mx):
                 b_d = self.b0 * (1.0 - depth / self.gen_mx)
-                table.append(math.log(1.0 - 1.0 / (1.0 + b_d)) if b_d > 0 else 0.0)
+                q_d = 1.0 - 1.0 / (1.0 + b_d)
+                table.append(math.log(q_d) if q_d > 0 else 0.0)
         object.__setattr__(self, "_log_q", tuple(table))
 
 

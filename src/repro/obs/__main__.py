@@ -6,11 +6,11 @@ Subcommands:
   with recording on; write a Chrome trace JSON (``--trace``, open it
   in Perfetto), a metrics JSON (``--metrics``), and/or print the ASCII
   timeline and summary.  ``--stream DIR`` records through the
-  constant-memory spill sink (sharded JSONL; ``--trace`` then packs
-  the shards).  ``--live PATH`` additionally publishes interval
+  constant-memory spill sink (binary shards; ``--trace`` then packs
+  them).  ``--live PATH`` additionally publishes interval
   telemetry frames — windowed counts, means and sketch percentiles —
   to an append-only JSONL feed (``repro-obs-live/1``).
-* ``pack`` — convert a sealed spill directory (``repro-obs-stream/1``)
+* ``pack`` — convert a sealed spill directory (``repro-obs-stream/2``)
   into a Perfetto-loadable Chrome trace without materializing the run.
 * ``top`` — render a live (or finished) telemetry feed as a terminal
   status table; ``--follow`` keeps tailing while a run is in flight.
@@ -119,7 +119,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for k, v in run.extra.items():
         print(f"  {k}: {v}")
     if args.stream:
-        print(f"span spill (repro-obs-stream/1) -> {args.stream}")
+        from repro.obs.stream import STREAM_SCHEMA
+
+        print(f"span spill ({STREAM_SCHEMA}) -> {args.stream}")
     if args.live:
         assert rec.live is not None
         print(
@@ -388,8 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--width", type=positive_int, default=80)
     p_run.add_argument("--stream", metavar="DIR",
                        help="record through the constant-memory spill sink "
-                       "into this directory (sharded JSONL, "
-                       "repro-obs-stream/1); --trace then packs the shards")
+                       "into this directory (binary shards, "
+                       "repro-obs-stream/2); --trace then packs the shards")
     p_run.add_argument("--live", metavar="PATH",
                        help="publish live telemetry frames to this append-"
                        "only JSONL feed (repro-obs-live/1); tail it with "

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable
 
 from repro.obs.record import EdgeRecord, InstantRecord, Recorder, SpanRecord
-from repro.obs.stream import _NONFINITE, _span_sort_key
+from repro.obs.stream import _span_sort_key
 from repro.util.io import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -219,6 +219,10 @@ def _critpath_events(critpath) -> list[dict]:
             }
         )
     return events
+
+
+#: ``float.__repr__`` of the non-finite floats -> their ``json.dumps`` text.
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _span_event_text(span: SpanRecord) -> str:

@@ -79,7 +79,7 @@ def run_target(
     baseline the determinism check compares against.
 
     Streaming options: ``stream_dir`` records through a constant-memory
-    :class:`~repro.obs.stream.SpillSink` spilling sharded JSONL there
+    :class:`~repro.obs.stream.SpillSink` spilling binary shards there
     (sealed with a footer index when the run finishes), and
     ``live_path`` publishes interval telemetry frames there as an
     append-only ``repro-obs-live/1`` feed (every ``live_interval``

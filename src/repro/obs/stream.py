@@ -1,4 +1,4 @@
-"""Streaming span sinks: bounded-memory spill, sharded JSONL, trace pack.
+"""Streaming span sinks: bounded-memory spill, binary shards, trace pack.
 
 The :class:`~repro.obs.record.Recorder` does not own its storage any
 more — it pushes records into a :class:`SpanSink`:
@@ -8,22 +8,26 @@ more — it pushes records into a :class:`SpanSink`:
   index equals the span's stable ``sid``), instants and edges append in
   emission order, and its ``capacity`` bounds each record kind (the
   recorder counts every record past it as dropped).
-* :class:`SpillSink` holds **no** completed records in memory: it
-  buffers up to ``shard_size`` records and flushes them as sharded
-  JSONL files (``spans-00000.jsonl`` …) in a spill directory, written
-  atomically via :func:`repro.util.io.atomic_write_text`.  A footer
-  ``index.json`` (schema :data:`STREAM_SCHEMA`) is sealed at the end of
-  the run.  Recorder memory is bounded by the open-span stacks plus one
-  shard buffer, independent of run length — this is what lets a
-  million-event run be recorded at all (ROADMAP item 3).
+* :class:`SpillSink` holds **no** completed records in memory beyond
+  one buffer: it buffers up to ``shard_size`` records per kind and
+  flushes them as binary shard files (``spans-00000.bin`` …) in a spill
+  directory, written atomically via
+  :func:`repro.util.io.atomic_write_bytes`.  A footer ``index.json``
+  (schema :data:`STREAM_SCHEMA`) is sealed at the end of the run.
+  Recorder memory is bounded by the open-span stacks plus one shard
+  buffer, independent of run length — this is what lets a
+  million-event run be recorded at all.
 
-Span shards are written **pre-sorted by the Chrome-trace event order**
-``(tid, ts, -dur, sid)``, so :func:`pack` can produce a byte-identical
-Chrome ``trace_event`` JSON with a constant-memory k-way merge over the
-shard files — the packed bytes equal what
-:func:`repro.obs.export.write_chrome_trace` writes for the same run
-recorded in memory (tested on every check scenario).  Instants and
-edges are order-preserving streams, so their shards concatenate.
+A shard is a string table and fixed-width rows of int64/float64
+fields (see :data:`_ROWS`): the only reader is :class:`SpillReader`, so
+no number is formatted as text until :func:`pack` writes it once into
+the Chrome trace.  Span shards are written **pre-sorted by the
+Chrome-trace event order** ``(tid, ts, -dur, sid)``, so :func:`pack`
+can produce a byte-identical Chrome ``trace_event`` JSON with a
+constant-memory k-way merge over the shard files — the packed bytes
+equal what :func:`repro.obs.export.write_chrome_trace` writes for the
+same run recorded in memory (tested on every check scenario).  Instants
+and edges are order-preserving streams, so their shards concatenate.
 
 Spill directories hold the *span* stream; the companion *metrics*
 stream — interval telemetry frames — is the live feed of
@@ -34,13 +38,21 @@ from __future__ import annotations
 
 import heapq
 import json
-from itertools import islice
-from json.encoder import encode_basestring_ascii as _quote
+import os
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Container, Iterator
+from struct import Struct
+from struct import error as StructError
+from typing import Callable, Container, Iterator
 
 from repro.obs.record import EdgeRecord, InstantRecord, SpanRecord
-from repro.util.io import RecordError, atomic_write_text, read_record, require
+from repro.util.io import (
+    RecordError,
+    atomic_write_bytes,
+    atomic_write_text,
+    read_record,
+    require,
+)
 
 __all__ = [
     "STREAM_SCHEMA",
@@ -53,15 +65,14 @@ __all__ = [
 ]
 
 #: Schema tag sealed into every spill directory's ``index.json``.
-STREAM_SCHEMA = "repro-obs-stream/1"
+STREAM_SCHEMA = "repro-obs-stream/2"
 
 #: Default records per shard file.  Bounds both the sink's buffer and
-#: the per-shard sort cost; 32k span records is ~4 MB of JSONL.
+#: the per-shard sort cost; 32k span records is ~2.4 MB of rows.
 DEFAULT_SHARD_SIZE = 32_768
 
-#: Shard lines parsed per ``json.loads`` in :func:`pack`: one codec
-#: call per block instead of one per record, with memory still constant
-#: in run length.
+#: Shard rows unpacked per read: memory per open shard is its string
+#: table plus one block, never the run.
 _BLOCK = 1024
 
 
@@ -212,77 +223,101 @@ class TeeSink(SpanSink):
         return self.sinks[0].edge_stream()
 
 
-# The line formatters write exactly the bytes ``json.dumps`` gives for
-# the same list (tested byte for byte), without building an encoder per
-# record.  ``SpillSink.on_close``/``on_edge`` inline the float case and
-# fall back to these for any other number type.
-_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+# ---------------------------------------------------------------------- #
+# Shard files
+# ---------------------------------------------------------------------- #
+#: A shard file is an int64 byte count ``n``, then ``n`` bytes of string
+#: table (the ASCII ``json.dumps`` of a list holding each name,
+#: category, edge kind and ``str(detail)`` of the shard once), then one
+#: fixed-width row per record.  A row names a string by its table
+#: index; -1 stands for a ``None`` detail or parent.  All fields are
+#: little-endian int64 (``q``) or float64 (``d``), so every float comes
+#: back with the bits it was written with.
+_HEAD = Struct("<q")
+_ROWS = {
+    # sid, rank, name, category, start, end, depth, parent, detail
+    "spans": Struct("<qqqqddqqq"),
+    # time, rank, name, category, detail
+    "instants": Struct("<dqqqq"),
+    # eid, kind, src_rank, src_time, dst_rank, dst_time, detail
+    "edges": Struct("<qqqdqdq"),
+}
 
 
-def _num(x: float | int | None) -> str:
-    if x is None:
-        return "null"
-    if isinstance(x, float):
-        text = float.__repr__(x)
-        return _NONFINITE.get(text, text)
-    return int.__repr__(x)
+def _write_shard(path: Path, kind: str, records: list) -> None:
+    """Write ``records`` (of ``kind``) as one shard file at ``path``.
+
+    Rows are packed into one preallocated body, so the transient memory
+    of a flush is the body and the string table, not a bytes object per
+    record.
+    """
+    ids: dict[str, int] = {}
+    intern = ids.setdefault
+    row = _ROWS[kind]
+    body = bytearray(len(records) * row.size)
+    put = partial(row.pack_into, body)
+    offsets = range(0, len(body), row.size)
+    if kind == "spans":
+        for at, s in zip(offsets, records):
+            put(
+                at, s.sid, s.rank, intern(s.name, len(ids)), intern(s.category, len(ids)),
+                s.start, s.end, s.depth, -1 if s.parent is None else s.parent,
+                -1 if s.detail is None else intern(str(s.detail), len(ids)),
+            )
+    elif kind == "instants":
+        for at, (time, rank, name, cat, detail) in zip(offsets, records):
+            put(at, time, rank, intern(name, len(ids)), intern(cat, len(ids)),
+                -1 if detail is None else intern(str(detail), len(ids)))
+    else:
+        for at, (eid, ek, src_rank, src_time, dst_rank, dst_time, detail) in zip(
+            offsets, records
+        ):
+            put(at, eid, intern(ek, len(ids)), src_rank, src_time, dst_rank, dst_time,
+                -1 if detail is None else intern(str(detail), len(ids)))
+    table = json.dumps(list(ids)).encode("ascii")
+    atomic_write_bytes(path, _HEAD.pack(len(table)), table, body)
 
 
-def _detail(detail: Any) -> str:
-    return "null" if detail is None else _quote(str(detail))
+def _spans(rows: Iterator[tuple], names: dict, details: dict) -> Iterator[SpanRecord]:
+    for sid, rank, name, cat, start, end, depth, parent, detail in rows:
+        yield SpanRecord(
+            rank, names[name], names[cat], start, end, depth,
+            None if parent < 0 else parent, details[detail], sid,
+        )
 
 
-def _span_line(span: SpanRecord) -> str:
-    return (
-        f"[{span.sid}, {span.rank}, {_quote(span.name)}, {_quote(span.category)}, "
-        f"{_num(span.start)}, {_num(span.end)}, {span.depth}, {_num(span.parent)}, "
-        f"{_detail(span.detail)}]"
-    )
+def _instants(rows: Iterator[tuple], names: dict, details: dict) -> Iterator[InstantRecord]:
+    for time, rank, name, cat, detail in rows:
+        yield InstantRecord(time, rank, names[name], names[cat], details[detail])
 
 
-def _instant_line(inst: InstantRecord) -> str:
-    return (
-        f"[{_num(inst.time)}, {inst.rank}, {_quote(inst.name)}, "
-        f"{_quote(inst.category)}, {_detail(inst.detail)}]"
-    )
+def _edges(kinds: Container[str] | None) -> Callable[..., Iterator[EdgeRecord]]:
+    """An edge builder keeping only ``kinds`` (all with None); a dropped
+    row is judged on its kind alone and never becomes a record."""
 
+    def build(rows: Iterator[tuple], names: dict, details: dict) -> Iterator[EdgeRecord]:
+        for eid, ek, src_rank, src_time, dst_rank, dst_time, detail in rows:
+            ek = names[ek]
+            if kinds is None or ek in kinds:
+                yield EdgeRecord(
+                    eid, ek, src_rank, src_time, dst_rank, dst_time, details[detail]
+                )
 
-def _edge_line(edge: EdgeRecord) -> str:
-    return (
-        f"[{edge.eid}, {_quote(edge.kind)}, {edge.src_rank}, {_num(edge.src_time)}, "
-        f"{edge.dst_rank}, {_num(edge.dst_time)}, {_detail(edge.detail)}]"
-    )
-
-
-def _span_from_line(fields: list) -> SpanRecord:
-    sid, rank, name, category, start, end, depth, parent, detail = fields
-    return SpanRecord(rank, name, category, start, end, depth, parent, detail, sid)
-
-
-def _instant_from_line(fields: list) -> InstantRecord:
-    time, rank, name, category, detail = fields
-    return InstantRecord(time, rank, name, category, detail)
-
-
-def _edge_from_line(fields: list) -> EdgeRecord:
-    eid, kind, src_rank, src_time, dst_rank, dst_time, detail = fields
-    return EdgeRecord(eid, kind, src_rank, src_time, dst_rank, dst_time, detail)
+    return build
 
 
 class SpillSink(SpanSink):
-    """Constant-memory sink: sharded JSONL spill under one directory.
+    """Constant-memory sink: binary shard files under one directory.
 
     It keeps every record it is given (``capacity`` None).
 
-    Completed records are formatted as they arrive and buffer, as
-    lines, up to ``shard_size`` before flushing as one atomically
-    written shard file (strings are invisible to the cyclic collector;
-    a buffer of record objects is re-scanned by every full collection).
-    Span lines carry their :func:`_span_sort_key` and are sorted by it
-    before writing so :func:`pack` can k-way merge shards without
-    materializing the run; instant/edge shards preserve emission order.
-    Detail payloads are stringified exactly the way the Chrome exporter
-    would (``str(detail)``).
+    Completed records buffer as the objects the recorder built, up to
+    ``shard_size`` per kind, and flush as one atomically written shard
+    file: nothing is formatted per record.  Spans are sorted by
+    :func:`_span_sort_key` at flush so :func:`pack` can k-way merge
+    shards without materializing the run; instant/edge shards preserve
+    emission order.  Details are stored as ``str(detail)``, the text the
+    Chrome exporter writes.
     """
 
     def __init__(
@@ -299,22 +334,8 @@ class SpillSink(SpanSink):
 
     # -- recorder interface -------------------------------------------- #
     def on_close(self, span: SpanRecord) -> None:
-        start, end, parent, detail = span.start, span.end, span.parent, span.detail
         buf = self._bufs["spans"]
-        try:
-            s, e = float.__repr__(start), float.__repr__(end)
-        except TypeError:  # not float times; the recorder's clocks always are
-            buf.append((*_span_sort_key(span), _span_line(span)))
-        else:
-            # the _span_sort_key fields, then the line
-            buf.append((
-                span.rank, start * 1e6, -((end - start) * 1e6), span.sid,
-                f"[{span.sid}, {span.rank}, {_quote(span.name)}, "
-                f"{_quote(span.category)}, {_NONFINITE.get(s, s)}, "
-                f"{_NONFINITE.get(e, e)}, {span.depth}, "
-                f"{'null' if parent is None else parent}, "
-                f"{'null' if detail is None else _quote(str(detail))}]",
-            ))
+        buf.append(span)
         if len(buf) >= self.shard_size:
             self._flush("spans")
 
@@ -322,24 +343,13 @@ class SpillSink(SpanSink):
 
     def on_instant(self, inst: InstantRecord) -> None:
         buf = self._bufs["instants"]
-        buf.append(_instant_line(inst))
+        buf.append(inst)
         if len(buf) >= self.shard_size:
             self._flush("instants")
 
     def on_edge(self, edge: EdgeRecord) -> None:
-        eid, kind, src_rank, src_time, dst_rank, dst_time, detail = edge
-        try:
-            s, d = float.__repr__(src_time), float.__repr__(dst_time)
-        except TypeError:  # not float times; the recorder's clocks always are
-            line = _edge_line(edge)
-        else:
-            line = (
-                f"[{eid}, {_quote(kind)}, {src_rank}, {_NONFINITE.get(s, s)}, "
-                f"{dst_rank}, {_NONFINITE.get(d, d)}, "
-                f"{'null' if detail is None else _quote(str(detail))}]"
-            )
         buf = self._bufs["edges"]
-        buf.append(line)
+        buf.append(edge)
         if len(buf) >= self.shard_size:
             self._flush("edges")
 
@@ -347,12 +357,10 @@ class SpillSink(SpanSink):
         buf = self._bufs[kind]
         if not buf:
             return
-        lines = buf
         if kind == "spans":
-            buf.sort()  # sids are unique, so the line itself never compares
-            lines = [entry[-1] for entry in buf]
-        name = f"{kind}-{len(self.shards[kind]):05d}.jsonl"
-        atomic_write_text(self.directory / name, "\n".join(lines) + "\n")
+            buf.sort(key=_span_sort_key)
+        name = f"{kind}-{len(self.shards[kind]):05d}.bin"
+        _write_shard(self.directory / name, kind, buf)
         self.shards[kind].append({"file": name, "count": len(buf)})
         buf.clear()
 
@@ -389,28 +397,6 @@ class SpillSink(SpanSink):
         return list(self._reader().iter_edges())
 
 
-def _parse_block(path: Path, first_lineno: int, lines: list[str]) -> list[list]:
-    """Parse a block of shard lines with one ``json.loads``.
-
-    A block that does not parse as a whole is re-parsed line by line
-    (blank lines skipped) so the error can name the offending line.
-    """
-    try:
-        rows = json.loads(f"[{','.join(lines)}]")
-        if len(rows) == len(lines):
-            return rows
-    except json.JSONDecodeError:
-        pass
-    rows = []
-    for lineno, line in enumerate(lines, first_lineno):
-        if line.strip():
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"{path}:{lineno}: {exc}") from None
-    return rows
-
-
 class SpillReader:
     """Read-side of a spill directory (sealed or mid-write)."""
 
@@ -433,59 +419,70 @@ class SpillReader:
     def nprocs(self) -> int:
         return int(self.index.get("nprocs", 0))
 
-    def _iter_shard(
-        self,
-        shard: dict,
-        make: Callable[[list], Any],
-        keep: Callable[[list], bool] | None = None,
-    ) -> Iterator:
-        """One shard's records, ``_BLOCK`` lines per parse; with ``keep``,
-        only the rows it accepts become records (every row still counts).
+    def _iter_shard(self, kind: str, shard: dict, build: Callable[..., Iterator]) -> Iterator:
+        """One shard's records, unpacked ``_BLOCK`` rows per read and
+        made into records by ``build(rows, names, details)``.
 
-        Raises :class:`~repro.util.io.RecordError` naming the shard file
-        on a file that cannot be read, a line that does not parse (with
-        its line number) or a row that is not a record and, at the end
-        of the shard, on a row count that disagrees with the index — a
-        truncated spill must not pack as if it were whole.
+        Raises :class:`~repro.util.io.RecordError` naming the shard file,
+        before the first record, on a file that cannot be read, a string
+        table that does not parse and on a row count that disagrees with
+        the index (a truncated spill must not pack as if it were whole);
+        and on a row that names a string the table does not hold.
         """
         path = self.directory / shard["file"]
-        lineno = rows_seen = 0
+        row = _ROWS[kind]
         try:
-            with open(path, "r") as fh:
-                while lines := list(islice(fh, _BLOCK)):
-                    rows = _parse_block(path, lineno + 1, lines)
-                    lineno += len(lines)
-                    rows_seen += len(rows)
-                    yield from map(make, rows if keep is None else filter(keep, rows))
+            with open(path, "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size - _HEAD.size
+                (n,) = _HEAD.unpack(fh.read(_HEAD.size))
+                if not 0 <= n <= size:
+                    raise RecordError(
+                        f"{path}: damaged string table ({n} bytes declared, "
+                        f"{size} in the file)"
+                    )
+                strings = json.loads(fh.read(n))
+                if type(strings) is not list or not all(type(t) is str for t in strings):
+                    raise RecordError(f"{path}: damaged string table")
+                rows, stray = divmod(size - n, row.size)
+                if rows != shard["count"] or stray:
+                    raise RecordError(
+                        f"{path}: index.json records {shard['count']} records in "
+                        f"this shard, the file holds {rows}"
+                        f"{' and a partial row' if stray else ''} "
+                        "(truncated or edited spill)"
+                    )
+                names = dict(enumerate(strings))
+                details = {**names, -1: None}
+                while block := fh.read(_BLOCK * row.size):
+                    yield from build(row.iter_unpack(block), names, details)
         except RecordError:
             raise
-        except (OSError, ValueError, TypeError, IndexError) as exc:
-            raise RecordError(f"{path}: unreadable shard ({exc})") from None
-        if rows_seen != shard["count"]:
+        except KeyError as exc:
             raise RecordError(
-                f"{path}: index.json records {shard['count']} records in this "
-                f"shard, the file holds {rows_seen} (truncated or edited spill)"
-            )
+                f"{path}: a row names string {exc}, the table holds {len(strings)}"
+            ) from None
+        except (OSError, ValueError, StructError) as exc:
+            raise RecordError(f"{path}: unreadable shard ({exc})") from None
 
     def iter_spans_merged(self) -> Iterator[SpanRecord]:
         """All spans in Chrome-trace order: k-way merge of sorted shards."""
-        streams = [self._iter_shard(sh, _span_from_line) for sh in self.shards["spans"]]
+        streams = [self._iter_shard("spans", sh, _spans) for sh in self.shards["spans"]]
         return heapq.merge(*streams, key=_span_sort_key)
 
     def iter_spans(self) -> Iterator[SpanRecord]:
         """All spans, shard order (use ``sorted(..., key=sid)`` for stream order)."""
         for sh in self.shards["spans"]:
-            yield from self._iter_shard(sh, _span_from_line)
+            yield from self._iter_shard("spans", sh, _spans)
 
     def iter_instants(self) -> Iterator[InstantRecord]:
         for sh in self.shards["instants"]:
-            yield from self._iter_shard(sh, _instant_from_line)
+            yield from self._iter_shard("instants", sh, _instants)
 
     def iter_edges(self, kinds: Container[str] | None = None) -> Iterator[EdgeRecord]:
         """All edges in emission order, or only those of ``kinds``."""
-        keep = None if kinds is None else (lambda row: row[1] in kinds)
+        build = _edges(kinds)
         for sh in self.shards["edges"]:
-            yield from self._iter_shard(sh, _edge_from_line, keep)
+            yield from self._iter_shard("edges", sh, build)
 
     def load(self) -> tuple[list[SpanRecord], list[InstantRecord], list[EdgeRecord]]:
         """Materialize the full stream (for small-run analysis/verify)."""

@@ -7,7 +7,7 @@ point (a worker SIGKILL mid-write, ctrl-C during a campaign).  A plain
 ``Path.write_text`` truncates the destination before writing, so a
 reader — or a crash — can observe a torn file.
 
-:func:`atomic_write_text` writes to a uniquely named temporary file in
+:func:`atomic_write_bytes` writes to a uniquely named temporary file in
 the destination directory and publishes it with :func:`os.replace`,
 which is atomic on POSIX when source and destination share a
 filesystem.  Readers therefore see either the old complete document or
@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any
 
 __all__ = [
+    "atomic_write_bytes",
     "atomic_write_text",
     "append_text_line",
     "RecordError",
@@ -36,8 +37,9 @@ __all__ = [
 ]
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Atomically write ``text`` to ``path``; returns the path written.
+def atomic_write_bytes(path: str | Path, *chunks: bytes | bytearray) -> Path:
+    """Atomically write the ``chunks``, in order, as the contents of
+    ``path``; returns the path written.
 
     Creates parent directories as needed.  The temporary file lives in
     the destination directory (same filesystem), so the final
@@ -49,8 +51,8 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp_name, path)
     except BaseException:
         # Never leave the temp file behind, even on KeyboardInterrupt.
@@ -60,6 +62,12 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
             pass
         raise
     return path
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Atomically write ``text`` to ``path`` as UTF-8 (see
+    :func:`atomic_write_bytes`)."""
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def append_text_line(path: str | Path, line: str) -> Path:

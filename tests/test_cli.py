@@ -99,6 +99,13 @@ _OUT_OF_RANGE = [
     (uts_main, ["--chunk", "0"], "--chunk"),
     (uts_main, ["--tree", "binomial", "--q", "0.5", "--m", "4"], "--q"),
     (uts_main, ["--tree", "binomial", "--q", "nan"], "--q"),
+    (uts_main, ["--b0", "nan"], "--b0"),
+    (uts_main, ["--b0", "inf"], "--b0"),
+    (uts_main, ["--b0", "-1"], "--b0"),
+    (uts_main, ["--gen-mx", "-3"], "--gen-mx"),
+    (uts_main, ["--tree", "binomial", "--m", "-2"], "--m"),
+    (uts_main, ["--tree", "binomial", "--q", "-1"], "--q"),
+    (uts_main, ["--root-seed", "-1"], "--root-seed"),
     (scf_main, ["--nprocs", "0"], "--nprocs"),
     (scf_main, ["--iters", "0"], "--iters"),
     (scf_main, ["--nblocks", "0"], "--nblocks"),

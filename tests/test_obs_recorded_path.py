@@ -1,13 +1,13 @@
 """The recorded path after its per-record diet: same bytes, typed failures.
 
-* the three direct shard-line formatters and the batched event writer
-  against ``json.dumps`` of the same data, byte for byte;
-* sha256 goldens of every spill file and of the packed trace, taken at
-  the last commit that wrote one ``json.dumps`` per record;
+* a spill round-trips every field of every record kind (floats bit for
+  bit), and ``pack`` writes the bytes the in-memory export writes;
+* sha256 goldens of every spill file and of the packed trace; the
+  packed digests date from the last commit that wrote one
+  ``json.dumps`` per record;
 * records are still immutable, picklable and drop-counted per kind;
-* a truncated or garbled spill fails with a ``RecordError`` that names
-  the shard (it used to pack as if whole, or raise a bare
-  ``JSONDecodeError: line 1 column 74``).
+* a truncated or damaged spill fails with a ``RecordError`` that names
+  the shard (it used to pack as if whole).
 """
 
 from __future__ import annotations
@@ -17,7 +17,11 @@ import io
 import json
 import math
 import pickle
+import struct
+import tempfile
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,55 +34,95 @@ from repro.obs.__main__ import main as obs_main
 from repro.obs.export import span_event
 from repro.obs.record import EdgeRecord, InstantRecord, Recorder, SpanRecord, span
 from repro.obs.scenarios import run_target
-from repro.obs.stream import MemorySink, SpillReader, SpillSink, pack
+from repro.obs.stream import MemorySink, SpillReader, SpillSink, TeeSink, pack
 from repro.obs.tracing import TraceEvent, Tracer
 from repro.sim.engine import Engine
 from repro.util.io import RecordError
 
 # ---------------------------------------------------------------------- #
-# Encoder equality
+# Spill round trip and the one text encoding
 # ---------------------------------------------------------------------- #
 floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, 1e-07, 1e22, 1.5e-05, math.inf, -math.inf, math.nan]),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1e-07, 1e22, 1.5e-05,
+                     math.inf, -math.inf, math.nan]),
 )
 ints = st.integers(min_value=-(2**70), max_value=2**70)
+int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)  # the spill's int field
 texts = st.one_of(
     st.text(max_size=12),
-    st.sampled_from(['q"uote', "back\\slash", "tab\tnl\n\x00\x1f", "héllo ☃ \U0001f600"]),
+    st.sampled_from(['q"uote', "back\\slash", "tab\tnl\n\x00\x1f", "héllo ☃ \U0001f600",
+                     "\ud800", "lone \udfff surrogate"]),
 )
 details = st.one_of(st.none(), ints, texts, st.tuples(ints, texts))
-times = st.one_of(floats, ints)
+parents = st.one_of(st.none(), st.integers(min_value=0, max_value=2**63 - 1))
+spans_st = st.lists(
+    st.builds(SpanRecord, int64s, texts, texts, floats, floats, int64s, parents,
+              details, int64s),
+    max_size=12, unique_by=lambda s: s.sid,
+)
+instants_st = st.lists(st.builds(InstantRecord, floats, int64s, texts, texts, details),
+                       max_size=6)
+edges_st = st.lists(
+    st.builds(EdgeRecord, int64s, st.one_of(st.sampled_from(["steal", "msg", "spawn"]), texts),
+              int64s, floats, int64s, floats, details),
+    max_size=12,
+)
 
 
-def dumped(fields: list, detail) -> str:
-    return json.dumps(fields + [None if detail is None else str(detail)])
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
 
 
-@settings(max_examples=300, deadline=None)
-@given(ints, ints, texts, texts, times, st.one_of(st.none(), times), ints,
-       st.one_of(st.none(), ints), details)
-def test_span_line_is_json_dumps(sid, rank, name, cat, start, end, depth, parent, detail):
-    span = SpanRecord(rank, name, cat, start, end, depth, parent, detail, sid)
-    assert stream._span_line(span) == dumped(
-        [sid, rank, name, cat, start, end, depth, parent], detail
-    )
+@settings(max_examples=120, deadline=None)
+@given(spans_st, instants_st, edges_st)
+def test_spill_round_trips_every_field_and_packs_the_exported_bytes(spans, instants, edges):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        memory = MemorySink()
+        # one shard per kind (pack equals the export even for NaN keys),
+        # and shards of two records (many files, many merges)
+        tee = TeeSink(memory, SpillSink(tmp / "one"), SpillSink(tmp / "many", shard_size=2))
+        for s in spans:
+            tee.on_open(s)
+            tee.on_close(s)
+        for i in instants:
+            tee.on_instant(i)
+        for e in edges:
+            tee.on_edge(e)
+        footer = {"nprocs": 4, "spans": len(spans), "dropped": 0, "edges": len(edges)}
+        tee.seal(footer)
 
+        def text(detail):
+            return None if detail is None else str(detail)
 
-@settings(max_examples=200, deadline=None)
-@given(times, ints, texts, texts, details)
-def test_instant_line_is_json_dumps(time, rank, name, cat, detail):
-    inst = InstantRecord(time, rank, name, cat, detail)
-    assert stream._instant_line(inst) == dumped([time, rank, name, cat], detail)
+        got_spans, got_instants, got_edges = SpillReader(tmp / "many").load()
+        assert [
+            (s.sid, s.rank, s.name, s.category, _bits(s.start), _bits(s.end), s.depth,
+             s.parent, s.detail) for s in got_spans
+        ] == [
+            (s.sid, s.rank, s.name, s.category, _bits(s.start), _bits(s.end), s.depth,
+             s.parent, text(s.detail)) for s in sorted(spans, key=lambda s: s.sid)
+        ]
+        assert [(_bits(i.time), *i[1:4], i.detail) for i in got_instants] == [
+            (_bits(i.time), *i[1:4], text(i.detail)) for i in instants
+        ]
+        assert [
+            (e.eid, e.kind, e.src_rank, _bits(e.src_time), e.dst_rank, _bits(e.dst_time),
+             e.detail) for e in got_edges
+        ] == [
+            (e.eid, e.kind, e.src_rank, _bits(e.src_time), e.dst_rank, _bits(e.dst_time),
+             text(e.detail)) for e in edges
+        ]
 
-
-@settings(max_examples=200, deadline=None)
-@given(ints, texts, ints, times, ints, times, details)
-def test_edge_line_is_json_dumps(eid, kind, src_rank, src_time, dst_rank, dst_time, detail):
-    edge = EdgeRecord(eid, kind, src_rank, src_time, dst_rank, dst_time, detail)
-    assert stream._edge_line(edge) == dumped(
-        [eid, kind, src_rank, src_time, dst_rank, dst_time], detail
-    )
+        recorder = SimpleNamespace(
+            spans=memory.spans, instants=memory.instants, edges=memory.edges,
+            engine=SimpleNamespace(nprocs=4), span_count=len(spans), dropped=0,
+            edge_count=len(edges),
+        )
+        exported = export.write_chrome_trace(recorder, tmp / "memory.json")
+        packed = pack(tmp / "one", tmp / "packed.json")
+        assert packed.read_bytes() == exported.read_bytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -86,35 +130,6 @@ def test_edge_line_is_json_dumps(eid, kind, src_rank, src_time, dst_rank, dst_ti
 def test_pack_span_event_text_is_json_dumps(rank, name, cat, start, end, detail):
     span = SpanRecord(rank, name, cat, start, end, 0, None, detail, 0)
     assert export._span_event_text(span) == json.dumps(span_event(span))
-
-
-@settings(max_examples=200, deadline=None)
-@given(ints, ints, texts, texts, times, times, ints, st.one_of(st.none(), ints), details)
-def test_spill_sink_on_close_line_is_json_dumps(
-    sid, rank, name, cat, start, end, depth, parent, detail
-):
-    # on_close formats its line inline; any time that is not a float
-    # takes the _span_line path.  Both must be json.dumps.
-    span = SpanRecord(rank, name, cat, start, end, depth, parent, detail, sid)
-    sink = SpillSink.__new__(SpillSink)
-    sink._bufs, sink.shard_size = {"spans": []}, 2
-    sink.on_close(span)
-    (entry,) = sink._bufs["spans"]
-    assert repr(entry[:-1]) == repr(stream._span_sort_key(span))  # NaN-safe
-    assert entry[-1] == dumped([sid, rank, name, cat, start, end, depth, parent], detail)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ints, texts, ints, times, ints, times, details)
-def test_spill_sink_on_edge_line_is_json_dumps(
-    eid, kind, src_rank, src_time, dst_rank, dst_time, detail
-):
-    sink = SpillSink.__new__(SpillSink)
-    sink._bufs, sink.shard_size = {"edges": []}, 2
-    sink.on_edge(EdgeRecord(eid, kind, src_rank, src_time, dst_rank, dst_time, detail))
-    assert sink._bufs["edges"] == [
-        dumped([eid, kind, src_rank, src_time, dst_rank, dst_time], detail)
-    ]
 
 
 BLOCK = export._EVENT_BLOCK
@@ -155,21 +170,23 @@ def test_event_writer_mixes_text_and_dict_events_in_order():
 #: (target, seed, shard_size) -> (digest of every spill file, digest of the
 #: packed trace), after ``reset_uids()``.  ``shard_size=64`` makes ``pack``
 #: k-way merge many shards; queue/queue-wf record fewer than 64 spans.
+#: The spill digests are of the binary ``repro-obs-stream/2`` shards; the
+#: packed digests are unchanged since the JSONL spill.
 SPILL_GOLDEN = {
-    ("uts-small", 41, None): ("bc9ed70b9df0a6fc", "e446ada0011f0a5c"),
-    ("uts-small", 41, 64): ("1dfc16616ebd66be", "e446ada0011f0a5c"),
-    ("graph", 0, None): ("9b9ba2742456b2c5", "a7d8fcb0736accc7"),
-    ("graph", 0, 64): ("40609aa0dcfd70bf", "a7d8fcb0736accc7"),
-    ("queue", 0, None): ("7f371798b4eca9d1", "95d837a0f602bcb6"),
-    ("queue", 0, 64): ("7f371798b4eca9d1", "95d837a0f602bcb6"),
-    ("queue-wf", 0, None): ("8cbc9b02a7bf7466", "9c8a1ec01f05f2a8"),
-    ("queue-wf", 0, 64): ("8cbc9b02a7bf7466", "9c8a1ec01f05f2a8"),
-    ("steals", 0, None): ("3d95eb522ddf0bcc", "92e9aebc347be817"),
-    ("steals", 0, 64): ("8ddc92bd0d2c5a04", "92e9aebc347be817"),
-    ("termination", 0, None): ("4bca1f36539e9233", "b1798af56d3f59fd"),
-    ("termination", 0, 64): ("3176b3a1f0d71773", "b1798af56d3f59fd"),
-    ("waitfree", 0, None): ("60478522bfe918e6", "08e04fdbaf4288c2"),
-    ("waitfree", 0, 64): ("31cd0a050bc38ae0", "08e04fdbaf4288c2"),
+    ("uts-small", 41, None): ("f5ba144cf8d4ba41", "e446ada0011f0a5c"),
+    ("uts-small", 41, 64): ("b7d1dfb847166fec", "e446ada0011f0a5c"),
+    ("graph", 0, None): ("8f35a3a13c203fd0", "a7d8fcb0736accc7"),
+    ("graph", 0, 64): ("bc807eadb35e1bf3", "a7d8fcb0736accc7"),
+    ("queue", 0, None): ("91ea6894cb1c8717", "95d837a0f602bcb6"),
+    ("queue", 0, 64): ("91ea6894cb1c8717", "95d837a0f602bcb6"),
+    ("queue-wf", 0, None): ("2c0714418080329a", "9c8a1ec01f05f2a8"),
+    ("queue-wf", 0, 64): ("2c0714418080329a", "9c8a1ec01f05f2a8"),
+    ("steals", 0, None): ("fe26916f2391a24a", "92e9aebc347be817"),
+    ("steals", 0, 64): ("085c2424ab245026", "92e9aebc347be817"),
+    ("termination", 0, None): ("d4899135035fdbf1", "b1798af56d3f59fd"),
+    ("termination", 0, 64): ("96f47b6e9bbc6aa2", "b1798af56d3f59fd"),
+    ("waitfree", 0, None): ("4279a78e06065c50", "08e04fdbaf4288c2"),
+    ("waitfree", 0, 64): ("ffc5ad0166061c7b", "08e04fdbaf4288c2"),
 }
 
 
@@ -277,10 +294,13 @@ def _spill(tmp_path, edges: int = 0):
     return spill
 
 
-def _truncate(spill, kind: str, keep: int) -> tuple[str, int]:
+def _truncate(spill, kind: str, keep: int, extra: int = 0) -> tuple[str, int]:
+    """Cut ``kind``'s first shard after ``keep`` rows and ``extra`` bytes."""
     shard = json.loads((spill / "index.json").read_text())["shards"][kind][0]
     path = spill / shard["file"]
-    path.write_text("".join(path.read_text().splitlines(keepends=True)[:keep]))
+    data = path.read_bytes()
+    (table,) = struct.unpack_from("<q", data)
+    path.write_bytes(data[: 8 + table + keep * stream._ROWS[kind].size + extra])
     return shard["file"], shard["count"]
 
 
@@ -292,10 +312,9 @@ READERS = {
 }
 
 
-@pytest.mark.parametrize("reader", sorted(READERS))
-def test_truncated_shard_is_refused(reader, tmp_path):
+def _check_cut_is_refused(reader, tmp_path, extra):
     spill = _spill(tmp_path)
-    name, count = _truncate(spill, "spans", keep=5)
+    name, count = _truncate(spill, "spans", keep=5, extra=extra)
     assert count > 5
     out = tmp_path / "out.json"
     with pytest.raises(RecordError) as err:
@@ -304,6 +323,16 @@ def test_truncated_shard_is_refused(reader, tmp_path):
     assert f"{count} records" in str(err.value) and "holds 5" in str(err.value)
     assert not out.exists()
     assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_truncated_shard_is_refused(reader, tmp_path):
+    _check_cut_is_refused(reader, tmp_path, extra=0)  # at a row boundary
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_shard_cut_mid_row_is_refused(reader, tmp_path):
+    _check_cut_is_refused(reader, tmp_path, extra=30)
 
 
 def test_truncated_edge_and_instant_shards_are_refused(tmp_path):
@@ -315,26 +344,64 @@ def test_truncated_edge_and_instant_shards_are_refused(tmp_path):
         pack(spill, tmp_path / "out.json")
 
 
-@pytest.mark.parametrize("lineno", [1, 700, export._EVENT_BLOCK + 1, 2 * export._EVENT_BLOCK + 77])
-def test_garbled_line_is_located(lineno, tmp_path):
-    spill = _spill(tmp_path, edges=2 * export._EVENT_BLOCK + 100)
-    path = spill / "edges-00000.jsonl"
-    lines = path.read_text().splitlines(keepends=True)
-    lines[lineno - 1] = lines[lineno - 1][: len(lines[lineno - 1]) // 2] + "\n"
-    path.write_text("".join(lines))
+def _edit_shard(path, table=None, row0=None, tail=b""):
+    """Rewrite an edge shard: a new string table, new fields for row 0,
+    bytes appended to the body."""
+    data = path.read_bytes()
+    (n,) = struct.unpack_from("<q", data)
+    table = data[8 : 8 + n] if table is None else table
+    body = data[8 + n :]
+    if row0 is not None:
+        row = stream._ROWS["edges"]
+        body = row.pack(*row0) + body[row.size :]
+    path.write_bytes(struct.pack("<q", len(table)) + table + body + tail)
+
+
+#: damage -> (edit of ``edges-00000.bin``, text the error must contain).
+SHARD_DAMAGE = {
+    "table-cut": (lambda p: p.write_bytes(p.read_bytes()[:40]), "damaged string table"),
+    "table-not-json": (lambda p: _edit_shard(p, table=b'["steal", "0"'), "unreadable shard"),
+    "table-not-strings": (lambda p: _edit_shard(p, table=b'["steal", 0]'),
+                          "damaged string table"),
+    "table-longer-than-file": (
+        lambda p: p.write_bytes(struct.pack("<q", 1 << 62) + p.read_bytes()[8:]),
+        "damaged string table"),
+    "kind-index-past-table": (lambda p: _edit_shard(p, row0=(0, 99, 0, 0.0, 1, 1.0, -1)),
+                              "names string 99"),
+    "kind-index-negative": (lambda p: _edit_shard(p, row0=(0, -1, 0, 0.0, 1, 1.0, -1)),
+                            "names string -1"),
+    "detail-index-negative": (lambda p: _edit_shard(p, row0=(0, 0, 0, 0.0, 1, 1.0, -2)),
+                              "names string -2"),
+    "body-partial-row": (lambda p: _edit_shard(p, tail=b"\0" * 3),
+                         "holds 10 and a partial row"),
+    "body-extra-row": (lambda p: _edit_shard(p, tail=b"\0" * stream._ROWS["edges"].size),
+                       "holds 11"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(SHARD_DAMAGE))
+def test_damaged_shard_is_refused_naming_it(damage, tmp_path):
+    spill = _spill(tmp_path, edges=10)
+    path = spill / "edges-00000.bin"
+    edit, text = SHARD_DAMAGE[damage]
+    edit(path)
     with pytest.raises(RecordError) as err:
         list(SpillReader(spill).iter_edges())
-    assert str(err.value).startswith(f"{path}:{lineno}: ")
-    with pytest.raises(RecordError, match=f"edges-00000.jsonl:{lineno}: "):
+    assert str(err.value).startswith(f"{path}: ") and text in str(err.value)
+    with pytest.raises(RecordError, match="edges-00000.bin"):
         pack(spill, tmp_path / "out.json")
     assert not (tmp_path / "out.json").exists()
 
 
-def test_blank_lines_are_still_skipped(tmp_path):
-    spill = _spill(tmp_path, edges=10)
-    path = spill / "edges-00000.jsonl"
-    path.write_text(path.read_text().replace("\n", "\n\n", 3))
-    assert [e.eid for e in SpillReader(spill).iter_edges()] == list(range(10))
+def test_schema_1_spill_is_refused_naming_the_schema(tmp_path):
+    spill = _spill(tmp_path, edges=3)
+    index = spill / "index.json"
+    index.write_text(index.read_text().replace(stream.STREAM_SCHEMA, "repro-obs-stream/1"))
+    for read in (SpillReader, lambda d: pack(d, tmp_path / "out.json")):
+        with pytest.raises(RecordError, match="repro-obs-stream/1") as err:
+            read(spill)
+        assert str(err.value).startswith(str(index))
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_pack_refuses_truncated_spill(tmp_path, capsys):

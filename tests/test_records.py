@@ -53,10 +53,11 @@ def _bench(path: Path) -> Path:
     return write_bench_json([(result, 0.5)], path, "quick")
 
 
-#: name -> (file name, writer, reader, tag key or None, required keys).
-#: Each writer writes the pristine file at the path it is given; each
-#: reader reads the directory it was written into.  The spill's damaged
-#: file is its ``index.json``; ``pack`` reads the whole spill.
+#: name -> (file name, writer, reader, tag key or None, required keys, or
+#: None for a binary file).  Each writer writes the pristine file at the
+#: path it is given; each reader reads the directory it was written into.
+#: The spill's damaged file is its ``index.json`` or one edge shard;
+#: ``pack`` reads the whole spill.
 ROWS = {
     "trace": ("t.json", _trace, lambda d: DecisionTrace.load(d / "t.json"),
               "format", ["target", "strategy", "strategy_seed", "engine_seed", "nprocs",
@@ -67,6 +68,8 @@ ROWS = {
                lambda d: load_chrome_trace(d / "c.json"), None, ["traceEvents"]),
     "spill": ("index.json", _spill, lambda d: pack(d, d.parent / "packed.json"),
               "schema", ["shards"]),
+    "spill-shard": ("edges-00001.bin", _spill,
+                    lambda d: pack(d, d.parent / "packed.json"), None, None),
     "bench": ("b.json", _bench, lambda d: diff_files(d / "b.json", d / "b.json"),
               "schema", ["experiments"]),
 }
@@ -90,12 +93,18 @@ def pristine(tmp_path_factory) -> dict[str, bytes]:
     return out
 
 
-def _damage(draw, doc_bytes: bytes, tag: str | None, required: list[str]) -> tuple[bytes, bool]:
-    """One of the five damages; returns (bytes, must the reader refuse)."""
-    kinds = ["truncate", "overwrite", "root", "drop"] + (["tag"] if tag else [])
+def _damage(
+    draw, doc_bytes: bytes, tag: str | None, required: list[str] | None
+) -> tuple[bytes, bool]:
+    """One of the five damages (a binary file takes the first two);
+    returns (bytes, must the reader refuse)."""
+    kinds = ["truncate", "overwrite"]
+    if required is not None:
+        kinds += ["root", "drop"] + (["tag"] if tag else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "truncate":
-        return doc_bytes[: draw(st.integers(0, len(doc_bytes) - 1))], False
+        # every cut of a binary shard is refused
+        return doc_bytes[: draw(st.integers(0, len(doc_bytes) - 1))], required is None
     if kind == "overwrite":
         i = draw(st.integers(0, len(doc_bytes) - 1))
         return doc_bytes[:i] + bytes([draw(st.integers(0, 255))]) + doc_bytes[i + 1:], False
@@ -115,8 +124,8 @@ def _damage(draw, doc_bytes: bytes, tag: str | None, required: list[str]) -> tup
 def test_damaged_record_is_read_or_refused_naming_the_file(row, data, pristine, tmp_path_factory):
     fname, _write, read, tag, required = ROWS[row]
     directory = tmp_path_factory.mktemp(row, numbered=True)
-    if row == "spill":
-        _spill(directory / fname)  # the shards the damaged index names
+    if row.startswith("spill"):
+        _spill(directory / fname)  # the spill the damaged file belongs to
     damaged, must_refuse = _damage(data.draw, pristine[row], tag, required)
     (directory / fname).write_bytes(damaged)
     try:

@@ -53,6 +53,10 @@ class TestTree:
         with pytest.raises(ValueError, match="supercritical"):
             UTSParams(tree_type="binomial", q=0.3, m=4)
 
+    def test_vanishing_b0_is_a_lone_root(self):
+        # 1 - p(0) rounds to 0: no child, not a math domain error
+        assert count_tree(UTSParams(b0=1e-300, gen_mx=4)).nodes == 1
+
     def test_unknown_tree_type_rejected(self):
         with pytest.raises(ValueError):
             UTSParams(tree_type="fibonacci")
@@ -79,7 +83,7 @@ class TestTree:
         [
             preset("small"),
             preset("binomial"),  # 2,000 root children: indices past the suffix table
-            UTSParams(b0=0.0, gen_mx=4),  # b(d) <= 0 everywhere: a lone root
+            UTSParams(b0=1e-9, gen_mx=4),  # b(d) ~ 0 everywhere: a lone root
         ],
         ids=["small", "binomial", "barren"],
     )
