@@ -40,7 +40,7 @@ from repro.analyze.race import dedupe_races
 from repro.analyze.runner import run_race_detection
 from repro.check.mutations import MUTATIONS
 from repro.check.scenarios import SCENARIOS
-from repro.cli import add_jobs_argument
+from repro.cli import add_jobs_argument, seed_int
 from repro.targets import TARGETS
 
 
@@ -132,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         default="none",
         help="apply an intentional protocol bug first",
     )
-    run.add_argument("--engine-seed", type=int, default=0)
+    run.add_argument("--engine-seed", type=seed_int, default=0)
 
     p_race = sub.add_parser("race", parents=[run], help="vector-clock race detection")
     p_race.add_argument(

@@ -19,7 +19,7 @@ from repro.apps.scf import (
     run_scf_scioto,
     run_scf_sequential,
 )
-from repro.cli import positive_int
+from repro.cli import positive_int, seed_int
 from repro.sim.machines import MACHINES
 
 
@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nblocks", type=positive_int, default=20)
     p.add_argument("--blocksize", type=positive_int, default=5)
     p.add_argument("--iters", type=positive_int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--verify", action="store_true",
                    help="check energies against the sequential reference")
     return p

@@ -20,7 +20,7 @@ from repro.apps.tce import (
     run_tce_original,
     run_tce_scioto,
 )
-from repro.cli import positive_int
+from repro.cli import positive_int, seed_int
 from repro.sim.machines import MACHINES
 
 
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nblocks", type=positive_int, default=10)
     p.add_argument("--blocksize", type=positive_int, default=48)
     p.add_argument("--density", type=float, default=0.4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--verify", action="store_true",
                    help="check C against the dense reference")
     return p

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from repro.apps.uts import UTSParams, count_tree, run_uts_mpi, run_uts_scioto
-from repro.cli import positive_int
+from repro.cli import positive_int, seed_int
 from repro.core import SciotoConfig
 from repro.sim.machines import MACHINES
 
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=0.15)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--root-seed", type=int, default=17)
-    p.add_argument("--seed", type=int, default=1, help="scheduler RNG seed")
+    p.add_argument("--seed", type=seed_int, default=1, help="scheduler RNG seed")
     p.add_argument("--chunk", type=positive_int, default=10)
     p.add_argument("--no-split", action="store_true", help="use fully locked queues")
     p.add_argument("--wait-free", action="store_true", help="wait-free steal protocol")

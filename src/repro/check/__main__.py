@@ -27,7 +27,7 @@ from repro.check.runner import ExploreResult, explore, replay
 from repro.check.scenarios import SCENARIOS
 from repro.check.strategies import STRATEGIES
 from repro.check.traces import DecisionTrace
-from repro.cli import add_jobs_argument, positive_int, print_progress
+from repro.cli import add_jobs_argument, positive_int, print_progress, seed_int
 from repro.obs.export import write_chrome_trace
 from repro.obs.record import Recorder
 from repro.obs.tracing import Tracer
@@ -62,7 +62,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="base strategy seed")
     p.add_argument(
-        "--engine-seed", type=int, default=0, help="workload (engine) seed"
+        "--engine-seed", type=seed_int, default=0, help="workload (engine) seed"
     )
     p.add_argument(
         "--mutate",
@@ -132,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         recorded = []
 
         def record(engine) -> None:
-            recorded.append(Recorder.attach(engine))
+            recorded.append((Recorder.attach(engine), Tracer.attach(engine)))
 
         try:
             outcome = replay(trace, engine_hook=record if args.trace else None)
@@ -145,8 +145,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  replay outcome:   {outcome.describe()}")
         print(f"  signature match:  {'yes' if same else 'NO'}")
         if recorded:
-            rec = recorded[0]
-            path = write_chrome_trace(rec, args.trace, tracer=Tracer.of(rec.engine))
+            rec, tracer = recorded[0]
+            path = write_chrome_trace(rec, args.trace, tracer=tracer)
             print(f"  trace:            {path} ({rec.span_count} spans)")
         return 0 if same else 1
 

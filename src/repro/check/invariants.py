@@ -1,12 +1,14 @@
-"""Protocol invariants checked against the simulation event stream.
+"""Protocol invariants checked online against the simulation event stream.
 
-Checkers are post-hoc: the runner attaches a :class:`~repro.obs.tracing.Tracer`
-to the engine, runs one schedule, and hands the recorded event list to
-each checker.  Because the tracer appends events at the protocol's
+Each checker is built with the run's :class:`CheckContext` and
+subscribes to the engine's :class:`~repro.obs.tracing.Tracer` for the
+``kinds`` it reads; the tracer calls :meth:`~InvariantChecker.on_event`
+as each event happens, and :meth:`~InvariantChecker.check` applies the
+end-of-run rules.  Because the tracer records events at the protocol's
 linearization points (queue mutations inside the one-sided closures,
-mutex grants, the root's termination declaration), *list order* is the
-global serialization order of the run — checkers reason over it without
-re-executing anything.
+mutex grants, the root's termination declaration), event order is the
+global serialization order of the run — checkers reason over it in one
+pass, keeping only the state their rule needs, never the event list.
 
 Event vocabulary (emitted by hook points in ``core``/``sim``):
 
@@ -30,8 +32,7 @@ kind            detail
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.obs.tracing import TraceEvent
+from typing import Any
 
 __all__ = [
     "Violation",
@@ -75,15 +76,28 @@ class CheckContext:
 
 
 class InvariantChecker:
-    """Base checker: examine an event stream, return violations."""
+    """Base checker: read the events of :attr:`kinds` as they happen,
+    then return the violations from :meth:`check`."""
 
     name = "invariant"
+    #: The event kinds :meth:`on_event` is called for.
+    kinds: tuple[str, ...] = ()
 
-    def check(self, events: list[TraceEvent], ctx: CheckContext) -> list[Violation]:
+    def __init__(self, ctx: CheckContext) -> None:
+        self.ctx = ctx
+        self.violations: list[Violation] = []
+
+    def on_event(self, i: int, rank: int, kind: str, detail: Any) -> None:
+        """Event ``i`` (its position among all tracer events) of one of
+        :attr:`kinds`, recorded on ``rank``."""
         raise NotImplementedError
 
-    def _v(self, message: str) -> Violation:
-        return Violation(self.name, message)
+    def check(self) -> list[Violation]:
+        """The violations of the whole run (call once, after it ends)."""
+        return self.violations
+
+    def _v(self, message: str) -> None:
+        self.violations.append(Violation(self.name, message))
 
 
 class ExactlyOnce(InvariantChecker):
@@ -91,33 +105,36 @@ class ExactlyOnce(InvariantChecker):
     to termination, at least once) — the paper's core safety property."""
 
     name = "exactly-once"
+    kinds = ("task-add", "task-exec")
 
-    def check(self, events: list[TraceEvent], ctx: CheckContext) -> list[Violation]:
-        out: list[Violation] = []
-        added: set[int] = set()
-        execs: dict[int, int] = {}
-        for e in events:
-            if e.kind == "task-add":
-                if e.detail in added:
-                    out.append(self._v(f"task uid {e.detail} added twice"))
-                added.add(e.detail)
-            elif e.kind == "task-exec":
-                execs[e.detail] = execs.get(e.detail, 0) + 1
-        for uid, n in execs.items():
+    def __init__(self, ctx: CheckContext) -> None:
+        super().__init__(ctx)
+        self.added: set[int] = set()
+        self.execs: dict[int, int] = {}
+
+    def on_event(self, i: int, rank: int, kind: str, detail: Any) -> None:
+        if kind == "task-add":
+            if detail in self.added:
+                self._v(f"task uid {detail} added twice")
+            self.added.add(detail)
+        else:
+            self.execs[detail] = self.execs.get(detail, 0) + 1
+
+    def check(self) -> list[Violation]:
+        added = self.added
+        for uid, n in self.execs.items():
             if n > 1:
-                out.append(self._v(f"task uid {uid} executed {n} times"))
+                self._v(f"task uid {uid} executed {n} times")
             if uid not in added:
-                out.append(self._v(f"task uid {uid} executed but never added"))
-        if ctx.expect_complete:
-            missing = sorted(added - set(execs))
+                self._v(f"task uid {uid} executed but never added")
+        if self.ctx.expect_complete:
+            missing = sorted(added - self.execs.keys())
             if missing:
-                out.append(
-                    self._v(
-                        f"{len(missing)} added task(s) never executed "
-                        f"(uids {missing[:8]}{'...' if len(missing) > 8 else ''})"
-                    )
+                self._v(
+                    f"{len(missing)} added task(s) never executed "
+                    f"(uids {missing[:8]}{'...' if len(missing) > 8 else ''})"
                 )
-        return out
+        return self.violations
 
 
 class NoEarlyTermination(InvariantChecker):
@@ -126,25 +143,29 @@ class NoEarlyTermination(InvariantChecker):
     order (§5.2's safety direction)."""
 
     name = "no-early-termination"
+    kinds = ("td-done", "task-exec")
 
-    def check(self, events: list[TraceEvent], ctx: CheckContext) -> list[Violation]:
-        out: list[Violation] = []
-        done_at: int | None = None
-        for i, e in enumerate(events):
-            if e.kind == "td-done" and done_at is None:
-                done_at = i
-            elif e.kind == "task-exec" and done_at is not None:
-                out.append(
-                    self._v(
-                        f"task uid {e.detail} dispatched on rank {e.rank} after "
-                        f"termination was declared (event {i} > done at {done_at})"
-                    )
-                )
-        if ctx.expect_complete and done_at is None and any(
-            e.kind == "task-exec" for e in events
-        ):
-            out.append(self._v("run ended without a termination declaration"))
-        return out
+    def __init__(self, ctx: CheckContext) -> None:
+        super().__init__(ctx)
+        self.done_at: int | None = None
+        self.executed = False
+
+    def on_event(self, i: int, rank: int, kind: str, detail: Any) -> None:
+        if kind == "td-done":
+            if self.done_at is None:
+                self.done_at = i
+            return
+        self.executed = True
+        if self.done_at is not None:
+            self._v(
+                f"task uid {detail} dispatched on rank {rank} after "
+                f"termination was declared (event {i} > done at {self.done_at})"
+            )
+
+    def check(self) -> list[Violation]:
+        if self.ctx.expect_complete and self.done_at is None and self.executed:
+            self._v("run ended without a termination declaration")
+        return self.violations
 
 
 class QueueConsistency(InvariantChecker):
@@ -157,81 +178,71 @@ class QueueConsistency(InvariantChecker):
     reserved, or a queue exceeding its capacity.  This is the list-storage
     analogue of the paper's head/split/tail index consistency — an index
     race shows up here as a descriptor that is lost (popped from nowhere)
-    or duplicated (alive in two places).
+    or duplicated (alive in two places).  Only live descriptors are kept.
     """
 
     name = "queue-consistency"
+    kinds = ("q-push", "q-add-remote", "q-pop", "q-steal", "q-absorb")
 
-    def check(self, events: list[TraceEvent], ctx: CheckContext) -> list[Violation]:
-        out: list[Violation] = []
-        loc: dict[int, tuple[str, int]] = {}  # uid -> ("queued"|"inflight", rank)
-        counts: dict[int, int] = {}  # rank -> descriptors currently queued
+    def __init__(self, ctx: CheckContext) -> None:
+        super().__init__(ctx)
+        self.loc: dict[int, tuple[str, int]] = {}  # uid -> ("queued"|"inflight", rank)
+        self.counts: dict[int, int] = {}  # rank -> descriptors currently queued
 
-        def enqueue(uid: int, rank: int, what: str) -> None:
-            if uid in loc:
-                state, r = loc[uid]
-                out.append(
-                    self._v(
-                        f"{what} of uid {uid} into rank {rank} queue while it is "
-                        f"already {state} at rank {r} (duplicated descriptor)"
-                    )
-                )
-                return
-            loc[uid] = ("queued", rank)
-            counts[rank] = counts.get(rank, 0) + 1
-            if ctx.capacity is not None and counts[rank] > ctx.capacity:
-                out.append(
-                    self._v(
-                        f"rank {rank} queue holds {counts[rank]} descriptors, "
-                        f"capacity {ctx.capacity}"
-                    )
-                )
+    def _enqueue(self, uid: int, rank: int, what: str) -> None:
+        loc, counts, capacity = self.loc, self.counts, self.ctx.capacity
+        if uid in loc:
+            state, r = loc[uid]
+            self._v(
+                f"{what} of uid {uid} into rank {rank} queue while it is "
+                f"already {state} at rank {r} (duplicated descriptor)"
+            )
+            return
+        loc[uid] = ("queued", rank)
+        counts[rank] = counts.get(rank, 0) + 1
+        if capacity is not None and counts[rank] > capacity:
+            self._v(f"rank {rank} queue holds {counts[rank]} descriptors, capacity {capacity}")
 
-        def dequeue(uid: int, rank: int, what: str) -> bool:
-            state = loc.get(uid)
-            if state != ("queued", rank):
-                out.append(
+    def _dequeue(self, uid: int, rank: int, what: str) -> bool:
+        state = self.loc.get(uid)
+        if state != ("queued", rank):
+            self._v(
+                f"{what} of uid {uid} from rank {rank} queue but it is "
+                f"{'absent' if state is None else f'{state[0]} at rank {state[1]}'}"
+                " (lost or duplicated descriptor)"
+            )
+            return False
+        del self.loc[uid]
+        self.counts[rank] -= 1
+        return True
+
+    def on_event(self, i: int, rank: int, kind: str, detail: Any) -> None:
+        if kind == "q-push":
+            owner, uid = detail
+            self._enqueue(uid, owner, "push")
+        elif kind == "q-add-remote":
+            owner, uid = detail
+            self._enqueue(uid, owner, "remote add")
+        elif kind == "q-pop":
+            owner, uid = detail
+            self._dequeue(uid, owner, "pop")
+        elif kind == "q-steal":
+            victim, uids = detail
+            for uid in uids:
+                if self._dequeue(uid, victim, "steal"):
+                    self.loc[uid] = ("inflight", rank)
+        else:  # q-absorb
+            thief, uids = detail
+            for uid in uids:
+                state = self.loc.get(uid)
+                if state != ("inflight", thief):
                     self._v(
-                        f"{what} of uid {uid} from rank {rank} queue but it is "
+                        f"absorb of uid {uid} at rank {thief} but it is "
                         f"{'absent' if state is None else f'{state[0]} at rank {state[1]}'}"
-                        " (lost or duplicated descriptor)"
                     )
-                )
-                return False
-            del loc[uid]
-            counts[rank] -= 1
-            return True
-
-        for e in events:
-            if e.kind == "q-push":
-                owner, uid = e.detail
-                enqueue(uid, owner, "push")
-            elif e.kind == "q-add-remote":
-                owner, uid = e.detail
-                enqueue(uid, owner, "remote add")
-            elif e.kind == "q-pop":
-                owner, uid = e.detail
-                dequeue(uid, owner, "pop")
-            elif e.kind == "q-steal":
-                victim, uids = e.detail
-                for uid in uids:
-                    if dequeue(uid, victim, "steal"):
-                        loc[uid] = ("inflight", e.rank)
-            elif e.kind == "q-absorb":
-                thief, uids = e.detail
-                for uid in uids:
-                    state = loc.get(uid)
-                    if state != ("inflight", thief):
-                        out.append(
-                            self._v(
-                                f"absorb of uid {uid} at rank {thief} but it is "
-                                f"{'absent' if state is None else f'{state[0]} at rank {state[1]}'}"
-                            )
-                        )
-                        continue
-                    del loc[uid]
-                    enqueue(uid, thief, "absorb")
-        return out
+                    continue
+                del self.loc[uid]
+                self._enqueue(uid, thief, "absorb")
 
 
 class MutexBalance(InvariantChecker):
@@ -239,32 +250,28 @@ class MutexBalance(InvariantChecker):
     the same rank, and every mutex ends the run free."""
 
     name = "mutex-balance"
+    kinds = ("mutex-acq", "mutex-rel")
 
-    def check(self, events: list[TraceEvent], ctx: CheckContext) -> list[Violation]:
-        out: list[Violation] = []
-        holder: dict[str, int] = {}  # mutex name -> rank holding it
-        for e in events:
-            if e.kind == "mutex-acq":
-                if e.detail in holder:
-                    out.append(
-                        self._v(
-                            f"mutex {e.detail!r} granted to rank {e.rank} while "
-                            f"held by rank {holder[e.detail]}"
-                        )
-                    )
-                holder[e.detail] = e.rank
-            elif e.kind == "mutex-rel":
-                if holder.get(e.detail) != e.rank:
-                    out.append(
-                        self._v(
-                            f"mutex {e.detail!r} released by rank {e.rank} which "
-                            "does not hold it"
-                        )
-                    )
-                holder.pop(e.detail, None)
-        for name, rank in sorted(holder.items()):
-            out.append(self._v(f"mutex {name!r} still held by rank {rank} at end"))
-        return out
+    def __init__(self, ctx: CheckContext) -> None:
+        super().__init__(ctx)
+        self.holder: dict[str, int] = {}  # mutex name -> rank holding it
+
+    def on_event(self, i: int, rank: int, kind: str, detail: Any) -> None:
+        holder = self.holder
+        if kind == "mutex-acq":
+            if detail in holder:
+                self._v(
+                    f"mutex {detail!r} granted to rank {rank} while "
+                    f"held by rank {holder[detail]}"
+                )
+            holder[detail] = rank
+        elif holder.pop(detail, None) != rank:
+            self._v(f"mutex {detail!r} released by rank {rank} which does not hold it")
+
+    def check(self) -> list[Violation]:
+        for name, rank in sorted(self.holder.items()):
+            self._v(f"mutex {name!r} still held by rank {rank} at end")
+        return self.violations
 
 
 class GraphDependencyOrder(InvariantChecker):
@@ -272,29 +279,27 @@ class GraphDependencyOrder(InvariantChecker):
     each declared node runs exactly once."""
 
     name = "graph-deps"
+    kinds = ("graph-node",)
 
-    def check(self, events: list[TraceEvent], ctx: CheckContext) -> list[Violation]:
-        if ctx.dag is None:
-            return []
-        out: list[Violation] = []
-        seen: dict[str, int] = {}
-        for i, e in enumerate(events):
-            if e.kind != "graph-node":
-                continue
-            name = e.detail
-            if name in seen:
-                out.append(self._v(f"graph node {name!r} dispatched twice"))
-            seen[name] = i
-            for dep in ctx.dag.get(name, ()):
-                if dep not in seen or seen[dep] >= i:
-                    out.append(
-                        self._v(
-                            f"graph node {name!r} dispatched before its "
-                            f"dependency {dep!r}"
-                        )
-                    )
-        if ctx.expect_complete:
-            missing = sorted(set(ctx.dag) - set(seen))
+    def __init__(self, ctx: CheckContext) -> None:
+        super().__init__(ctx)
+        self.seen: dict[str, int] = {}  # node -> index of its dispatch
+
+    def on_event(self, i: int, rank: int, kind: str, detail: Any) -> None:
+        dag, seen = self.ctx.dag, self.seen
+        if dag is None:
+            return
+        if detail in seen:
+            self._v(f"graph node {detail!r} dispatched twice")
+        seen[detail] = i
+        for dep in dag.get(detail, ()):
+            if dep not in seen or seen[dep] >= i:
+                self._v(f"graph node {detail!r} dispatched before its dependency {dep!r}")
+
+    def check(self) -> list[Violation]:
+        dag = self.ctx.dag
+        if dag is not None and self.ctx.expect_complete:
+            missing = sorted(set(dag) - set(self.seen))
             if missing:
-                out.append(self._v(f"graph nodes never executed: {missing}"))
-        return out
+                self._v(f"graph nodes never executed: {missing}")
+        return self.violations

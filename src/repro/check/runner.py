@@ -4,8 +4,8 @@
 indices into fleet jobs (run in-process at ``jobs=1``), and each job
 runs :func:`run_schedules`, the per-schedule loop: schedule
 ``i`` of a target runs under a fresh exploration strategy seeded
-``seed + i``, and the recorded event stream goes to the scenario's
-invariant checkers.  The shards are merged in (target, index) order and
+``seed + i``, and the scenario's invariant checkers read its events
+as they happen.  The shards are merged in (target, index) order and
 the lowest index of each (target, failure signature) is kept.  Every
 kept failure — an invariant violation, a deadlock, or any protocol
 exception — has its decision trace persisted, replayed to confirm
@@ -139,10 +139,11 @@ def run_once(
 ) -> RunOutcome:
     """Run one schedule of ``scenario`` under ``strategy`` and check it.
 
+    The checkers read each event as it happens; no event list is kept.
     ``engine_hook`` (when given) is called with the engine after
     creation and before the scenario builds — the attachment point for
-    extra observers (race detector, witness listeners)
-    without perturbing the run.
+    extra observers (race detector, witness listeners, the tracer's
+    event list) without perturbing the run.
     """
     out = RunOutcome()
     # fresh task uids per run so the uids in a persisted failure trace
@@ -150,10 +151,12 @@ def run_once(
     reset_uids()
     with apply_mutation(mutation):
         engine = scenario.make_engine(engine_seed, strategy)
-        tracer = Tracer.attach(engine)
         if engine_hook is not None:
             engine_hook(engine)
         ctx = scenario.build(engine)
+        checkers = [cls(ctx) for cls in scenario.checkers()]
+        for checker in checkers:
+            Tracer.subscribe(engine, checker.kinds, checker.on_event)
         try:
             engine.run()
         except SimDeadlockError as exc:
@@ -165,11 +168,10 @@ def run_once(
     if isinstance(strategy, (ExplorationStrategy, ReplayStrategy)):
         out.decisions = list(strategy.decisions)
     if out.error is None:
-        # checkers assume a complete run; a crashed/deadlocked one is
-        # already a reported failure and its stream is partial by design
-        events = tracer.events
-        for checker in scenario.checkers():
-            out.violations.extend(checker.check(events, ctx))
+        # end-of-run rules assume a complete run; a crashed/deadlocked
+        # one is already a reported failure and its stream is partial
+        for checker in checkers:
+            out.violations.extend(checker.check())
     return out
 
 

@@ -51,7 +51,8 @@ class Scenario:
 
     Subclasses set :attr:`name`, :attr:`nprocs`, :attr:`max_events`, and
     implement :meth:`build` (spawn mains on the engine, return the
-    :class:`CheckContext`) and :meth:`checkers`.
+    :class:`CheckContext`) and :meth:`checkers` (the invariant classes,
+    built per run with that context).
     """
 
     name: str = "scenario"
@@ -67,7 +68,7 @@ class Scenario:
     def build(self, engine: Engine) -> CheckContext:
         raise NotImplementedError
 
-    def checkers(self) -> list[InvariantChecker]:
+    def checkers(self) -> list[type[InvariantChecker]]:
         raise NotImplementedError
 
     def summarize(
@@ -132,8 +133,8 @@ class QueueScenario(Scenario):
         engine.spawn_all(main)
         return CheckContext(capacity=self.capacity, expect_complete=False)
 
-    def checkers(self) -> list[InvariantChecker]:
-        return [QueueConsistency(), MutexBalance()]
+    def checkers(self) -> list[type[InvariantChecker]]:
+        return [QueueConsistency, MutexBalance]
 
 
 class TerminationScenario(Scenario):
@@ -183,13 +184,8 @@ class TerminationScenario(Scenario):
         engine.spawn_all(main)
         return CheckContext(capacity=self.capacity, expect_complete=True)
 
-    def checkers(self) -> list[InvariantChecker]:
-        return [
-            ExactlyOnce(),
-            NoEarlyTermination(),
-            QueueConsistency(),
-            MutexBalance(),
-        ]
+    def checkers(self) -> list[type[InvariantChecker]]:
+        return [ExactlyOnce, NoEarlyTermination, QueueConsistency, MutexBalance]
 
 
 class StealTerminationScenario(TerminationScenario):
@@ -280,13 +276,8 @@ class GraphScenario(Scenario):
         engine.spawn_all(main)
         return CheckContext(capacity=64, expect_complete=True, dag=dict(dag))
 
-    def checkers(self) -> list[InvariantChecker]:
-        return [
-            GraphDependencyOrder(),
-            ExactlyOnce(),
-            NoEarlyTermination(),
-            MutexBalance(),
-        ]
+    def checkers(self) -> list[type[InvariantChecker]]:
+        return [GraphDependencyOrder, ExactlyOnce, NoEarlyTermination, MutexBalance]
 
 
 #: CLI names for the checkable targets.

@@ -8,7 +8,8 @@ fed back through :class:`ReplayStrategy` to re-execute the exact same
 interleaving, which is what makes failures found by exploration
 reproducible and minimizable (see :mod:`repro.check.traces`).
 
-Decision records are plain JSON-serializable dicts:
+Decision records are plain JSON-serializable dicts, read-only once
+recorded (a strategy shares one pick record per rank):
 
 ``{"k": "pick", "rank": r}``
     A resume decision: among the runnable candidates, the process with
@@ -65,16 +66,17 @@ class ExplorationStrategy(SchedulingStrategy):
         self.seed = seed
         self.rng = random.Random(seed)
         self.decisions: list[dict] = []
+        self._picks: dict[int, dict] = {}  # rank -> its one pick record
         self._delay_calls = 0
-
-    def begin(self, engine: Engine) -> None:
-        super().begin(engine)
 
     # ------------------------------------------------------------------ #
     # Recording helpers
     # ------------------------------------------------------------------ #
     def _record_pick(self, rank: int) -> None:
-        self.decisions.append({"k": "pick", "rank": rank})
+        pick = self._picks.get(rank)
+        if pick is None:
+            pick = self._picks[rank] = {"k": "pick", "rank": rank}
+        self.decisions.append(pick)
 
     def _record_delay(self, seconds: float, site: str) -> None:
         self.decisions.append(

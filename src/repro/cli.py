@@ -13,19 +13,32 @@ __all__ = [
     "positive_int",
     "positive_float",
     "non_negative_float",
+    "seed_int",
     "add_jobs_argument",
     "print_progress",
 ]
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts and sizes: an integer >= 1."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts and sizes: an integer >= 1."""
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
+def seed_int(text: str) -> int:
+    """argparse type for engine seeds: an integer >= 0 (numpy's domain)."""
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value}")
     return value
 
 

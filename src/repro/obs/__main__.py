@@ -69,7 +69,7 @@ import tempfile
 from pathlib import Path
 
 from repro.check.scenarios import SCENARIOS as CHECK_SCENARIOS
-from repro.cli import non_negative_float, positive_float, positive_int
+from repro.cli import non_negative_float, positive_float, positive_int, seed_int
 from repro.obs.analyze import (
     load_chrome_trace,
     load_metrics_json,
@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     target.add_argument("target", choices=sorted(TARGETS))
     target.add_argument("--nprocs", type=positive_int, default=4,
                         help="rank count for application presets")
-    target.add_argument("--seed", type=int, default=0)
+    target.add_argument("--seed", type=seed_int, default=0)
 
     p_run = sub.add_parser("run", parents=[target],
                            help="run a target with recording on")
@@ -474,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.add_argument("targets", nargs="*",
                        help="targets to verify (default: all check scenarios)")
     p_ver.add_argument("--nprocs", type=positive_int, default=4)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=seed_int, default=0)
     p_ver.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)

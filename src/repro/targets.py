@@ -40,8 +40,8 @@ class AppTarget(Scenario):
 
     max_events = None
 
-    def checkers(self) -> list[InvariantChecker]:
-        return [ExactlyOnce(), NoEarlyTermination(), QueueConsistency(), MutexBalance()]
+    def checkers(self) -> list[type[InvariantChecker]]:
+        return [ExactlyOnce, NoEarlyTermination, QueueConsistency, MutexBalance]
 
 
 class UTSTarget(AppTarget):
@@ -77,7 +77,7 @@ class SCFTarget(AppTarget):
     def checkers(self):
         # Each iteration is its own tc_process phase with its own td-done,
         # while NoEarlyTermination assumes one phase per run.
-        return [ExactlyOnce(), QueueConsistency(), MutexBalance()]
+        return [ExactlyOnce, QueueConsistency, MutexBalance]
 
     def summarize(self, engine, sim):
         r = scf_result(engine, sim)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 
@@ -10,9 +11,10 @@ import pytest
 from repro.check import runner
 from repro.check.invariants import CheckContext
 from repro.check.runner import explore, replay, run_once
-from repro.check.scenarios import SCENARIOS, Scenario, make_scenario
+from repro.check.scenarios import SCENARIOS, QueueScenario, Scenario, make_scenario
 from repro.check.strategies import RandomWalk, ReplayStrategy
 from repro.check.traces import DecisionTrace, minimize_decisions
+from repro.obs.tracing import Tracer, trace
 from repro.sim.resources import SimMutex
 
 
@@ -163,6 +165,54 @@ class TestDeadlockExploration:
         assert replayed.signature == ("deadlock", (0, 1))
 
 
+class TestOnlineChecking:
+    """The checkers read the tracer's events as they happen."""
+
+    @pytest.mark.parametrize("target", ["steals", "graph"])
+    def test_subscribers_get_the_kept_events_at_their_indices(self, target):
+        scenario = make_scenario(target)
+        engine = scenario.make_engine(0, RandomWalk(seed=3))
+        tracer = Tracer.attach(engine)
+        ctx = scenario.build(engine)
+        checkers, received = [], []
+        for cls in scenario.checkers():
+            checker, got = cls(ctx), []
+
+            def spy(*event, on_event=checker.on_event, got=got):
+                got.append(event)
+                on_event(*event)
+
+            Tracer.subscribe(engine, checker.kinds, spy)
+            checkers.append(checker)
+            received.append(got)
+        engine.run()
+        kept = list(enumerate(tracer.events))
+        assert tracer.count == len(kept)
+        for checker, got in zip(checkers, received):
+            want = [(i, e.rank, e.kind, e.detail) for i, e in kept if e.kind in checker.kinds]
+            assert want and got == want, checker.name
+            assert checker.check() == []
+
+    def test_run_once_keeps_no_event_list(self):
+        engines = []
+        out = run_once(make_scenario("termination"), RandomWalk(seed=1), engine_hook=engines.append)
+        assert not out.failed
+        tracer = Tracer.of(engines[0])
+        assert tracer.count > 0
+        with pytest.raises(RuntimeError, match="only after Tracer.attach"):
+            tracer.events
+
+    def test_event_before_the_checkers_subscribe_is_an_error(self):
+        class EarlyEvent(QueueScenario):
+            def build(self, engine):
+                ctx = super().build(engine)
+                trace(engine.procs[0], "q-push", (0, 999))
+                return ctx
+
+        with pytest.raises(RuntimeError, match="after 1 events were recorded"):
+            run_once(EarlyEvent(), None, engine_hook=Tracer.attach)
+
+
 class TestTraces:
     def test_roundtrip(self, tmp_path):
         trace = DecisionTrace(
@@ -301,6 +351,14 @@ class TestBadTraces:
         assert "Traceback" not in err
 
 
+#: sha256 of the Chrome trace ``--replay T --trace P`` writes for the
+#: first ``queue`` failure under ``unlocked_split`` (strategy seed 4).
+REPLAY_TRACE_GOLDEN = {
+    "trace": "a46b0cc142b22a402f915f5d1ea9cdde22666d7e5fa7952532529872110950bb",
+    "min": "b0a5b8269b902aa94191fb7143b82c0321f83049e75dacf34b60368fe2a4de15",
+}
+
+
 class TestCli:
     def test_clean_run_exits_zero(self, tmp_path):
         from repro.check.__main__ import main
@@ -350,6 +408,19 @@ class TestCli:
         assert "signature match:  yes" in capsys.readouterr().out
         spans, _ = load_chrome_trace(chrome)
         assert len(spans) > 0
+
+    def test_replay_trace_golden(self, tmp_path, capsys):
+        """``--replay T --trace P`` writes the same Chrome trace, tracer
+        marks included, for the full and the minimized trace."""
+        from repro.check.__main__ import main
+
+        argv = ["--target", "queue", "--schedules", "10", "--mutate", "unlocked_split"]
+        assert main(argv + ["--quiet", "--out", str(tmp_path)]) == 1
+        for kind, want in REPLAY_TRACE_GOLDEN.items():
+            (path,) = tmp_path.glob(f"queue-random-s4.{kind}.json")
+            chrome = tmp_path / f"{kind}-chrome.json"
+            assert main(["--replay", str(path), "--trace", str(chrome)]) == 0
+            assert hashlib.sha256(chrome.read_bytes()).hexdigest() == want, kind
 
     def test_trace_without_replay_is_a_usage_error(self, capsys):
         from repro.check.__main__ import main

@@ -78,6 +78,18 @@ def _obs_main(argv):
     return main(argv)
 
 
+def _analyze_main(argv):
+    from repro.analyze.__main__ import main
+
+    return main(argv)
+
+
+def _check_main(argv):
+    from repro.check.__main__ import main
+
+    return main(argv)
+
+
 #: (entry point, argv) -> the flag argparse must name; every value is
 #: out of range, and none of these may reach the code behind the flag.
 _OUT_OF_RANGE = [
@@ -116,6 +128,14 @@ _OUT_OF_RANGE = [
     (tce_main, ["--density", "1.5"], "--density"),
     (tce_main, ["--density", "0"], "--density"),
     (tce_main, ["--density", "nan"], "--density"),
+    # every flag that becomes Engine(seed=) takes an integer >= 0
+    (uts_main, ["--seed", "-1"], "--seed"),
+    (scf_main, ["--seed", "-1"], "--seed"),
+    (tce_main, ["--seed", "-1"], "--seed"),
+    (_obs_main, ["run", "uts-tiny", "--seed", "-1"], "--seed"),
+    (_obs_main, ["verify", "--seed", "-1"], "--seed"),
+    (_analyze_main, ["race", "--engine-seed", "-1"], "--engine-seed"),
+    (_check_main, ["--engine-seed", "-1"], "--engine-seed"),
 ]
 
 

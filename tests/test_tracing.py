@@ -75,6 +75,30 @@ def test_events_filter_by_kind_and_rank():
     assert len([e for e in tracer.events if e.rank == 1]) == 1
 
 
+def test_subscribers_get_their_kinds_with_global_indices():
+    eng = Engine(2)
+    got = []
+    tracer = Tracer.subscribe(eng, ["b"], lambda *event: got.append(event))
+    for rank, kind in [(0, "a"), (1, "b"), (0, "a"), (0, "b")]:
+        tracer.record(eng.procs[rank], kind, rank)
+    assert tracer.count == 4
+    assert got == [(1, 1, "b", 1), (3, 0, "b", 0)]
+
+
+def test_a_consumer_joining_after_an_event_is_refused():
+    eng = Engine(2)
+    tracer = Tracer.attach(eng)
+    assert Tracer.attach(eng) is tracer  # idempotent before and after events
+    tracer.record(eng.procs[0], "a")
+    assert Tracer.attach(eng) is tracer
+    with pytest.raises(RuntimeError, match="after 1 events were recorded"):
+        Tracer.subscribe(eng, ["a"], lambda *event: None)
+    late = Engine(2)
+    Tracer.subscribe(late, ["a"], lambda *event: None).record(late.procs[0], "a")
+    with pytest.raises(RuntimeError, match="after 1 events were recorded"):
+        Tracer.attach(late)
+
+
 def test_old_import_paths_are_gone():
     """The rename shims (``repro.sim.tracing``, ``repro.sim.trace``)
     lived for one release and have been removed; the old paths must now
