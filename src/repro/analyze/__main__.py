@@ -35,18 +35,16 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro import cli
 from repro.analyze.lint import RULES, lint_paths
 from repro.analyze.race import dedupe_races
 from repro.analyze.runner import run_race_detection
-from repro.check.mutations import MUTATIONS
-from repro.check.scenarios import SCENARIOS
-from repro.cli import add_jobs_argument, seed_int
 from repro.targets import TARGETS
 
 
 def _cmd_race(args: argparse.Namespace) -> int:
-    targets = sorted(SCENARIOS) if args.target == "all" else [args.target]
-    mutation = None if args.mutate == "none" else args.mutate
+    targets = cli.expand_targets([args.target])
+    mutation = cli.mutation(args.mutate)
     total = 0
     for target in targets:
         res = run_race_detection(
@@ -78,8 +76,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.fleet.jobs import Job
     from repro.fleet.scheduler import run_campaign
 
-    targets = sorted(SCENARIOS) if args.target == "all" else [args.target]
-    mutation = None if args.mutate == "none" else args.mutate
+    targets = cli.expand_targets([args.target])
+    mutation = cli.mutation(args.mutate)
     jobs = [
         Job(f"predict/{t}", predict, {
             "target": t, "mutation": mutation, "engine_seed": args.engine_seed,
@@ -115,60 +113,40 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro.analyze", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = argparse.ArgumentParser(add_help=False)
-    run.add_argument(
-        "--target",
-        choices=["all", *sorted(TARGETS)],
-        default="all",
-        help="target to run; all = every protocol scenario (default: all)",
-    )
-    run.add_argument(
-        "--mutate",
-        choices=sorted(MUTATIONS),
-        default="none",
-        help="apply an intentional protocol bug first",
-    )
-    run.add_argument("--engine-seed", type=seed_int, default=0)
+    run.add_argument("--target", choices=["all", *sorted(TARGETS)], default="all",
+                     help="target to run; all = every protocol scenario (default: all)")
+    cli.add_mutate(run, "apply an intentional protocol bug first")
+    cli.add_seed(run, "--engine-seed")
 
     p_race = sub.add_parser("race", parents=[run], help="vector-clock race detection")
-    p_race.add_argument(
-        "--all",
-        action="store_true",
-        help="list every race instance instead of deduplicated groups",
-    )
+    p_race.add_argument("--all", action="store_true",
+                        help="list every race instance instead of deduplicated groups")
     p_race.set_defaults(fn=_cmd_race)
 
     p_pred = sub.add_parser(
         "predict", parents=[run], help="predictive analysis with witness confirmation"
     )
-    p_pred.add_argument(
-        "--no-confirm",
-        action="store_true",
-        help="report predictions without witness-replay confirmation",
-    )
-    add_jobs_argument(p_pred)
-    p_pred.add_argument(
-        "--out",
-        default="scioto-check",
-        help="directory for confirmed witness traces (default: scioto-check)",
-    )
+    p_pred.add_argument("--no-confirm", action="store_true",
+                        help="report predictions without witness-replay confirmation")
+    cli.add_jobs(p_pred)
+    cli.add_out(p_pred, "directory for confirmed witness traces (default: scioto-check)")
     p_pred.set_defaults(fn=_cmd_predict)
 
     p_lint = sub.add_parser("lint", help="static RPR rule suite")
     p_lint.add_argument("paths", nargs="+", help="files or directories to lint")
-    p_lint.add_argument(
-        "--rule",
-        action="append",
-        choices=sorted(RULES),
-        help="run only this rule (repeatable)",
-    )
+    p_lint.add_argument("--rule", action="append", choices=sorted(RULES),
+                        help="run only this rule (repeatable)")
     p_lint.set_defaults(fn=_cmd_lint)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

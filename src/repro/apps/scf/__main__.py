@@ -13,25 +13,25 @@ import sys
 
 import numpy as np
 
+from repro import cli
 from repro.apps.scf import (
     SCFProblem,
     run_scf_original,
     run_scf_scioto,
     run_scf_sequential,
 )
-from repro.cli import positive_int, seed_int
 from repro.sim.machines import MACHINES
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="repro.apps.scf", description=__doc__)
-    p.add_argument("--nprocs", type=positive_int, default=8)
+    cli.add_nprocs(p, 8)
     p.add_argument("--scheduler", choices=["scioto", "original"], default="scioto")
-    p.add_argument("--machine", choices=sorted(MACHINES), default="het")
-    p.add_argument("--nblocks", type=positive_int, default=20)
-    p.add_argument("--blocksize", type=positive_int, default=5)
-    p.add_argument("--iters", type=positive_int, default=4)
-    p.add_argument("--seed", type=seed_int, default=0)
+    cli.add_machine(p)
+    p.add_argument("--nblocks", type=cli.positive_int, default=20)
+    p.add_argument("--blocksize", type=cli.positive_int, default=5)
+    p.add_argument("--iters", type=cli.positive_int, default=4)
+    cli.add_seed(p)
     p.add_argument("--verify", action="store_true",
                    help="check energies against the sequential reference")
     return p

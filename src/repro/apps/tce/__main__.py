@@ -14,26 +14,26 @@ import sys
 
 import numpy as np
 
+from repro import cli
 from repro.apps.tce import (
     TCEProblem,
     contract_sequential,
     run_tce_original,
     run_tce_scioto,
 )
-from repro.cli import positive_int, seed_int
 from repro.sim.machines import MACHINES
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="repro.apps.tce", description=__doc__)
-    p.add_argument("--nprocs", type=positive_int, default=8)
+    cli.add_nprocs(p, 8)
     p.add_argument("--scheduler", choices=["scioto", "original"], default="scioto")
     p.add_argument("--placement", choices=["owner", "roundrobin"], default="owner")
-    p.add_argument("--machine", choices=sorted(MACHINES), default="het")
-    p.add_argument("--nblocks", type=positive_int, default=10)
-    p.add_argument("--blocksize", type=positive_int, default=48)
+    cli.add_machine(p)
+    p.add_argument("--nblocks", type=cli.positive_int, default=10)
+    p.add_argument("--blocksize", type=cli.positive_int, default=48)
     p.add_argument("--density", type=float, default=0.4)
-    p.add_argument("--seed", type=seed_int, default=0)
+    cli.add_seed(p)
     p.add_argument("--verify", action="store_true",
                    help="check C against the dense reference")
     return p
@@ -42,11 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        problem = TCEProblem(nblocks=args.nblocks, blocksize=args.blocksize,
-                             density=args.density)
-    except ValueError as exc:
-        parser.error(f"argument --density: {exc}")
+    problem = cli.build(parser, TCEProblem, nblocks=args.nblocks,
+                        blocksize=args.blocksize, density=args.density)
     machine = MACHINES[args.machine](args.nprocs)
     if args.scheduler == "scioto":
         r = run_tce_scioto(args.nprocs, problem, machine=machine, seed=args.seed,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.scf.problem import stable_hash
+from repro.util.errors import check_domain
 
 __all__ = ["TCEProblem"]
 
@@ -43,8 +44,7 @@ class TCEProblem:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.density <= 1.0):
-            raise ValueError("density must be in (0, 1]")
+        check_domain(0.0 < self.density <= 1.0, "density", "in (0, 1]", self.density)
 
     @property
     def n(self) -> int:

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from hashlib import sha1
 
+from repro.util.errors import check_count, check_domain, check_positive
+
 __all__ = ["UTSParams", "UTSNode", "TreeStats", "root_node", "children_of", "count_tree", "num_children"]
 
 
@@ -50,29 +52,24 @@ class UTSParams:
     root_seed: int = 19
 
     def __post_init__(self) -> None:
-        """Check each field against its domain; a ``ValueError`` message
-        starts with the field's name and a colon.  Each test is written as
-        ``not <in domain>``, so that nan fails it too."""
-        if self.tree_type not in ("geometric", "binomial"):
-            raise ValueError(f"tree_type: unknown tree type {self.tree_type!r}")
-        if not (math.isfinite(self.b0) and self.b0 > 0):
-            raise ValueError(f"b0: must be a finite number > 0, got {self.b0}")
-        if not 0 <= self.root_seed < 2**64:  # the root digest hashes 8 bytes
-            raise ValueError(f"root_seed: must be in [0, 2**64), got {self.root_seed}")
-        if self.tree_type == "geometric" and not self.gen_mx >= 1:
-            raise ValueError(f"gen_mx: must be >= 1, got {self.gen_mx}")
+        """Check each field against its domain, whatever the tree type,
+        then the binomial tree's joint rules; a ``ValueError`` message
+        starts with the field's name.  Each test is written so that nan
+        fails it."""
+        trees = ("geometric", "binomial")
+        check_domain(self.tree_type in trees, "tree_type", f"one of {trees}", self.tree_type)
+        check_positive("b0", self.b0)
+        check_count("gen_mx", self.gen_mx)
+        check_domain(0 <= self.q <= 1, "q", "a probability in [0, 1]", self.q)
+        check_count("m", self.m)
+        # The root digest hashes 8 bytes of the seed.
+        check_domain(0 <= self.root_seed < 2**64, "root_seed", "in [0, 2**64)", self.root_seed)
         if self.tree_type == "binomial":
-            if not self.b0 >= 1:
-                raise ValueError(f"b0: a binomial root needs >= 1 child, got {self.b0}")
-            if not self.m >= 1:
-                raise ValueError(f"m: must be >= 1, got {self.m}")
-            if not self.q >= 0:
-                raise ValueError(f"q: must be >= 0, got {self.q}")
-            if not self.q * self.m < 1.0:
-                raise ValueError(
-                    f"q: binomial tree needs q*m < 1, got {self.q * self.m:.3f} "
-                    "(>= 1 is supercritical: infinite with positive probability)"
-                )
+            check_domain(self.b0 >= 1, "b0", ">= 1 for a binomial root", self.b0)
+            check_domain(
+                self.q * self.m < 1.0, "q", "< 1/m for a binomial tree (q*m >= 1 is "
+                "supercritical: infinite with positive probability)", self.q,
+            )
         # Geometric trees: log(1 - p(d)) per depth, the denominator of the
         # inverse-CDF sample in num_children (0.0 where 1 - p(d) rounds to
         # 0: b(d) too small for any children).  A plain attribute, not a

@@ -37,7 +37,7 @@ from repro.bench.harness import scale as resolve_scale
 from repro.bench.harness import write_bench_json
 from repro.bench.report import render
 from repro.bench.table1 import run_table1
-from repro.cli import add_jobs_argument
+from repro.cli import add_jobs
 from repro.fleet.jobs import Job
 from repro.fleet.scheduler import run_campaign
 
@@ -56,17 +56,21 @@ EXPERIMENTS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=["quick", "full"], default=None)
     parser.add_argument("--only", nargs="*", choices=sorted(EXPERIMENTS),
                         help="run only these experiments")
-    add_jobs_argument(parser)
+    add_jobs(parser)
     parser.add_argument("--json", default="BENCH_sim.json", metavar="PATH",
                         help="machine-readable record path (default: %(default)s)")
     parser.add_argument("--no-json", action="store_true",
                         help="skip writing the JSON record")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     s = resolve_scale(args.scale)
     chosen = list(dict.fromkeys(args.only or EXPERIMENTS))
     jobs = [

@@ -22,12 +22,10 @@ import argparse
 import sys
 import time
 
-from repro.check.mutations import MUTATIONS
+from repro import cli
 from repro.check.runner import ExploreResult, explore, replay
-from repro.check.scenarios import SCENARIOS
 from repro.check.strategies import STRATEGIES
 from repro.check.traces import DecisionTrace
-from repro.cli import add_jobs_argument, positive_int, print_progress, seed_int
 from repro.obs.export import write_chrome_trace
 from repro.obs.record import Recorder
 from repro.obs.tracing import Tracer
@@ -35,61 +33,32 @@ from repro.targets import TARGETS
 from repro.util.io import RecordError
 
 
-def _parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.check",
         description="Explore adversarial schedules of the Scioto protocols "
         "and check safety invariants on every run.",
     )
-    p.add_argument(
-        "--target",
-        nargs="+",
-        default=["queue"],
-        choices=sorted(TARGETS) + ["all"],
-        help="target(s) to check; all = every protocol scenario (default: queue)",
-    )
-    p.add_argument(
-        "--schedules",
-        type=positive_int,
-        default=500,
-        help="number of interleavings to explore per target (default: 500)",
-    )
-    p.add_argument(
-        "--strategy",
-        default="random",
-        choices=sorted(STRATEGIES),
-        help="exploration strategy (default: random)",
-    )
+    p.add_argument("--target", nargs="+", default=["queue"],
+                   choices=sorted(TARGETS) + ["all"],
+                   help="target(s) to check; all = every protocol scenario "
+                   "(default: queue)")
+    p.add_argument("--schedules", type=cli.positive_int, default=500,
+                   help="number of interleavings to explore per target "
+                   "(default: 500)")
+    p.add_argument("--strategy", default="random", choices=sorted(STRATEGIES),
+                   help="exploration strategy (default: random)")
     p.add_argument("--seed", type=int, default=0, help="base strategy seed")
-    p.add_argument(
-        "--engine-seed", type=seed_int, default=0, help="workload (engine) seed"
-    )
-    p.add_argument(
-        "--mutate",
-        default="none",
-        choices=sorted(MUTATIONS),
-        help="apply an intentional protocol bug (checker self-test)",
-    )
-    add_jobs_argument(p)
-    p.add_argument(
-        "--out",
-        default="scioto-check",
-        help="directory for failure traces (default: scioto-check/)",
-    )
-    p.add_argument(
-        "--quiet", action="store_true", help="suppress live progress lines"
-    )
-    p.add_argument(
-        "--replay",
-        metavar="TRACE",
-        help="replay a persisted trace file instead of exploring",
-    )
-    p.add_argument(
-        "--trace",
-        metavar="OUT",
-        help="with --replay: record the replayed run and write its Chrome "
-        "trace JSON here",
-    )
+    cli.add_seed(p, "--engine-seed", help="workload (engine) seed")
+    cli.add_mutate(p, "apply an intentional protocol bug (checker self-test)")
+    cli.add_jobs(p)
+    cli.add_out(p, "directory for failure traces (default: scioto-check/)")
+    p.add_argument("--quiet", action="store_true", help="suppress live progress lines")
+    p.add_argument("--replay", metavar="TRACE",
+                   help="replay a persisted trace file instead of exploring")
+    p.add_argument("--trace", metavar="OUT",
+                   help="with --replay: record the replayed run and write its "
+                   "Chrome trace JSON here")
     return p
 
 
@@ -118,7 +87,7 @@ def _print_result(res: ExploreResult, elapsed: float) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.trace and not args.replay:
         parser.error("argument --trace: only valid with --replay")
@@ -150,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  trace:            {path} ({rec.span_count} spans)")
         return 0 if same else 1
 
-    targets = sorted(SCENARIOS) if "all" in args.target else args.target
+    targets = cli.expand_targets(args.target)
     t0 = time.perf_counter()  # host-side timing # repro: lint-disable=RPR002
     try:
         res = explore(
@@ -159,10 +128,10 @@ def main(argv: list[str] | None = None) -> int:
             strategy_name=args.strategy,
             seed=args.seed,
             engine_seed=args.engine_seed,
-            mutation=None if args.mutate == "none" else args.mutate,
+            mutation=cli.mutation(args.mutate),
             out_dir=args.out,
             jobs=args.jobs,
-            progress=None if args.quiet else print_progress,
+            progress=None if args.quiet else cli.print_progress,
         )
     except RuntimeError as exc:  # a shard raised or its worker died twice
         print(f"error: {exc}", file=sys.stderr)

@@ -268,8 +268,6 @@ def explore(
         RuntimeError: When a shard raised or its worker died twice.
     """
     targets = list(dict.fromkeys([targets] if isinstance(targets, str) else targets))
-    if schedules < 1:
-        raise ValueError(f"schedules must be >= 1, got {schedules}")
     for target in targets:
         target_table.make_target(target)  # an unknown target raises here
     # The fleet builds on repro.check; importing it here keeps the

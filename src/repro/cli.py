@@ -1,74 +1,98 @@
-"""Argument types and shared flags of the ``python -m repro.*`` command lines.
+"""The one option vocabulary of the ``python -m repro.*`` command lines.
 
-A value out of range exits 2 (argparse's usage error) with the flag
-named on stderr, never a traceback from deeper down.
+Every flag that more than one tool takes is declared here once.  A
+value's domain is checked by the code that consumes it (the ``check_*``
+functions of :mod:`repro.util.errors`, ``UTSParams``, ``TelemetryBus``,
+...), which raises ``ValueError("<field> must be ...")``; this module
+turns that error into argparse's usage error, so an out-of-range value
+exits 2 with the flag named on stderr before anything runs.  The runtime
+never imports this module.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+from typing import Any, Callable
 
-__all__ = [
-    "positive_int",
-    "positive_float",
-    "non_negative_float",
-    "seed_int",
-    "add_jobs_argument",
-    "print_progress",
-]
+from repro.util.errors import check_count, check_non_negative, check_positive, check_seed
 
 
-def _int(text: str) -> int:
+def domain(convert: Callable[[str], Any], check: Callable[[str, Any], Any]):
+    """argparse type: ``convert`` the text, then ``check`` its domain."""
+
+    def parse(text: str) -> Any:
+        value = convert(text)  # a ValueError: argparse's "invalid int value"
+        try:
+            return check("value", value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc).partition(" ")[2]) from None
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+positive_int = domain(int, check_count)
+seed_int = domain(int, check_seed)
+positive_float = domain(float, check_positive)
+non_negative_float = domain(float, check_non_negative)
+
+
+def build(parser: argparse.ArgumentParser, make: Callable[..., Any], **fields: Any) -> Any:
+    """Return ``make(**fields)``.  A domain error from it exits 2 naming
+    the flag whose ``dest`` is the field."""
     try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        return make(**fields)
+    except ValueError as exc:
+        field, _, why = str(exc).partition(" ")
+        flags = {a.dest: a.option_strings[0] for a in parser._actions if a.option_strings}
+        if field not in flags:
+            raise
+        parser.error(f"argument {flags[field]}: {why}")
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts and sizes: an integer >= 1."""
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
-    return value
+def add_seed(p, flag: str = "--seed", default: int = 0, help: str | None = None) -> None:
+    """The engine seed (``Engine(seed=)``), spelt ``--seed`` or ``--engine-seed``."""
+    p.add_argument(flag, type=seed_int, default=default, help=help)
 
 
-def seed_int(text: str) -> int:
-    """argparse type for engine seeds: an integer >= 0 (numpy's domain)."""
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value}")
-    return value
+def add_nprocs(p, default: int, help: str | None = None) -> None:
+    p.add_argument("--nprocs", type=positive_int, default=default, help=help)
 
 
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+def add_machine(p) -> None:
+    from repro.sim.machines import MACHINES
+
+    p.add_argument("--machine", choices=sorted(MACHINES), default="het")
 
 
-def positive_float(text: str) -> float:
-    """argparse type for intervals: a finite number > 0."""
-    value = _float(text)
-    if not 0.0 < value < math.inf:  # also refuses nan
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
+def add_mutate(p, help: str) -> None:
+    from repro.check.mutations import MUTATIONS
+
+    p.add_argument("--mutate", default="none", choices=sorted(MUTATIONS), help=help)
 
 
-def non_negative_float(text: str) -> float:
-    """argparse type for thresholds: a number >= 0."""
-    value = _float(text)
-    if not value >= 0.0:  # also refuses nan
-        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text}")
-    return value
+def mutation(name: str) -> str | None:
+    """``--mutate``'s value as the runtime takes it: ``none`` is None."""
+    return None if name == "none" else name
 
 
-def add_jobs_argument(p: argparse.ArgumentParser) -> None:
+def expand_targets(names: list[str]) -> list[str]:
+    """``--target`` values; ``all`` means the six check scenarios."""
+    if "all" in names:
+        from repro.check.scenarios import SCENARIOS
+
+        return sorted(SCENARIOS)
+    return names
+
+
+def add_out(p, help: str) -> None:
+    p.add_argument("--out", default="scioto-check", help=help)
+
+
+def add_jobs(p, default: int = 1, help: str | None = None, metavar: str | None = "N") -> None:
     p.add_argument(
-        "--jobs", type=positive_int, default=1, metavar="N",
-        help="fleet worker processes (default: 1, in this process); "
+        "--jobs", type=positive_int, default=default, metavar=metavar,
+        help=help or "fleet worker processes (default: 1, in this process); "
         "the answer is the same for any N",
     )
 

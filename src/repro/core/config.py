@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util.errors import check_count
+
 __all__ = ["SciotoConfig"]
 
 
@@ -40,5 +42,4 @@ class SciotoConfig:
     termination_opt: bool = True
 
     def __post_init__(self) -> None:
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+        check_count("chunk_size", self.chunk_size)

@@ -35,7 +35,7 @@ from repro.obs.record import Recorder, edge_here, edge_mark, observe, span
 from repro.obs.tracing import Tracer, trace
 from repro.sim.engine import Engine, Proc
 from repro.sim.counters import Counters
-from repro.util.errors import TaskCollectionError
+from repro.util.errors import TaskCollectionError, check_count
 
 __all__ = ["SplitQueue", "QUEUE_META_BYTES", "RELEASE_FRACTION", "REACQUIRE_FRACTION"]
 
@@ -62,8 +62,7 @@ class SplitQueue:
         counters: Counters,
         name: str = "tq",
     ) -> None:
-        if capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
+        check_count("capacity", capacity)
         self.engine = engine
         self.armci = Armci.attach(engine)
         self.owner = owner

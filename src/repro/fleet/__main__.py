@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli import positive_int
+from repro.cli import add_jobs, positive_int
 from repro.fleet.jobs import Job, probe
 from repro.fleet.scheduler import FleetReport, FleetScheduler
 
@@ -63,7 +63,7 @@ def probe_main(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.fleet",
         description="Multi-core meta-scheduler for the repro toolchain "
@@ -72,7 +72,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pr = sub.add_parser("probe", help="fleet self-test (incl. crash handling)")
-    pr.add_argument("--jobs", type=positive_int, default=2, help="worker count")
+    add_jobs(pr, default=2, help="worker count", metavar=None)
     pr.add_argument("--count", type=positive_int, default=8, help="probe jobs to run")
     pr.add_argument("--crash", action="store_true",
                     help="include a probe that SIGKILLs its worker")
@@ -80,7 +80,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     return probe_main(args)
 
 

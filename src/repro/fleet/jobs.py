@@ -30,6 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.util.errors import check_count
+
 __all__ = ["Job", "JobResult", "execute_job", "explore_jobs", "probe"]
 
 
@@ -121,12 +123,10 @@ def explore_jobs(
     # pulling the whole runtime.
     from repro.check.runner import run_schedules
 
-    if schedules < 0:
-        raise ValueError("schedules must be >= 0")
+    check_count("schedules", schedules)
     if batch is None:
         batch = max(1, schedules // max(1, nworkers * 4))
-    elif batch < 1:
-        raise ValueError("batch must be >= 1")
+    check_count("batch", batch)
     jobs = []
     for target in targets:
         for lo in range(0, schedules, batch):

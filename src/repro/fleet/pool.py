@@ -63,9 +63,6 @@ class ProcessPool:
     """``nworkers`` seats, each backed by a child process and a pipe."""
 
     def __init__(self, nworkers: int) -> None:
-        if nworkers < 1:
-            raise ValueError("nworkers must be >= 1")
-        self.nworkers = nworkers
         self._ctx = multiprocessing.get_context(default_start_method())
         if self._ctx.get_start_method() == "forkserver":
             try:
@@ -178,9 +175,6 @@ class InlinePool:
     """
 
     def __init__(self, nworkers: int) -> None:
-        if nworkers < 1:
-            raise ValueError("nworkers must be >= 1")
-        self.nworkers = nworkers
         self._pending: list[WorkerEvent] = []
 
     def send(self, worker: int, job: Job) -> None:

@@ -30,6 +30,7 @@ from typing import Any, Callable
 
 from repro.fleet.jobs import Job, JobResult
 from repro.fleet.pool import InlinePool, ProcessPool
+from repro.util.errors import check_count
 
 __all__ = ["FleetScheduler", "FleetReport", "run_campaign"]
 
@@ -44,6 +45,7 @@ _PROGRESS_INTERVAL = 0.5
 class FleetReport:
     """Everything one :meth:`FleetScheduler.run` campaign produced."""
 
+    #: Workers started: the requested count, but never more than jobs.
     nworkers: int
     jobs_total: int
     completed: list[JobResult] = field(default_factory=list)
@@ -109,9 +111,7 @@ class FleetScheduler:
         inline: bool = False,
         progress: Callable[[dict[str, Any]], None] | None = None,
     ) -> None:
-        if nworkers < 1:
-            raise ValueError("nworkers must be >= 1")
-        self.nworkers = nworkers
+        self.nworkers = check_count("nworkers", nworkers)
         self.inline = inline
         self.progress = progress
 
@@ -123,11 +123,13 @@ class FleetScheduler:
         keys = [j.key for j in jobs]
         if len(set(keys)) != len(keys):
             raise ValueError("job keys must be unique within a campaign")
-        report = FleetReport(nworkers=self.nworkers, jobs_total=len(jobs))
+        # A worker without a job would only be forked and closed again.
+        nworkers = min(self.nworkers, len(jobs))
+        report = FleetReport(nworkers=nworkers, jobs_total=len(jobs))
         # All wall-clock below is sanctioned host-side scheduling time.
         t0 = time.perf_counter()  # repro: lint-disable=RPR002
         if jobs:  # an empty campaign spawns no workers
-            pool = (InlinePool if self.inline else ProcessPool)(self.nworkers)
+            pool = (InlinePool if self.inline else ProcessPool)(nworkers)
             try:
                 self._run_loop(jobs, pool, report)
             finally:
@@ -145,7 +147,7 @@ class FleetScheduler:
     # ------------------------------------------------------------------ #
     def _run_loop(self, jobs: list[Job], pool, report: FleetReport) -> None:
         pending = deque(jobs)
-        idle: set[int] = set(range(self.nworkers))
+        idle: set[int] = set(range(report.nworkers))
         in_flight: dict[int, Job] = {}
         last_progress = t_start = time.perf_counter()  # repro: lint-disable=RPR002
 
@@ -215,7 +217,7 @@ class FleetScheduler:
             "done": done,
             "total": report.jobs_total,
             "in_flight": len(in_flight),
-            "occupancy": len(in_flight) / self.nworkers,
+            "occupancy": len(in_flight) / report.nworkers,
             "jobs_per_sec": done / elapsed if elapsed > 0 else 0.0,
             "requeues": len(report.requeued_keys),
             "wall_s": elapsed,

@@ -68,8 +68,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.check.scenarios import SCENARIOS as CHECK_SCENARIOS
-from repro.cli import non_negative_float, positive_float, positive_int, seed_int
+from repro import cli
 from repro.obs.analyze import (
     load_chrome_trace,
     load_metrics_json,
@@ -84,6 +83,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_metrics_json,
 )
+from repro.obs.live import check_interval
 from repro.obs.scenarios import fingerprint, run_target
 from repro.obs.whatif import parse_scales, project, render_projection
 from repro.targets import TARGETS
@@ -204,11 +204,15 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_critpath(args: argparse.Namespace) -> int:
+def _recorded_graph(args: argparse.Namespace):
+    """Run ``--target`` recorded; return the run and its happens-before DAG."""
     run = run_target(args.target, nprocs=args.nprocs, seed=args.seed)
+    return run, CausalGraph.from_recorder(run.recorder)
+
+
+def _cmd_critpath(args: argparse.Namespace) -> int:
+    run, graph = _recorded_graph(args)
     rec = run.recorder
-    assert rec is not None
-    graph = CausalGraph.from_recorder(rec)
     path = critical_path(graph)
     print(
         f"{run.target}: {run.elapsed * 1e3:.3f} ms virtual, "
@@ -243,12 +247,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run = run_target(args.target, nprocs=args.nprocs, seed=args.seed)
-    rec = run.recorder
-    assert rec is not None
-    graph = CausalGraph.from_recorder(rec)
-    proj = project(graph, scales)
-    print(render_projection(proj))
+    print(render_projection(project(_recorded_graph(args)[1], scales)))
     return 0
 
 
@@ -292,92 +291,69 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
+def _diverged(name: str, args: argparse.Namespace) -> list[str]:
+    """What changes in ``name``'s run when recording, streaming or live
+    telemetry is on (the first finding and its detail lines); [] if nothing."""
+
+    def run(**kw):
+        return run_target(name, nprocs=args.nprocs, seed=args.seed, **kw)
+
+    base = fingerprint(run(record=False))
+    on = run(record=True)
+    rec = fingerprint(on)
+    if base != rec:
+        return ["DIVERGED with recording on"] + [
+            line
+            for key in sorted(set(base) | set(rec)) if base.get(key) != rec.get(key)
+            for line in (f"  {key}: off={base.get(key)!r}", f"  {key}:  on={rec.get(key)!r}")
+        ]
+    # The streaming spill sink must be an exact stand-in for the
+    # in-memory recorder: same run fingerprint, same span/instant
+    # stream bit-for-bit.
+    with tempfile.TemporaryDirectory() as td:
+        streamed = run(record=True, events=False, stream_dir=Path(td) / "spill")
+        if fingerprint(streamed) != base:
+            return ["DIVERGED with streaming recording on"]
+        if streamed.recorder.stream_fingerprint() != on.recorder.stream_fingerprint():
+            return ["streamed span stream DIVERGED from in-memory recorder"]
+        # The live telemetry bus is an observer too: its engine tick
+        # must leave the fingerprint unchanged, and the feed it emits
+        # must be byte-identical run to run (frames derive from
+        # virtual time).
+        feeds = [Path(td) / f"live{i}.jsonl" for i in range(2)]
+        lived = [run(record=True, live_path=feed) for feed in feeds][-1]
+        if fingerprint(lived) != base:
+            return ["DIVERGED with live telemetry on"]
+        if feeds[0].read_bytes() != feeds[1].read_bytes():
+            return ["live feed DIVERGED between two identical runs (not bit-deterministic)"]
+    drops = on.recorder.dropped + streamed.recorder.dropped + lived.recorder.dropped
+    if drops:
+        return [f"{drops} records DROPPED at capacity — recording is incomplete"]
+    return []
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    targets = args.targets or sorted(CHECK_SCENARIOS)
+    targets = cli.expand_targets(args.targets or ["all"])
     bad = 0
     for name in targets:
-        base = fingerprint(
-            run_target(name, nprocs=args.nprocs, seed=args.seed, record=False)
-        )
-        on = run_target(name, nprocs=args.nprocs, seed=args.seed, record=True)
-        rec = fingerprint(on)
-        if base != rec:
-            bad += 1
-            print(f"{name}: DIVERGED with recording on")
-            for key in sorted(set(base) | set(rec)):
-                if base.get(key) != rec.get(key):
-                    print(f"  {key}: off={base.get(key)!r}")
-                    print(f"  {key}:  on={rec.get(key)!r}")
-            continue
-        assert on.recorder is not None
-        # The streaming spill sink must be an exact stand-in for the
-        # in-memory recorder: same run fingerprint, same span/instant
-        # stream bit-for-bit.
-        with tempfile.TemporaryDirectory() as td:
-            streamed = run_target(
-                name, nprocs=args.nprocs, seed=args.seed,
-                record=True, events=False, stream_dir=Path(td) / "spill",
-            )
-            assert streamed.recorder is not None
-            if fingerprint(streamed) != base:
-                bad += 1
-                print(f"{name}: DIVERGED with streaming recording on")
-                continue
-            if (
-                streamed.recorder.stream_fingerprint()
-                != on.recorder.stream_fingerprint()
-            ):
-                bad += 1
-                print(f"{name}: streamed span stream DIVERGED from "
-                      f"in-memory recorder")
-                continue
-            # The live telemetry bus is an observer too: its engine tick
-            # must leave the fingerprint unchanged, and the feed it emits
-            # must be byte-identical run to run (frames derive from
-            # virtual time).
-            feeds = []
-            for i in range(2):
-                feed_path = Path(td) / f"live{i}.jsonl"
-                lived = run_target(
-                    name, nprocs=args.nprocs, seed=args.seed,
-                    record=True, live_path=feed_path,
-                )
-                assert lived.recorder is not None
-                feeds.append(feed_path.read_bytes())
-            if fingerprint(lived) != base:
-                bad += 1
-                print(f"{name}: DIVERGED with live telemetry on")
-                continue
-            if feeds[0] != feeds[1]:
-                bad += 1
-                print(f"{name}: live feed DIVERGED between two identical "
-                      f"runs (not bit-deterministic)")
-                continue
-            drops = (
-                on.recorder.dropped + streamed.recorder.dropped
-                + lived.recorder.dropped
-            )
-        if drops:
-            bad += 1
-            print(f"{name}: {drops} records DROPPED at capacity — "
-                  f"recording is incomplete")
-            continue
-        print(f"{name}: ok (fingerprint and span stream unchanged by "
-              f"recording, causal edges, streaming, and live telemetry; "
-              f"feed bit-deterministic; 0 dropped)")
+        lines = _diverged(name, args)
+        bad += bool(lines)
+        print(f"{name}: " + "\n".join(lines or [
+            "ok (fingerprint and span stream unchanged by recording, causal "
+            "edges, streaming, and live telemetry; feed bit-deterministic; 0 dropped)"
+        ]))
     print(f"\n{len(targets) - bad}/{len(targets)} targets deterministic under recording")
     return 1 if bad else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro.obs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     target = argparse.ArgumentParser(add_help=False)
     target.add_argument("target", choices=sorted(TARGETS))
-    target.add_argument("--nprocs", type=positive_int, default=4,
-                        help="rank count for application presets")
-    target.add_argument("--seed", type=seed_int, default=0)
+    cli.add_nprocs(target, 4, help="rank count for application presets")
+    cli.add_seed(target)
 
     p_run = sub.add_parser("run", parents=[target],
                            help="run a target with recording on")
@@ -387,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="write flat metrics JSON here")
     p_run.add_argument("--timeline", action="store_true",
                        help="print the ASCII per-rank timeline + summary")
-    p_run.add_argument("--width", type=positive_int, default=80)
+    p_run.add_argument("--width", type=cli.positive_int, default=80)
     p_run.add_argument("--stream", metavar="DIR",
                        help="record through the constant-memory spill sink "
                        "into this directory (binary shards, "
@@ -396,9 +372,9 @@ def main(argv: list[str] | None = None) -> int:
                        help="publish live telemetry frames to this append-"
                        "only JSONL feed (repro-obs-live/1); tail it with "
                        "'repro.obs top PATH --follow'")
-    p_run.add_argument("--live-interval", type=positive_float, metavar="SEC",
-                       help="virtual-time interval between telemetry frames "
-                       "(default 100us)")
+    p_run.add_argument("--live-interval", type=cli.domain(float, check_interval),
+                       metavar="SEC", help="virtual-time interval between "
+                       "telemetry frames (default 100us)")
     p_run.set_defaults(fn=_cmd_run)
 
     p_pack = sub.add_parser(
@@ -411,8 +387,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_sum = sub.add_parser("summarize", help="report over an exported trace")
     p_sum.add_argument("trace", help="Chrome trace JSON written by 'run'")
-    p_sum.add_argument("--top", type=positive_int, default=5)
-    p_sum.add_argument("--width", type=positive_int, default=80)
+    p_sum.add_argument("--top", type=cli.positive_int, default=5)
+    p_sum.add_argument("--width", type=cli.positive_int, default=80)
     p_sum.add_argument("--metrics", metavar="PATH",
                        help="also print histogram percentiles from this "
                        "metrics JSON (repro-obs-metrics/3)")
@@ -422,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         "critpath", parents=[target],
         help="critical path + blame decomposition of a run",
     )
-    p_crit.add_argument("--top", type=positive_int, default=12,
+    p_crit.add_argument("--top", type=cli.positive_int, default=12,
                         help="longest path steps to print")
     p_crit.add_argument("--trace", metavar="PATH",
                         help="write a Chrome trace with the path highlighted")
@@ -448,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     p_top.add_argument("--follow", action="store_true",
                        help="keep tailing the feed, re-rendering as frames "
                        "arrive (ctrl-C to stop)")
-    p_top.add_argument("--poll", type=positive_float, default=0.5, metavar="SEC",
+    p_top.add_argument("--poll", type=cli.positive_float, default=0.5, metavar="SEC",
                        help="host-time poll interval with --follow "
                        "(default 0.5)")
     p_top.set_defaults(fn=_cmd_top)
@@ -458,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_diff.add_argument("old", help="baseline JSON document")
     p_diff.add_argument("new", help="candidate JSON document")
-    p_diff.add_argument("--threshold", type=non_negative_float, default=0.10,
+    p_diff.add_argument("--threshold", type=cli.non_negative_float, default=0.10,
                         help="relative change below this is noise "
                         "(default 0.10)")
     p_diff.add_argument("--fail-on-regress", action="store_true",
@@ -473,11 +449,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_ver.add_argument("targets", nargs="*",
                        help="targets to verify (default: all check scenarios)")
-    p_ver.add_argument("--nprocs", type=positive_int, default=4)
-    p_ver.add_argument("--seed", type=seed_int, default=0)
+    cli.add_nprocs(p_ver, 4)
+    cli.add_seed(p_ver)
     p_ver.set_defaults(fn=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except RecordError as exc:

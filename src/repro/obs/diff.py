@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.bench.harness import BENCH_SCHEMA
 from repro.obs.export import METRICS_SCHEMA
+from repro.util.errors import check_non_negative
 from repro.util.io import read_record, require
 
 __all__ = ["DiffEntry", "DiffReport", "diff_documents", "diff_files", "render_diff"]
@@ -211,7 +212,9 @@ def diff_documents(
         )
     if _WALKERS.get(oschema or "") is not walker:
         raise ValueError(f"schema mismatch: old={oschema!r} new={nschema!r}")
-    report = DiffReport(schema=nschema, threshold=threshold)
+    report = DiffReport(
+        schema=nschema, threshold=check_non_negative("threshold", threshold)
+    )
     walker(report, old, new)
     return report
 

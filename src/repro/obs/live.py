@@ -26,15 +26,19 @@ Frame boundaries are sampled at event granularity: the frame for window
 ``[t0, t1)`` is emitted when the first event at or after ``t1`` is
 picked, and covers every event ticked — and every metric observation
 recorded — before that moment.  Intervals in which no event fired emit
-no frame (the feed is bounded by activity, not by elapsed virtual time).
+no frame (the feed is bounded by activity, not by elapsed virtual time),
+and the bus skips them without visiting each one, so an interval far
+below the gap between events costs no more than the frames it writes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.util.errors import check_domain, check_positive
 from repro.util.io import RecordError, append_text_line, read_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -43,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "LIVE_SCHEMA",
     "DEFAULT_INTERVAL",
+    "check_interval",
     "TelemetryBus",
     "read_feed",
     "validate_feed",
@@ -56,6 +61,37 @@ LIVE_SCHEMA = "repro-obs-live/1"
 #: Default snapshot interval (virtual seconds) when none is given —
 #: 100 µs of simulated time, a few hundred events on the app presets.
 DEFAULT_INTERVAL = 100e-6
+
+#: Every accepted interval advances a window until this virtual time (s).
+HORIZON = 3600.0
+
+
+def check_interval(field: str, value: float) -> float:
+    """A window length: finite, > 0, and not lost to rounding when added
+    to a virtual time below :data:`HORIZON` (1e-12 is accepted, 1e-20 not)."""
+    return check_domain(
+        HORIZON + check_positive(field, value) > HORIZON, field,
+        f"> {math.ulp(HORIZON) / 2:.3g} to advance a window at t = {HORIZON:g} s", value,
+    )
+
+
+def _window_start(t: float, d: float, now: float) -> float:
+    """Start of the window holding ``now`` on the float sums ``t, t + d,
+    (t + d) + d, ...``.  Once a step has landed in the binade it started
+    in, every further step there rounds by the same amount (a tie went to
+    the even multiple of the ulp), so runs of steps are one exact product."""
+    while True:
+        nxt = t + d
+        if nxt > now:
+            return t
+        if nxt == t:
+            raise RuntimeError(f"live interval {d} s cannot advance a window at t = {t} s")
+        inside = t > 0 and math.frexp(t)[1] == math.frexp(nxt)[1]
+        t = nxt
+        step = (t + d) - t
+        if inside and step > 0:  # whole steps, two short of now and of the binade's top
+            room = min(now, math.ldexp(1.0, math.frexp(t)[1])) - t
+            t += max(0, int(room / step) - 2) * step
 
 
 class TelemetryBus:
@@ -75,10 +111,8 @@ class TelemetryBus:
         interval: float = DEFAULT_INTERVAL,
         label: str = "run",
     ) -> None:
-        if interval <= 0:
-            raise ValueError("telemetry interval must be > 0")
         self.path = Path(path)
-        self.interval = float(interval)
+        self.interval = float(check_interval("interval", interval))
         self.label = label
         self.frames_emitted = 0
         self.recorder: "Recorder | None" = None
@@ -116,11 +150,15 @@ class TelemetryBus:
         )
 
     def tick(self, now: float) -> None:
-        """Engine hook: called once per scheduling event with its time."""
+        """Engine hook: called once per scheduling event with its time.
+
+        Of the windows that end at or before ``now`` only the first can
+        hold anything: the rest saw no event and write nothing."""
         if now > self._last:
             self._last = now
-        while now >= self._t0 + self.interval:
+        if now >= self._t0 + self.interval:
             self._close(self._t0 + self.interval)
+            self._t0 = _window_start(self._t0, self.interval, now)
 
     def finish(self, t_end: float | None = None) -> None:
         """Emit the trailing (possibly partial) frame (idempotent)."""
@@ -128,8 +166,7 @@ class TelemetryBus:
             return
         self._finished = True
         end = self._last if t_end is None else max(t_end, self._last)
-        while end >= self._t0 + self.interval:
-            self._close(self._t0 + self.interval)
+        self.tick(end)
         if self._engine is not None and self._engine.events > self._events_prev:
             self._close(max(end, self._t0))
 
@@ -254,7 +291,9 @@ def validate_feed(doc: dict) -> list[str]:
     meta = doc.get("meta") or {}
     if meta.get("schema") != LIVE_SCHEMA:
         problems.append(f"meta schema is {meta.get('schema')!r}")
-    if not isinstance(meta.get("interval"), (int, float)) or meta.get("interval", 0) <= 0:
+    try:
+        check_interval("interval", meta.get("interval"))
+    except (TypeError, ValueError):
         problems.append(f"meta interval is {meta.get('interval')!r}")
     prev_t1: dict[str, float] = {}
     prev_seq: dict[str, int] = {}

@@ -33,7 +33,6 @@ which is the sanity property ``repro.obs whatif`` is tested against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -44,6 +43,7 @@ from repro.obs.critpath import (
     CausalGraph,
     edge_blame,
 )
+from repro.util.errors import check_non_negative
 
 __all__ = ["Projection", "project", "parse_scales", "render_projection"]
 
@@ -85,9 +85,7 @@ def parse_scales(specs: list[str]) -> dict[str, float]:
             factor = float(raw)
         except ValueError:
             raise ValueError(f"bad --scale {spec!r}: factor is not a number") from None
-        if not 0.0 <= factor < math.inf:  # also refuses nan
-            raise ValueError(f"--scale factor must be a finite number >= 0, got {raw}")
-        scales[cat] = factor
+        scales[cat] = check_non_negative("--scale factor", factor)
     return scales
 
 

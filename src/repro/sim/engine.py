@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.sim.machines import MachineSpec, uniform_cluster
 from repro.util.errors import SimDeadlockError, SimError, SimLimitError, SimShutdown
+from repro.util.errors import check_count, check_seed
 
 __all__ = [
     "Engine",
@@ -357,13 +358,11 @@ class Engine:
             strategy: Scheduling strategy consulted at the decision
                 points; None keeps the deterministic ``(time, seq)`` order.
         """
-        if nprocs < 1:
-            raise ValueError("nprocs must be >= 1")
-        self.nprocs = nprocs
+        self.nprocs = check_count("nprocs", nprocs)
         self.strategy = strategy
         self.machine = machine if machine is not None else uniform_cluster(nprocs)
         self.machine.validate(nprocs)
-        self.seed = seed
+        self.seed = check_seed("seed", seed)
         self.max_events = max_events
         self.max_time = max_time
         self.events = 0

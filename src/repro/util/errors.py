@@ -5,6 +5,11 @@ can catch everything from this library with one handler.  Simulator control
 flow uses :class:`SimShutdown`, which derives from ``BaseException`` on
 purpose: it must not be swallowed by application-level ``except Exception``
 blocks inside simulated processes.
+
+The ``check_*`` functions are the value domains that the runtime and the
+``python -m repro.*`` command lines share: each returns its value or
+raises ``ValueError("<field> must be <domain>, got <value>")``, and nan
+fails every one of them.
 """
 
 from __future__ import annotations
@@ -61,3 +66,26 @@ class CommError(ReproError):
 
 class TaskCollectionError(ReproError):
     """Misuse of the Scioto task-collection API."""
+
+
+def check_domain(ok: bool, field: str, domain: str, value):
+    """Return ``value`` if ``ok``, else raise ``"<field> must be <domain>"``."""
+    if not ok:
+        raise ValueError(f"{field} must be {domain}, got {value}")
+    return value
+
+
+def check_count(field: str, value: int) -> int:
+    return check_domain(value >= 1, field, ">= 1", value)
+
+
+def check_seed(field: str, value: int) -> int:
+    return check_domain(value >= 0, field, ">= 0", value)  # numpy's SeedSequence domain
+
+
+def check_positive(field: str, value: float) -> float:
+    return check_domain(0.0 < value < float("inf"), field, "a finite number > 0", value)
+
+
+def check_non_negative(field: str, value: float) -> float:
+    return check_domain(0.0 <= value < float("inf"), field, "a finite number >= 0", value)

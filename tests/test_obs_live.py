@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from repro.obs.live import (
     LIVE_SCHEMA,
     TelemetryBus,
+    _window_start,
     latest_frames,
     read_feed,
     render_top,
@@ -150,6 +152,15 @@ class TestWindowEdges:
         assert [f["histograms"]["lock_wait"]["count"] for f in frames] == [1, 1]
         assert [f["t0"] for f in frames] == [0.0, 1.0]
 
+    def test_interval_far_below_event_gaps_costs_only_its_frames(self, tmp_path):
+        # 1e-12 s windows: ~2.6e8 of them in this run, all but a few
+        # hundred empty.  The bus skips the empty ones.
+        path = tmp_path / "f.jsonl"
+        run = run_target("queue", record=True, live_path=path, live_interval=1e-12)
+        frames = read_feed(path)["frames"]
+        assert 0 < len(frames) <= run.events
+        assert sum(f["d_events"] for f in frames) == run.events
+
     def test_zero_duration_run_with_observations(self, tmp_path):
         bus, reg, event = bare_bus(tmp_path)
         event(0.0)
@@ -276,3 +287,21 @@ class TestCli:
         p.write_text(json.dumps({"schema": "nope"}) + "\n")
         assert main(["top", str(p)]) == 2
         assert str(p) in capsys.readouterr().err
+
+
+def _walk(t: float, d: float, now: float) -> float:
+    """The one-window-at-a-time walk that ``_window_start`` stands for."""
+    while now >= t + d:
+        t = t + d
+    return t
+
+
+@pytest.mark.parametrize("start", [0.0, 1.0, 1.0 + 2**-52, 0.75, 3e-4])
+@pytest.mark.parametrize("ulps", [1.0, 1.5, 2.5, 3.0, 1023.5])
+def test_window_start_matches_the_walk(start, ulps):
+    # Half-ulp multiples round on ties; 1023.5 ulps crosses binades.
+    d = ulps * math.ulp(start or 1.0)
+    for steps in (0, 1, 2, 3, 10, 2000):
+        for frac in (0.0, 0.3, 0.99):
+            now = start + steps * d + frac * d
+            assert _window_start(start, d, now) == _walk(start, d, now)
