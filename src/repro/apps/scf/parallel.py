@@ -122,6 +122,11 @@ def _scf_main(proc, problem: SCFProblem, iterations: int, mode: str,
             yield from _co_execute_pair(tc_.proc, problem, d_ga, f_ga, i, j)
 
         h = tc.register(fock_task)
+        # The pairs this rank seeds are the same every iteration.
+        mine = [
+            pair for pair in problem.significant_pairs()
+            if f_ga.locate(_block_box(problem, *pair)[0]) == proc.rank
+        ]
     else:
         sched = yield from GlobalCounterScheduler.co_create(
             proc, lambda p, pair: _co_execute_pair(p, problem, d_ga, f_ga, *pair)
@@ -146,15 +151,8 @@ def _scf_main(proc, problem: SCFProblem, iterations: int, mode: str,
         t0 = proc.now
         if mode == "scioto":
             proc.advance(_PAIR_SCAN_COST * problem.nblocks * problem.nblocks)
-            for i in range(problem.nblocks):
-                for j in range(problem.nblocks):
-                    if not problem.significant(i, j):
-                        continue
-                    lo, _ = _block_box(problem, i, j)
-                    if f_ga.locate(lo) == proc.rank:
-                        yield from tc.co_add(
-                            Task(callback=h, body=(i, j)), affinity=AFFINITY_HIGH
-                        )
+            for pair in mine:
+                yield from tc.co_add(Task(callback=h, body=pair), affinity=AFFINITY_HIGH)
             yield from tc.co_process()
         else:
             proc.advance(_PAIR_SCAN_COST * len(task_list))

@@ -19,7 +19,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.analyze.race import RaceDetector
-from repro.obs.record import edge_recv, edge_send, span
+from repro.obs.record import _NULL_SPAN, edge_recv, edge_send, span
 from repro.sim.engine import Engine, Proc
 from repro.sim.resources import SimBarrier, SimMutex
 from repro.sim.counters import Counters
@@ -76,7 +76,15 @@ class Armci:
 
     def _race(self) -> RaceDetector | None:
         """The engine's race detector, if one is attached."""
-        return self.engine.state.get(RaceDetector._KEY)
+        engine = self.engine
+        return engine.state.get(RaceDetector._KEY) if engine.observed else None
+
+    def _span(self, proc: Proc, name: str, arrow: str, target: int, nbytes: int | None):
+        """A ``comm`` span of a remote op; unobserved, no detail is built."""
+        if not self.engine.observed:
+            return _NULL_SPAN
+        detail = f"{arrow}{target}" if nbytes is None else f"{arrow}{target} {nbytes}B"
+        return span(proc, name, "comm", detail=detail)
 
     @classmethod
     def attach(cls, engine: Engine) -> "Armci":
@@ -106,7 +114,7 @@ class Armci:
             if apply_fn is not None:
                 apply_fn()
         else:
-            with span(proc, "put", "comm", detail=f"->{target} {nbytes}B"):
+            with self._span(proc, "put", "->", target, nbytes):
                 proc.advance(m.put_time(nbytes))
                 self.counters.add(proc.rank, "put_remote")
                 self.counters.add(proc.rank, "bytes_put", nbytes)
@@ -132,7 +140,7 @@ class Armci:
             proc.advance(m.local_copy_time(nbytes))
             yield from proc.co_sync()
             return read_fn() if read_fn is not None else None
-        with span(proc, "get", "comm", detail=f"<-{target} {nbytes}B"):
+        with self._span(proc, "get", "<-", target, nbytes):
             proc.advance(m.latency)  # request travels to the target
             yield from proc.co_sync()
             value = read_fn() if read_fn is not None else None
@@ -160,7 +168,7 @@ class Armci:
             yield from proc.co_sync()
             apply_fn()
             return
-        with span(proc, "acc", "comm", detail=f"->{target} {nbytes}B"):
+        with self._span(proc, "acc", "->", target, nbytes):
             proc.advance(m.put_time(nbytes))
             yield from proc.co_sync()
             service = max(proc.now, self._rmw_free_at[target])
@@ -280,7 +288,7 @@ class Armci:
                 det.on_rmw_done(proc, target)
             proc.advance(end - proc.now)
             return value
-        with span(proc, "rmw", "comm", detail=f"@{target}"):
+        with self._span(proc, "rmw", "@", target, None):
             proc.advance(m.latency)  # request travels
             yield from proc.co_sync()
             service_start = max(proc.now, self._rmw_free_at[target])

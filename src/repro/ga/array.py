@@ -10,15 +10,15 @@ accumulation.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
+from functools import partial
 from typing import Any
 
 import numpy as np
 
 from repro.analyze import hooks
 from repro.armci.runtime import Armci
-from repro.ga.distribution import BlockDistribution
+from repro.ga.distribution import BlockDistribution, Piece, Plan
 from repro.sim.engine import Engine, Proc
 from repro.util.errors import CommError
 
@@ -126,18 +126,19 @@ class GlobalArray:
     # ------------------------------------------------------------------ #
     # One-sided patch operations
     # ------------------------------------------------------------------ #
-    def _check_box(self, lo: Sequence[int], hi: Sequence[int]) -> tuple[tuple, tuple]:
-        lo = tuple(int(x) for x in lo)
-        hi = tuple(int(x) for x in hi)
+    def _plan(self, lo: Sequence[int], hi: Sequence[int]) -> Plan:
+        lo, hi = tuple(lo), tuple(hi)
         if len(lo) != len(self.shape) or len(hi) != len(self.shape):
             raise IndexError(f"box rank mismatch for array of shape {self.shape}")
-        return lo, hi
+        return self.dist.plan(lo, hi)
 
-    @staticmethod
-    def _box_chunks(plo: tuple, phi: tuple) -> tuple[int, int]:
-        """(elements, contiguous chunks) of a sub-box: rows are strided."""
-        dims = [h - l for l, h in zip(plo, phi)]
-        return math.prod(dims), max(1, math.prod(dims[:-1]))
+    def _box_data(self, plan: Plan, data: Any) -> np.ndarray:
+        data = np.asarray(data, dtype=self.dtype)
+        if data.shape != plan.shape:
+            raise ValueError(
+                f"data of shape {data.shape} does not match box of shape {plan.shape}"
+            )
+        return data
 
     def co_get(self, proc: Proc, lo: Sequence[int], hi: Sequence[int]):
         """Fetch the patch ``[lo, hi)`` into a private buffer (NGA_Get).
@@ -145,42 +146,42 @@ class GlobalArray:
         Transfers from distinct owners are issued as non-blocking strided
         gets and overlapped, as the real GA/ARMCI implementation does.
         """
-        lo, hi = self._check_box(lo, hi)
-        out = np.empty([h - l for l, h in zip(lo, hi)], dtype=self.dtype)
+        plan = self._plan(lo, hi)
         armci = self._runtime.armci
+        itemsize = self.dtype.itemsize
         pending = []
-        for rank, (plo, phi) in self.dist.patches_intersecting(lo, hi):
-            elements, nchunks = self._box_chunks(plo, phi)
+        for piece in plan.pieces:
             handle = yield from armci.co_nbget(
                 proc,
-                rank,
-                elements * self.dtype.itemsize,
-                lambda r=rank, a=plo, b=phi: self._read(r, a, b),
-                nchunks=nchunks,
+                piece.rank,
+                piece.elements * itemsize,
+                partial(self._read, piece),
+                nchunks=piece.nchunks,
             )
-            pending.append((handle, plo, phi))
-        for handle, plo, phi in pending:
-            out[self._rel(lo, plo, phi)] = armci.wait(proc, handle)
+            pending.append(handle)
+        if len(pending) == 1:
+            # One owner: its copy of the block is the caller's buffer.
+            return armci.wait(proc, pending[0])
+        out = np.empty(plan.shape, dtype=self.dtype)
+        for piece, handle in zip(plan.pieces, pending):
+            out[piece.rel] = armci.wait(proc, handle)
         return out
 
     def co_put(self, proc: Proc, lo: Sequence[int], hi: Sequence[int], data: np.ndarray):
         """Store ``data`` into the patch ``[lo, hi)`` (NGA_Put); multi-owner
         transfers overlap like :meth:`get`."""
-        lo, hi = self._check_box(lo, hi)
-        data = np.ascontiguousarray(data, dtype=self.dtype).reshape(
-            [h - l for l, h in zip(lo, hi)]
-        )
+        plan = self._plan(lo, hi)
+        data = self._box_data(plan, data)
         armci = self._runtime.armci
+        itemsize = self.dtype.itemsize
         pending = []
-        for rank, (plo, phi) in self.dist.patches_intersecting(lo, hi):
-            elements, nchunks = self._box_chunks(plo, phi)
-            chunk = data[self._rel(lo, plo, phi)].copy()
+        for piece in plan.pieces:
             handle = yield from armci.co_nbput(
                 proc,
-                rank,
-                elements * self.dtype.itemsize,
-                lambda r=rank, a=plo, b=phi, c=chunk: self._write(r, a, b, c),
-                nchunks=nchunks,
+                piece.rank,
+                piece.elements * itemsize,
+                partial(self._write, piece, data[piece.rel].copy()),
+                nchunks=piece.nchunks,
             )
             pending.append(handle)
         armci.wait_all(proc, pending)
@@ -194,23 +195,20 @@ class GlobalArray:
         alpha: float = 1.0,
     ):
         """Atomically add ``alpha * data`` into the patch ``[lo, hi)`` (NGA_Acc)."""
-        lo, hi = self._check_box(lo, hi)
-        data = np.ascontiguousarray(data, dtype=self.dtype).reshape(
-            [h - l for l, h in zip(lo, hi)]
-        )
-        for rank, (plo, phi) in self.dist.patches_intersecting(lo, hi):
-            nbytes = math.prod(h - l for l, h in zip(plo, phi)) * self.dtype.itemsize
-            chunk = data[self._rel(lo, plo, phi)].copy()
+        plan = self._plan(lo, hi)
+        data = self._box_data(plan, data)
+        itemsize = self.dtype.itemsize
+        for piece in plan.pieces:
             yield from self._runtime.armci.co_acc(
                 proc,
-                rank,
-                nbytes,
-                lambda r=rank, a=plo, b=phi, c=chunk: self._accumulate(r, a, b, c, alpha),
+                piece.rank,
+                piece.elements * itemsize,
+                partial(self._accumulate, piece, alpha * data[piece.rel]),
             )
 
     def co_read_full(self, proc: Proc):
         """Fetch the whole array into a private buffer (charged get)."""
-        return (yield from self.co_get(proc, [0] * len(self.shape), list(self.shape)))
+        return (yield from self.co_get(proc, (0,) * len(self.shape), self.shape))
 
     def co_sync(self, proc: Proc):
         """GA_Sync: fence + barrier."""
@@ -229,32 +227,27 @@ class GlobalArray:
         return out
 
     # ------------------------------------------------------------------ #
-    # Patch index helpers
+    # Owner-side effects (run by ARMCI when a transfer takes effect)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _rel(base: tuple, plo: tuple, phi: tuple) -> tuple[slice, ...]:
-        """Slices of the user buffer corresponding to global box [plo, phi)."""
-        return tuple(slice(l - b, h - b) for b, l, h in zip(base, plo, phi))
-
-    def _local_slices(self, rank: int, plo: tuple, phi: tuple) -> tuple[slice, ...]:
-        lo, _ = self.dist.patch(rank)
-        return tuple(slice(l - o, h - o) for o, l, h in zip(lo, plo, phi))
-
     # Race-detector granularity: block ops are keyed by the target
     # patch's box origin, so independent blocks landing on one owner's
     # patch do not alias.  Whole-patch ops (access/fill) keep the
     # coarser (gid, rank) region; they are barrier-bracketed by API
     # contract, so block-vs-patch overlap needs no conflict edge.
-    def _read(self, rank: int, plo: tuple, phi: tuple) -> np.ndarray:
-        hooks.shared_read(self._runtime.engine.current, ("ga", self.gid, rank, plo))
-        return self._patches[rank][self._local_slices(rank, plo, phi)].copy()
+    def _read(self, piece: Piece) -> np.ndarray:
+        engine = self._runtime.engine
+        if engine.observed:
+            hooks.shared_read(engine.current, ("ga", self.gid, piece.rank, piece.lo))
+        return self._patches[piece.rank][piece.local].copy()
 
-    def _write(self, rank: int, plo: tuple, phi: tuple, chunk: np.ndarray) -> None:
-        hooks.shared_write(self._runtime.engine.current, ("ga", self.gid, rank, plo))
-        self._patches[rank][self._local_slices(rank, plo, phi)] = chunk
+    def _write(self, piece: Piece, chunk: np.ndarray) -> None:
+        engine = self._runtime.engine
+        if engine.observed:
+            hooks.shared_write(engine.current, ("ga", self.gid, piece.rank, piece.lo))
+        self._patches[piece.rank][piece.local] = chunk
 
-    def _accumulate(
-        self, rank: int, plo: tuple, phi: tuple, chunk: np.ndarray, alpha: float
-    ) -> None:
-        hooks.shared_atomic(self._runtime.engine.current, ("ga", self.gid, rank, plo))
-        self._patches[rank][self._local_slices(rank, plo, phi)] += alpha * chunk
+    def _accumulate(self, piece: Piece, scaled: np.ndarray) -> None:
+        engine = self._runtime.engine
+        if engine.observed:
+            hooks.shared_atomic(engine.current, ("ga", self.gid, piece.rank, piece.lo))
+        self._patches[piece.rank][piece.local] += scaled

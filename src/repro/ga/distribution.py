@@ -8,23 +8,50 @@ Ownership lookups are plain-int arithmetic: each dimension keeps its
 chunk bounds as an int tuple, an index's grid coordinate is a
 ``bisect`` into them, and the owning rank is the row-major stride sum
 of the coordinates.  Patches are a per-rank table built once, and the
-owner pieces of a box are memoized per distinct ``(lo, hi)``.
+transfer :class:`Plan` of a box is memoized per distinct ``(lo, hi)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
+from typing import NamedTuple
 
-__all__ = ["BlockDistribution", "factor_grid"]
+__all__ = ["BlockDistribution", "Piece", "Plan", "factor_grid"]
 
-#: Distinct boxes whose owner pieces one distribution remembers; the
-#: memo is emptied when it reaches this size, so programs that touch
-#: many different boxes stay bounded in memory.
+#: Distinct boxes whose plans one distribution remembers; the memo is
+#: emptied when it reaches this size, so programs that touch many
+#: different boxes stay bounded in memory.
 BOX_MEMO_CAP = 4096
 
 Box = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class Piece(NamedTuple):
+    """One owner's share ``[lo, hi)`` of a box, in global coordinates."""
+
+    rank: int
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    #: Element count; the bytes moved are this times the item size.
+    elements: int
+    #: Contiguous chunks of the strided transfer (one per row).
+    nchunks: int
+    #: Slices of the owner's patch holding the piece.
+    local: tuple[slice, ...]
+    #: Slices of the caller's box-shaped buffer holding the piece.
+    rel: tuple[slice, ...]
+
+
+class Plan(NamedTuple):
+    """A validated box and its owner pieces in row-major rank order."""
+
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    shape: tuple[int, ...]
+    pieces: tuple[Piece, ...]
 
 
 def factor_grid(nprocs: int, ndims: int) -> tuple[int, ...]:
@@ -91,7 +118,7 @@ class BlockDistribution:
             )
             for coords in itertools.product(*(range(g) for g in self.grid))
         )
-        self._boxes: dict[Box, tuple[tuple[int, Box], ...]] = {}
+        self._boxes: dict[Box, Plan] = {}
 
     # ------------------------------------------------------------------ #
     def _check_ndim(self, what: str, index: Sequence[int]) -> None:
@@ -121,6 +148,17 @@ class BlockDistribution:
             rank += (bisect_right(bounds, i) - 1) * stride
         return rank
 
+    def plan(self, lo: Sequence[int], hi: Sequence[int]) -> Plan:
+        """The transfer plan of the box [lo, hi), built once per box."""
+        key = (tuple(lo), tuple(hi))
+        plan = self._boxes.get(key)
+        if plan is None:
+            plan = self._plan(*key)
+            if len(self._boxes) >= BOX_MEMO_CAP:
+                self._boxes.clear()
+            self._boxes[plan.lo, plan.hi] = plan
+        return plan
+
     def patches_intersecting(
         self, lo: Sequence[int], hi: Sequence[int]
     ) -> tuple[tuple[int, Box], ...]:
@@ -129,16 +167,9 @@ class BlockDistribution:
         ``(plo, phi)`` is the overlapping sub-box in global coordinates;
         pieces come in row-major rank order.
         """
-        key = (tuple(lo), tuple(hi))
-        pieces = self._boxes.get(key)
-        if pieces is None:
-            pieces = self._pieces(*key)
-            if len(self._boxes) >= BOX_MEMO_CAP:
-                self._boxes.clear()
-            self._boxes[key] = pieces
-        return pieces
+        return tuple((p.rank, (p.lo, p.hi)) for p in self.plan(lo, hi).pieces)
 
-    def _pieces(self, lo: tuple, hi: tuple) -> tuple[tuple[int, Box], ...]:
+    def _plan(self, lo: tuple, hi: tuple) -> Plan:
         self._check_ndim("box lo", lo)
         self._check_ndim("box hi", hi)
         lo = tuple(int(x) for x in lo)
@@ -154,5 +185,11 @@ class BlockDistribution:
             rank = sum(c * s for c, s in zip(coords, self._strides))
             plo = tuple(max(l, b[c]) for l, b, c in zip(lo, self._bounds, coords))
             phi = tuple(min(h, b[c + 1]) for h, b, c in zip(hi, self._bounds, coords))
-            pieces.append((rank, (plo, phi)))
-        return tuple(pieces)
+            dims = [h - l for l, h in zip(plo, phi)]
+            origin = self._patches[rank][0]
+            pieces.append(Piece(
+                rank, plo, phi, math.prod(dims), max(1, math.prod(dims[:-1])),
+                tuple(slice(l - o, h - o) for o, l, h in zip(origin, plo, phi)),
+                tuple(slice(l - b, h - b) for b, l, h in zip(lo, plo, phi)),
+            ))
+        return Plan(lo, hi, tuple(h - l for l, h in zip(lo, hi)), tuple(pieces))
