@@ -22,9 +22,8 @@ Run them from the command line::
     python -m repro.analyze race --target all
     python -m repro.analyze predict
     python -m repro.analyze lint src/repro
+
+The runtime layers import only :mod:`repro.analyze.hooks`, which reads
+``engine.detector`` and imports no analysis; this package imports
+nothing.
 """
-
-from repro.analyze.race import Access, Race, RaceDetector
-from repro.analyze.vectorclock import VectorClock
-
-__all__ = ["Access", "Race", "RaceDetector", "VectorClock"]

@@ -278,15 +278,13 @@ def race_pass(events: list[TraceEvent], nprocs: int) -> list[Race]:
 class RaceDetector:
     """Engine-wide event capture; races are a pass over what it captured.
 
-    Attach before :meth:`Engine.run`; read :attr:`races` (or
-    :meth:`report`) after the run.  Costs nothing when not attached —
-    every hook site is a single dict probe, the same pattern as the
-    tracer.  Capture is strictly observational: it performs no
-    ``sync``/``advance`` and draws no randomness, so an observed run is
-    bit-for-bit the run it observes.
+    Attach before :meth:`Engine.run` (it sets ``engine.detector``); read
+    :attr:`races` (or :meth:`report`) after the run.  Costs nothing when
+    not attached — every hook site reads ``engine.detector``, the same
+    pattern as the tracer.  Capture is strictly observational: it
+    performs no ``sync``/``advance`` and draws no randomness, so an
+    observed run is bit-for-bit the run it observes.
     """
-
-    _KEY = "race-detector"
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
@@ -306,17 +304,16 @@ class RaceDetector:
     @classmethod
     def attach(cls, engine: "Engine") -> "RaceDetector":
         """Enable race detection on ``engine`` (idempotent)."""
-        inst = engine.state.get(cls._KEY)
+        inst = engine.detector
         if inst is None:
-            inst = cls(engine)
-            engine.state[cls._KEY] = inst
+            inst = engine.detector = cls(engine)
             engine.note_observer()
         return inst
 
     @classmethod
     def of(cls, engine: "Engine") -> "RaceDetector | None":
         """The engine's detector, or None if detection is off."""
-        return engine.state.get(cls._KEY)
+        return engine.detector
 
     def _emit(self, proc: "Proc", kind: str, data: dict[str, Any]) -> None:
         """Append one event (and notify live listeners)."""

@@ -44,7 +44,7 @@ class UTSRunResult:
         return sum(s.steals_successful for s in self.per_rank)
 
 
-def _uts_main(proc, params: UTSParams, config: SciotoConfig):
+def _uts_main(proc, params: UTSParams, config: SciotoConfig, frontier: bool):
     tc = yield from TaskCollection.co_create(
         proc, task_size=UTS_BODY_BYTES, max_tasks=1 << 20, config=config
     )
@@ -71,9 +71,24 @@ def _uts_main(proc, params: UTSParams, config: SciotoConfig):
     h = tc.register(node_task)
     stats_h = tc.register_clo(TreeStats())
     if proc.rank == 0:
-        yield from tc.co_add(
-            Task(callback=h, body=root_node(params), body_size=UTS_BODY_BYTES)
-        )
+        seeds = [root_node(params)]
+        if frontier:
+            # Expand a breadth-first frontier of at least 4 nodes per
+            # rank here, counted in this rank's CLO, then deal it out
+            # round-robin so every rank starts with work.
+            local = tc.clo(stats_h)
+            while 0 < len(seeds) < 4 * proc.nprocs:
+                node = seeds.pop(0)
+                proc.compute(node_cost)
+                local.nodes += 1
+                if node.depth > local.max_depth:
+                    local.max_depth = node.depth
+                kids = children_of(params, node)
+                if not kids:
+                    local.leaves += 1
+                seeds.extend(kids)
+        for i, node in enumerate(seeds):
+            yield from tc.co_add(Task(h, node, 0, UTS_BODY_BYTES), rank=i % proc.nprocs)
 
     armci = Armci.attach(proc.engine)
     yield from armci.co_barrier(proc)
@@ -85,9 +100,20 @@ def _uts_main(proc, params: UTSParams, config: SciotoConfig):
     return (total, elapsed, pstats)
 
 
-def spawn_uts(engine: Engine, params: UTSParams, config: SciotoConfig | None = None) -> None:
-    """Spawn the UTS traversal of ``params`` on every rank of ``engine``."""
-    engine.spawn_all(_uts_main, params, config if config is not None else SciotoConfig())
+def spawn_uts(
+    engine: Engine,
+    params: UTSParams,
+    config: SciotoConfig | None = None,
+    frontier: bool = False,
+) -> None:
+    """Spawn the UTS traversal of ``params`` on every rank of ``engine``.
+
+    The traversal starts from one root task on rank 0; with
+    ``frontier``, rank 0 first expands the tree breadth-first to at
+    least ``4 * nprocs`` nodes and deals them out round-robin.
+    """
+    config = config if config is not None else SciotoConfig()
+    engine.spawn_all(_uts_main, params, config, frontier)
 
 
 def uts_result(engine: Engine, sim: SimResult) -> UTSRunResult:
@@ -111,15 +137,17 @@ def run_uts_scioto(
     config: SciotoConfig | None = None,
     max_events: int | None = None,
     engine_hook=None,
+    frontier: bool = False,
 ) -> UTSRunResult:
     """Run UTS with Scioto task collections on ``nprocs`` simulated ranks.
 
     ``engine_hook``, if given, is called with the freshly built
     :class:`~repro.sim.engine.Engine` before any rank is spawned — the
     attachment point for observers (``repro.obs``, ``repro.analyze``).
+    ``frontier`` is as for :func:`spawn_uts`.
     """
     eng = Engine(nprocs, machine=machine, seed=seed, max_events=max_events)
     if engine_hook is not None:
         engine_hook(eng)
-    spawn_uts(eng, params, config)
+    spawn_uts(eng, params, config, frontier)
     return uts_result(eng, eng.run())

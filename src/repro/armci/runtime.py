@@ -18,7 +18,6 @@ from collections import defaultdict, deque
 from collections.abc import Callable
 from typing import Any
 
-from repro.analyze.race import RaceDetector
 from repro.obs.record import _NULL_SPAN, edge_recv, edge_send, span
 from repro.sim.engine import Engine, Proc
 from repro.sim.resources import SimBarrier, SimMutex
@@ -74,11 +73,6 @@ class Armci:
         self._collective_slot: list[Any] = []
         self._collective_parked: list[Proc] = []
 
-    def _race(self) -> RaceDetector | None:
-        """The engine's race detector, if one is attached."""
-        engine = self.engine
-        return engine.state.get(RaceDetector._KEY) if engine.observed else None
-
     def _span(self, proc: Proc, name: str, arrow: str, target: int, nbytes: int | None):
         """A ``comm`` span of a remote op; unobserved, no detail is built."""
         if not self.engine.observed:
@@ -121,7 +115,7 @@ class Armci:
                 yield from proc.co_sync()
                 if apply_fn is not None:
                     apply_fn()
-        det = self._race()
+        det = self.engine.detector
         if det is not None:
             det.on_put(proc, target)
 
@@ -178,7 +172,7 @@ class Armci:
             proc.advance((service + combine) - proc.now)
             self.counters.add(proc.rank, "acc_remote")
             self.counters.add(proc.rank, "bytes_acc", nbytes)
-        det = self._race()
+        det = self.engine.detector
         if det is not None:
             det.on_put(proc, target)
 
@@ -214,7 +208,7 @@ class Armci:
             apply_fn()
         self.counters.add(proc.rank, "put_remote")
         self.counters.add(proc.rank, "bytes_put", nbytes)
-        det = self._race()
+        det = self.engine.detector
         if det is not None:
             det.on_put(proc, target)
         return NbHandle(proc.now + m.put_time(nbytes, nchunks))
@@ -272,7 +266,7 @@ class Armci:
         """
         m = self.engine.machine
         self.counters.add(proc.rank, "rmw")
-        det = self._race()
+        det = self.engine.detector
         if target == proc.rank:
             # local CAS: cheap, but still serializes with remote atomics
             # being serviced at this rank
@@ -337,7 +331,7 @@ class Armci:
         # matching edge_recv in poll_mailbox pairs sends and receives in
         # exactly the deposit order (metadata-only; no cost, no RNG).
         edge_send(proc, ("mail", target, tag), detail=tag)
-        det = self._race()
+        det = self.engine.detector
         if det is not None:
             det.on_post(proc, target, tag)
         self.counters.add(proc.rank, "msg_posted")
@@ -351,7 +345,7 @@ class Armci:
         yield from proc.co_sync()
         q = self._mailboxes[proc.rank][tag]
         if q:
-            det = self._race()
+            det = self.engine.detector
             if det is not None:
                 det.on_poll(proc, tag)
             edge_recv(proc, ("mail", proc.rank, tag), "msg", detail=tag)
@@ -399,7 +393,7 @@ class Armci:
         with span(proc, "fence", "comm", detail=target):
             proc.advance(self.engine.machine.latency)
             yield from proc.co_sync()
-        det = self._race()
+        det = self.engine.detector
         if det is not None:
             det.on_fence(proc, target)
 
@@ -423,7 +417,7 @@ class Armci:
         self._collective_slot = []
         release_at = proc.now + armci_barrier_cost(self.engine.machine, n)
         parked, self._collective_parked = self._collective_parked, []
-        det = self._race()
+        det = self.engine.detector
         if det is not None:
             det.on_collective(parked + [proc])
         for w in parked:

@@ -132,70 +132,14 @@ def run_ablation_static(scale: str = "quick") -> SweepResult:
     stat = Series(label="load-balancing-off", unit="Mnodes/s")
     for p in procs:
         mach = heterogeneous_cluster(p)
-        dyn.add(p, _uts_frontier(p, mach, load_balancing=True) / 1e6)
-        stat.add(p, _uts_frontier(p, mach, load_balancing=False) / 1e6)
+        for series, lb in ((dyn, True), (stat, False)):
+            r = run_uts_scioto(
+                p, _TREE, machine=mach, seed=1, max_events=20_000_000,
+                config=SciotoConfig(load_balancing=lb), frontier=True,
+            )
+            series.add(p, r.throughput / 1e6)
     result.series = [dyn, stat]
     result.notes.append(
         "both series seed the same breadth-first frontier; only stealing differs"
     )
     return result
-
-
-def _uts_frontier(nprocs: int, machine, load_balancing: bool) -> float:
-    """UTS throughput with an initial frontier dealt round-robin."""
-    from repro.apps.uts.tree import TreeStats, children_of, root_node
-    from repro.apps.uts.scioto_uts import UTS_BODY_BYTES
-    from repro.armci.runtime import Armci
-    from repro.core import Task, TaskCollection
-    from repro.sim.engine import Engine
-
-    params = _TREE
-
-    def main(proc):
-        tc = yield from TaskCollection.co_create(
-            proc, task_size=UTS_BODY_BYTES, max_tasks=1 << 20,
-            config=SciotoConfig(load_balancing=load_balancing),
-        )
-        stats = TreeStats()
-
-        def node_task(tc_, task):
-            p = tc_.proc
-            node = task.body
-            p.compute(p.machine.cpu_reference)
-            stats.nodes += 1
-            kids = children_of(params, node)
-            if not kids:
-                stats.leaves += 1
-            for c in kids:
-                yield from tc_.co_add(Task(callback=h, body=c, body_size=UTS_BODY_BYTES))
-
-        h = tc.register(node_task)
-        if proc.rank == 0:
-            # expand a breadth-first frontier, then deal it out round-robin
-            frontier = [root_node(params)]
-            while 0 < len(frontier) < 4 * proc.nprocs:
-                node = frontier.pop(0)
-                stats.nodes += 1
-                kids = children_of(params, node)
-                if not kids:
-                    stats.leaves += 1
-                frontier.extend(kids)
-                proc.compute(proc.machine.cpu_reference)
-            for idx, node in enumerate(frontier):
-                yield from tc.co_add(
-                    Task(callback=h, body=node, body_size=UTS_BODY_BYTES),
-                    rank=idx % proc.nprocs,
-                )
-        armci = Armci.attach(proc.engine)
-        yield from armci.co_barrier(proc)
-        t0 = proc.now
-        yield from tc.co_process()
-        total = yield from armci.co_allreduce(proc, stats.nodes, lambda a, b: a + b)
-        elapsed = yield from armci.co_allreduce(proc, proc.now - t0, max)
-        return (total, elapsed)
-
-    eng = Engine(nprocs, machine=machine, seed=1, max_events=20_000_000)
-    eng.spawn_all(main)
-    res = eng.run()
-    total, elapsed = res.returns[0]
-    return total / elapsed

@@ -31,7 +31,6 @@ from repro.core.task import Task
 from repro.core.termination import TerminationDetector
 from repro.sim.engine import Engine, Proc
 from repro.sim.counters import Counters
-from repro.obs.tracing import Tracer
 from repro.util.errors import TaskCollectionError
 
 __all__ = ["TaskCollection"]
@@ -246,7 +245,7 @@ class TaskCollection:
         if affinity is not None:
             t.affinity = affinity
         if engine.observed:
-            tracer = engine.state.get(Tracer._KEY)
+            tracer = engine.tracer
             if tracer is not None:
                 tracer.record(proc, "task-add", t.uid)
         if dest == myrank:

@@ -31,8 +31,8 @@ from repro.analyze import hooks
 from repro.armci.runtime import Armci
 from repro.core.config import SciotoConfig
 from repro.core.task import Task
-from repro.obs.record import Recorder, edge_here, edge_mark, observe, span
-from repro.obs.tracing import Tracer, trace
+from repro.obs.record import edge_here, edge_mark, observe, span
+from repro.obs.tracing import trace
 from repro.sim.engine import Engine, Proc
 from repro.sim.counters import Counters
 from repro.util.errors import TaskCollectionError, check_count
@@ -159,10 +159,10 @@ class SplitQueue:
         if engine.observed:
             if not split:
                 hooks.shared_write(proc, self._race_region)
-            tracer = engine.state.get(Tracer._KEY)
+            tracer = engine.tracer
             if tracer is not None:
                 tracer.record(proc, "q-push", (self.owner, task.uid))
-            rec = engine.state.get(Recorder._KEY)
+            rec = engine.recorder
             if rec is not None:
                 rec.spawn_sources[task.uid] = (proc.rank, proc._clock)
                 if not split:
@@ -194,7 +194,7 @@ class SplitQueue:
         if region:
             task = region.pop(0)
             if engine.observed:
-                tracer = engine.state.get(Tracer._KEY)
+                tracer = engine.tracer
                 if tracer is not None:
                     tracer.record(proc, "q-pop", (self.owner, task.uid))
             cost = self._copy_costs.get(task.body_size)
@@ -429,10 +429,10 @@ class SplitQueue:
             engine = self.engine
             if engine.observed:
                 hooks.shared_write(proc, self._race_region)
-                tracer = engine.state.get(Tracer._KEY)
+                tracer = engine.tracer
                 if tracer is not None:
                     tracer.record(proc, "q-add-remote", (self.owner, task.uid))
-                rec = engine.state.get(Recorder._KEY)
+                rec = engine.recorder
                 if rec is not None:
                     rec.spawn_sources[task.uid] = (proc.rank, proc._clock)
                     rec.mark(self._share_key, proc)

@@ -15,8 +15,7 @@ from types import GeneratorType
 from repro.armci.runtime import Armci
 from repro.core.stats import ProcessStats
 from repro.core.stealing import RandomSelector
-from repro.obs.record import Recorder, observe, span
-from repro.obs.tracing import Tracer
+from repro.obs.record import observe, span
 from repro.util.errors import TaskCollectionError
 
 __all__ = ["co_run_process"]
@@ -91,10 +90,10 @@ def co_run_process(tc):
                 # The dispatch is written twice so an unobserved run pays
                 # nothing for the span/trace/edge wrappers.
                 if engine.observed:
-                    tracer = engine.state.get(Tracer._KEY)
+                    tracer = engine.tracer
                     if tracer is not None:
                         tracer.record(proc, "task-exec", task.uid)
-                    rec = engine.state.get(Recorder._KEY)
+                    rec = engine.recorder
                     task_span = None if rec is None else rec.open_task(proc, task.uid)
                     try:
                         res = fn(tc, task)
@@ -160,7 +159,7 @@ def co_run_process(tc):
             "tasks still queued (protocol violation)"
         )
 
-    rec = Recorder.of(proc.engine)
+    rec = proc.engine.recorder
     if rec is not None:
         rec.complete_span(proc, "tc_process", "runtime", t_start, detail=generation)
 

@@ -42,7 +42,7 @@ from collections.abc import Callable
 
 from repro.analyze import hooks
 from repro.armci.runtime import MAILBOX_CHECK_COST, Armci
-from repro.obs.record import Recorder, instant
+from repro.obs.record import instant
 from repro.obs.tracing import trace
 from repro.sim.engine import Engine, Proc
 from repro.sim.counters import Counters
@@ -173,7 +173,7 @@ class TerminationDetector:
         self._mark_dirty(proc)
         if self._need_mark(victim):
             instant(proc, "dirty-mark", "termination", detail=victim)
-            rec = Recorder.of(self.engine)
+            rec = self.engine.recorder
             if rec is not None:
                 # One-sided write landing in the victim's memory: a
                 # zero-latency cross-rank edge (the victim's next vote
@@ -319,7 +319,7 @@ class TerminationDetector:
         if len(self.child_tokens) < len(self.children):
             return
         color = self._combined_color(proc)
-        rec = Recorder.of(self.engine)
+        rec = self.engine.recorder
         if rec is not None:
             rec.metrics.observe(
                 "wave_rtt", proc.now - self._wave_started, rank=proc.rank

@@ -3,11 +3,11 @@
 :class:`ProcessPool` runs workers as ``multiprocessing`` children
 (forkserver by default — children fork from a warm server that has
 already imported the runtime, so per-worker startup is cheap and no
-engine threads leak across the fork).  :class:`InlinePool` implements
-the same interface but executes jobs synchronously in the parent: every
-campaign at ``--jobs 1`` runs on it, and the scheduler's dispatch tests
-use it to pin the FIFO order deterministically without process
-machinery.
+state of the parent's engines crosses the fork).  :class:`InlinePool`
+implements the same interface but executes jobs synchronously in the
+parent: every campaign at ``--jobs 1`` runs on it, and the scheduler's
+dispatch tests use it to pin the FIFO order deterministically without
+process machinery.
 
 The pool surface is three calls — ``send``, ``poll``, ``respawn`` —
 plus ``close``.  ``poll`` multiplexes over every live worker's result

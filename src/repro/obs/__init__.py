@@ -9,18 +9,19 @@ simulated runtime:
   recorded by the runtime layers — task execution, steal attempts,
   split-queue moves, lock waits, termination waves, one-sided
   operations.  Attach-based and zero-cost when off, like the tracer
-  and the race detector; recording never perturbs the deterministic
+  and the race detector (each is one ``Engine`` attribute, None
+  until attached); recording never perturbs the deterministic
   schedule.
-* **Metrics** (:mod:`repro.obs.metrics`): counters (the long-standing
-  ``Counters`` map is now a facade over :class:`CounterFamily`),
-  gauges, and histograms (steal latency, stolen chunk size, queue
-  occupancy, wave round-trip, lock hold/wait) whose percentiles all
-  come from one mergeable :class:`~repro.obs.metrics.QuantileSketch`.
+* **Metrics** (:mod:`repro.obs.metrics`): counters
+  (:class:`~repro.obs.metrics.CounterFamily`, which
+  ``repro.sim.counters.Counters`` wraps), gauges, and histograms
+  (steal latency, stolen chunk size, queue occupancy, wave
+  round-trip, lock hold/wait) whose percentiles all come from one
+  mergeable :class:`~repro.obs.metrics.QuantileSketch`.
 * **Live telemetry** (:mod:`repro.obs.live`): the one windowed view —
   per-interval frames of sketch-delta percentiles, counters and event
   rates, appended to a JSONL feed that ``top`` renders.
-* **Events** (:mod:`repro.obs.tracing`): the structured event tracer,
-  re-homed here from ``repro.sim.tracing`` (old path removed).
+* **Events** (:mod:`repro.obs.tracing`): the structured event tracer.
 * **Exporters** (:mod:`repro.obs.export`): Chrome ``trace_event`` JSON
   (open in Perfetto; causal edges drawn as flow arrows, the critical
   path as its own process), flat metrics JSON, ASCII per-rank timeline.
@@ -45,101 +46,9 @@ CLI::
     python -m repro.obs diff BENCH_sim.json fresh.json
     python -m repro.obs verify          # recording-on == recording-off
 
-See ``docs/observability.md`` for the full API and cost model.
+Every name lives in its submodule and is imported from there; this
+package imports nothing, so the runtime layers that import
+:mod:`repro.obs.record` and :mod:`repro.obs.tracing` load no exporter
+or analysis code.  See ``docs/observability.md`` for the full API and
+cost model.
 """
-
-from repro.obs.analyze import (
-    IdleGap,
-    critical_idle,
-    load_chrome_trace,
-    load_metrics_json,
-    percentile_table,
-    summarize,
-)
-from repro.obs.critpath import (
-    BLAME_CATEGORIES,
-    CausalGraph,
-    CritPath,
-    PathStep,
-    blame_profile,
-    critical_path,
-    edge_blame,
-)
-from repro.obs.diff import DiffEntry, DiffReport, diff_documents, diff_files
-from repro.obs.export import (
-    FLOW_KINDS,
-    METRICS_SCHEMA,
-    ascii_timeline,
-    metrics_dict,
-    self_times,
-    summary_table,
-    write_chrome_trace,
-    write_metrics_json,
-)
-from repro.obs.metrics import (
-    CounterFamily,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.record import (
-    EdgeRecord,
-    InstantRecord,
-    Recorder,
-    SpanRecord,
-    causal_edge,
-    count,
-    instant,
-    observe,
-    sample,
-    span,
-)
-from repro.obs.tracing import TraceEvent, Tracer, trace
-from repro.obs.whatif import Projection, project
-
-__all__ = [
-    "Recorder",
-    "SpanRecord",
-    "InstantRecord",
-    "EdgeRecord",
-    "span",
-    "observe",
-    "count",
-    "sample",
-    "instant",
-    "causal_edge",
-    "CounterFamily",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Tracer",
-    "TraceEvent",
-    "trace",
-    "write_chrome_trace",
-    "metrics_dict",
-    "write_metrics_json",
-    "ascii_timeline",
-    "summary_table",
-    "self_times",
-    "METRICS_SCHEMA",
-    "FLOW_KINDS",
-    "load_chrome_trace",
-    "load_metrics_json",
-    "percentile_table",
-    "summarize",
-    "critical_idle",
-    "IdleGap",
-    "BLAME_CATEGORIES",
-    "CausalGraph",
-    "CritPath",
-    "PathStep",
-    "blame_profile",
-    "critical_path",
-    "edge_blame",
-    "Projection",
-    "project",
-    "DiffEntry",
-    "DiffReport",
-    "diff_documents",
-    "diff_files",
-]

@@ -26,8 +26,6 @@ Three views of one recording:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from collections import defaultdict
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -35,7 +33,7 @@ from typing import IO, TYPE_CHECKING, Iterable
 
 from repro.obs.record import EdgeRecord, InstantRecord, Recorder, SpanRecord
 from repro.obs.stream import _span_sort_key
-from repro.util.io import atomic_write_text
+from repro.util.io import atomic_open, atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracing import Tracer
@@ -288,30 +286,6 @@ class _EventWriter:
         self._fh.write("}")
 
 
-def _atomic_stream(path: Path):
-    """(file handle, publish, discard) for writing ``path`` atomically."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    fh = os.fdopen(fd, "w")
-
-    def publish() -> None:
-        fh.close()
-        os.replace(tmp_name, path)
-
-    def discard() -> None:
-        try:
-            fh.close()
-        finally:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-
-    return fh, publish, discard
-
-
 def write_trace(
     path: str | Path,
     nprocs: int,
@@ -336,8 +310,7 @@ def write_trace(
     failure leaves no output behind.
     """
     path = Path(path)
-    fh, publish, discard = _atomic_stream(path)
-    try:
+    with atomic_open(path, "w") as fh:
         w = _EventWriter(fh)
         for ev in meta_events(nprocs):
             w.event(ev)
@@ -367,10 +340,6 @@ def write_trace(
                 },
             }
         )
-        publish()
-    except BaseException:
-        discard()
-        raise
     return path
 
 

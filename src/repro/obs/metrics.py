@@ -8,8 +8,7 @@ without cycles — the same rule :mod:`repro.analyze.hooks` follows.
 Three metric kinds cover the paper's evaluation needs (§6):
 
 * :class:`CounterFamily` — the two-level ``rank -> key -> float`` map
-  the benchmarks have always read.  :class:`repro.sim.counters.Counters`
-  is now a thin compatibility facade over this class.
+  the benchmarks read; :class:`repro.sim.counters.Counters` wraps it.
 * :class:`Gauge` — a per-rank last-value sample (queue occupancy and
   the like), with min/max/sample-count retained.
 * :class:`Histogram` — count, sum, extremes and per-rank count/sum,

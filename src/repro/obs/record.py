@@ -1,16 +1,17 @@
 """The span recorder: nested virtual-time spans plus the metrics registry.
 
 A :class:`Recorder` attaches to an engine exactly like the tracer and
-the race detector: ``Recorder.attach(engine)`` before ``engine.run()``,
-``Recorder.of(engine)`` afterwards.  The runtime layers call the free
-functions in this module (:func:`span`, :func:`observe`, :func:`count`,
-:func:`sample`, :func:`instant`) at their interesting points; when no
-recorder is attached each call costs a single dict probe and records
-nothing, so instrumented code stays safe on hot paths.  The four
-hottest sites (task add, queue push and pop, task exec) skip the free
-functions: behind ``engine.observed`` they fetch the tracer and the
-recorder from ``engine.state`` once and call them directly, and the
-task-exec site's spawn edge and span are one :meth:`Recorder.open_task`.
+the race detector: ``Recorder.attach(engine)`` before ``engine.run()``
+sets ``engine.recorder``, which ``Recorder.of(engine)`` returns.  The
+runtime layers call the free functions in this module (:func:`span`,
+:func:`observe`, :func:`count`, :func:`sample`, :func:`instant`) at
+their interesting points; when no recorder is attached each call reads
+one attribute and records nothing, so instrumented code stays safe on
+hot paths.  The four hottest sites (task add, queue push and pop, task
+exec) skip the free functions: behind ``engine.observed`` they read
+``engine.tracer`` and ``engine.recorder`` once and call them directly,
+and the task-exec site's spawn edge and span are one
+:meth:`Recorder.open_task`.
 
 Recording is an *observer* of virtual time: hooks only ever read
 ``proc.now`` — they never advance a clock, yield to the engine, or touch
@@ -78,8 +79,6 @@ __all__ = [
     "edge_send",
     "edge_recv",
 ]
-
-_KEY = "obs"
 
 
 @dataclass(slots=True)
@@ -174,12 +173,10 @@ class Recorder:
     in-memory lists (``recorder.spans`` et al. stay list-like views of
     it) up to its ``capacity`` per record kind, while
     :class:`~repro.obs.stream.SpillSink` streams completed records to
-    sharded JSONL in constant memory.  The optional ``live``
+    binary shards in constant memory.  The optional ``live``
     side-tap (a :class:`repro.obs.live.TelemetryBus`) publishes windowed
     metric frames at a virtual-time interval.
     """
-
-    _KEY = _KEY
 
     def __init__(
         self,
@@ -234,17 +231,16 @@ class Recorder:
         live: "Any | None" = None,
     ) -> "Recorder":
         """Enable recording on ``engine`` (idempotent)."""
-        inst = engine.state.get(cls._KEY)
+        inst = engine.recorder
         if inst is None:
-            inst = cls(engine, sink=sink, live=live)
-            engine.state[cls._KEY] = inst
+            inst = engine.recorder = cls(engine, sink=sink, live=live)
             engine.note_observer()
         return inst
 
     @classmethod
     def of(cls, engine: "Engine") -> "Recorder | None":
         """The engine's recorder, or None if recording is off."""
-        return engine.state.get(cls._KEY)
+        return engine.recorder
 
     # ------------------------------------------------------------------ #
     # Storage views (delegate to the sink)
@@ -477,7 +473,7 @@ class Recorder:
 # ---------------------------------------------------------------------- #
 def span(proc: "Proc", name: str, category: str = "runtime", detail: Any = None):
     """Context manager recording a span on ``proc``'s rank (no-op when off)."""
-    rec = proc.engine.state.get(_KEY)
+    rec = proc.engine.recorder
     if rec is None:
         return _NULL_SPAN
     return rec.span(proc, name, category, detail)
@@ -485,28 +481,28 @@ def span(proc: "Proc", name: str, category: str = "runtime", detail: Any = None)
 
 def observe(proc: "Proc", name: str, value: float) -> None:
     """Observe ``value`` into histogram ``name`` (no-op when off)."""
-    rec = proc.engine.state.get(_KEY)
+    rec = proc.engine.recorder
     if rec is not None:
         rec.metrics.observe(name, value, rank=proc.rank)
 
 
 def count(proc: "Proc", name: str, amount: float = 1.0) -> None:
     """Increment obs counter ``name`` for ``proc``'s rank (no-op when off)."""
-    rec = proc.engine.state.get(_KEY)
+    rec = proc.engine.recorder
     if rec is not None:
         rec.metrics.add(proc.rank, name, amount)
 
 
 def sample(proc: "Proc", name: str, value: float) -> None:
     """Set gauge ``name`` on ``proc``'s rank to ``value`` (no-op when off)."""
-    rec = proc.engine.state.get(_KEY)
+    rec = proc.engine.recorder
     if rec is not None:
         rec.metrics.sample(name, proc.rank, value)
 
 
 def instant(proc: "Proc", name: str, category: str = "runtime", detail: Any = None) -> None:
     """Record a zero-duration marker event (no-op when off)."""
-    rec = proc.engine.state.get(_KEY)
+    rec = proc.engine.recorder
     if rec is not None:
         rec.instant_event(proc, name, category, detail)
 
@@ -519,34 +515,34 @@ def causal_edge(
     detail: Any = None,
 ) -> None:
     """Record an edge from ``(src_rank, src_time)`` to here (no-op when off)."""
-    rec = proc.engine.state.get(_KEY)
+    rec = proc.engine.recorder
     if rec is not None:
         rec.add_edge(kind, src_rank, src_time, proc.rank, proc.now, detail)
 
 
 def edge_mark(proc: "Proc", key: Any, detail: Any = None) -> None:
     """Remember this point as the edge source for ``key`` (no-op when off)."""
-    rec = proc.engine.state.get(_KEY)
+    rec = proc.engine.recorder
     if rec is not None:
         rec.mark(key, proc, detail)
 
 
 def edge_here(proc: "Proc", key: Any, kind: str, detail: Any = None) -> None:
     """Emit an edge from ``key``'s remembered source to here (no-op when off)."""
-    rec = proc.engine.state.get(_KEY)
+    rec = proc.engine.recorder
     if rec is not None:
         rec.edge_from_mark(key, proc, kind, detail=detail)
 
 
 def edge_send(proc: "Proc", key: Any, detail: Any = None) -> None:
     """FIFO-enqueue this point as a pending edge source (no-op when off)."""
-    rec = proc.engine.state.get(_KEY)
+    rec = proc.engine.recorder
     if rec is not None:
         rec.push_pending(key, proc, detail)
 
 
 def edge_recv(proc: "Proc", key: Any, kind: str, detail: Any = None) -> None:
     """Emit an edge from the oldest pending source for ``key`` to here."""
-    rec = proc.engine.state.get(_KEY)
+    rec = proc.engine.recorder
     if rec is not None:
         rec.edge_from_pending(key, proc, kind, detail=detail)

@@ -43,9 +43,7 @@ class TraceEvent(NamedTuple):
 
 
 class Tracer:
-    """Engine-wide event numbering and dispatch."""
-
-    _KEY = "tracer"
+    """Engine-wide event numbering and dispatch (``engine.tracer``)."""
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
@@ -61,10 +59,9 @@ class Tracer:
     def _joined(cls, engine: "Engine", what: str) -> "Tracer":
         """The engine's tracer (created on first use), refusing a
         consumer that would miss the events already recorded."""
-        inst = engine.state.get(cls._KEY)
+        inst = engine.tracer
         if inst is None:
-            inst = cls(engine)
-            engine.state[cls._KEY] = inst
+            inst = engine.tracer = cls(engine)
             engine.note_observer()
         elif inst.count:
             raise RuntimeError(
@@ -76,7 +73,7 @@ class Tracer:
     @classmethod
     def attach(cls, engine: "Engine") -> "Tracer":
         """Enable tracing on ``engine`` and keep every event (idempotent)."""
-        inst = engine.state.get(cls._KEY)
+        inst = engine.tracer
         if inst is None or inst._cols is None:
             inst = cls._joined(engine, "the event list")
             inst._cols = ([], [], [], [])
@@ -99,7 +96,7 @@ class Tracer:
     @classmethod
     def of(cls, engine: "Engine") -> "Tracer | None":
         """The engine's tracer, or None if tracing is off."""
-        return engine.state.get(cls._KEY)
+        return engine.tracer
 
     def record(self, proc: "Proc", kind: str, detail: Any = None) -> None:
         """Record an event at the process's current virtual time."""
@@ -135,6 +132,6 @@ def trace(proc: "Proc", kind: str, detail: Any = None) -> None:
     This is the hook the runtime layers call; keep it on hot paths only
     where an event is semantically meaningful (steals, tokens, transfers).
     """
-    tracer = proc.engine.state.get(Tracer._KEY)
+    tracer = proc.engine.tracer
     if tracer is not None:
         tracer.record(proc, kind, detail)

@@ -15,7 +15,6 @@ from repro.sim.machines import (
 )
 from repro.sim.resources import SimBarrier, SimMutex
 from repro.sim.counters import Counters
-from repro.obs.tracing import Tracer, TraceEvent, trace
 
 __all__ = [
     "Engine",
@@ -30,7 +29,4 @@ __all__ = [
     "SimBarrier",
     "SimMutex",
     "Counters",
-    "Tracer",
-    "TraceEvent",
-    "trace",
 ]

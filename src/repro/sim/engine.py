@@ -390,6 +390,12 @@ class Engine:
         # True once any observer has attached (:meth:`note_observer`);
         # hot paths gate their observability hooks on it.
         self.observed = False
+        # The observers (Tracer, Recorder, RaceDetector): each is None
+        # until its ``attach`` (or ``Tracer.subscribe``) sets it.  Hook
+        # sites read the attribute; this module imports none of them.
+        self.tracer: Any = None
+        self.recorder: Any = None
+        self.detector: Any = None
         # Global shared-state namespace used by comm layers (keyed by layer).
         self.state: dict[str, Any] = {}
         # Per-event telemetry tick: called with the event's virtual time

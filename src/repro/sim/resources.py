@@ -13,8 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.analyze.race import RaceDetector
-from repro.obs.record import Recorder, causal_edge
+from repro.obs.record import causal_edge
 from repro.obs.tracing import trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -54,13 +53,13 @@ class SimMutex:
     def co_acquire(self, proc: Proc):
         """Block (in virtual time) until ``proc`` holds the mutex."""
         # Every observer sets Engine.observed when it attaches, so an
-        # unobserved acquire/release skips the probes and hook calls.
+        # unobserved acquire/release skips the hook calls.
         engine = self.engine
-        rec = Recorder.of(engine) if engine.observed else None
+        rec = engine.recorder
         t_req = proc.now
         proc.advance(self._request_cost(proc))
         yield from proc.co_sync()
-        det = RaceDetector.of(engine) if engine.observed else None
+        det = engine.detector
         if det is not None:
             # Pre-grant request: no yield happens between here and the
             # holder check below, so the detector's wait-for graph sees
@@ -83,7 +82,6 @@ class SimMutex:
                 causal_edge(proc, "lock", *self._grant_src, detail=self.name)
                 self._grant_src = None
         if engine.observed:
-            det = RaceDetector.of(engine)
             if det is not None:
                 det.on_mutex_acquire(proc, self)
             trace(proc, "mutex-acq", self.name)
@@ -101,11 +99,11 @@ class SimMutex:
         engine = self.engine
         observed = engine.observed
         if observed:
-            det = RaceDetector.of(engine)
+            det = engine.detector
             if det is not None:
                 det.on_mutex_release(proc, self)
             trace(proc, "mutex-rel", self.name)
-            rec = Recorder.of(engine)
+            rec = engine.recorder
             if rec is not None:
                 rec.metrics.observe(
                     "lock_hold", proc.now - self._acquired_at, rank=proc.rank
@@ -162,7 +160,7 @@ class SimBarrier:
         release_at = proc.now + self.cost_fn(self.nprocs)
         waiters, self._arrived = self._arrived[:-1], []
         self._generation += 1
-        det = RaceDetector.of(self.engine) if self.engine.observed else None
+        det = self.engine.detector
         if det is not None:
             det.on_collective(waiters + [proc])
         for w in waiters:

@@ -52,10 +52,10 @@ class SimLimitError(SimError):
 
 
 class SimShutdown(BaseException):
-    """Internal signal used to unwind simulated process threads.
+    """Internal signal used to unwind simulated processes.
 
-    Raised inside a process thread when the engine tears the simulation
-    down (either normally or after another process raised).  Never leaks
+    Thrown into a process's generator when the engine tears the
+    simulation down (either normally or after another process raised).  Never leaks
     out of :meth:`repro.sim.engine.Engine.run`.
     """
 

@@ -7,8 +7,8 @@ point (a worker SIGKILL mid-write, ctrl-C during a campaign).  A plain
 ``Path.write_text`` truncates the destination before writing, so a
 reader — or a crash — can observe a torn file.
 
-:func:`atomic_write_bytes` writes to a uniquely named temporary file in
-the destination directory and publishes it with :func:`os.replace`,
+:func:`atomic_open` (and :func:`atomic_write_bytes` over it) writes to
+a uniquely named temporary file in the destination directory and publishes it with :func:`os.replace`,
 which is atomic on POSIX when source and destination share a
 filesystem.  Readers therefore see either the old complete document or
 the new complete document, never a prefix.
@@ -23,10 +23,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Iterator
 
 __all__ = [
+    "atomic_open",
     "atomic_write_bytes",
     "atomic_write_text",
     "append_text_line",
@@ -37,9 +39,11 @@ __all__ = [
 ]
 
 
-def atomic_write_bytes(path: str | Path, *chunks: bytes | bytearray) -> Path:
-    """Atomically write the ``chunks``, in order, as the contents of
-    ``path``; returns the path written.
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "wb") -> Iterator[IO]:
+    """Open a temporary file beside ``path`` for writing (in ``mode``);
+    when the block ends it is published as ``path``, and when the block
+    raises it is removed, so ``path`` is either untouched or complete.
 
     Creates parent directories as needed.  The temporary file lives in
     the destination directory (same filesystem), so the final
@@ -51,8 +55,8 @@ def atomic_write_bytes(path: str | Path, *chunks: bytes | bytearray) -> Path:
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp_name, path)
     except BaseException:
         # Never leave the temp file behind, even on KeyboardInterrupt.
@@ -61,6 +65,14 @@ def atomic_write_bytes(path: str | Path, *chunks: bytes | bytearray) -> Path:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path: str | Path, *chunks: bytes | bytearray) -> Path:
+    """Atomically write the ``chunks``, in order, as the contents of
+    ``path``; returns the path written (see :func:`atomic_open`)."""
+    path = Path(path)
+    with atomic_open(path) as fh:
+        fh.writelines(chunks)
     return path
 
 

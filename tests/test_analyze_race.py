@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analyze import RaceDetector, VectorClock
+from repro.analyze.race import RaceDetector
+from repro.analyze.vectorclock import VectorClock
 from repro.analyze.capture import PredictedDeadlockError
 from repro.analyze.runner import run_race_detection
 from repro.armci.runtime import Armci

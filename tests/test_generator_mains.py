@@ -79,7 +79,9 @@ SHIPPED_MAINS = {
     "table1_microbench": lambda: table1._microbench(uniform_cluster(2)),
     "figure4_termination": lambda: figure4._termination_time(2),
     "figure4_barrier": lambda: figure4._barrier_time(2, "mpi"),
-    "ablations_uts_frontier": lambda: ablations._uts_frontier(2, _HET2, True),
+    "ablations_uts_frontier": lambda: run_uts_scioto(
+        2, ablations._TREE, machine=_HET2, seed=1, frontier=True
+    ),
 }
 
 

@@ -5,19 +5,16 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 
-from repro.obs import (
+from repro.obs.analyze import critical_idle, load_chrome_trace, summarize
+from repro.obs.export import (
     METRICS_SCHEMA,
-    Recorder,
     ascii_timeline,
-    critical_idle,
-    load_chrome_trace,
     metrics_dict,
     self_times,
-    summarize,
     write_chrome_trace,
     write_metrics_json,
 )
-from repro.obs.record import SpanRecord
+from repro.obs.record import Recorder, SpanRecord
 from repro.obs.scenarios import run_target
 
 
