@@ -23,7 +23,8 @@ Run them from the command line::
     python -m repro.analyze predict
     python -m repro.analyze lint src/repro
 
-The runtime layers import only :mod:`repro.analyze.hooks`, which reads
-``engine.detector`` and imports no analysis; this package imports
-nothing.
+The runtime layers import nothing from this package: each hook site
+reads ``engine.detector`` and calls the attached
+:class:`~repro.analyze.race.RaceDetector` itself.  This package root
+imports nothing.
 """

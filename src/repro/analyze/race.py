@@ -47,7 +47,6 @@ __all__ = [
 #: Hook-call frames skipped when attributing an access to a call site.
 _SITE_SKIP = (
     "analyze/race.py",
-    "analyze/hooks.py",
     "armci/runtime.py",
     "sim/resources.py",
 )
@@ -309,11 +308,6 @@ class RaceDetector:
             inst = engine.detector = cls(engine)
             engine.note_observer()
         return inst
-
-    @classmethod
-    def of(cls, engine: "Engine") -> "RaceDetector | None":
-        """The engine's detector, or None if detection is off."""
-        return engine.detector
 
     def _emit(self, proc: "Proc", kind: str, data: dict[str, Any]) -> None:
         """Append one event (and notify live listeners)."""

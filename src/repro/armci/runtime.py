@@ -4,11 +4,11 @@ One instance is attached per :class:`~repro.sim.engine.Engine`
 (:meth:`Armci.attach`).  Data owned by each rank lives in ordinary
 Python objects; the runtime's job is to (a) charge the machine-model
 cost of each access, (b) serialize all shared accesses in virtual-time
-order (via :meth:`Proc.sync`), and (c) model target-side effects such
+order (via :meth:`Proc.co_sync`), and (c) model target-side effects such
 as NIC atomic serialization and mutex contention.
 
 The mutation/read of remote state is expressed as a closure passed to
-:meth:`put` / :meth:`get` / :meth:`acc`, which runs exactly at the
+:meth:`co_put` / :meth:`co_get` / :meth:`co_acc`, which runs exactly at the
 virtual time the operation takes effect.
 """
 
@@ -38,7 +38,7 @@ CONTROL_MSG_BYTES = 64
 class NbHandle:
     """Handle of an in-flight non-blocking one-sided operation.
 
-    Created by :meth:`Armci.nbput` / :meth:`Armci.nbget`; pass it to
+    Created by :meth:`Armci.co_nbput` / :meth:`Armci.co_nbget`; pass it to
     :meth:`Armci.wait` to block (in virtual time) until the transfer
     completes.  ``value`` carries an nbget's result after completion.
     """
@@ -320,7 +320,7 @@ class Armci:
 
         Implemented as a one-sided put into a remotely accessible buffer
         (how Scioto's termination tokens travel under ARMCI); the target
-        discovers it on its next :meth:`poll_mailbox`.
+        discovers it on its next :meth:`co_poll_mailbox`.
         """
         m = self.engine.machine
         cost = m.local_copy_time(nbytes) if target == proc.rank else m.put_time(nbytes)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 from typing import Callable, Iterator
 
-from repro.analyze import hooks
 from repro.core.queue import REACQUIRE_FRACTION, SplitQueue
 from repro.core.termination import TerminationDetector
 
@@ -43,13 +42,16 @@ def unlocked_split() -> Iterator[None]:
         if not self._shared:
             return
         k = max(1, int(len(self._shared) * REACQUIRE_FRACTION))
-        hooks.shared_read(proc, self._race_region)
+        det = self.engine.detector
+        if det is not None:
+            det.record(proc, self._race_region, "r")
         moved = self._shared[:k]  # read the split window ...
         # ... unlocked, and spanning several scheduler yields — the
         # window a real one-sided metadata read/update pair leaves open
         for _ in range(3):
             yield from proc.co_sleep(self.engine.machine.local_lock_overhead)
-        hooks.shared_update(proc, self._race_region)
+        if det is not None:
+            det.record(proc, self._race_region, "rw")
         self._private.extend(moved)
         del self._shared[:k]  # stale write-back of the split pointer
         self.counters.add(proc.rank, "reacquire_ops")
@@ -208,7 +210,9 @@ def lock_order_inversion() -> Iterator[None]:
             return (yield from orig_steal(
                 self, proc, want, probe_first=probe_first, on_transfer=on_transfer
             ))
-        hooks.protocol(proc, "steal-own-lock", victim=self.owner)
+        det = self.engine.detector
+        if det is not None:
+            det.on_protocol(proc, "steal-own-lock", {"victim": self.owner})
         yield from own.mutex.co_acquire(proc)
         try:
             return (yield from orig_steal(

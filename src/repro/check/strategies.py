@@ -164,7 +164,7 @@ class DelayInjector(ExplorationStrategy):
 
     Models an adversarial network/NIC: every sync or wake-up (the ARMCI
     operation boundaries — each one-sided op serializes through
-    ``Proc.sync``, each message delivery through ``Engine.wake``) may be
+    ``Proc.co_sync``, each message delivery through ``Engine.wake``) may be
     stretched by a bounded random delay, and the resume order is
     occasionally perturbed.  Unlike :class:`RandomWalk` this keeps the
     run *timing-plausible*: virtual time still mostly drives ordering,

@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 from collections.abc import Callable
 
-from repro.analyze import hooks
 from repro.armci.runtime import Armci
 from repro.core.config import SciotoConfig
 from repro.core.task import Task
@@ -157,8 +156,9 @@ class SplitQueue:
         else:
             self._insert_by_affinity(region, task)
         if engine.observed:
-            if not split:
-                hooks.shared_write(proc, self._race_region)
+            det = engine.detector
+            if det is not None and not split:
+                det.record(proc, self._race_region, "w")
             tracer = engine.tracer
             if tracer is not None:
                 tracer.record(proc, "q-push", (self.owner, task.uid))
@@ -187,8 +187,9 @@ class SplitQueue:
                 yield from self._co_reacquire(proc)
             region = self._private
         else:
-            if engine.observed:
-                hooks.shared_update(proc, self._race_region)
+            det = engine.detector
+            if det is not None:
+                det.record(proc, self._race_region, "rw")
             region = self._shared
         task = None
         if region:
@@ -230,7 +231,9 @@ class SplitQueue:
         def _move() -> None:
             # lowest-affinity private tasks (the tail) become shared; keep
             # the shared region sorted (remote adds may interleave)
-            hooks.shared_update(proc, self._race_region)
+            det = self.engine.detector
+            if det is not None:
+                det.record(proc, self._race_region, "rw")
             self._shared = self._private[-k:] + self._shared
             del self._private[-k:]
             self._shared.sort(key=lambda t: -t.affinity)
@@ -238,7 +241,9 @@ class SplitQueue:
         observe(proc, "queue_occupancy", self.size())
         with span(proc, "release", "queue", detail=k):
             yield from self._co_owner_split_update(proc, _move)
-        hooks.protocol(proc, "queue-release", n=k)
+        det = self.engine.detector
+        if det is not None:
+            det.on_protocol(proc, "queue-release", {"n": k})
         edge_mark(proc, self._share_key, detail=k)
         self.counters.add(proc.rank, "release_ops")
         self.counters.add(proc.rank, "tasks_released", k)
@@ -251,7 +256,9 @@ class SplitQueue:
 
         def _move() -> None:
             # highest-affinity shared tasks (the front) come back to private
-            hooks.shared_update(proc, self._race_region)
+            det = self.engine.detector
+            if det is not None:
+                det.record(proc, self._race_region, "rw")
             self._private.extend(self._shared[:k])
             del self._shared[:k]
 
@@ -309,18 +316,19 @@ class SplitQueue:
         self.counters.add(proc.rank, "steal_attempt")
 
         def _take() -> list[Task]:
-            observed = self.engine.observed
-            if observed:
-                hooks.shared_update(proc, self._race_region)
+            det = self.engine.detector
+            if det is not None:
+                det.record(proc, self._race_region, "rw")
             k = min(want, len(self._shared))
             taken = self._shared[len(self._shared) - k :]
             del self._shared[len(self._shared) - k :]
             if taken:
-                if observed:
+                if self.engine.observed:
                     trace(proc, "q-steal", (self.owner, tuple(t.uid for t in taken)))
-                    hooks.protocol(
-                        proc, "steal-transfer", victim=self.owner, n=len(taken)
-                    )
+                    if det is not None:
+                        det.on_protocol(
+                            proc, "steal-transfer", {"victim": self.owner, "n": len(taken)}
+                        )
                 if on_transfer is not None:
                     on_transfer()
             return taken
@@ -398,8 +406,9 @@ class SplitQueue:
         self._check_capacity(len(tasks))
         split = self.config.split_queues
         observed = self.engine.observed
-        if observed and not split:
-            hooks.shared_write(proc, self._race_region)
+        det = self.engine.detector
+        if det is not None and not split:
+            det.record(proc, self._race_region, "w")
         region = self._private if split else self._shared
         region.extend(tasks)
         region.sort(key=lambda t: -t.affinity)  # stable merge; mostly sorted
@@ -428,7 +437,9 @@ class SplitQueue:
             self._insert_by_affinity(self._shared, task)
             engine = self.engine
             if engine.observed:
-                hooks.shared_write(proc, self._race_region)
+                det = engine.detector
+                if det is not None:
+                    det.record(proc, self._race_region, "w")
                 tracer = engine.tracer
                 if tracer is not None:
                     tracer.record(proc, "q-add-remote", (self.owner, task.uid))

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.analyze import hooks
 from repro.armci.runtime import MAILBOX_CHECK_COST, Armci
 from repro.obs.record import instant
 from repro.obs.tracing import trace
@@ -147,15 +146,14 @@ class TerminationDetector:
         # transfer with no preceding decision event from the same thief
         # means this method was bypassed — the signature of the
         # dirty-mark mutations.
-        hooks.protocol(
-            proc,
-            "mark-decision",
-            victim=victim,
-            needed=self._need_mark(victim),
-            thief_voted=self.voted,
-            wave=self.wave,
-        )
-        if not self._need_mark(victim):
+        needed = self._need_mark(victim)
+        det = self.engine.detector
+        if det is not None:
+            det.on_protocol(proc, "mark-decision", {
+                "victim": victim, "needed": needed,
+                "thief_voted": self.voted, "wave": self.wave,
+            })
+        if not needed:
             return None
         victim_det = self.peers[victim]
 
@@ -192,13 +190,9 @@ class TerminationDetector:
         self.peers[target]._mark_dirty(proc)
 
     def _mark_dirty(self, proc: Proc | None = None, release: bool = False) -> None:
-        if proc is not None:
-            hooks.flag_write(
-                proc,
-                ("td-dirty", self.tag, self.rank),
-                target=self.rank,
-                release=release,
-            )
+        det = self.engine.detector
+        if det is not None and proc is not None:
+            det.flag_write(proc, ("td-dirty", self.tag, self.rank), self.rank, release)
         self.dirty = True
 
     # ------------------------------------------------------------------ #
@@ -257,7 +251,9 @@ class TerminationDetector:
             self.in_wave = True
             self.voted = False
             self.child_tokens = {}
-            hooks.protocol(proc, "wave-down", wave=wave)
+            det = self.engine.detector
+            if det is not None:
+                det.on_protocol(proc, "wave-down", {"wave": wave})
             for c in self.children:
                 yield from self._co_send(proc, c, ("down", wave))
         elif kind == "up":
@@ -278,14 +274,18 @@ class TerminationDetector:
     def _co_send(self, proc: Proc, dest: int, payload: tuple):
         self.counters.add(proc.rank, "td_msgs")
         trace(proc, "td-msg", f"{payload[0]} -> rank {dest}")
-        hooks.protocol(proc, "td-send", dest=dest, token=payload[0])
+        det = self.engine.detector
+        if det is not None:
+            det.on_protocol(proc, "td-send", {"dest": dest, "token": payload[0]})
         yield from self.armci.co_post(proc, dest, self.tag, payload)
 
     # ------------------------------------------------------------------ #
     # Voting
     # ------------------------------------------------------------------ #
     def _combined_color(self, proc: Proc) -> int:
-        hooks.flag_read(proc, ("td-dirty", self.tag, self.rank))
+        det = self.engine.detector
+        if det is not None:
+            det.flag_read(proc, ("td-dirty", self.tag, self.rank))
         if self.dirty or any(c == BLACK for c in self.child_tokens.values()):
             return BLACK
         return WHITE
@@ -297,8 +297,10 @@ class TerminationDetector:
         if len(self.child_tokens) < len(self.children):
             return
         color = self._combined_color(proc)
-        hooks.protocol(proc, "vote", wave=self.wave, color=color)
-        hooks.flag_write(proc, ("td-dirty", self.tag, self.rank))
+        det = self.engine.detector
+        if det is not None:
+            det.on_protocol(proc, "vote", {"wave": self.wave, "color": color})
+            det.flag_write(proc, ("td-dirty", self.tag, self.rank))
         self.dirty = False
         self.voted = True
         self.in_wave = False
@@ -313,7 +315,9 @@ class TerminationDetector:
             self.child_tokens = {}
             self._wave_started = proc.now
             self.counters.add(proc.rank, "waves")
-            hooks.protocol(proc, "wave-start", wave=self.wave)
+            det = self.engine.detector
+            if det is not None:
+                det.on_protocol(proc, "wave-start", {"wave": self.wave})
             for c in self.children:
                 yield from self._co_send(proc, c, ("down", self.wave))
         if len(self.child_tokens) < len(self.children):
@@ -331,11 +335,12 @@ class TerminationDetector:
                 self._wave_started,
                 detail="white" if color == WHITE else "black",
             )
-        hooks.protocol(
-            proc, "wave-complete", wave=self.wave, color=color,
-            done=color == WHITE,
-        )
-        hooks.flag_write(proc, ("td-dirty", self.tag, self.rank))
+        det = self.engine.detector
+        if det is not None:
+            det.on_protocol(proc, "wave-complete", {
+                "wave": self.wave, "color": color, "done": color == WHITE,
+            })
+            det.flag_write(proc, ("td-dirty", self.tag, self.rank))
         self.dirty = False
         self.in_wave = False
         self.child_tokens = {}

@@ -16,7 +16,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.analyze import hooks
 from repro.armci.runtime import Armci
 from repro.ga.distribution import BlockDistribution, Piece, Plan
 from repro.sim.engine import Engine, Proc
@@ -120,7 +119,9 @@ class GlobalArray:
     def access(self, proc: Proc) -> np.ndarray:
         """Direct view of the calling rank's own patch (NGA_Access)."""
         # The view is writable, so model it as a write by the owner.
-        hooks.shared_write(proc, ("ga", self.gid, proc.rank))
+        det = proc.engine.detector
+        if det is not None:
+            det.record(proc, ("ga", self.gid, proc.rank), "w")
         return self._patches[proc.rank]
 
     # ------------------------------------------------------------------ #
@@ -236,18 +237,21 @@ class GlobalArray:
     # contract, so block-vs-patch overlap needs no conflict edge.
     def _read(self, piece: Piece) -> np.ndarray:
         engine = self._runtime.engine
-        if engine.observed:
-            hooks.shared_read(engine.current, ("ga", self.gid, piece.rank, piece.lo))
+        det = engine.detector
+        if det is not None:
+            det.record(engine.current, ("ga", self.gid, piece.rank, piece.lo), "r")
         return self._patches[piece.rank][piece.local].copy()
 
     def _write(self, piece: Piece, chunk: np.ndarray) -> None:
         engine = self._runtime.engine
-        if engine.observed:
-            hooks.shared_write(engine.current, ("ga", self.gid, piece.rank, piece.lo))
+        det = engine.detector
+        if det is not None:
+            det.record(engine.current, ("ga", self.gid, piece.rank, piece.lo), "w")
         self._patches[piece.rank][piece.local] = chunk
 
     def _accumulate(self, piece: Piece, scaled: np.ndarray) -> None:
         engine = self._runtime.engine
-        if engine.observed:
-            hooks.shared_atomic(engine.current, ("ga", self.gid, piece.rank, piece.lo))
+        det = engine.detector
+        if det is not None:
+            det.record(engine.current, ("ga", self.gid, piece.rank, piece.lo), "a")
         self._patches[piece.rank][piece.local] += scaled

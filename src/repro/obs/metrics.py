@@ -3,7 +3,7 @@
 This module is the storage layer of the observability subsystem.  It
 deliberately imports nothing from the runtime layers (``repro.sim``,
 ``repro.core``, ``repro.armci``) so that any of them can import it
-without cycles — the same rule :mod:`repro.analyze.hooks` follows.
+without cycles.
 
 Three metric kinds cover the paper's evaluation needs (§6):
 

@@ -2,7 +2,7 @@
 
 A :class:`Recorder` attaches to an engine exactly like the tracer and
 the race detector: ``Recorder.attach(engine)`` before ``engine.run()``
-sets ``engine.recorder``, which ``Recorder.of(engine)`` returns.  The
+sets ``engine.recorder`` (``None`` while recording is off).  The
 runtime layers call the free functions in this module (:func:`span`,
 :func:`observe`, :func:`count`, :func:`sample`, :func:`instant`) at
 their interesting points; when no recorder is attached each call reads
@@ -32,7 +32,7 @@ edges that turn the span stream into a happens-before DAG
 source point ``(src_rank, src_time)`` to a destination point
 ``(dst_rank, dst_time)`` and carries a stable id (emission order,
 deterministic because the schedule is).  The runtime layers emit them
-at the four synchronization sites where one rank's progress causally
+at the five synchronization sites where one rank's progress causally
 depends on another's:
 
 * ``steal`` — a successful steal back to the victim-side release that
@@ -236,11 +236,6 @@ class Recorder:
             inst = engine.recorder = cls(engine, sink=sink, live=live)
             engine.note_observer()
         return inst
-
-    @classmethod
-    def of(cls, engine: "Engine") -> "Recorder | None":
-        """The engine's recorder, or None if recording is off."""
-        return engine.recorder
 
     # ------------------------------------------------------------------ #
     # Storage views (delegate to the sink)

@@ -93,11 +93,6 @@ class Tracer:
             inst._subscribers.setdefault(kind, []).append(on_event)
         return inst
 
-    @classmethod
-    def of(cls, engine: "Engine") -> "Tracer | None":
-        """The engine's tracer, or None if tracing is off."""
-        return engine.tracer
-
     def record(self, proc: "Proc", kind: str, detail: Any = None) -> None:
         """Record an event at the process's current virtual time."""
         i = self.count

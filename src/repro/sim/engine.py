@@ -64,10 +64,9 @@ __all__ = [
 class SchedulingStrategy:
     """Pluggable policy for the engine's scheduling decision points.
 
-    The engine consults its strategy at four points: every :meth:`Proc.co_sync`
-    and :meth:`Engine.wake` (latency injection via :meth:`delay`), every
-    :meth:`Proc.co_park` (:meth:`on_park`, bookkeeping only), and — when
-    :attr:`explores` is True — every resume decision (:meth:`choose`).
+    The engine consults its strategy at every :meth:`Proc.co_sync` and
+    :meth:`Engine.wake` (latency injection via :meth:`delay`) and — when
+    :attr:`explores` is True — at every resume decision (:meth:`choose`).
 
     The base class is the **deterministic** strategy: no delay, resume
     order from the ``(virtual time, insertion sequence)`` heap.
@@ -104,9 +103,6 @@ class SchedulingStrategy:
         ``ValueError`` naming the site.
         """
         return 0.0
-
-    def on_park(self, proc: "Proc", where: str) -> None:
-        """Called when a process parks (blocking primitive)."""
 
 
 @dataclass
@@ -303,10 +299,7 @@ class Proc:
         Returns:
             The payload passed to :meth:`Engine.wake`.
         """
-        engine = self.engine
         self.blocked_at = where
-        if engine._on_park is not None:
-            engine._on_park(self, where)
         yield self
         return self._wake_payload
 
@@ -320,11 +313,8 @@ class Proc:
         the timeout, whichever comes first.  Returns the wake payload, or
         None on timeout.
         """
-        engine = self.engine
         self.blocked_at = where
-        if engine._on_park is not None:
-            engine._on_park(self, where)
-        engine._schedule(self, wake_time, None)
+        self.engine._schedule(self, wake_time, None)
         yield self
         return self._wake_payload
 
@@ -383,7 +373,6 @@ class Engine:
         self._next: tuple[float, int, int, int] | None = None
         # Hot-path caches, finalized at the top of run().
         self._delay_fn: Callable[[Proc, str], float] | None = None
-        self._on_park: Callable[[Proc, str], None] | None = None
         self._explores = False
         self._elide = True
         self._limits = max_events is not None or max_time is not None
@@ -618,7 +607,6 @@ class Engine:
         if strat is not None:
             strat.begin(self)
         self._delay_fn = strat.delay if strat is not None else None
-        self._on_park = strat.on_park if strat is not None else None
         self._explores = strat is not None and strat.explores
         self._elide = not self._explores
         for rank, main in enumerate(self._mains):

@@ -50,7 +50,7 @@ class TestSyncEdges:
                 shared["m"] = armci.create_mutex(0, "m")
             mtx = shared["m"]
             yield from mtx.co_acquire(proc)
-            det = RaceDetector.of(proc.engine)
+            det = proc.engine.detector
             det.record(proc, "cell", "w")
             yield from mtx.co_release(proc)
 
@@ -61,7 +61,7 @@ class TestSyncEdges:
     def test_unsynchronized_writes_race(self):
         def main(proc):
             yield from proc.co_sync()
-            RaceDetector.of(proc.engine).record(proc, "cell", "w")
+            proc.engine.detector.record(proc, "cell", "w")
 
         _, det = _run(2, main)
         assert len(det.races) == 1
@@ -71,7 +71,7 @@ class TestSyncEdges:
     def test_reads_never_race_with_reads(self):
         def main(proc):
             yield from proc.co_sync()
-            RaceDetector.of(proc.engine).record(proc, "cell", "r")
+            proc.engine.detector.record(proc, "cell", "r")
 
         _, det = _run(4, main)
         assert det.races == []
@@ -79,7 +79,7 @@ class TestSyncEdges:
     def test_atomics_never_race_with_atomics(self):
         def main(proc):
             yield from proc.co_sync()
-            RaceDetector.of(proc.engine).record(proc, "cell", "a")
+            proc.engine.detector.record(proc, "cell", "a")
 
         _, det = _run(4, main)
         assert det.races == []
@@ -87,7 +87,7 @@ class TestSyncEdges:
     def test_atomic_races_with_plain_write(self):
         def main(proc):
             yield from proc.co_sync()
-            det = RaceDetector.of(proc.engine)
+            det = proc.engine.detector
             det.record(proc, "cell", "a" if proc.rank else "w")
 
         _, det = _run(2, main)
@@ -96,7 +96,7 @@ class TestSyncEdges:
     def test_barrier_orders_across_ranks(self):
         def main(proc):
             armci = Armci.attach(proc.engine)
-            det = RaceDetector.of(proc.engine)
+            det = proc.engine.detector
             if proc.rank == 0:
                 det.record(proc, "cell", "w")
             yield from armci.co_barrier(proc)
@@ -109,7 +109,7 @@ class TestSyncEdges:
     def test_rmw_serialization_orders_closure_accesses(self):
         def main(proc):
             armci = Armci.attach(proc.engine)
-            det = RaceDetector.of(proc.engine)
+            det = proc.engine.detector
             yield from armci.co_rmw(proc, 0, lambda: det.record(proc, "cell", "rw"))
 
         _, det = _run(3, main)
@@ -118,7 +118,7 @@ class TestSyncEdges:
     def test_message_edge_orders_post_and_poll(self):
         def main(proc):
             armci = Armci.attach(proc.engine)
-            det = RaceDetector.of(proc.engine)
+            det = proc.engine.detector
             if proc.rank == 0:
                 det.record(proc, "cell", "w")
                 yield from armci.co_post(proc, 1, "t", ("hello",))
@@ -137,14 +137,14 @@ class TestSyncEdges:
 
         eng, det = _run(2, main, detect=False)
         assert det is None
-        assert RaceDetector.of(eng) is None
+        assert eng.detector is None
 
 
 class TestFenceDiscipline:
     def test_unfenced_release_flag_store_reported(self):
         def main(proc):
             armci = Armci.attach(proc.engine)
-            det = RaceDetector.of(proc.engine)
+            det = proc.engine.detector
             if proc.rank == 1:
                 yield from armci.co_put(proc, 0, 64, None)  # transfer, never fenced
                 yield from armci.co_put(
@@ -159,7 +159,7 @@ class TestFenceDiscipline:
     def test_fence_clears_pending_ops(self):
         def main(proc):
             armci = Armci.attach(proc.engine)
-            det = RaceDetector.of(proc.engine)
+            det = proc.engine.detector
             if proc.rank == 1:
                 yield from armci.co_put(proc, 0, 64, None)
                 yield from armci.co_fence(proc, 0)
@@ -174,7 +174,7 @@ class TestFenceDiscipline:
     def test_flag_stores_never_race_with_each_other(self):
         def main(proc):
             yield from proc.co_sync()
-            det = RaceDetector.of(proc.engine)
+            det = proc.engine.detector
             det.flag_write(proc, "flag")
             det.flag_read(proc, "flag")
 

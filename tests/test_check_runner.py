@@ -197,7 +197,7 @@ class TestOnlineChecking:
         engines = []
         out = run_once(make_scenario("termination"), RandomWalk(seed=1), engine_hook=engines.append)
         assert not out.failed
-        tracer = Tracer.of(engines[0])
+        tracer = engines[0].tracer
         assert tracer.count > 0
         with pytest.raises(RuntimeError, match="only after Tracer.attach"):
             tracer.events

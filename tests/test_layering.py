@@ -29,15 +29,13 @@ RUNTIME = (
     "repro.apps.matmul",
 )
 
-#: The only upper-layer modules the runtime may load: the two package
-#: roots (docstrings only), the hook modules and the metrics they record.
+#: The only upper-layer modules the runtime may load: the obs package
+#: root (docstring only), the recording hooks and the metrics they record.
 ALLOWED = {
     "repro.obs",
     "repro.obs.record",
     "repro.obs.metrics",
     "repro.obs.tracing",
-    "repro.analyze",
-    "repro.analyze.hooks",
 }
 
 UPPER = ("obs", "analyze", "bench", "check", "fleet", "targets", "cli")
@@ -69,8 +67,8 @@ def test_observers_are_engine_attributes():
     recorder = Recorder.attach(eng)
     detector = RaceDetector.attach(eng)
     assert eng.observed
-    assert Tracer.of(eng) is eng.tracer is tracer
-    assert Recorder.of(eng) is eng.recorder is recorder
-    assert RaceDetector.of(eng) is eng.detector is detector
+    assert eng.tracer is tracer
+    assert eng.recorder is recorder
+    assert eng.detector is detector
     held = {id(v) for v in eng.state.values()}
     assert not held & {id(tracer), id(recorder), id(detector)}

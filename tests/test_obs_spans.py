@@ -66,7 +66,7 @@ def test_hooks_are_noops_without_recorder():
 
     eng.spawn_all(main)
     eng.run()
-    assert Recorder.of(eng) is None
+    assert eng.recorder is None
     assert "obs" not in eng.state
 
 
@@ -109,4 +109,4 @@ def test_recorder_attach_is_idempotent():
     a = Recorder.attach(eng)
     b = Recorder.attach(eng)
     assert a is b
-    assert Recorder.of(eng) is a
+    assert eng.recorder is a

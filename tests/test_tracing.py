@@ -46,7 +46,7 @@ def test_tracer_records_steals_and_tokens():
 def test_tracing_off_by_default_costs_nothing():
     eng = Engine(3, seed=3, max_events=2_000_000)
     _scioto_workload(eng)
-    assert Tracer.of(eng) is None
+    assert eng.tracer is None
 
 
 def test_tracing_does_not_perturb_virtual_time():
